@@ -1,8 +1,9 @@
 """cgexact: exact Clebsch-Gordan coefficients by three independent routes.
 
-Coefficients are computed as exact radicals (rational multiples of square
-roots of squarefree integers) via a binomial-ratio closed form, Racah's
-factorial formula, and explicit ladder-operator subspace reconstruction; the
+Coefficients are computed as exact sums of signed square roots of rationals,
+one term per commensurability class (each term stored as its sign and its
+rational square), via a binomial-ratio closed form, Racah's factorial
+formula, and explicit ladder-operator subspace reconstruction; the
 verification module certifies their mutual agreement by exact equality.
 """
 
@@ -34,14 +35,10 @@ from .ladder import (
     stretched_multiplet_state,
 )
 from .numerics import (
-    BigRational,
     HalfInt,
-    KernelBoundError,
     NegativeRadicandError,
     RadicalSum,
     binomial,
-    canonical_sqrt,
-    factorial,
     sum_signed_sqrts,
     to_decimal,
 )
@@ -63,13 +60,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaSequence",
-    "BigRational",
     "CHECKS",
     "CoefficientRecord",
     "Counterexample",
     "CouplingSpec",
     "HalfInt",
-    "KernelBoundError",
     "MalformedCouplingError",
     "NegativeRadicandError",
     "RadicalSum",
@@ -85,7 +80,6 @@ __all__ = [
     "beta_closed_form",
     "binomial",
     "build_full_table",
-    "canonical_sqrt",
     "cg_alternative",
     "cg_ladder",
     "cg_racah",
@@ -97,7 +91,6 @@ __all__ = [
     "check_threej_symmetries",
     "check_unitarity",
     "check_unitarity_sweep",
-    "factorial",
     "highest_weight_state",
     "lower_normalized",
     "run_checks",

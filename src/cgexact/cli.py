@@ -307,12 +307,9 @@ def verify(max_twice_j, check_names, jobs, fmt) -> None:
 def _peak_bits(records: list[CoefficientRecord]) -> int:
     peak = 0
     for record in records:
-        for kernel, coeff in record.exact.terms():
+        for _, square in record.exact.terms():
             peak = max(
-                peak,
-                coeff.numerator.bit_length(),
-                coeff.denominator.bit_length(),
-                kernel.bit_length(),
+                peak, square.numerator.bit_length(), square.denominator.bit_length()
             )
     return peak
 

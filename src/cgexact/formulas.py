@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .numerics import HalfInt, RadicalSum, binomial, canonical_sqrt, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -203,7 +203,6 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
         return RadicalSum.zero()
 
     denom_base = binomial(tJ, s_jm) * _norm_denominator_sum(tj1, tj2, m)
-    prime_bound = max(tj1 + tj2 + 2, 3)
 
     # the shared 1/(C(2J, J-M) * norm sum) factor cancels from term ratios,
     # so it is handed to the accumulator separately
@@ -222,18 +221,16 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
         signed_radicands.append(
             (-1 if l & 1 else 1, Fraction(numer, binomial(tj1, l)))
         )
-    return sum_signed_sqrts(
-        signed_radicands, prime_bound, shared_factor=Fraction(1) / denom_base
-    )
+    return sum_signed_sqrts(signed_radicands, shared_factor=Fraction(1) / denom_base)
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via Racah's single-sum factorial formula.
 
-    A common square-root prefactor (canonicalized exactly) multiplies an
-    alternating rational sum over every z that keeps all factorial arguments
-    nonnegative.  The result is structurally a single-term RadicalSum, which
-    is what makes this route the collapse oracle for `cg_alternative`.
+    A common square-root prefactor multiplies an alternating rational sum
+    over every z that keeps all factorial arguments nonnegative.  The result
+    is structurally a single-term RadicalSum, which is what makes this route
+    the collapse oracle for `cg_alternative`.
     """
     result = _require_well_formed(spec)
     if result.is_selection_zero:
@@ -289,8 +286,7 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
         * factorial(c_p) * factorial(c_m),
         factorial(gs),
     )
-    coeff, kernel = canonical_sqrt(prefactor, prime_bound=gs + 1)
-    return RadicalSum({kernel: coeff * total})
+    return RadicalSum.sqrt(prefactor) * total
 
 
 def cg_to_wigner3j(
@@ -318,23 +314,10 @@ def wigner3j(spec: ThreeJSpec) -> RadicalSum:
     """Wigner 3j symbol with standard selection rules.
 
     Computed from the Racah route through the CG conversion so that the 3j
-    symmetry suite stays an independent check on the other formulas.
+    symmetry suite stays an independent check on the other formulas.  The
+    coupling spec has J = j3 and M = -m3, so `cg_racah`'s validation rejects
+    malformed columns and gives 0 when m1 + m2 + m3 != 0 or the triangle
+    rule fails.
     """
-    for name, tj, tm in (
-        ("j1", spec.j1.twice, spec.m1.twice),
-        ("j2", spec.j2.twice, spec.m2.twice),
-        ("j3", spec.j3.twice, spec.m3.twice),
-    ):
-        if tj < 0:
-            raise MalformedCouplingError(f"{spec}: {name} is negative")
-        if (tj + tm) % 2:
-            raise MalformedCouplingError(f"{spec}: parity of m inconsistent in column {name}")
-        if abs(tm) > tj:
-            raise MalformedCouplingError(f"{spec}: |m| exceeds {name}")
-    if spec.m1.twice + spec.m2.twice + spec.m3.twice != 0:
-        return RadicalSum.zero()
     coupling = CouplingSpec(spec.j1, spec.j2, spec.m1, spec.m2, spec.j3, -spec.m3)
-    if validate(coupling).is_selection_zero:
-        return RadicalSum.zero()
-    value = cg_racah(coupling)
-    return cg_to_wigner3j(coupling, value)[1]
+    return cg_to_wigner3j(coupling, cg_racah(coupling))[1]

@@ -116,11 +116,6 @@ class AlphaSequence:
     alphas: tuple[RadicalSum, ...]
 
 
-def _prime_bound(tj1: int, tj2: int) -> int:
-    # every factorial/binomial argument in this cell is <= 2(j1+j2)+2
-    return max(tj1 + tj2 + 2, 3)
-
-
 @lru_cache(maxsize=None)
 def _lowering_element(tj: int, tm: int) -> RadicalSum:
     """sqrt(j(j+1) - m(m-1)) for doubled arguments."""
@@ -147,14 +142,13 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
     if not 0 <= n <= tj1 + tj2:
         raise ValueError(f"n={n} outside 0..2(j1+j2)={tj1 + tj2}")
     denom = binomial(tj1 + tj2, n)
-    bound = _prime_bound(tj1, tj2)
     components: dict[BasisIndex, RadicalSum] = {}
     for k in range(n + 1):
         numer = binomial(tj1, k) * binomial(tj2, n - k)
         if not numer:
             continue
         index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (n - k)))
-        components[index] = RadicalSum.sqrt(Fraction(numer, denom), bound)
+        components[index] = RadicalSum.sqrt(Fraction(numer, denom))
     return _make_state(j1, j2, components)
 
 
@@ -169,15 +163,14 @@ def alpha_sequence(j1, j2, m: int) -> AlphaSequence:
     tj1, tj2 = j1.twice, j2.twice
     if not 0 <= m <= min(tj1, tj2):
         raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    bound = _prime_bound(tj1, tj2)
     products = [Fraction(1)]
     for k in range(1, m + 1):
         ratio = Fraction((tj2 - m + k) * (m - k + 1), k * (tj1 - k + 1))
         products.append(products[-1] * ratio)
-    alpha0 = RadicalSum.sqrt(Fraction(1) / sum(products), bound)
+    alpha0 = RadicalSum.sqrt(Fraction(1) / sum(products))
     alphas = []
     for l, product in enumerate(products):
-        value = RadicalSum.sqrt(product, bound) * alpha0
+        value = RadicalSum.sqrt(product) * alpha0
         alphas.append(-value if l & 1 else value)
     return AlphaSequence(m=m, alphas=tuple(alphas))
 
@@ -273,7 +266,7 @@ def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
         return RadicalSum.zero()
     denom = binomial(tj1, l) * binomial(tJ, s)
     radicand = Fraction(numer, denom) / formulas._norm_denominator_sum(tj1, tj2, m)
-    value = RadicalSum.sqrt(radicand, _prime_bound(tj1, tj2))
+    value = RadicalSum.sqrt(radicand)
     return -value if l & 1 else value
 
 
@@ -344,7 +337,6 @@ class CoefficientRecord:
 
 
 def _records_from_state(J: HalfInt, state: StateVector) -> list[CoefficientRecord]:
-    tJ = J.twice
     tM = 0 if state.is_zero else state.m_total().twice
     return [
         CoefficientRecord(J, HalfInt.from_twice(tM), m1, m2, value)

@@ -1,12 +1,15 @@
-"""Exact arithmetic foundation: half-integer quantum numbers, big rationals,
-big-integer combinatorics, and canonical signed-radical numbers.
+"""Exact arithmetic foundation: half-integer quantum numbers, big-integer
+combinatorics, and exact sums of signed square roots of rationals.
 
 Every value in this package is exact.  Rational numbers are
-:class:`fractions.Fraction` (re-exported as ``BigRational``); irrational
-values are :class:`RadicalSum`, finite sums ``sum_i c_i * sqrt(k_i)`` with
-rational coefficients and distinct squarefree integer kernels.  Equality of
-two RadicalSums is equality of their term maps, so agreement checks carry no
-tolerance anywhere.
+:class:`fractions.Fraction`; irrational values are :class:`RadicalSum`,
+finite sums ``sum_i s_i * sqrt(q_i)`` with signs s_i = +-1 and positive
+rational squares q_i.  Two square roots sqrt(a) and sqrt(b) are
+commensurable when a/b is the square of a rational; a RadicalSum keeps one
+term per commensurability class, merging commensurable terms as they meet.
+Each term is stored as its sign and its square, so the form is canonical
+without factoring any integer, and equality of two RadicalSums is equality
+of their terms.  Agreement checks carry no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -14,35 +17,25 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, Mapping, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "BigRational",
     "HalfInt",
-    "KernelBoundError",
     "NegativeRadicandError",
     "RadicalSum",
     "Rationalish",
     "binomial",
-    "canonical_sqrt",
-    "factorial",
     "sum_signed_sqrts",
     "to_decimal",
 ]
 
-#: Exact ratio of arbitrary-precision integers, always in lowest terms with a
-#: positive denominator.  The stdlib type satisfies the contract as-is.
-BigRational = Fraction
-
 Rationalish = Union[int, Fraction]
 
-#: Default trial-division bound for squarefree factorization.  Radicands in
-#: this package are ratios of factorial/binomial products, so every prime
-#: factor is bounded by the largest factorial argument; 1000 covers all
-#: couplings with 2j <= 200 with room to spare.
-DEFAULT_PRIME_BOUND = 1000
+#: One term of a RadicalSum: (sign, square) stands for sign * sqrt(square),
+#: with sign +1 or -1 and square a positive Fraction.
+Term = tuple[int, Fraction]
 
 
 class NegativeRadicandError(ValueError):
@@ -50,15 +43,6 @@ class NegativeRadicandError(ValueError):
 
     No radicand in the coupling formulas is ever negative; hitting this means
     an upstream index bug, so it is an error rather than a NaN-like value.
-    """
-
-
-class KernelBoundError(ValueError):
-    """Raised when a residual factor cannot be certified squarefree.
-
-    Canonicalization refuses to guess: if trial division up to the prime
-    bound leaves a composite that might hide a square, we fail loudly instead
-    of silently mis-canonicalizing.
     """
 
 
@@ -162,11 +146,6 @@ def _coerce_twice(value) -> int:
 # ---------------------------------------------------------------------------
 
 
-def factorial(n: int) -> int:
-    """n! as an exact big integer (n >= 0)."""
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the generalized-zero convention.
 
@@ -181,84 +160,65 @@ def binomial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Squarefree canonicalization
+# Commensurability of square roots
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _primes_up_to(bound: int) -> tuple[int, ...]:
-    """All primes <= bound, by sieve.  Cached; safe to race (idempotent)."""
-    if bound < 2:
-        return ()
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+def _rational_root(square: Fraction) -> Fraction | None:
+    """sqrt(square) when it is rational, else None (square >= 0)."""
+    num, den = square.numerator, square.denominator
+    num_root, den_root = isqrt(num), isqrt(den)
+    if num_root * num_root == num and den_root * den_root == den:
+        return Fraction(num_root, den_root)
+    return None
 
 
-def _split_square(n: int, bound: int) -> tuple[int, int]:
-    """Write n = root**2 * kernel with kernel squarefree (n > 0).
+def _ratio_root(a: Fraction, b: Fraction) -> int | None:
+    """r with sqrt(b / a) == r / (a.numerator * b.denominator) when that is
+    rational, else None (a, b > 0).
 
-    Trial division by primes <= bound, with two exact escape hatches for a
-    residual r whose prime factors all exceed the bound: a perfect square
-    folds into the root, and r < bound**3 is provably squarefree (it can only
-    be p or p*q).  Anything else raises KernelBoundError.
+    b/a is the square of a rational iff the integer a.num * a.den * b.num *
+    b.den is a perfect square, so the test costs one integer square root and
+    builds no Fraction.
     """
-    root = 1
-    kernel = 1
-    exhausted = True
-    for p in _primes_up_to(bound):
-        if p * p > n:
-            exhausted = False
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            root *= p ** (e >> 1)
-            if e & 1:
-                kernel *= p
-    if n == 1:
-        return root, kernel
-    if not exhausted:
-        # no factor <= sqrt(n): the residual is prime, hence squarefree
-        return root, kernel * n
-    s = isqrt(n)
-    if s * s == n:
-        return root * s, kernel
-    if n < bound * bound * bound:
-        # all factors > bound and not a square: must be p or p*q, squarefree
-        return root, kernel * n
-    raise KernelBoundError(
-        f"residual factor {n} exceeds prime bound {bound}; "
-        f"raise the bound to canonicalize this radicand"
-    )
+    product = a.numerator * a.denominator * b.numerator * b.denominator
+    root = isqrt(product)
+    return root if root * root == product else None
 
 
-def canonical_sqrt(
-    value: Rationalish, prime_bound: int | None = None
-) -> tuple[Fraction, int]:
-    """Canonical form of sqrt(value): (c, k) with c**2 * k == value exactly.
+def _add_term(terms: list[Term], sign: int, square: Fraction) -> None:
+    """Add sign * sqrt(square) to ``terms`` in place, merging it into the
+    term of its commensurability class when there is one."""
+    for i, (s, q) in enumerate(terms):
+        root = _ratio_root(q, square)
+        if root is None:
+            continue
+        # sqrt(square) == sqrt(q) * root / unit, so the sum of the two terms
+        # is sqrt(q) * c / unit, whose square is c**2 / (unit * den * q.den)
+        den = square.denominator
+        unit = q.numerator * den
+        c = s * unit + sign * root
+        if c:
+            terms[i] = (1 if c > 0 else -1, Fraction(c * c, unit * den * q.denominator))
+        else:
+            del terms[i]
+        return
+    terms.append((sign, square))
 
-    c is a nonnegative rational, k a squarefree positive integer.  value
-    must be >= 0; value == 0 gives (0, 1).  ``prime_bound`` overrides the
-    trial-division bound when the caller knows the largest possible prime
-    factor (all radicands here come from factorial ratios, so the largest
-    factorial argument is such a bound).
-    """
-    r = Fraction(value)
-    if r < 0:
-        raise NegativeRadicandError(f"negative radicand {r}")
-    if r == 0:
-        return Fraction(0), 1
-    bound = prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND
-    num_root, num_kernel = _split_square(r.numerator, bound)
-    den_root, den_kernel = _split_square(r.denominator, bound)
-    # sqrt(n/d) = sqrt(n*d)/d; with n, d coprime the kernels are coprime too
-    return Fraction(num_root, den_root * den_kernel), num_kernel * den_kernel
+
+_square = itemgetter(1)
+
+
+def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
+    """Internal constructor for canonical terms: one per class, by square."""
+    obj = object.__new__(RadicalSum)
+    obj._terms = terms
+    return obj
+
+
+def _sorted_terms(terms: list[Term]) -> "RadicalSum":
+    terms.sort(key=_square)
+    return _from_terms(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +227,20 @@ def canonical_sqrt(
 
 
 class RadicalSum:
-    """Exact number of the form ``sum_i c_i * sqrt(k_i)``.
+    """Exact number of the form ``sum_i s_i * sqrt(q_i)``.
 
-    Terms are keyed by their squarefree positive integer kernel; no stored
-    coefficient is zero and the empty sum is exactly 0.  Two values are equal
-    iff their term maps are equal.  Instances are immutable; all arithmetic
-    returns new values.
+    Each term is a (sign, square) pair.  No two squares of one value have a
+    ratio that is the square of a rational, and the terms are sorted by
+    square, so two values are equal iff their terms are equal.  A rational
+    value is a single term whose square is a rational square.  ``RadicalSum()``
+    is exactly 0; other values come from :meth:`rational`, :meth:`sqrt`,
+    :meth:`parse` and arithmetic.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Rationalish] | None = None):
-        cleaned: dict[int, Fraction] = {}
-        if terms:
-            for kernel, coeff in terms.items():
-                if not isinstance(kernel, int) or kernel <= 0:
-                    raise ValueError(f"kernel must be a positive int, got {kernel!r}")
-                c = Fraction(coeff)
-                if not c:
-                    continue
-                if kernel > 3:
-                    root, kernel = _split_square(kernel, DEFAULT_PRIME_BOUND)
-                    c *= root
-                total = cleaned.get(kernel, 0) + c
-                if total:
-                    cleaned[kernel] = total
-                else:
-                    cleaned.pop(kernel, None)
-        self._terms = cleaned
+    def __init__(self) -> None:
+        self._terms: tuple[Term, ...] = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -304,30 +250,24 @@ class RadicalSum:
 
     @classmethod
     def one(cls) -> "RadicalSum":
-        return cls({1: Fraction(1)})
+        return _from_terms(((1, Fraction(1)),))
 
     @classmethod
     def rational(cls, value: Rationalish) -> "RadicalSum":
-        return cls({1: Fraction(value)})
+        value = Fraction(value)
+        if not value:
+            return cls()
+        return _from_terms(((1 if value > 0 else -1, value * value),))
 
     @classmethod
-    def sqrt(
-        cls, value: Rationalish, prime_bound: int | None = None
-    ) -> "RadicalSum":
-        """Exact sqrt of a nonnegative rational, canonicalized."""
-        c, k = canonical_sqrt(value, prime_bound)
-        return cls({k: c})
-
-    @classmethod
-    def term(
-        cls, coeff: Rationalish, kernel: int, prime_bound: int | None = None
-    ) -> "RadicalSum":
-        """c * sqrt(kernel) for any positive integer kernel (canonicalized)."""
-        if kernel <= 0:
-            raise ValueError(f"kernel must be positive, got {kernel}")
-        bound = prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND
-        root, k = _split_square(kernel, bound)
-        return cls({k: Fraction(coeff) * root})
+    def sqrt(cls, value: Rationalish) -> "RadicalSum":
+        """Exact square root of a nonnegative rational."""
+        square = Fraction(value)
+        if square < 0:
+            raise NegativeRadicandError(f"negative radicand {square}")
+        if not square:
+            return cls()
+        return _from_terms(((1, square),))
 
     # -- inspection --------------------------------------------------------
 
@@ -337,22 +277,28 @@ class RadicalSum:
 
     @property
     def is_rational(self) -> bool:
-        return not self._terms or set(self._terms) == {1}
+        terms = self._terms
+        return not terms or (len(terms) == 1 and _rational_root(terms[0][1]) is not None)
 
     @property
     def num_terms(self) -> int:
+        """Number of commensurability classes in the sum."""
         return len(self._terms)
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """(kernel, coefficient) pairs in increasing kernel order."""
-        return iter(sorted(self._terms.items()))
+    def terms(self) -> Iterator[Term]:
+        """(sign, square) pairs in increasing order of square; the value is
+        the sum of sign * sqrt(square) over them."""
+        return iter(self._terms)
 
     def as_fraction(self) -> Fraction:
-        """The exact rational value; raises if any irrational term remains."""
+        """The exact rational value; raises if the value is irrational."""
         if not self._terms:
             return Fraction(0)
-        if set(self._terms) == {1}:
-            return self._terms[1]
+        if len(self._terms) == 1:
+            ((sign, square),) = self._terms
+            root = _rational_root(square)
+            if root is not None:
+                return root if sign > 0 else -root
         raise ValueError(f"{self} is not rational")
 
     def sign(self) -> int:
@@ -360,8 +306,7 @@ class RadicalSum:
         if not self._terms:
             return 0
         if len(self._terms) == 1:
-            (coeff,) = self._terms.values()
-            return 1 if coeff > 0 else -1
+            return self._terms[0][0]
         raise ValueError(f"sign of multi-term sum {self} is not structural")
 
     def squared(self) -> "RadicalSum":
@@ -377,14 +322,10 @@ class RadicalSum:
             return self
         if not self._terms:
             return other
-        merged = dict(self._terms)
-        for kernel, coeff in other._terms.items():
-            total = merged.get(kernel, 0) + coeff
-            if total:
-                merged[kernel] = total
-            else:
-                merged.pop(kernel, None)
-        return _raw_radical(merged)
+        terms = list(self._terms)
+        for sign, square in other._terms:
+            _add_term(terms, sign, square)
+        return _sorted_terms(terms)
 
     __radd__ = __add__
 
@@ -401,37 +342,27 @@ class RadicalSum:
         return other + (-self)
 
     def __neg__(self) -> "RadicalSum":
-        return _raw_radical({k: -c for k, c in self._terms.items()})
+        return _from_terms(tuple((-s, q) for s, q in self._terms))
 
     def __mul__(self, other) -> "RadicalSum":
         if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
-            if not scale:
-                return RadicalSum.zero()
-            return _raw_radical({k: c * scale for k, c in self._terms.items()})
+            if not other:
+                return RadicalSum()
+            flip = 1 if other > 0 else -1
+            scale = other * other
+            # a positive scale keeps every class apart and the order by square
+            return _from_terms(tuple((s * flip, q * scale) for s, q in self._terms))
         if not isinstance(other, RadicalSum):
             return NotImplemented
         if len(self._terms) == 1 and len(other._terms) == 1:
-            ((k1, c1),) = self._terms.items()
-            ((k2, c2),) = other._terms.items()
-            if k1 == k2:
-                return _raw_radical({1: c1 * c2 * k1})
-            g = math.gcd(k1, k2)
-            return _raw_radical({(k1 // g) * (k2 // g): c1 * c2 * g})
-        product: dict[int, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                # sqrt(k1)*sqrt(k2) = g*sqrt(k1*k2/g**2), g = gcd(k1, k2);
-                # both kernels squarefree, so the new kernel is squarefree
-                g = math.gcd(k1, k2)
-                kernel = (k1 // g) * (k2 // g)
-                coeff = c1 * c2 * g
-                total = product.get(kernel, 0) + coeff
-                if total:
-                    product[kernel] = total
-                else:
-                    product.pop(kernel, None)
-        return _raw_radical(product)
+            ((s1, q1),) = self._terms
+            ((s2, q2),) = other._terms
+            return _from_terms(((s1 * s2, q1 * q2),))
+        product: list[Term] = []
+        for s1, q1 in self._terms:
+            for s2, q2 in other._terms:
+                _add_term(product, s1 * s2, q1 * q2)
+        return _sorted_terms(product)
 
     __rmul__ = __mul__
 
@@ -439,15 +370,14 @@ class RadicalSum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of RadicalSum by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, RadicalSum):
             if other.is_zero:
                 raise ZeroDivisionError("division of RadicalSum by zero")
             if other.num_terms != 1:
                 raise ValueError("can only divide by a single-term RadicalSum")
-            ((kernel, coeff),) = other._terms.items()
-            # 1/(c*sqrt(k)) = sqrt(k)/(c*k)
-            return self * _raw_radical({kernel: Fraction(1, 1) / (coeff * kernel)})
+            ((sign, square),) = other._terms
+            return self * _from_terms(((sign, 1 / square),))
         return NotImplemented
 
     def __bool__(self) -> bool:
@@ -457,146 +387,107 @@ class RadicalSum:
         if isinstance(other, RadicalSum):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            coerced = _coerce_radical(other)
-            return self._terms == coerced._terms
+            return self._terms == RadicalSum.rational(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._terms)
 
     def __float__(self) -> float:
-        return sum(float(c) * math.sqrt(k) for k, c in self._terms.items())
+        return sum(s * math.sqrt(q) for s, q in self._terms)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        if len(self._terms) == 1:
-            ((kernel, coeff),) = self._terms.items()
-            if kernel == 1:
-                return str(coeff)
-            radicand = coeff * coeff * kernel
-            sign = "-" if coeff < 0 else ""
-            return f"{sign}sqrt({radicand})"
-        pieces = []
-        for kernel, coeff in sorted(self._terms.items()):
-            mag = abs(coeff)
-            body = str(mag) if kernel == 1 else f"{mag}*sqrt({kernel})"
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
+        """'0', or terms 'p/q' (rational) or 'sqrt(p/q)' joined by ' + ' and
+        ' - ', the first one carrying a leading '-' when negative."""
+        text = ""
+        for sign, square in self._terms:
+            root = _rational_root(square)
+            body = str(root) if root is not None else f"sqrt({square})"
+            if text:
+                text += (" - " if sign < 0 else " + ") + body
             else:
-                pieces.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(pieces)
+                text = ("-" if sign < 0 else "") + body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"<RadicalSum {self}>"
 
     @classmethod
     def parse(cls, text: str) -> "RadicalSum":
-        """Inverse of str(): accepts '0', 'p/q', '[-]sqrt(p/q)' and the
-        multi-term 'c*sqrt(k)' sum form."""
+        """Inverse of str(): terms '[-]p/q' or '[-]sqrt(p/q)' joined by
+        ' + ' or ' - '."""
         stripped = text.strip()
         if not stripped:
             raise ValueError("empty exact-value text")
-        normalized = stripped.replace(" - ", " + -").split(" + ")
-        total = cls.zero()
-        for piece in normalized:
+        total = cls()
+        for piece in stripped.replace(" - ", " + -").split(" + "):
             total = total + _parse_term(piece.strip())
         return total
 
 
 _SQRT_RE = re.compile(r"^(-)?sqrt\(([0-9]+(?:/[0-9]+)?)\)$")
-_COEFF_SQRT_RE = re.compile(r"^(-?[0-9]+(?:/[0-9]+)?)\*sqrt\(([0-9]+)\)$")
 
 
 def _parse_term(piece: str) -> RadicalSum:
     match = _SQRT_RE.match(piece)
-    if match:
-        value = RadicalSum.sqrt(Fraction(match.group(2)))
-        return -value if match.group(1) else value
-    match = _COEFF_SQRT_RE.match(piece)
-    if match:
-        return RadicalSum.term(Fraction(match.group(1)), int(match.group(2)))
     try:
+        if match:
+            value = RadicalSum.sqrt(Fraction(match.group(2)))
+            return -value if match.group(1) else value
         return RadicalSum.rational(Fraction(piece))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"unparseable exact-value text: {piece!r}") from None
-
-
-def _raw_radical(terms: dict[int, Fraction]) -> RadicalSum:
-    """Internal constructor for already-clean term maps (no zero coeffs)."""
-    obj = object.__new__(RadicalSum)
-    obj._terms = terms
-    return obj
 
 
 def _coerce_radical(value):
     if isinstance(value, RadicalSum):
         return value
     if isinstance(value, (int, Fraction)):
-        if value == 0:
-            return RadicalSum.zero()
-        return _raw_radical({1: Fraction(value)})
+        return RadicalSum.rational(value)
     return NotImplemented
 
 
 def sum_signed_sqrts(
     signed_radicands: Iterable[tuple[int, Rationalish]],
-    prime_bound: int | None = None,
     shared_factor: Rationalish | None = None,
 ) -> RadicalSum:
     """Exact ``sum_i s_i * sqrt(r_i * shared_factor)`` for radicands r_i >= 0.
 
-    Only the first nonzero radicand is factored; every later term is compared
-    to it by an exact perfect-square ratio test, which is what makes long
-    commensurable sums (the common case here) cheap.  Incommensurable terms
-    fall back to full canonicalization, so the result is exact either way.
-    A positive ``shared_factor`` common to all radicands can be passed
-    separately; it cancels from the ratio tests and is only folded in when a
-    term is actually canonicalized.
+    Every term is compared to the first nonzero radicand by an exact
+    perfect-square ratio test; the commensurable ones (the common case here)
+    add up as one rational multiple of its square root.  The others merge
+    into their own classes, so the result is exact either way.  A positive
+    ``shared_factor`` common to all radicands can be passed separately; it
+    cancels from the ratio tests and is folded in once at the end.
     """
     shared = Fraction(shared_factor) if shared_factor is not None else None
     if shared is not None and shared <= 0:
         raise NegativeRadicandError(f"shared factor {shared} must be positive")
-    ref_coeff: Fraction | None = None
-    ref_kernel = 1
-    ref_radicand = Fraction(0)
-    accumulated = Fraction(0)
-    extras: dict[int, Fraction] = {}
+    ref: Fraction | None = None
+    coeff = Fraction(0)  # the sum over ref's class, in units of sqrt(ref)
+    extras: list[Term] = []
     for sign, radicand in signed_radicands:
         r = Fraction(radicand)
         if r < 0:
             raise NegativeRadicandError(f"negative radicand {r}")
         if r == 0:
             continue
-        if ref_coeff is None:
-            ref_coeff, ref_kernel = canonical_sqrt(
-                r if shared is None else r * shared, prime_bound
-            )
-            ref_radicand = r
-            accumulated = sign * ref_coeff
+        if ref is None:
+            ref, coeff = r, Fraction(sign)
             continue
-        ratio = r / ref_radicand
-        num_root = isqrt(ratio.numerator)
-        den_root = isqrt(ratio.denominator)
-        if num_root * num_root == ratio.numerator and den_root * den_root == ratio.denominator:
-            accumulated += sign * ref_coeff * Fraction(num_root, den_root)
+        root = _ratio_root(ref, r)
+        if root is None:
+            _add_term(extras, sign, r)
         else:
-            coeff, kernel = canonical_sqrt(
-                r if shared is None else r * shared, prime_bound
-            )
-            extras[kernel] = extras.get(kernel, Fraction(0)) + sign * coeff
-    terms: dict[int, Fraction] = {}
-    if accumulated:
-        terms[ref_kernel] = accumulated
-    for kernel, coeff in extras.items():
-        total = terms.get(kernel, 0) + coeff
-        if total:
-            terms[kernel] = total
-        else:
-            terms.pop(kernel, None)
-    return _raw_radical(terms)
+            coeff += Fraction(sign * root, ref.numerator * r.denominator)
+    terms = extras  # only classes other than ref's
+    if coeff:
+        terms.append((1 if coeff > 0 else -1, coeff * coeff * ref))
+    if shared is not None:
+        terms = [(s, q * shared) for s, q in terms]
+    return _sorted_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -607,47 +498,40 @@ def sum_signed_sqrts(
 def to_decimal(value: Union[RadicalSum, Rationalish], places: int) -> str:
     """Correctly rounded decimal string with exactly ``places`` fraction digits.
 
-    Rounding is round-half-even.  Rational values are rounded exactly; sums
-    with irrational terms are bracketed by integer square-root intervals at
-    increasing guard precision until the rounding is unambiguous (a sum with
-    an irrational term is never exactly on a rounding boundary, so this
+    Rounding is round-half-even.  Rational values are rounded exactly;
+    irrational sums are bracketed by integer square-root intervals at
+    increasing guard precision until the rounding is unambiguous (an
+    irrational value is never exactly on a rounding boundary, so this
     terminates).
     """
     if places < 1:
         raise ValueError(f"places must be >= 1, got {places}")
     if isinstance(value, RadicalSum):
-        items = sorted(value._terms.items())
-    else:
-        frac = Fraction(value)
-        items = [(1, frac)] if frac else []
-    if not items:
-        return _format_scaled(0, places)
-    if all(kernel == 1 for kernel, _ in items):
-        total = items[0][1]
-        scaled = _round_half_even(total.numerator * 10**places, total.denominator)
-        return _format_scaled(scaled, places)
+        if not value.is_rational:
+            return _irrational_decimal(value._terms, places)
+        value = value.as_fraction()
+    exact = Fraction(value)
+    return _format_scaled(
+        _round_half_even(exact.numerator * 10**places, exact.denominator), places
+    )
+
+
+def _irrational_decimal(terms: tuple[Term, ...], places: int) -> str:
     guard = 12
     while True:
         shift = 10**guard
-        scale = 10 ** (places + guard)
+        scale_squared = 10 ** (2 * (places + guard))
         lo = 0
         hi = 0
-        for kernel, coeff in items:
-            if kernel == 1:
-                v = coeff * scale
-                floor = v.numerator // v.denominator
-                lo += floor
-                hi += -((-v.numerator) // v.denominator)
+        for sign, square in terms:
+            # floor(sqrt(q) * S) == isqrt(floor(q * S**2))
+            root = isqrt(square.numerator * scale_squared // square.denominator)
+            if sign > 0:
+                lo += root
+                hi += root + 1
             else:
-                n = kernel * coeff.numerator * coeff.numerator * scale * scale
-                root = isqrt(n)
-                den = coeff.denominator
-                if coeff > 0:
-                    lo += root // den
-                    hi += -((-(root + 1)) // den)
-                else:
-                    lo -= -((-(root + 1)) // den)
-                    hi -= root // den
+                lo -= root + 1
+                hi -= root
         rounded_lo = _round_half_even(lo, shift)
         rounded_hi = _round_half_even(hi, shift)
         if rounded_lo == rounded_hi:

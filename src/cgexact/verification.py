@@ -15,6 +15,7 @@ so reports are identical whatever the completion order.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -117,14 +118,16 @@ def _map_ordered(
 ) -> Iterator[CellResult]:
     """Apply worker to every unit, yielding results in unit order.
 
-    jobs > 1 fans out to a process pool; imap preserves submission order, so
-    the merge is deterministic regardless of completion order.
+    jobs > 1 fans out to a process pool of at most one worker per unit and
+    per CPU; imap preserves submission order, so the merge is deterministic
+    regardless of completion order.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers <= 1:
         for unit in units:
             yield worker(unit)
         return
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(worker, units, chunksize=1)
 
 

@@ -15,7 +15,7 @@ from cgexact.formulas import (
     validate,
     wigner3j,
 )
-from cgexact.ladder import cg_ladder
+from cgexact.ladder import beta_closed_form, cg_ladder
 from cgexact.numerics import RadicalSum, to_decimal
 
 
@@ -138,6 +138,21 @@ def test_racah_single_term_structure():
                 Fraction(abs(tj1 - tj2), 2), Fraction(tj1 - tj2, 2),
             )
             assert cg_racah(s).num_terms <= 1
+
+
+def test_routes_agree_where_j1_plus_j2_plus_J_exceeds_1000():
+    # j1 + j2 + J = 1030: a radicand here has prime factors near 1000
+    s = spec(260, 260, 3, -3, 510, 0)
+    alternative = cg_alternative(s)
+    racah = cg_racah(s)
+    # |510, 0> at depth m = 10 has m1 = 3 at l + p = 257
+    beta = sum(
+        (beta_closed_form(260, 260, 10, 510, l, 257 - l) for l in range(11)),
+        RadicalSum.zero(),
+    )
+    assert not alternative.is_zero
+    assert alternative == racah == beta
+    assert RadicalSum.parse(str(alternative)) == alternative
 
 
 def test_selection_rule_sweep():

@@ -10,14 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgexact.numerics import (
-    DEFAULT_PRIME_BOUND,
     HalfInt,
-    KernelBoundError,
     NegativeRadicandError,
     RadicalSum,
     binomial,
-    canonical_sqrt,
-    factorial,
     sum_signed_sqrts,
     to_decimal,
 )
@@ -69,7 +65,7 @@ def test_halfint_sum_difference_exact(ta, tb):
 
 
 # ---------------------------------------------------------------------------
-# binomial / factorial
+# binomial
 # ---------------------------------------------------------------------------
 
 
@@ -108,64 +104,57 @@ def test_binomial_negative_n_rejected():
         binomial(-1, 0)
 
 
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-
-
 # ---------------------------------------------------------------------------
-# canonical_sqrt
+# Canonical square roots
 # ---------------------------------------------------------------------------
+
+SQRT = RadicalSum.sqrt
 
 
 def test_canonical_sqrt_examples():
-    assert canonical_sqrt(Fraction(4, 9)) == (Fraction(2, 3), 1)
-    assert canonical_sqrt(Fraction(8, 9)) == (Fraction(2, 3), 2)
-    assert canonical_sqrt(Fraction(3, 5)) == (Fraction(1, 5), 15)
-    assert canonical_sqrt(0) == (Fraction(0), 1)
-    # 8/18 reduces to 4/9, so its canonical square root is exact 2/3
-    assert canonical_sqrt(Fraction(8, 18)) == (Fraction(2, 3), 1)
+    assert SQRT(Fraction(4, 9)) == RadicalSum.rational(Fraction(2, 3))
+    assert list(SQRT(Fraction(8, 9)).terms()) == [(1, Fraction(8, 9))]
+    assert SQRT(Fraction(8, 9)) == SQRT(2) * Fraction(2, 3)
+    assert SQRT(Fraction(3, 5)) == SQRT(15) / 5
+    assert SQRT(0).is_zero
+    # 8/18 reduces to 4/9, so its square root is exactly 2/3
+    assert SQRT(Fraction(8, 18)).is_rational
+    assert SQRT(Fraction(8, 18)).as_fraction() == Fraction(2, 3)
 
 
 def test_canonical_sqrt_negative_rejected():
     with pytest.raises(NegativeRadicandError):
-        canonical_sqrt(Fraction(-1, 4))
-
-
-def _is_squarefree(k):
-    d = 2
-    while d * d <= k:
-        if k % (d * d) == 0:
-            return False
-        d += 1
-    return True
+        SQRT(Fraction(-1, 4))
+    with pytest.raises(NegativeRadicandError):
+        sum_signed_sqrts([(1, Fraction(1, 2)), (1, Fraction(-1, 4))])
+    with pytest.raises(NegativeRadicandError):
+        sum_signed_sqrts([(1, 2)], shared_factor=Fraction(-1, 3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 10**6))
-def test_canonical_sqrt_roundtrip(num, den):
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(1, 50))
+def test_canonical_sqrt_roundtrip(num, den, k):
     r = Fraction(num, den)
-    c, k = canonical_sqrt(r)
-    assert c >= 0
-    assert c * c * k == r
-    assert _is_squarefree(k)
+    x = SQRT(r)
+    assert x.sign() >= 0
+    assert (x * x).as_fraction() == r
+    assert list(x.terms()) == ([(1, r)] if r else [])
+    # sqrt(k**2 * r) == k * sqrt(r): equal values have equal terms
+    assert SQRT(r * k * k) == x * k
+    assert RadicalSum.parse(str(x)) == x
 
 
 def test_canonical_sqrt_large_prime_residuals():
-    p = 1009  # first prime above the default bound
-    assert DEFAULT_PRIME_BOUND < p
-    # prime residual below bound**3: provably squarefree
-    assert canonical_sqrt(p) == (Fraction(1), p)
-    # product of two large primes: still squarefree
-    q = 1013
-    assert canonical_sqrt(p * q) == (Fraction(1), p * q)
-    # perfect-square residual folds into the root exactly
-    assert canonical_sqrt(p * p) == (Fraction(p), 1)
-    # a cube cannot be certified squarefree: fail loudly
-    with pytest.raises(KernelBoundError):
-        canonical_sqrt(p**3)
-    # a larger bound resolves it
-    assert canonical_sqrt(p**3, prime_bound=1100) == (Fraction(p), p)
+    # radicands with large prime factors need no factoring bound
+    p, q = 1009, 1013
+    mersenne = 2**127 - 1
+    assert SQRT(p**3) == SQRT(p) * p
+    assert SQRT(p * q) * SQRT(p) == SQRT(q) * p
+    assert SQRT(p * p) == p
+    assert SQRT(mersenne**3) == SQRT(mersenne) * mersenne
+    assert SQRT(Fraction(mersenne, p**3)) * SQRT(p) == SQRT(mersenne) / p
+    value = SQRT(Fraction(mersenne**3, p**5)) - SQRT(mersenne)
+    assert RadicalSum.parse(str(value)) == value
 
 
 # ---------------------------------------------------------------------------
@@ -176,40 +165,48 @@ SQRT2 = RadicalSum.sqrt(2)
 
 
 def test_radical_examples():
-    assert SQRT2 + SQRT2 == RadicalSum.term(2, 2)
+    assert SQRT2 + SQRT2 == SQRT(8)
     assert SQRT2 * SQRT2 == RadicalSum.rational(2)
     assert (SQRT2 + (-SQRT2)).is_zero
     assert (SQRT2 + (-SQRT2)) == RadicalSum.zero()
+    assert RadicalSum() == RadicalSum.zero()
 
 
 def test_radical_kernel_recanonicalization():
     # sqrt(6) * sqrt(10) = 2 sqrt(15)
-    assert RadicalSum.sqrt(6) * RadicalSum.sqrt(10) == RadicalSum.term(2, 15)
-    # non-squarefree kernel input is canonicalized
-    assert RadicalSum.term(1, 8) == RadicalSum.term(2, 2)
-    # the public constructor canonicalizes and merges kernels too
-    assert RadicalSum({8: 1, 2: 1}) == RadicalSum.term(3, 2)
-    assert RadicalSum({4: Fraction(1, 2)}) == RadicalSum.one()
-    assert RadicalSum({9: 1, 1: -3}).is_zero
+    assert SQRT(6) * SQRT(10) == SQRT(15) * 2
+    # commensurable radicands merge into one term: sqrt(8) = 2 sqrt(2)
+    assert SQRT(8) == SQRT2 * 2
+    assert SQRT(8) + SQRT2 == SQRT2 * 3
+    assert list((SQRT(8) + SQRT2).terms()) == [(1, Fraction(18))]
+    assert SQRT(Fraction(1, 2)) - SQRT(8) == -SQRT(Fraction(9, 2))
+    assert (SQRT(4) / 2) == RadicalSum.one()
+    assert (SQRT(9) - 3).is_zero
+    # incommensurable radicands stay apart, in order of square
+    assert list((SQRT(3) + SQRT2).terms()) == [(1, Fraction(2)), (1, Fraction(3))]
+    assert (SQRT(12) - SQRT(3) * 2 + SQRT2).num_terms == 1
 
 
 def test_radical_scaling_and_division():
-    x = RadicalSum.sqrt(Fraction(3, 5))
+    x = SQRT(Fraction(3, 5))
     assert x * 0 == RadicalSum.zero()
-    assert x * Fraction(2, 3) == RadicalSum.term(Fraction(2, 15), 15)
+    assert x * Fraction(2, 3) == SQRT(Fraction(4, 15))
+    assert x * -2 == -SQRT(Fraction(12, 5))
     assert (x / x) == RadicalSum.one()
     assert x / Fraction(1, 2) == x * 2
+    assert x / SQRT(15) == RadicalSum.rational(Fraction(1, 5))
     with pytest.raises(ZeroDivisionError):
         x / RadicalSum.zero()
     with pytest.raises(ValueError):
-        x / (RadicalSum.sqrt(2) + RadicalSum.sqrt(3))
+        x / (SQRT(2) + SQRT(3))
 
 
 def test_radical_rational_interop():
     assert RadicalSum.rational(Fraction(1, 2)) + Fraction(1, 2) == 1
     assert RadicalSum.zero() == 0
-    assert 2 * SQRT2 == RadicalSum.term(2, 2)
+    assert 2 * SQRT2 == SQRT(8)
     assert SQRT2 != 2
+    assert 1 - RadicalSum.rational(3) == -2
 
 
 def test_radical_sign_and_as_fraction():
@@ -223,11 +220,19 @@ def test_radical_sign_and_as_fraction():
         SQRT2.as_fraction()
 
 
-_kernels = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15])
+# radicands with commensurable pairs (2, 8, 1/2; 3, 12; 1, 4, 9/4), so that
+# sums merge terms whose squares differ
+_radicands = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(6), Fraction(8),
+     Fraction(10), Fraction(12), Fraction(15), Fraction(1, 2), Fraction(4),
+     Fraction(9, 4)]
+)
 _coeffs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
 )
-_radicals = st.dictionaries(_kernels, _coeffs, max_size=3).map(RadicalSum)
+_radicals = st.lists(st.tuples(_coeffs, _radicands), max_size=3).map(
+    lambda pairs: sum((SQRT(r) * c for c, r in pairs), RadicalSum.zero())
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,16 +245,17 @@ def test_radical_field_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + RadicalSum.zero() == x
     assert x * RadicalSum.one() == x
+    assert (x - y) + y == x
 
 
 @settings(max_examples=200, deadline=None)
-@given(_kernels, _coeffs)
-def test_radical_self_product_is_rational(kernel, coeff):
-    x = RadicalSum.term(coeff, kernel)
+@given(_radicands, _coeffs)
+def test_radical_self_product_is_rational(radicand, coeff):
+    x = SQRT(radicand) * coeff
     square = x * x
     assert square.num_terms <= 1
     assert square.is_rational
-    assert square.as_fraction() == coeff * coeff * kernel
+    assert square.as_fraction() == coeff * coeff * radicand
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,11 +291,13 @@ def test_exact_rendering():
     assert str(RadicalSum.sqrt(Fraction(3, 5))) == "sqrt(3/5)"
     assert str(-RadicalSum.sqrt(Fraction(1, 2))) == "-sqrt(1/2)"
     assert str(RadicalSum.sqrt(2)) == "sqrt(2)"
-    assert str(RadicalSum.term(Fraction(1, 5), 15)) == "sqrt(3/5)"
-    multi = RadicalSum({2: Fraction(1, 2), 3: Fraction(-1, 3)})
-    assert str(multi) == "1/2*sqrt(2) - 1/3*sqrt(3)"
-    mixed = RadicalSum({1: Fraction(1, 2), 2: Fraction(1, 3)})
-    assert str(mixed) == "1/2 + 1/3*sqrt(2)"
+    assert str(RadicalSum.sqrt(15) / 5) == "sqrt(3/5)"
+    assert str(RadicalSum.sqrt(Fraction(8, 18))) == "2/3"
+    # terms in increasing order of square, each as a sign and a square
+    multi = RadicalSum.sqrt(2) / 2 - RadicalSum.sqrt(3) / 3
+    assert str(multi) == "-sqrt(1/3) + sqrt(1/2)"
+    mixed = Fraction(1, 2) + RadicalSum.sqrt(2) / 3
+    assert str(mixed) == "sqrt(2/9) + 1/2"
 
 
 @pytest.mark.parametrize(
@@ -302,12 +310,13 @@ def test_parse_simple_forms(text):
 
 
 def test_parse_roundtrip_multiterm():
-    multi = RadicalSum({2: Fraction(1, 2), 3: Fraction(-1, 3), 1: Fraction(7)})
+    multi = RadicalSum.sqrt(2) / 2 - RadicalSum.sqrt(3) / 3 - 7
+    assert str(multi) == "-sqrt(1/3) + sqrt(1/2) - 7"
     assert RadicalSum.parse(str(multi)) == multi
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "sqrt(-1)", "sqrt(1/2", "two", "1 ++ 2"]:
+    for bad in ["", "sqrt(-1)", "sqrt(1/2", "two", "1 ++ 2", "2*sqrt(3)", "sqrt(1/0)"]:
         with pytest.raises(ValueError):
             RadicalSum.parse(bad)
 
@@ -318,9 +327,10 @@ def test_parse_rejects_junk():
 
 
 def test_to_decimal_reference_values():
-    assert to_decimal(RadicalSum.term(Fraction(1, 5), 15), 5) == "0.77460"
+    assert to_decimal(RadicalSum.sqrt(15) / 5, 5) == "0.77460"
     assert to_decimal(RadicalSum.one(), 5) == "1.00000"
-    assert to_decimal(RadicalSum.term(Fraction(-1, 3), 3), 5) == "-0.57735"
+    assert to_decimal(-RadicalSum.sqrt(3) / 3, 5) == "-0.57735"
+    assert to_decimal(RadicalSum.sqrt(Fraction(9, 16)), 5) == "0.75000"
     assert to_decimal(RadicalSum.zero(), 5) == "0.00000"
 
 
@@ -344,21 +354,16 @@ def _decimal_by_interval(value, places, guard):
     shift = 10**guard
     scale = 10 ** (places + guard)
     lo = hi = 0
-    for kernel, coeff in value.terms():
-        if kernel == 1:
-            v = coeff * scale
-            lo += v.numerator // v.denominator
-            hi += -((-v.numerator) // v.denominator)
+    for sign, square in value.terms():
+        # sqrt(n/d) * scale = sqrt(n * d * scale**2) / d
+        num, den = square.numerator, square.denominator
+        floor = isqrt(num * den * scale**2) // den
+        if sign > 0:
+            lo += floor
+            hi += floor + 1
         else:
-            n = kernel * coeff.numerator**2 * scale**2
-            root = isqrt(n)
-            den = coeff.denominator
-            if coeff > 0:
-                lo += root // den
-                hi += -((-(root + 1)) // den)
-            else:
-                lo -= -((-(root + 1)) // den)
-                hi -= root // den
+            lo -= floor + 1
+            hi -= floor
 
     def round_half_even(n, d):
         sign = -1 if n < 0 else 1
@@ -376,12 +381,10 @@ def test_to_decimal_against_doubled_precision_intervals():
     rng = random.Random(20250811)
     kernels = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30]
     for _ in range(10_000):
-        terms = {}
+        value = RadicalSum.zero()
         for kernel in rng.sample(kernels, rng.randint(1, 3)):
             coeff = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-            if coeff:
-                terms[kernel] = coeff
-        value = RadicalSum(terms)
+            value = value + RadicalSum.sqrt(kernel) * coeff
         rendered = to_decimal(value, 5)
         lo, hi = _decimal_by_interval(value, 5, guard=40)
         assert lo == hi, f"interval oracle ambiguous for {value}"
@@ -391,8 +394,9 @@ def test_to_decimal_against_doubled_precision_intervals():
 
 
 def test_to_decimal_never_renders_negative_zero():
-    tiny = RadicalSum({1: Fraction(-1, 10**9)})
+    tiny = RadicalSum.rational(Fraction(-1, 10**9))
     assert to_decimal(tiny, 5) == "0.00000"
+    assert to_decimal(-RadicalSum.sqrt(2) / 10**9, 5) == "0.00000"
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ def test_concurrent_cache_consistency():
         acc = []
         for n in range(80):
             acc.append(binomial(2 * n, n))
-            acc.append(canonical_sqrt(Fraction(n, 97)))
+            acc.append(str(RadicalSum.sqrt(Fraction(n, 97)) * RadicalSum.sqrt(n + 1)))
         results[slot] = acc
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]

@@ -106,3 +106,41 @@ def test_acceptance_bounds_pass():
     assert check_threej_symmetries(6).passed
     assert check_condon_shortley(8).passed
     assert check_ladder_consistency(8).passed
+
+
+def test_map_ordered_caps_pool_size(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, units, chunksize=1):
+            return map(worker, units)
+
+    monkeypatch.setattr(verification.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 4)
+    units = [(n,) for n in range(10)]
+    square = lambda unit: unit[0] ** 2  # noqa: E731
+
+    assert list(verification._map_ordered(square, units, 10**6)) == [
+        n * n for n in range(10)
+    ]
+    assert list(verification._map_ordered(square, units[:3], 10**6)) == [0, 1, 4]
+    assert list(verification._map_ordered(square, units, 2)) == [
+        n * n for n in range(10)
+    ]
+    assert started == [4, 3, 2]
+    # one unit, or no CPU count, runs in this process
+    assert list(verification._map_ordered(square, units[:1], 10**6)) == [0]
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: None)
+    assert list(verification._map_ordered(square, units, 10**6)) == [
+        n * n for n in range(10)
+    ]
+    assert started == [4, 3, 2]
