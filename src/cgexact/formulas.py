@@ -165,23 +165,27 @@ def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
 
     This is the inverse square of the highest-weight leading coefficient for
     the subspace J = j1 + j2 - m; it is shared by the closed-form coefficient
-    formula and by the ladder engine's normalization.
+    formula and by the ladder engine's normalization.  The sum is taken in
+    Horner form from the top, term ratio (2j2-m+i+1)(m-i) / ((i+1)(2j1-i)),
+    as one integer fraction.
     """
-    total = Fraction(0)
-    for i in range(depth + 1):
-        total += Fraction(
-            binomial(tj2 - depth + i, i) * binomial(depth, i), binomial(tj1, i)
-        )
-    return total
+    num = den = 1
+    for i in range(depth - 1, -1, -1):
+        below = (i + 1) * (tj1 - i)
+        num, den = den * below + (tj2 - depth + i + 1) * (depth - i) * num, den * below
+    return Fraction(num, den)
 
 
 def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via the binomial-ratio summation.
 
     The value is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` where each R_l is a ratio
-    of binomial products and K = max(0, j1-J+m2), N = min(j1+j2-J, j1-m1).
-    Out-of-range binomials contribute factor 0, so the loose l range
-    truncates itself; the explicit K..N bounds are just the efficient loop.
+    of binomial products and K = max(0, j1-J+m2), N = min(j1+j2-J, j1-m1);
+    every R_l in that range is nonzero.  Only R_K is built from binomials.
+    Each later R_(l+1) / R_l is passed to `sum_signed_sqrts` as the unreduced
+    product of its seven small factor ratios, never simplified by hand, and
+    one integer square root there tests that it is the square of a rational;
+    that is how the sum collapses to one radical.
     Selection-zero specs (including an empty l range) give exactly 0.
     """
     result = _require_well_formed(spec)
@@ -196,39 +200,48 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     a1 = (tj1 - tm1) // 2              # j1 - m1
     q2 = (tj2 - tj1 + tJ) // 2         # j2 - j1 + J  (= 2j2 - m)
     top5 = (tj2 - tM + tm1) // 2       # j2 - M + m1
+    d = s_jm - a1                      # J - j1 - m2
 
-    lo = max(0, (tj1 - tJ + spec.m2.twice) // 2)
+    lo = max(0, -d)
     hi = min(m, a1)
     if lo > hi:
         return RadicalSum.zero()
 
-    denom_base = binomial(tJ, s_jm) * _norm_denominator_sum(tj1, tj2, m)
-
-    # the shared 1/(C(2J, J-M) * norm sum) factor cancels from term ratios,
-    # so it is handed to the accumulator separately
-    signed_radicands = []
-    for l in range(lo, hi + 1):
-        numer = (
-            binomial(tj1 - l, a1 - l)
-            * binomial(q2 + l, s_jm - a1 + l)
-            * binomial(q2 + l, l)
-            * binomial(a1, l)
-            * binomial(top5, s_jm - a1 + l)
-            * binomial(m, l)
+    norm = _norm_denominator_sum(tj1, tj2, m)
+    steps = [(
+        -1 if lo & 1 else 1,
+        binomial(tj1 - lo, a1 - lo)
+        * binomial(q2 + lo, d + lo)
+        * binomial(q2 + lo, lo)
+        * binomial(a1, lo)
+        * binomial(top5, d + lo)
+        * binomial(m, lo)
+        * norm.denominator,
+        binomial(tj1, lo) * binomial(tJ, s_jm) * norm.numerator,
+    )]
+    # term l + 1: the sign flips, and R_(l+1) / R_l is one factor ratio per
+    # binomial of R_l
+    steps.extend(
+        (
+            1 if l & 1 else -1,
+            (a1 - l) * (q2 + l + 1) * (q2 + l + 1) * (a1 - l)
+            * (top5 - d - l) * (m - l) * (l + 1),
+            (tj1 - l) * (d + l + 1) * (l + 1) * (l + 1)
+            * (d + l + 1) * (l + 1) * (tj1 - l),
         )
-        if not numer:
-            continue
-        signed_radicands.append(
-            (-1 if l & 1 else 1, Fraction(numer, binomial(tj1, l)))
-        )
-    return sum_signed_sqrts(signed_radicands, shared_factor=Fraction(1) / denom_base)
+        for l in range(lo, hi)
+    )
+    return sum_signed_sqrts(steps)
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via Racah's single-sum factorial formula.
 
     A common square-root prefactor multiplies an alternating rational sum
-    over every z that keeps all factorial arguments nonnegative.  The result
+    over every z that keeps all factorial arguments nonnegative.  Only the
+    first term is built from factorials; the sum is taken in Horner form
+    from the last term through the small-integer term ratios, as one
+    integer fraction, so one Fraction is built for it.  The result
     is structurally a single-term RadicalSum, which is what makes this route
     the collapse oracle for `cg_alternative`.
     """
@@ -257,26 +270,20 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     if z_lo > z_hi:
         return RadicalSum.zero()
 
-    # alternating sum, updated incrementally by small-integer ratios
-    c1, c2, c3 = z_lo, g1 - z_lo, a_m - z_lo
-    c4, c5, c6 = b_p - z_lo, d1 + z_lo, d2 + z_lo
-    term = Fraction(
-        -1 if z_lo & 1 else 1,
-        factorial(c1) * factorial(c2) * factorial(c3)
-        * factorial(c4) * factorial(c5) * factorial(c6),
-    )
-    total = term
-    for _ in range(z_lo, z_hi):
-        c1 += 1
-        c5 += 1
-        c6 += 1
-        term *= Fraction(-(c2 * c3 * c4), c1 * c5 * c6)
-        c2 -= 1
-        c3 -= 1
-        c4 -= 1
-        total += term
-    if not total:
+    # the sum relative to the z_lo term is num/den; the term ratio from z to
+    # z + 1 is -(g1-z)(a_m-z)(b_p-z) / ((z+1)(d1+z+1)(d2+z+1))
+    num = den = 1
+    for z in range(z_hi - 1, z_lo - 1, -1):
+        below = (z + 1) * (d1 + z + 1) * (d2 + z + 1)
+        num, den = den * below - (g1 - z) * (a_m - z) * (b_p - z) * num, den * below
+    if not num:
         return RadicalSum.zero()
+    total = Fraction(
+        -num if z_lo & 1 else num,
+        den
+        * factorial(z_lo) * factorial(g1 - z_lo) * factorial(a_m - z_lo)
+        * factorial(b_p - z_lo) * factorial(d1 + z_lo) * factorial(d2 + z_lo),
+    )
 
     prefactor = Fraction(
         (tJ + 1)

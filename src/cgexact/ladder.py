@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import formulas
 from .formulas import CouplingSpec, MalformedCouplingError, validate
-from .numerics import HalfInt, RadicalSum, binomial, to_decimal
+from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts, to_decimal
 
 __all__ = [
     "AlphaSequence",
@@ -271,19 +271,52 @@ def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
 
 
 def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
-    """|j1+j2-m, j1+j2-m-s> assembled from the beta closed form."""
+    """|j1+j2-m, j1+j2-m-s> assembled from the beta closed form.
+
+    The component at m1 = j1 - k sums beta(l, k - l) over l.  For each k in
+    range every weight with max(0, k-s) <= l <= min(m, k) is nonzero, so
+    only the first is built from binomials; each later weight's radicand
+    ratio is passed to `sum_signed_sqrts` as the unreduced product of its
+    seven small factor ratios, never simplified by hand, and one integer
+    square root there tests that it is the square of a rational.  The factor
+    1 / (C(2J, s) * norm sum) shared by every weight of the state is computed
+    once and folded into the first radicand.
+    """
     tj1, tj2 = j1.twice, j2.twice
+    tJ = tj1 + tj2 - 2 * m
+    q2 = tj2 - m
+    norm = formulas._norm_denominator_sum(tj1, tj2, m)
+    shared_num = norm.denominator
+    shared_den = binomial(tJ, s) * norm.numerator
     components: dict[BasisIndex, RadicalSum] = {}
-    for l in range(m + 1):
-        for p in range(s + 1):
-            weight = beta_closed_form(j1, j2, m, s, l, p)
-            if weight.is_zero:
-                continue
-            index = (
-                HalfInt.from_twice(tj1 - 2 * (l + p)),
-                HalfInt.from_twice(tj2 - 2 * (m - l + s - p)),
+    for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1):
+        d = s - k                      # p - l
+        lo = max(0, -d)
+        steps = [(
+            -1 if lo & 1 else 1,
+            binomial(tj1 - lo, k - lo)
+            * binomial(q2 + lo, d + lo)
+            * binomial(q2 + lo, lo)
+            * binomial(k, k - lo)
+            * binomial(m + d, d + lo)
+            * binomial(m, lo)
+            * shared_num,
+            binomial(tj1, lo) * shared_den,
+        )]
+        # weight beta(l+1, p-1) from beta(l, p): the sign flips, and the
+        # radicand ratio is one factor ratio per binomial
+        steps.extend(
+            (
+                1 if l & 1 else -1,
+                (k - l) * (q2 + l + 1) * (q2 + l + 1) * (k - l)
+                * (m - l) * (m - l) * (l + 1),
+                (tj1 - l) * (d + l + 1) * (l + 1) * (l + 1)
+                * (d + l + 1) * (l + 1) * (tj1 - l),
             )
-            components[index] = components.get(index, RadicalSum.zero()) + weight
+            for l in range(lo, min(m, k))
+        )
+        index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (m + d)))
+        components[index] = sum_signed_sqrts(steps)
     return _make_state(j1, j2, components)
 
 

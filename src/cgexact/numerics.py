@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -122,12 +122,21 @@ class HalfInt:
         return f"HalfInt({str(self)!r})"
 
 
+_HALF_INT_RE = re.compile(r"(-?[0-9]+)(/2)?")
+
+
 def _coerce_twice(value) -> int:
     """Doubled-integer value of anything that denotes a half-integer."""
     if isinstance(value, HalfInt):
         return value.twice
     if isinstance(value, int):
         return 2 * value
+    if isinstance(value, str):
+        # the forms str(HalfInt) emits, without a Fraction
+        match = _HALF_INT_RE.fullmatch(value)
+        if match:
+            whole = int(match.group(1))
+            return whole if match.group(2) else 2 * whole
     if isinstance(value, (str, float, Fraction)):
         try:
             frac = Fraction(value)
@@ -427,15 +436,16 @@ class RadicalSum:
         return total
 
 
-_SQRT_RE = re.compile(r"^(-)?sqrt\(([0-9]+(?:/[0-9]+)?)\)$")
+_SQRT_RE = re.compile(r"(-)?sqrt\(([0-9]+)(?:/([0-9]+))?\)")
 
 
 def _parse_term(piece: str) -> RadicalSum:
-    match = _SQRT_RE.match(piece)
+    match = _SQRT_RE.fullmatch(piece)
     try:
         if match:
-            value = RadicalSum.sqrt(Fraction(match.group(2)))
-            return -value if match.group(1) else value
+            negative, num, den = match.groups()
+            value = RadicalSum.sqrt(Fraction(int(num), int(den) if den else 1))
+            return -value if negative else value
         return RadicalSum.rational(Fraction(piece))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"unparseable exact-value text: {piece!r}") from None
@@ -449,45 +459,57 @@ def _coerce_radical(value):
     return NotImplemented
 
 
-def sum_signed_sqrts(
-    signed_radicands: Iterable[tuple[int, Rationalish]],
-    shared_factor: Rationalish | None = None,
-) -> RadicalSum:
-    """Exact ``sum_i s_i * sqrt(r_i * shared_factor)`` for radicands r_i >= 0.
+def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
+    """Exact ``sum_i sign_i * sqrt(r_i)`` over a chain of radicands.
 
-    Every term is compared to the first nonzero radicand by an exact
-    perfect-square ratio test; the commensurable ones (the common case here)
-    add up as one rational multiple of its square root.  The others merge
-    into their own classes, so the result is exact either way.  A positive
-    ``shared_factor`` common to all radicands can be passed separately; it
-    cancels from the ratio tests and is folded in once at the end.
+    Each step is ``(sign, n, d)`` with sign +1 or -1 and positive ints n and
+    d; r_0 = n_0 / d_0 and r_i = r_(i-1) * n_i / d_i.  Pass ``steps``
+    positionally: ``benchmark/tracing.py`` counts the items of the first
+    positional argument as radicands.
+
+    sqrt(r_i / r_(i-1)) = k / d_i is rational exactly when n_i * d_i = k**2
+    is a perfect square, which one integer square root per step decides.  A
+    run of such ratios stays in one commensurability class and is summed in
+    plain integers; the first step, and every ratio that is not a square,
+    opens a new class at r_i, and the classes merge as in addition.  So the
+    sum is exact for any input, and one Fraction is built per class.
     """
-    shared = Fraction(shared_factor) if shared_factor is not None else None
-    if shared is not None and shared <= 0:
-        raise NegativeRadicandError(f"shared factor {shared} must be positive")
-    ref: Fraction | None = None
-    coeff = Fraction(0)  # the sum over ref's class, in units of sqrt(ref)
-    extras: list[Term] = []
-    for sign, radicand in signed_radicands:
-        r = Fraction(radicand)
-        if r < 0:
-            raise NegativeRadicandError(f"negative radicand {r}")
-        if r == 0:
-            continue
+    terms: list[Term] = []
+    ref = None           # the radicand that opened the current class
+    top = bottom = 1     # sqrt(r_i / ref) == top / bottom
+    total = 0            # the class's sum so far, in units of sqrt(ref) / bottom
+    for sign, n, d in steps:
+        if n <= 0 or d <= 0:
+            what = "first radicand" if ref is None else "term ratio"
+            raise NegativeRadicandError(f"{what} {n}/{d} must be positive")
         if ref is None:
-            ref, coeff = r, Fraction(sign)
-            continue
-        root = _ratio_root(ref, r)
-        if root is None:
-            _add_term(extras, sign, r)
+            ref = Fraction(n, d)
         else:
-            coeff += Fraction(sign * root, ref.numerator * r.denominator)
-    terms = extras  # only classes other than ref's
-    if coeff:
-        terms.append((1 if coeff > 0 else -1, coeff * coeff * ref))
-    if shared is not None:
-        terms = [(s, q * shared) for s, q in terms]
+            product = n * d
+            k = isqrt(product)
+            if k * k == product:
+                g = gcd(k, d)
+                d //= g
+                top *= k // g
+                bottom *= d
+                total = total * d + sign * top
+                continue
+            _add_class(terms, ref, total, bottom)
+            ref = Fraction(
+                ref.numerator * top * top * n, ref.denominator * bottom * bottom * d
+            )
+            top = bottom = 1
+        total = sign
+    if ref is not None:
+        _add_class(terms, ref, total, bottom)
     return _sorted_terms(terms)
+
+
+def _add_class(terms: list[Term], ref: Fraction, total: int, bottom: int) -> None:
+    """Add (total / bottom) * sqrt(ref) to ``terms``."""
+    if total:
+        square = Fraction(total * total * ref.numerator, bottom * bottom * ref.denominator)
+        _add_term(terms, 1 if total > 0 else -1, square)
 
 
 # ---------------------------------------------------------------------------

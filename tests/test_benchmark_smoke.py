@@ -1,0 +1,39 @@
+"""Smoke test of the out-of-package benchmark: one-second runs of each workload.
+
+Each case runs ``benchmark/run.py`` as its users do, from the repository
+root, plain and traced, and checks that the run exits 0, that its gates pass
+and that no operation fails.  A traced run also fails when a per-layer metric
+that ``BENCHMARK.json`` declares is never recorded, for instance because a
+traced function was renamed.  No case asserts a timing.  The ``table`` and
+``verify`` runs take 10-15 s each and are marked ``extended``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "workload, trace",
+    [
+        ("coeff", 0),
+        ("coeff", 1),
+        pytest.param("table", 1, marks=pytest.mark.extended),
+        pytest.param("verify", 1, marks=pytest.mark.extended),
+    ],
+)
+def test_benchmark_run_passes_its_gates(workload, trace):
+    run = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload,
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

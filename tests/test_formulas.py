@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgexact.formulas import (
     CouplingSpec,
@@ -16,7 +18,7 @@ from cgexact.formulas import (
     wigner3j,
 )
 from cgexact.ladder import beta_closed_form, cg_ladder
-from cgexact.numerics import RadicalSum, to_decimal
+from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
 
 
 def spec(j1, j2, m1, m2, J, M) -> CouplingSpec:
@@ -100,6 +102,77 @@ def test_alternative_agrees_with_racah_at_j20():
     s = spec(20, 20, 0, 0, 0, 0)
     assert cg_alternative(s) == cg_racah(s)
     assert not cg_alternative(s).is_zero
+
+
+def _alternative_as_written(s: CouplingSpec) -> tuple[RadicalSum, int]:
+    """The closed form as the paper writes it: sum_l (-1)^l sqrt(R_l) over
+    the loose range l = 0..j1+j2-J, every R_l from its binomials, added term
+    by term.  Also returns how many R_l vanish through a zero binomial."""
+    tj1, tj2, tm1, tm2, tJ, tM = (x.twice for x in (s.j1, s.j2, s.m1, s.m2, s.J, s.M))
+    m = (tj1 + tj2 - tJ) // 2
+    norm = sum(
+        Fraction(binomial(tj2 - m + i, i) * binomial(m, i), binomial(tj1, i))
+        for i in range(m + 1)
+    )
+    a1 = (tj1 - tm1) // 2
+    q2 = (tj2 - tj1 + tJ) // 2
+    d = (tJ - tj1 - tm2) // 2
+    total, vanished = RadicalSum.zero(), 0
+    for l in range(m + 1):
+        numer = (
+            binomial(tj1 - l, a1 - l)
+            * binomial(q2 + l, d + l)
+            * binomial(q2 + l, l)
+            * binomial(a1, l)
+            * binomial((tj2 - tm2) // 2, d + l)
+            * binomial(m, l)
+        )
+        vanished += not numer
+        term = RadicalSum.sqrt(
+            Fraction(numer, binomial(tj1, l) * binomial(tJ, (tJ - tM) // 2)) / norm
+        )
+        total = total + (-term if l & 1 else term)
+    return total, vanished
+
+
+def _well_formed_specs(tj1: int, tj2: int):
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tM in range(-tJ, tJ + 1, 2):
+            for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
+                yield _from_twice(tj1, tj2, tm1, tM - tm1, tJ, tM)
+
+
+def _from_twice(*twice) -> CouplingSpec:
+    return CouplingSpec(*(HalfInt.from_twice(t) for t in twice))
+
+
+def test_alternative_equals_sum_as_written_up_to_2j_10():
+    vanishing = 0
+    for tj1 in range(11):
+        for tj2 in range(11):
+            for s in _well_formed_specs(tj1, tj2):
+                expected, vanished = _alternative_as_written(s)
+                assert cg_alternative(s) == expected, str(s)
+                vanishing += vanished > 0
+    assert vanishing > 0
+
+
+def test_alternative_where_the_loose_l_range_has_vanishing_terms():
+    # l = 0 and 1 vanish through C(j2-j1+J+l, J-j1-m2+l) with J-j1-m2 = -2
+    s = spec(2, 1, 0, 1, 1, 1)
+    expected, vanished = _alternative_as_written(s)
+    assert vanished == 2
+    assert cg_alternative(s) == expected == cg_racah(s) == SQRT(Fraction(1, 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 300), st.data())
+def test_alternative_equals_sum_as_written_up_to_2j_300(tj1, tj2, data):
+    tJ = data.draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+    tM = data.draw(st.sampled_from(range(-tJ, tJ + 1, 2)))
+    tm1 = data.draw(st.sampled_from(range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)))
+    s = _from_twice(tj1, tj2, tm1, tM - tm1, tJ, tM)
+    assert cg_alternative(s) == _alternative_as_written(s)[0]
 
 
 # ---------------------------------------------------------------------------

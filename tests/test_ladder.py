@@ -7,6 +7,7 @@ import pytest
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
+    _beta_state,
     StateVector,
     TableRoute,
     alpha_sequence,
@@ -268,6 +269,24 @@ def test_beta_matches_reference_table_rows():
             )
     state_components = {k: v for k, v in state_components.items() if not v.is_zero}
     assert state_components == {(-2, 2): -SQRT(HALF), (2, -2): SQRT(HALF)}
+
+
+def test_beta_state_equals_sum_of_closed_form_weights():
+    # every (m, s) with 2j <= 8, against beta_closed_form weight by weight
+    for tj1 in range(9):
+        for tj2 in range(9):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            for m in range(min(tj1, tj2) + 1):
+                for s in range(tj1 + tj2 - 2 * m + 1):
+                    expected = {}
+                    for l in range(m + 1):
+                        for p in range(s + 1):
+                            key = (tj1 - 2 * (l + p), tj2 - 2 * (m - l + s - p))
+                            expected[key] = expected.get(key, RadicalSum.zero()) + (
+                                beta_closed_form(j1, j2, m, s, l, p)
+                            )
+                    expected = {k: v for k, v in expected.items() if not v.is_zero}
+                    assert components_of(_beta_state(j1, j2, m, s)) == expected
 
 
 def test_beta_out_of_range_indices_are_zero():

@@ -125,10 +125,6 @@ def test_canonical_sqrt_examples():
 def test_canonical_sqrt_negative_rejected():
     with pytest.raises(NegativeRadicandError):
         SQRT(Fraction(-1, 4))
-    with pytest.raises(NegativeRadicandError):
-        sum_signed_sqrts([(1, Fraction(1, 2)), (1, Fraction(-1, 4))])
-    with pytest.raises(NegativeRadicandError):
-        sum_signed_sqrts([(1, 2)], shared_factor=Fraction(-1, 3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,25 +254,66 @@ def test_radical_self_product_is_rational(radicand, coeff):
     assert square.as_fraction() == coeff * coeff * radicand
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([1, -1]), st.fractions(
-            min_value=Fraction(0), max_value=Fraction(50), max_denominator=40
-        )),
-        max_size=6,
-    )
+# squares (4/9, 9/1, 25/16) and non-squares, so that chains span several classes
+_RATIOS = st.sampled_from(
+    [(4, 9), (9, 1), (1, 1), (25, 16), (2, 1), (1, 3), (6, 5), (8, 2), (3, 12)]
+) | st.tuples(st.integers(1, 60), st.integers(1, 60))
+_STEPS = st.lists(st.tuples(st.sampled_from([1, -1]), _RATIOS), min_size=1, max_size=9).map(
+    lambda pairs: [(sign, n, d) for sign, (n, d) in pairs]
 )
-def test_sum_signed_sqrts_matches_term_by_term(pairs):
-    expected = RadicalSum.zero()
-    for sign, radicand in pairs:
-        expected = expected + RadicalSum.sqrt(radicand) * sign
-    assert sum_signed_sqrts(pairs) == expected
-    shared = Fraction(3, 7)
-    expected_shared = RadicalSum.zero()
-    for sign, radicand in pairs:
-        expected_shared = expected_shared + RadicalSum.sqrt(radicand * shared) * sign
-    assert sum_signed_sqrts(pairs, shared_factor=shared) == expected_shared
+
+
+def _term_by_term(steps, shared=1):
+    """sum_i sign_i sqrt(r_i * shared) by RadicalSum addition, term by term."""
+    expected, radicand = RadicalSum.zero(), Fraction(1)
+    for sign, n, d in steps:
+        radicand *= Fraction(n, d)
+        expected = expected + RadicalSum.sqrt(radicand * shared) * sign
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS, st.tuples(st.integers(1, 2000), st.integers(1, 2000)))
+def test_sum_signed_sqrts_matches_term_by_term(steps, shared):
+    assert sum_signed_sqrts(steps) == _term_by_term(steps)
+    # a factor shared by every radicand of a chain is a factor of the first
+    (sign, n, d), *rest = steps
+    folded = [(sign, n * shared[0], d * shared[1]), *rest]
+    assert sum_signed_sqrts(folded) == _term_by_term(steps, Fraction(*shared))
+    # the alternating signs of the coupling formulas are one case of them
+    alternating = [(-1 if i & 1 else 1, n, d) for i, (_, n, d) in enumerate(steps)]
+    assert sum_signed_sqrts(alternating) == _term_by_term(alternating)
+
+
+def test_sum_signed_sqrts_examples():
+    # 1 - 2/3 + 4/9: one class, summed in integers
+    assert sum_signed_sqrts([(1, 1, 1), (-1, 4, 9), (1, 4, 9)]) == Fraction(7, 9)
+    # explicit signs need not alternate: 1 + 2/3 + 4/9, and 1 + 2/3 - 4/9
+    assert sum_signed_sqrts([(1, 1, 1), (1, 4, 9), (1, 4, 9)]) == Fraction(19, 9)
+    assert sum_signed_sqrts([(1, 1, 1), (1, 4, 9), (-1, 4, 9)]) == Fraction(11, 9)
+    # sqrt(2) - sqrt(1/2) + sqrt(3): the non-square ratio 6/1 opens a new class
+    value = sum_signed_sqrts([(1, 2, 1), (-1, 1, 4), (1, 6, 1)])
+    assert value == SQRT(2) / 2 + SQRT(3)
+    assert value.num_terms == 2
+    # the third radicand is commensurable with the first again: classes merge
+    value = sum_signed_sqrts([(1, 2, 1), (-1, 3, 1), (1, 4, 3)])
+    assert value == SQRT(2) * 3 - SQRT(6)
+    # full cancellation inside one class, and the empty sum
+    assert sum_signed_sqrts([(1, 1, 4), (-1, 1, 1)]).is_zero
+    assert sum_signed_sqrts([]).is_zero
+    assert sum_signed_sqrts([(-1, 9, 4)]) == Fraction(-3, 2)
+    # a generator is consumed once
+    assert sum_signed_sqrts((s, 1, 1) for s in (1, 1, -1)) == 1
+
+
+def test_sum_signed_sqrts_rejects_nonpositive():
+    for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
+        with pytest.raises(NegativeRadicandError, match="first radicand"):
+            sum_signed_sqrts([(1, n, d), (1, 1, 1)])
+    # a zero ratio would silently zero every later term
+    for n, d in ((0, 1), (1, 0), (-4, 1), (4, -1), (-4, -1)):
+        with pytest.raises(NegativeRadicandError, match="term ratio"):
+            sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, n, d), (-1, 1, 1)])
 
 
 # ---------------------------------------------------------------------------
