@@ -13,6 +13,7 @@ from .formulas import (
     ThreeJSpec,
     ValidationResult,
     Validity,
+    cell_specs,
     cg_alternative,
     cg_racah,
     cg_to_wigner3j,
@@ -20,19 +21,10 @@ from .formulas import (
     wigner3j,
 )
 from .ladder import (
-    AlphaSequence,
     CoefficientRecord,
-    StateVector,
     TableRoute,
-    alpha_sequence,
-    apply_jminus,
-    apply_jplus,
-    beta_closed_form,
     build_full_table,
     cg_ladder,
-    highest_weight_state,
-    lower_normalized,
-    stretched_multiplet_state,
 )
 from .numerics import (
     HalfInt,
@@ -59,7 +51,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSequence",
     "CHECKS",
     "CoefficientRecord",
     "Counterexample",
@@ -68,18 +59,14 @@ __all__ = [
     "MalformedCouplingError",
     "NegativeRadicandError",
     "RadicalSum",
-    "StateVector",
     "TableRoute",
     "ThreeJSpec",
     "ValidationResult",
     "Validity",
     "VerificationReport",
-    "alpha_sequence",
-    "apply_jminus",
-    "apply_jplus",
-    "beta_closed_form",
     "binomial",
     "build_full_table",
+    "cell_specs",
     "cg_alternative",
     "cg_ladder",
     "cg_racah",
@@ -91,10 +78,7 @@ __all__ = [
     "check_threej_symmetries",
     "check_unitarity",
     "check_unitarity_sweep",
-    "highest_weight_state",
-    "lower_normalized",
     "run_checks",
-    "stretched_multiplet_state",
     "sum_signed_sqrts",
     "to_decimal",
     "validate",

@@ -18,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
 from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts
 
@@ -27,6 +28,7 @@ __all__ = [
     "ThreeJSpec",
     "ValidationResult",
     "Validity",
+    "cell_specs",
     "cg_alternative",
     "cg_racah",
     "cg_to_wigner3j",
@@ -157,6 +159,27 @@ def _require_well_formed(spec: CouplingSpec) -> ValidationResult:
     if result.is_malformed:
         raise MalformedCouplingError(f"{spec}: {result.reason}")
     return result
+
+
+def cell_specs(j1, j2) -> Iterator[CouplingSpec]:
+    """Every well-formed spec of the (j1, j2) cell, in increasing (J, M, m1)
+    order: |j1 - j2| <= J <= j1 + j2 in unit steps, |M| <= J, and
+    M = m1 + m2 with |m1| <= j1 and |m2| <= j2."""
+    j1, j2 = HalfInt(j1), HalfInt(j2)
+    tj1, tj2 = j1.twice, j2.twice
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        J = HalfInt.from_twice(tJ)
+        for tM in range(-tJ, tJ + 1, 2):
+            M = HalfInt.from_twice(tM)
+            for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
+                yield CouplingSpec(
+                    j1,
+                    j2,
+                    HalfInt.from_twice(tm1),
+                    HalfInt.from_twice(tM - tm1),
+                    J,
+                    M,
+                )
 
 
 @lru_cache(maxsize=None)

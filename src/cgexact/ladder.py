@@ -5,8 +5,9 @@ lowering of |j1,j2>; general highest-weight states come from the raising
 annihilation recurrence (the alpha sequence); arbitrary states come either
 from repeated exact lowering (the iterative route, kept deliberately
 independent so it can serve as an oracle) or from the beta closed form.
-`build_full_table` turns any route into the full coefficient table for a
-(j1, j2) cell.
+`subspace_states` builds all the states of one subspace by either of those
+two, and `build_full_table` turns any route into the full coefficient table
+for a (j1, j2) cell.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "highest_weight_state",
     "lower_normalized",
     "stretched_multiplet_state",
+    "subspace_states",
 ]
 
 BasisIndex = tuple[HalfInt, HalfInt]
@@ -175,6 +177,15 @@ def alpha_sequence(j1, j2, m: int) -> AlphaSequence:
     return AlphaSequence(m=m, alphas=tuple(alphas))
 
 
+def _subspace_depth(j1: HalfInt, j2: HalfInt, J: HalfInt) -> int:
+    """The depth m = j1 + j2 - J of subspace J; raises ValueError unless
+    (j1, j2, J) obeys the triangle rule with j1 + j2 + J an integer."""
+    tj1, tj2, tJ = j1.twice, j2.twice, J.twice
+    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
+        raise ValueError(f"triangle rule violated for (j1={j1}, j2={j2}, J={J})")
+    return (tj1 + tj2 - tJ) // 2
+
+
 def highest_weight_state(j1, j2, J) -> StateVector:
     """|J, M=J>: alpha_l at (j1-l, j2-m+l) with m = j1+j2-J.
 
@@ -182,10 +193,8 @@ def highest_weight_state(j1, j2, J) -> StateVector:
     input assumption).
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
-    tj1, tj2, tJ = j1.twice, j2.twice, J.twice
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
-        raise ValueError(f"triangle rule violated for (j1={j1}, j2={j2}, J={J})")
-    m = (tj1 + tj2 - tJ) // 2
+    tj1, tj2 = j1.twice, j2.twice
+    m = _subspace_depth(j1, j2, J)
     seq = alpha_sequence(j1, j2, m)
     components: dict[BasisIndex, RadicalSum] = {}
     for l, alpha in enumerate(seq.alphas):
@@ -377,53 +386,54 @@ def _records_from_state(J: HalfInt, state: StateVector) -> list[CoefficientRecor
     ]
 
 
-def build_full_table(j1, j2, route: TableRoute) -> list[CoefficientRecord]:
+def subspace_states(j1, j2, J, route: TableRoute) -> list[StateVector]:
+    """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J.
+
+    LADDER_ITERATIVE lowers `highest_weight_state` one step at a time with
+    `lower_normalized`; BETA_CLOSED_FORM builds every state on its own from
+    the beta closed form.  Other routes build no states and raise ValueError,
+    as does a J outside the triangle rule.
+    """
+    j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
+    route = TableRoute(route)
+    m = _subspace_depth(j1, j2, J)
+    if route is TableRoute.LADDER_ITERATIVE:
+        states = [highest_weight_state(j1, j2, J)]
+        for _ in range(J.twice):
+            states.append(lower_normalized(states[-1], J))
+        return states
+    if route is TableRoute.BETA_CLOSED_FORM:
+        return [_beta_state(j1, j2, m, s) for s in range(J.twice + 1)]
+    raise ValueError(f"the {route.value} route builds no states")
+
+
+def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]:
     """All nonzero coefficients for (j1, j2), sorted by (J, M, m1).
 
-    Every route produces the identical record set; the iterative ladder
-    route recomputes states by repeated exact lowering precisely so it can
-    defend the closed forms.
+    Every route produces the identical record set, each in that order; the
+    iterative ladder route recomputes states by repeated exact lowering
+    precisely so it can defend the closed forms.  ``route`` is a TableRoute
+    or its value; any other value raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
+    route = TableRoute(route)
     tj1, tj2 = j1.twice, j2.twice
     if tj1 < 0 or tj2 < 0:
         raise ValueError("j1 and j2 must be nonnegative")
+    if route in (TableRoute.CLOSED_FORM, TableRoute.RACAH):
+        coefficient = (
+            formulas.cg_alternative
+            if route is TableRoute.CLOSED_FORM
+            else formulas.cg_racah
+        )
+        return [
+            CoefficientRecord(spec.J, spec.M, spec.m1, spec.m2, value)
+            for spec in formulas.cell_specs(j1, j2)
+            if not (value := coefficient(spec)).is_zero
+        ]
     records: list[CoefficientRecord] = []
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         J = HalfInt.from_twice(tJ)
-        if route is TableRoute.LADDER_ITERATIVE:
-            state = highest_weight_state(j1, j2, J)
-            chain = [state]
-            for _ in range(tJ):
-                state = lower_normalized(state, J)
-                chain.append(state)
-            for state in reversed(chain):  # ascending M
-                records.extend(_records_from_state(J, state))
-        elif route is TableRoute.BETA_CLOSED_FORM:
-            m = (tj1 + tj2 - tJ) // 2
-            for s in range(tJ, -1, -1):  # ascending M = J - s
-                records.extend(_records_from_state(J, _beta_state(j1, j2, m, s)))
-        else:
-            coefficient = (
-                formulas.cg_alternative
-                if route is TableRoute.CLOSED_FORM
-                else formulas.cg_racah
-            )
-            for tM in range(-tJ, tJ + 1, 2):
-                M = HalfInt.from_twice(tM)
-                for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
-                    spec = CouplingSpec(
-                        j1,
-                        j2,
-                        HalfInt.from_twice(tm1),
-                        HalfInt.from_twice(tM - tm1),
-                        J,
-                        M,
-                    )
-                    value = coefficient(spec)
-                    if not value.is_zero:
-                        records.append(
-                            CoefficientRecord(J, M, spec.m1, spec.m2, value)
-                        )
-    records.sort(key=CoefficientRecord.sort_key)
+        for state in reversed(subspace_states(j1, j2, J, route)):  # ascending M
+            records.extend(_records_from_state(J, state))
     return records

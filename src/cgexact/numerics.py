@@ -111,7 +111,10 @@ class HalfInt:
         return self.twice >= _coerce_twice(other)
 
     def __hash__(self) -> int:
-        return hash(self.twice)
+        # the hash of the floor: an integral value equals, so must hash as,
+        # its int; k + 1/2 shares k's hash, but quantum numbers of one j
+        # never mix the two parities
+        return hash(self.twice >> 1)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -400,6 +403,9 @@ class RadicalSum:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational value equals, so must hash as, its Fraction
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash(self._terms)
 
     def __float__(self) -> float:

@@ -18,26 +18,25 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .formulas import (
     CouplingSpec,
     ThreeJSpec,
+    cell_specs,
     cg_alternative,
     cg_racah,
     wigner3j,
 )
 from .ladder import (
-    StateVector,
     TableRoute,
-    _beta_state,
     _lowering_element,
     _raising_element,
     apply_jminus,
     apply_jplus,
     build_full_table,
     highest_weight_state,
-    lower_normalized,
+    subspace_states,
 )
 from .numerics import HalfInt, RadicalSum
 
@@ -147,42 +146,20 @@ def _run_cell_sweep(
     return _report(name, f"{scope}, {count} cases", started)
 
 
-def _valid_specs(tj1: int, tj2: int) -> Iterable[CouplingSpec]:
-    """Every well-formed spec of the cell with M = m1 + m2, in sweep order."""
-    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        J = HalfInt.from_twice(tJ)
-        for tM in range(-tJ, tJ + 1, 2):
-            M = HalfInt.from_twice(tM)
-            for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
-                yield CouplingSpec(
-                    j1,
-                    j2,
-                    HalfInt.from_twice(tm1),
-                    HalfInt.from_twice(tM - tm1),
-                    J,
-                    M,
-                )
-
-
 # ---------------------------------------------------------------------------
 # Formula agreement
 # ---------------------------------------------------------------------------
 
 
 def _agreement_cell(cell: tuple[int, int]) -> CellResult:
-    tj1, tj2 = cell
+    j1, j2 = (HalfInt.from_twice(t) for t in cell)
     ladder_values = {
         (r.J, r.M, r.m1): r.exact
-        for r in build_full_table(
-            HalfInt.from_twice(tj1),
-            HalfInt.from_twice(tj2),
-            TableRoute.LADDER_ITERATIVE,
-        )
+        for r in build_full_table(j1, j2, TableRoute.LADDER_ITERATIVE)
     }
     count = 0
     zero = RadicalSum.zero()
-    for spec in _valid_specs(tj1, tj2):
+    for spec in cell_specs(j1, j2):
         count += 1
         alternative = cg_alternative(spec)
         racah = cg_racah(spec)
@@ -216,27 +193,35 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
+def _dot(u: dict[int, RadicalSum], v: dict[int, RadicalSum]) -> RadicalSum:
+    """Exact inner product of two sparse real vectors."""
+    product = RadicalSum.zero()
+    for index, value in u.items():
+        match = v.get(index)
+        if match is not None:
+            product = product + value * match
+    return product
+
+
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     records = build_full_table(j1, j2, TableRoute.CLOSED_FORM)
-    rows: dict[tuple[int, int], dict[int, RadicalSum]] = {}
+    # both products stay inside one M block: rows of a block by J, columns by m1
+    rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     for r in records:
-        rows.setdefault((r.J.twice, r.M.twice), {})[r.m1.twice] = r.exact
+        rows.setdefault(r.M.twice, {}).setdefault(r.J.twice, {})[r.m1.twice] = r.exact
         columns.setdefault(r.M.twice, {}).setdefault(r.m1.twice, {})[r.J.twice] = r.exact
 
     count = 0
-    for (tJ, tM), row in sorted(rows.items()):
-        for (tJb, tMb), other in sorted(rows.items()):
-            if tMb != tM or tJb < tJ:
+    for tJ, tM in sorted((tJ, tM) for tM, block in rows.items() for tJ in block):
+        block = rows[tM]
+        for tJb in sorted(block):
+            if tJb < tJ:
                 continue
             count += 1
-            product = RadicalSum.zero()
-            for tm1, value in row.items():
-                match = other.get(tm1)
-                if match is not None:
-                    product = product + value * match
+            product = _dot(block[tJ], block[tJb])
             expected = RadicalSum.one() if tJb == tJ else RadicalSum.zero()
             if product != expected:
                 return count, Counterexample(
@@ -248,18 +233,14 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
                     values={"inner product": str(product)},
                 )
 
-    for tM, by_m1 in sorted(columns.items()):
-        keys = sorted(by_m1)
+    for tM, block in sorted(columns.items()):
+        keys = sorted(block)
         for tm1 in keys:
             for tm1b in keys:
                 if tm1b < tm1:
                     continue
                 count += 1
-                product = RadicalSum.zero()
-                for tJ, value in by_m1[tm1].items():
-                    match = by_m1[tm1b].get(tJ)
-                    if match is not None:
-                        product = product + value * match
+                product = _dot(block[tm1], block[tm1b])
                 expected = RadicalSum.one() if tm1 == tm1b else RadicalSum.zero()
                 if product != expected:
                     return count, Counterexample(
@@ -302,9 +283,8 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
 
 
 def _collapse_cell(cell: tuple[int, int]) -> CellResult:
-    tj1, tj2 = cell
     count = 0
-    for spec in _valid_specs(tj1, tj2):
+    for spec in cell_specs(*(HalfInt.from_twice(t) for t in cell)):
         count += 1
         value = cg_alternative(spec)
         if value.num_terms > 1:
@@ -424,10 +404,6 @@ def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
-def _states_equal(a: StateVector, b: StateVector) -> bool:
-    return a.components == b.components
-
-
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
@@ -435,16 +411,12 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         chains += 1
         J = HalfInt.from_twice(tJ)
-        m = (tj1 + tj2 - tJ) // 2
-        top = highest_weight_state(j1, j2, J)
-        if not apply_jplus(top).is_zero:
+        chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+        if not apply_jplus(chain[0]).is_zero:
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
-                values={"J+ |J,J>": str(apply_jplus(top).components)},
+                values={"J+ |J,J>": str(apply_jplus(chain[0]).components)},
             )
-        chain = [top]
-        for _ in range(tJ):
-            chain.append(lower_normalized(chain[-1], J))
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
             if state.norm_squared() != 1:
@@ -458,7 +430,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
             if step > 0:
                 raised = apply_jplus(state)
                 expected = chain[step - 1].scaled(_raising_element(tJ, tM))
-                if not _states_equal(raised, expected):
+                if raised != expected:
                     return chains, Counterexample(
                         description=(
                             f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
@@ -466,20 +438,18 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                         ),
                     )
         # beta-route states must obey the J- relation independently
-        previous = _beta_state(j1, j2, m, 0)
+        betas = subspace_states(j1, j2, J, TableRoute.BETA_CLOSED_FORM)
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
-            current = _beta_state(j1, j2, m, s)
-            lowered = apply_jminus(previous)
-            expected = current.scaled(_lowering_element(tJ, tM + 2))
-            if not _states_equal(lowered, expected):
+            lowered = apply_jminus(betas[s - 1])
+            expected = betas[s].scaled(_lowering_element(tJ, tM + 2))
+            if lowered != expected:
                 return chains, Counterexample(
                     description=(
                         f"J- relation on beta states at (j1={j1}, j2={j2}, "
                         f"J={J}, s={s})"
                     ),
                 )
-            previous = current
     return chains, None
 
 

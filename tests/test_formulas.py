@@ -11,6 +11,7 @@ from cgexact.formulas import (
     MalformedCouplingError,
     ThreeJSpec,
     Validity,
+    cell_specs,
     cg_alternative,
     cg_racah,
     cg_to_wigner3j,
@@ -295,3 +296,41 @@ def test_condon_shortley_small():
             )
             assert cg_alternative(s).sign() == 1
             assert cg_racah(s).sign() == 1
+
+
+# ---------------------------------------------------------------------------
+# Cell walk
+# ---------------------------------------------------------------------------
+
+
+def _well_formed_grid(tj1, tj2):
+    """Brute force: every (m1, m2, J, M) over loose ranges, kept when valid."""
+    grid = []
+    for tJ in range(0, tj1 + tj2 + 2):
+        for tM in range(-tJ, tJ + 1, 2):
+            for tm1 in range(-tj1, tj1 + 1, 2):
+                for tm2 in range(-tj2, tj2 + 1, 2):
+                    candidate = CouplingSpec(
+                        *(HalfInt.from_twice(t) for t in (tj1, tj2, tm1, tm2, tJ, tM))
+                    )
+                    if validate(candidate).is_well_formed:
+                        grid.append(candidate)
+    grid.sort(key=lambda c: (c.J.twice, c.M.twice, c.m1.twice))
+    return grid
+
+
+def test_cell_specs_is_the_well_formed_grid():
+    for tj1 in range(7):
+        for tj2 in range(7):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            assert list(cell_specs(j1, j2)) == _well_formed_grid(tj1, tj2)
+    assert list(cell_specs("3/2", 1)) == list(
+        cell_specs(HalfInt.from_twice(3), HalfInt.from_twice(2))
+    )
+    total = sum(
+        1
+        for tj1 in range(9)
+        for tj2 in range(9)
+        for _ in cell_specs(HalfInt.from_twice(tj1), HalfInt.from_twice(tj2))
+    )
+    assert total == 7809

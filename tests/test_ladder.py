@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import cgexact.formulas as formulas
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
@@ -19,6 +20,7 @@ from cgexact.ladder import (
     highest_weight_state,
     lower_normalized,
     stretched_multiplet_state,
+    subspace_states,
 )
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
 
@@ -383,3 +385,35 @@ def test_single_m_support_everywhere():
     for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
         for record in build_full_table("5/2", "3/2", route):
             assert record.M == record.m1 + record.m2
+
+
+def test_table_route_is_coerced_and_checked(monkeypatch):
+    def no_racah(spec):
+        raise AssertionError("the closed-form route must not call cg_racah")
+
+    monkeypatch.setattr(formulas, "cg_racah", no_racah)
+    assert build_full_table(1, 1, "closed-form") == build_full_table(
+        1, 1, TableRoute.CLOSED_FORM
+    )
+    with pytest.raises(ValueError):
+        build_full_table(1, 1, "nonsense")
+
+
+def test_subspace_states_by_both_routes():
+    for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (2, 1, 2), ("5/2", "3/2", 3)]:
+        ladder = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+        beta = subspace_states(j1, j2, J, "beta")
+        assert len(ladder) == HalfInt(J).twice + 1
+        assert ladder[0] == highest_weight_state(j1, j2, J)
+        assert [s.m_total().twice for s in ladder] == list(
+            range(HalfInt(J).twice, -HalfInt(J).twice - 1, -2)
+        )
+        assert beta == ladder
+    for route in (TableRoute.CLOSED_FORM, TableRoute.RACAH, "nonsense"):
+        with pytest.raises(ValueError):
+            subspace_states(2, 1, 2, route)
+    for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
+        with pytest.raises(ValueError, match="triangle"):
+            subspace_states(2, 1, 4, route)
+        with pytest.raises(ValueError, match="triangle"):
+            subspace_states(2, 1, "3/2", route)

@@ -64,6 +64,16 @@ def test_halfint_sum_difference_exact(ta, tb):
     assert (a < b) == (ta < tb)
 
 
+@given(st.integers(-10**30, 10**30))
+def test_halfint_hash_agrees_with_equality(twice):
+    value = HalfInt.from_twice(twice)
+    assert value in {HalfInt.from_twice(twice)}
+    if twice % 2 == 0:
+        assert value == twice // 2
+        assert hash(value) == hash(twice // 2)
+        assert twice // 2 in {value} and value in {twice // 2}
+
+
 # ---------------------------------------------------------------------------
 # binomial
 # ---------------------------------------------------------------------------
@@ -203,6 +213,18 @@ def test_radical_rational_interop():
     assert 2 * SQRT2 == SQRT(8)
     assert SQRT2 != 2
     assert 1 - RadicalSum.rational(3) == -2
+
+
+def test_radical_hash_agrees_with_equality():
+    for value in (Fraction(1, 2), Fraction(-7, 3), Fraction(0), Fraction(5)):
+        radical = RadicalSum.rational(value)
+        assert radical == value
+        assert hash(radical) == hash(value)
+        assert value in {radical} and radical in {value}
+    assert hash(SQRT(Fraction(9, 4))) == hash(Fraction(3, 2))
+    assert hash(RadicalSum.zero()) == hash(0)
+    assert hash(SQRT(2) + SQRT(8)) == hash(SQRT(18))
+    assert len({SQRT(2), SQRT(3), SQRT(2) + SQRT(3), SQRT(8) / 2}) == 3
 
 
 def test_radical_sign_and_as_fraction():

@@ -1,5 +1,7 @@
 """Tests for the cross-route verification engine."""
 
+import dataclasses
+
 import pytest
 
 import cgexact.verification as verification
@@ -144,3 +146,31 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         n * n for n in range(10)
     ]
     assert started == [4, 3, 2]
+
+
+def test_unitarity_detects_flipped_sign(monkeypatch):
+    original = verification.build_full_table
+
+    def flipped(j1, j2, route):
+        records = original(j1, j2, route)
+        records[0] = dataclasses.replace(records[0], exact=-records[0].exact)
+        return records
+
+    monkeypatch.setattr(verification, "build_full_table", flipped)
+    for report in (check_unitarity(1, 1), check_unitarity_sweep(2)):
+        assert not report.passed
+        description = report.counterexample.description
+        assert "row orthonormality" in description or "column completeness" in description
+        assert report.counterexample.values["inner product"] != "0"
+
+
+def test_ladder_detects_broken_lowering(monkeypatch):
+    original = verification.apply_jminus
+    monkeypatch.setattr(
+        verification,
+        "apply_jminus",
+        lambda state: original(state).scaled(RadicalSum.rational(2)),
+    )
+    report = check_ladder_consistency(1)
+    assert not report.passed
+    assert "J- relation on beta states" in report.counterexample.description
