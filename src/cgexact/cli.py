@@ -1,16 +1,15 @@
-"""Command-line front end: single coefficients, tables, verification, benchmarks.
+"""Command-line front end: single coefficients, tables and verification.
 
 Exit codes are uniform across subcommands: 0 success, 1 input error
 (including malformed quantum numbers and unwritable paths), 2 verification
-or cross-route agreement failure.  Data output is deterministic; benchmark
-timing is isolated in clearly labelled fields.
+or cross-route agreement failure.  Data output is deterministic; only the
+elapsed times that `verify` reports vary between runs.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 
 import click
 
@@ -41,12 +40,6 @@ _COEFF_ROUTES = {
     "racah": cg_racah,
     "ladder": cg_ladder,
 }
-
-_BENCH_ROUTES = (
-    TableRoute.CLOSED_FORM,
-    TableRoute.RACAH,
-    TableRoute.LADDER_ITERATIVE,
-)
 
 
 def _halfint(label: str, text: str) -> HalfInt:
@@ -302,93 +295,6 @@ def verify(max_twice_j, check_names, jobs, fmt) -> None:
                     click.echo(f"    {label}: {value}")
     if not all(report.passed for report in reports):
         sys.exit(2)
-
-
-def _peak_bits(records: list[CoefficientRecord]) -> int:
-    peak = 0
-    for record in records:
-        for _, square in record.exact.terms():
-            peak = max(
-                peak, square.numerator.bit_length(), square.denominator.bit_length()
-            )
-    return peak
-
-
-@cli.command()
-@click.option(
-    "--max-2j",
-    "max_twice_j",
-    type=int,
-    default=8,
-    show_default=True,
-    help="Sweep bound on doubled angular momenta.",
-)
-@click.option("--reps", type=int, default=1, show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["pretty", "json"]),
-    default="pretty",
-    show_default=True,
-)
-def bench(max_twice_j, reps, fmt) -> None:
-    """Time full-table generation per route over the (j1, j2) sweep.
-
-    Also asserts, inline, that every route reproduces the closed-form
-    tables during the run (exit 2 if not).
-    """
-    if max_twice_j < 0 or reps < 1:
-        click.echo("error: --max-2j must be >= 0 and --reps >= 1", err=True)
-        sys.exit(1)
-    cells = [
-        (HalfInt.from_twice(tj1), HalfInt.from_twice(tj2))
-        for tj1 in range(max_twice_j + 1)
-        for tj2 in range(max_twice_j + 1)
-    ]
-    reference: list[list[CoefficientRecord]] | None = None
-    results = []
-    for route in _BENCH_ROUTES:
-        runs = []
-        peak = 0
-        tables: list[list[CoefficientRecord]] = []
-        for rep in range(reps):
-            start = time.perf_counter()
-            tables = [build_full_table(j1, j2, route) for j1, j2 in cells]
-            elapsed = time.perf_counter() - start
-            count = sum(len(t) for t in tables)
-            runs.append(
-                {
-                    "seconds": elapsed,
-                    "coefficients": count,
-                    "per_second": count / elapsed if elapsed > 0 else float("inf"),
-                }
-            )
-        peak = max((_peak_bits(t) for t in tables), default=0)
-        if reference is None:
-            reference = tables
-        elif tables != reference:
-            click.echo(
-                f"error: route {route.value} disagrees with {_BENCH_ROUTES[0].value}",
-                err=True,
-            )
-            sys.exit(2)
-        results.append({"route": route.value, "runs": runs, "peak_integer_bits": peak})
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {"max_2j": max_twice_j, "reps": reps, "routes": results}, indent=2
-            )
-        )
-        return
-    click.echo(f"sweep: all (j1, j2) with 2j <= {max_twice_j}, {reps} rep(s) per route")
-    for result in results:
-        for index, run in enumerate(result["runs"]):
-            click.echo(
-                f"{result['route']:>12}  rep {index + 1}  "
-                f"{run['seconds']:9.3f}s  {run['coefficients']:7d} coefficients  "
-                f"{run['per_second']:10.0f}/s  peak {result['peak_integer_bits']} bits"
-            )
-    click.echo("all routes produced identical tables")
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,10 +1,9 @@
 """Constructive route: |J,M> states rebuilt over the product basis.
 
-Three constructions live here.  The stretched multiplet comes from iterated
-lowering of |j1,j2>; general highest-weight states come from the raising
-annihilation recurrence (the alpha sequence); arbitrary states come either
-from repeated exact lowering (the iterative route, kept deliberately
-independent so it can serve as an oracle) or from the beta closed form.
+Highest-weight states |J, J> come from the raising annihilation recurrence
+(the alpha sequence); the other states of a subspace come either from
+repeated exact lowering (the iterative route, kept deliberately independent
+so it can serve as an oracle) or from the beta closed form.
 `subspace_states` builds all the states of one subspace by either of those
 two, and `build_full_table` turns any route into the full coefficient table
 for a (j1, j2) cell.
@@ -12,29 +11,28 @@ for a (j1, j2) cell.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import formulas
 from .formulas import CouplingSpec, MalformedCouplingError, validate
 from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts, to_decimal
 
 __all__ = [
-    "AlphaSequence",
     "CoefficientRecord",
     "StateVector",
     "TableRoute",
     "alpha_sequence",
     "apply_jminus",
     "apply_jplus",
-    "beta_closed_form",
     "build_full_table",
     "cg_ladder",
     "highest_weight_state",
     "lower_normalized",
-    "stretched_multiplet_state",
     "subspace_states",
 ]
 
@@ -45,13 +43,20 @@ BasisIndex = tuple[HalfInt, HalfInt]
 class StateVector:
     """Exact expansion of a state over the product basis |m1, m2> at (j1, j2).
 
-    Only nonzero components are stored.  For any state built here all
-    components share a single M = m1 + m2.
+    ``components`` keeps the nonzero values of the mapping given, read-only.
+    For any state built here all components share a single M = m1 + m2.
+    States compare by value and are unhashable.
     """
 
     j1: HalfInt
     j2: HalfInt
-    components: dict[BasisIndex, RadicalSum]
+    components: Mapping[BasisIndex, RadicalSum]
+
+    __hash__ = None
+
+    def __post_init__(self) -> None:
+        pruned = {k: v for k, v in self.components.items() if not v.is_zero}
+        object.__setattr__(self, "components", MappingProxyType(pruned))
 
     @property
     def is_zero(self) -> bool:
@@ -94,28 +99,9 @@ class StateVector:
         return total
 
     def scaled(self, factor: RadicalSum) -> "StateVector":
-        return _make_state(
+        return StateVector(
             self.j1, self.j2, {k: v * factor for k, v in self.components.items()}
         )
-
-
-def _make_state(
-    j1: HalfInt, j2: HalfInt, components: dict[BasisIndex, RadicalSum]
-) -> StateVector:
-    pruned = {index: value for index, value in components.items() if not value.is_zero}
-    return StateVector(j1, j2, pruned)
-
-
-@dataclass(frozen=True)
-class AlphaSequence:
-    """Leading coefficients of the highest-weight state at depth m = j1+j2-J.
-
-    alphas[l] multiplies |j1-l, j2-m+l>; alpha_0 > 0 fixes the sign
-    convention and sum(alpha_l^2) == 1 exactly.
-    """
-
-    m: int
-    alphas: tuple[RadicalSum, ...]
 
 
 @lru_cache(maxsize=None)
@@ -130,36 +116,13 @@ def _raising_element(tj: int, tm: int) -> RadicalSum:
     return RadicalSum.sqrt(Fraction(tj * (tj + 2) - tm * (tm + 2), 4))
 
 
-def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
-    """|J=j1+j2, M=j1+j2-n> from n-fold lowering of the stretched state.
-
-    The component at (j1-k, j2-n+k) is
-    sqrt(C(2j1,k) C(2j2,n-k) / C(2j1+2j2,n)); n = 0 is the stretched state
-    itself.
-    """
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    tj1, tj2 = j1.twice, j2.twice
-    if tj1 < 0 or tj2 < 0:
-        raise ValueError("j1 and j2 must be nonnegative")
-    if not 0 <= n <= tj1 + tj2:
-        raise ValueError(f"n={n} outside 0..2(j1+j2)={tj1 + tj2}")
-    denom = binomial(tj1 + tj2, n)
-    components: dict[BasisIndex, RadicalSum] = {}
-    for k in range(n + 1):
-        numer = binomial(tj1, k) * binomial(tj2, n - k)
-        if not numer:
-            continue
-        index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (n - k)))
-        components[index] = RadicalSum.sqrt(Fraction(numer, denom))
-    return _make_state(j1, j2, components)
-
-
-def alpha_sequence(j1, j2, m: int) -> AlphaSequence:
+def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
     """Highest-weight coefficients for the subspace J = j1 + j2 - m.
 
-    alpha_l = (-1)^l sqrt(prod_{k=1}^{l} (2j2-m+k)(m-k+1) / (k(2j1-k+1)))
-    * alpha_0, with the empty product equal to 1 and alpha_0 > 0 fixed by
-    normalization.
+    alpha_l multiplies |j1-l, j2-m+l> and equals
+    (-1)^l sqrt(prod_{k=1}^{l} (2j2-m+k)(m-k+1) / (k(2j1-k+1))) * alpha_0,
+    with the empty product equal to 1; alpha_0 > 0 fixes the sign convention
+    and normalization makes sum(alpha_l^2) == 1 exactly.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     tj1, tj2 = j1.twice, j2.twice
@@ -174,7 +137,7 @@ def alpha_sequence(j1, j2, m: int) -> AlphaSequence:
     for l, product in enumerate(products):
         value = RadicalSum.sqrt(product) * alpha0
         alphas.append(-value if l & 1 else value)
-    return AlphaSequence(m=m, alphas=tuple(alphas))
+    return tuple(alphas)
 
 
 def _subspace_depth(j1: HalfInt, j2: HalfInt, J: HalfInt) -> int:
@@ -195,12 +158,11 @@ def highest_weight_state(j1, j2, J) -> StateVector:
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
     tj1, tj2 = j1.twice, j2.twice
     m = _subspace_depth(j1, j2, J)
-    seq = alpha_sequence(j1, j2, m)
     components: dict[BasisIndex, RadicalSum] = {}
-    for l, alpha in enumerate(seq.alphas):
+    for l, alpha in enumerate(alpha_sequence(j1, j2, m)):
         index = (HalfInt.from_twice(tj1 - 2 * l), HalfInt.from_twice(tj2 - 2 * (m - l)))
         components[index] = alpha
-    return _make_state(j1, j2, components)
+    return StateVector(j1, j2, components)
 
 
 def _apply_ladder(state: StateVector, direction: int) -> StateVector:
@@ -223,7 +185,7 @@ def _apply_ladder(state: StateVector, direction: int) -> StateVector:
             term = value * e2
             present = out.get(index)
             out[index] = term if present is None else present + term
-    return _make_state(state.j1, state.j2, out)
+    return StateVector(state.j1, state.j2, out)
 
 
 def apply_jminus(state: StateVector) -> StateVector:
@@ -245,38 +207,6 @@ def lower_normalized(state: StateVector, J) -> StateVector:
         raise ValueError(f"cannot lower below M = -J (J={J})")
     norm = RadicalSum.sqrt(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
     return apply_jminus(state).scaled(RadicalSum.one() / norm)
-
-
-def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
-    """Closed-form component weight beta(l, p) of |j1+j2-m, j1+j2-m-s>.
-
-    The weight multiplies |j1-l-p, j2-m+l-s+p>.  Out-of-range l or p makes
-    some binomial vanish and the weight is 0; this never raises for index
-    overruns (only for an invalid subspace depth m).
-    """
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    tj1, tj2 = j1.twice, j2.twice
-    if not 0 <= m <= min(tj1, tj2):
-        raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    tJ = tj1 + tj2 - 2 * m
-    if not 0 <= s <= tJ:
-        return RadicalSum.zero()
-    if l < 0 or p < 0 or l > m or p > s:
-        return RadicalSum.zero()
-    numer = (
-        binomial(tj1 - l, p)
-        * binomial(tj2 - m + l, s - p)
-        * binomial(tj2 - m + l, l)
-        * binomial(l + p, p)
-        * binomial(m - l + s - p, s - p)
-        * binomial(m, l)
-    )
-    if not numer:
-        return RadicalSum.zero()
-    denom = binomial(tj1, l) * binomial(tJ, s)
-    radicand = Fraction(numer, denom) / formulas._norm_denominator_sum(tj1, tj2, m)
-    value = RadicalSum.sqrt(radicand)
-    return -value if l & 1 else value
 
 
 def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
@@ -326,7 +256,7 @@ def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
         )
         index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (m + d)))
         components[index] = sum_signed_sqrts(steps)
-    return _make_state(j1, j2, components)
+    return StateVector(j1, j2, components)
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:

@@ -321,9 +321,6 @@ class RadicalSum:
             return self._terms[0][0]
         raise ValueError(f"sign of multi-term sum {self} is not structural")
 
-    def squared(self) -> "RadicalSum":
-        return self * self
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "RadicalSum":

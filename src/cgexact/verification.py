@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from .formulas import (
@@ -30,8 +31,6 @@ from .formulas import (
 )
 from .ladder import (
     TableRoute,
-    _lowering_element,
-    _raising_element,
     apply_jminus,
     apply_jplus,
     build_full_table,
@@ -404,6 +403,13 @@ def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
+def _ladder_element(tJ: int, tM: int) -> RadicalSum:
+    """<J, M+1| J+ |J, M> = <J, M| J- |J, M+1> = sqrt(J(J+1) - M(M+1)),
+    from doubled J and M.  Derived here rather than taken from `ladder`, so
+    that a wrong matrix element there cannot also change what is expected."""
+    return RadicalSum.sqrt(Fraction(tJ * (tJ + 2) - tM * (tM + 2), 4))
+
+
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
@@ -415,7 +421,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
         if not apply_jplus(chain[0]).is_zero:
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
-                values={"J+ |J,J>": str(apply_jplus(chain[0]).components)},
+                values={"J+ |J,J>": str(dict(apply_jplus(chain[0]).components))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
@@ -429,7 +435,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                 )
             if step > 0:
                 raised = apply_jplus(state)
-                expected = chain[step - 1].scaled(_raising_element(tJ, tM))
+                expected = chain[step - 1].scaled(_ladder_element(tJ, tM))
                 if raised != expected:
                     return chains, Counterexample(
                         description=(
@@ -442,7 +448,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
             lowered = apply_jminus(betas[s - 1])
-            expected = betas[s].scaled(_lowering_element(tJ, tM + 2))
+            expected = betas[s].scaled(_ladder_element(tJ, tM))
             if lowered != expected:
                 return chains, Counterexample(
                     description=(

@@ -299,43 +299,6 @@ def test_table_empty_after_filter(runner):
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def test_bench_structure(runner):
-    result = invoke(
-        runner, "bench", "--max-2j", "3", "--reps", "2", "--format", "json"
-    )
-    assert result.exit_code == 0
-    data = json.loads(result.output)
-    assert data["max_2j"] == 3 and data["reps"] == 2
-    assert [r["route"] for r in data["routes"]] == ["closed-form", "racah", "ladder"]
-    for route in data["routes"]:
-        assert len(route["runs"]) == 2
-        assert route["peak_integer_bits"] > 0
-        for run in route["runs"]:
-            assert run["seconds"] > 0
-            assert run["coefficients"] > 0
-            assert run["per_second"] > 0
-    counts = {run["coefficients"] for r in data["routes"] for run in r["runs"]}
-    assert len(counts) == 1
-
-
-def test_bench_trivial_bound(runner):
-    result = invoke(runner, "bench", "--max-2j", "0")
-    assert result.exit_code == 0
-    assert "identical tables" in result.output
-
-
-def test_bench_pretty_output(runner):
-    result = invoke(runner, "bench", "--max-2j", "2")
-    assert result.exit_code == 0
-    for route in ("closed-form", "racah", "ladder"):
-        assert route in result.output
-
-
-# ---------------------------------------------------------------------------
 # Entry point exit-code contract
 # ---------------------------------------------------------------------------
 

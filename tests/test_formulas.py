@@ -18,8 +18,9 @@ from cgexact.formulas import (
     validate,
     wigner3j,
 )
-from cgexact.ladder import beta_closed_form, cg_ladder
+from cgexact.ladder import cg_ladder
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
+from oracles import beta_closed_form, norm_sum
 
 
 def spec(j1, j2, m1, m2, J, M) -> CouplingSpec:
@@ -111,10 +112,7 @@ def _alternative_as_written(s: CouplingSpec) -> tuple[RadicalSum, int]:
     by term.  Also returns how many R_l vanish through a zero binomial."""
     tj1, tj2, tm1, tm2, tJ, tM = (x.twice for x in (s.j1, s.j2, s.m1, s.m2, s.J, s.M))
     m = (tj1 + tj2 - tJ) // 2
-    norm = sum(
-        Fraction(binomial(tj2 - m + i, i) * binomial(m, i), binomial(tj1, i))
-        for i in range(m + 1)
-    )
+    norm = norm_sum(tj1, tj2, m)
     a1 = (tj1 - tm1) // 2
     q2 = (tj2 - tj1 + tJ) // 2
     d = (tJ - tj1 - tm2) // 2

@@ -1,5 +1,6 @@
 """Tests for the ladder-operator state construction and table builder."""
 
+import collections.abc
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,14 @@ from cgexact.ladder import (
     alpha_sequence,
     apply_jminus,
     apply_jplus,
-    beta_closed_form,
     build_full_table,
     cg_ladder,
     highest_weight_state,
     lower_normalized,
-    stretched_multiplet_state,
     subspace_states,
 )
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
+from oracles import beta_closed_form, stretched_multiplet_state
 
 SQRT = RadicalSum.sqrt
 HALF = Fraction(1, 2)
@@ -85,18 +85,18 @@ def test_stretched_norm_and_range():
 
 def test_alpha_singlet():
     seq = alpha_sequence("1/2", "1/2", 1)
-    assert list(seq.alphas) == [SQRT(HALF), -SQRT(HALF)]
+    assert list(seq) == [SQRT(HALF), -SQRT(HALF)]
 
 
 def test_alpha_depth_zero_is_trivial():
     for j1, j2 in [(0, 0), (1, 1), ("3/2", 2), (5, "1/2")]:
-        assert list(alpha_sequence(j1, j2, 0).alphas) == [RadicalSum.one()]
+        assert list(alpha_sequence(j1, j2, 0)) == [RadicalSum.one()]
 
 
 def test_alpha_reference_values():
     seq = alpha_sequence(1, 1, 1)
-    assert list(seq.alphas) == [SQRT(HALF), -SQRT(HALF)]
-    assert [to_decimal(a, 5) for a in seq.alphas] == ["0.70711", "-0.70711"]
+    assert list(seq) == [SQRT(HALF), -SQRT(HALF)]
+    assert [to_decimal(a, 5) for a in seq] == ["0.70711", "-0.70711"]
 
 
 def test_alpha_range_errors():
@@ -113,10 +113,10 @@ def test_alpha_invariants_small_sweep():
                 seq = alpha_sequence(
                     HalfInt.from_twice(tj1), HalfInt.from_twice(tj2), m
                 )
-                assert len(seq.alphas) == m + 1
-                assert seq.alphas[0].sign() == 1
+                assert len(seq) == m + 1
+                assert seq[0].sign() == 1
                 total = RadicalSum.zero()
-                for alpha in seq.alphas:
+                for alpha in seq:
                     total = total + alpha * alpha
                 assert total == RadicalSum.one()
                 # two-term recurrence with exact radical coefficients
@@ -129,8 +129,8 @@ def test_alpha_invariants_small_sweep():
                             * binomial(tj1, tj1 - l + 1),
                         )
                     )
-                    expected = -(seq.alphas[l - 1] * root * ratio)
-                    assert seq.alphas[l] == expected
+                    expected = -(seq[l - 1] * root * ratio)
+                    assert seq[l] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +224,20 @@ def test_state_vector_properties():
     )
     with pytest.raises(ValueError):
         mixed.m_total()
+
+
+def test_state_vector_is_unhashable_and_read_only():
+    components = {(HalfInt(1), HalfInt(0)): RadicalSum.one()}
+    state = StateVector(HalfInt(1), HalfInt(1), components)
+    assert not isinstance(state, collections.abc.Hashable)
+    with pytest.raises(TypeError):
+        hash(highest_weight_state(1, 1, 1))
+    with pytest.raises(TypeError):
+        state.components[(HalfInt(0), HalfInt(1))] = RadicalSum.one()
+    components[(HalfInt(0), HalfInt(1))] = RadicalSum.one()
+    assert state == StateVector(
+        HalfInt(1), HalfInt(1), {(HalfInt(1), HalfInt(0)): RadicalSum.one()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum
 from cgexact.verification import (
@@ -174,3 +175,18 @@ def test_ladder_detects_broken_lowering(monkeypatch):
     report = check_ladder_consistency(1)
     assert not report.passed
     assert "J- relation on beta states" in report.counterexample.description
+
+
+def test_ladder_detects_broken_raising_element(monkeypatch):
+    original = ladder._raising_element
+
+    def doubled(tj, tm):
+        return original(tj, tm) * 2
+
+    monkeypatch.setattr(ladder, "_raising_element", doubled)
+    monkeypatch.setattr(verification, "_raising_element", doubled, raising=False)
+    report = check_ladder_consistency(3)
+    assert not report.passed
+    assert report.counterexample.description == (
+        "J+ ladder relation at (j1=0, j2=1/2, J=1/2, M=-1/2)"
+    )
