@@ -224,9 +224,11 @@ def coeff(j1, j2, m1, m2, big_j, big_m, formula) -> None:
 @click.option("--out", default=None, help="Write to a file instead of stdout.")
 def table(j1, j2, big_j, route, fmt, out) -> None:
     """Emit all nonzero coefficients for (j1, j2), sorted by (J, M, m1)."""
-    records = build_full_table(
-        _halfint("--j1", j1), _halfint("--j2", j2), TableRoute(route)
-    )
+    j1, j2 = _halfint("--j1", j1), _halfint("--j2", j2)
+    if j1 < 0 or j2 < 0:
+        click.echo("error: j1 and j2 must be nonnegative", err=True)
+        sys.exit(1)
+    records = build_full_table(j1, j2, TableRoute(route))
     if big_j is not None:
         wanted = _halfint("--J", big_j)
         records = [r for r in records if r.J == wanted]
@@ -254,7 +256,7 @@ def table(j1, j2, big_j, route, fmt, out) -> None:
     type=int,
     default=1,
     show_default=True,
-    help="Worker processes for the cell sweeps (results merge in cell order).",
+    help="Worker processes for the sweeps (results merge in sweep order).",
 )
 @click.option(
     "--format",

@@ -7,13 +7,15 @@ ladder consistency).  There are no tolerances anywhere: every comparison is
 exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
-Sweeps are embarrassingly parallel across (j1, j2) cells; with ``jobs > 1``
-they fan out to worker processes and the results are merged in cell order,
-so reports are identical whatever the completion order.
+Sweeps are embarrassingly parallel across (j1, j2) cells, or across
+j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
+processes and the results are merged in unit order, so reports are
+identical whatever the completion order.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
@@ -310,47 +312,63 @@ def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
-def _threej_unit(unit: tuple[int, int]) -> CellResult:
-    tja, max_twice_j = unit
+def _threej_spec(key: tuple[int, ...]) -> ThreeJSpec:
+    return ThreeJSpec(*(HalfInt.from_twice(t) for t in key))
+
+
+def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
+    """Every symbol whose columns permute the doubled j-triple `unit`.
+
+    Column permutations and m negation keep the multiset {ja, jb, jc}, so
+    each image of a symbol lies in the same unit: every symbol is evaluated
+    once, from its own columns, and each comparison is a lookup.
+    """
+    symbols: dict[tuple[int, ...], RadicalSum] = {}
+    for ja, jb, jc in sorted(set(itertools.permutations(unit))):
+        for ma in range(-ja, ja + 1, 2):
+            for mb in range(-jb, jb + 1, 2):
+                mc = -ma - mb
+                if abs(mc) <= jc:
+                    key = (ja, jb, jc, ma, mb, mc)
+                    symbols[key] = wigner3j(_threej_spec(key))
+    odd = (sum(unit) // 2) & 1
     count = 0
-    ja = HalfInt.from_twice(tja)
-    for tjb in range(max_twice_j + 1):
-        jb = HalfInt.from_twice(tjb)
-        for tjc in range(abs(tja - tjb), min(tja + tjb, max_twice_j) + 1, 2):
-            jc = HalfInt.from_twice(tjc)
-            parity_sign = -1 if ((tja + tjb + tjc) // 2) & 1 else 1
-            for tma in range(-tja, tja + 1, 2):
-                for tmb in range(-tjb, tjb + 1, 2):
-                    tmc = -tma - tmb
-                    if abs(tmc) > tjc:
-                        continue
-                    count += 1
-                    ma, mb, mc = (HalfInt.from_twice(t) for t in (tma, tmb, tmc))
-                    base = wigner3j(ThreeJSpec(ja, jb, jc, ma, mb, mc))
-                    comparisons = [
-                        ("cyclic (231)", ThreeJSpec(jb, jc, ja, mb, mc, ma), 1),
-                        ("cyclic (312)", ThreeJSpec(jc, ja, jb, mc, ma, mb), 1),
-                        ("swap (213)", ThreeJSpec(jb, ja, jc, mb, ma, mc), parity_sign),
-                        ("swap (132)", ThreeJSpec(ja, jc, jb, ma, mc, mb), parity_sign),
-                        ("swap (321)", ThreeJSpec(jc, jb, ja, mc, mb, ma), parity_sign),
-                        ("m negation", ThreeJSpec(ja, jb, jc, -ma, -mb, -mc), parity_sign),
-                    ]
-                    for label, permuted, sign in comparisons:
-                        value = wigner3j(permuted)
-                        if value != base * sign:
-                            return count, Counterexample(
-                                description=(
-                                    f"{label} of 3j({ja} {jb} {jc}; {ma} {mb} {mc})"
-                                ),
-                                values={"base": str(base), "permuted": str(value)},
-                            )
+    for key, base in symbols.items():
+        count += 1
+        ja, jb, jc, ma, mb, mc = key
+        flipped = -base if odd else base
+        images = (
+            ("cyclic (231)", (jb, jc, ja, mb, mc, ma), base),
+            ("cyclic (312)", (jc, ja, jb, mc, ma, mb), base),
+            ("swap (213)", (jb, ja, jc, mb, ma, mc), flipped),
+            ("swap (132)", (ja, jc, jb, ma, mc, mb), flipped),
+            ("swap (321)", (jc, jb, ja, mc, mb, ma), flipped),
+            ("m negation", (ja, jb, jc, -ma, -mb, -mc), flipped),
+        )
+        for label, image, expected in images:
+            value = symbols[image]
+            if value != expected:
+                return count, Counterexample(
+                    description=f"{label} of {_threej_spec(key)}",
+                    values={"base": str(base), "permuted": str(value)},
+                )
     return count, None
 
 
 def check_threej_symmetries(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Even column permutations leave the 3j symbol fixed; odd permutations
-    and simultaneous m negation multiply it by (-1)^(j1+j2+j3)."""
-    units = [(tja, max_twice_j) for tja in range(max_twice_j + 1)]
+    and simultaneous m negation multiply it by (-1)^(j1+j2+j3).
+
+    The sweep runs over sorted doubled j-triples a <= b <= c <= max_twice_j
+    with c <= a + b and a + b + c even, and evaluates every symbol in range
+    exactly once.
+    """
+    units = [
+        (a, b, c)
+        for a in range(max_twice_j + 1)
+        for b in range(a, max_twice_j + 1)
+        for c in range(b + (a & 1), min(a + b, max_twice_j) + 1, 2)
+    ]
     return _run_cell_sweep(
         "3j symmetries", f"2j <= {max_twice_j}", _threej_unit, units, jobs
     )

@@ -328,3 +328,12 @@ def test_main_input_error_exit_1(capsys):
                             "--m1", "0", "--m2", "0", "--J", "0", "--M", "0"])
     assert code == 1
     assert "--j1" in capsys.readouterr().err
+
+
+def test_table_negative_j_exits_1_with_message(capsys):
+    for argv in (["table", "--j1", "-1", "--j2", "1"],
+                 ["table", "--j1", "1", "--j2", "-1/2"]):
+        assert _main_exit_code(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: j1 and j2 must be nonnegative" in captured.err.splitlines()
+        assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,7 @@
 """Tests for the cross-route verification engine."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -190,3 +191,43 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
     assert report.counterexample.description == (
         "J+ ladder relation at (j1=0, j2=1/2, J=1/2, M=-1/2)"
     )
+
+
+def test_threej_detects_flipped_symbols(monkeypatch):
+    # flipping every symbol of a j-multiset would keep all its symmetries;
+    # flipping one column order, (1, 1/2, 1/2), breaks the images of the others
+    original = verification.wigner3j
+
+    def flipped(spec):
+        value = original(spec)
+        if (spec.j1.twice, spec.j2.twice, spec.j3.twice) == (2, 1, 1):
+            return -value
+        return value
+
+    monkeypatch.setattr(verification, "wigner3j", flipped)
+    report = check_threej_symmetries(3)
+    assert not report.passed
+    description = report.counterexample.description
+    assert re.fullmatch(r"(cyclic|swap) \(\d{3}\) of 3j\(.*\)", description)
+    values = report.counterexample.values
+    base, permuted = (RadicalSum.parse(values[k]) for k in ("base", "permuted"))
+    assert not base.is_zero and permuted == -base
+    parallel = check_threej_symmetries(3, jobs=2)
+    assert (parallel.scope, parallel.counterexample) == (
+        report.scope, report.counterexample
+    )
+
+
+def test_threej_evaluates_each_symbol_once(monkeypatch):
+    original = verification.wigner3j
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(verification, "wigner3j", counted)
+    report = check_threej_symmetries(4)
+    assert report.passed and report.scope == "2j <= 4, 303 cases"
+    assert len(calls) == 303
+    assert len(set(calls)) == 303
