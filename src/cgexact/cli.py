@@ -228,9 +228,12 @@ def table(j1, j2, big_j, route, fmt, out) -> None:
     if j1 < 0 or j2 < 0:
         click.echo("error: j1 and j2 must be nonnegative", err=True)
         sys.exit(1)
+    wanted = None if big_j is None else _halfint("--J", big_j)
+    if wanted is not None and (wanted < 0 or not (j1 + j2 + wanted).is_integer):
+        click.echo("error: J must be nonnegative with j1 + j2 + J an integer", err=True)
+        sys.exit(1)
     records = build_full_table(j1, j2, TableRoute(route))
-    if big_j is not None:
-        wanted = _halfint("--J", big_j)
+    if wanted is not None:
         records = [r for r in records if r.J == wanted]
     _write_output(_FORMATTERS[fmt](records), out)
 
@@ -272,12 +275,9 @@ def verify(max_twice_j, check_names, jobs, fmt) -> None:
         sys.exit(1)
     names = [name.strip() for name in check_names.split(",") if name.strip()]
     unknown = [name for name in names if name not in CHECKS]
-    if unknown:
-        click.echo(
-            f"error: unknown checks {', '.join(unknown)} "
-            f"(available: {', '.join(CHECKS)})",
-            err=True,
-        )
+    if unknown or not names:
+        what = f"unknown checks {', '.join(unknown)}" if unknown else "no checks selected"
+        click.echo(f"error: {what} (available: {', '.join(CHECKS)})", err=True)
         sys.exit(1)
     reports = run_checks(names, max_twice_j, jobs)
     if fmt == "json":

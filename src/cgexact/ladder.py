@@ -19,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import formulas
-from .formulas import CouplingSpec, MalformedCouplingError, validate
+from .formulas import CouplingSpec
 from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts, to_decimal
 
 __all__ = [
@@ -36,21 +36,19 @@ __all__ = [
     "subspace_states",
 ]
 
-BasisIndex = tuple[HalfInt, HalfInt]
-
-
 @dataclass(frozen=True, eq=True)
 class StateVector:
-    """Exact expansion of a state over the product basis |m1, m2> at (j1, j2).
+    """Exact expansion of a state at one M over the product basis at (j1, j2).
 
-    ``components`` keeps the nonzero values of the mapping given, read-only.
-    For any state built here all components share a single M = m1 + m2.
-    States compare by value and are unhashable.
+    ``components`` maps the doubled m1 of each basis state |m1, M - m1> to
+    its value and keeps, read-only, only the nonzero values of the mapping
+    given.  States compare by value and are unhashable.
     """
 
     j1: HalfInt
     j2: HalfInt
-    components: Mapping[BasisIndex, RadicalSum]
+    M: HalfInt
+    components: Mapping[int, RadicalSum]
 
     __hash__ = None
 
@@ -62,21 +60,8 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self.components
 
-    def component(self, m1, m2) -> RadicalSum:
-        return self.components.get((HalfInt(m1), HalfInt(m2)), RadicalSum.zero())
-
-    def items(self) -> list[tuple[BasisIndex, RadicalSum]]:
-        """Components sorted by m1 (descending m2 follows automatically)."""
-        return sorted(self.components.items(), key=lambda kv: kv[0][0].twice)
-
-    def m_total(self) -> HalfInt:
-        """The shared M of all components; raises on the zero vector."""
-        levels = {m1.twice + m2.twice for (m1, m2) in self.components}
-        if not levels:
-            raise ValueError("zero state vector has no M level")
-        if len(levels) > 1:
-            raise ValueError(f"state spans several M levels: {sorted(levels)}")
-        return HalfInt.from_twice(levels.pop())
+    def component(self, m1) -> RadicalSum:
+        return self.components.get(HalfInt(m1).twice, RadicalSum.zero())
 
     def norm_squared(self) -> Fraction:
         total = RadicalSum.zero()
@@ -84,24 +69,9 @@ class StateVector:
             total = total + value * value
         return total.as_fraction() if not total.is_zero else Fraction(0)
 
-    def inner(self, other: "StateVector") -> RadicalSum:
-        """Exact inner product (components are real; no conjugation)."""
-        if (self.j1, self.j2) != (other.j1, other.j2):
-            raise ValueError("inner product of states over different (j1, j2)")
-        small, large = self.components, other.components
-        if len(large) < len(small):
-            small, large = large, small
-        total = RadicalSum.zero()
-        for index, value in small.items():
-            match = large.get(index)
-            if match is not None:
-                total = total + value * match
-        return total
-
     def scaled(self, factor: RadicalSum) -> "StateVector":
-        return StateVector(
-            self.j1, self.j2, {k: v * factor for k, v in self.components.items()}
-        )
+        scaled = {k: v * factor for k, v in self.components.items()}
+        return StateVector(self.j1, self.j2, self.M, scaled)
 
 
 @lru_cache(maxsize=None)
@@ -156,36 +126,24 @@ def highest_weight_state(j1, j2, J) -> StateVector:
     input assumption).
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
-    tj1, tj2 = j1.twice, j2.twice
-    m = _subspace_depth(j1, j2, J)
-    components: dict[BasisIndex, RadicalSum] = {}
-    for l, alpha in enumerate(alpha_sequence(j1, j2, m)):
-        index = (HalfInt.from_twice(tj1 - 2 * l), HalfInt.from_twice(tj2 - 2 * (m - l)))
-        components[index] = alpha
-    return StateVector(j1, j2, components)
+    alphas = alpha_sequence(j1, j2, _subspace_depth(j1, j2, J))
+    return StateVector(j1, j2, J, {j1.twice - 2 * l: a for l, a in enumerate(alphas)})
 
 
 def _apply_ladder(state: StateVector, direction: int) -> StateVector:
     """J- (direction=-1) or J+ (direction=+1) acting componentwise."""
-    tj1, tj2 = state.j1.twice, state.j2.twice
+    tj1, tj2, tM = state.j1.twice, state.j2.twice, state.M.twice
     element = _lowering_element if direction < 0 else _raising_element
     step = 2 * direction
-    out: dict[BasisIndex, RadicalSum] = {}
-    for (m1, m2), value in state.components.items():
-        tm1, tm2 = m1.twice, m2.twice
-        e1 = element(tj1, tm1)
-        if not e1.is_zero:
-            index = (HalfInt.from_twice(tm1 + step), m2)
-            term = value * e1
-            present = out.get(index)
-            out[index] = term if present is None else present + term
-        e2 = element(tj2, tm2)
-        if not e2.is_zero:
-            index = (m1, HalfInt.from_twice(tm2 + step))
-            term = value * e2
-            present = out.get(index)
-            out[index] = term if present is None else present + term
-    return StateVector(state.j1, state.j2, out)
+    out: dict[int, RadicalSum] = {}
+    for tm1, value in state.components.items():
+        # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
+        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
+            if not e.is_zero:
+                term = value * e
+                present = out.get(key)
+                out[key] = term if present is None else present + term
+    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), out)
 
 
 def apply_jminus(state: StateVector) -> StateVector:
@@ -201,8 +159,7 @@ def apply_jplus(state: StateVector) -> StateVector:
 def lower_normalized(state: StateVector, J) -> StateVector:
     """The normalized |J, M-1> below a normalized |J, M> expansion."""
     J = HalfInt(J)
-    tJ = J.twice
-    tM = state.m_total().twice
+    tJ, tM = J.twice, state.M.twice
     if tM <= -tJ:
         raise ValueError(f"cannot lower below M = -J (J={J})")
     norm = RadicalSum.sqrt(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
@@ -227,7 +184,7 @@ def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
     norm = formulas._norm_denominator_sum(tj1, tj2, m)
     shared_num = norm.denominator
     shared_den = binomial(tJ, s) * norm.numerator
-    components: dict[BasisIndex, RadicalSum] = {}
+    components: dict[int, RadicalSum] = {}
     for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1):
         d = s - k                      # p - l
         lo = max(0, -d)
@@ -254,22 +211,18 @@ def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
             )
             for l in range(lo, min(m, k))
         )
-        index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (m + d)))
-        components[index] = sum_signed_sqrts(steps)
-    return StateVector(j1, j2, components)
+        components[tj1 - 2 * k] = sum_signed_sqrts(steps)
+    return StateVector(j1, j2, HalfInt.from_twice(tJ - 2 * s), components)
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
     """Single coefficient by explicit chain lowering from |J, J>."""
-    result = validate(spec)
-    if result.is_malformed:
-        raise MalformedCouplingError(f"{spec}: {result.reason}")
-    if result.is_selection_zero:
+    if formulas._require_well_formed(spec).is_selection_zero:
         return RadicalSum.zero()
     state = highest_weight_state(spec.j1, spec.j2, spec.J)
     for _ in range((spec.J.twice - spec.M.twice) // 2):
         state = lower_normalized(state, spec.J)
-    return state.component(spec.m1, spec.m2)
+    return state.component(spec.m1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +262,19 @@ class CoefficientRecord:
 
 
 def _records_from_state(J: HalfInt, state: StateVector) -> list[CoefficientRecord]:
-    tM = 0 if state.is_zero else state.m_total().twice
+    M, tM = state.M, state.M.twice
     return [
-        CoefficientRecord(J, HalfInt.from_twice(tM), m1, m2, value)
-        for (m1, m2), value in state.items()
+        CoefficientRecord(
+            J, M, HalfInt.from_twice(tm1), HalfInt.from_twice(tM - tm1),
+            state.components[tm1],
+        )
+        for tm1 in sorted(state.components)
     ]
 
 
 def subspace_states(j1, j2, J, route: TableRoute) -> list[StateVector]:
-    """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J.
+    """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J:
+    each a StateVector at that M, its components keyed by the doubled m1.
 
     LADDER_ITERATIVE lowers `highest_weight_state` one step at a time with
     `lower_normalized`; BETA_CLOSED_FORM builds every state on its own from

@@ -393,7 +393,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
         values = {
             "alternative": cg_alternative(spec),
             "racah": cg_racah(spec),
-            "ladder": highest_weight_state(j1, j2, J).component(spec.m1, spec.m2),
+            "ladder": highest_weight_state(j1, j2, J).component(spec.m1),
         }
         for route, value in values.items():
             if value.is_zero or value.sign() <= 0:

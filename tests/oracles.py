@@ -23,7 +23,7 @@ def norm_sum(tj1: int, tj2: int, m: int) -> Fraction:
 def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
     """|J=j1+j2, M=j1+j2-n> from n-fold lowering of the stretched state.
 
-    The component at (j1-k, j2-n+k) is
+    The component at m1 = j1-k (m2 = j2-n+k) is
     sqrt(C(2j1,k) C(2j2,n-k) / C(2j1+2j2,n)); n = 0 is the stretched state
     itself.
     """
@@ -39,9 +39,8 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
         numer = binomial(tj1, k) * binomial(tj2, n - k)
         if not numer:
             continue
-        index = (HalfInt.from_twice(tj1 - 2 * k), HalfInt.from_twice(tj2 - 2 * (n - k)))
-        components[index] = RadicalSum.sqrt(Fraction(numer, denom))
-    return StateVector(j1, j2, components)
+        components[tj1 - 2 * k] = RadicalSum.sqrt(Fraction(numer, denom))
+    return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * n), components)
 
 
 def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:

@@ -5,8 +5,10 @@ root, plain and traced, and checks that the run exits 0, that its gates pass
 and that no operation fails.  A traced run also fails when a per-layer metric
 that ``BENCHMARK.json`` declares is never recorded, for instance because a
 traced function was renamed.  No case asserts a timing.  The plain ``verify``
-run checks the case counts of all six checks at 2j <= 8.  The traced
-``table`` and ``verify`` runs take 10-15 s each and are marked ``extended``.
+run checks the case counts of all six checks at 2j <= 8, and the plain
+``table`` run the CSV digests of all four routes on one cell with
+2j1 + 2j2 = 60.  The traced ``table`` and ``verify`` runs take 10-15 s each
+and are marked ``extended``.
 """
 
 import json
@@ -25,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("coeff", 0),
         ("coeff", 1),
         ("verify", 0),
+        ("table", 0),
         pytest.param("table", 1, marks=pytest.mark.extended),
         pytest.param("verify", 1, marks=pytest.mark.extended),
     ],

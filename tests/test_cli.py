@@ -337,3 +337,28 @@ def test_table_negative_j_exits_1_with_message(capsys):
         captured = capsys.readouterr()
         assert "error: j1 and j2 must be nonnegative" in captured.err.splitlines()
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_empty_check_selection_exits_1(capsys):
+    for fmt in ("pretty", "json"):
+        assert _main_exit_code(["verify", "--checks", " , ", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no checks selected (available: agreement, unitarity, "
+            "collapse, threej, condon-shortley, ladder)"
+        ]
+
+
+def test_table_malformed_J_exits_1_and_J_outside_triangle_is_empty(capsys):
+    for big_j in ("-1", "1/2"):
+        argv = ["table", "--j1", "1", "--j2", "1", "--J", big_j, "--format", "csv"]
+        assert _main_exit_code(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: J must be nonnegative with j1 + j2 + J an integer"
+        ]
+    argv = ["table", "--j1", "1", "--j2", "1", "--J", "3", "--format", "csv"]
+    assert _main_exit_code(argv) == 0
+    assert capsys.readouterr().out == f"{CSV_HEADER}\n"

@@ -29,9 +29,9 @@ HALF = Fraction(1, 2)
 
 
 def components_of(state):
-    return {
-        (m1.twice, m2.twice): value for (m1, m2), value in state.components.items()
-    }
+    """The components keyed by doubled (m1, m2), with m2 = M - m1."""
+    tM = state.M.twice
+    return {(tm1, tM - tm1): value for tm1, value in state.components.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -206,38 +206,28 @@ def test_lowering_below_bottom_rejected():
 
 def test_state_vector_properties():
     state = highest_weight_state(2, 1, 2)
-    assert state.m_total() == HalfInt(2)
-    assert state.component(2, 0) == SQRT(Fraction(2, 3))
-    assert state.component(0, 0).is_zero
-    other = highest_weight_state(2, 1, 3)
-    lowered_other = lower_normalized(other, 3)
-    # distinct J at the same M: exactly orthogonal
-    assert state.inner(lowered_other).is_zero
-    with pytest.raises(ValueError):
-        state.inner(highest_weight_state(2, 2, 2))
-    mixed = StateVector(
-        HalfInt(1), HalfInt(1),
-        {
-            (HalfInt(1), HalfInt(0)): RadicalSum.one(),
-            (HalfInt(0), HalfInt(0)): RadicalSum.one(),
-        },
-    )
-    with pytest.raises(ValueError):
-        mixed.m_total()
+    assert state.M == HalfInt(2)
+    assert state.component(2) == SQRT(Fraction(2, 3))
+    assert state.component(0).is_zero
+    # J+ on |J, J> is the zero vector one level up; J- moves M down by one
+    assert apply_jplus(state).M == HalfInt(3)
+    assert apply_jminus(state).M == HalfInt(1)
+    assert lower_normalized(state, 2).M == HalfInt(1)
 
 
 def test_state_vector_is_unhashable_and_read_only():
-    components = {(HalfInt(1), HalfInt(0)): RadicalSum.one()}
-    state = StateVector(HalfInt(1), HalfInt(1), components)
+    components = {2: RadicalSum.one(), 0: RadicalSum.zero()}
+    state = StateVector(HalfInt(1), HalfInt(1), HalfInt(1), components)
+    assert state.components == {2: RadicalSum.one()}
     assert not isinstance(state, collections.abc.Hashable)
     with pytest.raises(TypeError):
         hash(highest_weight_state(1, 1, 1))
     with pytest.raises(TypeError):
-        state.components[(HalfInt(0), HalfInt(1))] = RadicalSum.one()
-    components[(HalfInt(0), HalfInt(1))] = RadicalSum.one()
-    assert state == StateVector(
-        HalfInt(1), HalfInt(1), {(HalfInt(1), HalfInt(0)): RadicalSum.one()}
-    )
+        state.components[0] = RadicalSum.one()
+    components[0] = RadicalSum.one()
+    one, two = HalfInt(1), HalfInt(2)
+    assert state == StateVector(one, one, one, {2: RadicalSum.one()})
+    assert state != StateVector(one, one, two, {2: RadicalSum.one()})
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +409,7 @@ def test_subspace_states_by_both_routes():
         beta = subspace_states(j1, j2, J, "beta")
         assert len(ladder) == HalfInt(J).twice + 1
         assert ladder[0] == highest_weight_state(j1, j2, J)
-        assert [s.m_total().twice for s in ladder] == list(
+        assert [s.M.twice for s in ladder] == list(
             range(HalfInt(J).twice, -HalfInt(J).twice - 1, -2)
         )
         assert beta == ladder

@@ -193,6 +193,22 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
     )
 
 
+def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
+    # wrong only at j = m = 1/2; in the cell (j1=0, j2=1/2), the first of the
+    # sweep to reach it, J(2) is the only lowering, with m2 taken at M - m1
+    original = ladder._lowering_element
+
+    def wrong(tj, tm):
+        value = original(tj, tm)
+        return value * 2 if (tj, tm) == (1, 1) else value
+
+    monkeypatch.setattr(ladder, "_lowering_element", wrong)
+    for check in (check_ladder_consistency, check_formula_agreement):
+        report = check(2)
+        assert not report.passed
+        assert "j1=0, j2=1/2" in report.counterexample.description
+
+
 def test_threej_detects_flipped_symbols(monkeypatch):
     # flipping every symbol of a j-multiset would keep all its symmetries;
     # flipping one column order, (1, 1/2, 1/2), breaks the images of the others
