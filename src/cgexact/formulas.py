@@ -182,7 +182,7 @@ def cell_specs(j1, j2) -> Iterator[CouplingSpec]:
                 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
     """sum_i C(2j2-m+i, i) C(m, i) / C(2j1, i) over i = 0..m (m = ``depth``).
 
@@ -190,7 +190,9 @@ def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
     the subspace J = j1 + j2 - m; it is shared by the closed-form coefficient
     formula and by the ladder engine's normalization.  The sum is taken in
     Horner form from the top, term ratio (2j2-m+i+1)(m-i) / ((i+1)(2j1-i)),
-    as one integer fraction.
+    as one integer fraction.  The cache is bounded, so a long session of
+    single coefficients does not grow it without end; a sweep over all cells
+    with 2j <= 8 has 285 keys, and one cell at most 2j + 1.
     """
     num = den = 1
     for i in range(depth - 1, -1, -1):

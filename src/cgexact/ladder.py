@@ -11,16 +11,22 @@ for a (j1, j2) cell.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import formulas
 from .formulas import CouplingSpec
-from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts, to_decimal
+from .numerics import (
+    HalfInt,
+    RadicalSum,
+    binomial,
+    sum_radicals,
+    sum_signed_sqrts,
+    to_decimal,
+)
 
 __all__ = [
     "CoefficientRecord",
@@ -42,7 +48,12 @@ class StateVector:
 
     ``components`` maps the doubled m1 of each basis state |m1, M - m1> to
     its value and keeps, read-only, only the nonzero values of the mapping
-    given.  States compare by value and are unhashable.
+    given.  States compare by value and are unhashable.  Every component of
+    a state the routes build is one radical; the arithmetic on states goes
+    through `sum_radicals`, which takes each product of two radicals as one
+    integer square and sums the products that meet in one component, so it
+    also gives the exact value of a state with components of several
+    classes, as a broken route would build.
     """
 
     j1: HalfInt
@@ -63,27 +74,38 @@ class StateVector:
     def component(self, m1) -> RadicalSum:
         return self.components.get(HalfInt(m1).twice, RadicalSum.zero())
 
-    def norm_squared(self) -> Fraction:
-        total = RadicalSum.zero()
-        for value in self.components.values():
-            total = total + value * value
-        return total.as_fraction() if not total.is_zero else Fraction(0)
+    def norm_squared(self) -> RadicalSum:
+        """The exact sum of the squared components: for components of one
+        radical each, the sum of their squares, a rational."""
+        return sum_radicals(
+            term for value in self.components.values() for term in _products(value, value)
+        )
 
     def scaled(self, factor: RadicalSum) -> "StateVector":
-        scaled = {k: v * factor for k, v in self.components.items()}
+        scaled = {k: sum_radicals(_products(v, factor)) for k, v in self.components.items()}
         return StateVector(self.j1, self.j2, self.M, scaled)
 
 
-@lru_cache(maxsize=None)
-def _lowering_element(tj: int, tm: int) -> RadicalSum:
-    """sqrt(j(j+1) - m(m-1)) for doubled arguments."""
-    return RadicalSum.sqrt(Fraction(tj * (tj + 2) - tm * (tm - 2), 4))
+def _products(a: RadicalSum, b: RadicalSum) -> Iterator[tuple[int, int, int]]:
+    """Each product of a term of ``a`` and a term of ``b``, as a
+    `sum_radicals` term."""
+    return (
+        (s * t, q.numerator * p.numerator, q.denominator * p.denominator)
+        for s, q in a.terms()
+        for t, p in b.terms()
+    )
 
 
-@lru_cache(maxsize=None)
-def _raising_element(tj: int, tm: int) -> RadicalSum:
-    """sqrt(j(j+1) - m(m+1)) for doubled arguments."""
-    return RadicalSum.sqrt(Fraction(tj * (tj + 2) - tm * (tm + 2), 4))
+def _lowering_element(tj: int, tm: int) -> int:
+    """j(j+1) - m(m-1), the square of the J- matrix element, for doubled
+    arguments of one parity."""
+    return (tj * (tj + 2) - tm * (tm - 2)) // 4
+
+
+def _raising_element(tj: int, tm: int) -> int:
+    """j(j+1) - m(m+1), the square of the J+ matrix element, for doubled
+    arguments of one parity."""
+    return (tj * (tj + 2) - tm * (tm + 2)) // 4
 
 
 def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
@@ -130,20 +152,33 @@ def highest_weight_state(j1, j2, J) -> StateVector:
     return StateVector(j1, j2, J, {j1.twice - 2 * l: a for l, a in enumerate(alphas)})
 
 
-def _apply_ladder(state: StateVector, direction: int) -> StateVector:
-    """J- (direction=-1) or J+ (direction=+1) acting componentwise."""
+def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> StateVector:
+    """J- (direction=-1) or J+ (direction=+1) acting componentwise, with
+    every matrix element's square divided by ``divisor``.
+
+    Each new component is the sum of its two contributions, one from J(1)
+    and one from J(2), each a radical whose square is that of the old
+    component times the element's integer square; `sum_radicals` adds them
+    with one integer square root and builds one Fraction.  A component of
+    several classes brings one contribution per class.
+    """
     tj1, tj2, tM = state.j1.twice, state.j2.twice, state.M.twice
     element = _lowering_element if direction < 0 else _raising_element
     step = 2 * direction
-    out: dict[int, RadicalSum] = {}
+    contributions: dict[int, list[tuple[int, int, int]]] = {}
     for tm1, value in state.components.items():
         # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
-        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
-            if not e.is_zero:
-                term = value * e
-                present = out.get(key)
-                out[key] = term if present is None else present + term
-    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), out)
+        moves = [
+            (contributions.setdefault(key, []), e)
+            for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1)))
+            if e
+        ]
+        for s, q in value.terms():
+            num, den = q.numerator, q.denominator * divisor
+            for terms, e in moves:
+                terms.append((s, num * e, den))
+    components = {key: sum_radicals(terms) for key, terms in contributions.items()}
+    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), components)
 
 
 def apply_jminus(state: StateVector) -> StateVector:
@@ -157,13 +192,19 @@ def apply_jplus(state: StateVector) -> StateVector:
 
 
 def lower_normalized(state: StateVector, J) -> StateVector:
-    """The normalized |J, M-1> below a normalized |J, M> expansion."""
+    """The normalized |J, M-1> below a normalized |J, M> expansion.
+
+    J- |J, M> has norm sqrt(J(J+1) - M(M-1)); its square divides the square
+    of every matrix element in the one J- step, so there is no separate
+    scaling pass.  Raises ValueError unless M is one of J, J-1, ..., -J+1.
+    """
     J = HalfInt(J)
     tJ, tM = J.twice, state.M.twice
+    if tM > tJ or (tJ - tM) % 2:
+        raise ValueError(f"M={state.M} is not a projection of J={J}")
     if tM <= -tJ:
         raise ValueError(f"cannot lower below M = -J (J={J})")
-    norm = RadicalSum.sqrt(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
-    return apply_jminus(state).scaled(RadicalSum.one() / norm)
+    return _apply_ladder(state, -1, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
 def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:

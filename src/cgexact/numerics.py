@@ -27,6 +27,7 @@ __all__ = [
     "RadicalSum",
     "Rationalish",
     "binomial",
+    "sum_radicals",
     "sum_signed_sqrts",
     "to_decimal",
 ]
@@ -506,6 +507,48 @@ def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
     if ref is not None:
         _add_class(terms, ref, total, bottom)
     return _sorted_terms(terms)
+
+
+def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
+    """Exact ``sum_i sign_i * sqrt(n_i / d_i)`` of independent radicals.
+
+    Each term is ``(sign, n, d)`` with sign +1 or -1 and positive ints n and
+    d; unlike `sum_signed_sqrts`, each radicand is given whole.  The first
+    term opens a class at n_0 / d_0, and each later term is tested against
+    the open classes in turn: sqrt(n / d) = sqrt(n_0 / d_0) * k / (n_0 * d)
+    with k = isqrt(n_0 * d_0 * n * d) exactly when that integer is a perfect
+    square, so one integer square root decides each pair tested.  A term
+    that fits no class opens one of its own.  Each class is summed in plain
+    integers, and one Fraction is built per class whose sum is not 0.  So
+    one or two terms of one class, as in a ladder step, cost at most one
+    square root and one Fraction, and any input gets its exact sum on this
+    same path.
+    """
+    classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
+    for sign, n, d in terms:
+        if n <= 0 or d <= 0:
+            raise NegativeRadicandError(f"radicand {n}/{d} must be positive")
+        for cls in classes:
+            n0, d0, top, bottom = cls
+            product = n0 * d0 * n * d
+            k = isqrt(product)
+            if k * k == product:
+                unit = n0 * d
+                g = gcd(k, unit)
+                k //= g
+                unit //= g
+                g = gcd(bottom, unit)
+                unit //= g
+                cls[2] = top * unit + sign * k * (bottom // g)
+                cls[3] = bottom * unit
+                break
+        else:
+            classes.append([n, d, sign, 1])
+    out: list[Term] = []
+    for n0, d0, top, bottom in classes:
+        if top:
+            out.append((1 if top > 0 else -1, Fraction(top * top * n0, bottom * bottom * d0)))
+    return _sorted_terms(out)
 
 
 def _add_class(terms: list[Term], ref: Fraction, total: int, bottom: int) -> None:

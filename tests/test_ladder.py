@@ -204,6 +204,16 @@ def test_lowering_below_bottom_rejected():
         lower_normalized(state, 1)
 
 
+@pytest.mark.parametrize("J", [1, "1/2", "3/2", 0, -2])
+def test_lowering_rejects_M_that_is_no_projection_of_J(J):
+    # |M| > J or J + M not an integer: the norm J(J+1) - M(M-1) of the
+    # lowered state would be 0, negative or not that of a state of J
+    state = highest_weight_state(1, 1, 2)
+    with pytest.raises(ValueError, match="is not a projection of J") as excinfo:
+        lower_normalized(state, J)
+    assert type(excinfo.value) is ValueError
+
+
 def test_state_vector_properties():
     state = highest_weight_state(2, 1, 2)
     assert state.M == HalfInt(2)

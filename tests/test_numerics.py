@@ -14,6 +14,7 @@ from cgexact.numerics import (
     NegativeRadicandError,
     RadicalSum,
     binomial,
+    sum_radicals,
     sum_signed_sqrts,
     to_decimal,
 )
@@ -336,6 +337,49 @@ def test_sum_signed_sqrts_rejects_nonpositive():
     for n, d in ((0, 1), (1, 0), (-4, 1), (4, -1), (-4, -1)):
         with pytest.raises(NegativeRadicandError, match="term ratio"):
             sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, n, d), (-1, 1, 1)])
+
+
+# radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3)
+# and unrelated ones, so that sums open several classes and merge in them
+_RADICANDS = st.sampled_from(
+    [(1, 1), (4, 1), (9, 4), (2, 1), (8, 1), (1, 2), (9, 8), (3, 1), (12, 1), (1, 3)]
+) | st.tuples(st.integers(1, 60), st.integers(1, 60))
+_RADICAL_TERMS = st.lists(
+    st.tuples(st.sampled_from([1, -1]), _RADICANDS), max_size=7
+).map(lambda pairs: [(sign, n, d) for sign, (n, d) in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RADICAL_TERMS)
+def test_sum_radicals_matches_term_by_term(terms):
+    expected = RadicalSum.zero()
+    for sign, n, d in terms:
+        expected = expected + RadicalSum.sqrt(Fraction(n, d)) * sign
+    assert sum_radicals(terms) == expected
+    # every term beside its negation: each class cancels to exactly 0
+    assert sum_radicals([*terms, *((-s, n, d) for s, n, d in terms)]).is_zero
+
+
+def test_sum_radicals_examples():
+    # a square ratio (8/2 = 2**2): one class, one term
+    value = sum_radicals([(1, 2, 1), (1, 8, 1)])
+    assert value == SQRT(18) and value.num_terms == 1
+    # a non-square ratio opens a second class
+    assert sum_radicals([(1, 2, 1), (-1, 3, 1)]) == SQRT(2) - SQRT(3)
+    # five terms in two classes: (1 - 1/2 + 2) sqrt(2) + (1 - 2) sqrt(3)
+    value = sum_radicals([(1, 2, 1), (-1, 1, 2), (1, 3, 1), (1, 8, 1), (-1, 12, 1)])
+    assert value == SQRT(2) * Fraction(5, 2) - SQRT(3)
+    # exact cancellation, unreduced squares, the empty sum, and a generator
+    assert sum_radicals([(1, 8, 4), (-1, 2, 1)]).is_zero
+    assert sum_radicals([(-1, 18, 8)]) == Fraction(-3, 2)
+    assert sum_radicals([]).is_zero
+    assert sum_radicals((s, 1, 1) for s in (1, 1, -1)) == 1
+
+
+def test_sum_radicals_rejects_nonpositive():
+    for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
+        with pytest.raises(NegativeRadicandError, match="must be positive"):
+            sum_radicals([(1, 1, 1), (1, n, d)])
 
 
 # ---------------------------------------------------------------------------

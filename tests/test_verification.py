@@ -182,7 +182,8 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
     original = ladder._raising_element
 
     def doubled(tj, tm):
-        return original(tj, tm) * 2
+        # the element is held as its square: doubling it is a factor of 4
+        return original(tj, tm) * 4
 
     monkeypatch.setattr(ladder, "_raising_element", doubled)
     monkeypatch.setattr(verification, "_raising_element", doubled, raising=False)
@@ -199,14 +200,48 @@ def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
     original = ladder._lowering_element
 
     def wrong(tj, tm):
-        value = original(tj, tm)
-        return value * 2 if (tj, tm) == (1, 1) else value
+        square = original(tj, tm)
+        return square * 4 if (tj, tm) == (1, 1) else square
 
     monkeypatch.setattr(ladder, "_lowering_element", wrong)
     for check in (check_ladder_consistency, check_formula_agreement):
         report = check(2)
         assert not report.passed
         assert "j1=0, j2=1/2" in report.counterexample.description
+
+
+def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
+    # sqrt(2) times the J- element at j = m = 1/2: in the cell (j1=1/2, j2=1)
+    # the two contributions to |m1=-1/2> in |J=1/2, M=-1/2> then fall in two
+    # commensurability classes, and the lowered component has two terms
+    original = ladder._lowering_element
+
+    def wrong(tj, tm):
+        square = original(tj, tm)
+        return square * 2 if (tj, tm) == (1, 1) else square
+
+    monkeypatch.setattr(ladder, "_lowering_element", wrong)
+    # cells with j1 = 0, first in the sweep, have one component per state;
+    # sweep only the cell where the two contributions meet
+    monkeypatch.setattr(verification, "_cells", lambda max_twice_j: [(1, 2)])
+    chain = ladder.subspace_states("1/2", 1, "1/2", ladder.TableRoute.LADDER_ITERATIVE)
+    assert chain[1].component("-1/2").num_terms == 2
+
+    report = check_ladder_consistency(2)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        "norm of |J=1/2, M=-1/2> at (j1=1/2, j2=1)", {"norm^2": "-sqrt(32/9) + 8/3"}
+    )
+    report = check_formula_agreement(2)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        "C(j1=1/2, j2=1, m1=-1/2, m2=0, J=1/2, M=-1/2)",
+        {
+            "alternative": "-sqrt(1/3)",
+            "racah": "-sqrt(1/3)",
+            "ladder": "sqrt(2/3) - sqrt(4/3)",
+        },
+    )
 
 
 def test_threej_detects_flipped_symbols(monkeypatch):
