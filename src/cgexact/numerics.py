@@ -533,6 +533,7 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
             product = n0 * d0 * n * d
             k = isqrt(product)
             if k * k == product:
+                # top / bottom += sign * k / unit, bottom kept the lcm of the units
                 unit = n0 * d
                 g = gcd(k, unit)
                 k //= g
