@@ -81,10 +81,6 @@ class StateVector:
             term for value in self.components.values() for term in _products(value, value)
         )
 
-    def scaled(self, factor: RadicalSum) -> "StateVector":
-        scaled = {k: sum_radicals(_products(v, factor)) for k, v in self.components.items()}
-        return StateVector(self.j1, self.j2, self.M, scaled)
-
 
 def _products(a: RadicalSum, b: RadicalSum) -> Iterator[tuple[int, int, int]]:
     """Each product of a term of ``a`` and a term of ``b``, as a
@@ -160,8 +156,11 @@ def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> State
     and one from J(2), each a radical whose square is that of the old
     component times the element's integer square; `sum_radicals` adds them
     with one integer square root and builds one Fraction.  A component of
-    several classes brings one contribution per class.
+    several classes brings one contribution per class.  Raises ValueError
+    unless ``divisor`` is at least 1.
     """
+    if divisor < 1:
+        raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
     tj1, tj2, tM = state.j1.twice, state.j2.twice, state.M.twice
     element = _lowering_element if direction < 0 else _raising_element
     step = 2 * direction
@@ -181,22 +180,24 @@ def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> State
     return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), components)
 
 
-def apply_jminus(state: StateVector) -> StateVector:
-    """Unnormalized J- action, J- = J-(1) + J-(2) with exact matrix elements."""
-    return _apply_ladder(state, -1)
+def apply_jminus(state: StateVector, divisor: int = 1) -> StateVector:
+    """J- action, J- = J-(1) + J-(2) with exact matrix elements, divided
+    by sqrt(divisor); raises ValueError unless divisor >= 1."""
+    return _apply_ladder(state, -1, divisor)
 
 
-def apply_jplus(state: StateVector) -> StateVector:
-    """Unnormalized J+ action; annihilates highest-weight states exactly."""
-    return _apply_ladder(state, +1)
+def apply_jplus(state: StateVector, divisor: int = 1) -> StateVector:
+    """J+ action divided by sqrt(divisor); undivided, it annihilates
+    highest-weight states exactly.  Raises ValueError unless divisor >= 1."""
+    return _apply_ladder(state, +1, divisor)
 
 
 def lower_normalized(state: StateVector, J) -> StateVector:
     """The normalized |J, M-1> below a normalized |J, M> expansion.
 
-    J- |J, M> has norm sqrt(J(J+1) - M(M-1)); its square divides the square
-    of every matrix element in the one J- step, so there is no separate
-    scaling pass.  Raises ValueError unless M is one of J, J-1, ..., -J+1.
+    J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is `apply_jminus`
+    divided by that norm's square, with no separate scaling pass.  Raises
+    ValueError unless M is one of J, J-1, ..., -J+1.
     """
     J = HalfInt(J)
     tJ, tM = J.twice, state.M.twice
@@ -204,7 +205,7 @@ def lower_normalized(state: StateVector, J) -> StateVector:
         raise ValueError(f"M={state.M} is not a projection of J={J}")
     if tM <= -tJ:
         raise ValueError(f"cannot lower below M = -J (J={J})")
-    return _apply_ladder(state, -1, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
+    return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
 def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:

@@ -20,7 +20,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .formulas import (
@@ -39,7 +38,7 @@ from .ladder import (
     highest_weight_state,
     subspace_states,
 )
-from .numerics import HalfInt, RadicalSum
+from .numerics import HalfInt, RadicalSum, sum_radicals
 
 __all__ = [
     "Counterexample",
@@ -194,14 +193,26 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def _dot(u: dict[int, RadicalSum], v: dict[int, RadicalSum]) -> RadicalSum:
-    """Exact inner product of two sparse real vectors."""
-    product = RadicalSum.zero()
-    for index, value in u.items():
-        match = v.get(index)
-        if match is not None:
-            product = product + value * match
-    return product
+#: one nonzero value as its (sign, n, d) `sum_radicals` terms
+_Terms = tuple[tuple[int, int, int], ...]
+
+
+def _split(value: RadicalSum) -> _Terms:
+    """The (sign, n, d) integer terms of ``value``."""
+    return tuple((s, q.numerator, q.denominator) for s, q in value.terms())
+
+
+def _dot(u: dict[int, _Terms], v: dict[int, _Terms]) -> RadicalSum:
+    """Exact inner product of two sparse real vectors: one `sum_radicals`
+    call over the products of the terms of matched components, so a value
+    of several classes gets its exact sum too."""
+    return sum_radicals(
+        (s * t, nu * nv, du * dv)
+        for index, terms in u.items()
+        if (match := v.get(index)) is not None
+        for s, nu, du in terms
+        for t, nv, dv in match
+    )
 
 
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
@@ -209,11 +220,13 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     records = build_full_table(j1, j2, TableRoute.CLOSED_FORM)
     # both products stay inside one M block: rows of a block by J, columns by m1
-    rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    rows: dict[int, dict[int, dict[int, _Terms]]] = {}
+    columns: dict[int, dict[int, dict[int, _Terms]]] = {}
     for r in records:
-        rows.setdefault(r.M.twice, {}).setdefault(r.J.twice, {})[r.m1.twice] = r.exact
-        columns.setdefault(r.M.twice, {}).setdefault(r.m1.twice, {})[r.J.twice] = r.exact
+        terms = _split(r.exact)
+        rows.setdefault(r.M.twice, {}).setdefault(r.J.twice, {})[r.m1.twice] = terms
+        columns.setdefault(r.M.twice, {}).setdefault(r.m1.twice, {})[r.J.twice] = terms
+    one, zero = RadicalSum.one(), RadicalSum.zero()
 
     count = 0
     for tJ, tM in sorted((tJ, tM) for tM, block in rows.items() for tJ in block):
@@ -223,8 +236,7 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
                 continue
             count += 1
             product = _dot(block[tJ], block[tJb])
-            expected = RadicalSum.one() if tJb == tJ else RadicalSum.zero()
-            if product != expected:
+            if product != (one if tJb == tJ else zero):
                 return count, Counterexample(
                     description=(
                         f"row orthonormality at (j1={j1}, j2={j2}): "
@@ -242,8 +254,7 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
                     continue
                 count += 1
                 product = _dot(block[tm1], block[tm1b])
-                expected = RadicalSum.one() if tm1 == tm1b else RadicalSum.zero()
-                if product != expected:
+                if product != (one if tm1 == tm1b else zero):
                     return count, Counterexample(
                         description=(
                             f"column completeness at (j1={j1}, j2={j2}): "
@@ -421,11 +432,11 @@ def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
-def _ladder_element(tJ: int, tM: int) -> RadicalSum:
-    """<J, M+1| J+ |J, M> = <J, M| J- |J, M+1> = sqrt(J(J+1) - M(M+1)),
+def _ladder_element(tJ: int, tM: int) -> int:
+    """J(J+1) - M(M+1), the square of <J, M+1| J+ |J, M> = <J, M| J- |J, M+1>,
     from doubled J and M.  Derived here rather than taken from `ladder`, so
     that a wrong matrix element there cannot also change what is expected."""
-    return RadicalSum.sqrt(Fraction(tJ * (tJ + 2) - tM * (tM + 2), 4))
+    return (tJ * (tJ + 2) - tM * (tM + 2)) // 4
 
 
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
@@ -452,9 +463,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                     values={"norm^2": str(state.norm_squared())},
                 )
             if step > 0:
-                raised = apply_jplus(state)
-                expected = chain[step - 1].scaled(_ladder_element(tJ, tM))
-                if raised != expected:
+                if apply_jplus(state, _ladder_element(tJ, tM)) != chain[step - 1]:
                     return chains, Counterexample(
                         description=(
                             f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
@@ -465,9 +474,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
         betas = subspace_states(j1, j2, J, TableRoute.BETA_CLOSED_FORM)
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
-            lowered = apply_jminus(betas[s - 1])
-            expected = betas[s].scaled(_ladder_element(tJ, tM))
-            if lowered != expected:
+            if apply_jminus(betas[s - 1], _ladder_element(tJ, tM)) != betas[s]:
                 return chains, Counterexample(
                     description=(
                         f"J- relation on beta states at (j1={j1}, j2={j2}, "
@@ -481,9 +488,12 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     """Highest-weight annihilation and exact ladder action along every chain.
 
     For each (j1, j2, J): J+ kills |J, J>; each |J, M> built by repeated
-    normalized lowering has exact norm 1; J+ applied to it reproduces
-    sqrt(J(J+1) - M(M+1)) |J, M+1>; and the independently built beta-route
-    states satisfy the J- relation sqrt(J(J+1) - M(M-1)) |J, M-1>.
+    normalized lowering has exact norm 1; J+ applied to it and divided by
+    sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the independently
+    built beta-route states satisfy the J- relation: J- |J, M> divided by
+    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each divided action is one
+    `apply_jplus` or `apply_jminus` call with the integer square of the
+    element as its divisor, so no expected state is scaled.
     """
     return _run_cell_sweep(
         "ladder consistency",

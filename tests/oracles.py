@@ -43,6 +43,13 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * n), components)
 
 
+def scaled(state: StateVector, factor: RadicalSum) -> StateVector:
+    """``state`` with every component multiplied by ``factor`` through
+    `RadicalSum` ``*``, not through the ladder's `sum_radicals` path."""
+    components = {k: value * factor for k, value in state.components.items()}
+    return StateVector(state.j1, state.j2, state.M, components)
+
+
 def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
     """Closed-form component weight beta(l, p) of |j1+j2-m, j1+j2-m-s>.
 

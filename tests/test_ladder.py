@@ -22,7 +22,7 @@ from cgexact.ladder import (
     subspace_states,
 )
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
-from oracles import beta_closed_form, stretched_multiplet_state
+from oracles import beta_closed_form, scaled, stretched_multiplet_state
 
 SQRT = RadicalSum.sqrt
 HALF = Fraction(1, 2)
@@ -192,8 +192,63 @@ def test_lowering_matches_ladder_equation():
         lowered = apply_jminus(state)
         next_state = lower_normalized(state, J)
         scale = SQRT(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
-        assert lowered.components == next_state.scaled(scale).components
+        assert lowered.components == scaled(next_state, scale).components
         state = next_state
+
+
+def _divided_action_states():
+    """Single-class states of both routes, and one state whose components
+    fall in two classes: the m1 = 0 component of |2, 0> at (1, 1) times
+    sqrt(2)."""
+    states = []
+    for j1, j2, J in [(1, 1, 1), (2, "3/2", "3/2"), ("5/2", 1, "5/2")]:
+        for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
+            states.extend(subspace_states(j1, j2, J, route))
+    middle = subspace_states(1, 1, 2, TableRoute.LADDER_ITERATIVE)[2]
+    components = dict(middle.components)
+    components[0] = components[0] * SQRT(2)
+    states.append(StateVector(middle.j1, middle.j2, middle.M, components))
+    return states
+
+
+@pytest.mark.parametrize("divisor", [1, 2, 3, 4, 12])
+def test_divided_actions_are_undivided_actions_over_sqrt_divisor(divisor):
+    factor = SQRT(Fraction(1, divisor))
+    two_class_components = 0
+    for state in _divided_action_states():
+        for action in (apply_jplus, apply_jminus):
+            undivided = action(state)
+            assert action(state, divisor) == scaled(undivided, factor)
+            two_class_components += sum(
+                v.num_terms == 2 for v in undivided.components.values()
+            )
+    # the two-class state reaches the multi-class path of both actions
+    assert two_class_components >= 2
+
+
+def test_lowering_is_the_divided_jminus():
+    for tj1 in range(5):
+        for tj2 in range(5):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
+                chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+                for state in chain[:-1]:
+                    M = state.M.as_fraction
+                    norm_squared = J.as_fraction * (J.as_fraction + 1) - M * (M - 1)
+                    assert norm_squared.denominator == 1
+                    divisor = norm_squared.numerator
+                    assert lower_normalized(state, J) == apply_jminus(state, divisor)
+
+
+@pytest.mark.parametrize("divisor", [0, -1, -4])
+def test_ladder_actions_reject_divisor_below_one(divisor):
+    state = highest_weight_state(1, 1, 1)
+    zero = apply_jplus(state)
+    assert zero.is_zero
+    for action in (apply_jplus, apply_jminus):
+        for s in (state, zero):
+            with pytest.raises(ValueError, match="divisor"):
+                action(s, divisor)
 
 
 def test_lowering_below_bottom_rejected():

@@ -8,6 +8,7 @@ import pytest
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum
+from oracles import scaled
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -166,12 +167,58 @@ def test_unitarity_detects_flipped_sign(monkeypatch):
         assert report.counterexample.values["inner product"] != "0"
 
 
+def test_unitarity_flipped_sign_counterexample(monkeypatch):
+    original = verification.build_full_table
+
+    def flipped(j1, j2, route):
+        records = original(j1, j2, route)
+        records[0] = dataclasses.replace(records[0], exact=-records[0].exact)
+        return records
+
+    monkeypatch.setattr(verification, "build_full_table", flipped)
+    report = check_unitarity(1, 1)
+    assert report.scope == "j1=1, j2=1, 2 inner products"
+    assert report.counterexample == Counterexample(
+        "row orthonormality at (j1=1, j2=1): J=0, J'=1, M=0",
+        {"inner product": "sqrt(2/3)"},
+    )
+    report = check_unitarity_sweep(2)
+    assert report.scope == "2j <= 2, 18 cases"
+    assert report.counterexample == Counterexample(
+        "row orthonormality at (j1=1/2, j2=1/2): J=0, J'=1, M=0",
+        {"inner product": "1"},
+    )
+
+
+def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
+    # sqrt(2) times the coefficient at (J=3/2, M=-1/2, m1=-1/2) of the cell
+    # (1/2, 1): its product with the J=1/2 row then has two classes
+    original = verification.build_full_table
+
+    def broken(j1, j2, route):
+        return [
+            dataclasses.replace(r, exact=r.exact * RadicalSum.sqrt(2))
+            if (r.J.twice, r.M.twice, r.m1.twice) == (3, -1, -1)
+            else r
+            for r in original(j1, j2, route)
+        ]
+
+    monkeypatch.setattr(verification, "build_full_table", broken)
+    report = check_unitarity("1/2", 1)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        "row orthonormality at (j1=1/2, j2=1): J=1/2, J'=3/2, M=-1/2",
+        {"inner product": "sqrt(2/9) - 2/3"},
+    )
+    assert RadicalSum.parse("sqrt(2/9) - 2/3").num_terms == 2
+
+
 def test_ladder_detects_broken_lowering(monkeypatch):
     original = verification.apply_jminus
     monkeypatch.setattr(
         verification,
         "apply_jminus",
-        lambda state: original(state).scaled(RadicalSum.rational(2)),
+        lambda state, *d: scaled(original(state, *d), RadicalSum.rational(2)),
     )
     report = check_ladder_consistency(1)
     assert not report.passed
@@ -192,6 +239,16 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
     assert report.counterexample.description == (
         "J+ ladder relation at (j1=0, j2=1/2, J=1/2, M=-1/2)"
     )
+
+
+def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
+    original = ladder._apply_ladder
+    monkeypatch.setattr(
+        ladder,
+        "_apply_ladder",
+        lambda state, direction, divisor=1: original(state, direction),
+    )
+    assert not check_ladder_consistency(2).passed
 
 
 def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
