@@ -212,7 +212,7 @@ def coeff(j1, j2, m1, m2, big_j, big_m, formula) -> None:
     type=click.Choice([route.value for route in TableRoute]),
     default=TableRoute.CLOSED_FORM.value,
     show_default=True,
-    help="Table construction route.",
+    help="Table construction route; 'beta' is a second name for 'closed-form'.",
 )
 @click.option(
     "--format",

@@ -187,8 +187,8 @@ def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
     """sum_i C(2j2-m+i, i) C(m, i) / C(2j1, i) over i = 0..m (m = ``depth``).
 
     This is the inverse square of the highest-weight leading coefficient for
-    the subspace J = j1 + j2 - m; it is shared by the closed-form coefficient
-    formula and by the ladder engine's normalization.  The sum is taken in
+    the subspace J = j1 + j2 - m; the closed form takes it into the factor
+    that its weights share (`_shared_factor`).  The sum is taken in
     Horner form from the top, term ratio (2j2-m+i+1)(m-i) / ((i+1)(2j1-i)),
     as one integer fraction.  The cache is bounded, so a long session of
     single coefficients does not grow it without end; a sweep over all cells
@@ -201,62 +201,77 @@ def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _shared_factor(tj1: int, tj2: int, m: int, s: int) -> tuple[int, int]:
+    """1 / (C(2J, s) * norm sum) as an integer pair (numerator, denominator):
+    the factor of every closed-form weight of |J, J - s> in the subspace of
+    depth m = j1 + j2 - J."""
+    norm = _norm_denominator_sum(tj1, tj2, m)
+    return norm.denominator, binomial(tj1 + tj2 - 2 * m, s) * norm.numerator
+
+
+def _term_ratio(tj1, tj2, m, s, k, l):
+    """R_(l+1) / R_l of the closed form at (m, s, k), as the unreduced pair
+    (numerator, denominator): one factor ratio per binomial of R_l, never
+    simplified by hand.  Written with ``*``, ``+`` and ``-`` only, so that
+    symbols go through it as well as ints."""
+    return (
+        (k - l) * (tj2 - m + l + 1) * (tj2 - m + l + 1) * (k - l)
+        * (m - l) * (m - l) * (l + 1),
+        (tj1 - l) * (s - k + l + 1) * (l + 1) * (l + 1)
+        * (s - k + l + 1) * (l + 1) * (tj1 - l),
+    )
+
+
+def _closed_form_steps(
+    tj1: int, tj2: int, m: int, s: int, k: int, shared: tuple[int, int]
+) -> Iterator[tuple[int, int, int]]:
+    """The `sum_signed_sqrts` steps of the closed-form component at depth
+    m = j1 + j2 - J, s = J - M and k = j1 - m1, from doubled 2j1 and 2j2.
+
+    The component is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` with K = max(0, k-s)
+    and N = min(m, k); for k in the component range, every R_l in that
+    range is nonzero.  Only R_K is built from binomials, times ``shared``
+    (`_shared_factor`).  Each later step is the term ratio R_(l+1) / R_l of
+    `_term_ratio`, and one integer square root in `sum_signed_sqrts` tests
+    that it is the square of a rational; that is how the sum collapses to
+    one radical.
+    """
+    q2 = tj2 - m                       # 2j2 - m  (= j2 - j1 + J)
+    d = s - k                          # J - j1 - m2
+    lo = max(0, -d)
+    yield (
+        -1 if lo & 1 else 1,
+        binomial(tj1 - lo, k - lo)
+        * binomial(q2 + lo, d + lo)
+        * binomial(q2 + lo, lo)
+        * binomial(k, lo)
+        * binomial(m + d, d + lo)
+        * binomial(m, lo)
+        * shared[0],
+        binomial(tj1, lo) * shared[1],
+    )
+    # term l + 1: the sign flips
+    for l in range(lo, min(m, k)):
+        num, den = _term_ratio(tj1, tj2, m, s, k, l)
+        yield (1 if l & 1 else -1, num, den)
+
+
 def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via the binomial-ratio summation.
 
-    The value is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` where each R_l is a ratio
-    of binomial products and K = max(0, j1-J+m2), N = min(j1+j2-J, j1-m1);
-    every R_l in that range is nonzero.  Only R_K is built from binomials.
-    Each later R_(l+1) / R_l is passed to `sum_signed_sqrts` as the unreduced
-    product of its seven small factor ratios, never simplified by hand, and
-    one integer square root there tests that it is the square of a rational;
-    that is how the sum collapses to one radical.
-    Selection-zero specs (including an empty l range) give exactly 0.
+    One `sum_signed_sqrts` over the closed form's steps at depth
+    m = j1+j2-J, s = J-M and k = j1-m1 (`_closed_form_steps`).
+    Selection-zero specs give exactly 0.
     """
-    result = _require_well_formed(spec)
-    if result.is_selection_zero:
+    if _require_well_formed(spec).is_selection_zero:
         return RadicalSum.zero()
     tj1, tj2 = spec.j1.twice, spec.j2.twice
-    tm1 = spec.m1.twice
-    tJ, tM = spec.J.twice, spec.M.twice
-
-    m = (tj1 + tj2 - tJ) // 2          # subspace depth j1+j2-J
-    s_jm = (tJ - tM) // 2              # J - M
-    a1 = (tj1 - tm1) // 2              # j1 - m1
-    q2 = (tj2 - tj1 + tJ) // 2         # j2 - j1 + J  (= 2j2 - m)
-    top5 = (tj2 - tM + tm1) // 2       # j2 - M + m1
-    d = s_jm - a1                      # J - j1 - m2
-
-    lo = max(0, -d)
-    hi = min(m, a1)
-    if lo > hi:
-        return RadicalSum.zero()
-
-    norm = _norm_denominator_sum(tj1, tj2, m)
-    steps = [(
-        -1 if lo & 1 else 1,
-        binomial(tj1 - lo, a1 - lo)
-        * binomial(q2 + lo, d + lo)
-        * binomial(q2 + lo, lo)
-        * binomial(a1, lo)
-        * binomial(top5, d + lo)
-        * binomial(m, lo)
-        * norm.denominator,
-        binomial(tj1, lo) * binomial(tJ, s_jm) * norm.numerator,
-    )]
-    # term l + 1: the sign flips, and R_(l+1) / R_l is one factor ratio per
-    # binomial of R_l
-    steps.extend(
-        (
-            1 if l & 1 else -1,
-            (a1 - l) * (q2 + l + 1) * (q2 + l + 1) * (a1 - l)
-            * (top5 - d - l) * (m - l) * (l + 1),
-            (tj1 - l) * (d + l + 1) * (l + 1) * (l + 1)
-            * (d + l + 1) * (l + 1) * (tj1 - l),
-        )
-        for l in range(lo, hi)
+    m = (tj1 + tj2 - spec.J.twice) // 2
+    s = (spec.J.twice - spec.M.twice) // 2
+    k = (tj1 - spec.m1.twice) // 2
+    return sum_signed_sqrts(
+        _closed_form_steps(tj1, tj2, m, s, k, _shared_factor(tj1, tj2, m, s))
     )
-    return sum_signed_sqrts(steps)
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:

@@ -1,12 +1,12 @@
 """Constructive route: |J,M> states rebuilt over the product basis.
 
 Highest-weight states |J, J> come from the raising annihilation recurrence
-(the alpha sequence); the other states of a subspace come either from
-repeated exact lowering (the iterative route, kept deliberately independent
-so it can serve as an oracle) or from the beta closed form.
-`subspace_states` builds all the states of one subspace by either of those
-two, and `build_full_table` turns any route into the full coefficient table
-for a (j1, j2) cell.
+(the alpha sequence), and the other states of a subspace from repeated
+exact lowering (the iterative route, kept deliberately independent so it
+can serve as an oracle).  `subspace_states` builds all the states of one
+subspace either that way or from the closed form of `formulas`, each state
+on its own, and `build_full_table` turns any route into the full
+coefficient table for a (j1, j2) cell.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .formulas import CouplingSpec
 from .numerics import (
     HalfInt,
     RadicalSum,
-    binomial,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
@@ -208,53 +207,17 @@ def lower_normalized(state: StateVector, J) -> StateVector:
     return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
-def _beta_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
-    """|j1+j2-m, j1+j2-m-s> assembled from the beta closed form.
-
-    The component at m1 = j1 - k sums beta(l, k - l) over l.  For each k in
-    range every weight with max(0, k-s) <= l <= min(m, k) is nonzero, so
-    only the first is built from binomials; each later weight's radicand
-    ratio is passed to `sum_signed_sqrts` as the unreduced product of its
-    seven small factor ratios, never simplified by hand, and one integer
-    square root there tests that it is the square of a rational.  The factor
-    1 / (C(2J, s) * norm sum) shared by every weight of the state is computed
-    once and folded into the first radicand.
-    """
+def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
+    """|j1+j2-m, j1+j2-m-s> from the closed form: each component is one
+    `sum_signed_sqrts` over `formulas._closed_form_steps`, and the factor
+    that all weights of the state share is computed once per state."""
     tj1, tj2 = j1.twice, j2.twice
-    tJ = tj1 + tj2 - 2 * m
-    q2 = tj2 - m
-    norm = formulas._norm_denominator_sum(tj1, tj2, m)
-    shared_num = norm.denominator
-    shared_den = binomial(tJ, s) * norm.numerator
-    components: dict[int, RadicalSum] = {}
-    for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1):
-        d = s - k                      # p - l
-        lo = max(0, -d)
-        steps = [(
-            -1 if lo & 1 else 1,
-            binomial(tj1 - lo, k - lo)
-            * binomial(q2 + lo, d + lo)
-            * binomial(q2 + lo, lo)
-            * binomial(k, k - lo)
-            * binomial(m + d, d + lo)
-            * binomial(m, lo)
-            * shared_num,
-            binomial(tj1, lo) * shared_den,
-        )]
-        # weight beta(l+1, p-1) from beta(l, p): the sign flips, and the
-        # radicand ratio is one factor ratio per binomial
-        steps.extend(
-            (
-                1 if l & 1 else -1,
-                (k - l) * (q2 + l + 1) * (q2 + l + 1) * (k - l)
-                * (m - l) * (m - l) * (l + 1),
-                (tj1 - l) * (d + l + 1) * (l + 1) * (l + 1)
-                * (d + l + 1) * (l + 1) * (tj1 - l),
-            )
-            for l in range(lo, min(m, k))
-        )
-        components[tj1 - 2 * k] = sum_signed_sqrts(steps)
-    return StateVector(j1, j2, HalfInt.from_twice(tJ - 2 * s), components)
+    shared = formulas._shared_factor(tj1, tj2, m, s)
+    components = {
+        tj1 - 2 * k: sum_signed_sqrts(formulas._closed_form_steps(tj1, tj2, m, s, k, shared))
+        for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1)
+    }
+    return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * (m + s)), components)
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
@@ -277,7 +240,7 @@ class TableRoute(Enum):
 
     CLOSED_FORM = "closed-form"
     LADDER_ITERATIVE = "ladder"
-    BETA_CLOSED_FORM = "beta"
+    BETA_CLOSED_FORM = "beta"          # the CLOSED_FORM build, a second name
     RACAH = "racah"
 
 
@@ -303,25 +266,14 @@ class CoefficientRecord:
         return (self.J.twice, self.M.twice, self.m1.twice)
 
 
-def _records_from_state(J: HalfInt, state: StateVector) -> list[CoefficientRecord]:
-    M, tM = state.M, state.M.twice
-    return [
-        CoefficientRecord(
-            J, M, HalfInt.from_twice(tm1), HalfInt.from_twice(tM - tm1),
-            state.components[tm1],
-        )
-        for tm1 in sorted(state.components)
-    ]
-
-
-def subspace_states(j1, j2, J, route: TableRoute) -> list[StateVector]:
+def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
     """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J:
     each a StateVector at that M, its components keyed by the doubled m1.
 
     LADDER_ITERATIVE lowers `highest_weight_state` one step at a time with
-    `lower_normalized`; BETA_CLOSED_FORM builds every state on its own from
-    the beta closed form.  Other routes build no states and raise ValueError,
-    as does a J outside the triangle rule.
+    `lower_normalized`; CLOSED_FORM and BETA_CLOSED_FORM, two names of one
+    build, make every state on its own from the closed form.  RACAH builds
+    no states and raises ValueError, as does a J outside the triangle rule.
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
     route = TableRoute(route)
@@ -331,9 +283,9 @@ def subspace_states(j1, j2, J, route: TableRoute) -> list[StateVector]:
         for _ in range(J.twice):
             states.append(lower_normalized(states[-1], J))
         return states
-    if route is TableRoute.BETA_CLOSED_FORM:
-        return [_beta_state(j1, j2, m, s) for s in range(J.twice + 1)]
-    raise ValueError(f"the {route.value} route builds no states")
+    if route is TableRoute.RACAH:
+        raise ValueError(f"the {route.value} route builds no states")
+    return [_closed_form_state(j1, j2, m, s) for s in range(J.twice + 1)]
 
 
 def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]:
@@ -341,28 +293,31 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
 
     Every route produces the identical record set, each in that order; the
     iterative ladder route recomputes states by repeated exact lowering
-    precisely so it can defend the closed forms.  ``route`` is a TableRoute
-    or its value; any other value raises ValueError.
+    precisely so it can defend the closed forms.  RACAH evaluates
+    `formulas.cg_racah` per spec, and every other route reads the states of
+    `subspace_states`.  ``route`` is a TableRoute or its value; any other
+    value raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)
     tj1, tj2 = j1.twice, j2.twice
     if tj1 < 0 or tj2 < 0:
         raise ValueError("j1 and j2 must be nonnegative")
-    if route in (TableRoute.CLOSED_FORM, TableRoute.RACAH):
-        coefficient = (
-            formulas.cg_alternative
-            if route is TableRoute.CLOSED_FORM
-            else formulas.cg_racah
-        )
+    if route is TableRoute.RACAH:
         return [
             CoefficientRecord(spec.J, spec.M, spec.m1, spec.m2, value)
             for spec in formulas.cell_specs(j1, j2)
-            if not (value := coefficient(spec)).is_zero
+            if not (value := formulas.cg_racah(spec)).is_zero
         ]
     records: list[CoefficientRecord] = []
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         J = HalfInt.from_twice(tJ)
         for state in reversed(subspace_states(j1, j2, J, route)):  # ascending M
-            records.extend(_records_from_state(J, state))
+            M, tM = state.M, state.M.twice
+            records.extend(
+                CoefficientRecord(
+                    J, M, HalfInt.from_twice(tm1), HalfInt.from_twice(tM - tm1), value
+                )
+                for tm1, value in sorted(state.components.items())
+            )
     return records

@@ -470,11 +470,11 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                             f"M={HalfInt.from_twice(tM)})"
                         ),
                     )
-        # beta-route states must obey the J- relation independently
-        betas = subspace_states(j1, j2, J, TableRoute.BETA_CLOSED_FORM)
+        # closed-form states obey the J- relation; "beta" is their old name
+        closed = subspace_states(j1, j2, J, TableRoute.CLOSED_FORM)
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
-            if apply_jminus(betas[s - 1], _ladder_element(tJ, tM)) != betas[s]:
+            if apply_jminus(closed[s - 1], _ladder_element(tJ, tM)) != closed[s]:
                 return chains, Counterexample(
                     description=(
                         f"J- relation on beta states at (j1={j1}, j2={j2}, "
@@ -489,11 +489,11 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
 
     For each (j1, j2, J): J+ kills |J, J>; each |J, M> built by repeated
     normalized lowering has exact norm 1; J+ applied to it and divided by
-    sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the independently
-    built beta-route states satisfy the J- relation: J- |J, M> divided by
-    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each divided action is one
-    `apply_jplus` or `apply_jminus` call with the integer square of the
-    element as its divisor, so no expected state is scaled.
+    sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the closed-form
+    states, each built on its own, satisfy the J- relation: J- |J, M>
+    divided by sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each divided
+    action is one `apply_jplus` or `apply_jminus` call with the integer
+    square of the element as its divisor, so no expected state is scaled.
     """
     return _run_cell_sweep(
         "ladder consistency",

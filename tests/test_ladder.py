@@ -9,7 +9,7 @@ import cgexact.formulas as formulas
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
-    _beta_state,
+    _closed_form_state,
     StateVector,
     TableRoute,
     alpha_sequence,
@@ -357,7 +357,7 @@ def test_beta_state_equals_sum_of_closed_form_weights():
                                 beta_closed_form(j1, j2, m, s, l, p)
                             )
                     expected = {k: v for k, v in expected.items() if not v.is_zero}
-                    assert components_of(_beta_state(j1, j2, m, s)) == expected
+                    assert components_of(_closed_form_state(j1, j2, m, s)) == expected
 
 
 def test_beta_out_of_range_indices_are_zero():
@@ -420,6 +420,20 @@ def test_table_route_equivalence_small():
                 assert build_full_table(j1, j2, route) == reference
 
 
+def test_closed_form_table_equals_per_spec_coefficients():
+    # the per-state build folds the shared factor once per state, and
+    # cg_alternative once per spec: both must give every value alike
+    for tj1 in range(9):
+        for tj2 in range(9):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            expected = [
+                CoefficientRecord(spec.J, spec.M, spec.m1, spec.m2, value)
+                for spec in formulas.cell_specs(j1, j2)
+                if not (value := formulas.cg_alternative(spec)).is_zero
+            ]
+            assert build_full_table(j1, j2, TableRoute.CLOSED_FORM) == expected
+
+
 def test_table_identity_for_trivial_second_factor():
     for j1 in [0, "1/2", 1, "3/2", 2]:
         records = build_full_table(j1, 0, TableRoute.LADDER_ITERATIVE)
@@ -471,17 +485,22 @@ def test_table_route_is_coerced_and_checked(monkeypatch):
 def test_subspace_states_by_both_routes():
     for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (2, 1, 2), ("5/2", "3/2", 3)]:
         ladder = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+        closed = subspace_states(j1, j2, J, TableRoute.CLOSED_FORM)
         beta = subspace_states(j1, j2, J, "beta")
         assert len(ladder) == HalfInt(J).twice + 1
         assert ladder[0] == highest_weight_state(j1, j2, J)
         assert [s.M.twice for s in ladder] == list(
             range(HalfInt(J).twice, -HalfInt(J).twice - 1, -2)
         )
-        assert beta == ladder
-    for route in (TableRoute.CLOSED_FORM, TableRoute.RACAH, "nonsense"):
+        assert closed == beta == ladder
+    for route in (TableRoute.RACAH, "nonsense"):
         with pytest.raises(ValueError):
             subspace_states(2, 1, 2, route)
-    for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
+    for route in (
+        TableRoute.LADDER_ITERATIVE,
+        TableRoute.CLOSED_FORM,
+        TableRoute.BETA_CLOSED_FORM,
+    ):
         with pytest.raises(ValueError, match="triangle"):
             subspace_states(2, 1, 4, route)
         with pytest.raises(ValueError, match="triangle"):

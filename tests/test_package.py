@@ -10,6 +10,7 @@ import pytest
 
 import cgexact
 from cgexact.cli import cli, main
+from cgexact.ladder import TableRoute
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,6 +38,12 @@ def test_cli_commands(capsys):
         main(["bench"])
     assert excinfo.value.code == 1
     assert "bench" in capsys.readouterr().err
+
+
+def test_table_routes_keep_four_distinct_values():
+    # an alias would drop a member from iteration, and with it a route from
+    # every loop over TableRoute
+    assert [r.value for r in TableRoute] == ["closed-form", "ladder", "beta", "racah"]
 
 
 def test_readme_quick_tour_runs(capsys):
