@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, binomial, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _from_terms, binomial, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -281,7 +281,8 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     over every z that keeps all factorial arguments nonnegative.  Only the
     first term is built from factorials; the sum is taken in Horner form
     from the last term through the small-integer term ratios, as one
-    integer fraction, so one Fraction is built for it.  The result
+    integer fraction.  Prefactor and sum are then squared together in
+    integers, so the value costs one Fraction: its square.  The result
     is structurally a single-term RadicalSum, which is what makes this route
     the collapse oracle for `cg_alternative`.
     """
@@ -318,22 +319,24 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
         num, den = den * below - (g1 - z) * (a_m - z) * (b_p - z) * num, den * below
     if not num:
         return RadicalSum.zero()
-    total = Fraction(
-        -num if z_lo & 1 else num,
-        den
-        * factorial(z_lo) * factorial(g1 - z_lo) * factorial(a_m - z_lo)
-        * factorial(b_p - z_lo) * factorial(d1 + z_lo) * factorial(d2 + z_lo),
+    if z_lo & 1:
+        num = -num
+    den *= (
+        factorial(z_lo) * factorial(g1 - z_lo) * factorial(a_m - z_lo)
+        * factorial(b_p - z_lo) * factorial(d1 + z_lo) * factorial(d2 + z_lo)
     )
-
-    prefactor = Fraction(
+    # C = sqrt(prefactor) * num / den, with the prefactor (2J+1) times nine
+    # factorials over (j1+j2+J+1)!, taken as one signed square
+    square = Fraction(
         (tJ + 1)
         * factorial(g1) * factorial(g2) * factorial(g3)
         * factorial(a_p) * factorial(a_m)
         * factorial(b_p) * factorial(b_m)
-        * factorial(c_p) * factorial(c_m),
-        factorial(gs),
+        * factorial(c_p) * factorial(c_m)
+        * num * num,
+        factorial(gs) * den * den,
     )
-    return RadicalSum.sqrt(prefactor) * total
+    return _from_terms(((1 if num > 0 else -1, square),))
 
 
 def cg_to_wigner3j(
@@ -342,7 +345,8 @@ def cg_to_wigner3j(
     """Convert a CG coefficient to the corresponding Wigner 3j symbol.
 
     3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C.  The phase
-    exponent is an integer whenever the coefficient is nonzero.
+    exponent is an integer whenever the coefficient is nonzero.  Each term
+    (s, q) of C maps to (s * phase, q / (2J+1)), one Fraction per term.
     """
     threej = ThreeJSpec(spec.j1, spec.j2, spec.J, spec.m1, spec.m2, -spec.M)
     if value.is_zero:
@@ -353,8 +357,10 @@ def cg_to_wigner3j(
             f"{spec}: M + j1 - j2 is not an integer for a nonzero coefficient"
         )
     sign = -1 if (phase_twice // 2) & 1 else 1
-    converted = value * sign / RadicalSum.sqrt(spec.J.twice + 1)
-    return threej, converted
+    # dividing every square by one positive integer keeps the classes apart
+    # and their order by square
+    width = spec.J.twice + 1
+    return threej, _from_terms(tuple((s * sign, q / width) for s, q in value.terms()))
 
 
 def wigner3j(spec: ThreeJSpec) -> RadicalSum:

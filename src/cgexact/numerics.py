@@ -474,20 +474,23 @@ def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
     sqrt(r_i / r_(i-1)) = k / d_i is rational exactly when n_i * d_i = k**2
     is a perfect square, which one integer square root per step decides.  A
     run of such ratios stays in one commensurability class and is summed in
-    plain integers; the first step, and every ratio that is not a square,
-    opens a new class at r_i, and the classes merge as in addition.  So the
-    sum is exact for any input, and one Fraction is built per class.
+    plain integers, with the radicand that opened the class kept as an
+    integer pair; the first step, and every ratio that is not a square,
+    opens a new class at r_i.  A chain of one class builds one Fraction, the
+    square of its sum; the classes of a longer chain merge as in
+    `sum_radicals`, which builds one Fraction per class.  So the sum is
+    exact for any input.
     """
-    terms: list[Term] = []
-    ref = None           # the radicand that opened the current class
-    top = bottom = 1     # sqrt(r_i / ref) == top / bottom
-    total = 0            # the class's sum so far, in units of sqrt(ref) / bottom
+    classes: list[tuple[int, int, int]] = []  # closed classes, as sum_radicals terms
+    rn = rd = 0          # the radicand that opened the current class, rn / rd
+    top = bottom = 1     # sqrt(r_i / (rn / rd)) == top / bottom
+    total = 0            # the class's sum so far, in units of sqrt(rn / rd) / bottom
     for sign, n, d in steps:
         if n <= 0 or d <= 0:
-            what = "first radicand" if ref is None else "term ratio"
+            what = "first radicand" if not rd else "term ratio"
             raise NegativeRadicandError(f"{what} {n}/{d} must be positive")
-        if ref is None:
-            ref = Fraction(n, d)
+        if not rd:
+            rn, rd = n, d
         else:
             product = n * d
             k = isqrt(product)
@@ -498,15 +501,20 @@ def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
                 bottom *= d
                 total = total * d + sign * top
                 continue
-            _add_class(terms, ref, total, bottom)
-            ref = Fraction(
-                ref.numerator * top * top * n, ref.denominator * bottom * bottom * d
-            )
+            if total:
+                classes.append(
+                    (1 if total > 0 else -1, total * total * rn, bottom * bottom * rd)
+                )
+            rn *= top * top * n
+            rd *= bottom * bottom * d
             top = bottom = 1
         total = sign
-    if ref is not None:
-        _add_class(terms, ref, total, bottom)
-    return _sorted_terms(terms)
+    if total:
+        classes.append((1 if total > 0 else -1, total * total * rn, bottom * bottom * rd))
+    if len(classes) == 1:
+        ((sign, n, d),) = classes
+        return _from_terms(((sign, Fraction(n, d)),))
+    return sum_radicals(classes)
 
 
 def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
@@ -550,13 +558,6 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
         if top:
             out.append((1 if top > 0 else -1, Fraction(top * top * n0, bottom * bottom * d0)))
     return _sorted_terms(out)
-
-
-def _add_class(terms: list[Term], ref: Fraction, total: int, bottom: int) -> None:
-    """Add (total / bottom) * sqrt(ref) to ``terms``."""
-    if total:
-        square = Fraction(total * total * ref.numerator, bottom * bottom * ref.denominator)
-        _add_term(terms, 1 if total > 0 else -1, square)
 
 
 # ---------------------------------------------------------------------------

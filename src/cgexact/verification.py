@@ -128,6 +128,11 @@ def _map_ordered(
         return
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(worker, units, chunksize=1)
+        # let the workers exit on their own: terminate(), which leaving the
+        # block calls, can kill a worker that holds the result queue's lock
+        # and hang the sweep
+        pool.close()
+        pool.join()
 
 
 def _run_cell_sweep(
@@ -152,10 +157,16 @@ def _run_cell_sweep(
 
 
 def _agreement_cell(cell: tuple[int, int]) -> CellResult:
-    j1, j2 = (HalfInt.from_twice(t) for t in cell)
+    tj1, tj2 = cell
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    # the nonzero ladder values, keyed by doubled (J, M, m1)
     ladder_values = {
-        (r.J, r.M, r.m1): r.exact
-        for r in build_full_table(j1, j2, TableRoute.LADDER_ITERATIVE)
+        (tJ, state.M.twice, tm1): value
+        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        for state in subspace_states(
+            j1, j2, HalfInt.from_twice(tJ), TableRoute.LADDER_ITERATIVE
+        )
+        for tm1, value in state.components.items()
     }
     count = 0
     zero = RadicalSum.zero()
@@ -163,7 +174,7 @@ def _agreement_cell(cell: tuple[int, int]) -> CellResult:
         count += 1
         alternative = cg_alternative(spec)
         racah = cg_racah(spec)
-        ladder = ladder_values.get((spec.J, spec.M, spec.m1), zero)
+        ladder = ladder_values.get((spec.J.twice, spec.M.twice, spec.m1.twice), zero)
         if not (alternative == racah == ladder):
             return count, Counterexample(
                 description=str(spec),

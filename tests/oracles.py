@@ -6,7 +6,9 @@ arithmetic of `cgexact.numerics` and the `StateVector` container.
 """
 
 from fractions import Fraction
+from math import factorial
 
+from cgexact.formulas import CouplingSpec
 from cgexact.ladder import StateVector
 from cgexact.numerics import HalfInt, RadicalSum, binomial
 
@@ -79,3 +81,40 @@ def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
     radicand = Fraction(numer, binomial(tj1, l) * binomial(tJ, s)) / norm_sum(tj1, tj2, m)
     value = RadicalSum.sqrt(radicand)
     return -value if l & 1 else value
+
+
+def racah_as_written(spec: CouplingSpec) -> RadicalSum:
+    """Racah's formula term by term, for a spec with |m| <= j and matching
+    parities:
+
+        C = sqrt((2J+1) (j1+j2-J)! (J+j1-j2)! (J+j2-j1)! / (j1+j2+J+1)!)
+          * sqrt((j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! (J+M)! (J-M)!)
+          * sum_z (-1)^z / (z! (j1+j2-J-z)! (j1-m1-z)! (j2+m2-z)!
+                            (J-j2+m1+z)! (J-j1-m2+z)!)
+
+    over every z that keeps all six factorial arguments nonnegative.  A spec
+    outside the triangle rule, with j1+j2+J not an integer or with
+    M != m1 + m2, gives 0.
+    """
+    tj1, tj2, tJ = spec.j1.twice, spec.j2.twice, spec.J.twice
+    tm1, tm2, tM = spec.m1.twice, spec.m2.twice, spec.M.twice
+    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2 or tM != tm1 + tm2:
+        return RadicalSum.zero()
+    g1, g2, g3 = (tj1 + tj2 - tJ) // 2, (tJ + tj1 - tj2) // 2, (tJ + tj2 - tj1) // 2
+    total = Fraction(0)
+    for z in range(g1 + 1):
+        args = (z, g1 - z, (tj1 - tm1) // 2 - z, (tj2 + tm2) // 2 - z,
+                (tJ - tj2 + tm1) // 2 + z, (tJ - tj1 - tm2) // 2 + z)
+        if min(args) < 0:
+            continue
+        denominator = 1
+        for arg in args:
+            denominator *= factorial(arg)
+        total += Fraction((-1) ** z, denominator)
+    prefactor = Fraction(
+        (tJ + 1) * factorial(g1) * factorial(g2) * factorial(g3),
+        factorial((tj1 + tj2 + tJ) // 2 + 1),
+    )
+    for twice in (tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2, tJ + tM, tJ - tM):
+        prefactor *= factorial(twice // 2)
+    return RadicalSum.sqrt(prefactor) * total

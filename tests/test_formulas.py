@@ -20,7 +20,7 @@ from cgexact.formulas import (
 )
 from cgexact.ladder import cg_ladder
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
-from oracles import beta_closed_form, norm_sum
+from oracles import beta_closed_form, norm_sum, racah_as_written
 
 
 def spec(j1, j2, m1, m2, J, M) -> CouplingSpec:
@@ -227,6 +227,47 @@ def test_routes_agree_where_j1_plus_j2_plus_J_exceeds_1000():
     assert RadicalSum.parse(str(alternative)) == alternative
 
 
+def test_racah_equals_the_formula_as_written_up_to_2j_8():
+    for tj1 in range(9):
+        for tj2 in range(9):
+            for s in cell_specs(HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)):
+                assert cg_racah(s) == racah_as_written(s), str(s)
+
+
+# 2j up to 800; the first three have j1 + j2 + J above 1000
+_LARGE_SPECS = [
+    (400, 400, 0, 0, 800, 0),
+    (400, 400, 400, -1, 799, 399),
+    (260, 260, 3, -3, 510, 0),
+    ("205/2", "337/2", "-89/2", "-311/2", 265, -200),
+    (257, 279, 191, -218, 140, -27),
+    ("57/2", 316, "15/2", -50, "609/2", "-85/2"),
+    (95, "749/2", -83, "371/2", "835/2", "205/2"),
+    ("245/2", "129/2", "-95/2", "-39/2", 86, -67),
+    ("227/2", "621/2", "221/2", "-565/2", 389, -172),
+    (280, "513/2", 68, "-263/2", "175/2", "-127/2"),
+    ("703/2", 248, "-97/2", -36, "207/2", "-169/2"),
+    (52, "705/2", 28, "-515/2", "643/2", "-459/2"),
+    (298, "43/2", -277, "-7/2", "625/2", "-561/2"),
+    (280, "729/2", -181, "259/2", "403/2", "-103/2"),
+    (289, "59/2", 209, "-7/2", "529/2", "411/2"),
+    ("233/2", 383, "29/2", 100, "775/2", "229/2"),
+    ("441/2", "531/2", "67/2", "-329/2", 146, -131),
+    ("585/2", "693/2", "-541/2", "429/2", 258, -56),
+    (68, 268, 35, -109, 230, -74),
+    ("205/2", 19, "31/2", -4, "167/2", "23/2"),
+]
+
+
+@pytest.mark.parametrize("args", _LARGE_SPECS)
+def test_racah_equals_the_formula_as_written_up_to_2j_800(args):
+    s = spec(*args)
+    assert validate(s).is_well_formed
+    value = cg_racah(s)
+    assert value == racah_as_written(s)
+    assert value.num_terms == 1
+
+
 def test_selection_rule_sweep():
     # every well-formed spec with M != m1 + m2 gives exactly 0 on both routes
     for tm1 in (-2, 0, 2):
@@ -257,6 +298,14 @@ def test_cg_to_wigner3j_examples():
 
     _, zero = cg_to_wigner3j(s, RadicalSum.zero())
     assert zero.is_zero
+
+
+def test_cg_to_wigner3j_scales_each_class():
+    # (-1)^(M+j1-j2) = -1 and 2J+1 = 3: each class is divided by sqrt(3)
+    s = spec(1, 1, 1, 0, 1, 1)
+    _, value = cg_to_wigner3j(s, SQRT(2) + SQRT(3))
+    assert value == -SQRT(Fraction(2, 3)) - RadicalSum.one()
+    assert list(value.terms()) == [(-1, Fraction(2, 3)), (-1, Fraction(1))]
 
 
 def test_wigner3j_values():

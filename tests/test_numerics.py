@@ -329,6 +329,22 @@ def test_sum_signed_sqrts_examples():
     assert sum_signed_sqrts((s, 1, 1) for s in (1, 1, -1)) == 1
 
 
+def test_sum_signed_sqrts_class_edges():
+    # a class that cancels to 0, then a new class
+    assert sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, 2, 1)]) == SQRT(2)
+    # the third class merges into the first and cancels it: sqrt(2) + sqrt(6)
+    # - sqrt(2) leaves one term
+    value = sum_signed_sqrts([(1, 2, 1), (1, 3, 1), (-1, 1, 3)])
+    assert list(value.terms()) == [(1, Fraction(6))]
+    # a chain that ends in its first class
+    assert list(sum_signed_sqrts([(-1, 3, 2), (1, 4, 1)]).terms()) == [(1, Fraction(3, 2))]
+    # the second step on is a term ratio, named as such
+    with pytest.raises(NegativeRadicandError, match=r"^term ratio 0/1 must be positive$"):
+        sum_signed_sqrts([(1, 2, 1), (1, 0, 1)])
+    with pytest.raises(NegativeRadicandError, match=r"^first radicand 0/1 must be positive$"):
+        sum_signed_sqrts([(1, 0, 1)])
+
+
 def test_sum_signed_sqrts_rejects_nonpositive():
     for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
         with pytest.raises(NegativeRadicandError, match="first radicand"):

@@ -115,6 +115,7 @@ def test_acceptance_bounds_pass():
 
 def test_map_ordered_caps_pool_size(monkeypatch):
     started = []
+    calls = []
 
     class FakePool:
         def __init__(self, processes):
@@ -129,6 +130,15 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         def imap(self, worker, units, chunksize=1):
             return map(worker, units)
 
+        def close(self):
+            calls.append("close")
+
+        def join(self):
+            calls.append("join")
+
+        def terminate(self):
+            calls.append("terminate")
+
     monkeypatch.setattr(verification.multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 4)
     units = [(n,) for n in range(10)]
@@ -142,6 +152,8 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         n * n for n in range(10)
     ]
     assert started == [4, 3, 2]
+    # a sweep that runs to the end lets its workers exit: never terminate()
+    assert calls == ["close", "join"] * 3
     # one unit, or no CPU count, runs in this process
     assert list(verification._map_ordered(square, units[:1], 10**6)) == [0]
     monkeypatch.setattr(verification.os, "cpu_count", lambda: None)
