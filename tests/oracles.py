@@ -1,8 +1,8 @@
 """Reference formulas as written, for tests to compare the package against.
 
-Each oracle builds its values straight from binomials, term by term, and
-shares no formula or cache with the routes it checks: only the exact
-arithmetic of `cgexact.numerics` and the `StateVector` container.
+Each oracle builds its values straight from binomials or factorials, term
+by term, and shares no formula or cache with the routes it checks: only the
+exact arithmetic of `cgexact.numerics` and the `StateVector` container.
 """
 
 from fractions import Fraction

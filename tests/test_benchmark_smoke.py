@@ -6,11 +6,10 @@ and that no operation fails.  A run also exits nonzero when a metric that
 ``BENCHMARK.json`` declares is missing from what ``run.py`` computes.  That
 does not catch a traced function that was renamed or removed: its metrics
 are still computed, and read 0.  No case asserts a timing or a metric's
-value.  The plain ``verify``
-run checks the case counts of all six checks at 2j <= 8, and the plain
-``table`` run the CSV digests of all four routes on one cell with
-2j1 + 2j2 = 60.  The traced ``table`` and ``verify`` runs take 10-15 s each
-and are marked ``extended``.
+value.  The plain ``verify`` run checks the case counts of all six checks at
+2j <= 8, and the plain ``table`` run the CSV digests of all four routes on
+one cell with 2j1 + 2j2 = 60.  The traced ``table`` and ``verify`` runs take
+10-15 s each and are marked ``extended``.
 """
 
 import json
