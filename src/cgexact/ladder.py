@@ -11,7 +11,7 @@ coefficient table for a (j1, j2) cell.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +22,7 @@ from .formulas import CouplingSpec
 from .numerics import (
     HalfInt,
     RadicalSum,
+    _term_products,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
@@ -77,18 +78,8 @@ class StateVector:
         """The exact sum of the squared components: for components of one
         radical each, the sum of their squares, a rational."""
         return sum_radicals(
-            term for value in self.components.values() for term in _products(value, value)
+            term for value in self.components.values() for term in _term_products(value, value)
         )
-
-
-def _products(a: RadicalSum, b: RadicalSum) -> Iterator[tuple[int, int, int]]:
-    """Each product of a term of ``a`` and a term of ``b``, as a
-    `sum_radicals` term."""
-    return (
-        (s * t, q.numerator * p.numerator, q.denominator * p.denominator)
-        for s, q in a.terms()
-        for t, p in b.terms()
-    )
 
 
 def _lowering_element(tj: int, tm: int) -> int:

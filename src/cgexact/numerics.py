@@ -6,10 +6,11 @@ Every value in this package is exact.  Rational numbers are
 finite sums ``sum_i s_i * sqrt(q_i)`` with signs s_i = +-1 and positive
 rational squares q_i.  Two square roots sqrt(a) and sqrt(b) are
 commensurable when a/b is the square of a rational; a RadicalSum keeps one
-term per commensurability class, merging commensurable terms as they meet.
-Each term is stored as its sign and its square, so the form is canonical
-without factoring any integer, and equality of two RadicalSums is equality
-of their terms.  Agreement checks carry no tolerance anywhere.
+term per commensurability class, and `sum_radicals` is the one function
+that merges classes.  Each term is stored as its sign and its square, so
+the form is canonical without factoring any integer, and equality of two
+RadicalSums is equality of their terms.  Agreement checks carry no
+tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
@@ -52,6 +54,7 @@ class NegativeRadicandError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+@total_ordering
 class HalfInt:
     """An angular-momentum quantum number, stored exactly as its doubled value.
 
@@ -94,22 +97,17 @@ class HalfInt:
     def __abs__(self) -> "HalfInt":
         return HalfInt.from_twice(abs(self.twice))
 
+    # == and < take exactly HalfInt and int, and total_ordering derives the
+    # rest from them; == must reject Fraction, or hashing would break
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (HalfInt, int)):
             return self.twice == _coerce_twice(other)
         return NotImplemented
 
     def __lt__(self, other: Union["HalfInt", int]) -> bool:
-        return self.twice < _coerce_twice(other)
-
-    def __le__(self, other: Union["HalfInt", int]) -> bool:
-        return self.twice <= _coerce_twice(other)
-
-    def __gt__(self, other: Union["HalfInt", int]) -> bool:
-        return self.twice > _coerce_twice(other)
-
-    def __ge__(self, other: Union["HalfInt", int]) -> bool:
-        return self.twice >= _coerce_twice(other)
+        if isinstance(other, (HalfInt, int)):
+            return self.twice < _coerce_twice(other)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # the hash of the floor: an integral value equals, so must hash as,
@@ -186,42 +184,6 @@ def _rational_root(square: Fraction) -> Fraction | None:
     return None
 
 
-def _ratio_root(a: Fraction, b: Fraction) -> int | None:
-    """r with sqrt(b / a) == r / (a.numerator * b.denominator) when that is
-    rational, else None (a, b > 0).
-
-    b/a is the square of a rational iff the integer a.num * a.den * b.num *
-    b.den is a perfect square, so the test costs one integer square root and
-    builds no Fraction.
-    """
-    product = a.numerator * a.denominator * b.numerator * b.denominator
-    root = isqrt(product)
-    return root if root * root == product else None
-
-
-def _add_term(terms: list[Term], sign: int, square: Fraction) -> None:
-    """Add sign * sqrt(square) to ``terms`` in place, merging it into the
-    term of its commensurability class when there is one."""
-    for i, (s, q) in enumerate(terms):
-        root = _ratio_root(q, square)
-        if root is None:
-            continue
-        # sqrt(square) == sqrt(q) * root / unit, so the sum of the two terms
-        # is sqrt(q) * c / unit, whose square is c**2 / (unit * den * q.den)
-        den = square.denominator
-        unit = q.numerator * den
-        c = s * unit + sign * root
-        if c:
-            terms[i] = (1 if c > 0 else -1, Fraction(c * c, unit * den * q.denominator))
-        else:
-            del terms[i]
-        return
-    terms.append((sign, square))
-
-
-_square = itemgetter(1)
-
-
 def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
     """Internal constructor for canonical terms: one per class, by square."""
     obj = object.__new__(RadicalSum)
@@ -229,9 +191,19 @@ def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
     return obj
 
 
-def _sorted_terms(terms: list[Term]) -> "RadicalSum":
-    terms.sort(key=_square)
-    return _from_terms(tuple(terms))
+def _integer_terms(value: "RadicalSum") -> tuple[tuple[int, int, int], ...]:
+    """The terms of ``value`` as `sum_radicals` terms (sign, n, d)."""
+    return tuple((s, q.numerator, q.denominator) for s, q in value._terms)
+
+
+def _term_products(a: "RadicalSum", b: "RadicalSum") -> Iterator[tuple[int, int, int]]:
+    """Each product of a term of ``a`` and a term of ``b``, as a
+    `sum_radicals` term."""
+    return (
+        (s * t, q.numerator * p.numerator, q.denominator * p.denominator)
+        for s, q in a._terms
+        for t, p in b._terms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +304,7 @@ class RadicalSum:
             return self
         if not self._terms:
             return other
-        terms = list(self._terms)
-        for sign, square in other._terms:
-            _add_term(terms, sign, square)
-        return _sorted_terms(terms)
+        return sum_radicals(_integer_terms(self) + _integer_terms(other))
 
     __radd__ = __add__
 
@@ -368,11 +337,7 @@ class RadicalSum:
             ((s1, q1),) = self._terms
             ((s2, q2),) = other._terms
             return _from_terms(((s1 * s2, q1 * q2),))
-        product: list[Term] = []
-        for s1, q1 in self._terms:
-            for s2, q2 in other._terms:
-                _add_term(product, s1 * s2, q1 * q2)
-        return _sorted_terms(product)
+        return sum_radicals(_term_products(self, other))
 
     __rmul__ = __mul__
 
@@ -531,6 +496,10 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     one or two terms of one class, as in a ladder step, cost at most one
     square root and one Fraction, and any input gets its exact sum on this
     same path.
+
+    This is the one function that merges commensurability classes:
+    RadicalSum ``+`` and multi-term ``*``, the ladder actions, the
+    unitarity inner products and `sum_signed_sqrts` all end here.
     """
     classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
     for sign, n, d in terms:
@@ -557,7 +526,8 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     for n0, d0, top, bottom in classes:
         if top:
             out.append((1 if top > 0 else -1, Fraction(top * top * n0, bottom * bottom * d0)))
-    return _sorted_terms(out)
+    out.sort(key=itemgetter(1))
+    return _from_terms(tuple(out))
 
 
 # ---------------------------------------------------------------------------

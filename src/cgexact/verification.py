@@ -38,7 +38,7 @@ from .ladder import (
     highest_weight_state,
     subspace_states,
 )
-from .numerics import HalfInt, RadicalSum, sum_radicals
+from .numerics import HalfInt, RadicalSum, _integer_terms, sum_radicals
 
 __all__ = [
     "Counterexample",
@@ -208,11 +208,6 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 _Terms = tuple[tuple[int, int, int], ...]
 
 
-def _split(value: RadicalSum) -> _Terms:
-    """The (sign, n, d) integer terms of ``value``."""
-    return tuple((s, q.numerator, q.denominator) for s, q in value.terms())
-
-
 def _dot(u: dict[int, _Terms], v: dict[int, _Terms]) -> RadicalSum:
     """Exact inner product of two sparse real vectors: one `sum_radicals`
     call over the products of the terms of matched components, so a value
@@ -234,7 +229,7 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     rows: dict[int, dict[int, dict[int, _Terms]]] = {}
     columns: dict[int, dict[int, dict[int, _Terms]]] = {}
     for r in records:
-        terms = _split(r.exact)
+        terms = _integer_terms(r.exact)
         rows.setdefault(r.M.twice, {}).setdefault(r.J.twice, {})[r.m1.twice] = terms
         columns.setdefault(r.M.twice, {}).setdefault(r.m1.twice, {})[r.J.twice] = terms
     one, zero = RadicalSum.one(), RadicalSum.zero()
@@ -453,25 +448,28 @@ def _ladder_element(tJ: int, tM: int) -> int:
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    one = RadicalSum.one()
     chains = 0
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         chains += 1
         J = HalfInt.from_twice(tJ)
         chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
-        if not apply_jplus(chain[0]).is_zero:
+        raised = apply_jplus(chain[0])
+        if not raised.is_zero:
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
-                values={"J+ |J,J>": str(dict(apply_jplus(chain[0]).components))},
+                values={"J+ |J,J>": str(dict(raised.components))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
-            if state.norm_squared() != 1:
+            norm_squared = state.norm_squared()
+            if norm_squared != one:
                 return chains, Counterexample(
                     description=(
                         f"norm of |J={J}, M={HalfInt.from_twice(tM)}> "
                         f"at (j1={j1}, j2={j2})"
                     ),
-                    values={"norm^2": str(state.norm_squared())},
+                    values={"norm^2": str(norm_squared)},
                 )
             if step > 0:
                 if apply_jplus(state, _ladder_element(tJ, tM)) != chain[step - 1]:

@@ -6,7 +6,7 @@ exact arithmetic of `cgexact.numerics` and the `StateVector` container.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
 from cgexact.ladder import StateVector
@@ -45,9 +45,36 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * n), components)
 
 
+def merged_terms(pairs) -> list[tuple[int, Fraction]]:
+    """sum sign * sqrt(square) over (sign, square) pairs, merged pairwise.
+
+    Each pair is compared with the classes found so far: sqrt(square / q)
+    is rational exactly when the reduced ratio square / q has a square
+    numerator and a square denominator, and then the pair adds its rational
+    root to the class of q.  Returns the canonical terms of the sum, one
+    (sign, square) per class whose sum is not 0, in order of square, as
+    `RadicalSum.terms` gives them.  No `sum_radicals` and no `RadicalSum`
+    addition is involved.
+    """
+    classes: list[list] = []  # [square of the class's first pair, sum in its root]
+    for sign, square in pairs:
+        for cls in classes:
+            ratio = square / cls[0]
+            num, den = isqrt(ratio.numerator), isqrt(ratio.denominator)
+            if num * num == ratio.numerator and den * den == ratio.denominator:
+                cls[1] += sign * Fraction(num, den)
+                break
+        else:
+            classes.append([square, Fraction(sign)])
+    terms = [(1 if c > 0 else -1, c * c * q) for q, c in classes if c]
+    return sorted(terms, key=lambda term: term[1])
+
+
 def scaled(state: StateVector, factor: RadicalSum) -> StateVector:
     """``state`` with every component multiplied by ``factor`` through
-    `RadicalSum` ``*``, not through the ladder's `sum_radicals` path."""
+    `RadicalSum` ``*``, not through the ladder's `sum_radicals` path: the
+    components the routes build are single radicals, and the product of two
+    single radicals stays one tuple product, which merges no classes."""
     components = {k: value * factor for k, value in state.components.items()}
     return StateVector(state.j1, state.j2, state.M, components)
 

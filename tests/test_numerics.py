@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic foundation."""
 
+import operator
 import random
 import threading
 from fractions import Fraction
@@ -18,6 +19,7 @@ from cgexact.numerics import (
     sum_signed_sqrts,
     to_decimal,
 )
+from oracles import merged_terms
 
 # ---------------------------------------------------------------------------
 # HalfInt
@@ -63,6 +65,20 @@ def test_halfint_sum_difference_exact(ta, tb):
     assert (-a).twice == -ta
     assert abs(a).twice == abs(ta)
     assert (a < b) == (ta < tb)
+
+
+def test_halfint_orders_only_what_it_equals():
+    half = HalfInt("1/2")
+    # == rejects Fraction (the hashes differ), so ordering must reject it too
+    assert half != Fraction(1, 2)
+    for other in (Fraction(1, 2), "3/2", 0.75):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(half, other)
+            with pytest.raises(TypeError):
+                compare(other, half)
+    assert half < 1 and half <= HalfInt("1/2") and half >= 0 and half > -1
+    assert 0 < half and 1 > half and not half < half and half >= half
 
 
 @given(st.integers(-10**30, 10**30))
@@ -287,25 +303,26 @@ _STEPS = st.lists(st.tuples(st.sampled_from([1, -1]), _RATIOS), min_size=1, max_
 
 
 def _term_by_term(steps, shared=1):
-    """sum_i sign_i sqrt(r_i * shared) by RadicalSum addition, term by term."""
-    expected, radicand = RadicalSum.zero(), Fraction(1)
+    """The terms of sum_i sign_i sqrt(r_i * shared), each radicand built on
+    its own and merged by the pairwise oracle."""
+    pairs, radicand = [], Fraction(1)
     for sign, n, d in steps:
         radicand *= Fraction(n, d)
-        expected = expected + RadicalSum.sqrt(radicand * shared) * sign
-    return expected
+        pairs.append((sign, radicand * shared))
+    return merged_terms(pairs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_STEPS, st.tuples(st.integers(1, 2000), st.integers(1, 2000)))
 def test_sum_signed_sqrts_matches_term_by_term(steps, shared):
-    assert sum_signed_sqrts(steps) == _term_by_term(steps)
+    assert list(sum_signed_sqrts(steps).terms()) == _term_by_term(steps)
     # a factor shared by every radicand of a chain is a factor of the first
     (sign, n, d), *rest = steps
     folded = [(sign, n * shared[0], d * shared[1]), *rest]
-    assert sum_signed_sqrts(folded) == _term_by_term(steps, Fraction(*shared))
+    assert list(sum_signed_sqrts(folded).terms()) == _term_by_term(steps, Fraction(*shared))
     # the alternating signs of the coupling formulas are one case of them
     alternating = [(-1 if i & 1 else 1, n, d) for i, (_, n, d) in enumerate(steps)]
-    assert sum_signed_sqrts(alternating) == _term_by_term(alternating)
+    assert list(sum_signed_sqrts(alternating).terms()) == _term_by_term(alternating)
 
 
 def test_sum_signed_sqrts_examples():
@@ -368,12 +385,34 @@ _RADICAL_TERMS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_RADICAL_TERMS)
 def test_sum_radicals_matches_term_by_term(terms):
-    expected = RadicalSum.zero()
-    for sign, n, d in terms:
-        expected = expected + RadicalSum.sqrt(Fraction(n, d)) * sign
-    assert sum_radicals(terms) == expected
+    expected = merged_terms((sign, Fraction(n, d)) for sign, n, d in terms)
+    assert list(sum_radicals(terms).terms()) == expected
     # every term beside its negation: each class cancels to exactly 0
     assert sum_radicals([*terms, *((-s, n, d) for s, n, d in terms)]).is_zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RADICAL_TERMS, _RADICAL_TERMS)
+def test_radical_add_and_mul_match_pairwise_merge(a, b):
+    # values of several classes, so that + and * take their merging path
+    x, y = sum_radicals(a), sum_radicals(b)
+    assert list((x + y).terms()) == merged_terms([*x.terms(), *y.terms()])
+    assert list((x - y).terms()) == merged_terms([*x.terms(), *(-y).terms()])
+    products = [(s * t, q * p) for s, q in x.terms() for t, p in y.terms()]
+    assert list((x * y).terms()) == merged_terms(products)
+
+
+def test_radical_add_and_mul_examples():
+    # (sqrt2 + sqrt3)(sqrt2 - sqrt3) = 2 - 3: the two sqrt6 terms cancel
+    value = (SQRT(2) + SQRT(3)) * (SQRT(2) - SQRT(3))
+    assert value == -1 and list(value.terms()) == [(-1, Fraction(1))]
+    # (sqrt2 + sqrt3)(sqrt6 + 1) = 2 sqrt3 + sqrt2 + 3 sqrt2 + sqrt3, in order of square
+    value = (SQRT(2) + SQRT(3)) * (SQRT(6) + 1)
+    assert list(value.terms()) == [(1, Fraction(27)), (1, Fraction(32))]
+    assert value == SQRT(2) * 4 + SQRT(3) * 3
+    # two classes that each cancel to exactly 0
+    value = (SQRT(8) + SQRT(27)) + (-SQRT(2) - SQRT(Fraction(1, 2)) * 2 - SQRT(12) - SQRT(3))
+    assert value.is_zero and list(value.terms()) == []
 
 
 def test_sum_radicals_examples():
