@@ -8,7 +8,12 @@ exact agreement.  The Wigner 3j symbol is obtained from the Racah route via
 the standard phase-and-normalization conversion.
 
 All index arithmetic happens on doubled integers (``HalfInt.twice``), so
-every loop bound is a plain int and no rounding can occur.
+every loop bound is a plain int and no rounding can occur.  Validation
+happens only at the public entry points: `cg_racah` and `wigner3j` check
+their spec and then call the kernels `_racah` and `_wigner3j`, which take
+doubled integers and assume arguments that are well-formed and pass the
+selection rules.  The verification sweeps call those kernels directly,
+over the doubled (J, M, m1) keys of `_cell_keys`, the one walk of a cell.
 """
 
 from __future__ import annotations
@@ -161,25 +166,31 @@ def _require_well_formed(spec: CouplingSpec) -> ValidationResult:
     return result
 
 
+def _cell_keys(tj1: int, tj2: int) -> Iterator[tuple[int, int, int]]:
+    """The doubled (J, M, m1) of every well-formed spec of the (2j1, 2j2)
+    cell, in increasing (J, M, m1) order: |j1 - j2| <= J <= j1 + j2 in unit
+    steps, |M| <= J, and M = m1 + m2 with |m1| <= j1 and |m2| <= j2."""
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tM in range(-tJ, tJ + 1, 2):
+            for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
+                yield tJ, tM, tm1
+
+
+def _key_spec(tj1: int, tj2: int, key: tuple[int, int, int]) -> CouplingSpec:
+    """The spec of the doubled (J, M, m1) ``key`` in the (2j1, 2j2) cell."""
+    tJ, tM, tm1 = key
+    half = HalfInt.from_twice
+    return CouplingSpec(
+        half(tj1), half(tj2), half(tm1), half(tM - tm1), half(tJ), half(tM)
+    )
+
+
 def cell_specs(j1, j2) -> Iterator[CouplingSpec]:
     """Every well-formed spec of the (j1, j2) cell, in increasing (J, M, m1)
-    order: |j1 - j2| <= J <= j1 + j2 in unit steps, |M| <= J, and
-    M = m1 + m2 with |m1| <= j1 and |m2| <= j2."""
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    tj1, tj2 = j1.twice, j2.twice
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        J = HalfInt.from_twice(tJ)
-        for tM in range(-tJ, tJ + 1, 2):
-            M = HalfInt.from_twice(tM)
-            for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
-                yield CouplingSpec(
-                    j1,
-                    j2,
-                    HalfInt.from_twice(tm1),
-                    HalfInt.from_twice(tM - tm1),
-                    J,
-                    M,
-                )
+    order (`_cell_keys`)."""
+    tj1, tj2 = HalfInt(j1).twice, HalfInt(j2).twice
+    for key in _cell_keys(tj1, tj2):
+        yield _key_spec(tj1, tj2, key)
 
 
 @lru_cache(maxsize=1024)
@@ -275,7 +286,19 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
-    """Clebsch-Gordan coefficient via Racah's single-sum factorial formula.
+    """Clebsch-Gordan coefficient via Racah's single-sum factorial formula
+    (`_racah`).  Selection-zero specs give exactly 0."""
+    if _require_well_formed(spec).is_selection_zero:
+        return RadicalSum.zero()
+    return _racah(
+        spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice, spec.m1.twice
+    )
+
+
+def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
+    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, for
+    arguments that are well-formed and obey the triangle rule with
+    j1 + j2 + J an integer; only the public entry points validate.
 
     A common square-root prefactor multiplies an alternating rational sum
     over every z that keeps all factorial arguments nonnegative.  Only the
@@ -286,13 +309,7 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     is structurally a single-term RadicalSum, which is what makes this route
     the collapse oracle for `cg_alternative`.
     """
-    result = _require_well_formed(spec)
-    if result.is_selection_zero:
-        return RadicalSum.zero()
-    tj1, tj2 = spec.j1.twice, spec.j2.twice
-    tm1, tm2 = spec.m1.twice, spec.m2.twice
-    tJ, tM = spec.J.twice, spec.M.twice
-
+    tm2 = tM - tm1
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
     g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
     g3 = (tJ + tj2 - tj1) // 2         # J + j2 - j1
@@ -339,28 +356,37 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     return _from_terms(((1 if num > 0 else -1, square),))
 
 
+def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
+    """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
+    arguments with M + j1 - j2 an integer.  Each term (s, q) of C maps to
+    (s * phase, q / (2J+1)), which keeps the classes apart and in order."""
+    sign = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
+    width = tJ + 1
+    return _from_terms(tuple((s * sign, q / width) for s, q in value.terms()))
+
+
 def cg_to_wigner3j(
     spec: CouplingSpec, value: RadicalSum
 ) -> tuple[ThreeJSpec, RadicalSum]:
-    """Convert a CG coefficient to the corresponding Wigner 3j symbol.
-
-    3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C.  The phase
-    exponent is an integer whenever the coefficient is nonzero.  Each term
-    (s, q) of C maps to (s * phase, q / (2J+1)), one Fraction per term.
-    """
+    """Convert a CG coefficient to the corresponding Wigner 3j symbol
+    (`_racah_to_3j`).  The phase exponent M + j1 - j2 is an integer whenever
+    the coefficient is nonzero."""
     threej = ThreeJSpec(spec.j1, spec.j2, spec.J, spec.m1, spec.m2, -spec.M)
     if value.is_zero:
         return threej, RadicalSum.zero()
-    phase_twice = spec.M.twice + spec.j1.twice - spec.j2.twice
-    if phase_twice % 2:
+    tj1, tj2, tJ, tM = spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice
+    if (tM + tj1 - tj2) % 2:
         raise MalformedCouplingError(
             f"{spec}: M + j1 - j2 is not an integer for a nonzero coefficient"
         )
-    sign = -1 if (phase_twice // 2) & 1 else 1
-    # dividing every square by one positive integer keeps the classes apart
-    # and their order by square
-    width = spec.J.twice + 1
-    return threej, _from_terms(tuple((s * sign, q / width) for s, q in value.terms()))
+    return threej, _racah_to_3j(value, tj1, tj2, tJ, tM)
+
+
+def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
+    """3j(ja jb jc; ma mb -ma-mb) from doubled columns that `_racah` takes
+    at J = jc and M = ma + mb, converted by `_racah_to_3j`."""
+    tM = ma + mb
+    return _racah_to_3j(_racah(ja, jb, jc, tM, ma), ja, jb, jc, tM)
 
 
 def wigner3j(spec: ThreeJSpec) -> RadicalSum:
@@ -368,9 +394,13 @@ def wigner3j(spec: ThreeJSpec) -> RadicalSum:
 
     Computed from the Racah route through the CG conversion so that the 3j
     symmetry suite stays an independent check on the other formulas.  The
-    coupling spec has J = j3 and M = -m3, so `cg_racah`'s validation rejects
+    coupling spec has J = j3 and M = -m3, so its validation rejects
     malformed columns and gives 0 when m1 + m2 + m3 != 0 or the triangle
-    rule fails.
+    rule fails; every other symbol is `_wigner3j`.
     """
     coupling = CouplingSpec(spec.j1, spec.j2, spec.m1, spec.m2, spec.j3, -spec.m3)
-    return cg_to_wigner3j(coupling, cg_racah(coupling))[1]
+    if _require_well_formed(coupling).is_selection_zero:
+        return RadicalSum.zero()
+    return _wigner3j(
+        spec.j1.twice, spec.j2.twice, spec.j3.twice, spec.m1.twice, spec.m2.twice
+    )

@@ -285,9 +285,9 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     Every route produces the identical record set, each in that order; the
     iterative ladder route recomputes states by repeated exact lowering
     precisely so it can defend the closed forms.  RACAH evaluates
-    `formulas.cg_racah` per spec, and every other route reads the states of
-    `subspace_states`.  ``route`` is a TableRoute or its value; any other
-    value raises ValueError.
+    `formulas._racah` per doubled (J, M, m1) of `formulas._cell_keys`, and
+    every other route reads the states of `subspace_states`.  ``route`` is
+    a TableRoute or its value; any other value raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)
@@ -295,10 +295,12 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     if tj1 < 0 or tj2 < 0:
         raise ValueError("j1 and j2 must be nonnegative")
     if route is TableRoute.RACAH:
+        # rows share one HalfInt per doubled value, which keeps the table small
+        half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
         return [
-            CoefficientRecord(spec.J, spec.M, spec.m1, spec.m2, value)
-            for spec in formulas.cell_specs(j1, j2)
-            if not (value := formulas.cg_racah(spec)).is_zero
+            CoefficientRecord(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
+            for tJ, tM, tm1 in formulas._cell_keys(tj1, tj2)
+            if not (value := formulas._racah(tj1, tj2, tJ, tM, tm1)).is_zero
         ]
     records: list[CoefficientRecord] = []
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):

@@ -7,6 +7,13 @@ ladder consistency).  There are no tolerances anywhere: every comparison is
 exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
+The agreement and collapse checks read per-cell tables: the states that the
+closed form and the iterative ladder build for a cell, keyed by doubled
+(J, M, m1), and the Racah kernel `formulas._racah` called per key of
+`formulas._cell_keys`.  The 3j check calls `formulas._wigner3j` on doubled
+columns.  These kernels skip validation, which only the public entry points
+do; a CouplingSpec or ThreeJSpec is built only to write a counterexample.
+
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
 processes and the results are merged in unit order, so reports are
@@ -25,10 +32,12 @@ from typing import Callable, Iterator
 from .formulas import (
     CouplingSpec,
     ThreeJSpec,
-    cell_specs,
+    _cell_keys,
+    _key_spec,
+    _racah,
+    _wigner3j,
     cg_alternative,
     cg_racah,
-    wigner3j,
 )
 from .ladder import (
     TableRoute,
@@ -156,28 +165,34 @@ def _run_cell_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _agreement_cell(cell: tuple[int, int]) -> CellResult:
-    tj1, tj2 = cell
+def _route_table(
+    tj1: int, tj2: int, route: TableRoute
+) -> dict[tuple[int, int, int], RadicalSum]:
+    """The nonzero values of the states that ``route`` builds for the
+    (2j1, 2j2) cell, keyed by doubled (J, M, m1)."""
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    # the nonzero ladder values, keyed by doubled (J, M, m1)
-    ladder_values = {
+    return {
         (tJ, state.M.twice, tm1): value
         for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-        for state in subspace_states(
-            j1, j2, HalfInt.from_twice(tJ), TableRoute.LADDER_ITERATIVE
-        )
+        for state in subspace_states(j1, j2, HalfInt.from_twice(tJ), route)
         for tm1, value in state.components.items()
     }
+
+
+def _agreement_cell(cell: tuple[int, int]) -> CellResult:
+    tj1, tj2 = cell
+    closed = _route_table(tj1, tj2, TableRoute.CLOSED_FORM)
+    iterative = _route_table(tj1, tj2, TableRoute.LADDER_ITERATIVE)
     count = 0
     zero = RadicalSum.zero()
-    for spec in cell_specs(j1, j2):
+    for key in _cell_keys(tj1, tj2):
         count += 1
-        alternative = cg_alternative(spec)
-        racah = cg_racah(spec)
-        ladder = ladder_values.get((spec.J.twice, spec.M.twice, spec.m1.twice), zero)
+        alternative = closed.get(key, zero)
+        racah = _racah(tj1, tj2, *key)
+        ladder = iterative.get(key, zero)
         if not (alternative == racah == ladder):
             return count, Counterexample(
-                description=str(spec),
+                description=str(_key_spec(tj1, tj2, key)),
                 values={
                     "alternative": str(alternative),
                     "racah": str(racah),
@@ -188,8 +203,9 @@ def _agreement_cell(cell: tuple[int, int]) -> CellResult:
 
 
 def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """cg_alternative == cg_racah == iterative-ladder value, exactly,
-    for every valid spec with 2j1, 2j2 <= max_twice_j (zeros included)."""
+    """Closed form == Racah == iterative-ladder value, exactly, for every
+    valid spec with 2j1, 2j2 <= max_twice_j (zeros included): per cell,
+    the closed-form and ladder states against `formulas._racah` per key."""
     return _run_cell_sweep(
         "formula agreement",
         f"2j <= {max_twice_j}",
@@ -301,20 +317,22 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
 
 
 def _collapse_cell(cell: tuple[int, int]) -> CellResult:
+    closed = _route_table(*cell, TableRoute.CLOSED_FORM)
     count = 0
-    for spec in cell_specs(*(HalfInt.from_twice(t) for t in cell)):
+    for key in _cell_keys(*cell):
         count += 1
-        value = cg_alternative(spec)
-        if value.num_terms > 1:
+        value = closed.get(key)
+        if value is not None and value.num_terms > 1:
             return count, Counterexample(
-                description=str(spec), values={"value": str(value)}
+                description=str(_key_spec(*cell, key)), values={"value": str(value)}
             )
     return count, None
 
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """Every cg_alternative value in range reduces to at most one radical
-    term after summation (term commensurability certificate)."""
+    """Every closed-form value in range, read from the per-state build,
+    reduces to at most one radical term after summation (term
+    commensurability certificate)."""
     return _run_cell_sweep(
         "radical collapse",
         f"2j <= {max_twice_j}",
@@ -347,7 +365,7 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
                 mc = -ma - mb
                 if abs(mc) <= jc:
                     key = (ja, jb, jc, ma, mb, mc)
-                    symbols[key] = wigner3j(_threej_spec(key))
+                    symbols[key] = _wigner3j(ja, jb, jc, ma, mb)
     odd = (sum(unit) // 2) & 1
     count = 0
     for key, base in symbols.items():

@@ -1,5 +1,6 @@
 """Tests for the closed-form coefficient routes and the 3j conversion."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from cgexact.formulas import (
     MalformedCouplingError,
     ThreeJSpec,
     Validity,
+    _racah,
+    _wigner3j,
     cell_specs,
     cg_alternative,
     cg_racah,
@@ -18,7 +21,7 @@ from cgexact.formulas import (
     validate,
     wigner3j,
 )
-from cgexact.ladder import cg_ladder
+from cgexact.ladder import TableRoute, cg_ladder, subspace_states
 from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
 from oracles import beta_closed_form, norm_sum, racah_as_written
 
@@ -381,3 +384,66 @@ def test_cell_specs_is_the_well_formed_grid():
         for _ in cell_specs(HalfInt.from_twice(tj1), HalfInt.from_twice(tj2))
     )
     assert total == 7809
+
+
+# ---------------------------------------------------------------------------
+# Public entry points against the doubled-integer kernels
+# ---------------------------------------------------------------------------
+
+
+def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
+    """The sweeps read the per-state closed form and `_racah`; the public
+    functions must give the same value for every spec, zeros included."""
+    zero = RadicalSum.zero()
+    for tj1 in range(7):
+        for tj2 in range(7):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            states = {}
+            for s in cell_specs(j1, j2):
+                tJ, tM, tm1 = s.J.twice, s.M.twice, s.m1.twice
+                if tJ not in states:
+                    states[tJ] = subspace_states(j1, j2, s.J, TableRoute.CLOSED_FORM)
+                state = states[tJ][(tJ - tM) // 2]
+                assert state.M == s.M
+                assert cg_alternative(s) == state.components.get(tm1, zero), s
+                assert cg_racah(s) == _racah(tj1, tj2, tJ, tM, tm1), s
+
+
+def test_wigner3j_equals_the_kernel_for_every_symbol_up_to_2j_4():
+    count = 0
+    for a in range(5):
+        for b in range(a, 5):
+            for c in range(b + (a & 1), min(a + b, 4) + 1, 2):
+                for ja, jb, jc in set(itertools.permutations((a, b, c))):
+                    for ma in range(-ja, ja + 1, 2):
+                        for mb in range(-jb, jb + 1, 2):
+                            mc = -ma - mb
+                            if abs(mc) > jc:
+                                continue
+                            count += 1
+                            h = [HalfInt.from_twice(t) for t in (ja, jb, jc, ma, mb, mc)]
+                            value = wigner3j(ThreeJSpec(*h))
+                            assert value == _wigner3j(ja, jb, jc, ma, mb)
+                            # the conversion as a public caller writes it
+                            coupling = CouplingSpec(h[0], h[1], h[3], h[4], h[2], -h[5])
+                            _, converted = cg_to_wigner3j(coupling, cg_racah(coupling))
+                            assert value == converted
+    assert count == 303
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (1, 1, 2, "1/2", 0, "-1/2"),   # m parity
+        (-1, 1, 2, 0, 0, 0),           # negative j
+        (1, 1, 2, 2, 0, -2),           # |m| > j
+        (1, 1, 2, 0, 0, 3),            # |m3| > j3
+        ("1/2", 1, 1, 0, 0, 0),        # m1 parity against j1
+    ],
+)
+def test_malformed_specs_raise_from_racah_and_wigner3j(columns):
+    j1, j2, j3, m1, m2, m3 = columns
+    with pytest.raises(MalformedCouplingError):
+        wigner3j(ThreeJSpec.of(j1, j2, j3, m1, m2, m3))
+    with pytest.raises(MalformedCouplingError):
+        cg_racah(CouplingSpec.of(j1, j2, m1, m2, j3, -HalfInt(m3)))

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum
@@ -79,13 +80,23 @@ def test_run_checks_subset_and_order():
         run_checks(["nonsense"], 2)
 
 
+def _broken_closed_form(monkeypatch, value):
+    """Make the closed-form per-state build give ``value`` for every
+    component that it builds."""
+    original = ladder._closed_form_state
+
+    def broken(j1, j2, m, s):
+        state = original(j1, j2, m, s)
+        return ladder.StateVector(
+            state.j1, state.j2, state.M, {tm1: value for tm1 in state.components}
+        )
+
+    monkeypatch.setattr(ladder, "_closed_form_state", broken)
+
+
 def test_agreement_detects_injected_disagreement(monkeypatch):
     """The counterexample machinery must actually catch a bad route."""
-
-    def broken(spec):
-        return RadicalSum.rational(7)
-
-    monkeypatch.setattr(verification, "cg_alternative", broken)
+    _broken_closed_form(monkeypatch, RadicalSum.rational(7))
     report = check_formula_agreement(1)
     assert not report.passed
     assert report.counterexample is not None
@@ -94,10 +105,7 @@ def test_agreement_detects_injected_disagreement(monkeypatch):
 
 
 def test_collapse_detects_injected_multiterm(monkeypatch):
-    def broken(spec):
-        return RadicalSum.sqrt(2) + RadicalSum.sqrt(3)
-
-    monkeypatch.setattr(verification, "cg_alternative", broken)
+    _broken_closed_form(monkeypatch, RadicalSum.sqrt(2) + RadicalSum.sqrt(3))
     report = check_radical_collapse(1)
     assert not report.passed
     assert "sqrt(2)" in report.counterexample.values["value"]
@@ -316,15 +324,13 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
 def test_threej_detects_flipped_symbols(monkeypatch):
     # flipping every symbol of a j-multiset would keep all its symmetries;
     # flipping one column order, (1, 1/2, 1/2), breaks the images of the others
-    original = verification.wigner3j
+    original = verification._wigner3j
 
-    def flipped(spec):
-        value = original(spec)
-        if (spec.j1.twice, spec.j2.twice, spec.j3.twice) == (2, 1, 1):
-            return -value
-        return value
+    def flipped(ja, jb, jc, ma, mb):
+        value = original(ja, jb, jc, ma, mb)
+        return -value if (ja, jb, jc) == (2, 1, 1) else value
 
-    monkeypatch.setattr(verification, "wigner3j", flipped)
+    monkeypatch.setattr(verification, "_wigner3j", flipped)
     report = check_threej_symmetries(3)
     assert not report.passed
     description = report.counterexample.description
@@ -339,15 +345,48 @@ def test_threej_detects_flipped_symbols(monkeypatch):
 
 
 def test_threej_evaluates_each_symbol_once(monkeypatch):
-    original = verification.wigner3j
+    original = verification._wigner3j
     calls = []
 
-    def counted(spec):
-        calls.append(spec)
-        return original(spec)
+    def counted(*columns):
+        calls.append(columns)
+        return original(*columns)
 
-    monkeypatch.setattr(verification, "wigner3j", counted)
+    monkeypatch.setattr(verification, "_wigner3j", counted)
     report = check_threej_symmetries(4)
     assert report.passed and report.scope == "2j <= 4, 303 cases"
     assert len(calls) == 303
     assert len(set(calls)) == 303
+
+
+def test_flipped_racah_cell_fails_agreement_threej_and_condon_shortley(monkeypatch):
+    # every Racah value of the cell (j1=1, j2=1/2) changes sign: the checks
+    # that read the Racah kernel, directly or through cg_racah and
+    # _wigner3j, must each fail there
+    original = formulas._racah
+
+    def flipped(tj1, tj2, tJ, tM, tm1):
+        value = original(tj1, tj2, tJ, tM, tm1)
+        return -value if (tj1, tj2) == (2, 1) else value
+
+    monkeypatch.setattr(formulas, "_racah", flipped)
+    monkeypatch.setattr(verification, "_racah", flipped)
+    report = check_formula_agreement(2)
+    assert (report.scope, report.counterexample) == (
+        "2j <= 2, 28 cases",
+        Counterexample(
+            "C(j1=1, j2=1/2, m1=-1, m2=1/2, J=1/2, M=-1/2)",
+            {"alternative": "-sqrt(2/3)", "racah": "sqrt(2/3)", "ladder": "-sqrt(2/3)"},
+        ),
+    )
+    report = check_condon_shortley(2)
+    assert report.counterexample == Counterexample(
+        "C(j1=1, j2=1/2, m1=1, m2=-1/2, J=1/2, M=1/2) via racah",
+        {"racah": "-sqrt(2/3)"},
+    )
+    # the (312) image of this symbol is 3j(1 1/2 1/2; ...), in the flipped cell
+    report = check_threej_symmetries(2)
+    assert report.counterexample == Counterexample(
+        "cyclic (312) of 3j(1/2 1/2 1; -1/2 -1/2 1)",
+        {"base": "-sqrt(1/3)", "permuted": "sqrt(1/3)"},
+    )
