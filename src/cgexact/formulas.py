@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _from_terms, binomial, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _radical, binomial, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -194,14 +193,15 @@ def cell_specs(j1, j2) -> Iterator[CouplingSpec]:
 
 
 @lru_cache(maxsize=1024)
-def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
+def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> tuple[int, int]:
     """sum_i C(2j2-m+i, i) C(m, i) / C(2j1, i) over i = 0..m (m = ``depth``).
 
     This is the inverse square of the highest-weight leading coefficient for
     the subspace J = j1 + j2 - m; the closed form takes it into the factor
     that its weights share (`_shared_factor`).  The sum is taken in
     Horner form from the top, term ratio (2j2-m+i+1)(m-i) / ((i+1)(2j1-i)),
-    as one integer fraction.  The cache is bounded, so a long session of
+    as one integer fraction, and returned as its reduced pair (numerator,
+    denominator).  The cache is bounded, so a long session of
     single coefficients does not grow it without end; a sweep over all cells
     with 2j <= 8 has 285 keys, and one cell at most 2j + 1.
     """
@@ -209,15 +209,16 @@ def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> Fraction:
     for i in range(depth - 1, -1, -1):
         below = (i + 1) * (tj1 - i)
         num, den = den * below + (tj2 - depth + i + 1) * (depth - i) * num, den * below
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _shared_factor(tj1: int, tj2: int, m: int, s: int) -> tuple[int, int]:
     """1 / (C(2J, s) * norm sum) as an integer pair (numerator, denominator):
     the factor of every closed-form weight of |J, J - s> in the subspace of
     depth m = j1 + j2 - J."""
-    norm = _norm_denominator_sum(tj1, tj2, m)
-    return norm.denominator, binomial(tj1 + tj2 - 2 * m, s) * norm.numerator
+    num, den = _norm_denominator_sum(tj1, tj2, m)
+    return den, binomial(tj1 + tj2 - 2 * m, s) * num
 
 
 def _term_ratio(tj1, tj2, m, s, k, l):
@@ -305,9 +306,9 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     first term is built from factorials; the sum is taken in Horner form
     from the last term through the small-integer term ratios, as one
     integer fraction.  Prefactor and sum are then squared together in
-    integers, so the value costs one Fraction: its square.  The result
-    is structurally a single-term RadicalSum, which is what makes this route
-    the collapse oracle for `cg_alternative`.
+    integers, so the value costs one gcd: the reduced pair of its square.
+    The result is structurally a single-term RadicalSum, which is what makes
+    this route the collapse oracle for `cg_alternative`.
     """
     tm2 = tM - tm1
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
@@ -344,7 +345,8 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     )
     # C = sqrt(prefactor) * num / den, with the prefactor (2J+1) times nine
     # factorials over (j1+j2+J+1)!, taken as one signed square
-    square = Fraction(
+    return _radical(
+        1 if num > 0 else -1,
         (tJ + 1)
         * factorial(g1) * factorial(g2) * factorial(g3)
         * factorial(a_p) * factorial(a_m)
@@ -353,16 +355,14 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
         * num * num,
         factorial(gs) * den * den,
     )
-    return _from_terms(((1 if num > 0 else -1, square),))
 
 
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
     """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
-    arguments with M + j1 - j2 an integer.  Each term (s, q) of C maps to
-    (s * phase, q / (2J+1)), which keeps the classes apart and in order."""
+    arguments with M + j1 - j2 an integer: C times the one radical
+    phase * sqrt(1 / (2J+1))."""
     sign = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
-    width = tJ + 1
-    return _from_terms(tuple((s * sign, q / width) for s, q in value.terms()))
+    return value * _radical(sign, 1, tJ + 1)
 
 
 def cg_to_wigner3j(

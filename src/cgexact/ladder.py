@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import formulas
@@ -22,6 +21,7 @@ from .formulas import CouplingSpec
 from .numerics import (
     HalfInt,
     RadicalSum,
+    _radical,
     _term_products,
     sum_radicals,
     sum_signed_sqrts,
@@ -100,22 +100,22 @@ def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
     alpha_l multiplies |j1-l, j2-m+l> and equals
     (-1)^l sqrt(prod_{k=1}^{l} (2j2-m+k)(m-k+1) / (k(2j1-k+1))) * alpha_0,
     with the empty product equal to 1; alpha_0 > 0 fixes the sign convention
-    and normalization makes sum(alpha_l^2) == 1 exactly.
+    and normalization makes sum(alpha_l^2) == 1 exactly.  The products are
+    taken in integers over the common denominator of the last one, so that
+    alpha_l^2 is product_l over their sum, one reduced term per alpha.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     tj1, tj2 = j1.twice, j2.twice
     if not 0 <= m <= min(tj1, tj2):
         raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    products = [Fraction(1)]
+    numerators, denominators = [1], [1]
     for k in range(1, m + 1):
-        ratio = Fraction((tj2 - m + k) * (m - k + 1), k * (tj1 - k + 1))
-        products.append(products[-1] * ratio)
-    alpha0 = RadicalSum.sqrt(Fraction(1) / sum(products))
-    alphas = []
-    for l, product in enumerate(products):
-        value = RadicalSum.sqrt(product) * alpha0
-        alphas.append(-value if l & 1 else value)
-    return tuple(alphas)
+        numerators.append(numerators[-1] * (tj2 - m + k) * (m - k + 1))
+        denominators.append(denominators[-1] * k * (tj1 - k + 1))
+    common = denominators[-1]
+    products = [n * (common // d) for n, d in zip(numerators, denominators)]
+    total = sum(products)
+    return tuple(_radical(-1 if l & 1 else 1, p, total) for l, p in enumerate(products))
 
 
 def _subspace_depth(j1: HalfInt, j2: HalfInt, J: HalfInt) -> int:
@@ -144,10 +144,11 @@ def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> State
 
     Each new component is the sum of its two contributions, one from J(1)
     and one from J(2), each a radical whose square is that of the old
-    component times the element's integer square; `sum_radicals` adds them
-    with one integer square root and builds one Fraction.  A component of
-    several classes brings one contribution per class.  Raises ValueError
-    unless ``divisor`` is at least 1.
+    component times the element's integer square, taken on the reduced
+    integer pair of each term; `sum_radicals` adds them with one integer
+    square root and one gcd.  A component of several classes brings one
+    contribution per class.  Raises ValueError unless ``divisor`` is at
+    least 1.
     """
     if divisor < 1:
         raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
@@ -162,10 +163,10 @@ def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> State
             for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1)))
             if e
         ]
-        for s, q in value.terms():
-            num, den = q.numerator, q.denominator * divisor
+        for s, n, d in value._terms:
+            d *= divisor
             for terms, e in moves:
-                terms.append((s, num * e, den))
+                terms.append((s, n * e, d))
     components = {key: sum_radicals(terms) for key, terms in contributions.items()}
     return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), components)
 

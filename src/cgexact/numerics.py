@@ -3,14 +3,16 @@ combinatorics, and exact sums of signed square roots of rationals.
 
 Every value in this package is exact.  Rational numbers are
 :class:`fractions.Fraction`; irrational values are :class:`RadicalSum`,
-finite sums ``sum_i s_i * sqrt(q_i)`` with signs s_i = +-1 and positive
-rational squares q_i.  Two square roots sqrt(a) and sqrt(b) are
+finite sums ``sum_i s_i * sqrt(n_i / d_i)`` with signs s_i = +-1 and
+positive integers n_i and d_i.  Two square roots sqrt(a) and sqrt(b) are
 commensurable when a/b is the square of a rational; a RadicalSum keeps one
 term per commensurability class, and `sum_radicals` is the one function
-that merges classes.  Each term is stored as its sign and its square, so
-the form is canonical without factoring any integer, and equality of two
-RadicalSums is equality of their terms.  Agreement checks carry no
-tolerance anywhere.
+that merges classes.  Each term is stored as its sign and the reduced
+integer pair (n, d) of its square, so the form is canonical without
+factoring any integer, and equality of two RadicalSums is equality of their
+terms, tuples of ints.  `Fraction` appears only where a value enters or
+leaves as a rational: `RadicalSum.sqrt`, `rational`, `parse`, `terms` and
+`as_fraction`.  Agreement checks carry no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 from math import gcd, isqrt
-from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -36,9 +37,10 @@ __all__ = [
 
 Rationalish = Union[int, Fraction]
 
-#: One term of a RadicalSum: (sign, square) stands for sign * sqrt(square),
-#: with sign +1 or -1 and square a positive Fraction.
-Term = tuple[int, Fraction]
+#: One term of a RadicalSum: (sign, n, d) stands for sign * sqrt(n / d),
+#: with sign +1 or -1 and (n, d) the reduced integer pair of the square:
+#: n and d positive and coprime.
+Term = tuple[int, int, int]
 
 
 class NegativeRadicandError(ValueError):
@@ -175,35 +177,53 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rational_root(square: Fraction) -> Fraction | None:
-    """sqrt(square) when it is rational, else None (square >= 0)."""
-    num, den = square.numerator, square.denominator
-    num_root, den_root = isqrt(num), isqrt(den)
-    if num_root * num_root == num and den_root * den_root == den:
-        return Fraction(num_root, den_root)
+def _rational_root(n: int, d: int) -> tuple[int, int] | None:
+    """(sqrt(n), sqrt(d)) when both are integers, else None; for a reduced
+    pair that is exactly when sqrt(n / d) is rational."""
+    num_root, den_root = isqrt(n), isqrt(d)
+    if num_root * num_root == n and den_root * den_root == d:
+        return num_root, den_root
     return None
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d as str(Fraction(n, d)) renders it, for a reduced pair."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
-    """Internal constructor for canonical terms: one per class, by square."""
+    """Internal constructor for canonical terms: one per class, in
+    increasing order of n / d."""
     obj = object.__new__(RadicalSum)
     obj._terms = terms
     return obj
 
 
-def _integer_terms(value: "RadicalSum") -> tuple[tuple[int, int, int], ...]:
-    """The terms of ``value`` as `sum_radicals` terms (sign, n, d)."""
-    return tuple((s, q.numerator, q.denominator) for s, q in value._terms)
+def _radical(sign: int, n: int, d: int) -> "RadicalSum":
+    """sign * sqrt(n / d) for positive ints n and d, as one term reduced by
+    one gcd."""
+    g = gcd(n, d)
+    return _from_terms(((sign, n // g, d // g),))
 
 
 def _term_products(a: "RadicalSum", b: "RadicalSum") -> Iterator[tuple[int, int, int]]:
     """Each product of a term of ``a`` and a term of ``b``, as a
     `sum_radicals` term."""
     return (
-        (s * t, q.numerator * p.numerator, q.denominator * p.denominator)
-        for s, q in a._terms
-        for t, p in b._terms
+        (s * t, n * m, d * e) for s, n, d in a._terms for t, m, e in b._terms
     )
+
+
+#: sort key of terms by the value n / d, compared in integers
+_BY_VALUE = cmp_to_key(lambda a, b: a[1] * b[2] - b[1] * a[2])
+
+
+def _ratio(value: Rationalish) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of an int, a Fraction, or
+    anything else that Fraction accepts."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +232,15 @@ def _term_products(a: "RadicalSum", b: "RadicalSum") -> Iterator[tuple[int, int,
 
 
 class RadicalSum:
-    """Exact number of the form ``sum_i s_i * sqrt(q_i)``.
+    """Exact number of the form ``sum_i s_i * sqrt(n_i / d_i)``.
 
-    Each term is a (sign, square) pair.  No two squares of one value have a
-    ratio that is the square of a rational, and the terms are sorted by
-    square, so two values are equal iff their terms are equal.  A rational
-    value is a single term whose square is a rational square.  ``RadicalSum()``
-    is exactly 0; other values come from :meth:`rational`, :meth:`sqrt`,
-    :meth:`parse` and arithmetic.  Instances are immutable.
+    Each term is a (sign, n, d) triple, with (n, d) the reduced integer pair
+    of the term's square.  No two squares of one value have a ratio that is
+    the square of a rational, and the terms are sorted by n / d, so two
+    values are equal iff their terms are equal as tuples of ints.  A
+    rational value is a single term whose n and d are perfect squares.
+    ``RadicalSum()`` is exactly 0; other values come from :meth:`rational`,
+    :meth:`sqrt`, :meth:`parse` and arithmetic.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -235,24 +256,24 @@ class RadicalSum:
 
     @classmethod
     def one(cls) -> "RadicalSum":
-        return _from_terms(((1, Fraction(1)),))
+        return _from_terms(((1, 1, 1),))
 
     @classmethod
     def rational(cls, value: Rationalish) -> "RadicalSum":
-        value = Fraction(value)
-        if not value:
+        num, den = _ratio(value)
+        if not num:
             return cls()
-        return _from_terms(((1 if value > 0 else -1, value * value),))
+        return _from_terms(((1 if num > 0 else -1, num * num, den * den),))
 
     @classmethod
     def sqrt(cls, value: Rationalish) -> "RadicalSum":
         """Exact square root of a nonnegative rational."""
-        square = Fraction(value)
-        if square < 0:
-            raise NegativeRadicandError(f"negative radicand {square}")
-        if not square:
+        num, den = _ratio(value)
+        if num < 0:
+            raise NegativeRadicandError(f"negative radicand {_ratio_text(num, den)}")
+        if not num:
             return cls()
-        return _from_terms(((1, square),))
+        return _from_terms(((1, num, den),))
 
     # -- inspection --------------------------------------------------------
 
@@ -263,27 +284,27 @@ class RadicalSum:
     @property
     def is_rational(self) -> bool:
         terms = self._terms
-        return not terms or (len(terms) == 1 and _rational_root(terms[0][1]) is not None)
+        return not terms or (len(terms) == 1 and _rational_root(*terms[0][1:]) is not None)
 
     @property
     def num_terms(self) -> int:
         """Number of commensurability classes in the sum."""
         return len(self._terms)
 
-    def terms(self) -> Iterator[Term]:
-        """(sign, square) pairs in increasing order of square; the value is
-        the sum of sign * sqrt(square) over them."""
-        return iter(self._terms)
+    def terms(self) -> Iterator[tuple[int, Fraction]]:
+        """(sign, square) pairs, each square a Fraction, in increasing order
+        of square; the value is the sum of sign * sqrt(square) over them."""
+        return ((s, Fraction(n, d)) for s, n, d in self._terms)
 
     def as_fraction(self) -> Fraction:
         """The exact rational value; raises if the value is irrational."""
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1:
-            ((sign, square),) = self._terms
-            root = _rational_root(square)
+            ((sign, n, d),) = self._terms
+            root = _rational_root(n, d)
             if root is not None:
-                return root if sign > 0 else -root
+                return Fraction(sign * root[0], root[1])
         raise ValueError(f"{self} is not rational")
 
     def sign(self) -> int:
@@ -304,7 +325,7 @@ class RadicalSum:
             return self
         if not self._terms:
             return other
-        return sum_radicals(_integer_terms(self) + _integer_terms(other))
+        return sum_radicals(self._terms + other._terms)
 
     __radd__ = __add__
 
@@ -321,39 +342,30 @@ class RadicalSum:
         return other + (-self)
 
     def __neg__(self) -> "RadicalSum":
-        return _from_terms(tuple((-s, q) for s, q in self._terms))
+        return _from_terms(tuple((-s, n, d) for s, n, d in self._terms))
 
     def __mul__(self, other) -> "RadicalSum":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RadicalSum()
-            flip = 1 if other > 0 else -1
-            scale = other * other
-            # a positive scale keeps every class apart and the order by square
-            return _from_terms(tuple((s * flip, q * scale) for s, q in self._terms))
-        if not isinstance(other, RadicalSum):
+        other = _coerce_radical(other)
+        if other is NotImplemented:
             return NotImplemented
         if len(self._terms) == 1 and len(other._terms) == 1:
-            ((s1, q1),) = self._terms
-            ((s2, q2),) = other._terms
-            return _from_terms(((s1 * s2, q1 * q2),))
+            ((s1, n1, d1),) = self._terms
+            ((s2, n2, d2),) = other._terms
+            return _radical(s1 * s2, n1 * n2, d1 * d2)
         return sum_radicals(_term_products(self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RadicalSum":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of RadicalSum by zero")
-            return self * (1 / Fraction(other))
-        if isinstance(other, RadicalSum):
-            if other.is_zero:
-                raise ZeroDivisionError("division of RadicalSum by zero")
-            if other.num_terms != 1:
-                raise ValueError("can only divide by a single-term RadicalSum")
-            ((sign, square),) = other._terms
-            return self * _from_terms(((sign, 1 / square),))
-        return NotImplemented
+        other = _coerce_radical(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("division of RadicalSum by zero")
+        if other.num_terms != 1:
+            raise ValueError("can only divide by a single-term RadicalSum")
+        ((sign, n, d),) = other._terms
+        return self * _from_terms(((sign, d, n),))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -372,17 +384,18 @@ class RadicalSum:
         return hash(self._terms)
 
     def __float__(self) -> float:
-        return sum(s * math.sqrt(q) for s, q in self._terms)
+        return sum(s * math.sqrt(n / d) for s, n, d in self._terms)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
         """'0', or terms 'p/q' (rational) or 'sqrt(p/q)' joined by ' + ' and
-        ' - ', the first one carrying a leading '-' when negative."""
+        ' - ', the first one carrying a leading '-' when negative; 'p/q' is
+        'p' when q is 1, as str(Fraction) renders it."""
         text = ""
-        for sign, square in self._terms:
-            root = _rational_root(square)
-            body = str(root) if root is not None else f"sqrt({square})"
+        for sign, n, d in self._terms:
+            root = _rational_root(n, d)
+            body = _ratio_text(*root) if root is not None else f"sqrt({_ratio_text(n, d)})"
             if text:
                 text += (" - " if sign < 0 else " + ") + body
             else:
@@ -441,10 +454,10 @@ def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
     run of such ratios stays in one commensurability class and is summed in
     plain integers, with the radicand that opened the class kept as an
     integer pair; the first step, and every ratio that is not a square,
-    opens a new class at r_i.  A chain of one class builds one Fraction, the
-    square of its sum; the classes of a longer chain merge as in
-    `sum_radicals`, which builds one Fraction per class.  So the sum is
-    exact for any input.
+    opens a new class at r_i.  A chain of one class ends as one term, the
+    square of its sum reduced by one gcd; the classes of a longer chain
+    merge as in `sum_radicals`, one gcd per class.  So the sum is exact for
+    any input.
     """
     classes: list[tuple[int, int, int]] = []  # closed classes, as sum_radicals terms
     rn = rd = 0          # the radicand that opened the current class, rn / rd
@@ -477,8 +490,7 @@ def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
     if total:
         classes.append((1 if total > 0 else -1, total * total * rn, bottom * bottom * rd))
     if len(classes) == 1:
-        ((sign, n, d),) = classes
-        return _from_terms(((sign, Fraction(n, d)),))
+        return _radical(*classes[0])
     return sum_radicals(classes)
 
 
@@ -492,10 +504,11 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     with k = isqrt(n_0 * d_0 * n * d) exactly when that integer is a perfect
     square, so one integer square root decides each pair tested.  A term
     that fits no class opens one of its own.  Each class is summed in plain
-    integers, and one Fraction is built per class whose sum is not 0.  So
-    one or two terms of one class, as in a ladder step, cost at most one
-    square root and one Fraction, and any input gets its exact sum on this
-    same path.
+    integers, and each class whose sum is not 0 becomes one term: the
+    reduced integer pair of its square, one gcd per class, in increasing
+    order of value.  So one or two terms of one class, as in a ladder step,
+    cost at most one square root and one gcd, and any input gets its exact
+    sum on this same path.
 
     This is the one function that merges commensurability classes:
     RadicalSum ``+`` and multi-term ``*``, the ladder actions, the
@@ -525,8 +538,11 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     out: list[Term] = []
     for n0, d0, top, bottom in classes:
         if top:
-            out.append((1 if top > 0 else -1, Fraction(top * top * n0, bottom * bottom * d0)))
-    out.sort(key=itemgetter(1))
+            n, d = top * top * n0, bottom * bottom * d0
+            g = gcd(n, d)
+            out.append((1 if top > 0 else -1, n // g, d // g))
+    if len(out) > 1:
+        out.sort(key=_BY_VALUE)
     return _from_terms(tuple(out))
 
 
@@ -550,10 +566,8 @@ def to_decimal(value: Union[RadicalSum, Rationalish], places: int) -> str:
         if not value.is_rational:
             return _irrational_decimal(value._terms, places)
         value = value.as_fraction()
-    exact = Fraction(value)
-    return _format_scaled(
-        _round_half_even(exact.numerator * 10**places, exact.denominator), places
-    )
+    num, den = _ratio(value)
+    return _format_scaled(_round_half_even(num * 10**places, den), places)
 
 
 def _irrational_decimal(terms: tuple[Term, ...], places: int) -> str:
@@ -563,9 +577,9 @@ def _irrational_decimal(terms: tuple[Term, ...], places: int) -> str:
         scale_squared = 10 ** (2 * (places + guard))
         lo = 0
         hi = 0
-        for sign, square in terms:
-            # floor(sqrt(q) * S) == isqrt(floor(q * S**2))
-            root = isqrt(square.numerator * scale_squared // square.denominator)
+        for sign, n, d in terms:
+            # floor(sqrt(n / d) * S) == isqrt(floor(n * S**2 / d))
+            root = isqrt(n * scale_squared // d)
             if sign > 0:
                 lo += root
                 hi += root + 1

@@ -7,12 +7,13 @@ ladder consistency).  There are no tolerances anywhere: every comparison is
 exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
-The agreement and collapse checks read per-cell tables: the states that the
-closed form and the iterative ladder build for a cell, keyed by doubled
-(J, M, m1), and the Racah kernel `formulas._racah` called per key of
-`formulas._cell_keys`.  The 3j check calls `formulas._wigner3j` on doubled
-columns.  These kernels skip validation, which only the public entry points
-do; a CouplingSpec or ThreeJSpec is built only to write a counterexample.
+The agreement, unitarity and collapse checks read per-cell tables: the
+states that the closed form and the iterative ladder build for a cell,
+keyed by doubled (J, M, m1), and the Racah kernel `formulas._racah` called
+per key of `formulas._cell_keys`.  The 3j check calls `formulas._wigner3j`
+on doubled columns.  These kernels skip validation, which only the public
+entry points do; a CouplingSpec or ThreeJSpec is built only to write a
+counterexample.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -43,11 +44,10 @@ from .ladder import (
     TableRoute,
     apply_jminus,
     apply_jplus,
-    build_full_table,
     highest_weight_state,
     subspace_states,
 )
-from .numerics import HalfInt, RadicalSum, _integer_terms, sum_radicals
+from .numerics import HalfInt, RadicalSum, sum_radicals
 
 __all__ = [
     "Counterexample",
@@ -220,34 +220,28 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-#: one nonzero value as its (sign, n, d) `sum_radicals` terms
-_Terms = tuple[tuple[int, int, int], ...]
-
-
-def _dot(u: dict[int, _Terms], v: dict[int, _Terms]) -> RadicalSum:
+def _dot(u: dict[int, RadicalSum], v: dict[int, RadicalSum]) -> RadicalSum:
     """Exact inner product of two sparse real vectors: one `sum_radicals`
-    call over the products of the terms of matched components, so a value
-    of several classes gets its exact sum too."""
+    call over the products of the (sign, n, d) terms of matched components,
+    so a value of several classes gets its exact sum too."""
     return sum_radicals(
         (s * t, nu * nv, du * dv)
-        for index, terms in u.items()
-        if (match := v.get(index)) is not None
-        for s, nu, du in terms
-        for t, nv, dv in match
+        for index, a in u.items()
+        if (b := v.get(index)) is not None
+        for s, nu, du in a._terms
+        for t, nv, dv in b._terms
     )
 
 
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    records = build_full_table(j1, j2, TableRoute.CLOSED_FORM)
     # both products stay inside one M block: rows of a block by J, columns by m1
-    rows: dict[int, dict[int, dict[int, _Terms]]] = {}
-    columns: dict[int, dict[int, dict[int, _Terms]]] = {}
-    for r in records:
-        terms = _integer_terms(r.exact)
-        rows.setdefault(r.M.twice, {}).setdefault(r.J.twice, {})[r.m1.twice] = terms
-        columns.setdefault(r.M.twice, {}).setdefault(r.m1.twice, {})[r.J.twice] = terms
+    rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    for (tJ, tM, tm1), value in _route_table(tj1, tj2, TableRoute.CLOSED_FORM).items():
+        rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
+        columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
     one, zero = RadicalSum.one(), RadicalSum.zero()
 
     count = 0

@@ -4,12 +4,13 @@ import operator
 import random
 import threading
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgexact.formulas import _cell_keys, _racah, _wigner3j
 from cgexact.numerics import (
     HalfInt,
     NegativeRadicandError,
@@ -435,6 +436,86 @@ def test_sum_radicals_rejects_nonpositive():
     for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
         with pytest.raises(NegativeRadicandError, match="must be positive"):
             sum_radicals([(1, 1, 1), (1, n, d)])
+
+
+# ---------------------------------------------------------------------------
+# Canonical form
+# ---------------------------------------------------------------------------
+
+
+def _assert_canonical(value):
+    """Every term (sign, n, d) has sign +-1 and n, d positive and coprime,
+    and the terms are strictly increasing in n / d."""
+    terms = value._terms
+    for sign, n, d in terms:
+        assert sign in (1, -1) and n > 0 and d > 0 and gcd(n, d) == 1, terms
+    for (_, n1, d1), (_, n2, d2) in zip(terms, terms[1:]):
+        assert n1 * d2 < n2 * d1, terms
+
+
+_FRACTIONS = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RADICAL_TERMS, _RADICAL_TERMS, _STEPS, _FRACTIONS, _FRACTIONS, st.integers(-9, 9))
+def test_every_constructor_gives_the_canonical_form(a, b, steps, p, q, k):
+    x, y = sum_radicals(a), sum_radicals(b)
+    # single terms whose products and quotients need reducing
+    u, v = SQRT(abs(p)), SQRT(abs(q))
+    values = [
+        x, y, sum_signed_sqrts(steps), u, RadicalSum.rational(p),
+        RadicalSum.parse(str(x)), RadicalSum.parse(str(x - p)),
+        x + y, x - y, x * y, -x, x + p, x * p, x * k, u * v, u * v * k,
+    ]
+    if q:
+        values += [x / q, u / v]
+    if k:
+        values += [x / k, u / k]
+    for value in values:
+        _assert_canonical(value)
+
+
+_KEYS = [
+    (tj1, tj2, *key) for tj1 in range(7) for tj2 in range(7) for key in _cell_keys(tj1, tj2)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_KEYS))
+def test_racah_and_3j_kernels_give_the_canonical_form(key):
+    tj1, tj2, tJ, tM, tm1 = key
+    _assert_canonical(_racah(*key))
+    _assert_canonical(_wigner3j(tj1, tj2, tJ, tm1, tM - tm1))
+
+
+def test_equal_values_from_unreduced_pairs_are_equal_and_hash_equal():
+    values = [SQRT(Fraction(1, 2)), sum_radicals([(1, 2, 4)]), sum_signed_sqrts([(1, 6, 12)])]
+    assert all(value == values[0] and hash(value) == hash(values[0]) for value in values)
+    assert list(sum_signed_sqrts([(1, 6, 12)]).terms()) == [(1, Fraction(1, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 9), st.sampled_from([1, -1]))
+def test_equal_values_from_different_paths_are_equal_and_hash_equal(n, d, k, sign):
+    x = SQRT(Fraction(n, d)) * sign
+    paths = [
+        sum_radicals([(sign, n * k, d * k)]),
+        sum_signed_sqrts([(sign, n * k, d * k)]),
+        # 2x - x, merged in one class
+        sum_radicals([(sign, 4 * n * k, d * k), (-sign, n, d)]),
+        sum_signed_sqrts([(sign, 4 * n * k, d * k), (-sign, 1, 4)]),
+        RadicalSum.parse(str(x)),
+        SQRT(n * k) / SQRT(d * k) * sign,
+        SQRT(n * k) * SQRT(Fraction(1, d * k)) * sign,
+        SQRT(Fraction(n * k * k, d)) / k * sign,
+        (SQRT(Fraction(n, d * k * k)) * k) * sign,
+    ]
+    for value in paths:
+        _assert_canonical(value)
+        assert value == x and hash(value) == hash(x)
+    root = isqrt(n * d)
+    if root * root == n * d:  # a rational value equals, and hashes as, its Fraction
+        assert x == Fraction(sign * root, d) and hash(x) == hash(Fraction(sign * root, d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the cross-route verification engine."""
 
-import dataclasses
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +78,23 @@ def test_run_checks_subset_and_order():
     assert [r.name for r in reports] == ["formula agreement", "radical collapse"]
     with pytest.raises(KeyError):
         run_checks(["nonsense"], 2)
+
+
+def test_checks_construct_no_fraction(monkeypatch):
+    # the routes and the checks keep every value as reduced integer terms:
+    # a Fraction is built only where a value enters or leaves as a rational
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    reports = run_checks(list(CHECKS), 4)
+    monkeypatch.undo()
+    assert all(report.passed for report in reports)
+    assert built == []
 
 
 def _broken_closed_form(monkeypatch, value):
@@ -171,15 +188,26 @@ def test_map_ordered_caps_pool_size(monkeypatch):
     assert started == [4, 3, 2]
 
 
+def _alter_route_tables(monkeypatch, alter):
+    """Make the checks read each per-cell route table after ``alter(table)``
+    changes it in place."""
+    original = verification._route_table
+
+    def altered(tj1, tj2, route):
+        table = original(tj1, tj2, route)
+        alter(table)
+        return table
+
+    monkeypatch.setattr(verification, "_route_table", altered)
+
+
+def _flip_first(table):
+    first = min(table)  # the first row in (J, M, m1) order
+    table[first] = -table[first]
+
+
 def test_unitarity_detects_flipped_sign(monkeypatch):
-    original = verification.build_full_table
-
-    def flipped(j1, j2, route):
-        records = original(j1, j2, route)
-        records[0] = dataclasses.replace(records[0], exact=-records[0].exact)
-        return records
-
-    monkeypatch.setattr(verification, "build_full_table", flipped)
+    _alter_route_tables(monkeypatch, _flip_first)
     for report in (check_unitarity(1, 1), check_unitarity_sweep(2)):
         assert not report.passed
         description = report.counterexample.description
@@ -188,14 +216,7 @@ def test_unitarity_detects_flipped_sign(monkeypatch):
 
 
 def test_unitarity_flipped_sign_counterexample(monkeypatch):
-    original = verification.build_full_table
-
-    def flipped(j1, j2, route):
-        records = original(j1, j2, route)
-        records[0] = dataclasses.replace(records[0], exact=-records[0].exact)
-        return records
-
-    monkeypatch.setattr(verification, "build_full_table", flipped)
+    _alter_route_tables(monkeypatch, _flip_first)
     report = check_unitarity(1, 1)
     assert report.scope == "j1=1, j2=1, 2 inner products"
     assert report.counterexample == Counterexample(
@@ -213,17 +234,10 @@ def test_unitarity_flipped_sign_counterexample(monkeypatch):
 def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
     # sqrt(2) times the coefficient at (J=3/2, M=-1/2, m1=-1/2) of the cell
     # (1/2, 1): its product with the J=1/2 row then has two classes
-    original = verification.build_full_table
+    def broken(table):
+        table[3, -1, -1] = table[3, -1, -1] * RadicalSum.sqrt(2)
 
-    def broken(j1, j2, route):
-        return [
-            dataclasses.replace(r, exact=r.exact * RadicalSum.sqrt(2))
-            if (r.J.twice, r.M.twice, r.m1.twice) == (3, -1, -1)
-            else r
-            for r in original(j1, j2, route)
-        ]
-
-    monkeypatch.setattr(verification, "build_full_table", broken)
+    _alter_route_tables(monkeypatch, broken)
     report = check_unitarity("1/2", 1)
     assert not report.passed
     assert report.counterexample == Counterexample(
