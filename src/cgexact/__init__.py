@@ -11,13 +11,9 @@ from .formulas import (
     CouplingSpec,
     MalformedCouplingError,
     ThreeJSpec,
-    ValidationResult,
-    Validity,
     cell_specs,
     cg_alternative,
     cg_racah,
-    cg_to_wigner3j,
-    validate,
     wigner3j,
 )
 from .ladder import (
@@ -30,8 +26,6 @@ from .numerics import (
     HalfInt,
     NegativeRadicandError,
     RadicalSum,
-    binomial,
-    sum_signed_sqrts,
     to_decimal,
 )
 from .verification import (
@@ -43,7 +37,6 @@ from .verification import (
     check_ladder_consistency,
     check_radical_collapse,
     check_threej_symmetries,
-    check_unitarity,
     check_unitarity_sweep,
     run_checks,
 )
@@ -61,27 +54,20 @@ __all__ = [
     "RadicalSum",
     "TableRoute",
     "ThreeJSpec",
-    "ValidationResult",
-    "Validity",
     "VerificationReport",
-    "binomial",
     "build_full_table",
     "cell_specs",
     "cg_alternative",
     "cg_ladder",
     "cg_racah",
-    "cg_to_wigner3j",
     "check_condon_shortley",
     "check_formula_agreement",
     "check_ladder_consistency",
     "check_radical_collapse",
     "check_threej_symmetries",
-    "check_unitarity",
     "check_unitarity_sweep",
     "run_checks",
-    "sum_signed_sqrts",
     "to_decimal",
-    "validate",
     "wigner3j",
     "__version__",
 ]

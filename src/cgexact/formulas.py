@@ -8,35 +8,35 @@ exact agreement.  The Wigner 3j symbol is obtained from the Racah route via
 the standard phase-and-normalization conversion.
 
 All index arithmetic happens on doubled integers (``HalfInt.twice``), so
-every loop bound is a plain int and no rounding can occur.  Validation
-happens only at the public entry points: `cg_racah` and `wigner3j` check
-their spec and then call the kernels `_racah` and `_wigner3j`, which take
-doubled integers and assume arguments that are well-formed and pass the
-selection rules.  The verification sweeps call those kernels directly,
-over the doubled (J, M, m1) keys of `_cell_keys`, the one walk of a cell.
+every loop bound is a plain int and no rounding can occur, and every
+binomial is a `math.comb` of nonnegative arguments.  The closed form's
+norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
+per state (`_shared_factor`), so nothing is cached.
+
+Validation happens only at the public entry points: `cg_alternative`,
+`cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
+raises MalformedCouplingError for a malformed spec, and then call the
+kernels `_closed_form_steps`, `_racah` and `_wigner3j`, which take doubled
+integers and assume arguments that are well-formed and pass the selection
+rules.  The verification sweeps call those kernels directly, over the
+doubled (J, M, m1) keys of `_cell_keys`, the one walk of a cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _radical, binomial, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _radical, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
     "MalformedCouplingError",
     "ThreeJSpec",
-    "ValidationResult",
-    "Validity",
     "cell_specs",
     "cg_alternative",
     "cg_racah",
-    "cg_to_wigner3j",
-    "validate",
     "wigner3j",
 ]
 
@@ -96,73 +96,37 @@ class ThreeJSpec:
         return f"3j({self.j1} {self.j2} {self.j3}; {self.m1} {self.m2} {self.m3})"
 
 
-class Validity(Enum):
-    WELL_FORMED = "well-formed"
-    MALFORMED = "malformed"
-    SELECTION_ZERO = "selection-zero"
+def _is_selection_zero(spec: CouplingSpec) -> bool:
+    """Whether a well-formed spec is physically forbidden (triangle rule,
+    integer total, M = m1 + m2), so that its coefficient is exactly 0.
 
-
-@dataclass(frozen=True)
-class ValidationResult:
-    validity: Validity
-    reason: str | None = None
-
-    @property
-    def is_well_formed(self) -> bool:
-        return self.validity is Validity.WELL_FORMED
-
-    @property
-    def is_malformed(self) -> bool:
-        return self.validity is Validity.MALFORMED
-
-    @property
-    def is_selection_zero(self) -> bool:
-        return self.validity is Validity.SELECTION_ZERO
-
-
-_WELL_FORMED = ValidationResult(Validity.WELL_FORMED)
-
-
-def validate(spec: CouplingSpec) -> ValidationResult:
-    """Classify a coupling spec.
-
-    Malformed arguments (negative j, |m| > j, parity mismatches) signal
-    caller bugs.  Selection-zero arguments are well-formed but physically
-    forbidden (triangle rule, integer total, M = m1 + m2); the coefficient
-    for those is exactly 0.
+    Raises MalformedCouplingError for arguments that signal caller bugs:
+    negative j, |m| > j or a parity mismatch.
     """
     tj1, tj2 = spec.j1.twice, spec.j2.twice
     tm1, tm2 = spec.m1.twice, spec.m2.twice
     tJ, tM = spec.J.twice, spec.M.twice
     for name, tj in (("j1", tj1), ("j2", tj2), ("J", tJ)):
         if tj < 0:
-            return ValidationResult(Validity.MALFORMED, f"{name} is negative")
+            raise MalformedCouplingError(f"{spec}: {name} is negative")
     for jname, mname, tj, tm in (
         ("j1", "m1", tj1, tm1),
         ("j2", "m2", tj2, tm2),
         ("J", "M", tJ, tM),
     ):
         if (tj + tm) % 2:
-            return ValidationResult(
-                Validity.MALFORMED,
-                f"parity of {mname} inconsistent with {jname} ({jname}+{mname} not an integer)",
+            raise MalformedCouplingError(
+                f"{spec}: parity of {mname} inconsistent with {jname} "
+                f"({jname}+{mname} not an integer)"
             )
         if abs(tm) > tj:
-            return ValidationResult(Validity.MALFORMED, f"|{mname}| exceeds {jname}")
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2:
-        return ValidationResult(Validity.SELECTION_ZERO, "triangle rule violated")
-    if (tj1 + tj2 + tJ) % 2:
-        return ValidationResult(Validity.SELECTION_ZERO, "j1+j2+J is not an integer")
-    if tM != tm1 + tm2:
-        return ValidationResult(Validity.SELECTION_ZERO, "M != m1 + m2")
-    return _WELL_FORMED
-
-
-def _require_well_formed(spec: CouplingSpec) -> ValidationResult:
-    result = validate(spec)
-    if result.is_malformed:
-        raise MalformedCouplingError(f"{spec}: {result.reason}")
-    return result
+            raise MalformedCouplingError(f"{spec}: |{mname}| exceeds {jname}")
+    return (
+        tJ < abs(tj1 - tj2)
+        or tJ > tj1 + tj2
+        or (tj1 + tj2 + tJ) % 2 == 1
+        or tM != tm1 + tm2
+    )
 
 
 def _cell_keys(tj1: int, tj2: int) -> Iterator[tuple[int, int, int]]:
@@ -186,39 +150,24 @@ def _key_spec(tj1: int, tj2: int, key: tuple[int, int, int]) -> CouplingSpec:
 
 def cell_specs(j1, j2) -> Iterator[CouplingSpec]:
     """Every well-formed spec of the (j1, j2) cell, in increasing (J, M, m1)
-    order (`_cell_keys`)."""
+    order (`_cell_keys`); raises ValueError for a negative j."""
     tj1, tj2 = HalfInt(j1).twice, HalfInt(j2).twice
-    for key in _cell_keys(tj1, tj2):
-        yield _key_spec(tj1, tj2, key)
-
-
-@lru_cache(maxsize=1024)
-def _norm_denominator_sum(tj1: int, tj2: int, depth: int) -> tuple[int, int]:
-    """sum_i C(2j2-m+i, i) C(m, i) / C(2j1, i) over i = 0..m (m = ``depth``).
-
-    This is the inverse square of the highest-weight leading coefficient for
-    the subspace J = j1 + j2 - m; the closed form takes it into the factor
-    that its weights share (`_shared_factor`).  The sum is taken in
-    Horner form from the top, term ratio (2j2-m+i+1)(m-i) / ((i+1)(2j1-i)),
-    as one integer fraction, and returned as its reduced pair (numerator,
-    denominator).  The cache is bounded, so a long session of
-    single coefficients does not grow it without end; a sweep over all cells
-    with 2j <= 8 has 285 keys, and one cell at most 2j + 1.
-    """
-    num = den = 1
-    for i in range(depth - 1, -1, -1):
-        below = (i + 1) * (tj1 - i)
-        num, den = den * below + (tj2 - depth + i + 1) * (depth - i) * num, den * below
-    g = gcd(num, den)
-    return num // g, den // g
+    if tj1 < 0 or tj2 < 0:
+        raise ValueError("j1 and j2 must be nonnegative")
+    return (_key_spec(tj1, tj2, key) for key in _cell_keys(tj1, tj2))
 
 
 def _shared_factor(tj1: int, tj2: int, m: int, s: int) -> tuple[int, int]:
     """1 / (C(2J, s) * norm sum) as an integer pair (numerator, denominator):
     the factor of every closed-form weight of |J, J - s> in the subspace of
-    depth m = j1 + j2 - J."""
-    num, den = _norm_denominator_sum(tj1, tj2, m)
-    return den, binomial(tj1 + tj2 - 2 * m, s) * num
+    depth m = j1 + j2 - J.
+
+    The norm sum sum_i C(2j2-m+i, i) C(m, i) / C(2j1, i) over i = 0..m is
+    the inverse square of the highest-weight leading coefficient; by
+    Chu-Vandermonde it equals C(2J+m+1, m) / C(2j1, m).
+    """
+    tJ = tj1 + tj2 - 2 * m
+    return comb(tj1, m), comb(tJ, s) * comb(tJ + m + 1, m)
 
 
 def _term_ratio(tj1, tj2, m, s, k, l):
@@ -253,14 +202,14 @@ def _closed_form_steps(
     lo = max(0, -d)
     yield (
         -1 if lo & 1 else 1,
-        binomial(tj1 - lo, k - lo)
-        * binomial(q2 + lo, d + lo)
-        * binomial(q2 + lo, lo)
-        * binomial(k, lo)
-        * binomial(m + d, d + lo)
-        * binomial(m, lo)
+        comb(tj1 - lo, k - lo)
+        * comb(q2 + lo, d + lo)
+        * comb(q2 + lo, lo)
+        * comb(k, lo)
+        * comb(m + d, d + lo)
+        * comb(m, lo)
         * shared[0],
-        binomial(tj1, lo) * shared[1],
+        comb(tj1, lo) * shared[1],
     )
     # term l + 1: the sign flips
     for l in range(lo, min(m, k)):
@@ -275,7 +224,7 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     m = j1+j2-J, s = J-M and k = j1-m1 (`_closed_form_steps`).
     Selection-zero specs give exactly 0.
     """
-    if _require_well_formed(spec).is_selection_zero:
+    if _is_selection_zero(spec):
         return RadicalSum.zero()
     tj1, tj2 = spec.j1.twice, spec.j2.twice
     m = (tj1 + tj2 - spec.J.twice) // 2
@@ -289,7 +238,7 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via Racah's single-sum factorial formula
     (`_racah`).  Selection-zero specs give exactly 0."""
-    if _require_well_formed(spec).is_selection_zero:
+    if _is_selection_zero(spec):
         return RadicalSum.zero()
     return _racah(
         spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice, spec.m1.twice
@@ -360,26 +309,13 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
     """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
     arguments with M + j1 - j2 an integer: C times the one radical
-    phase * sqrt(1 / (2J+1))."""
-    sign = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
-    return value * _radical(sign, 1, tJ + 1)
-
-
-def cg_to_wigner3j(
-    spec: CouplingSpec, value: RadicalSum
-) -> tuple[ThreeJSpec, RadicalSum]:
-    """Convert a CG coefficient to the corresponding Wigner 3j symbol
-    (`_racah_to_3j`).  The phase exponent M + j1 - j2 is an integer whenever
-    the coefficient is nonzero."""
-    threej = ThreeJSpec(spec.j1, spec.j2, spec.J, spec.m1, spec.m2, -spec.M)
+    phase * sqrt(1 / (2J+1)), built as one term from C's single term."""
     if value.is_zero:
-        return threej, RadicalSum.zero()
-    tj1, tj2, tJ, tM = spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice
-    if (tM + tj1 - tj2) % 2:
-        raise MalformedCouplingError(
-            f"{spec}: M + j1 - j2 is not an integer for a nonzero coefficient"
-        )
-    return threej, _racah_to_3j(value, tj1, tj2, tJ, tM)
+        return value
+    ((sign, n, d),) = value._terms
+    if ((tM + tj1 - tj2) // 2) & 1:
+        sign = -sign
+    return _radical(sign, n, d * (tJ + 1))
 
 
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
@@ -399,7 +335,7 @@ def wigner3j(spec: ThreeJSpec) -> RadicalSum:
     rule fails; every other symbol is `_wigner3j`.
     """
     coupling = CouplingSpec(spec.j1, spec.j2, spec.m1, spec.m2, spec.j3, -spec.m3)
-    if _require_well_formed(coupling).is_selection_zero:
+    if _is_selection_zero(coupling):
         return RadicalSum.zero()
     return _wigner3j(
         spec.j1.twice, spec.j2.twice, spec.j3.twice, spec.m1.twice, spec.m2.twice

@@ -1,23 +1,28 @@
-"""Exact arithmetic foundation: half-integer quantum numbers, big-integer
-combinatorics, and exact sums of signed square roots of rationals.
+"""Exact arithmetic foundation: half-integer quantum numbers and exact sums
+of signed square roots of rationals.
 
 Every value in this package is exact.  Rational numbers are
 :class:`fractions.Fraction`; irrational values are :class:`RadicalSum`,
 finite sums ``sum_i s_i * sqrt(n_i / d_i)`` with signs s_i = +-1 and
 positive integers n_i and d_i.  Two square roots sqrt(a) and sqrt(b) are
 commensurable when a/b is the square of a rational; a RadicalSum keeps one
-term per commensurability class, and `sum_radicals` is the one function
-that merges classes.  Each term is stored as its sign and the reduced
-integer pair (n, d) of its square, so the form is canonical without
+term per commensurability class.  Each term is stored as its sign and the
+reduced integer pair (n, d) of its square, so the form is canonical without
 factoring any integer, and equality of two RadicalSums is equality of their
-terms, tuples of ints.  `Fraction` appears only where a value enters or
-leaves as a rational: `RadicalSum.sqrt`, `rational`, `parse`, `terms` and
-`as_fraction`.  Agreement checks carry no tolerance anywhere.
+terms, tuples of ints.
+
+A RadicalSum is a value: it is built, negated, compared, hashed, rendered
+and parsed, and has no other arithmetic.  Arithmetic on values lives in two
+functions on ``(sign, n, d)`` integer terms: `sum_radicals`, the one
+function that merges classes, and `sum_signed_sqrts`, which sums a chain of
+radicands given by their ratios.  `Fraction` appears only where a value
+enters or leaves as a rational: `RadicalSum.sqrt`, `rational`, the rational
+pieces of `parse`, `terms` and `as_fraction`.  Agreement checks carry no
+tolerance anywhere.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
@@ -29,7 +34,6 @@ __all__ = [
     "NegativeRadicandError",
     "RadicalSum",
     "Rationalish",
-    "binomial",
     "sum_radicals",
     "sum_signed_sqrts",
     "to_decimal",
@@ -155,24 +159,6 @@ def _coerce_twice(value) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Big-integer combinatorics
-# ---------------------------------------------------------------------------
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the generalized-zero convention.
-
-    Returns 0 for k < 0 or k > n, which lets summation formulas run over
-    loose index ranges and truncate themselves.  n must be >= 0.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-# ---------------------------------------------------------------------------
 # Commensurability of square roots
 # ---------------------------------------------------------------------------
 
@@ -240,7 +226,8 @@ class RadicalSum:
     values are equal iff their terms are equal as tuples of ints.  A
     rational value is a single term whose n and d are perfect squares.
     ``RadicalSum()`` is exactly 0; other values come from :meth:`rational`,
-    :meth:`sqrt`, :meth:`parse` and arithmetic.  Instances are immutable.
+    :meth:`sqrt`, :meth:`parse`, unary ``-``, `sum_radicals` and
+    `sum_signed_sqrts`.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -315,57 +302,10 @@ class RadicalSum:
             return self._terms[0][0]
         raise ValueError(f"sign of multi-term sum {self} is not structural")
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "RadicalSum":
-        other = _coerce_radical(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        return sum_radicals(self._terms + other._terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RadicalSum":
-        other = _coerce_radical(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RadicalSum":
-        other = _coerce_radical(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+    # -- value semantics ---------------------------------------------------
 
     def __neg__(self) -> "RadicalSum":
         return _from_terms(tuple((-s, n, d) for s, n, d in self._terms))
-
-    def __mul__(self, other) -> "RadicalSum":
-        other = _coerce_radical(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            ((s1, n1, d1),) = self._terms
-            ((s2, n2, d2),) = other._terms
-            return _radical(s1 * s2, n1 * n2, d1 * d2)
-        return sum_radicals(_term_products(self, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RadicalSum":
-        other = _coerce_radical(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division of RadicalSum by zero")
-        if other.num_terms != 1:
-            raise ValueError("can only divide by a single-term RadicalSum")
-        ((sign, n, d),) = other._terms
-        return self * _from_terms(((sign, d, n),))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -382,9 +322,6 @@ class RadicalSum:
         if self.is_rational:
             return hash(self.as_fraction())
         return hash(self._terms)
-
-    def __float__(self) -> float:
-        return sum(s * math.sqrt(n / d) for s, n, d in self._terms)
 
     # -- rendering ---------------------------------------------------------
 
@@ -408,37 +345,37 @@ class RadicalSum:
     @classmethod
     def parse(cls, text: str) -> "RadicalSum":
         """Inverse of str(): terms '[-]p/q' or '[-]sqrt(p/q)' joined by
-        ' + ' or ' - '."""
+        ' + ' or ' - ', summed by one `sum_radicals` call."""
         stripped = text.strip()
         if not stripped:
             raise ValueError("empty exact-value text")
-        total = cls()
-        for piece in stripped.replace(" - ", " + -").split(" + "):
-            total = total + _parse_term(piece.strip())
-        return total
+        terms = [
+            term
+            for piece in stripped.replace(" - ", " + -").split(" + ")
+            if (term := _parse_term(piece.strip())) is not None
+        ]
+        return sum_radicals(terms)
 
 
 _SQRT_RE = re.compile(r"(-)?sqrt\(([0-9]+)(?:/([0-9]+))?\)")
 
 
-def _parse_term(piece: str) -> RadicalSum:
+def _parse_term(piece: str) -> Term | None:
+    """The `sum_radicals` term of one piece of `RadicalSum.parse` text, or
+    None for a piece whose value is 0."""
     match = _SQRT_RE.fullmatch(piece)
     try:
         if match:
             negative, num, den = match.groups()
-            value = RadicalSum.sqrt(Fraction(int(num), int(den) if den else 1))
-            return -value if negative else value
-        return RadicalSum.rational(Fraction(piece))
+            n, d = int(num), int(den) if den else 1
+            if not d:
+                raise ValueError(piece)
+            return (-1 if negative else 1, n, d) if n else None
+        value = Fraction(piece)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"unparseable exact-value text: {piece!r}") from None
-
-
-def _coerce_radical(value):
-    if isinstance(value, RadicalSum):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalSum.rational(value)
-    return NotImplemented
+    num, den = value.numerator, value.denominator
+    return (1 if num > 0 else -1, num * num, den * den) if num else None
 
 
 def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
@@ -511,8 +448,8 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     sum on this same path.
 
     This is the one function that merges commensurability classes:
-    RadicalSum ``+`` and multi-term ``*``, the ladder actions, the
-    unitarity inner products and `sum_signed_sqrts` all end here.
+    `RadicalSum.parse`, the ladder actions, the state norms, the unitarity
+    inner products and `sum_signed_sqrts` all end here.
     """
     classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
     for sign, n, d in terms:

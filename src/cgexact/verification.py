@@ -57,7 +57,6 @@ __all__ = [
     "check_ladder_consistency",
     "check_radical_collapse",
     "check_threej_symmetries",
-    "check_unitarity",
     "check_unitarity_sweep",
     "run_checks",
     "CHECKS",
@@ -146,12 +145,22 @@ def _map_ordered(
 
 def _run_cell_sweep(
     name: str,
-    scope: str,
     worker: Callable[[tuple], CellResult],
-    units: list[tuple],
+    max_twice_j: int,
     jobs: int,
+    units: list[tuple] | None = None,
 ) -> VerificationReport:
+    """Run ``worker`` on every unit, by default every cell of `_cells`, and
+    sum the cases up to the first failure.  Raises ValueError for a negative
+    bound or ``jobs`` below 1, which would otherwise pass on 0 cases."""
+    if max_twice_j < 0 or jobs < 1:
+        raise ValueError(
+            f"max_twice_j must be >= 0 and jobs >= 1, got {max_twice_j} and {jobs}"
+        )
     started = time.perf_counter()
+    scope = f"2j <= {max_twice_j}"
+    if units is None:
+        units = _cells(max_twice_j)
     count = 0
     for cell_count, failure in _map_ordered(worker, units, jobs):
         count += cell_count
@@ -206,13 +215,7 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
     """Closed form == Racah == iterative-ladder value, exactly, for every
     valid spec with 2j1, 2j2 <= max_twice_j (zeros included): per cell,
     the closed-form and ladder states against `formulas._racah` per key."""
-    return _run_cell_sweep(
-        "formula agreement",
-        f"2j <= {max_twice_j}",
-        _agreement_cell,
-        _cells(max_twice_j),
-        jobs,
-    )
+    return _run_cell_sweep("formula agreement", _agreement_cell, max_twice_j, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +285,11 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     return count, None
 
 
-def check_unitarity(j1, j2) -> VerificationReport:
-    """Exact orthogonality of the full coefficient matrix for one cell:
-    row orthonormality (fixed J, M over m1) and column completeness
-    (fixed m1, m2 over J)."""
-    started = time.perf_counter()
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    count, failure = _unitarity_cell((j1.twice, j2.twice))
-    return _report(
-        "unitarity", f"j1={j1}, j2={j2}, {count} inner products", started, failure
-    )
-
-
 def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """check_unitarity over every cell with 2j <= max_twice_j."""
-    return _run_cell_sweep(
-        "unitarity",
-        f"2j <= {max_twice_j}",
-        _unitarity_cell,
-        _cells(max_twice_j),
-        jobs,
-    )
+    """Exact orthogonality of the full coefficient matrix of every cell with
+    2j <= max_twice_j: row orthonormality (fixed J, M over m1) and column
+    completeness (fixed m1, m2 over J)."""
+    return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +314,7 @@ def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationRepor
     """Every closed-form value in range, read from the per-state build,
     reduces to at most one radical term after summation (term
     commensurability certificate)."""
-    return _run_cell_sweep(
-        "radical collapse",
-        f"2j <= {max_twice_j}",
-        _collapse_cell,
-        _cells(max_twice_j),
-        jobs,
-    )
+    return _run_cell_sweep("radical collapse", _collapse_cell, max_twice_j, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +379,7 @@ def check_threej_symmetries(max_twice_j: int, jobs: int = 1) -> VerificationRepo
         for b in range(a, max_twice_j + 1)
         for c in range(b + (a & 1), min(a + b, max_twice_j) + 1, 2)
     ]
-    return _run_cell_sweep(
-        "3j symmetries", f"2j <= {max_twice_j}", _threej_unit, units, jobs
-    )
+    return _run_cell_sweep("3j symmetries", _threej_unit, max_twice_j, jobs, units)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +415,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
 def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """The m1 = j1 coefficient of every |J, J> is strictly positive, on all
     three routes."""
-    return _run_cell_sweep(
-        "Condon-Shortley sign",
-        f"2j <= {max_twice_j}",
-        _condon_cell,
-        _cells(max_twice_j),
-        jobs,
-    )
+    return _run_cell_sweep("Condon-Shortley sign", _condon_cell, max_twice_j, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +489,7 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     action is one `apply_jplus` or `apply_jminus` call with the integer
     square of the element as its divisor, so no expected state is scaled.
     """
-    return _run_cell_sweep(
-        "ladder consistency",
-        f"2j <= {max_twice_j}",
-        _ladder_cell,
-        _cells(max_twice_j),
-        jobs,
-    )
+    return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)
 
 
 #: CLI-facing registry, in the order cmd_verify runs them.

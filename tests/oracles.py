@@ -1,16 +1,31 @@
 """Reference formulas as written, for tests to compare the package against.
 
 Each oracle builds its values straight from binomials or factorials, term
-by term, and shares no formula or cache with the routes it checks: only the
-exact arithmetic of `cgexact.numerics` and the `StateVector` container.
+by term, and shares no formula with the routes it checks: only the exact
+values of `cgexact.numerics` and the `StateVector` container.  Sums and
+products of values are taken here, by `merged_terms`, not by the package's
+`sum_radicals`.
 """
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
 from cgexact.ladder import StateVector
-from cgexact.numerics import HalfInt, RadicalSum, binomial
+from cgexact.numerics import HalfInt, RadicalSum, _from_terms
+
+
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient with the generalized-zero convention.
+
+    Returns 0 for k < 0 or k > n, which lets the sums as written run over
+    loose index ranges and truncate themselves.  n must be >= 0.
+    """
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    return comb(n, k)
 
 
 def norm_sum(tj1: int, tj2: int, m: int) -> Fraction:
@@ -70,12 +85,29 @@ def merged_terms(pairs) -> list[tuple[int, Fraction]]:
     return sorted(terms, key=lambda term: term[1])
 
 
+def from_merged(terms) -> RadicalSum:
+    """The RadicalSum whose canonical terms are the (sign, square) pairs
+    ``terms``, one per class in order of square, as `merged_terms` gives
+    them; built directly, not through `sum_radicals`."""
+    return _from_terms(tuple((s, q.numerator, q.denominator) for s, q in terms))
+
+
+def summed(values) -> RadicalSum:
+    """The exact sum of ``values``: all their terms, merged by
+    `merged_terms`."""
+    return from_merged(merged_terms(pair for value in values for pair in value.terms()))
+
+
+def product(x: RadicalSum, y: RadicalSum) -> RadicalSum:
+    """x * y: every product of a term of x and a term of y, merged by
+    `merged_terms`."""
+    return from_merged(merged_terms((s * t, p * q) for s, p in x.terms() for t, q in y.terms()))
+
+
 def scaled(state: StateVector, factor: RadicalSum) -> StateVector:
     """``state`` with every component multiplied by ``factor`` through
-    `RadicalSum` ``*``, not through the ladder's `sum_radicals` path: the
-    components the routes build are single radicals, and the product of two
-    single radicals stays one tuple product, which merges no classes."""
-    components = {k: value * factor for k, value in state.components.items()}
+    `product`, not through the ladder's `sum_radicals` path."""
+    components = {k: product(value, factor) for k, value in state.components.items()}
     return StateVector(state.j1, state.j2, state.M, components)
 
 
@@ -144,4 +176,6 @@ def racah_as_written(spec: CouplingSpec) -> RadicalSum:
     )
     for twice in (tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2, tJ + tM, tJ - tM):
         prefactor *= factorial(twice // 2)
-    return RadicalSum.sqrt(prefactor) * total
+    # sqrt(prefactor) * total, as one signed square root
+    value = RadicalSum.sqrt(prefactor * total * total)
+    return -value if total < 0 else value

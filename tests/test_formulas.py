@@ -11,19 +11,26 @@ from cgexact.formulas import (
     CouplingSpec,
     MalformedCouplingError,
     ThreeJSpec,
-    Validity,
+    _is_selection_zero,
     _racah,
+    _shared_factor,
     _wigner3j,
     cell_specs,
     cg_alternative,
     cg_racah,
-    cg_to_wigner3j,
-    validate,
     wigner3j,
 )
 from cgexact.ladder import TableRoute, cg_ladder, subspace_states
-from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
-from oracles import beta_closed_form, norm_sum, racah_as_written
+from cgexact.numerics import HalfInt, RadicalSum, to_decimal
+from oracles import (
+    beta_closed_form,
+    binomial,
+    from_merged,
+    merged_terms,
+    norm_sum,
+    racah_as_written,
+    summed,
+)
 
 
 def spec(j1, j2, m1, m2, J, M) -> CouplingSpec:
@@ -34,45 +41,46 @@ SQRT = RadicalSum.sqrt
 
 
 # ---------------------------------------------------------------------------
-# validate
+# Validation
 # ---------------------------------------------------------------------------
 
 
 def test_validate_well_formed():
-    assert validate(spec(2, 1, 0, 0, 3, 0)).is_well_formed
+    assert _is_selection_zero(spec(2, 1, 0, 0, 3, 0)) is False
+    assert _is_selection_zero(spec(0, 0, 0, 0, 0, 0)) is False
 
 
-def test_validate_selection_zero_reasons():
-    result = validate(spec(1, 1, 1, 1, 1, 0))
-    assert result.is_selection_zero
-    assert "M != m1 + m2" in result.reason
-    triangle = validate(spec(2, 1, 0, 0, 0, 0))
-    assert triangle.is_selection_zero
-    assert "triangle" in triangle.reason
+def test_validate_selection_zero_specs():
+    assert _is_selection_zero(spec(1, 1, 1, 1, 1, 0)) is True   # M != m1 + m2
+    assert _is_selection_zero(spec(2, 1, 0, 0, 0, 0)) is True   # triangle rule
+    assert _is_selection_zero(spec(1, 1, 0, 0, 3, 0)) is True   # J above j1 + j2
 
 
 def test_validate_integer_total_rule():
     # j1=1/2, j2=1, J=1: j1+j2+J = 5/2 not an integer, but every (j, m)
     # pair is individually consistent, so this is selection-zero
-    result = validate(spec("1/2", 1, "1/2", 0, 1, 1))
-    assert result.is_selection_zero
-    assert "not an integer" in result.reason
+    assert _is_selection_zero(spec("1/2", 1, "1/2", 0, 1, 1)) is True
 
 
 def test_validate_malformed_cases():
-    parity = validate(spec("1/2", "1/2", 0, "1/2", 1, "1/2"))
-    assert parity.is_malformed
-    assert "m1" in parity.reason
-    negative = validate(CouplingSpec.of(-1, 1, 0, 0, 1, 0))
-    assert negative.is_malformed and "j1" in negative.reason
-    out_of_range = validate(spec(1, 1, 2, 0, 2, 2))
-    assert out_of_range.is_malformed and "m1" in out_of_range.reason
-    big_m = validate(spec(1, 1, 0, 0, 1, 2))
-    assert big_m.is_malformed and "M" in big_m.reason
-
-
-def test_validity_enum_values():
-    assert validate(spec(0, 0, 0, 0, 0, 0)).validity is Validity.WELL_FORMED
+    # each reason, in the text the CLI prints after "error: "
+    cases = [
+        (("1/2", "1/2", 0, "1/2", 1, "1/2"),
+         "parity of m1 inconsistent with j1 (j1+m1 not an integer)"),
+        ((1, "1/2", 1, 0, "1/2", 1), "parity of m2 inconsistent with j2 (j2+m2 not an integer)"),
+        ((1, 1, 0, 0, 1, "1/2"), "parity of M inconsistent with J (J+M not an integer)"),
+        ((-1, 1, 0, 0, 1, 0), "j1 is negative"),
+        ((1, -1, 0, 0, 1, 0), "j2 is negative"),
+        ((1, 1, 0, 0, -1, 0), "J is negative"),
+        ((1, 1, 2, 0, 2, 2), "|m1| exceeds j1"),
+        ((1, 1, 0, 2, 2, 2), "|m2| exceeds j2"),
+        ((1, 1, 0, 0, 1, 2), "|M| exceeds J"),
+    ]
+    for args, reason in cases:
+        s = CouplingSpec.of(*args)
+        with pytest.raises(MalformedCouplingError) as excinfo:
+            _is_selection_zero(s)
+        assert str(excinfo.value) == f"{s}: {reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,19 @@ def test_alternative_malformed_raises():
         cg_alternative(CouplingSpec.of(-1, 0, 0, 0, 1, 0))
 
 
+def test_shared_factor_norm_sum_is_the_sum_as_written_up_to_2j_40():
+    # at s = 0 the factor is 1 / norm sum, the Vandermonde ratio
+    # C(2j1, m) / C(2J+m+1, m), against the sum term by term
+    count = 0
+    for tj1 in range(41):
+        for tj2 in range(41):
+            for m in range(min(tj1, tj2) + 1):
+                num, den = _shared_factor(tj1, tj2, m, 0)
+                assert Fraction(den, num) == norm_sum(tj1, tj2, m), (tj1, tj2, m)
+                count += 1
+    assert count == 23821
+
+
 def test_alternative_agrees_with_racah_at_j20():
     s = spec(20, 20, 0, 0, 0, 0)
     assert cg_alternative(s) == cg_racah(s)
@@ -119,7 +140,7 @@ def _alternative_as_written(s: CouplingSpec) -> tuple[RadicalSum, int]:
     a1 = (tj1 - tm1) // 2
     q2 = (tj2 - tj1 + tJ) // 2
     d = (tJ - tj1 - tm2) // 2
-    total, vanished = RadicalSum.zero(), 0
+    pairs, vanished = [], 0
     for l in range(m + 1):
         numer = (
             binomial(tj1 - l, a1 - l)
@@ -130,11 +151,10 @@ def _alternative_as_written(s: CouplingSpec) -> tuple[RadicalSum, int]:
             * binomial(m, l)
         )
         vanished += not numer
-        term = RadicalSum.sqrt(
-            Fraction(numer, binomial(tj1, l) * binomial(tJ, (tJ - tM) // 2)) / norm
-        )
-        total = total + (-term if l & 1 else term)
-    return total, vanished
+        if numer:
+            square = Fraction(numer, binomial(tj1, l) * binomial(tJ, (tJ - tM) // 2)) / norm
+            pairs.append((-1 if l & 1 else 1, square))
+    return from_merged(merged_terms(pairs)), vanished
 
 
 def _well_formed_specs(tj1: int, tj2: int):
@@ -221,10 +241,7 @@ def test_routes_agree_where_j1_plus_j2_plus_J_exceeds_1000():
     alternative = cg_alternative(s)
     racah = cg_racah(s)
     # |510, 0> at depth m = 10 has m1 = 3 at l + p = 257
-    beta = sum(
-        (beta_closed_form(260, 260, 10, 510, l, 257 - l) for l in range(11)),
-        RadicalSum.zero(),
-    )
+    beta = summed(beta_closed_form(260, 260, 10, 510, l, 257 - l) for l in range(11))
     assert not alternative.is_zero
     assert alternative == racah == beta
     assert RadicalSum.parse(str(alternative)) == alternative
@@ -265,7 +282,7 @@ _LARGE_SPECS = [
 @pytest.mark.parametrize("args", _LARGE_SPECS)
 def test_racah_equals_the_formula_as_written_up_to_2j_800(args):
     s = spec(*args)
-    assert validate(s).is_well_formed
+    assert not _is_selection_zero(s)
     value = cg_racah(s)
     assert value == racah_as_written(s)
     assert value.num_terms == 1
@@ -288,33 +305,10 @@ def test_selection_rule_sweep():
 # ---------------------------------------------------------------------------
 
 
-def test_cg_to_wigner3j_examples():
-    s = spec(1, 1, 1, 1, 2, 2)
-    threej, value = cg_to_wigner3j(s, RadicalSum.one())
-    assert threej == ThreeJSpec.of(1, 1, 2, 1, 1, -2)
-    assert value == SQRT(Fraction(1, 5))
-    assert to_decimal(value, 5) == "0.44721"
-
-    identity = spec(0, 0, 0, 0, 0, 0)
-    _, one = cg_to_wigner3j(identity, RadicalSum.one())
-    assert one == RadicalSum.one()
-
-    _, zero = cg_to_wigner3j(s, RadicalSum.zero())
-    assert zero.is_zero
-
-
-def test_cg_to_wigner3j_scales_each_class():
-    # (-1)^(M+j1-j2) = -1 and 2J+1 = 3: each class is divided by sqrt(3)
-    s = spec(1, 1, 1, 0, 1, 1)
-    _, value = cg_to_wigner3j(s, SQRT(2) + SQRT(3))
-    assert value == -SQRT(Fraction(2, 3)) - RadicalSum.one()
-    assert list(value.terms()) == [(-1, Fraction(2, 3)), (-1, Fraction(1))]
-
-
 def test_wigner3j_values():
     assert wigner3j(ThreeJSpec.of(1, 1, 2, 1, 1, -2)) == SQRT(Fraction(1, 5))
-    value = wigner3j(ThreeJSpec.of(1, 1, 2, 1, -1, 0))
-    assert (value * value).as_fraction() == Fraction(1, 30)
+    assert to_decimal(wigner3j(ThreeJSpec.of(1, 1, 2, 1, 1, -2)), 5) == "0.44721"
+    assert wigner3j(ThreeJSpec.of(1, 1, 2, 1, -1, 0)) == SQRT(Fraction(1, 30))
     assert wigner3j(ThreeJSpec.of(1, 1, 1, 0, 0, 0)).is_zero
     assert wigner3j(ThreeJSpec.of(0, 0, 0, 0, 0, 0)) == RadicalSum.one()
 
@@ -363,7 +357,7 @@ def _well_formed_grid(tj1, tj2):
                     candidate = CouplingSpec(
                         *(HalfInt.from_twice(t) for t in (tj1, tj2, tm1, tm2, tJ, tM))
                     )
-                    if validate(candidate).is_well_formed:
+                    if not _is_selection_zero(candidate):
                         grid.append(candidate)
     grid.sort(key=lambda c: (c.J.twice, c.M.twice, c.m1.twice))
     return grid
@@ -384,6 +378,13 @@ def test_cell_specs_is_the_well_formed_grid():
         for _ in cell_specs(HalfInt.from_twice(tj1), HalfInt.from_twice(tj2))
     )
     assert total == 7809
+
+
+def test_cell_specs_rejects_a_negative_j():
+    # as build_full_table does, rather than walk an empty cell
+    for j1, j2 in ((-1, 2), (2, "-1/2")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cell_specs(j1, j2)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +425,6 @@ def test_wigner3j_equals_the_kernel_for_every_symbol_up_to_2j_4():
                             h = [HalfInt.from_twice(t) for t in (ja, jb, jc, ma, mb, mc)]
                             value = wigner3j(ThreeJSpec(*h))
                             assert value == _wigner3j(ja, jb, jc, ma, mb)
-                            # the conversion as a public caller writes it
-                            coupling = CouplingSpec(h[0], h[1], h[3], h[4], h[2], -h[5])
-                            _, converted = cg_to_wigner3j(coupling, cg_racah(coupling))
-                            assert value == converted
     assert count == 303
 
 

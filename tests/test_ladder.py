@@ -21,8 +21,15 @@ from cgexact.ladder import (
     lower_normalized,
     subspace_states,
 )
-from cgexact.numerics import HalfInt, RadicalSum, binomial, to_decimal
-from oracles import beta_closed_form, scaled, stretched_multiplet_state
+from cgexact.numerics import HalfInt, RadicalSum, to_decimal
+from oracles import (
+    beta_closed_form,
+    binomial,
+    product,
+    scaled,
+    stretched_multiplet_state,
+    summed,
+)
 
 SQRT = RadicalSum.sqrt
 HALF = Fraction(1, 2)
@@ -115,10 +122,7 @@ def test_alpha_invariants_small_sweep():
                 )
                 assert len(seq) == m + 1
                 assert seq[0].sign() == 1
-                total = RadicalSum.zero()
-                for alpha in seq:
-                    total = total + alpha * alpha
-                assert total == RadicalSum.one()
+                assert summed(product(alpha, alpha) for alpha in seq) == RadicalSum.one()
                 # two-term recurrence with exact radical coefficients
                 for l in range(1, m + 1):
                     ratio = Fraction(tj2 - m + l, tj1 - l + 1)
@@ -129,7 +133,7 @@ def test_alpha_invariants_small_sweep():
                             * binomial(tj1, tj1 - l + 1),
                         )
                     )
-                    expected = -(seq[l - 1] * root * ratio)
+                    expected = -product(product(seq[l - 1], root), RadicalSum.rational(ratio))
                     assert seq[l] == expected
 
 
@@ -206,7 +210,8 @@ def _divided_action_states():
             states.extend(subspace_states(j1, j2, J, route))
     middle = subspace_states(1, 1, 2, TableRoute.LADDER_ITERATIVE)[2]
     components = dict(middle.components)
-    components[0] = components[0] * SQRT(2)
+    assert components[0] == SQRT(Fraction(2, 3))
+    components[0] = SQRT(Fraction(4, 3))
     states.append(StateVector(middle.j1, middle.j2, middle.M, components))
     return states
 
@@ -313,32 +318,24 @@ def test_beta_reduces_to_stretched_coefficients():
 def test_beta_state_matches_lowering_oracle():
     chain = highest_weight_state(1, 1, 1)
     chain = lower_normalized(chain, 1)
-    beta_components = {}
+    weights = {}
     for l in range(2):
         for p in range(2):
-            value = beta_closed_form(1, 1, 1, 1, l, p)
-            if value.is_zero:
-                continue
             key = (2 - 2 * (l + p), 2 - 2 * (1 - l + 1 - p))
-            beta_components[key] = beta_components.get(key, RadicalSum.zero()) + value
-    beta_components = {k: v for k, v in beta_components.items() if not v.is_zero}
+            weights.setdefault(key, []).append(beta_closed_form(1, 1, 1, 1, l, p))
+    beta_components = {k: v for k, w in weights.items() if not (v := summed(w)).is_zero}
     assert beta_components == components_of(chain)
 
 
 def test_beta_matches_reference_table_rows():
     # (j1=2, j2=1), J=2, M=0: reference values -0.70711 and 0.70711 with a
     # vanishing (0, 0) component produced by cancellation across l
-    state_components = {}
+    weights = {}
     for l in range(2):
         for p in range(3):
-            value = beta_closed_form(2, 1, 1, 2, l, p)
-            if value.is_zero:
-                continue
             key = (4 - 2 * (l + p), 2 - 2 * (1 - l + 2 - p))
-            state_components[key] = (
-                state_components.get(key, RadicalSum.zero()) + value
-            )
-    state_components = {k: v for k, v in state_components.items() if not v.is_zero}
+            weights.setdefault(key, []).append(beta_closed_form(2, 1, 1, 2, l, p))
+    state_components = {k: v for k, w in weights.items() if not (v := summed(w)).is_zero}
     assert state_components == {(-2, 2): -SQRT(HALF), (2, -2): SQRT(HALF)}
 
 
@@ -349,14 +346,16 @@ def test_beta_state_equals_sum_of_closed_form_weights():
             j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
             for m in range(min(tj1, tj2) + 1):
                 for s in range(tj1 + tj2 - 2 * m + 1):
-                    expected = {}
+                    weights = {}
                     for l in range(m + 1):
                         for p in range(s + 1):
                             key = (tj1 - 2 * (l + p), tj2 - 2 * (m - l + s - p))
-                            expected[key] = expected.get(key, RadicalSum.zero()) + (
+                            weights.setdefault(key, []).append(
                                 beta_closed_form(j1, j2, m, s, l, p)
                             )
-                    expected = {k: v for k, v in expected.items() if not v.is_zero}
+                    expected = {
+                        k: v for k, w in weights.items() if not (v := summed(w)).is_zero
+                    }
                     assert components_of(_closed_form_state(j1, j2, m, s)) == expected
 
 

@@ -15,12 +15,13 @@ from cgexact.numerics import (
     HalfInt,
     NegativeRadicandError,
     RadicalSum,
-    binomial,
+    _radical,
+    _term_products,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
 )
-from oracles import merged_terms
+from oracles import binomial, merged_terms
 
 # ---------------------------------------------------------------------------
 # HalfInt
@@ -93,7 +94,7 @@ def test_halfint_hash_agrees_with_equality(twice):
 
 
 # ---------------------------------------------------------------------------
-# binomial
+# binomial (the oracles' generalized-zero binomial)
 # ---------------------------------------------------------------------------
 
 
@@ -142,8 +143,10 @@ SQRT = RadicalSum.sqrt
 def test_canonical_sqrt_examples():
     assert SQRT(Fraction(4, 9)) == RadicalSum.rational(Fraction(2, 3))
     assert list(SQRT(Fraction(8, 9)).terms()) == [(1, Fraction(8, 9))]
-    assert SQRT(Fraction(8, 9)) == SQRT(2) * Fraction(2, 3)
-    assert SQRT(Fraction(3, 5)) == SQRT(15) / 5
+    # 2 sqrt(2) / 3, as two terms of one class
+    assert SQRT(Fraction(8, 9)) == sum_radicals([(1, 2, 9), (1, 2, 9)])
+    # sqrt(15) / 5, from unreduced text
+    assert SQRT(Fraction(3, 5)) == RadicalSum.parse("sqrt(15/25)")
     assert SQRT(0).is_zero
     # 8/18 reduces to 4/9, so its square root is exactly 2/3
     assert SQRT(Fraction(8, 18)).is_rational
@@ -161,10 +164,11 @@ def test_canonical_sqrt_roundtrip(num, den, k):
     r = Fraction(num, den)
     x = SQRT(r)
     assert x.sign() >= 0
-    assert (x * x).as_fraction() == r
     assert list(x.terms()) == ([(1, r)] if r else [])
-    # sqrt(k**2 * r) == k * sqrt(r): equal values have equal terms
-    assert SQRT(r * k * k) == x * k
+    # sqrt(k**2 * r) == k * sqrt(r), as k terms of one class: equal values
+    # have equal terms
+    if r:
+        assert SQRT(r * k * k) == sum_radicals([(1, r.numerator, r.denominator)] * k)
     assert RadicalSum.parse(str(x)) == x
 
 
@@ -172,65 +176,56 @@ def test_canonical_sqrt_large_prime_residuals():
     # radicands with large prime factors need no factoring bound
     p, q = 1009, 1013
     mersenne = 2**127 - 1
-    assert SQRT(p**3) == SQRT(p) * p
-    assert SQRT(p * q) * SQRT(p) == SQRT(q) * p
+    # p sqrt(p) - sqrt(p) = (p - 1) sqrt(p)
+    assert sum_radicals([(1, p**3, 1), (-1, p, 1)]) == SQRT(p * (p - 1) ** 2)
+    # p sqrt(q) + q sqrt(p): two classes
+    assert sum_radicals([(1, p * p * q, 1), (1, q * q * p, 1)]).num_terms == 2
     assert SQRT(p * p) == p
-    assert SQRT(mersenne**3) == SQRT(mersenne) * mersenne
-    assert SQRT(Fraction(mersenne, p**3)) * SQRT(p) == SQRT(mersenne) / p
-    value = SQRT(Fraction(mersenne**3, p**5)) - SQRT(mersenne)
+    assert sum_radicals([(1, mersenne**3, 1), (1, mersenne, 1)]) == SQRT(
+        mersenne * (mersenne + 1) ** 2
+    )
+    # sqrt(mersenne) / p + sqrt(mersenne) = (p + 1) sqrt(mersenne) / p
+    assert sum_radicals([(1, mersenne, p * p), (1, mersenne, 1)]) == SQRT(
+        Fraction(mersenne * (p + 1) ** 2, p * p)
+    )
+    value = sum_radicals([(1, mersenne**3, p**5), (-1, mersenne, 1)])
+    assert value.num_terms == 2
     assert RadicalSum.parse(str(value)) == value
 
 
 # ---------------------------------------------------------------------------
-# RadicalSum arithmetic
+# RadicalSum as a value, and the sums that make values
 # ---------------------------------------------------------------------------
 
 SQRT2 = RadicalSum.sqrt(2)
 
 
 def test_radical_examples():
-    assert SQRT2 + SQRT2 == SQRT(8)
-    assert SQRT2 * SQRT2 == RadicalSum.rational(2)
-    assert (SQRT2 + (-SQRT2)).is_zero
-    assert (SQRT2 + (-SQRT2)) == RadicalSum.zero()
     assert RadicalSum() == RadicalSum.zero()
+    assert -SQRT2 == RadicalSum.parse("-sqrt(2)")
+    assert -(-SQRT2) == SQRT2
+    assert -RadicalSum.zero() == RadicalSum.zero()
+    assert sum_radicals([(1, 2, 1), (1, 2, 1)]) == SQRT(8)
+    assert sum_radicals([(1, 2, 1), (-1, 2, 1)]).is_zero
+    assert sum_radicals([(1, 2, 1), (-1, 2, 1)]) == RadicalSum.zero()
+    assert not RadicalSum.zero() and SQRT2
 
 
 def test_radical_kernel_recanonicalization():
-    # sqrt(6) * sqrt(10) = 2 sqrt(15)
-    assert SQRT(6) * SQRT(10) == SQRT(15) * 2
+    # sqrt(60) = 2 sqrt(15)
+    assert SQRT(60) == sum_radicals([(1, 15, 1), (1, 15, 1)])
     # commensurable radicands merge into one term: sqrt(8) = 2 sqrt(2)
-    assert SQRT(8) == SQRT2 * 2
-    assert SQRT(8) + SQRT2 == SQRT2 * 3
-    assert list((SQRT(8) + SQRT2).terms()) == [(1, Fraction(18))]
-    assert SQRT(Fraction(1, 2)) - SQRT(8) == -SQRT(Fraction(9, 2))
-    assert (SQRT(4) / 2) == RadicalSum.one()
-    assert (SQRT(9) - 3).is_zero
+    assert SQRT(8) == sum_radicals([(1, 2, 1), (1, 2, 1)])
+    assert sum_radicals([(1, 8, 1), (1, 2, 1)]) == SQRT(18)
+    assert list(sum_radicals([(1, 8, 1), (1, 2, 1)]).terms()) == [(1, Fraction(18))]
+    assert sum_radicals([(1, 1, 2), (-1, 8, 1)]) == -SQRT(Fraction(9, 2))
+    assert sum_radicals([(1, 4, 4)]) == RadicalSum.one()
+    assert RadicalSum.parse("sqrt(9) - 3").is_zero
     # incommensurable radicands stay apart, in order of square
-    assert list((SQRT(3) + SQRT2).terms()) == [(1, Fraction(2)), (1, Fraction(3))]
-    assert (SQRT(12) - SQRT(3) * 2 + SQRT2).num_terms == 1
-
-
-def test_radical_scaling_and_division():
-    x = SQRT(Fraction(3, 5))
-    assert x * 0 == RadicalSum.zero()
-    assert x * Fraction(2, 3) == SQRT(Fraction(4, 15))
-    assert x * -2 == -SQRT(Fraction(12, 5))
-    assert (x / x) == RadicalSum.one()
-    assert x / Fraction(1, 2) == x * 2
-    assert x / SQRT(15) == RadicalSum.rational(Fraction(1, 5))
-    with pytest.raises(ZeroDivisionError):
-        x / RadicalSum.zero()
-    with pytest.raises(ValueError):
-        x / (SQRT(2) + SQRT(3))
-
-
-def test_radical_rational_interop():
-    assert RadicalSum.rational(Fraction(1, 2)) + Fraction(1, 2) == 1
-    assert RadicalSum.zero() == 0
-    assert 2 * SQRT2 == SQRT(8)
-    assert SQRT2 != 2
-    assert 1 - RadicalSum.rational(3) == -2
+    assert list(sum_radicals([(1, 3, 1), (1, 2, 1)]).terms()) == [
+        (1, Fraction(2)), (1, Fraction(3))
+    ]
+    assert sum_radicals([(1, 12, 1), (-1, 3, 1), (-1, 3, 1), (1, 2, 1)]).num_terms == 1
 
 
 def test_radical_hash_agrees_with_equality():
@@ -239,10 +234,13 @@ def test_radical_hash_agrees_with_equality():
         assert radical == value
         assert hash(radical) == hash(value)
         assert value in {radical} and radical in {value}
+    assert RadicalSum.zero() == 0
+    assert SQRT2 != 2
     assert hash(SQRT(Fraction(9, 4))) == hash(Fraction(3, 2))
     assert hash(RadicalSum.zero()) == hash(0)
-    assert hash(SQRT(2) + SQRT(8)) == hash(SQRT(18))
-    assert len({SQRT(2), SQRT(3), SQRT(2) + SQRT(3), SQRT(8) / 2}) == 3
+    assert hash(sum_radicals([(1, 2, 1), (1, 8, 1)])) == hash(SQRT(18))
+    values = {SQRT(2), SQRT(3), sum_radicals([(1, 2, 1), (1, 3, 1)]), SQRT(Fraction(8, 4))}
+    assert len(values) == 3
 
 
 def test_radical_sign_and_as_fraction():
@@ -250,48 +248,32 @@ def test_radical_sign_and_as_fraction():
     assert SQRT2.sign() == 1
     assert (-SQRT2).sign() == -1
     with pytest.raises(ValueError):
-        (SQRT2 + RadicalSum.sqrt(3)).sign()
+        sum_radicals([(1, 2, 1), (1, 3, 1)]).sign()
     assert RadicalSum.rational(Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
     with pytest.raises(ValueError):
         SQRT2.as_fraction()
 
 
-# radicands with commensurable pairs (2, 8, 1/2; 3, 12; 1, 4, 9/4), so that
-# sums merge terms whose squares differ
 _radicands = st.sampled_from(
-    [Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(6), Fraction(8),
-     Fraction(10), Fraction(12), Fraction(15), Fraction(1, 2), Fraction(4),
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(8), Fraction(12), Fraction(1, 2),
      Fraction(9, 4)]
 )
 _coeffs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
-)
-_radicals = st.lists(st.tuples(_coeffs, _radicands), max_size=3).map(
-    lambda pairs: sum((SQRT(r) * c for c, r in pairs), RadicalSum.zero())
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_radicals, _radicals, _radicals)
-def test_radical_field_laws(x, y, z):
-    assert x + y == y + x
-    assert (x + y) + z == x + (y + z)
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + RadicalSum.zero() == x
-    assert x * RadicalSum.one() == x
-    assert (x - y) + y == x
+).filter(bool)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_radicands, _coeffs)
 def test_radical_self_product_is_rational(radicand, coeff):
-    x = SQRT(radicand) * coeff
-    square = x * x
-    assert square.num_terms <= 1
-    assert square.is_rational
-    assert square.as_fraction() == coeff * coeff * radicand
+    # coeff * sqrt(radicand) times itself, on the product path that state
+    # norms and unitarity inner products take
+    square = coeff * coeff * radicand
+    x = _radical(1 if coeff > 0 else -1, square.numerator, square.denominator)
+    product = sum_radicals(_term_products(x, x))
+    assert product.num_terms <= 1
+    assert product.is_rational
+    assert product.as_fraction() == coeff * coeff * radicand
 
 
 # squares (4/9, 9/1, 25/16) and non-squares, so that chains span several classes
@@ -334,11 +316,11 @@ def test_sum_signed_sqrts_examples():
     assert sum_signed_sqrts([(1, 1, 1), (1, 4, 9), (-1, 4, 9)]) == Fraction(11, 9)
     # sqrt(2) - sqrt(1/2) + sqrt(3): the non-square ratio 6/1 opens a new class
     value = sum_signed_sqrts([(1, 2, 1), (-1, 1, 4), (1, 6, 1)])
-    assert value == SQRT(2) / 2 + SQRT(3)
+    assert value == RadicalSum.parse("sqrt(1/2) + sqrt(3)")
     assert value.num_terms == 2
     # the third radicand is commensurable with the first again: classes merge
     value = sum_signed_sqrts([(1, 2, 1), (-1, 3, 1), (1, 4, 3)])
-    assert value == SQRT(2) * 3 - SQRT(6)
+    assert value == RadicalSum.parse("-sqrt(6) + sqrt(18)")
     # full cancellation inside one class, and the empty sum
     assert sum_signed_sqrts([(1, 1, 4), (-1, 1, 1)]).is_zero
     assert sum_signed_sqrts([]).is_zero
@@ -392,39 +374,15 @@ def test_sum_radicals_matches_term_by_term(terms):
     assert sum_radicals([*terms, *((-s, n, d) for s, n, d in terms)]).is_zero
 
 
-@settings(max_examples=300, deadline=None)
-@given(_RADICAL_TERMS, _RADICAL_TERMS)
-def test_radical_add_and_mul_match_pairwise_merge(a, b):
-    # values of several classes, so that + and * take their merging path
-    x, y = sum_radicals(a), sum_radicals(b)
-    assert list((x + y).terms()) == merged_terms([*x.terms(), *y.terms()])
-    assert list((x - y).terms()) == merged_terms([*x.terms(), *(-y).terms()])
-    products = [(s * t, q * p) for s, q in x.terms() for t, p in y.terms()]
-    assert list((x * y).terms()) == merged_terms(products)
-
-
-def test_radical_add_and_mul_examples():
-    # (sqrt2 + sqrt3)(sqrt2 - sqrt3) = 2 - 3: the two sqrt6 terms cancel
-    value = (SQRT(2) + SQRT(3)) * (SQRT(2) - SQRT(3))
-    assert value == -1 and list(value.terms()) == [(-1, Fraction(1))]
-    # (sqrt2 + sqrt3)(sqrt6 + 1) = 2 sqrt3 + sqrt2 + 3 sqrt2 + sqrt3, in order of square
-    value = (SQRT(2) + SQRT(3)) * (SQRT(6) + 1)
-    assert list(value.terms()) == [(1, Fraction(27)), (1, Fraction(32))]
-    assert value == SQRT(2) * 4 + SQRT(3) * 3
-    # two classes that each cancel to exactly 0
-    value = (SQRT(8) + SQRT(27)) + (-SQRT(2) - SQRT(Fraction(1, 2)) * 2 - SQRT(12) - SQRT(3))
-    assert value.is_zero and list(value.terms()) == []
-
-
 def test_sum_radicals_examples():
     # a square ratio (8/2 = 2**2): one class, one term
     value = sum_radicals([(1, 2, 1), (1, 8, 1)])
     assert value == SQRT(18) and value.num_terms == 1
     # a non-square ratio opens a second class
-    assert sum_radicals([(1, 2, 1), (-1, 3, 1)]) == SQRT(2) - SQRT(3)
+    assert sum_radicals([(1, 2, 1), (-1, 3, 1)]) == RadicalSum.parse("sqrt(2) - sqrt(3)")
     # five terms in two classes: (1 - 1/2 + 2) sqrt(2) + (1 - 2) sqrt(3)
     value = sum_radicals([(1, 2, 1), (-1, 1, 2), (1, 3, 1), (1, 8, 1), (-1, 12, 1)])
-    assert value == SQRT(2) * Fraction(5, 2) - SQRT(3)
+    assert value == RadicalSum.parse("sqrt(25/2) - sqrt(3)")
     # exact cancellation, unreduced squares, the empty sum, and a generator
     assert sum_radicals([(1, 8, 4), (-1, 2, 1)]).is_zero
     assert sum_radicals([(-1, 18, 8)]) == Fraction(-3, 2)
@@ -460,17 +418,19 @@ _FRACTIONS = st.fractions(min_value=-12, max_value=12, max_denominator=12)
 @given(_RADICAL_TERMS, _RADICAL_TERMS, _STEPS, _FRACTIONS, _FRACTIONS, st.integers(-9, 9))
 def test_every_constructor_gives_the_canonical_form(a, b, steps, p, q, k):
     x, y = sum_radicals(a), sum_radicals(b)
-    # single terms whose products and quotients need reducing
-    u, v = SQRT(abs(p)), SQRT(abs(q))
+    # the terms of a as parse text, unreduced and unmerged
+    text = " + ".join(f"{'-' if s < 0 else ''}sqrt({n}/{d})" for s, n, d in a) or "0"
+    sign = -1 if k < 0 else 1
     values = [
-        x, y, sum_signed_sqrts(steps), u, RadicalSum.rational(p),
-        RadicalSum.parse(str(x)), RadicalSum.parse(str(x - p)),
-        x + y, x - y, x * y, -x, x + p, x * p, x * k, u * v, u * v * k,
+        x, y, sum_signed_sqrts(steps), SQRT(abs(p)), RadicalSum.rational(p),
+        SQRT(abs(p * q) * k * k), -x,
+        RadicalSum.parse(str(x)), RadicalSum.parse(f"{x} + {RadicalSum.rational(-p)}"),
+        RadicalSum.parse(text),
+        # x + y, x * y and k * x as sum_radicals terms
+        sum_radicals([*a, *b]),
+        sum_radicals([(s * t, n * m, d * e) for s, n, d in a for t, m, e in b]),
+        sum_radicals([(sign * s, n, d) for s, n, d in a] * abs(k)),
     ]
-    if q:
-        values += [x / q, u / v]
-    if k:
-        values += [x / k, u / k]
     for value in values:
         _assert_canonical(value)
 
@@ -497,7 +457,8 @@ def test_equal_values_from_unreduced_pairs_are_equal_and_hash_equal():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 9), st.sampled_from([1, -1]))
 def test_equal_values_from_different_paths_are_equal_and_hash_equal(n, d, k, sign):
-    x = SQRT(Fraction(n, d)) * sign
+    x = SQRT(Fraction(n, d)) if sign > 0 else -SQRT(Fraction(n, d))
+    minus = "-" if sign < 0 else ""
     paths = [
         sum_radicals([(sign, n * k, d * k)]),
         sum_signed_sqrts([(sign, n * k, d * k)]),
@@ -505,10 +466,10 @@ def test_equal_values_from_different_paths_are_equal_and_hash_equal(n, d, k, sig
         sum_radicals([(sign, 4 * n * k, d * k), (-sign, n, d)]),
         sum_signed_sqrts([(sign, 4 * n * k, d * k), (-sign, 1, 4)]),
         RadicalSum.parse(str(x)),
-        SQRT(n * k) / SQRT(d * k) * sign,
-        SQRT(n * k) * SQRT(Fraction(1, d * k)) * sign,
-        SQRT(Fraction(n * k * k, d)) / k * sign,
-        (SQRT(Fraction(n, d * k * k)) * k) * sign,
+        RadicalSum.parse(f"{minus}sqrt({n * k}/{d * k})"),
+        # k terms sqrt(n / (d k**2)), merged in one class
+        sum_radicals([(sign, n, d * k * k)] * k),
+        RadicalSum.parse(" + ".join([f"{minus}sqrt({n}/{d * k * k})"] * k)),
     ]
     for value in paths:
         _assert_canonical(value)
@@ -530,12 +491,13 @@ def test_exact_rendering():
     assert str(RadicalSum.sqrt(Fraction(3, 5))) == "sqrt(3/5)"
     assert str(-RadicalSum.sqrt(Fraction(1, 2))) == "-sqrt(1/2)"
     assert str(RadicalSum.sqrt(2)) == "sqrt(2)"
-    assert str(RadicalSum.sqrt(15) / 5) == "sqrt(3/5)"
+    assert str(RadicalSum.sqrt(Fraction(15, 25))) == "sqrt(3/5)"
     assert str(RadicalSum.sqrt(Fraction(8, 18))) == "2/3"
-    # terms in increasing order of square, each as a sign and a square
-    multi = RadicalSum.sqrt(2) / 2 - RadicalSum.sqrt(3) / 3
+    # terms in increasing order of square, each as a sign and a square:
+    # sqrt(2) / 2 - sqrt(3) / 3, and 1/2 + sqrt(2) / 3
+    multi = sum_radicals([(1, 2, 4), (-1, 3, 9)])
     assert str(multi) == "-sqrt(1/3) + sqrt(1/2)"
-    mixed = Fraction(1, 2) + RadicalSum.sqrt(2) / 3
+    mixed = sum_radicals([(1, 1, 4), (1, 2, 9)])
     assert str(mixed) == "sqrt(2/9) + 1/2"
 
 
@@ -549,7 +511,7 @@ def test_parse_simple_forms(text):
 
 
 def test_parse_roundtrip_multiterm():
-    multi = RadicalSum.sqrt(2) / 2 - RadicalSum.sqrt(3) / 3 - 7
+    multi = sum_radicals([(1, 2, 4), (-1, 3, 9), (-1, 49, 1)])
     assert str(multi) == "-sqrt(1/3) + sqrt(1/2) - 7"
     assert RadicalSum.parse(str(multi)) == multi
 
@@ -566,9 +528,9 @@ def test_parse_rejects_junk():
 
 
 def test_to_decimal_reference_values():
-    assert to_decimal(RadicalSum.sqrt(15) / 5, 5) == "0.77460"
+    assert to_decimal(RadicalSum.sqrt(Fraction(15, 25)), 5) == "0.77460"
     assert to_decimal(RadicalSum.one(), 5) == "1.00000"
-    assert to_decimal(-RadicalSum.sqrt(3) / 3, 5) == "-0.57735"
+    assert to_decimal(-RadicalSum.sqrt(Fraction(3, 9)), 5) == "-0.57735"
     assert to_decimal(RadicalSum.sqrt(Fraction(9, 16)), 5) == "0.75000"
     assert to_decimal(RadicalSum.zero(), 5) == "0.00000"
 
@@ -620,10 +582,14 @@ def test_to_decimal_against_doubled_precision_intervals():
     rng = random.Random(20250811)
     kernels = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30]
     for _ in range(10_000):
-        value = RadicalSum.zero()
+        terms = []
         for kernel in rng.sample(kernels, rng.randint(1, 3)):
+            # coeff * sqrt(kernel), as one signed square root
             coeff = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-            value = value + RadicalSum.sqrt(kernel) * coeff
+            if coeff:
+                square = coeff * coeff * kernel
+                terms.append((1 if coeff > 0 else -1, square.numerator, square.denominator))
+        value = sum_radicals(terms)
         rendered = to_decimal(value, 5)
         lo, hi = _decimal_by_interval(value, 5, guard=40)
         assert lo == hi, f"interval oracle ambiguous for {value}"
@@ -635,11 +601,11 @@ def test_to_decimal_against_doubled_precision_intervals():
 def test_to_decimal_never_renders_negative_zero():
     tiny = RadicalSum.rational(Fraction(-1, 10**9))
     assert to_decimal(tiny, 5) == "0.00000"
-    assert to_decimal(-RadicalSum.sqrt(2) / 10**9, 5) == "0.00000"
+    assert to_decimal(-RadicalSum.sqrt(Fraction(2, 10**18)), 5) == "0.00000"
 
 
 # ---------------------------------------------------------------------------
-# Concurrency smoke test: pure functions, shared caches
+# Concurrency smoke test: pure functions, no shared state
 # ---------------------------------------------------------------------------
 
 
@@ -648,9 +614,9 @@ def test_concurrent_cache_consistency():
 
     def worker(slot):
         acc = []
-        for n in range(80):
-            acc.append(binomial(2 * n, n))
-            acc.append(str(RadicalSum.sqrt(Fraction(n, 97)) * RadicalSum.sqrt(n + 1)))
+        for n in range(1, 80):
+            acc.append(str(sum_radicals([(1, n, 97), (-1, 4 * n, 97), (1, n + 1, 1)])))
+            acc.append(to_decimal(sum_signed_sqrts([(1, n, 97), (-1, n + 1, n)]), 5))
         results[slot] = acc
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]

@@ -1,6 +1,7 @@
-"""Tests for the package surface: its exported names, its commands and the
-README tour."""
+"""Tests for the package surface: its exported names, its commands, the
+README tour, and what the sources may not use."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -11,14 +12,157 @@ import pytest
 import cgexact
 from cgexact.cli import cli, main
 from cgexact.ladder import TableRoute
+from cgexact.numerics import RadicalSum
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cgexact.__file__).resolve().parent
+
+#: the public surface, pinned: a name added or dropped is a decision, made here
+PUBLIC = [
+    "CHECKS",
+    "CoefficientRecord",
+    "Counterexample",
+    "CouplingSpec",
+    "HalfInt",
+    "MalformedCouplingError",
+    "NegativeRadicandError",
+    "RadicalSum",
+    "TableRoute",
+    "ThreeJSpec",
+    "VerificationReport",
+    "build_full_table",
+    "cell_specs",
+    "cg_alternative",
+    "cg_ladder",
+    "cg_racah",
+    "check_condon_shortley",
+    "check_formula_agreement",
+    "check_ladder_consistency",
+    "check_radical_collapse",
+    "check_threej_symmetries",
+    "check_unitarity_sweep",
+    "run_checks",
+    "to_decimal",
+    "wigner3j",
+    "__version__",
+]
+
+MODULE_ALL = {
+    "cli": [
+        "cli",
+        "main",
+        "parse_table_csv",
+        "parse_table_json",
+        "records_to_csv",
+        "records_to_json",
+        "records_to_pretty",
+    ],
+    "formulas": [
+        "CouplingSpec",
+        "MalformedCouplingError",
+        "ThreeJSpec",
+        "cell_specs",
+        "cg_alternative",
+        "cg_racah",
+        "wigner3j",
+    ],
+    "ladder": [
+        "CoefficientRecord",
+        "StateVector",
+        "TableRoute",
+        "alpha_sequence",
+        "apply_jminus",
+        "apply_jplus",
+        "build_full_table",
+        "cg_ladder",
+        "highest_weight_state",
+        "lower_normalized",
+        "subspace_states",
+    ],
+    "numerics": [
+        "HalfInt",
+        "NegativeRadicandError",
+        "RadicalSum",
+        "Rationalish",
+        "sum_radicals",
+        "sum_signed_sqrts",
+        "to_decimal",
+    ],
+    "verification": [
+        "Counterexample",
+        "VerificationReport",
+        "check_condon_shortley",
+        "check_formula_agreement",
+        "check_ladder_consistency",
+        "check_radical_collapse",
+        "check_threej_symmetries",
+        "check_unitarity_sweep",
+        "run_checks",
+        "CHECKS",
+    ],
+}
 
 
 def test_every_exported_name_resolves():
     assert len(cgexact.__all__) == len(set(cgexact.__all__))
     for name in cgexact.__all__:
         assert getattr(cgexact, name) is not None, name
+
+
+def test_public_surface_is_pinned():
+    assert cgexact.__all__ == PUBLIC
+    modules = sorted(info.name for info in pkgutil.iter_modules(cgexact.__path__))
+    assert modules == sorted(MODULE_ALL)
+    for module_name, exported in MODULE_ALL.items():
+        assert importlib.import_module(f"cgexact.{module_name}").__all__ == exported
+
+
+def test_radical_sum_is_a_value_without_arithmetic_operators():
+    # sums and products of values are sum_radicals and sum_signed_sqrts
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__float__",
+    ):
+        assert not hasattr(RadicalSum, name), name
+    for name in ("__neg__", "__eq__", "__hash__", "__str__", "parse"):
+        assert name in vars(RadicalSum), name
+
+
+def _cache_uses(tree: ast.AST) -> list[str]:
+    """Every use of functools.cache, lru_cache or cached_property in a
+    module's syntax tree, as text."""
+    names = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(f"functools.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in names - {"cache"}:
+            found.append(node.id)
+    return found
+
+
+def test_no_cache_in_the_package():
+    # each value is computed where it is needed: nothing to bound, clear or
+    # share between threads and worker processes
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) == len(MODULE_ALL) + 1  # the modules and __init__
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert _cache_uses(tree) == [], path.name
+
+
+def test_the_cache_finder_finds_caches():
+    for text in (
+        "from functools import lru_cache",
+        "import functools\n@functools.cache\ndef f(): pass",
+        "@lru_cache(maxsize=8)\ndef f(): pass",
+        "from functools import cached_property as c",
+    ):
+        assert _cache_uses(ast.parse(text)), text
+    assert _cache_uses(ast.parse("cache = {}\nimport functools")) == []
 
 
 def test_every_module_export_resolves():

@@ -9,7 +9,7 @@ import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum
-from oracles import scaled
+from oracles import product, scaled
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -19,7 +19,6 @@ from cgexact.verification import (
     check_ladder_consistency,
     check_radical_collapse,
     check_threej_symmetries,
-    check_unitarity,
     check_unitarity_sweep,
     run_checks,
 )
@@ -39,10 +38,22 @@ def test_trivial_bound_passes():
         assert check(0).passed
 
 
+def test_checks_reject_a_negative_bound_and_jobs_below_one():
+    # either would sweep no cell and pass on 0 cases
+    for name, check in CHECKS.items():
+        with pytest.raises(ValueError, match=r"must be >= 0 and jobs >= 1"):
+            check(-3)
+        with pytest.raises(ValueError, match=r"must be >= 0 and jobs >= 1"):
+            check(2, 0)
+    with pytest.raises(ValueError):
+        run_checks(["agreement"], -1)
+
+
 def test_unitarity_single_cells():
-    assert check_unitarity(2, 1).passed
-    assert check_unitarity(0, 0).passed
-    assert check_unitarity("7/2", "5/2").passed
+    # the (2j1, 2j2) cells (2, 1), (0, 0) and (7/2, 5/2), one at a time
+    for cell in ((4, 2), (0, 0), (7, 5)):
+        count, failure = verification._unitarity_cell(cell)
+        assert failure is None and count > 0
 
 
 def test_report_serialization():
@@ -122,7 +133,7 @@ def test_agreement_detects_injected_disagreement(monkeypatch):
 
 
 def test_collapse_detects_injected_multiterm(monkeypatch):
-    _broken_closed_form(monkeypatch, RadicalSum.sqrt(2) + RadicalSum.sqrt(3))
+    _broken_closed_form(monkeypatch, RadicalSum.parse("sqrt(2) + sqrt(3)"))
     report = check_radical_collapse(1)
     assert not report.passed
     assert "sqrt(2)" in report.counterexample.values["value"]
@@ -208,18 +219,19 @@ def _flip_first(table):
 
 def test_unitarity_detects_flipped_sign(monkeypatch):
     _alter_route_tables(monkeypatch, _flip_first)
-    for report in (check_unitarity(1, 1), check_unitarity_sweep(2)):
-        assert not report.passed
-        description = report.counterexample.description
+    report = check_unitarity_sweep(2)
+    assert not report.passed
+    for failure in (verification._unitarity_cell((2, 2))[1], report.counterexample):
+        description = failure.description
         assert "row orthonormality" in description or "column completeness" in description
-        assert report.counterexample.values["inner product"] != "0"
+        assert failure.values["inner product"] != "0"
 
 
 def test_unitarity_flipped_sign_counterexample(monkeypatch):
     _alter_route_tables(monkeypatch, _flip_first)
-    report = check_unitarity(1, 1)
-    assert report.scope == "j1=1, j2=1, 2 inner products"
-    assert report.counterexample == Counterexample(
+    count, failure = verification._unitarity_cell((2, 2))
+    assert count == 2
+    assert failure == Counterexample(
         "row orthonormality at (j1=1, j2=1): J=0, J'=1, M=0",
         {"inner product": "sqrt(2/3)"},
     )
@@ -235,12 +247,11 @@ def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
     # sqrt(2) times the coefficient at (J=3/2, M=-1/2, m1=-1/2) of the cell
     # (1/2, 1): its product with the J=1/2 row then has two classes
     def broken(table):
-        table[3, -1, -1] = table[3, -1, -1] * RadicalSum.sqrt(2)
+        table[3, -1, -1] = product(table[3, -1, -1], RadicalSum.sqrt(2))
 
     _alter_route_tables(monkeypatch, broken)
-    report = check_unitarity("1/2", 1)
-    assert not report.passed
-    assert report.counterexample == Counterexample(
+    _, failure = verification._unitarity_cell((1, 2))
+    assert failure == Counterexample(
         "row orthonormality at (j1=1/2, j2=1): J=1/2, J'=3/2, M=-1/2",
         {"inner product": "sqrt(2/9) - 2/3"},
     )
