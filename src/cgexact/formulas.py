@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _radical, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _radical, sum_radicals, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -308,14 +308,10 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
 
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
     """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
-    arguments with M + j1 - j2 an integer: C times the one radical
-    phase * sqrt(1 / (2J+1)), built as one term from C's single term."""
-    if value.is_zero:
-        return value
-    ((sign, n, d),) = value._terms
-    if ((tM + tj1 - tj2) // 2) & 1:
-        sign = -sign
-    return _radical(sign, n, d * (tJ + 1))
+    arguments with M + j1 - j2 an integer: each term of C times the one
+    radical phase * sqrt(1 / (2J+1))."""
+    phase = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
+    return sum_radicals((s * phase, n, d * (tJ + 1)) for s, n, d in value._terms)
 
 
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:

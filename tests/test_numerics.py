@@ -15,7 +15,6 @@ from cgexact.numerics import (
     HalfInt,
     NegativeRadicandError,
     RadicalSum,
-    _radical,
     _term_products,
     sum_radicals,
     sum_signed_sqrts,
@@ -254,13 +253,16 @@ def test_radical_sign_and_as_fraction():
         SQRT2.as_fraction()
 
 
+# radicands with commensurable pairs (2, 8, 1/2; 3, 12; 1, 4, 9/4), and
+# squares and non-squares
 _radicands = st.sampled_from(
-    [Fraction(1), Fraction(2), Fraction(3), Fraction(8), Fraction(12), Fraction(1, 2),
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(6), Fraction(8),
+     Fraction(10), Fraction(12), Fraction(15), Fraction(1, 2), Fraction(4),
      Fraction(9, 4)]
 )
 _coeffs = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
-).filter(bool)
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,7 +271,7 @@ def test_radical_self_product_is_rational(radicand, coeff):
     # coeff * sqrt(radicand) times itself, on the product path that state
     # norms and unitarity inner products take
     square = coeff * coeff * radicand
-    x = _radical(1 if coeff > 0 else -1, square.numerator, square.denominator)
+    x = RadicalSum.sqrt(square) if coeff >= 0 else -RadicalSum.sqrt(square)
     product = sum_radicals(_term_products(x, x))
     assert product.num_terms <= 1
     assert product.is_rational

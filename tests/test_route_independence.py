@@ -25,7 +25,6 @@ SHARED_PLUMBING = {
     "ladder._subspace_depth",
     "ladder.StateVector",
     "ladder.CoefficientRecord",
-    "numerics.HalfInt",
 }
 
 

@@ -258,6 +258,24 @@ def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
     assert RadicalSum.parse("sqrt(2/9) - 2/3").num_terms == 2
 
 
+def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
+    # sqrt(1/3) added to C(1/2 1/2 0; 1/2 -1/2 | 0 0) = sqrt(1/2): the 3j
+    # conversion gets a value of two classes and passes it on
+    original = formulas._racah
+
+    def broken(tj1, tj2, tJ, tM, tm1):
+        value = original(tj1, tj2, tJ, tM, tm1)
+        if (tj1, tj2, tJ, tM, tm1) == (1, 1, 0, 0, 1):
+            value = RadicalSum.parse(f"{value} + sqrt(1/3)")
+        return value
+
+    monkeypatch.setattr(formulas, "_racah", broken)
+    report = check_threej_symmetries(1)
+    assert not report.passed
+    values = report.counterexample.values.values()
+    assert RadicalSum.parse("sqrt(1/3) + sqrt(1/2)") in map(RadicalSum.parse, values)
+
+
 def test_ladder_detects_broken_lowering(monkeypatch):
     original = verification.apply_jminus
     monkeypatch.setattr(
