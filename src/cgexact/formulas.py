@@ -18,8 +18,11 @@ Validation happens only at the public entry points: `cg_alternative`,
 raises MalformedCouplingError for a malformed spec, and then call the
 kernels `_closed_form_steps`, `_racah` and `_wigner3j`, which take doubled
 integers and assume arguments that are well-formed and pass the selection
-rules.  The verification sweeps call those kernels directly, over the
-doubled (J, M, m1) keys of `_cell_keys`, the one walk of a cell.
+rules.  The table walk `ladder._cell_values`, which `build_full_table` and
+the verification checks read, calls them directly: `_racah` per doubled
+(J, M, m1) key of `_cell_keys`, the keys of a cell in order, and
+`_closed_form_steps` per component of a closed-form state.  The 3j check
+calls `_wigner3j` on doubled columns.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ Highest-weight states |J, J> come from the raising annihilation recurrence
 exact lowering (the iterative route, kept deliberately independent so it
 can serve as an oracle).  `subspace_states` builds all the states of one
 subspace either that way or from the closed form of `formulas`, each state
-on its own, and `build_full_table` turns any route into the full
-coefficient table for a (j1, j2) cell.
+on its own.  `_cell_values` is the one walk that turns a route into the
+nonzero values of a (j1, j2) cell keyed by doubled (J, M, m1); both
+`build_full_table` and the verification checks read it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -21,8 +22,8 @@ from .formulas import CouplingSpec
 from .numerics import (
     HalfInt,
     RadicalSum,
+    _dot,
     _radical,
-    _term_products,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
@@ -77,9 +78,7 @@ class StateVector:
     def norm_squared(self) -> RadicalSum:
         """The exact sum of the squared components: for components of one
         radical each, the sum of their squares, a rational."""
-        return sum_radicals(
-            term for value in self.components.values() for term in _term_products(value, value)
-        )
+        return _dot(self.components, self.components)
 
 
 def _lowering_element(tj: int, tm: int) -> int:
@@ -259,9 +258,6 @@ class CoefficientRecord:
     def value_text(self) -> str:
         return to_decimal(self.exact, 5)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.J.twice, self.M.twice, self.m1.twice)
-
 
 def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
     """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J:
@@ -285,38 +281,49 @@ def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
     return [_closed_form_state(j1, j2, m, s) for s in range(J.twice + 1)]
 
 
+def _cell_values(
+    tj1: int, tj2: int, route: TableRoute
+) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
+    """Every nonzero value of ``route``'s table of the (2j1, 2j2) cell,
+    keyed by its doubled (J, M, m1), in increasing key order.
+
+    RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`;
+    every other route reads the states of `subspace_states`, one subspace
+    at a time.  This is the one walk of a route's table: `build_full_table`
+    turns it into records and the verification checks into dicts.
+    """
+    if route is TableRoute.RACAH:
+        for key in formulas._cell_keys(tj1, tj2):
+            if not (value := formulas._racah(tj1, tj2, *key)).is_zero:
+                yield key, value
+        return
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        states = subspace_states(j1, j2, HalfInt.from_twice(tJ), route)
+        for state in reversed(states):  # ascending M
+            tM = state.M.twice
+            for tm1, value in sorted(state.components.items()):
+                yield (tJ, tM, tm1), value
+
+
 def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]:
     """All nonzero coefficients for (j1, j2), sorted by (J, M, m1).
 
     Every route produces the identical record set, each in that order; the
     iterative ladder route recomputes states by repeated exact lowering
-    precisely so it can defend the closed forms.  RACAH evaluates
-    `formulas._racah` per doubled (J, M, m1) of `formulas._cell_keys`, and
-    every other route reads the states of `subspace_states`.  ``route`` is
-    a TableRoute or its value; any other value raises ValueError.
+    precisely so it can defend the closed forms.  The records are the
+    values of `_cell_values`, the walk that the verification checks read
+    too.  ``route`` is a TableRoute or its value; any other value, or a
+    negative j, raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)
     tj1, tj2 = j1.twice, j2.twice
     if tj1 < 0 or tj2 < 0:
         raise ValueError("j1 and j2 must be nonnegative")
-    if route is TableRoute.RACAH:
-        # rows share one HalfInt per doubled value, which keeps the table small
-        half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
-        return [
-            CoefficientRecord(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
-            for tJ, tM, tm1 in formulas._cell_keys(tj1, tj2)
-            if not (value := formulas._racah(tj1, tj2, tJ, tM, tm1)).is_zero
-        ]
-    records: list[CoefficientRecord] = []
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        J = HalfInt.from_twice(tJ)
-        for state in reversed(subspace_states(j1, j2, J, route)):  # ascending M
-            M, tM = state.M, state.M.twice
-            records.extend(
-                CoefficientRecord(
-                    J, M, HalfInt.from_twice(tm1), HalfInt.from_twice(tM - tm1), value
-                )
-                for tm1, value in sorted(state.components.items())
-            )
-    return records
+    # rows share one HalfInt per doubled value, which keeps the table small
+    half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
+    return [
+        CoefficientRecord(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
+        for (tJ, tM, tm1), value in _cell_values(tj1, tj2, route)
+    ]

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "HalfInt",
@@ -192,11 +192,16 @@ def _radical(sign: int, n: int, d: int) -> "RadicalSum":
     return _from_terms(((sign, n // g, d // g),))
 
 
-def _term_products(a: "RadicalSum", b: "RadicalSum") -> Iterator[tuple[int, int, int]]:
-    """Each product of a term of ``a`` and a term of ``b``, as a
-    `sum_radicals` term."""
-    return (
-        (s * t, n * m, d * e) for s, n, d in a._terms for t, m, e in b._terms
+def _dot(u: Mapping[int, "RadicalSum"], v: Mapping[int, "RadicalSum"]) -> "RadicalSum":
+    """Exact inner product of two sparse real vectors: one `sum_radicals`
+    call over the products of the (sign, n, d) terms of matched components,
+    so a value of several classes gets its exact sum too."""
+    return sum_radicals(
+        (s * t, nu * nv, du * dv)
+        for index, a in u.items()
+        if (b := v.get(index)) is not None
+        for s, nu, du in a._terms
+        for t, nv, dv in b._terms
     )
 
 
@@ -448,8 +453,8 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     sum on this same path.
 
     This is the one function that merges commensurability classes:
-    `RadicalSum.parse`, the ladder actions, the state norms, the unitarity
-    inner products and `sum_signed_sqrts` all end here.
+    `RadicalSum.parse`, the ladder actions, `_dot` (the state norms and the
+    unitarity inner products) and `sum_signed_sqrts` all end here.
     """
     classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
     for sign, n, d in terms:

@@ -7,13 +7,14 @@ ladder consistency).  There are no tolerances anywhere: every comparison is
 exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
-The agreement, unitarity and collapse checks read per-cell tables: the
-states that the closed form and the iterative ladder build for a cell,
-keyed by doubled (J, M, m1), and the Racah kernel `formulas._racah` called
-per key of `formulas._cell_keys`.  The 3j check calls `formulas._wigner3j`
-on doubled columns.  These kernels skip validation, which only the public
-entry points do; a CouplingSpec or ThreeJSpec is built only to write a
-counterexample.
+The agreement, unitarity and collapse checks read each route's table of a
+cell from `ladder._cell_values`, the walk that `build_full_table` reads
+too: the nonzero values keyed by doubled (J, M, m1), from the states of
+the closed form and of the iterative ladder, or from the Racah kernel per
+key.  A key that a walk leaves out has the value 0.  The 3j check calls
+`formulas._wigner3j` on doubled columns.  These kernels skip validation,
+which only the public entry points do; a CouplingSpec or ThreeJSpec is
+built only to write a counterexample.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -35,19 +36,19 @@ from .formulas import (
     ThreeJSpec,
     _cell_keys,
     _key_spec,
-    _racah,
     _wigner3j,
     cg_alternative,
     cg_racah,
 )
 from .ladder import (
     TableRoute,
+    _cell_values,
     apply_jminus,
     apply_jplus,
     highest_weight_state,
     subspace_states,
 )
-from .numerics import HalfInt, RadicalSum, sum_radicals
+from .numerics import HalfInt, RadicalSum, _dot
 
 __all__ = [
     "Counterexample",
@@ -174,30 +175,17 @@ def _run_cell_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _route_table(
-    tj1: int, tj2: int, route: TableRoute
-) -> dict[tuple[int, int, int], RadicalSum]:
-    """The nonzero values of the states that ``route`` builds for the
-    (2j1, 2j2) cell, keyed by doubled (J, M, m1)."""
-    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    return {
-        (tJ, state.M.twice, tm1): value
-        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-        for state in subspace_states(j1, j2, HalfInt.from_twice(tJ), route)
-        for tm1, value in state.components.items()
-    }
-
-
 def _agreement_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
-    closed = _route_table(tj1, tj2, TableRoute.CLOSED_FORM)
-    iterative = _route_table(tj1, tj2, TableRoute.LADDER_ITERATIVE)
+    closed = dict(_cell_values(tj1, tj2, TableRoute.CLOSED_FORM))
+    racahs = dict(_cell_values(tj1, tj2, TableRoute.RACAH))
+    iterative = dict(_cell_values(tj1, tj2, TableRoute.LADDER_ITERATIVE))
     count = 0
     zero = RadicalSum.zero()
     for key in _cell_keys(tj1, tj2):
         count += 1
         alternative = closed.get(key, zero)
-        racah = _racah(tj1, tj2, *key)
+        racah = racahs.get(key, zero)
         ladder = iterative.get(key, zero)
         if not (alternative == racah == ladder):
             return count, Counterexample(
@@ -214,7 +202,8 @@ def _agreement_cell(cell: tuple[int, int]) -> CellResult:
 def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Closed form == Racah == iterative-ladder value, exactly, for every
     valid spec with 2j1, 2j2 <= max_twice_j (zeros included): per cell,
-    the closed-form and ladder states against `formulas._racah` per key."""
+    the three routes' walks (`ladder._cell_values`) compared key by key
+    over `formulas._cell_keys`, a key missing from a walk reading 0."""
     return _run_cell_sweep("formula agreement", _agreement_cell, max_twice_j, jobs)
 
 
@@ -223,26 +212,13 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def _dot(u: dict[int, RadicalSum], v: dict[int, RadicalSum]) -> RadicalSum:
-    """Exact inner product of two sparse real vectors: one `sum_radicals`
-    call over the products of the (sign, n, d) terms of matched components,
-    so a value of several classes gets its exact sum too."""
-    return sum_radicals(
-        (s * t, nu * nv, du * dv)
-        for index, a in u.items()
-        if (b := v.get(index)) is not None
-        for s, nu, du in a._terms
-        for t, nv, dv in b._terms
-    )
-
-
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     # both products stay inside one M block: rows of a block by J, columns by m1
     rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    for (tJ, tM, tm1), value in _route_table(tj1, tj2, TableRoute.CLOSED_FORM).items():
+    for (tJ, tM, tm1), value in _cell_values(tj1, tj2, TableRoute.CLOSED_FORM):
         rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
         columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
     one, zero = RadicalSum.one(), RadicalSum.zero()
@@ -298,7 +274,7 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
 
 
 def _collapse_cell(cell: tuple[int, int]) -> CellResult:
-    closed = _route_table(*cell, TableRoute.CLOSED_FORM)
+    closed = dict(_cell_values(*cell, TableRoute.CLOSED_FORM))
     count = 0
     for key in _cell_keys(*cell):
         count += 1
@@ -393,8 +369,6 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
     count = 0
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         tm2 = tJ - tj1
-        if abs(tm2) > tj2:
-            continue
         count += 1
         J = HalfInt.from_twice(tJ)
         spec = CouplingSpec(j1, j2, j1, HalfInt.from_twice(tm2), J, J)

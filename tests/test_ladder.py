@@ -401,7 +401,7 @@ def test_cg_ladder_matches_racah_small_sweep():
 def test_table_sizes_and_sorting():
     records = build_full_table(2, 1, TableRoute.CLOSED_FORM)
     assert len(records) == 36
-    keys = [r.sort_key() for r in records]
+    keys = [(r.J.twice, r.M.twice, r.m1.twice) for r in records]
     assert keys == sorted(keys)
     assert len(build_full_table(1, 1, TableRoute.CLOSED_FORM)) == 18
 

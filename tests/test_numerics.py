@@ -15,7 +15,7 @@ from cgexact.numerics import (
     HalfInt,
     NegativeRadicandError,
     RadicalSum,
-    _term_products,
+    _dot,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
@@ -272,7 +272,7 @@ def test_radical_self_product_is_rational(radicand, coeff):
     # norms and unitarity inner products take
     square = coeff * coeff * radicand
     x = RadicalSum.sqrt(square) if coeff >= 0 else -RadicalSum.sqrt(square)
-    product = sum_radicals(_term_products(x, x))
+    product = _dot({0: x}, {0: x})
     assert product.num_terms <= 1
     assert product.is_rational
     assert product.as_fraction() == coeff * coeff * radicand

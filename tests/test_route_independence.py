@@ -21,6 +21,7 @@ CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 #: functions of `ladder` that only turn states or values into table rows
 SHARED_PLUMBING = {
     "ladder.build_full_table",
+    "ladder._cell_values",
     "ladder.subspace_states",
     "ladder._subspace_depth",
     "ladder.StateVector",

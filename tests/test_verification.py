@@ -200,16 +200,16 @@ def test_map_ordered_caps_pool_size(monkeypatch):
 
 
 def _alter_route_tables(monkeypatch, alter):
-    """Make the checks read each per-cell route table after ``alter(table)``
-    changes it in place."""
-    original = verification._route_table
+    """Make the checks read each per-cell route walk as a dict keyed by
+    doubled (J, M, m1), after ``alter(table)`` changes it in place."""
+    original = verification._cell_values
 
     def altered(tj1, tj2, route):
-        table = original(tj1, tj2, route)
+        table = dict(original(tj1, tj2, route))
         alter(table)
-        return table
+        return iter(table.items())
 
-    monkeypatch.setattr(verification, "_route_table", altered)
+    monkeypatch.setattr(verification, "_cell_values", altered)
 
 
 def _flip_first(table):
@@ -404,7 +404,7 @@ def test_threej_evaluates_each_symbol_once(monkeypatch):
 
 def test_flipped_racah_cell_fails_agreement_threej_and_condon_shortley(monkeypatch):
     # every Racah value of the cell (j1=1, j2=1/2) changes sign: the checks
-    # that read the Racah kernel, directly or through cg_racah and
+    # that read the Racah kernel, through the table walk, cg_racah or
     # _wigner3j, must each fail there
     original = formulas._racah
 
@@ -413,7 +413,6 @@ def test_flipped_racah_cell_fails_agreement_threej_and_condon_shortley(monkeypat
         return -value if (tj1, tj2) == (2, 1) else value
 
     monkeypatch.setattr(formulas, "_racah", flipped)
-    monkeypatch.setattr(verification, "_racah", flipped)
     report = check_formula_agreement(2)
     assert (report.scope, report.counterexample) == (
         "2j <= 2, 28 cases",
