@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Sequence
 
 import click
 
@@ -109,30 +110,82 @@ def records_to_pretty(records: list[CoefficientRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_from_strings(J, M, m1, m2, exact) -> CoefficientRecord:
-    return CoefficientRecord(
-        HalfInt(J), HalfInt(M), HalfInt(m1), HalfInt(m2), RadicalSum.parse(exact)
-    )
+#: the fields of a row that parse back to a record, in record order; the
+#: value column is rendered from the exact one and is not read
+_PARSED_FIELDS = ("J", "M", "m1", "m2", "exact")
 
 
-def parse_table_csv(text: str) -> list[CoefficientRecord]:
-    """Inverse of records_to_csv (value column is re-derived from exact)."""
-    lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"missing csv header {CSV_HEADER!r}")
+def _read_records(
+    rows: Iterable[tuple[int, Sequence[str]]], place: str
+) -> list[CoefficientRecord]:
+    """Records of (number, fields) pairs, fields in `_PARSED_FIELDS` order.
+
+    The quantum numbers of one table take few distinct texts, so the rows
+    share one HalfInt per distinct text, parsed once per call.  A text
+    that is not a half-integer or an exact value raises ValueError naming
+    ``place`` ("line" or "row") and the number.
+    """
+    half: dict[str, HalfInt] = {}
     records = []
-    for line in lines[1:]:
-        J, M, m1, m2, exact, _value = line.split(",")
-        records.append(_record_from_strings(J, M, m1, m2, exact))
+    for number, (J, M, m1, m2, exact) in rows:
+        try:
+            records.append(
+                CoefficientRecord(
+                    *[half.get(t) or half.setdefault(t, HalfInt(t)) for t in (J, M, m1, m2)],
+                    RadicalSum.parse(exact),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{place} {number}: {exc}") from None
     return records
 
 
+def parse_table_csv(text: str) -> list[CoefficientRecord]:
+    """Inverse of records_to_csv; the value column is not read, since it is
+    rendered from the exact one.  A line without six fields, a bad
+    half-integer or bad exact text raises ValueError naming the 1-based
+    line, the header being line 1.
+    """
+    body = text.lstrip("\n")
+    first = len(text) - len(body) + 1  # the header's line number
+    lines = body.rstrip("\n").split("\n")
+    if lines[0] != CSV_HEADER:
+        raise ValueError(f"missing csv header {CSV_HEADER!r}")
+
+    def rows():
+        width = len(_PARSED_FIELDS) + 1
+        for number, line in enumerate(lines[1:], start=first + 1):
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ValueError(f"line {number}: expected {width} fields, got {len(fields)}")
+            yield number, fields[:-1]
+
+    return _read_records(rows(), "line")
+
+
 def parse_table_json(text: str) -> list[CoefficientRecord]:
-    """Inverse of records_to_json."""
-    return [
-        _record_from_strings(row["J"], row["M"], row["m1"], row["m2"], row["exact"])
-        for row in json.loads(text)
-    ]
+    """Inverse of records_to_json.  A document that is not an array, a row
+    that is not an object or lacks a field, a field that is not a string,
+    a bad half-integer or bad exact text raises ValueError naming the
+    0-based row index.
+    """
+    document = json.loads(text)
+    if not isinstance(document, list):
+        raise ValueError("a json table must be an array of rows")
+
+    def rows():
+        for index, row in enumerate(document):
+            if not isinstance(row, dict):
+                raise ValueError(f"row {index}: not an object")
+            missing = [key for key in _PARSED_FIELDS if key not in row]
+            if missing:
+                raise ValueError(f"row {index}: missing {', '.join(missing)}")
+            fields = [row[key] for key in _PARSED_FIELDS]
+            if not all(isinstance(field, str) for field in fields):
+                raise ValueError(f"row {index}: fields must be strings")
+            yield index, fields
+
+    return _read_records(rows(), "row")
 
 
 _FORMATTERS = {

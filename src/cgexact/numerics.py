@@ -104,10 +104,14 @@ class HalfInt:
         return HalfInt.from_twice(abs(self.twice))
 
     # == and < take exactly HalfInt and int, and total_ordering derives the
-    # rest from them; == must reject Fraction, or hashing would break
+    # rest from them; == must reject Fraction, or hashing would break.  A
+    # table comparison makes one == per quantum number, so HalfInt against
+    # HalfInt compares the doubled values with no coercion
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (HalfInt, int)):
-            return self.twice == _coerce_twice(other)
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, int):
+            return self.twice == 2 * other
         return NotImplemented
 
     def __lt__(self, other: Union["HalfInt", int]) -> bool:
@@ -496,18 +500,32 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
 def to_decimal(value: Union[RadicalSum, Rationalish], places: int) -> str:
     """Correctly rounded decimal string with exactly ``places`` fraction digits.
 
-    Rounding is round-half-even.  Rational values are rounded exactly;
-    irrational sums are bracketed by integer square-root intervals at
-    increasing guard precision until the rounding is unambiguous (an
-    irrational value is never exactly on a rounding boundary, so this
-    terminates).
+    Rounding is round-half-even.  Rational values are rounded exactly.  A
+    one-term RadicalSum sign * sqrt(n / d), as every coefficient is, costs
+    one integer square root, q = isqrt(n * 10**(2p) // d), the floor of its
+    magnitude scaled by 10**p, and one exact comparison with the midpoint
+    q + 1/2: the magnitude rounds up when 4 * n * 10**(2p) > d * (2q + 1)**2.
+    Only a rational value can meet the midpoint exactly, and it then rounds
+    to even.  A sum of several terms is bracketed by integer square-root
+    intervals at increasing guard precision until the rounding is
+    unambiguous (such a sum is irrational, so it is never exactly on a
+    rounding boundary, and this terminates).
     """
     if places < 1:
         raise ValueError(f"places must be >= 1, got {places}")
     if isinstance(value, RadicalSum):
-        if not value.is_rational:
-            return _irrational_decimal(value._terms, places)
-        value = value.as_fraction()
+        terms = value._terms
+        if len(terms) > 1:
+            return _irrational_decimal(terms, places)
+        if not terms:
+            return _format_scaled(0, places)
+        ((sign, n, d),) = terms
+        scaled = n * 10 ** (2 * places)
+        q = isqrt(scaled // d)
+        beyond = 4 * scaled - d * (2 * q + 1) ** 2
+        if beyond > 0 or (not beyond and q & 1):
+            q += 1
+        return _format_scaled(sign * q, places)
     num, den = _ratio(value)
     return _format_scaled(_round_half_even(num * 10**places, den), places)
 

@@ -14,6 +14,8 @@ from cgexact.cli import (
     records_to_csv,
     records_to_json,
 )
+from cgexact.ladder import TableRoute, build_full_table
+from cgexact.numerics import HalfInt
 from reference_tables import TABLE_J1_1_J2_1, TABLE_J1_2_J2_1
 
 
@@ -198,6 +200,77 @@ def test_table_json_roundtrip_byte_identical(runner):
     rows = json.loads(result.output)
     assert list(rows[0]) == ["J", "M", "m1", "m2", "exact", "value"]
     assert all(isinstance(v, str) for v in rows[0].values())
+
+
+@pytest.mark.parametrize("route", list(TableRoute))
+def test_every_route_round_trips_through_csv_and_json(route):
+    records = build_full_table("5/2", 2, route)
+    for render, parse in ((records_to_csv, parse_table_csv), (records_to_json, parse_table_json)):
+        text = render(records)
+        back = parse(text)
+        assert back == records
+        assert render(back) == text
+
+
+@pytest.mark.parametrize(
+    "render, parse",
+    [(records_to_csv, parse_table_csv), (records_to_json, parse_table_json)],
+)
+def test_parsing_builds_one_halfint_per_distinct_text(monkeypatch, render, parse):
+    text = render(build_full_table("5/2", 2, TableRoute.CLOSED_FORM))
+    texts = [(str(r.J), str(r.M), str(r.m1), str(r.m2)) for r in parse(text)]
+    distinct = {t for row in texts for t in row}
+    built = []
+    init = HalfInt.__init__
+
+    def counting_init(self, value):
+        built.append(value)
+        init(self, value)
+
+    monkeypatch.setattr(HalfInt, "__init__", counting_init)
+    back = parse(text)
+    assert sorted(built) == sorted(distinct)
+    shared = {}
+    for record in back:
+        for number in (record.J, record.M, record.m1, record.m2):
+            assert shared.setdefault(str(number), number) is number
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0,0", "line 3: expected 6 fields, got 3"),
+        ("1,0,0,0,1,1.00000,7", "line 3: expected 6 fields, got 7"),
+        ("1,0,1/3,0,1,1.00000", "line 3: not a half-integer: '1/3'"),
+        ("1,0,0,0,sqrt(x),1.00000", "line 3: unparseable exact-value text: 'sqrt(x)'"),
+    ],
+)
+def test_parse_table_csv_errors_name_the_line(row, message):
+    text = f"{CSV_HEADER}\n1,-1,-1,0,1,1.00000\n{row}\n1,1,1,0,1,1.00000\n"
+    with pytest.raises(ValueError) as excinfo:
+        parse_table_csv(text)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError, match="^line 4: "):
+        parse_table_csv("\n" + text)
+
+
+_JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1.00000"}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({}, "a json table must be an array of rows"),
+        ([[1, 2]], "row 0: not an object"),
+        ([_JSON_ROW, {k: v for k, v in _JSON_ROW.items() if k != "m2"}], "row 1: missing m2"),
+        ([_JSON_ROW, {**_JSON_ROW, "J": 1}], "row 1: fields must be strings"),
+        ([_JSON_ROW, {**_JSON_ROW, "m1": "x"}], "row 1: not a half-integer: 'x'"),
+    ],
+)
+def test_parse_table_json_errors_name_the_row(document, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_table_json(json.dumps(document))
+    assert str(excinfo.value) == message
 
 
 def test_table_deterministic(runner):

@@ -16,6 +16,7 @@ from cgexact.numerics import (
     NegativeRadicandError,
     RadicalSum,
     _dot,
+    _irrational_decimal,
     sum_radicals,
     sum_signed_sqrts,
     to_decimal,
@@ -604,6 +605,48 @@ def test_to_decimal_never_renders_negative_zero():
     tiny = RadicalSum.rational(Fraction(-1, 10**9))
     assert to_decimal(tiny, 5) == "0.00000"
     assert to_decimal(-RadicalSum.sqrt(Fraction(2, 10**18)), 5) == "0.00000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.integers(1, 12),
+)
+def test_one_term_decimal_matches_the_interval_path(sign, n, d, places):
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if isqrt(n) ** 2 == n and isqrt(d) ** 2 == d:
+        n += 1  # a non-square value: the interval path never terminates on a tie
+    g = gcd(n, d)
+    term = (sign, n // g, d // g)
+    assert to_decimal(sum_radicals([term]), places) == _irrational_decimal((term,), places)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=10**6), st.integers(1, 8))
+def test_one_term_rational_decimal_matches_the_fraction(value, places):
+    assert to_decimal(RadicalSum.rational(value), places) == to_decimal(value, places)
+
+
+@pytest.mark.parametrize(
+    "n, d, expected",
+    [
+        # 0.25 and 0.75, the midpoints between one-place decimals: exactly
+        # on them (rational, ties to even), then 1e-13 above and below
+        (1, 16, "0.2"),
+        (10**12 + 1, 16 * 10**12, "0.3"),
+        (10**12 - 1, 16 * 10**12, "0.2"),
+        (9, 16, "0.8"),
+        (9 * 10**12 + 1, 16 * 10**12, "0.8"),
+        (9 * 10**12 - 1, 16 * 10**12, "0.7"),
+    ],
+)
+def test_one_term_decimal_near_a_rounding_midpoint(n, d, expected):
+    value = RadicalSum.sqrt(Fraction(n, d))
+    assert to_decimal(value, 1) == expected
+    assert to_decimal(-value, 1) == "-" + expected
 
 
 # ---------------------------------------------------------------------------
