@@ -2,8 +2,8 @@
 
 Coefficients are computed as exact sums of signed square roots of rationals,
 one term per commensurability class (each term stored as its sign and the
-reduced integer pair of its square), via a binomial-ratio closed form, Racah's factorial
-formula, and explicit ladder-operator subspace reconstruction; the
+reduced integer pair of its square), via a binomial-ratio closed form, Racah's formula
+in binomial form, and explicit ladder-operator subspace reconstruction; the
 verification module certifies their mutual agreement by exact equality.
 """
 

@@ -69,24 +69,28 @@ def _write_output(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _quantum_texts(records: list[CoefficientRecord]) -> list[tuple[str, str, str, str]]:
+    """The (J, M, m1, m2) texts of every record.  The quantum numbers of one
+    table take few distinct values, so each is rendered once per call."""
+    text: dict[int, str] = {}
+
+    def render(value: HalfInt) -> str:
+        return text.get(value.twice) or text.setdefault(value.twice, str(value))
+
+    return [(render(r.J), render(r.M), render(r.m1), render(r.m2)) for r in records]
+
+
 def records_to_csv(records: list[CoefficientRecord]) -> str:
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{r.J},{r.M},{r.m1},{r.m2},{r.exact_text},{r.value_text}")
+    for (J, M, m1, m2), r in zip(_quantum_texts(records), records):
+        lines.append(f"{J},{M},{m1},{m2},{r.exact_text},{r.value_text}")
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: list[CoefficientRecord]) -> str:
     rows = [
-        {
-            "J": str(r.J),
-            "M": str(r.M),
-            "m1": str(r.m1),
-            "m2": str(r.m2),
-            "exact": r.exact_text,
-            "value": r.value_text,
-        }
-        for r in records
+        {"J": J, "M": M, "m1": m1, "m2": m2, "exact": r.exact_text, "value": r.value_text}
+        for (J, M, m1, m2), r in zip(_quantum_texts(records), records)
     ]
     return json.dumps(rows, indent=2) + "\n"
 
@@ -94,8 +98,8 @@ def records_to_json(records: list[CoefficientRecord]) -> str:
 def records_to_pretty(records: list[CoefficientRecord]) -> str:
     header = ("J", "M", "m1", "m2", "exact", "value")
     rows = [
-        (str(r.J), str(r.M), str(r.m1), str(r.m2), r.exact_text, r.value_text)
-        for r in records
+        (*texts, r.exact_text, r.value_text)
+        for texts, r in zip(_quantum_texts(records), records)
     ]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])

@@ -2,7 +2,8 @@
 
 Two independent closed forms are implemented: a binomial-ratio summation
 derived from ladder-operator subspace reconstruction (`cg_alternative`) and
-Racah's classical single-sum factorial formula (`cg_racah`).  They are kept
+Racah's classical single sum, its factorials regrouped into binomials so
+that the sum is taken in integers (`cg_racah`).  They are kept
 algorithmically disjoint on purpose; the verification module certifies their
 exact agreement.  The Wigner 3j symbol is obtained from the Racah route via
 the standard phase-and-normalization conversion.
@@ -28,7 +29,7 @@ calls `_wigner3j` on doubled columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
 from .numerics import HalfInt, RadicalSum, _radical, sum_radicals, sum_signed_sqrts
@@ -239,8 +240,8 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
-    """Clebsch-Gordan coefficient via Racah's single-sum factorial formula
-    (`_racah`).  Selection-zero specs give exactly 0."""
+    """Clebsch-Gordan coefficient via Racah's single-sum formula in binomial
+    form (`_racah`).  Selection-zero specs give exactly 0."""
     if _is_selection_zero(spec):
         return RadicalSum.zero()
     return _racah(
@@ -249,63 +250,53 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
 
 
 def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
-    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, for
-    arguments that are well-formed and obey the triangle rule with
-    j1 + j2 + J an integer; only the public entry points validate.
+    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, in
+    binomial form, for arguments that are well-formed and obey the triangle
+    rule with j1 + j2 + J an integer; only the public entry points validate.
 
-    A common square-root prefactor multiplies an alternating rational sum
-    over every z that keeps all factorial arguments nonnegative.  Only the
-    first term is built from factorials; the sum is taken in Horner form
-    from the last term through the small-integer term ratios, as one
-    integer fraction.  Prefactor and sum are then squared together in
-    integers, so the value costs one gcd: the reduced pair of its square.
-    The result is structurally a single-term RadicalSum, which is what makes
-    this route the collapse oracle for `cg_alternative`.
+    Let g1 = j1+j2-J, g2 = J+j1-j2 and g3 = J+j2-j1, so that 2j1 = g1+g2,
+    2j2 = g1+g3 and 2J = g2+g3.  The six factorials of each term of
+    Racah's sum pair up: z!(g1-z)! = g1!/C(g1, z), (j1-m1-z)!(J-j2+m1+z)! =
+    g2!/C(g2, j1-m1-z) and (j2+m2-z)!(J-j1-m2+z)! = g3!/C(g3, j2+m2-z).  So
+    the sum is S / (g1! g2! g3!) with the integer S = sum_z (-1)^z t_z,
+    t_z = C(g1, z) C(g2, j1-m1-z) C(g3, j2+m2-z), over the z where all
+    three are nonzero: a range that the selection rules make nonempty.
+    With C(2j1, g1) = (2j1)!/(g1! g2!), C(2j2, g1) = (2j2)!/(g1! g3!) and
+    C(j1+j2+J+1, g1) = (j1+j2+J+1)!/(g1! (2J+1)!), the factorials of the
+    prefactor regroup into binomials as well:
+
+        C^2 = S^2 C(2j1, g1) C(2j2, g1) / (C(j1+j2+J+1, g1) C(2j1, j1-m1)
+              C(2j2, j2+m2) C(2J, J+M)),  C of the sign of S.
+
+    Only the first term is built from binomials.  Each later one is
+    t_(z+1) = t_z (g1-z)(j1-m1-z)(j2+m2-z) // ((z+1)(d1+z+1)(d2+z+1)),
+    with d1 = J-j2+m1 and d2 = J-j1-m2: the ratio of the three binomials.
+    The division is exact, since its quotient t_(z+1) is a product of
+    binomials.  So S is an integer sum with no factorial and no fraction,
+    and C is the square root of one rational: structurally a single-term
+    RadicalSum, reduced by one gcd, which makes this route the collapse
+    oracle for `cg_alternative`.
     """
-    tm2 = tM - tm1
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
     g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
     g3 = (tJ + tj2 - tj1) // 2         # J + j2 - j1
-    gs = (tj1 + tj2 + tJ) // 2 + 1     # j1 + j2 + J + 1
-    a_p = (tj1 + tm1) // 2             # j1 + m1
-    a_m = (tj1 - tm1) // 2             # j1 - m1
-    b_p = (tj2 + tm2) // 2             # j2 + m2
-    b_m = (tj2 - tm2) // 2             # j2 - m2
-    c_p = (tJ + tM) // 2               # J + M
-    c_m = (tJ - tM) // 2               # J - M
-    d1 = (tJ - tj2 + tm1) // 2         # J - j2 + m1
-    d2 = (tJ - tj1 - tm2) // 2         # J - j1 - m2
+    a = (tj1 - tm1) // 2               # j1 - m1
+    b = (tj2 + tM - tm1) // 2          # j2 + m2
+    d1, d2 = g2 - a, g3 - b            # J - j2 + m1, J - j1 - m2
 
     z_lo = max(0, -d1, -d2)
-    z_hi = min(g1, a_m, b_p)
-    if z_lo > z_hi:
+    # the signed terms (-1)^z t_z; each step flips the sign
+    term = comb(g1, z_lo) * comb(g2, a - z_lo) * comb(g3, b - z_lo)
+    total = term = -term if z_lo & 1 else term
+    for z in range(z_lo, min(g1, a, b)):
+        term = -term * (g1 - z) * (a - z) * (b - z) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
+        total += term
+    if not total:
         return RadicalSum.zero()
-
-    # the sum relative to the z_lo term is num/den; the term ratio from z to
-    # z + 1 is -(g1-z)(a_m-z)(b_p-z) / ((z+1)(d1+z+1)(d2+z+1))
-    num = den = 1
-    for z in range(z_hi - 1, z_lo - 1, -1):
-        below = (z + 1) * (d1 + z + 1) * (d2 + z + 1)
-        num, den = den * below - (g1 - z) * (a_m - z) * (b_p - z) * num, den * below
-    if not num:
-        return RadicalSum.zero()
-    if z_lo & 1:
-        num = -num
-    den *= (
-        factorial(z_lo) * factorial(g1 - z_lo) * factorial(a_m - z_lo)
-        * factorial(b_p - z_lo) * factorial(d1 + z_lo) * factorial(d2 + z_lo)
-    )
-    # C = sqrt(prefactor) * num / den, with the prefactor (2J+1) times nine
-    # factorials over (j1+j2+J+1)!, taken as one signed square
     return _radical(
-        1 if num > 0 else -1,
-        (tJ + 1)
-        * factorial(g1) * factorial(g2) * factorial(g3)
-        * factorial(a_p) * factorial(a_m)
-        * factorial(b_p) * factorial(b_m)
-        * factorial(c_p) * factorial(c_m)
-        * num * num,
-        factorial(gs) * den * den,
+        1 if total > 0 else -1,
+        total * total * comb(tj1, g1) * comb(tj2, g1),
+        comb(g1 + tJ + 1, g1) * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2),
     )
 
 

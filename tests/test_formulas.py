@@ -168,6 +168,14 @@ def _from_twice(*twice) -> CouplingSpec:
     return CouplingSpec(*(HalfInt.from_twice(t) for t in twice))
 
 
+def _drawn_spec(tj1: int, tj2: int, data) -> CouplingSpec:
+    """A well-formed spec of the (2j1, 2j2) cell drawn by Hypothesis."""
+    tJ = data.draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+    tM = data.draw(st.sampled_from(range(-tJ, tJ + 1, 2)))
+    tm1 = data.draw(st.sampled_from(range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)))
+    return _from_twice(tj1, tj2, tm1, tM - tm1, tJ, tM)
+
+
 def test_alternative_equals_sum_as_written_up_to_2j_10():
     vanishing = 0
     for tj1 in range(11):
@@ -190,10 +198,7 @@ def test_alternative_where_the_loose_l_range_has_vanishing_terms():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 300), st.integers(0, 300), st.data())
 def test_alternative_equals_sum_as_written_up_to_2j_300(tj1, tj2, data):
-    tJ = data.draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
-    tM = data.draw(st.sampled_from(range(-tJ, tJ + 1, 2)))
-    tm1 = data.draw(st.sampled_from(range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)))
-    s = _from_twice(tj1, tj2, tm1, tM - tm1, tJ, tM)
+    s = _drawn_spec(tj1, tj2, data)
     assert cg_alternative(s) == _alternative_as_written(s)[0]
 
 
@@ -254,9 +259,10 @@ def test_racah_equals_the_formula_as_written_up_to_2j_8():
                 assert cg_racah(s) == racah_as_written(s), str(s)
 
 
-# 2j up to 800; the first three have j1 + j2 + J above 1000
+# 2j up to 800; the first four have j1 + j2 + J above 1000
 _LARGE_SPECS = [
     (400, 400, 0, 0, 800, 0),
+    (400, 400, 0, 0, 400, 0),
     (400, 400, 400, -1, 799, 399),
     (260, 260, 3, -3, 510, 0),
     ("205/2", "337/2", "-89/2", "-311/2", 265, -200),
@@ -286,6 +292,22 @@ def test_racah_equals_the_formula_as_written_up_to_2j_800(args):
     value = cg_racah(s)
     assert value == racah_as_written(s)
     assert value.num_terms == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 800), st.integers(0, 800), st.data())
+def test_racah_equals_the_formula_as_written_up_to_2j_800_drawn(tj1, tj2, data):
+    s = _drawn_spec(tj1, tj2, data)
+    assert cg_racah(s) == racah_as_written(s)
+
+
+def test_racah_sum_that_cancels_to_zero_at_large_j():
+    # <j1 0 j2 0 | J 0> = 0 for odd j1 + j2 + J: well-formed and allowed by
+    # the selection rules, so the zero comes from the sum itself
+    s = spec(400, 300, 0, 0, 101, 0)
+    assert not _is_selection_zero(s)
+    for value in (cg_racah(s), cg_alternative(s), racah_as_written(s)):
+        assert value.is_zero
 
 
 def test_selection_rule_sweep():
