@@ -34,7 +34,14 @@ __all__ = [
     "records_to_pretty",
 ]
 
-CSV_HEADER = "J,M,m1,m2,exact,value"
+#: the columns of a table row, in every format
+_FIELDS = ("J", "M", "m1", "m2", "exact", "value")
+
+CSV_HEADER = ",".join(_FIELDS)
+
+#: the fields of a row that parse back to a record, in record order; the
+#: value column is rendered from the exact one and is not read
+_PARSED_FIELDS = _FIELDS[:5]
 
 _COEFF_ROUTES = {
     "alternative": cg_alternative,
@@ -69,54 +76,41 @@ def _write_output(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _quantum_texts(records: list[CoefficientRecord]) -> list[tuple[str, str, str, str]]:
-    """The (J, M, m1, m2) texts of every record.  The quantum numbers of one
-    table take few distinct values, so each is rendered once per call."""
+def _text_rows(records: list[CoefficientRecord]) -> list[tuple[str, ...]]:
+    """The texts of every record in `_FIELDS` order.  The quantum numbers
+    of one table take few distinct values, so each is rendered once per
+    call."""
     text: dict[int, str] = {}
 
     def render(value: HalfInt) -> str:
         return text.get(value.twice) or text.setdefault(value.twice, str(value))
 
-    return [(render(r.J), render(r.M), render(r.m1), render(r.m2)) for r in records]
+    return [
+        (render(r.J), render(r.M), render(r.m1), render(r.m2), r.exact_text, r.value_text)
+        for r in records
+    ]
 
 
 def records_to_csv(records: list[CoefficientRecord]) -> str:
-    lines = [CSV_HEADER]
-    for (J, M, m1, m2), r in zip(_quantum_texts(records), records):
-        lines.append(f"{J},{M},{m1},{m2},{r.exact_text},{r.value_text}")
+    lines = [CSV_HEADER, *(",".join(row) for row in _text_rows(records))]
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: list[CoefficientRecord]) -> str:
-    rows = [
-        {"J": J, "M": M, "m1": m1, "m2": m2, "exact": r.exact_text, "value": r.value_text}
-        for (J, M, m1, m2), r in zip(_quantum_texts(records), records)
-    ]
+    rows = [dict(zip(_FIELDS, row)) for row in _text_rows(records)]
     return json.dumps(rows, indent=2) + "\n"
 
 
 def records_to_pretty(records: list[CoefficientRecord]) -> str:
-    header = ("J", "M", "m1", "m2", "exact", "value")
-    rows = [
-        (*texts, r.exact_text, r.value_text)
-        for texts, r in zip(_quantum_texts(records), records)
-    ]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(6)
-    ]
+    rows = [_FIELDS, *_text_rows(records)]
+    widths = [max(len(row[i]) for row in rows) for i in range(6)]
     lines = []
-    for row in [header, *rows]:
+    for row in rows:
         cells = [row[i].rjust(widths[i]) for i in range(4)]
         cells.append(row[4].ljust(widths[4]))
         cells.append(row[5].rjust(widths[5]))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-#: the fields of a row that parse back to a record, in record order; the
-#: value column is rendered from the exact one and is not read
-_PARSED_FIELDS = ("J", "M", "m1", "m2", "exact")
 
 
 def _read_records(
@@ -157,7 +151,7 @@ def parse_table_csv(text: str) -> list[CoefficientRecord]:
         raise ValueError(f"missing csv header {CSV_HEADER!r}")
 
     def rows():
-        width = len(_PARSED_FIELDS) + 1
+        width = len(_FIELDS)
         for number, line in enumerate(lines[1:], start=first + 1):
             fields = line.split(",")
             if len(fields) != width:

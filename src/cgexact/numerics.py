@@ -134,21 +134,12 @@ class HalfInt:
         return f"HalfInt({str(self)!r})"
 
 
-_HALF_INT_RE = re.compile(r"(-?[0-9]+)(/2)?")
-
-
 def _coerce_twice(value) -> int:
     """Doubled-integer value of anything that denotes a half-integer."""
     if isinstance(value, HalfInt):
         return value.twice
     if isinstance(value, int):
         return 2 * value
-    if isinstance(value, str):
-        # the forms str(HalfInt) emits, without a Fraction
-        match = _HALF_INT_RE.fullmatch(value)
-        if match:
-            whole = int(match.group(1))
-            return whole if match.group(2) else 2 * whole
     if isinstance(value, (str, float, Fraction)):
         try:
             frac = Fraction(value)

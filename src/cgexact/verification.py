@@ -13,8 +13,10 @@ too: the nonzero values keyed by doubled (J, M, m1), from the states of
 the closed form and of the iterative ladder, or from the Racah kernel per
 key.  A key that a walk leaves out has the value 0.  The 3j check calls
 `formulas._wigner3j` on doubled columns.  These kernels skip validation,
-which only the public entry points do; a CouplingSpec or ThreeJSpec is
-built only to write a counterexample.
+which only the public entry points do.  A sweep builds a CouplingSpec or
+ThreeJSpec only to write a counterexample, except the Condon-Shortley
+check: it builds one CouplingSpec per |J, J> and passes it to the
+validating `cg_alternative` and `cg_racah`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -101,16 +103,6 @@ class VerificationReport:
 CellResult = tuple[int, Counterexample | None]
 
 
-def _report(name, scope, started, failure=None) -> VerificationReport:
-    return VerificationReport(
-        name=name,
-        scope=scope,
-        passed=failure is None,
-        counterexample=failure,
-        elapsed=time.perf_counter() - started,
-    )
-
-
 def _cells(max_twice_j: int) -> list[tuple[int, int]]:
     """All (2j1, 2j2) cells in deterministic order; both exchange orders on
     purpose (the j1 < j2 half is recomputed independently, a stronger test)."""
@@ -159,15 +151,20 @@ def _run_cell_sweep(
             f"max_twice_j must be >= 0 and jobs >= 1, got {max_twice_j} and {jobs}"
         )
     started = time.perf_counter()
-    scope = f"2j <= {max_twice_j}"
     if units is None:
         units = _cells(max_twice_j)
-    count = 0
+    count, failure = 0, None
     for cell_count, failure in _map_ordered(worker, units, jobs):
         count += cell_count
         if failure is not None:
-            return _report(name, f"{scope}, {count} cases", started, failure)
-    return _report(name, f"{scope}, {count} cases", started)
+            break
+    return VerificationReport(
+        name=name,
+        scope=f"2j <= {max_twice_j}, {count} cases",
+        passed=failure is None,
+        counterexample=failure,
+        elapsed=time.perf_counter() - started,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,6 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    # both products stay inside one M block: rows of a block by J, columns by m1
     rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     for (tJ, tM, tm1), value in _cell_values(tj1, tj2, TableRoute.CLOSED_FORM):
@@ -223,38 +219,26 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
         columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
     one, zero = RadicalSum.one(), RadicalSum.zero()
 
+    # one Gram test per pass, inside each M block: the rows of a block by
+    # J, visited in (J, M) order, then its columns by m1, in (M, m1) order;
+    # each vector meets every vector of its block at or after it
     count = 0
-    for tJ, tM in sorted((tJ, tM) for tM, block in rows.items() for tJ in block):
-        block = rows[tM]
-        for tJb in sorted(block):
-            if tJb < tJ:
-                continue
-            count += 1
-            product = _dot(block[tJ], block[tJb])
-            if product != (one if tJb == tJ else zero):
-                return count, Counterexample(
-                    description=(
-                        f"row orthonormality at (j1={j1}, j2={j2}): "
-                        f"J={HalfInt.from_twice(tJ)}, J'={HalfInt.from_twice(tJb)}, "
-                        f"M={HalfInt.from_twice(tM)}"
-                    ),
-                    values={"inner product": str(product)},
-                )
-
-    for tM, block in sorted(columns.items()):
-        keys = sorted(block)
-        for tm1 in keys:
-            for tm1b in keys:
-                if tm1b < tm1:
-                    continue
+    for label, index, blocks, order in (
+        ("row orthonormality", "J", rows, lambda vector: vector[::-1]),
+        ("column completeness", "m1", columns, None),
+    ):
+        vectors = sorted(((tM, t) for tM, block in blocks.items() for t in block), key=order)
+        for tM, t in vectors:
+            block = blocks[tM]
+            for tb in sorted(tb for tb in block if tb >= t):
                 count += 1
-                product = _dot(block[tm1], block[tm1b])
-                if product != (one if tm1 == tm1b else zero):
+                product = _dot(block[t], block[tb])
+                if product != (one if tb == t else zero):
                     return count, Counterexample(
                         description=(
-                            f"column completeness at (j1={j1}, j2={j2}): "
-                            f"m1={HalfInt.from_twice(tm1)}, m1'={HalfInt.from_twice(tm1b)}, "
-                            f"M={HalfInt.from_twice(tM)}"
+                            f"{label} at (j1={j1}, j2={j2}): "
+                            f"{index}={HalfInt.from_twice(t)}, "
+                            f"{index}'={HalfInt.from_twice(tb)}, M={HalfInt.from_twice(tM)}"
                         ),
                         values={"inner product": str(product)},
                     )
@@ -263,8 +247,8 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
 
 def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Exact orthogonality of the full coefficient matrix of every cell with
-    2j <= max_twice_j: row orthonormality (fixed J, M over m1) and column
-    completeness (fixed m1, m2 over J)."""
+    2j <= max_twice_j, one Gram test on its rows (orthonormality at fixed
+    J, M over m1), then on its columns (completeness at fixed m1, m2 over J)."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 

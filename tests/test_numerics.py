@@ -30,10 +30,20 @@ from oracles import binomial, merged_terms
 
 @pytest.mark.parametrize(
     "text, twice",
-    [("2", 4), ("3/2", 3), ("1.5", 3), ("-1/2", -1), ("0", 0), ("-3", -6)],
+    [
+        ("2", 4), ("3/2", 3), ("1.5", 3), ("-1/2", -1), ("0", 0), ("-3", -6),
+        ("4/2", 4), ("-0", 0), ("03", 6), ("+3", 6), (" 3/2 ", 3), ("6/4", 3),
+        ("-5/2", -5),
+    ],
 )
 def test_halfint_parse_forms(text, twice):
     assert HalfInt(text).twice == twice
+
+
+def test_halfint_reads_back_its_own_text():
+    # every doubled value a coefficient can take, 2j up to 800
+    for twice in range(-801, 802):
+        assert HalfInt(str(HalfInt.from_twice(twice))).twice == twice
 
 
 def test_halfint_coercions():
@@ -44,7 +54,9 @@ def test_halfint_coercions():
     assert HalfInt.from_twice(5) == HalfInt("5/2")
 
 
-@pytest.mark.parametrize("bad", ["1.25", "abc", "", "1/3", Fraction(2, 3), 0.3])
+@pytest.mark.parametrize(
+    "bad", ["1.25", "abc", "", "1/3", Fraction(2, 3), 0.3, "3/4", "--1"]
+)
 def test_halfint_rejects_non_halfintegers(bad):
     with pytest.raises(ValueError):
         HalfInt(bad)

@@ -29,6 +29,24 @@ SHARED_PLUMBING = {
 }
 
 
+def _qualname(frame) -> str:
+    """The qualified name of the frame's code.  Code objects have no
+    ``co_qualname`` before Python 3.11; there a method is named after the
+    class of its module whose member, a function, a static or class method
+    or a property getter, has this code."""
+    code = frame.f_code
+    if hasattr(code, "co_qualname"):
+        return code.co_qualname
+    for owner in frame.f_globals.values():
+        if isinstance(owner, type):
+            for member in vars(owner).values():
+                member = getattr(member, "__func__", member)
+                member = getattr(member, "fget", member)
+                if getattr(member, "__code__", None) is code:
+                    return f"{owner.__qualname__}.{code.co_name}"
+    return code.co_name
+
+
 def _calls(route: TableRoute) -> set[str]:
     """'module.qualname' of every package function that runs while
     ``route`` builds the tables of CELLS; comprehensions and generated
@@ -40,8 +58,8 @@ def _calls(route: TableRoute) -> set[str]:
             return
         module = frame.f_globals.get("__name__", "")
         code = frame.f_code
-        name = getattr(code, "co_qualname", code.co_name)
         if module.startswith("cgexact.") and not code.co_filename.startswith("<"):
+            name = _qualname(frame)
             if not name.rsplit(".", 1)[-1].startswith("<"):
                 called.add(f"{module.removeprefix('cgexact.')}.{name}")
 

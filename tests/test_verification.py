@@ -243,6 +243,26 @@ def test_unitarity_flipped_sign_counterexample(monkeypatch):
     )
 
 
+def test_unitarity_column_completeness_counterexample(monkeypatch):
+    # without the J=1, M=0 row of the cell (1/2, 1/2) the rows stay
+    # orthonormal, and the m1=-1/2 column of M=0 loses half its norm; the
+    # sweep meets that cell before any other cell with these keys
+    def drop_row(table):
+        table.pop((2, 0, -1), None)
+        table.pop((2, 0, 1), None)
+
+    _alter_route_tables(monkeypatch, drop_row)
+    expected = Counterexample(
+        "column completeness at (j1=1/2, j2=1/2): m1=-1/2, m1'=-1/2, M=0",
+        {"inner product": "1/2"},
+    )
+    assert verification._unitarity_cell((1, 1)) == (5, expected)
+    for jobs in (1, 2):
+        report = check_unitarity_sweep(4, jobs=jobs)
+        assert report.scope == "2j <= 4, 39 cases"
+        assert report.counterexample == expected
+
+
 def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
     # sqrt(2) times the coefficient at (J=3/2, M=-1/2, m1=-1/2) of the cell
     # (1/2, 1): its product with the J=1/2 row then has two classes
