@@ -12,7 +12,11 @@ All index arithmetic happens on doubled integers (``HalfInt.twice``), so
 every loop bound is a plain int and no rounding can occur, and every
 binomial is a `math.comb` of nonnegative arguments.  The closed form's
 norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
-per state (`_shared_factor`), so nothing is cached.
+per state (`_shared_factor`), so nothing is cached.  Each route sums its
+terms in integers from the first one and an exact term ratio: the closed
+form by the rational root of the ratio of its weights (`_term_root`),
+Racah by the ratio of its binomials.  So each route's value is one radical
+by construction.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
@@ -174,17 +178,13 @@ def _shared_factor(tj1: int, tj2: int, m: int, s: int) -> tuple[int, int]:
     return comb(tj1, m), comb(tJ, s) * comb(tJ + m + 1, m)
 
 
-def _term_ratio(tj1, tj2, m, s, k, l):
-    """R_(l+1) / R_l of the closed form at (m, s, k), as the unreduced pair
-    (numerator, denominator): one factor ratio per binomial of R_l, never
-    simplified by hand.  Written with ``*``, ``+`` and ``-`` only, so that
-    symbols go through it as well as ints."""
-    return (
-        (k - l) * (tj2 - m + l + 1) * (tj2 - m + l + 1) * (k - l)
-        * (m - l) * (m - l) * (l + 1),
-        (tj1 - l) * (s - k + l + 1) * (l + 1) * (l + 1)
-        * (s - k + l + 1) * (l + 1) * (tj1 - l),
-    )
+def _term_root(tj1, tj2, m, s, k, l):
+    """sqrt(R_(l+1) / R_l) of the closed form at (m, s, k), as the pair
+    (a_l, b_l) = ((k-l)(2j2-m+l+1)(m-l), (2j1-l)(s-k+l+1)(l+1)), both
+    positive for K <= l < N.  Written with ``*``, ``+`` and ``-`` only, so
+    that symbols go through it as well as ints: `tests/test_symbolic.py`
+    proves that its square is the ratio of the binomial weights."""
+    return (k - l) * (tj2 - m + l + 1) * (m - l), (tj1 - l) * (s - k + l + 1) * (l + 1)
 
 
 def _closed_form_steps(
@@ -196,10 +196,9 @@ def _closed_form_steps(
     The component is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` with K = max(0, k-s)
     and N = min(m, k); for k in the component range, every R_l in that
     range is nonzero.  Only R_K is built from binomials, times ``shared``
-    (`_shared_factor`).  Each later step is the term ratio R_(l+1) / R_l of
-    `_term_ratio`, and one integer square root in `sum_signed_sqrts` tests
-    that it is the square of a rational; that is how the sum collapses to
-    one radical.
+    (`_shared_factor`).  Each later step is the root (a_l, b_l) of
+    R_(l+1) / R_l that `_term_root` gives, so every term is sqrt(R_K) times
+    a rational and the component is one radical by construction.
     """
     q2 = tj2 - m                       # 2j2 - m  (= j2 - j1 + J)
     d = s - k                          # J - j1 - m2
@@ -217,16 +216,16 @@ def _closed_form_steps(
     )
     # term l + 1: the sign flips
     for l in range(lo, min(m, k)):
-        num, den = _term_ratio(tj1, tj2, m, s, k, l)
-        yield (1 if l & 1 else -1, num, den)
+        yield (1 if l & 1 else -1, *_term_root(tj1, tj2, m, s, k, l))
 
 
 def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via the binomial-ratio summation.
 
     One `sum_signed_sqrts` over the closed form's steps at depth
-    m = j1+j2-J, s = J-M and k = j1-m1 (`_closed_form_steps`).
-    Selection-zero specs give exactly 0.
+    m = j1+j2-J, s = J-M and k = j1-m1 (`_closed_form_steps`): the first
+    radicand, then the rational root of each term ratio, summed in integers
+    into one radical.  Selection-zero specs give exactly 0.
     """
     if _is_selection_zero(spec):
         return RadicalSum.zero()
@@ -274,8 +273,7 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     The division is exact, since its quotient t_(z+1) is a product of
     binomials.  So S is an integer sum with no factorial and no fraction,
     and C is the square root of one rational: structurally a single-term
-    RadicalSum, reduced by one gcd, which makes this route the collapse
-    oracle for `cg_alternative`.
+    RadicalSum, reduced by one gcd, as each value of `cg_alternative` is.
     """
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
     g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2

@@ -200,8 +200,9 @@ def lower_normalized(state: StateVector, J) -> StateVector:
 
 def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
     """|j1+j2-m, j1+j2-m-s> from the closed form: each component is one
-    `sum_signed_sqrts` over `formulas._closed_form_steps`, and the factor
-    that all weights of the state share is computed once per state."""
+    `sum_signed_sqrts` over `formulas._closed_form_steps`, one radical by
+    construction, and the factor that all weights of the state share is
+    computed once per state."""
     tj1, tj2 = j1.twice, j2.twice
     shared = formulas._shared_factor(tj1, tj2, m, s)
     components = {

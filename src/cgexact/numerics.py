@@ -15,10 +15,10 @@ A RadicalSum is a value: it is built, negated, compared, hashed, rendered
 and parsed, and has no other arithmetic.  Arithmetic on values lives in two
 functions on ``(sign, n, d)`` integer terms: `sum_radicals`, the one
 function that merges classes, and `sum_signed_sqrts`, which sums a chain of
-radicands given by their ratios.  `Fraction` appears only where a value
-enters or leaves as a rational: `RadicalSum.sqrt`, `rational`, the rational
-pieces of `parse`, `terms` and `as_fraction`.  Agreement checks carry no
-tolerance anywhere.
+radicands given by the rational roots of their ratios, one class by
+construction.  `Fraction` appears only where a value enters or leaves as a
+rational: `RadicalSum.sqrt`, `rational`, the rational pieces of `parse`,
+`terms` and `as_fraction`.  Agreement checks carry no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class RadicalSum:
     rational value is a single term whose n and d are perfect squares.
     ``RadicalSum()`` is exactly 0; other values come from :meth:`rational`,
     :meth:`sqrt`, :meth:`parse`, unary ``-``, `sum_radicals` and
-    `sum_signed_sqrts`.  Instances are immutable.
+    `sum_signed_sqrts` (one term at most).  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -379,56 +379,35 @@ def _parse_term(piece: str) -> Term | None:
 
 
 def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
-    """Exact ``sum_i sign_i * sqrt(r_i)`` over a chain of radicands.
+    """Exact ``sum_i sign_i * sqrt(r_i)`` over a chain of radicands whose
+    square roots have rational ratios.
 
-    Each step is ``(sign, n, d)`` with sign +1 or -1 and positive ints n and
-    d; r_0 = n_0 / d_0 and r_i = r_(i-1) * n_i / d_i.  Pass ``steps``
+    Each step is ``(sign, a, b)`` with sign +1 or -1 and positive ints a and
+    b.  The first step is the radicand, r_0 = a_0 / b_0; each later one is
+    the root of the ratio, r_i = r_(i-1) * (a_i / b_i)**2.  Pass ``steps``
     positionally: ``benchmark/tracing.py`` counts the items of the first
     positional argument as radicands.
 
-    sqrt(r_i / r_(i-1)) = k / d_i is rational exactly when n_i * d_i = k**2
-    is a perfect square, which one integer square root per step decides.  A
-    run of such ratios stays in one commensurability class and is summed in
-    plain integers, with the radicand that opened the class kept as an
-    integer pair; the first step, and every ratio that is not a square,
-    opens a new class at r_i.  A chain of one class ends as one term, the
-    square of its sum reduced by one gcd; the classes of a longer chain
-    merge as in `sum_radicals`, one gcd per class.  So the sum is exact for
-    any input.
+    Every term is sqrt(r_0) times a rational, so the sum is taken in plain
+    integers and ends as one term: the square of the sum times r_0, reduced
+    by one gcd, or 0.
     """
-    classes: list[tuple[int, int, int]] = []  # closed classes, as sum_radicals terms
-    rn = rd = 0          # the radicand that opened the current class, rn / rd
-    top = bottom = 1     # sqrt(r_i / (rn / rd)) == top / bottom
-    total = 0            # the class's sum so far, in units of sqrt(rn / rd) / bottom
-    for sign, n, d in steps:
-        if n <= 0 or d <= 0:
-            what = "first radicand" if not rd else "term ratio"
-            raise NegativeRadicandError(f"{what} {n}/{d} must be positive")
+    rn = rd = 0          # r_0 == rn / rd
+    top = bottom = 1     # sqrt(r_i / r_0) == top / bottom
+    total = 0            # the sum so far, in units of sqrt(r_0) / bottom
+    for sign, a, b in steps:
+        if a <= 0 or b <= 0:
+            what = "term root" if rd else "first radicand"
+            raise NegativeRadicandError(f"{what} {a}/{b} must be positive")
         if not rd:
-            rn, rd = n, d
-        else:
-            product = n * d
-            k = isqrt(product)
-            if k * k == product:
-                g = gcd(k, d)
-                d //= g
-                top *= k // g
-                bottom *= d
-                total = total * d + sign * top
-                continue
-            if total:
-                classes.append(
-                    (1 if total > 0 else -1, total * total * rn, bottom * bottom * rd)
-                )
-            rn *= top * top * n
-            rd *= bottom * bottom * d
-            top = bottom = 1
-        total = sign
-    if total:
-        classes.append((1 if total > 0 else -1, total * total * rn, bottom * bottom * rd))
-    if len(classes) == 1:
-        return _radical(*classes[0])
-    return sum_radicals(classes)
+            rn, rd, total = a, b, sign
+            continue
+        top *= a
+        bottom *= b
+        total = total * b + sign * top
+    if not total:
+        return RadicalSum()
+    return _radical(1 if total > 0 else -1, total * total * rn, bottom * bottom * rd)
 
 
 def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
@@ -448,8 +427,8 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     sum on this same path.
 
     This is the one function that merges commensurability classes:
-    `RadicalSum.parse`, the ladder actions, `_dot` (the state norms and the
-    unitarity inner products) and `sum_signed_sqrts` all end here.
+    `RadicalSum.parse`, the ladder actions and `_dot` (the state norms and
+    the unitarity inner products) all end here.
     """
     classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
     for sign, n, d in terms:

@@ -271,9 +271,11 @@ def _collapse_cell(cell: tuple[int, int]) -> CellResult:
 
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """Every closed-form value in range, read from the per-state build,
-    reduces to at most one radical term after summation (term
-    commensurability certificate)."""
+    """Every closed-form value in range, read from the per-state build, is
+    at most one radical term.  `sum_signed_sqrts` makes each value one
+    radical by construction, so this checks structure: that the table build
+    keeps that form.  `tests/test_symbolic.py` proves the term root that
+    the construction rests on."""
     return _run_cell_sweep("radical collapse", _collapse_cell, max_twice_j, jobs)
 
 

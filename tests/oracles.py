@@ -111,6 +111,24 @@ def scaled(state: StateVector, factor: RadicalSum) -> StateVector:
     return StateVector(state.j1, state.j2, state.M, components)
 
 
+def weight_binomials(tj1, tj2, m: int, s: int, l, p, choose=binomial):
+    """The square of the weight beta(l, p) times the norm sum, as the pair
+    (numerator, denominator) of its binomials, from doubled 2j1 and 2j2.
+
+    ``choose`` is the binomial taken: `binomial` for integers, or sympy's
+    for the symbolic certificate of the closed form's term root.
+    """
+    numer = (
+        choose(tj1 - l, p)
+        * choose(tj2 - m + l, s - p)
+        * choose(tj2 - m + l, l)
+        * choose(l + p, p)
+        * choose(m - l + s - p, s - p)
+        * choose(m, l)
+    )
+    return numer, choose(tj1, l) * choose(tj1 + tj2 - 2 * m, s)
+
+
 def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
     """Closed-form component weight beta(l, p) of |j1+j2-m, j1+j2-m-s>.
 
@@ -122,22 +140,14 @@ def beta_closed_form(j1, j2, m: int, s: int, l: int, p: int) -> RadicalSum:
     tj1, tj2 = j1.twice, j2.twice
     if not 0 <= m <= min(tj1, tj2):
         raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    tJ = tj1 + tj2 - 2 * m
-    if not 0 <= s <= tJ:
+    if not 0 <= s <= tj1 + tj2 - 2 * m:
         return RadicalSum.zero()
     if l < 0 or p < 0 or l > m or p > s:
         return RadicalSum.zero()
-    numer = (
-        binomial(tj1 - l, p)
-        * binomial(tj2 - m + l, s - p)
-        * binomial(tj2 - m + l, l)
-        * binomial(l + p, p)
-        * binomial(m - l + s - p, s - p)
-        * binomial(m, l)
-    )
+    numer, denom = weight_binomials(tj1, tj2, m, s, l, p)
     if not numer:
         return RadicalSum.zero()
-    radicand = Fraction(numer, binomial(tj1, l) * binomial(tJ, s)) / norm_sum(tj1, tj2, m)
+    radicand = Fraction(numer, denom) / norm_sum(tj1, tj2, m)
     value = RadicalSum.sqrt(radicand)
     return -value if l & 1 else value
 

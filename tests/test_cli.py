@@ -254,6 +254,12 @@ def test_parse_table_csv_errors_name_the_line(row, message):
         parse_table_csv("\n" + text)
 
 
+@pytest.mark.parametrize("text", ["", "1,0,0,0,1,1.00000\n", "J,M,m1,m2,exact\n"])
+def test_parse_table_csv_rejects_text_without_the_header(text):
+    with pytest.raises(ValueError, match="^missing csv header "):
+        parse_table_csv(text)
+
+
 _JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1.00000"}
 
 

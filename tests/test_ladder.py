@@ -481,6 +481,14 @@ def test_table_route_is_coerced_and_checked(monkeypatch):
         build_full_table(1, 1, "nonsense")
 
 
+@pytest.mark.parametrize("route", list(TableRoute))
+@pytest.mark.parametrize("j1, j2", [(-1, 1), (1, "-1/2")])
+def test_build_full_table_rejects_a_negative_j(route, j1, j2):
+    # the CLI rejects a negative j before it builds a table
+    with pytest.raises(ValueError, match="^j1 and j2 must be nonnegative$"):
+        build_full_table(j1, j2, route)
+
+
 def test_subspace_states_by_both_routes():
     for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (2, 1, 2), ("5/2", "3/2", 3)]:
         ladder = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)

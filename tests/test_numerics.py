@@ -291,21 +291,25 @@ def test_radical_self_product_is_rational(radicand, coeff):
     assert product.as_fraction() == coeff * coeff * radicand
 
 
-# squares (4/9, 9/1, 25/16) and non-squares, so that chains span several classes
-_RATIOS = st.sampled_from(
-    [(4, 9), (9, 1), (1, 1), (25, 16), (2, 1), (1, 3), (6, 5), (8, 2), (3, 12)]
-) | st.tuples(st.integers(1, 60), st.integers(1, 60))
-_STEPS = st.lists(st.tuples(st.sampled_from([1, -1]), _RATIOS), min_size=1, max_size=9).map(
-    lambda pairs: [(sign, n, d) for sign, (n, d) in pairs]
+# a first radicand, then the rational roots of the ratios: (1, 1) repeats a
+# radicand, so that terms of opposite sign cancel
+_PAIRS = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (4, 9), (3, 1)]) | st.tuples(
+    st.integers(1, 60), st.integers(1, 60)
+)
+_STEPS = st.lists(st.tuples(st.sampled_from([1, -1]), _PAIRS), min_size=1, max_size=9).map(
+    lambda pairs: [(sign, a, b) for sign, (a, b) in pairs]
 )
 
 
 def _term_by_term(steps, shared=1):
     """The terms of sum_i sign_i sqrt(r_i * shared), each radicand built on
-    its own and merged by the pairwise oracle."""
-    pairs, radicand = [], Fraction(1)
-    for sign, n, d in steps:
-        radicand *= Fraction(n, d)
+    its own, r_0 = a_0 / b_0 and r_i = r_(i-1) * (a_i / b_i)**2, and merged
+    by the pairwise oracle."""
+    (sign, a, b), *rest = steps
+    radicand = Fraction(a, b)
+    pairs = [(sign, radicand * shared)]
+    for sign, a, b in rest:
+        radicand *= Fraction(a, b) ** 2
         pairs.append((sign, radicand * shared))
     return merged_terms(pairs)
 
@@ -313,30 +317,27 @@ def _term_by_term(steps, shared=1):
 @settings(max_examples=300, deadline=None)
 @given(_STEPS, st.tuples(st.integers(1, 2000), st.integers(1, 2000)))
 def test_sum_signed_sqrts_matches_term_by_term(steps, shared):
-    assert list(sum_signed_sqrts(steps).terms()) == _term_by_term(steps)
+    value = sum_signed_sqrts(steps)
+    assert list(value.terms()) == _term_by_term(steps)
+    assert value.num_terms <= 1
     # a factor shared by every radicand of a chain is a factor of the first
-    (sign, n, d), *rest = steps
-    folded = [(sign, n * shared[0], d * shared[1]), *rest]
+    (sign, a, b), *rest = steps
+    folded = [(sign, a * shared[0], b * shared[1]), *rest]
     assert list(sum_signed_sqrts(folded).terms()) == _term_by_term(steps, Fraction(*shared))
     # the alternating signs of the coupling formulas are one case of them
-    alternating = [(-1 if i & 1 else 1, n, d) for i, (_, n, d) in enumerate(steps)]
+    alternating = [(-1 if i & 1 else 1, a, b) for i, (_, a, b) in enumerate(steps)]
     assert list(sum_signed_sqrts(alternating).terms()) == _term_by_term(alternating)
 
 
 def test_sum_signed_sqrts_examples():
-    # 1 - 2/3 + 4/9: one class, summed in integers
-    assert sum_signed_sqrts([(1, 1, 1), (-1, 4, 9), (1, 4, 9)]) == Fraction(7, 9)
+    # 1 - 2/3 + 4/9, each root 2/3 of the one before
+    assert sum_signed_sqrts([(1, 1, 1), (-1, 2, 3), (1, 2, 3)]) == Fraction(7, 9)
     # explicit signs need not alternate: 1 + 2/3 + 4/9, and 1 + 2/3 - 4/9
-    assert sum_signed_sqrts([(1, 1, 1), (1, 4, 9), (1, 4, 9)]) == Fraction(19, 9)
-    assert sum_signed_sqrts([(1, 1, 1), (1, 4, 9), (-1, 4, 9)]) == Fraction(11, 9)
-    # sqrt(2) - sqrt(1/2) + sqrt(3): the non-square ratio 6/1 opens a new class
-    value = sum_signed_sqrts([(1, 2, 1), (-1, 1, 4), (1, 6, 1)])
-    assert value == RadicalSum.parse("sqrt(1/2) + sqrt(3)")
-    assert value.num_terms == 2
-    # the third radicand is commensurable with the first again: classes merge
-    value = sum_signed_sqrts([(1, 2, 1), (-1, 3, 1), (1, 4, 3)])
-    assert value == RadicalSum.parse("-sqrt(6) + sqrt(18)")
-    # full cancellation inside one class, and the empty sum
+    assert sum_signed_sqrts([(1, 1, 1), (1, 2, 3), (1, 2, 3)]) == Fraction(19, 9)
+    assert sum_signed_sqrts([(1, 1, 1), (1, 2, 3), (-1, 2, 3)]) == Fraction(11, 9)
+    # sqrt(2) - sqrt(1/2) + sqrt(9/2) == 2 sqrt(2)
+    assert sum_signed_sqrts([(1, 2, 1), (-1, 1, 2), (1, 3, 1)]) == SQRT(8)
+    # full cancellation, the empty sum, and one term
     assert sum_signed_sqrts([(1, 1, 4), (-1, 1, 1)]).is_zero
     assert sum_signed_sqrts([]).is_zero
     assert sum_signed_sqrts([(-1, 9, 4)]) == Fraction(-3, 2)
@@ -344,30 +345,28 @@ def test_sum_signed_sqrts_examples():
     assert sum_signed_sqrts((s, 1, 1) for s in (1, 1, -1)) == 1
 
 
-def test_sum_signed_sqrts_class_edges():
-    # a class that cancels to 0, then a new class
-    assert sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, 2, 1)]) == SQRT(2)
-    # the third class merges into the first and cancels it: sqrt(2) + sqrt(6)
-    # - sqrt(2) leaves one term
+def test_sum_signed_sqrts_gives_one_term_by_construction():
+    # a chain of any length is one radical: sqrt(2) + 3 sqrt(2) - sqrt(2)
     value = sum_signed_sqrts([(1, 2, 1), (1, 3, 1), (-1, 1, 3)])
-    assert list(value.terms()) == [(1, Fraction(6))]
-    # a chain that ends in its first class
-    assert list(sum_signed_sqrts([(-1, 3, 2), (1, 4, 1)]).terms()) == [(1, Fraction(3, 2))]
-    # the second step on is a term ratio, named as such
-    with pytest.raises(NegativeRadicandError, match=r"^term ratio 0/1 must be positive$"):
-        sum_signed_sqrts([(1, 2, 1), (1, 0, 1)])
-    with pytest.raises(NegativeRadicandError, match=r"^first radicand 0/1 must be positive$"):
-        sum_signed_sqrts([(1, 0, 1)])
+    assert list(value.terms()) == [(1, Fraction(18))]
+    # roots far from 1 and unreduced pairs still end as one reduced term
+    steps = [(1, 6, 4), *((-1 if i & 1 else 1, 10**6 + i, 3 * i + 1) for i in range(40))]
+    value = sum_signed_sqrts(steps)
+    assert value.num_terms == 1
+    assert list(value.terms()) == _term_by_term(steps)
+    # a chain that cancels to 0 and a chain that ends on its first radicand
+    assert sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, 2, 1), (-1, 1, 1)]).is_zero
+    assert list(sum_signed_sqrts([(-1, 3, 2), (1, 2, 1)]).terms()) == [(1, Fraction(3, 2))]
 
 
 def test_sum_signed_sqrts_rejects_nonpositive():
-    for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
-        with pytest.raises(NegativeRadicandError, match="first radicand"):
-            sum_signed_sqrts([(1, n, d), (1, 1, 1)])
-    # a zero ratio would silently zero every later term
-    for n, d in ((0, 1), (1, 0), (-4, 1), (4, -1), (-4, -1)):
-        with pytest.raises(NegativeRadicandError, match="term ratio"):
-            sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, n, d), (-1, 1, 1)])
+    for a, b in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
+        with pytest.raises(NegativeRadicandError, match=rf"^first radicand {a}/{b} must"):
+            sum_signed_sqrts([(1, a, b), (1, 1, 1)])
+    # a zero root would silently zero every later term
+    for a, b in ((0, 1), (1, 0), (-4, 1), (4, -1), (-4, -1)):
+        with pytest.raises(NegativeRadicandError, match=rf"^term root {a}/{b} must"):
+            sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, a, b), (-1, 1, 1)])
 
 
 # radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3)
@@ -477,9 +476,9 @@ def test_equal_values_from_different_paths_are_equal_and_hash_equal(n, d, k, sig
     paths = [
         sum_radicals([(sign, n * k, d * k)]),
         sum_signed_sqrts([(sign, n * k, d * k)]),
-        # 2x - x, merged in one class
+        # 2x - x, merged in one class, and as a chain of roots 1/2
         sum_radicals([(sign, 4 * n * k, d * k), (-sign, n, d)]),
-        sum_signed_sqrts([(sign, 4 * n * k, d * k), (-sign, 1, 4)]),
+        sum_signed_sqrts([(sign, 4 * n * k, d * k), (-sign, 1, 2)]),
         RadicalSum.parse(str(x)),
         RadicalSum.parse(f"{minus}sqrt({n * k}/{d * k})"),
         # k terms sqrt(n / (d k**2)), merged in one class
@@ -673,7 +672,7 @@ def test_concurrent_cache_consistency():
         acc = []
         for n in range(1, 80):
             acc.append(str(sum_radicals([(1, n, 97), (-1, 4 * n, 97), (1, n + 1, 1)])))
-            acc.append(to_decimal(sum_signed_sqrts([(1, n, 97), (-1, n + 1, n)]), 5))
+            acc.append(to_decimal(sum_radicals([(1, n, 97), (-1, n + 1, 97)]), 5))
         results[slot] = acc
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]

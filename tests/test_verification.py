@@ -324,6 +324,21 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
     )
 
 
+def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeypatch):
+    original = ladder.alpha_sequence
+
+    def last_flipped(j1, j2, m):
+        alphas = original(j1, j2, m)
+        return (*alphas[:-1], -alphas[-1]) if m >= 1 else alphas
+
+    monkeypatch.setattr(ladder, "alpha_sequence", last_flipped)
+    report = check_ladder_consistency(2)
+    assert not report.passed
+    assert report.counterexample.description == (
+        "J+ annihilation fails for (j1=1/2, j2=1/2, J=0)"
+    )
+
+
 def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
     original = ladder._apply_ladder
     monkeypatch.setattr(
