@@ -12,22 +12,22 @@ All index arithmetic happens on doubled integers (``HalfInt.twice``), so
 every loop bound is a plain int and no rounding can occur, and every
 binomial is a `math.comb` of nonnegative arguments.  The closed form's
 norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
-per state (`_shared_factor`), so nothing is cached.  Each route sums its
-terms in integers from the first one and an exact term ratio: the closed
-form by the rational root of the ratio of its weights (`_term_root`),
-Racah by the ratio of its binomials.  So each route's value is one radical
-by construction.
+per state (`_shared_factor`), so nothing is cached.  Each route's value
+is an integer sum times the square root of one rational, so one radical by
+construction: each term is a product of binomials, stepped from the one
+before by exact division through its term ratio, the closed form's from
+`_term_root` and Racah's from its own binomials.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
 raises MalformedCouplingError for a malformed spec, and then call the
-kernels `_closed_form_steps`, `_racah` and `_wigner3j`, which take doubled
-integers and assume arguments that are well-formed and pass the selection
-rules.  The table walk `ladder._cell_values`, which `build_full_table` and
-the verification checks read, calls them directly: `_racah` per doubled
-(J, M, m1) key of `_cell_keys`, the keys of a cell in order, and
-`_closed_form_steps` per component of a closed-form state.  The 3j check
-calls `_wigner3j` on doubled columns.
+kernels `_closed_form_component`, `_racah` and `_wigner3j`, which take
+doubled integers and assume arguments that are well-formed and pass the
+selection rules.  The table walk `ladder._cell_values`, which
+`build_full_table` and the verification checks read, calls them directly:
+`_racah` per doubled (J, M, m1) key of `_cell_keys`, the keys of a cell in
+order, and `_closed_form_component` per component of a closed-form state.
+The 3j check calls `_wigner3j` on doubled columns.
 """
 
 from __future__ import annotations
@@ -187,45 +187,49 @@ def _term_root(tj1, tj2, m, s, k, l):
     return (k - l) * (tj2 - m + l + 1) * (m - l), (tj1 - l) * (s - k + l + 1) * (l + 1)
 
 
-def _closed_form_steps(
+def _closed_form_terms(tj1: int, tj2: int, m: int, s: int, k: int, first: int) -> Iterator[int]:
+    """The signed terms (-1)^l T_l, l = K..N, of the closed-form component
+    at (m, s, k) (`_closed_form_component`), from ``first`` = T_K.  Their
+    ratio T_(l+1) / T_l is the root (a_l, b_l) of `_term_root`, so each
+    later term is the exact division -T_l a_l // b_l, as in `_racah`."""
+    lo = max(0, k - s)
+    term = -first if lo & 1 else first
+    yield term
+    for l in range(lo, min(m, k)):
+        a, b = _term_root(tj1, tj2, m, s, k, l)
+        term = -term * a // b
+        yield term
+
+
+def _closed_form_component(
     tj1: int, tj2: int, m: int, s: int, k: int, shared: tuple[int, int]
-) -> Iterator[tuple[int, int, int]]:
-    """The `sum_signed_sqrts` steps of the closed-form component at depth
-    m = j1 + j2 - J, s = J - M and k = j1 - m1, from doubled 2j1 and 2j2.
+) -> RadicalSum:
+    """The closed-form component at depth m = j1 + j2 - J, s = J - M and
+    k = j1 - m1, from doubled 2j1 and 2j2 and the state's `_shared_factor`.
 
     The component is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` with K = max(0, k-s)
-    and N = min(m, k); for k in the component range, every R_l in that
-    range is nonzero.  Only R_K is built from binomials, times ``shared``
-    (`_shared_factor`).  Each later step is the root (a_l, b_l) of
-    R_(l+1) / R_l that `_term_root` gives, so every term is sqrt(R_K) times
-    a rational and the component is one radical by construction.
+    and N = min(m, k), every R_l nonzero.  With the integers T_l =
+    C(2j1-l, k-l) C(2j2-m+l, s-k+l) C(m, l), R_l / R_K = (T_l / T_K)^2, so it
+    is sqrt(U) sum_l (-1)^l T_l, one radical, with U = R_K / T_K^2.
     """
     q2 = tj2 - m                       # 2j2 - m  (= j2 - j1 + J)
     d = s - k                          # J - j1 - m2
     lo = max(0, -d)
-    yield (
-        -1 if lo & 1 else 1,
-        comb(tj1 - lo, k - lo)
-        * comb(q2 + lo, d + lo)
-        * comb(q2 + lo, lo)
-        * comb(k, lo)
-        * comb(m + d, d + lo)
-        * comb(m, lo)
-        * shared[0],
-        comb(tj1, lo) * shared[1],
+    first = comb(tj1 - lo, k - lo) * comb(q2 + lo, d + lo) * comb(m, lo)
+    return sum_signed_sqrts(
+        _closed_form_terms(tj1, tj2, m, s, k, first),
+        comb(q2 + lo, lo) * comb(k, lo) * comb(m + d, d + lo) * shared[0],
+        comb(tj1, lo) * first * shared[1],
     )
-    # term l + 1: the sign flips
-    for l in range(lo, min(m, k)):
-        yield (1 if l & 1 else -1, *_term_root(tj1, tj2, m, s, k, l))
 
 
 def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via the binomial-ratio summation.
 
-    One `sum_signed_sqrts` over the closed form's steps at depth
-    m = j1+j2-J, s = J-M and k = j1-m1 (`_closed_form_steps`): the first
-    radicand, then the rational root of each term ratio, summed in integers
-    into one radical.  Selection-zero specs give exactly 0.
+    The closed-form component at depth m = j1+j2-J, s = J-M and k = j1-m1
+    (`_closed_form_component`): an integer sum of binomial terms, each
+    stepped from the one before by exact division, times the square root
+    of one rational.  Selection-zero specs give exactly 0.
     """
     if _is_selection_zero(spec):
         return RadicalSum.zero()
@@ -233,9 +237,7 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     m = (tj1 + tj2 - spec.J.twice) // 2
     s = (spec.J.twice - spec.M.twice) // 2
     k = (tj1 - spec.m1.twice) // 2
-    return sum_signed_sqrts(
-        _closed_form_steps(tj1, tj2, m, s, k, _shared_factor(tj1, tj2, m, s))
-    )
+    return _closed_form_component(tj1, tj2, m, s, k, _shared_factor(tj1, tj2, m, s))
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:

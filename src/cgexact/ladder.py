@@ -25,7 +25,6 @@ from .numerics import (
     _dot,
     _radical,
     sum_radicals,
-    sum_signed_sqrts,
     to_decimal,
 )
 
@@ -199,14 +198,14 @@ def lower_normalized(state: StateVector, J) -> StateVector:
 
 
 def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
-    """|j1+j2-m, j1+j2-m-s> from the closed form: each component is one
-    `sum_signed_sqrts` over `formulas._closed_form_steps`, one radical by
-    construction, and the factor that all weights of the state share is
-    computed once per state."""
+    """|j1+j2-m, j1+j2-m-s> from the closed form: each component is the
+    kernel of `cg_alternative`, `formulas._closed_form_component`, an
+    integer sum times one radical, and the factor that all weights of the
+    state share is computed once per state."""
     tj1, tj2 = j1.twice, j2.twice
     shared = formulas._shared_factor(tj1, tj2, m, s)
     components = {
-        tj1 - 2 * k: sum_signed_sqrts(formulas._closed_form_steps(tj1, tj2, m, s, k, shared))
+        tj1 - 2 * k: formulas._closed_form_component(tj1, tj2, m, s, k, shared)
         for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1)
     }
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * (m + s)), components)

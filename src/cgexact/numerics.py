@@ -13,9 +13,9 @@ terms, tuples of ints.
 
 A RadicalSum is a value: it is built, negated, compared, hashed, rendered
 and parsed, and has no other arithmetic.  Arithmetic on values lives in two
-functions on ``(sign, n, d)`` integer terms: `sum_radicals`, the one
-function that merges classes, and `sum_signed_sqrts`, which sums a chain of
-radicands given by the rational roots of their ratios, one class by
+functions on integers: `sum_radicals`, which sums ``(sign, n, d)`` terms
+and is the one function that merges classes, and `sum_signed_sqrts`, which
+sums integer terms over one common radical sqrt(n / d), one class by
 construction.  `Fraction` appears only where a value enters or leaves as a
 rational: `RadicalSum.sqrt`, `rational`, the rational pieces of `parse`,
 `terms` and `as_fraction`.  Agreement checks carry no tolerance anywhere.
@@ -227,7 +227,7 @@ class RadicalSum:
     rational value is a single term whose n and d are perfect squares.
     ``RadicalSum()`` is exactly 0; other values come from :meth:`rational`,
     :meth:`sqrt`, :meth:`parse`, unary ``-``, `sum_radicals` and
-    `sum_signed_sqrts` (one term at most).  Instances are immutable.
+    `sum_signed_sqrts` (one radical times an integer sum).  Immutable.
     """
 
     __slots__ = ("_terms",)
@@ -378,43 +378,26 @@ def _parse_term(piece: str) -> Term | None:
     return (1 if num > 0 else -1, num * num, den * den) if num else None
 
 
-def sum_signed_sqrts(steps: Iterable[tuple[int, int, int]]) -> RadicalSum:
-    """Exact ``sum_i sign_i * sqrt(r_i)`` over a chain of radicands whose
-    square roots have rational ratios.
-
-    Each step is ``(sign, a, b)`` with sign +1 or -1 and positive ints a and
-    b.  The first step is the radicand, r_0 = a_0 / b_0; each later one is
-    the root of the ratio, r_i = r_(i-1) * (a_i / b_i)**2.  Pass ``steps``
-    positionally: ``benchmark/tracing.py`` counts the items of the first
-    positional argument as radicands.
-
-    Every term is sqrt(r_0) times a rational, so the sum is taken in plain
-    integers and ends as one term: the square of the sum times r_0, reduced
-    by one gcd, or 0.
-    """
-    rn = rd = 0          # r_0 == rn / rd
-    top = bottom = 1     # sqrt(r_i / r_0) == top / bottom
-    total = 0            # the sum so far, in units of sqrt(r_0) / bottom
-    for sign, a, b in steps:
-        if a <= 0 or b <= 0:
-            what = "term root" if rd else "first radicand"
-            raise NegativeRadicandError(f"{what} {a}/{b} must be positive")
-        if not rd:
-            rn, rd, total = a, b, sign
-            continue
-        top *= a
-        bottom *= b
-        total = total * b + sign * top
+def sum_signed_sqrts(terms: Iterable[int], n: int, d: int) -> RadicalSum:
+    """Exact ``sqrt(n / d) * sum(terms)`` for int ``terms`` and positive
+    ints n and d: a sum of signed square roots with rational ratios, over
+    their common radical.  Pass ``terms`` positionally:
+    ``benchmark/tracing.py`` counts the items of the first positional
+    argument as radicands.  The sum is taken in plain integers and ends as
+    one term, its square times n / d reduced by one gcd, or 0."""
+    if n <= 0 or d <= 0:
+        raise NegativeRadicandError(f"radicand {n}/{d} must be positive")
+    total = sum(terms)
     if not total:
         return RadicalSum()
-    return _radical(1 if total > 0 else -1, total * total * rn, bottom * bottom * rd)
+    return _radical(1 if total > 0 else -1, total * total * n, d)
 
 
 def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     """Exact ``sum_i sign_i * sqrt(n_i / d_i)`` of independent radicals.
 
     Each term is ``(sign, n, d)`` with sign +1 or -1 and positive ints n and
-    d; unlike `sum_signed_sqrts`, each radicand is given whole.  The first
+    d; unlike `sum_signed_sqrts`, each term has its own radicand.  The first
     term opens a class at n_0 / d_0, and each later term is tested against
     the open classes in turn: sqrt(n / d) = sqrt(n_0 / d_0) * k / (n_0 * d)
     with k = isqrt(n_0 * d_0 * n * d) exactly when that integer is a perfect

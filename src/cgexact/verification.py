@@ -31,6 +31,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 from .formulas import (
@@ -136,6 +137,19 @@ def _map_ordered(
         pool.join()
 
 
+def _guarded(worker: Callable[[tuple], CellResult], unit: tuple) -> CellResult:
+    """``worker(unit)``, or no cases and a counterexample that names the unit
+    and the error when a route raises an arithmetic or value error on it."""
+    try:
+        return worker(unit)
+    except (ArithmeticError, ValueError) as error:
+        where = ", ".join(f"j{i}={HalfInt.from_twice(t)}" for i, t in enumerate(unit, 1))
+        kind = "cell" if len(unit) == 2 else "j-triple"
+        return 0, Counterexample(
+            f"{kind} ({where}) raised {type(error).__name__}", {"error": str(error)}
+        )
+
+
 def _run_cell_sweep(
     name: str,
     worker: Callable[[tuple], CellResult],
@@ -144,8 +158,9 @@ def _run_cell_sweep(
     units: list[tuple] | None = None,
 ) -> VerificationReport:
     """Run ``worker`` on every unit, by default every cell of `_cells`, and
-    sum the cases up to the first failure.  Raises ValueError for a negative
-    bound or ``jobs`` below 1, which would otherwise pass on 0 cases."""
+    sum the cases up to the first failure; a unit on which a route raises
+    fails as `_guarded` reports it.  Raises ValueError for a negative bound
+    or ``jobs`` below 1, which would otherwise pass on 0 cases."""
     if max_twice_j < 0 or jobs < 1:
         raise ValueError(
             f"max_twice_j must be >= 0 and jobs >= 1, got {max_twice_j} and {jobs}"
@@ -154,7 +169,7 @@ def _run_cell_sweep(
     if units is None:
         units = _cells(max_twice_j)
     count, failure = 0, None
-    for cell_count, failure in _map_ordered(worker, units, jobs):
+    for cell_count, failure in _map_ordered(partial(_guarded, worker), units, jobs):
         count += cell_count
         if failure is not None:
             break
@@ -272,10 +287,10 @@ def _collapse_cell(cell: tuple[int, int]) -> CellResult:
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Every closed-form value in range, read from the per-state build, is
-    at most one radical term.  `sum_signed_sqrts` makes each value one
-    radical by construction, so this checks structure: that the table build
-    keeps that form.  `tests/test_symbolic.py` proves the term root that
-    the construction rests on."""
+    at most one radical term.  Each value is an integer sum times one
+    radical (`sum_signed_sqrts`) by construction, so this checks structure:
+    that the table build keeps that form.  `tests/test_symbolic.py` proves
+    the term ratio and the radical that the construction rests on."""
     return _run_cell_sweep("radical collapse", _collapse_cell, max_twice_j, jobs)
 
 

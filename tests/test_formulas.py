@@ -294,6 +294,15 @@ def test_racah_equals_the_formula_as_written_up_to_2j_800(args):
     assert value.num_terms == 1
 
 
+@pytest.mark.parametrize("args", _LARGE_SPECS)
+def test_closed_form_equals_racah_as_written_at_the_large_corners(args):
+    # four of these specs have j1 + j2 + J above 1000
+    s = spec(*args)
+    value = cg_alternative(s)
+    assert value == racah_as_written(s)
+    assert value.num_terms == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 800), st.integers(0, 800), st.data())
 def test_racah_equals_the_formula_as_written_up_to_2j_800_drawn(tj1, tj2, data):

@@ -291,82 +291,55 @@ def test_radical_self_product_is_rational(radicand, coeff):
     assert product.as_fraction() == coeff * coeff * radicand
 
 
-# a first radicand, then the rational roots of the ratios: (1, 1) repeats a
-# radicand, so that terms of opposite sign cancel
-_PAIRS = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (4, 9), (3, 1)]) | st.tuples(
-    st.integers(1, 60), st.integers(1, 60)
-)
-_STEPS = st.lists(st.tuples(st.sampled_from([1, -1]), _PAIRS), min_size=1, max_size=9).map(
-    lambda pairs: [(sign, a, b) for sign, (a, b) in pairs]
+# integer terms over a common radical sqrt(n / d): small terms that repeat
+# or cancel, and radicands in commensurable groups
+_SIGNED_TERMS = st.lists(st.integers(-9, 9) | st.integers(-10**6, 10**6), max_size=9)
+_RADICAND_PAIRS = st.sampled_from([(1, 1), (4, 1), (9, 4), (2, 1), (1, 2), (3, 1)]) | st.tuples(
+    st.integers(1, 2000), st.integers(1, 2000)
 )
 
 
-def _term_by_term(steps, shared=1):
-    """The terms of sum_i sign_i sqrt(r_i * shared), each radicand built on
-    its own, r_0 = a_0 / b_0 and r_i = r_(i-1) * (a_i / b_i)**2, and merged
-    by the pairwise oracle."""
-    (sign, a, b), *rest = steps
-    radicand = Fraction(a, b)
-    pairs = [(sign, radicand * shared)]
-    for sign, a, b in rest:
-        radicand *= Fraction(a, b) ** 2
-        pairs.append((sign, radicand * shared))
-    return merged_terms(pairs)
+def _term_by_term(terms, n, d):
+    """The terms of sum_t sqrt(n / d) * t, each taken as the pair
+    (sign t, t**2 * n / d) on its own and merged by the pairwise oracle."""
+    return merged_terms((1 if t > 0 else -1, t * t * Fraction(n, d)) for t in terms if t)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_STEPS, st.tuples(st.integers(1, 2000), st.integers(1, 2000)))
-def test_sum_signed_sqrts_matches_term_by_term(steps, shared):
-    value = sum_signed_sqrts(steps)
-    assert list(value.terms()) == _term_by_term(steps)
+@given(_SIGNED_TERMS, _RADICAND_PAIRS)
+def test_sum_signed_sqrts_matches_term_by_term(terms, radicand):
+    value = sum_signed_sqrts(terms, *radicand)
+    assert list(value.terms()) == _term_by_term(terms, *radicand)
     assert value.num_terms <= 1
-    # a factor shared by every radicand of a chain is a factor of the first
-    (sign, a, b), *rest = steps
-    folded = [(sign, a * shared[0], b * shared[1]), *rest]
-    assert list(sum_signed_sqrts(folded).terms()) == _term_by_term(steps, Fraction(*shared))
-    # the alternating signs of the coupling formulas are one case of them
-    alternating = [(-1 if i & 1 else 1, a, b) for i, (_, a, b) in enumerate(steps)]
-    assert list(sum_signed_sqrts(alternating).terms()) == _term_by_term(alternating)
 
 
 def test_sum_signed_sqrts_examples():
-    # 1 - 2/3 + 4/9, each root 2/3 of the one before
-    assert sum_signed_sqrts([(1, 1, 1), (-1, 2, 3), (1, 2, 3)]) == Fraction(7, 9)
-    # explicit signs need not alternate: 1 + 2/3 + 4/9, and 1 + 2/3 - 4/9
-    assert sum_signed_sqrts([(1, 1, 1), (1, 2, 3), (1, 2, 3)]) == Fraction(19, 9)
-    assert sum_signed_sqrts([(1, 1, 1), (1, 2, 3), (-1, 2, 3)]) == Fraction(11, 9)
-    # sqrt(2) - sqrt(1/2) + sqrt(9/2) == 2 sqrt(2)
-    assert sum_signed_sqrts([(1, 2, 1), (-1, 1, 2), (1, 3, 1)]) == SQRT(8)
-    # full cancellation, the empty sum, and one term
-    assert sum_signed_sqrts([(1, 1, 4), (-1, 1, 1)]).is_zero
-    assert sum_signed_sqrts([]).is_zero
-    assert sum_signed_sqrts([(-1, 9, 4)]) == Fraction(-3, 2)
+    # (9 - 6 + 4) / 9, and sqrt(1/2) (2 - 1 + 3) == 2 sqrt(2)
+    assert sum_signed_sqrts([9, -6, 4], 1, 81) == Fraction(7, 9)
+    assert sum_signed_sqrts([2, -1, 3], 1, 2) == SQRT(8)
+    # no terms, and terms that cancel, give 0
+    assert sum_signed_sqrts([], 2, 3).is_zero
+    assert sum_signed_sqrts([3, -1, -2], 2, 3).is_zero
+    assert sum_signed_sqrts([-1], 9, 4) == Fraction(-3, 2)
     # a generator is consumed once
-    assert sum_signed_sqrts((s, 1, 1) for s in (1, 1, -1)) == 1
+    assert sum_signed_sqrts((t for t in (1, 1, -1)), 1, 1) == 1
 
 
 def test_sum_signed_sqrts_gives_one_term_by_construction():
-    # a chain of any length is one radical: sqrt(2) + 3 sqrt(2) - sqrt(2)
-    value = sum_signed_sqrts([(1, 2, 1), (1, 3, 1), (-1, 1, 3)])
-    assert list(value.terms()) == [(1, Fraction(18))]
-    # roots far from 1 and unreduced pairs still end as one reduced term
-    steps = [(1, 6, 4), *((-1 if i & 1 else 1, 10**6 + i, 3 * i + 1) for i in range(40))]
-    value = sum_signed_sqrts(steps)
+    # sqrt(2) + 3 sqrt(2) - sqrt(2), with the terms of a 41-term sum far
+    # from 1 and an unreduced radicand, each end as one reduced term
+    assert list(sum_signed_sqrts([1, 3, -1], 2, 1).terms()) == [(1, Fraction(18))]
+    terms = [(-1) ** i * (10**6 + i) * (3 * i + 1) for i in range(41)]
+    value = sum_signed_sqrts(terms, 6, 4)
     assert value.num_terms == 1
-    assert list(value.terms()) == _term_by_term(steps)
-    # a chain that cancels to 0 and a chain that ends on its first radicand
-    assert sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, 2, 1), (-1, 1, 1)]).is_zero
-    assert list(sum_signed_sqrts([(-1, 3, 2), (1, 2, 1)]).terms()) == [(1, Fraction(3, 2))]
+    assert list(value.terms()) == _term_by_term(terms, 6, 4)
 
 
 def test_sum_signed_sqrts_rejects_nonpositive():
-    for a, b in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
-        with pytest.raises(NegativeRadicandError, match=rf"^first radicand {a}/{b} must"):
-            sum_signed_sqrts([(1, a, b), (1, 1, 1)])
-    # a zero root would silently zero every later term
-    for a, b in ((0, 1), (1, 0), (-4, 1), (4, -1), (-4, -1)):
-        with pytest.raises(NegativeRadicandError, match=rf"^term root {a}/{b} must"):
-            sum_signed_sqrts([(1, 1, 1), (-1, 1, 1), (1, a, b), (-1, 1, 1)])
+    for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
+        for terms in ([1, 2], [], [1, -1]):
+            with pytest.raises(NegativeRadicandError, match=rf"^radicand {n}/{d} must be positive$"):
+                sum_signed_sqrts(terms, n, d)
 
 
 # radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3)
@@ -429,14 +402,17 @@ _FRACTIONS = st.fractions(min_value=-12, max_value=12, max_denominator=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_RADICAL_TERMS, _RADICAL_TERMS, _STEPS, _FRACTIONS, _FRACTIONS, st.integers(-9, 9))
-def test_every_constructor_gives_the_canonical_form(a, b, steps, p, q, k):
+@given(
+    _RADICAL_TERMS, _RADICAL_TERMS, _SIGNED_TERMS, _RADICAND_PAIRS,
+    _FRACTIONS, _FRACTIONS, st.integers(-9, 9),
+)
+def test_every_constructor_gives_the_canonical_form(a, b, terms, radicand, p, q, k):
     x, y = sum_radicals(a), sum_radicals(b)
     # the terms of a as parse text, unreduced and unmerged
     text = " + ".join(f"{'-' if s < 0 else ''}sqrt({n}/{d})" for s, n, d in a) or "0"
     sign = -1 if k < 0 else 1
     values = [
-        x, y, sum_signed_sqrts(steps), SQRT(abs(p)), RadicalSum.rational(p),
+        x, y, sum_signed_sqrts(terms, *radicand), SQRT(abs(p)), RadicalSum.rational(p),
         SQRT(abs(p * q) * k * k), -x,
         RadicalSum.parse(str(x)), RadicalSum.parse(f"{x} + {RadicalSum.rational(-p)}"),
         RadicalSum.parse(text),
@@ -463,9 +439,9 @@ def test_racah_and_3j_kernels_give_the_canonical_form(key):
 
 
 def test_equal_values_from_unreduced_pairs_are_equal_and_hash_equal():
-    values = [SQRT(Fraction(1, 2)), sum_radicals([(1, 2, 4)]), sum_signed_sqrts([(1, 6, 12)])]
+    values = [SQRT(Fraction(1, 2)), sum_radicals([(1, 2, 4)]), sum_signed_sqrts([1], 6, 12)]
     assert all(value == values[0] and hash(value) == hash(values[0]) for value in values)
-    assert list(sum_signed_sqrts([(1, 6, 12)]).terms()) == [(1, Fraction(1, 2))]
+    assert list(sum_signed_sqrts([1], 6, 12).terms()) == [(1, Fraction(1, 2))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,10 +451,10 @@ def test_equal_values_from_different_paths_are_equal_and_hash_equal(n, d, k, sig
     minus = "-" if sign < 0 else ""
     paths = [
         sum_radicals([(sign, n * k, d * k)]),
-        sum_signed_sqrts([(sign, n * k, d * k)]),
-        # 2x - x, merged in one class, and as a chain of roots 1/2
+        sum_signed_sqrts([sign], n * k, d * k),
+        # 2x - x, merged in one class, and as integer terms over x
         sum_radicals([(sign, 4 * n * k, d * k), (-sign, n, d)]),
-        sum_signed_sqrts([(sign, 4 * n * k, d * k), (-sign, 1, 2)]),
+        sum_signed_sqrts([2 * sign, -sign], n * k, d * k),
         RadicalSum.parse(str(x)),
         RadicalSum.parse(f"{minus}sqrt({n * k}/{d * k})"),
         # k terms sqrt(n / (d k**2)), merged in one class

@@ -92,7 +92,9 @@ def calls() -> dict[str, set[str]]:
 
 
 def test_the_trace_sees_each_route_at_work(calls):
-    assert {"formulas._closed_form_steps", "formulas._term_root"} <= calls["closed form"]
+    assert {
+        "formulas._closed_form_component", "formulas._closed_form_terms", "formulas._term_root"
+    } <= calls["closed form"]
     assert {"ladder._apply_ladder", "ladder.alpha_sequence"} <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
     assert "numerics.sum_radicals" in calls["ladder"]
@@ -108,7 +110,10 @@ def test_racah_calls_no_ladder_function_and_no_closed_form_helper(calls):
     racah = calls["racah"]
     assert {name for name in _in("ladder", racah) if not _plumbing(name)} == set()
     closed_form_helpers = {
-        "formulas._closed_form_steps", "formulas._term_root", "formulas._shared_factor"
+        "formulas._closed_form_component",
+        "formulas._closed_form_terms",
+        "formulas._term_root",
+        "formulas._shared_factor",
     }
     assert racah.isdisjoint(closed_form_helpers)
 

@@ -296,6 +296,54 @@ def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
     assert RadicalSum.parse("sqrt(1/3) + sqrt(1/2)") in map(RadicalSum.parse, values)
 
 
+def _zero_term_root(tj1, tj2, m, s, k, l):
+    """`formulas._term_root` with (s - k + l) for (s - k + l + 1) in b_l,
+    which is 0 at the first step of every component with k >= s."""
+    return (k - l) * (tj2 - m + l + 1) * (m - l), (tj1 - l) * (s - k + l) * (l + 1)
+
+
+def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch):
+    monkeypatch.setattr(formulas, "_term_root", _zero_term_root)
+    reports = [check_formula_agreement(4, jobs=jobs).to_dict() for jobs in (1, 2)]
+    for report in reports:
+        del report["elapsed_seconds"]
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] is False
+    assert reports[0]["scope"] == "2j <= 4, 23 cases"
+    assert reports[0]["counterexample"] == {
+        "description": "cell (j1=1/2, j2=1) raised ZeroDivisionError",
+        "values": {"error": "integer division or modulo by zero"},
+    }
+
+
+def test_a_route_that_raises_fails_the_3j_check_at_its_triple(monkeypatch):
+    original = formulas._racah
+
+    def broken(tj1, tj2, tJ, tM, tm1):
+        if (tj1, tj2, tJ) == (1, 2, 1):
+            raise ValueError("broken Racah kernel")
+        return original(tj1, tj2, tJ, tM, tm1)
+
+    monkeypatch.setattr(formulas, "_racah", broken)
+    report = check_threej_symmetries(2)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        "j-triple (j1=1/2, j2=1/2, j3=1) raised ValueError", {"error": "broken Racah kernel"}
+    )
+
+
+def test_verify_exits_2_when_a_route_raises(monkeypatch):
+    from click.testing import CliRunner
+
+    from cgexact.cli import cli
+
+    monkeypatch.setattr(formulas, "_term_root", _zero_term_root)
+    result = CliRunner().invoke(cli, ["verify", "--checks", "agreement", "--max-2j", "4"])
+    assert result.exit_code == 2, result.output
+    assert "FAIL" in result.output
+    assert "raised ZeroDivisionError" in result.output
+
+
 def test_ladder_detects_broken_lowering(monkeypatch):
     original = verification.apply_jminus
     monkeypatch.setattr(
