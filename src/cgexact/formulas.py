@@ -15,8 +15,8 @@ norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
 per state (`_shared_factor`), so nothing is cached.  Each route's value
 is an integer sum times the square root of one rational, so one radical by
 construction: each term is a product of binomials, stepped from the one
-before by exact division through its term ratio, the closed form's from
-`_term_root` and Racah's from its own binomials.
+before by exact division through its term ratio, which each kernel writes
+in its own loop from its own binomials.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
@@ -178,29 +178,6 @@ def _shared_factor(tj1: int, tj2: int, m: int, s: int) -> tuple[int, int]:
     return comb(tj1, m), comb(tJ, s) * comb(tJ + m + 1, m)
 
 
-def _term_root(tj1, tj2, m, s, k, l):
-    """sqrt(R_(l+1) / R_l) of the closed form at (m, s, k), as the pair
-    (a_l, b_l) = ((k-l)(2j2-m+l+1)(m-l), (2j1-l)(s-k+l+1)(l+1)), both
-    positive for K <= l < N.  Written with ``*``, ``+`` and ``-`` only, so
-    that symbols go through it as well as ints: `tests/test_symbolic.py`
-    proves that its square is the ratio of the binomial weights."""
-    return (k - l) * (tj2 - m + l + 1) * (m - l), (tj1 - l) * (s - k + l + 1) * (l + 1)
-
-
-def _closed_form_terms(tj1: int, tj2: int, m: int, s: int, k: int, first: int) -> Iterator[int]:
-    """The signed terms (-1)^l T_l, l = K..N, of the closed-form component
-    at (m, s, k) (`_closed_form_component`), from ``first`` = T_K.  Their
-    ratio T_(l+1) / T_l is the root (a_l, b_l) of `_term_root`, so each
-    later term is the exact division -T_l a_l // b_l, as in `_racah`."""
-    lo = max(0, k - s)
-    term = -first if lo & 1 else first
-    yield term
-    for l in range(lo, min(m, k)):
-        a, b = _term_root(tj1, tj2, m, s, k, l)
-        term = -term * a // b
-        yield term
-
-
 def _closed_form_component(
     tj1: int, tj2: int, m: int, s: int, k: int, shared: tuple[int, int]
 ) -> RadicalSum:
@@ -210,14 +187,25 @@ def _closed_form_component(
     The component is ``sum_{l=K}^{N} (-1)^l sqrt(R_l)`` with K = max(0, k-s)
     and N = min(m, k), every R_l nonzero.  With the integers T_l =
     C(2j1-l, k-l) C(2j2-m+l, s-k+l) C(m, l), R_l / R_K = (T_l / T_K)^2, so it
-    is sqrt(U) sum_l (-1)^l T_l, one radical, with U = R_K / T_K^2.
+    is sqrt(U) sum_l (-1)^l T_l, one radical, with U = R_K / T_K^2.  Only
+    T_K is built from binomials.  Each later term is the exact division
+    T_(l+1) = T_l a_l // b_l, with a_l = (k-l)(2j2-m+l+1)(m-l) and
+    b_l = (2j1-l)(s-k+l+1)(l+1) written in the loop, both positive for
+    K <= l < N: `tests/test_symbolic.py` reads them from this source and
+    proves that a_l / b_l is T_(l+1) / T_l.
     """
     q2 = tj2 - m                       # 2j2 - m  (= j2 - j1 + J)
     d = s - k                          # J - j1 - m2
     lo = max(0, -d)
     first = comb(tj1 - lo, k - lo) * comb(q2 + lo, d + lo) * comb(m, lo)
+    # the signed terms (-1)^l T_l; each step flips the sign
+    term = -first if lo & 1 else first
+    terms = [term]
+    for l in range(lo, min(m, k)):
+        term = -term * ((k - l) * (q2 + l + 1) * (m - l)) // ((tj1 - l) * (d + l + 1) * (l + 1))
+        terms.append(term)
     return sum_signed_sqrts(
-        _closed_form_terms(tj1, tj2, m, s, k, first),
+        terms,
         comb(q2 + lo, lo) * comb(k, lo) * comb(m + d, d + lo) * shared[0],
         comb(tj1, lo) * first * shared[1],
     )
@@ -289,7 +277,7 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     term = comb(g1, z_lo) * comb(g2, a - z_lo) * comb(g3, b - z_lo)
     total = term = -term if z_lo & 1 else term
     for z in range(z_lo, min(g1, a, b)):
-        term = -term * (g1 - z) * (a - z) * (b - z) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
+        term = -term * ((g1 - z) * (a - z) * (b - z)) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
         total += term
     if not total:
         return RadicalSum.zero()

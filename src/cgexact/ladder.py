@@ -3,11 +3,14 @@
 Highest-weight states |J, J> come from the raising annihilation recurrence
 (the alpha sequence), and the other states of a subspace from repeated
 exact lowering (the iterative route, kept deliberately independent so it
-can serve as an oracle).  `subspace_states` builds all the states of one
-subspace either that way or from the closed form of `formulas`, each state
-on its own.  `_cell_values` is the one walk that turns a route into the
-nonzero values of a (j1, j2) cell keyed by doubled (J, M, m1); both
-`build_full_table` and the verification checks read it.
+can serve as an oracle).  The lowering runs on integer coordinates over a
+scaled product basis, where J- has integer elements (`_integer_chain`);
+`lower_normalized` is its reference on exact states.  `subspace_states`
+builds all the states of one subspace either that way or from the closed
+form of `formulas`, each state on its own.  `_cell_values` is the one walk
+that turns a route into the nonzero values of a (j1, j2) cell keyed by
+doubled (J, M, m1); both `build_full_table` and the verification checks
+read it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from math import comb, isqrt
 from types import MappingProxyType
 
 from . import formulas
@@ -49,11 +54,11 @@ class StateVector:
     ``components`` maps the doubled m1 of each basis state |m1, M - m1> to
     its value and keeps, read-only, only the nonzero values of the mapping
     given.  States compare by value and are unhashable.  Every component of
-    a state the routes build is one radical; the arithmetic on states goes
-    through `sum_radicals`, which takes each product of two radicals as one
-    integer square and sums the products that meet in one component, so it
-    also gives the exact value of a state with components of several
-    classes, as a broken route would build.
+    a state the routes build is one radical.  The ladder actions and the
+    norm go through `sum_radicals`, which takes each product of two
+    radicals as one integer square and sums the products that meet in one
+    component, so they also give the exact value of a state with components
+    of several classes, as a broken route would build.
     """
 
     j1: HalfInt
@@ -64,7 +69,7 @@ class StateVector:
     __hash__ = None
 
     def __post_init__(self) -> None:
-        pruned = {k: v for k, v in self.components.items() if not v.is_zero}
+        pruned = {k: v for k, v in self.components.items() if v._terms}
         object.__setattr__(self, "components", MappingProxyType(pruned))
 
     @property
@@ -90,6 +95,13 @@ def _raising_element(tj: int, tm: int) -> int:
     """j(j+1) - m(m+1), the square of the J+ matrix element, for doubled
     arguments of one parity."""
     return (tj * (tj + 2) - tm * (tm + 2)) // 4
+
+
+def _scaled_lowering_element(tj: int, tm: int) -> int:
+    """j + m, the J- element <j, m-1| J- |j, m> in the basis |j, m> scaled
+    by 1 / sqrt(C(2j, j-m)), for doubled arguments of one parity: its
+    square times C(2j, j-m) is `_lowering_element` times C(2j, j-m+1)."""
+    return (tj + tm) // 2
 
 
 def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
@@ -156,15 +168,11 @@ def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> State
     contributions: dict[int, list[tuple[int, int, int]]] = {}
     for tm1, value in state.components.items():
         # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
-        moves = [
-            (contributions.setdefault(key, []), e)
-            for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1)))
-            if e
-        ]
-        for s, n, d in value._terms:
-            d *= divisor
-            for terms, e in moves:
-                terms.append((s, n * e, d))
+        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
+            if e:
+                terms = contributions.setdefault(key, [])
+                for s, n, d in value._terms:
+                    terms.append((s, n * e, d * divisor))
     components = {key: sum_radicals(terms) for key, terms in contributions.items()}
     return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), components)
 
@@ -186,7 +194,9 @@ def lower_normalized(state: StateVector, J) -> StateVector:
 
     J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is `apply_jminus`
     divided by that norm's square, with no separate scaling pass.  Raises
-    ValueError unless M is one of J, J-1, ..., -J+1.
+    ValueError unless M is one of J, J-1, ..., -J+1.  The routes lower in
+    integer coordinates (`_integer_chain`); this is the reference that
+    the tests hold that chain to, state by state.
     """
     J = HalfInt(J)
     tJ, tM = J.twice, state.M.twice
@@ -211,14 +221,106 @@ def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * (m + s)), components)
 
 
+def _top_coordinates(top: StateVector, m: int) -> tuple[list[int], int, int]:
+    """The integer coordinates x_l, l = 0..m, and the radical (n, d) of the
+    highest-weight state ``top`` of depth m, as `_integer_chain` scales it:
+    its component at m1 = j1 - l is x_l sqrt(n / (d C(2j1, l) C(2j2, m-l))),
+    with x_0 = +-1.  Read exactly from the alphas, whose recurrence makes
+    x_l = (-1)^l C(m, l); raises ArithmeticError where they give no
+    integer, which only a broken recurrence can do."""
+    tj1, tj2 = top.j1.twice, top.j2.twice
+    zero = RadicalSum.zero()
+    alphas = [top.components.get(tj1 - 2 * l, zero)._terms for l in range(m + 1)]
+    if len(alphas[0]) != 1 or any(len(terms) > 1 for terms in alphas):
+        raise ArithmeticError(f"|J, J> at {_where(top)} has a component that is not one radical")
+    ((_, n0, d0),) = alphas[0]
+    first = n0 * comb(tj2, m)
+    coordinates = []
+    for l, terms in enumerate(alphas):
+        if not terms:
+            coordinates.append(0)
+            continue
+        ((sign, n, d),) = terms
+        square, rest = divmod(n * d0 * comb(tj1, l) * comb(tj2, m - l), d * first)
+        root = isqrt(square)
+        if rest or root * root != square:
+            raise ArithmeticError(f"alpha_{l} at {_where(top)} has no integer coordinate")
+        coordinates.append(sign * root)
+    return coordinates, first, d0
+
+
+def _where(top: StateVector) -> str:
+    """Where a highest-weight state lies, for an error message."""
+    return f"(j1={top.j1}, j2={top.j2}, J={top.M})"
+
+
+def _integer_chain(top: StateVector, m: int) -> Iterator[tuple[int, list[int], int, int]]:
+    """The states |J, J - s>, s = 1 .. 2J, below the highest-weight state
+    ``top`` of depth m = j1 + j2 - J, by normalized lowering in integers.
+
+    Over the product basis scaled by 1 / sqrt(C(2j1, k) C(2j2, m + s - k)),
+    where k = j1 - m1 and m + s - k = j2 - m2, each state is integer
+    coordinates times one radical: its component at k is
+    x_k sqrt(n / (d C(2j1, k) C(2j2, m + s - k))).  In that basis J-(1)
+    and J-(2) have the integer elements j1 + m1 and j2 + m2
+    (`_scaled_lowering_element`), so J- takes integers to integers, and
+    the normalized step only multiplies d by J(J+1) - M(M-1).  The chain
+    starts from `_top_coordinates`.  Yields (lo, xs, n, d) per state, xs
+    the coordinates at k = lo, lo + 1, ...
+    """
+    tj1, tj2, tJ = top.j1.twice, top.j2.twice, top.M.twice
+    up = [_scaled_lowering_element(tj1, tj1 - 2 * k) for k in range(tj1 + 1)]
+    down = [_scaled_lowering_element(tj2, tj2 - 2 * k) for k in range(tj2 + 1)]
+    xs, n, d = _top_coordinates(top, m)
+    lo = 0
+    for s in range(tJ):
+        base = m + s                   # j2 - m2 at k = 0
+        new_lo = max(0, base + 1 - tj2)
+        # x'_k = x_(k-1) (j1 + m1 at k - 1) + x_k (j2 + m2 at k), with x_k
+        # 0 outside lo..hi; an element index of -1 meets only a zero pad
+        padded = [0, *xs, 0]           # x_k at k = lo - 1 .. hi + 1
+        xs = [
+            padded[k - lo] * up[k - 1] + padded[k - lo + 1] * down[base - k]
+            for k in range(new_lo, min(tj1, base + 1) + 1)
+        ]
+        lo = new_lo
+        d *= (s + 1) * (tJ - s)        # J(J+1) - M(M-1) at M = J - s
+        yield lo, xs, n, d
+
+
+def _lowered_states(top: StateVector, m: int) -> Iterator[StateVector]:
+    """The states of `_integer_chain` below ``top``, one `_radical` per
+    nonzero component."""
+    tj1, tj2, tJ = top.j1.twice, top.j2.twice, top.M.twice
+    w1 = [comb(tj1, k) for k in range(tj1 + 1)]
+    w2 = [comb(tj2, k) for k in range(tj2 + 1)]
+    for s, (lo, xs, n, d) in enumerate(_integer_chain(top, m), 1):
+        base = m + s
+        components = {
+            tj1 - 2 * k: _radical(1 if x > 0 else -1, x * x * n, d * w1[k] * w2[base - k])
+            for k, x in enumerate(xs, lo)
+            if x
+        }
+        yield StateVector(top.j1, top.j2, HalfInt.from_twice(tJ - 2 * s), components)
+
+
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
-    """Single coefficient by explicit chain lowering from |J, J>."""
+    """Single coefficient by chain lowering from |J, J> in integer
+    coordinates (`_integer_chain`); only the component returned is
+    converted to its exact value."""
     if formulas._is_selection_zero(spec):
         return RadicalSum.zero()
-    state = highest_weight_state(spec.j1, spec.j2, spec.J)
-    for _ in range((spec.J.twice - spec.M.twice) // 2):
-        state = lower_normalized(state, spec.J)
-    return state.component(spec.m1)
+    top = highest_weight_state(spec.j1, spec.j2, spec.J)
+    s = (spec.J.twice - spec.M.twice) // 2
+    if not s:
+        return top.component(spec.m1)
+    tj1, tj2 = spec.j1.twice, spec.j2.twice
+    m = (tj1 + tj2 - spec.J.twice) // 2
+    lo, xs, n, d = next(islice(_integer_chain(top, m), s - 1, None))
+    k = (tj1 - spec.m1.twice) // 2
+    if not (x := xs[k - lo]):
+        return RadicalSum.zero()
+    return _radical(1 if x > 0 else -1, x * x * n, d * comb(tj1, k) * comb(tj2, m + s - k))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +365,18 @@ def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
     """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J:
     each a StateVector at that M, its components keyed by the doubled m1.
 
-    LADDER_ITERATIVE lowers `highest_weight_state` one step at a time with
-    `lower_normalized`; CLOSED_FORM and BETA_CLOSED_FORM, two names of one
-    build, make every state on its own from the closed form.  RACAH builds
-    no states and raises ValueError, as does a J outside the triangle rule.
+    LADDER_ITERATIVE lowers `highest_weight_state` one step at a time in
+    integer coordinates (`_integer_chain`); CLOSED_FORM and
+    BETA_CLOSED_FORM, two names of one build, make every state on its own
+    from the closed form.  RACAH builds no states and raises ValueError, as
+    does a J outside the triangle rule.
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
     route = TableRoute(route)
     m = _subspace_depth(j1, j2, J)
     if route is TableRoute.LADDER_ITERATIVE:
-        states = [highest_weight_state(j1, j2, J)]
-        for _ in range(J.twice):
-            states.append(lower_normalized(states[-1], J))
-        return states
+        top = highest_weight_state(j1, j2, J)
+        return [top, *_lowered_states(top, m)]
     if route is TableRoute.RACAH:
         raise ValueError(f"the {route.value} route builds no states")
     return [_closed_form_state(j1, j2, m, s) for s in range(J.twice + 1)]

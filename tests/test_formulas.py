@@ -310,6 +310,13 @@ def test_racah_equals_the_formula_as_written_up_to_2j_800_drawn(tj1, tj2, data):
     assert cg_racah(s) == racah_as_written(s)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 120), st.integers(0, 120), st.data())
+def test_ladder_racah_and_closed_form_agree_up_to_2j_120_drawn(tj1, tj2, data):
+    s = _drawn_spec(tj1, tj2, data)
+    assert cg_ladder(s) == cg_racah(s) == cg_alternative(s)
+
+
 def test_racah_sum_that_cancels_to_zero_at_large_j():
     # <j1 0 j2 0 | J 0> = 0 for odd j1 + j2 + J: well-formed and allowed by
     # the selection rules, so the zero comes from the sum itself

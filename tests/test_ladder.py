@@ -2,10 +2,12 @@
 
 import collections.abc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import cgexact.formulas as formulas
+import cgexact.ladder as ladder
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
@@ -243,6 +245,45 @@ def test_lowering_is_the_divided_jminus():
                     assert norm_squared.denominator == 1
                     divisor = norm_squared.numerator
                     assert lower_normalized(state, J) == apply_jminus(state, divisor)
+
+
+def test_the_integer_chain_is_repeated_normalized_lowering():
+    # every subspace of every cell with 2j <= 12, state by state
+    states = 0
+    for tj1 in range(13):
+        for tj2 in range(13):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
+                chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+                state = highest_weight_state(j1, j2, J)
+                assert chain[0] == state
+                for lowered in chain[1:]:
+                    state = lower_normalized(state, J)
+                    assert lowered == state, (tj1, tj2, tJ, state.M)
+                states += len(chain)
+    assert states == 8281
+
+
+def test_top_coordinates_are_signed_binomials():
+    for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (3, "5/2", "3/2"), (4, 4, 0)]:
+        top = highest_weight_state(j1, j2, J)
+        m = ladder._subspace_depth(top.j1, top.j2, top.M)
+        coordinates, n, d = ladder._top_coordinates(top, m)
+        assert coordinates == [(-1) ** l * comb(m, l) for l in range(m + 1)]
+
+
+def test_alphas_that_give_no_integer_coordinates_raise(monkeypatch):
+    original = ladder.alpha_sequence
+
+    def last_times_sqrt2(j1, j2, m):
+        alphas = original(j1, j2, m)
+        return (*alphas[:-1], product(alphas[-1], SQRT(2)))
+
+    monkeypatch.setattr(ladder, "alpha_sequence", last_times_sqrt2)
+    with pytest.raises(ArithmeticError, match="no integer coordinate"):
+        subspace_states(1, 1, 1, TableRoute.LADDER_ITERATIVE)
+    with pytest.raises(ArithmeticError, match="no integer coordinate"):
+        cg_ladder(CouplingSpec.of(1, 1, 0, 0, 1, 0))
 
 
 @pytest.mark.parametrize("divisor", [0, -1, -4])

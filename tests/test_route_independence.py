@@ -4,7 +4,7 @@ Each route builds the tables of a few cells under ``sys.setprofile``, which
 records every function of the package's sources that runs.  The ladder
 route must call no `formulas` function but validation, Racah no `ladder`
 function and none of route 1's helpers, and the closed form neither the
-Racah kernel nor the ladder action.  What two routes share must lie in
+Racah kernel nor the ladder's lowering, in integers or on states.  What two routes share must lie in
 `numerics` or in the table plumbing of `SHARED_PLUMBING`.
 """
 
@@ -92,12 +92,13 @@ def calls() -> dict[str, set[str]]:
 
 
 def test_the_trace_sees_each_route_at_work(calls):
+    assert {"formulas._closed_form_component", "formulas._shared_factor"} <= calls["closed form"]
     assert {
-        "formulas._closed_form_component", "formulas._closed_form_terms", "formulas._term_root"
-    } <= calls["closed form"]
-    assert {"ladder._apply_ladder", "ladder.alpha_sequence"} <= calls["ladder"]
+        "ladder.alpha_sequence", "ladder._integer_chain", "ladder._scaled_lowering_element"
+    } <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
-    assert "numerics.sum_radicals" in calls["ladder"]
+    # the ladder route lowers in integers: no action on states, no class merge
+    assert calls["ladder"].isdisjoint({"ladder._apply_ladder", "numerics.sum_radicals"})
     # the beta route is a second name of the closed-form build
     assert _calls(TableRoute.BETA_CLOSED_FORM) == calls["closed form"]
 
@@ -109,19 +110,16 @@ def test_ladder_route_calls_no_formula_but_validation(calls):
 def test_racah_calls_no_ladder_function_and_no_closed_form_helper(calls):
     racah = calls["racah"]
     assert {name for name in _in("ladder", racah) if not _plumbing(name)} == set()
-    closed_form_helpers = {
-        "formulas._closed_form_component",
-        "formulas._closed_form_terms",
-        "formulas._term_root",
-        "formulas._shared_factor",
-    }
+    closed_form_helpers = {"formulas._closed_form_component", "formulas._shared_factor"}
     assert racah.isdisjoint(closed_form_helpers)
 
 
 def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
     closed = calls["closed form"]
     assert "formulas._racah" not in closed
-    assert "ladder._apply_ladder" not in closed
+    assert closed.isdisjoint(
+        {"ladder._apply_ladder", "ladder._integer_chain", "ladder._scaled_lowering_element"}
+    )
 
 
 @pytest.mark.parametrize(

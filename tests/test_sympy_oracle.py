@@ -11,6 +11,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.physics.wigner import clebsch_gordan  # noqa: E402
 
 from cgexact.formulas import CouplingSpec, cg_alternative, cg_racah  # noqa: E402
+from cgexact.ladder import cg_ladder  # noqa: E402
 from cgexact.numerics import HalfInt  # noqa: E402
 
 
@@ -48,3 +49,4 @@ def test_routes_match_sympy_sign_and_square(twice):
     spec = CouplingSpec(*(HalfInt.from_twice(t) for t in twice))
     assert _sign_and_square(cg_racah(spec)) == expected_pair
     assert _sign_and_square(cg_alternative(spec)) == expected_pair
+    assert _sign_and_square(cg_ladder(spec)) == expected_pair

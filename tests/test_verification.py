@@ -296,14 +296,20 @@ def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
     assert RadicalSum.parse("sqrt(1/3) + sqrt(1/2)") in map(RadicalSum.parse, values)
 
 
-def _zero_term_root(tj1, tj2, m, s, k, l):
-    """`formulas._term_root` with (s - k + l) for (s - k + l + 1) in b_l,
-    which is 0 at the first step of every component with k >= s."""
-    return (k - l) * (tj2 - m + l + 1) * (m - l), (tj1 - l) * (s - k + l) * (l + 1)
+_KERNEL = formulas._closed_form_component
+
+
+def _kernel_dividing_by_zero(tj1, tj2, m, s, k, shared):
+    """The route-1 kernel with a zero divisor in the cell (j1=1/2, j2=1),
+    as a step whose b_l is 0 there would have."""
+    numerator, denominator = shared
+    if (tj1, tj2) == (1, 2):
+        denominator //= 0
+    return _KERNEL(tj1, tj2, m, s, k, (numerator, denominator))
 
 
 def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch):
-    monkeypatch.setattr(formulas, "_term_root", _zero_term_root)
+    monkeypatch.setattr(formulas, "_closed_form_component", _kernel_dividing_by_zero)
     reports = [check_formula_agreement(4, jobs=jobs).to_dict() for jobs in (1, 2)]
     for report in reports:
         del report["elapsed_seconds"]
@@ -337,7 +343,7 @@ def test_verify_exits_2_when_a_route_raises(monkeypatch):
 
     from cgexact.cli import cli
 
-    monkeypatch.setattr(formulas, "_term_root", _zero_term_root)
+    monkeypatch.setattr(formulas, "_closed_form_component", _kernel_dividing_by_zero)
     result = CliRunner().invoke(cli, ["verify", "--checks", "agreement", "--max-2j", "4"])
     assert result.exit_code == 2, result.output
     assert "FAIL" in result.output
@@ -397,53 +403,70 @@ def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
     assert not check_ladder_consistency(2).passed
 
 
+def _wrong_at_half(element, factor):
+    """``element`` times ``factor`` at j = m = 1/2 only."""
+    def wrong(tj, tm):
+        value = element(tj, tm)
+        return value * factor if (tj, tm) == (1, 1) else value
+
+    return wrong
+
+
 def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
     # wrong only at j = m = 1/2; in the cell (j1=0, j2=1/2), the first of the
-    # sweep to reach it, J(2) is the only lowering, with m2 taken at M - m1
-    original = ladder._lowering_element
-
-    def wrong(tj, tm):
-        square = original(tj, tm)
-        return square * 4 if (tj, tm) == (1, 1) else square
-
-    monkeypatch.setattr(ladder, "_lowering_element", wrong)
-    for check in (check_ladder_consistency, check_formula_agreement):
-        report = check(2)
-        assert not report.passed
-        assert "j1=0, j2=1/2" in report.counterexample.description
+    # sweep to reach it, J(2) is the only lowering, with m2 taken at M - m1.
+    # The route lowers through its scaled element: both checks fail
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ladder, "_scaled_lowering_element", _wrong_at_half(ladder._scaled_lowering_element, 2)
+        )
+        for check in (check_ladder_consistency, check_formula_agreement):
+            report = check(2)
+            assert not report.passed
+            assert "j1=0, j2=1/2" in report.counterexample.description
+    # the check's J- acts through `_lowering_element` (held as its square),
+    # which no route uses: only the ladder check fails
+    monkeypatch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 4))
+    report = check_ladder_consistency(2)
+    assert not report.passed
+    assert report.counterexample.description == (
+        "J- relation on beta states at (j1=0, j2=1/2, J=1/2, s=1)"
+    )
+    assert check_formula_agreement(2).passed
 
 
 def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
-    # sqrt(2) times the J- element at j = m = 1/2: in the cell (j1=1/2, j2=1)
-    # the two contributions to |m1=-1/2> in |J=1/2, M=-1/2> then fall in two
-    # commensurability classes, and the lowered component has two terms
-    original = ladder._lowering_element
-
-    def wrong(tj, tm):
-        square = original(tj, tm)
-        return square * 2 if (tj, tm) == (1, 1) else square
-
-    monkeypatch.setattr(ladder, "_lowering_element", wrong)
     # cells with j1 = 0, first in the sweep, have one component per state;
-    # sweep only the cell where the two contributions meet
+    # sweep only the cell (j1=1/2, j2=1), where two contributions meet
     monkeypatch.setattr(verification, "_cells", lambda max_twice_j: [(1, 2)])
-    chain = ladder.subspace_states("1/2", 1, "1/2", ladder.TableRoute.LADDER_ITERATIVE)
-    assert chain[1].component("-1/2").num_terms == 2
-
+    # sqrt(2) times the check's J- element at j = m = 1/2: the two
+    # contributions to |m1=-1/2> in J- |J=1/2, M=1/2> then fall in two
+    # commensurability classes, and the lowered component has two terms
+    with monkeypatch.context() as patch:
+        patch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 2))
+        closed = ladder.subspace_states("1/2", 1, "1/2", ladder.TableRoute.CLOSED_FORM)
+        assert ladder.apply_jminus(closed[0]).component("-1/2").num_terms == 2
+        report = check_ladder_consistency(2)
+        assert not report.passed
+        assert report.counterexample == Counterexample(
+            "J- relation on beta states at (j1=1/2, j2=1, J=1/2, s=1)"
+        )
+    # twice the route's element there: the integer chain keeps every
+    # component one radical, and the doubled contribution cancels the other
+    # one, so the state shows a norm of 2/3 and a value of 0
+    monkeypatch.setattr(
+        ladder, "_scaled_lowering_element", _wrong_at_half(ladder._scaled_lowering_element, 2)
+    )
     report = check_ladder_consistency(2)
     assert not report.passed
     assert report.counterexample == Counterexample(
-        "norm of |J=1/2, M=-1/2> at (j1=1/2, j2=1)", {"norm^2": "-sqrt(32/9) + 8/3"}
+        "norm of |J=1/2, M=-1/2> at (j1=1/2, j2=1)", {"norm^2": "2/3"}
     )
     report = check_formula_agreement(2)
     assert not report.passed
     assert report.counterexample == Counterexample(
         "C(j1=1/2, j2=1, m1=-1/2, m2=0, J=1/2, M=-1/2)",
-        {
-            "alternative": "-sqrt(1/3)",
-            "racah": "-sqrt(1/3)",
-            "ladder": "sqrt(2/3) - sqrt(4/3)",
-        },
+        {"alternative": "-sqrt(1/3)", "racah": "-sqrt(1/3)", "ladder": "0"},
     )
 
 
