@@ -26,8 +26,9 @@ doubled integers and assume arguments that are well-formed and pass the
 selection rules.  The table walk `ladder._cell_values`, which
 `build_full_table` and the verification checks read, calls them directly:
 `_racah` per doubled (J, M, m1) key of `_cell_keys`, the keys of a cell in
-order, and `_closed_form_component` per component of a closed-form state.
-The 3j check calls `_wigner3j` on doubled columns.
+order, and `_closed_form_component` per k = j1 - m1 of each |J, J - s>,
+with one `_shared_factor` per s and no state object.  The 3j check calls
+`_wigner3j` on doubled columns.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ scaled product basis, where J- has integer elements (`_integer_chain`);
 builds all the states of one subspace either that way or from the closed
 form of `formulas`, each state on its own.  `_cell_values` is the one walk
 that turns a route into the nonzero values of a (j1, j2) cell keyed by
-doubled (J, M, m1); both `build_full_table` and the verification checks
-read it.
+doubled (J, M, m1), straight from the route's kernels with no state object
+per state; both `build_full_table` and the verification checks read it.
 """
 
 from __future__ import annotations
@@ -207,6 +207,11 @@ def lower_normalized(state: StateVector, J) -> StateVector:
     return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
+def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
+    """The k = j1 - m1 of the components of |J, J - s> at depth m, ascending."""
+    return range(max(0, s + m - tj2), min(tj1, m + s) + 1)
+
+
 def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
     """|j1+j2-m, j1+j2-m-s> from the closed form: each component is the
     kernel of `cg_alternative`, `formulas._closed_form_component`, an
@@ -216,7 +221,7 @@ def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
     shared = formulas._shared_factor(tj1, tj2, m, s)
     components = {
         tj1 - 2 * k: formulas._closed_form_component(tj1, tj2, m, s, k, shared)
-        for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1)
+        for k in _component_range(tj1, tj2, m, s)
     }
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * (m + s)), components)
 
@@ -288,20 +293,32 @@ def _integer_chain(top: StateVector, m: int) -> Iterator[tuple[int, list[int], i
         yield lo, xs, n, d
 
 
-def _lowered_states(top: StateVector, m: int) -> Iterator[StateVector]:
-    """The states of `_integer_chain` below ``top``, one `_radical` per
-    nonzero component."""
-    tj1, tj2, tJ = top.j1.twice, top.j2.twice, top.M.twice
+def _chain_value(x: int, n: int, d: int, weight: int) -> RadicalSum:
+    """x sqrt(n / (d weight)): the value of a nonzero coordinate x of an
+    `_integer_chain` state, weight = C(2j1, k) C(2j2, m + s - k)."""
+    return _radical(1 if x > 0 else -1, x * x * n, d * weight)
+
+
+def _chain_components(top: StateVector, m: int) -> Iterator[dict[int, RadicalSum]]:
+    """The states of `_integer_chain` below ``top``, s = 1 .. 2J, each a dict
+    of its nonzero `_chain_value`s keyed by the doubled m1, in ascending m1."""
+    tj1, tj2 = top.j1.twice, top.j2.twice
     w1 = [comb(tj1, k) for k in range(tj1 + 1)]
     w2 = [comb(tj2, k) for k in range(tj2 + 1)]
     for s, (lo, xs, n, d) in enumerate(_integer_chain(top, m), 1):
         base = m + s
-        components = {
-            tj1 - 2 * k: _radical(1 if x > 0 else -1, x * x * n, d * w1[k] * w2[base - k])
-            for k, x in enumerate(xs, lo)
-            if x
+        yield {
+            tj1 - 2 * k: _chain_value(x, n, d, w1[k] * w2[base - k])
+            for k in range(lo + len(xs) - 1, lo - 1, -1)
+            if (x := xs[k - lo])
         }
-        yield StateVector(top.j1, top.j2, HalfInt.from_twice(tJ - 2 * s), components)
+
+
+def _lowered_states(top: StateVector, m: int) -> Iterator[StateVector]:
+    """The states of `_integer_chain` below ``top`` (`_chain_components`)."""
+    for s, components in enumerate(_chain_components(top, m), 1):
+        M = HalfInt.from_twice(top.M.twice - 2 * s)
+        yield StateVector(top.j1, top.j2, M, components)
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
@@ -320,7 +337,7 @@ def cg_ladder(spec: CouplingSpec) -> RadicalSum:
     k = (tj1 - spec.m1.twice) // 2
     if not (x := xs[k - lo]):
         return RadicalSum.zero()
-    return _radical(1 if x > 0 else -1, x * x * n, d * comb(tj1, k) * comb(tj2, m + s - k))
+    return _chain_value(x, n, d, comb(tj1, k) * comb(tj2, m + s - k))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +386,7 @@ def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
     integer coordinates (`_integer_chain`); CLOSED_FORM and
     BETA_CLOSED_FORM, two names of one build, make every state on its own
     from the closed form.  RACAH builds no states and raises ValueError, as
-    does a J outside the triangle rule.
+    does a J outside the triangle rule.  `_cell_values` builds none of them.
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
     route = TableRoute(route)
@@ -388,10 +405,12 @@ def _cell_values(
     """Every nonzero value of ``route``'s table of the (2j1, 2j2) cell,
     keyed by its doubled (J, M, m1), in increasing key order.
 
-    RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`;
-    every other route reads the states of `subspace_states`, one subspace
-    at a time.  This is the one walk of a route's table: `build_full_table`
-    turns it into records and the verification checks into dicts.
+    RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`, the
+    closed form `formulas._closed_form_component` per k of
+    `_component_range` with one `_shared_factor` per state, and the ladder
+    reads `_chain_components` back up, |J, J> last: the values of
+    `subspace_states`, flattened, with no StateVector below |J, J>.  This
+    is the one walk of a route's table, for `build_full_table` and the checks.
     """
     if route is TableRoute.RACAH:
         for key in formulas._cell_keys(tj1, tj2):
@@ -400,22 +419,30 @@ def _cell_values(
         return
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        states = subspace_states(j1, j2, HalfInt.from_twice(tJ), route)
-        for state in reversed(states):  # ascending M
-            tM = state.M.twice
-            for tm1, value in sorted(state.components.items()):
-                yield (tJ, tM, tm1), value
+        m = (tj1 + tj2 - tJ) // 2
+        if route is TableRoute.LADDER_ITERATIVE:
+            top = highest_weight_state(j1, j2, HalfInt.from_twice(tJ))
+            states = [dict(sorted(top.components.items())), *_chain_components(top, m)]
+            for s in range(tJ, -1, -1):  # ascending M = J - s
+                for tm1, value in states[s].items():
+                    yield (tJ, tJ - 2 * s, tm1), value
+            continue
+        for s in range(tJ, -1, -1):  # ascending M = J - s
+            shared = formulas._shared_factor(tj1, tj2, m, s)
+            for k in reversed(_component_range(tj1, tj2, m, s)):  # ascending m1
+                if (value := formulas._closed_form_component(tj1, tj2, m, s, k, shared))._terms:
+                    yield (tJ, tJ - 2 * s, tj1 - 2 * k), value
 
 
 def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]:
     """All nonzero coefficients for (j1, j2), sorted by (J, M, m1).
 
     Every route produces the identical record set, each in that order; the
-    iterative ladder route recomputes states by repeated exact lowering
+    iterative ladder route recomputes the values by repeated exact lowering
     precisely so it can defend the closed forms.  The records are the
-    values of `_cell_values`, the walk that the verification checks read
-    too.  ``route`` is a TableRoute or its value; any other value, or a
-    negative j, raises ValueError.
+    values of `_cell_values`, which reads each route's kernels and which
+    the verification checks read too.  ``route`` is a TableRoute or its
+    value; any other value, or a negative j, raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)

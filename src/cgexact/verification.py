@@ -9,14 +9,15 @@ carries the first counterexample in sweep order.
 
 The agreement, unitarity and collapse checks read each route's table of a
 cell from `ladder._cell_values`, the walk that `build_full_table` reads
-too: the nonzero values keyed by doubled (J, M, m1), from the states of
-the closed form and of the iterative ladder, or from the Racah kernel per
-key.  A key that a walk leaves out has the value 0.  The 3j check calls
-`formulas._wigner3j` on doubled columns.  These kernels skip validation,
-which only the public entry points do.  A sweep builds a CouplingSpec or
-ThreeJSpec only to write a counterexample, except the Condon-Shortley
-check: it builds one CouplingSpec per |J, J> and passes it to the
-validating `cg_alternative` and `cg_racah`.
+too: the nonzero values keyed by doubled (J, M, m1), straight from each
+route's kernel (the closed-form component, the ladder's integer chain,
+Racah's sum), with no state object per state.  A key that a walk leaves
+out has the value 0.  The 3j check calls `formulas._wigner3j` on doubled
+columns.  These kernels skip validation, which only the public entry
+points do.  A sweep builds a CouplingSpec or ThreeJSpec only to write a
+counterexample, except the Condon-Shortley check: it builds one
+CouplingSpec per |J, J> and passes it to the validating `cg_alternative`
+and `cg_racah`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker

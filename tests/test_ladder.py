@@ -474,6 +474,25 @@ def test_closed_form_table_equals_per_spec_coefficients():
             assert build_full_table(j1, j2, TableRoute.CLOSED_FORM) == expected
 
 
+@pytest.mark.parametrize("route", [TableRoute.CLOSED_FORM, TableRoute.LADDER_ITERATIVE])
+def test_the_walk_is_the_flattened_subspace_states(route):
+    # the walk reads each route's kernels and builds no state object; the
+    # states of subspace_states, in ascending M and then m1, stay its reference
+    for tj1 in range(11):
+        for tj2 in range(11):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            expected = [
+                ((tJ, state.M.twice, tm1), value)
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                for state in reversed(subspace_states(j1, j2, HalfInt.from_twice(tJ), route))
+                for tm1, value in sorted(state.components.items())
+            ]
+            walk = list(ladder._cell_values(tj1, tj2, route))
+            assert walk == expected
+            keys = [key for key, _ in walk]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_table_identity_for_trivial_second_factor():
     for j1 in [0, "1/2", 1, "3/2", 2]:
         records = build_full_table(j1, 0, TableRoute.LADDER_ITERATIVE)

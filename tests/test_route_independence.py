@@ -22,10 +22,8 @@ CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 SHARED_PLUMBING = {
     "ladder.build_full_table",
     "ladder._cell_values",
-    "ladder.subspace_states",
     "ladder._subspace_depth",
     "ladder.StateVector",
-    "ladder.CoefficientRecord",
 }
 
 
@@ -92,15 +90,27 @@ def calls() -> dict[str, set[str]]:
 
 
 def test_the_trace_sees_each_route_at_work(calls):
-    assert {"formulas._closed_form_component", "formulas._shared_factor"} <= calls["closed form"]
     assert {
-        "ladder.alpha_sequence", "ladder._integer_chain", "ladder._scaled_lowering_element"
+        "formulas._closed_form_component", "formulas._shared_factor", "ladder._component_range"
+    } <= calls["closed form"]
+    assert {
+        "ladder.alpha_sequence", "ladder._integer_chain", "ladder._scaled_lowering_element",
+        "ladder._chain_components", "ladder._chain_value",
     } <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
     # the ladder route lowers in integers: no action on states, no class merge
     assert calls["ladder"].isdisjoint({"ladder._apply_ladder", "numerics.sum_radicals"})
     # the beta route is a second name of the closed-form build
     assert _calls(TableRoute.BETA_CLOSED_FORM) == calls["closed form"]
+
+
+def test_the_table_walk_builds_no_state_below_the_top(calls):
+    # the walk reads the closed-form kernel and the integer chain straight:
+    # it builds no closed-form state at all and no lowered state
+    assert calls["closed form"].isdisjoint(
+        {"ladder._closed_form_state", "ladder.StateVector.__post_init__"}
+    )
+    assert "ladder._lowered_states" not in calls["ladder"]
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

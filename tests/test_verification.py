@@ -109,17 +109,9 @@ def test_checks_construct_no_fraction(monkeypatch):
 
 
 def _broken_closed_form(monkeypatch, value):
-    """Make the closed-form per-state build give ``value`` for every
-    component that it builds."""
-    original = ladder._closed_form_state
-
-    def broken(j1, j2, m, s):
-        state = original(j1, j2, m, s)
-        return ladder.StateVector(
-            state.j1, state.j2, state.M, {tm1: value for tm1 in state.components}
-        )
-
-    monkeypatch.setattr(ladder, "_closed_form_state", broken)
+    """Make the closed-form kernel give ``value`` for every component: the
+    table walk, the per-state build and `cg_alternative` all call it."""
+    monkeypatch.setattr(formulas, "_closed_form_component", lambda *args: value)
 
 
 def test_agreement_detects_injected_disagreement(monkeypatch):
@@ -130,6 +122,7 @@ def test_agreement_detects_injected_disagreement(monkeypatch):
     assert report.counterexample is not None
     assert report.counterexample.values["alternative"] == "7"
     assert "C(" in report.counterexample.description
+    assert report.counterexample.description == "C(j1=0, j2=0, m1=0, m2=0, J=0, M=0)"
 
 
 def test_collapse_detects_injected_multiterm(monkeypatch):
@@ -137,6 +130,7 @@ def test_collapse_detects_injected_multiterm(monkeypatch):
     report = check_radical_collapse(1)
     assert not report.passed
     assert "sqrt(2)" in report.counterexample.values["value"]
+    assert report.counterexample.description == "C(j1=0, j2=0, m1=0, m2=0, J=0, M=0)"
 
 
 def test_acceptance_bounds_pass():
