@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 
 import click
 
+from . import __version__
 from .formulas import (
     CouplingSpec,
     MalformedCouplingError,
@@ -199,7 +200,7 @@ _FORMATTERS = {
 
 
 @click.group()
-@click.version_option(package_name="cgexact", prog_name="cgexact")
+@click.version_option(version=__version__, prog_name="cgexact")
 def cli() -> None:
     """Exact Clebsch-Gordan coefficients, cross-checked three ways.
 

@@ -5,12 +5,12 @@ Highest-weight states |J, J> come from the raising annihilation recurrence
 exact lowering (the iterative route, kept deliberately independent so it
 can serve as an oracle).  The lowering runs on integer coordinates over a
 scaled product basis, where J- has integer elements (`_integer_chain`);
-`lower_normalized` is its reference on exact states.  `subspace_states`
-builds all the states of one subspace either that way or from the closed
-form of `formulas`, each state on its own.  `_cell_values` is the one walk
-that turns a route into the nonzero values of a (j1, j2) cell keyed by
-doubled (J, M, m1), straight from the route's kernels with no state object
-per state; both `build_full_table` and the verification checks read it.
+`lower_normalized` is its reference on exact states.  `_cell_values` is
+the one walk that turns a route into the nonzero values of a (j1, j2) cell
+keyed by doubled (J, M, m1), straight from the route's kernels with no
+state object below |J, J>.  `build_full_table` reads it, and so do the
+verification checks: the ladder check groups it by subspace and acts on
+the states with `apply_jplus` and `apply_jminus`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "cg_ladder",
     "highest_weight_state",
     "lower_normalized",
-    "subspace_states",
 ]
 
 @dataclass(frozen=True, eq=True)
@@ -212,20 +211,6 @@ def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
     return range(max(0, s + m - tj2), min(tj1, m + s) + 1)
 
 
-def _closed_form_state(j1: HalfInt, j2: HalfInt, m: int, s: int) -> StateVector:
-    """|j1+j2-m, j1+j2-m-s> from the closed form: each component is the
-    kernel of `cg_alternative`, `formulas._closed_form_component`, an
-    integer sum times one radical, and the factor that all weights of the
-    state share is computed once per state."""
-    tj1, tj2 = j1.twice, j2.twice
-    shared = formulas._shared_factor(tj1, tj2, m, s)
-    components = {
-        tj1 - 2 * k: formulas._closed_form_component(tj1, tj2, m, s, k, shared)
-        for k in _component_range(tj1, tj2, m, s)
-    }
-    return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * (m + s)), components)
-
-
 def _top_coordinates(top: StateVector, m: int) -> tuple[list[int], int, int]:
     """The integer coordinates x_l, l = 0..m, and the radical (n, d) of the
     highest-weight state ``top`` of depth m, as `_integer_chain` scales it:
@@ -314,13 +299,6 @@ def _chain_components(top: StateVector, m: int) -> Iterator[dict[int, RadicalSum
         }
 
 
-def _lowered_states(top: StateVector, m: int) -> Iterator[StateVector]:
-    """The states of `_integer_chain` below ``top`` (`_chain_components`)."""
-    for s, components in enumerate(_chain_components(top, m), 1):
-        M = HalfInt.from_twice(top.M.twice - 2 * s)
-        yield StateVector(top.j1, top.j2, M, components)
-
-
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
     """Single coefficient by chain lowering from |J, J> in integer
     coordinates (`_integer_chain`); only the component returned is
@@ -378,27 +356,6 @@ class CoefficientRecord:
         return to_decimal(self.exact, 5)
 
 
-def subspace_states(j1, j2, J, route: TableRoute | str) -> list[StateVector]:
-    """The states |J, M> of subspace J of the (j1, j2) cell, for M = J .. -J:
-    each a StateVector at that M, its components keyed by the doubled m1.
-
-    LADDER_ITERATIVE lowers `highest_weight_state` one step at a time in
-    integer coordinates (`_integer_chain`); CLOSED_FORM and
-    BETA_CLOSED_FORM, two names of one build, make every state on its own
-    from the closed form.  RACAH builds no states and raises ValueError, as
-    does a J outside the triangle rule.  `_cell_values` builds none of them.
-    """
-    j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
-    route = TableRoute(route)
-    m = _subspace_depth(j1, j2, J)
-    if route is TableRoute.LADDER_ITERATIVE:
-        top = highest_weight_state(j1, j2, J)
-        return [top, *_lowered_states(top, m)]
-    if route is TableRoute.RACAH:
-        raise ValueError(f"the {route.value} route builds no states")
-    return [_closed_form_state(j1, j2, m, s) for s in range(J.twice + 1)]
-
-
 def _cell_values(
     tj1: int, tj2: int, route: TableRoute
 ) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
@@ -408,9 +365,9 @@ def _cell_values(
     RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`, the
     closed form `formulas._closed_form_component` per k of
     `_component_range` with one `_shared_factor` per state, and the ladder
-    reads `_chain_components` back up, |J, J> last: the values of
-    `subspace_states`, flattened, with no StateVector below |J, J>.  This
-    is the one walk of a route's table, for `build_full_table` and the checks.
+    reads `_chain_components` back up, |J, J> last, with no StateVector
+    below |J, J>.  This is the one walk of a route's table, for
+    `build_full_table` and the checks.
     """
     if route is TableRoute.RACAH:
         for key in formulas._cell_keys(tj1, tj2):

@@ -7,17 +7,19 @@ ladder consistency).  There are no tolerances anywhere: every comparison is
 exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
-The agreement, unitarity and collapse checks read each route's table of a
-cell from `ladder._cell_values`, the walk that `build_full_table` reads
-too: the nonzero values keyed by doubled (J, M, m1), straight from each
-route's kernel (the closed-form component, the ladder's integer chain,
-Racah's sum), with no state object per state.  A key that a walk leaves
-out has the value 0.  The 3j check calls `formulas._wigner3j` on doubled
-columns.  These kernels skip validation, which only the public entry
-points do.  A sweep builds a CouplingSpec or ThreeJSpec only to write a
-counterexample, except the Condon-Shortley check: it builds one
-CouplingSpec per |J, J> and passes it to the validating `cg_alternative`
-and `cg_racah`.
+The agreement, unitarity, collapse and ladder checks read each route's
+table of a cell from `ladder._cell_values`, the walk that
+`build_full_table` reads too: the nonzero values keyed by doubled
+(J, M, m1), straight from each route's kernel (the closed-form component,
+the ladder's integer chain, Racah's sum), with no state object per state.
+A key that a walk leaves out has the value 0.  The ladder check groups the
+walk by subspace (`_subspaces`) and wraps each state in a StateVector,
+because it acts on the states with J+ and J-.  The 3j check calls
+`formulas._wigner3j` on doubled columns.  These kernels skip validation,
+which only the public entry points do.  A sweep builds a CouplingSpec or
+ThreeJSpec only to write a counterexample, except the Condon-Shortley
+check: it builds one CouplingSpec per |J, J> and passes it to the
+validating `cg_alternative` and `cg_racah`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -45,12 +47,12 @@ from .formulas import (
     cg_racah,
 )
 from .ladder import (
+    StateVector,
     TableRoute,
     _cell_values,
     apply_jminus,
     apply_jplus,
     highest_weight_state,
-    subspace_states,
 )
 from .numerics import HalfInt, RadicalSum, _dot
 
@@ -287,8 +289,8 @@ def _collapse_cell(cell: tuple[int, int]) -> CellResult:
 
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """Every closed-form value in range, read from the per-state build, is
-    at most one radical term.  Each value is an integer sum times one
+    """Every closed-form value in range, read from the table walk, is at
+    most one radical term.  Each value is an integer sum times one
     radical (`sum_signed_sqrts`) by construction, so this checks structure:
     that the table build keeps that form.  `tests/test_symbolic.py` proves
     the term ratio and the radical that the construction rests on."""
@@ -406,20 +408,44 @@ def _ladder_element(tJ: int, tM: int) -> int:
     return (tJ * (tJ + 2) - tM * (tM + 2)) // 4
 
 
+def _subspaces(
+    tj1: int, tj2: int, route: TableRoute
+) -> dict[int, dict[int, dict[int, RadicalSum]]]:
+    """The walk of ``route`` on the (2j1, 2j2) cell grouped by subspace:
+    doubled J -> doubled M -> {doubled m1: value}."""
+    groups: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    for (tJ, tM, tm1), value in _cell_values(tj1, tj2, route):
+        groups.setdefault(tJ, {}).setdefault(tM, {})[tm1] = value
+    return groups
+
+
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     one = RadicalSum.one()
+    # both routes' states are the table walk grouped by subspace; a (J, M)
+    # that a walk leaves out is the empty state, which fails on its norm
+    walks = [
+        _subspaces(tj1, tj2, route)
+        for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM)
+    ]
     chains = 0
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
         chains += 1
         J = HalfInt.from_twice(tJ)
-        chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+        chain, closed = (
+            [
+                StateVector(j1, j2, HalfInt.from_twice(tM), walk.get(tJ, {}).get(tM, {}))
+                for tM in range(tJ, -tJ - 1, -2)
+            ]
+            for walk in walks
+        )
         raised = apply_jplus(chain[0])
         if not raised.is_zero:
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
-                values={"J+ |J,J>": str(dict(raised.components))},
+                # in descending m1, the order of the alphas of |J, J>
+                values={"J+ |J,J>": str(dict(sorted(raised.components.items(), reverse=True)))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
@@ -441,7 +467,6 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                         ),
                     )
         # closed-form states obey the J- relation; "beta" is their old name
-        closed = subspace_states(j1, j2, J, TableRoute.CLOSED_FORM)
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
             if apply_jminus(closed[s - 1], _ladder_element(tJ, tM)) != closed[s]:
@@ -457,13 +482,16 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
 def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Highest-weight annihilation and exact ladder action along every chain.
 
-    For each (j1, j2, J): J+ kills |J, J>; each |J, M> built by repeated
-    normalized lowering has exact norm 1; J+ applied to it and divided by
-    sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the closed-form
-    states, each built on its own, satisfy the J- relation: J- |J, M>
-    divided by sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each divided
-    action is one `apply_jplus` or `apply_jminus` call with the integer
-    square of the element as its divisor, so no expected state is scaled.
+    For each (j1, j2, J), on the states of the ladder and closed-form walks
+    of the cell (`_subspaces`): J+ kills |J, J>; each |J, M> built by
+    repeated normalized lowering has exact norm 1; J+ applied to it and
+    divided by sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the
+    closed-form states, each component computed on its own, satisfy the J-
+    relation: J- |J, M> divided by sqrt(J(J+1) - M(M-1)) is exactly
+    |J, M-1>.  Each divided action is one `apply_jplus` or `apply_jminus`
+    call with the integer square of the element as its divisor, so no
+    expected state is scaled.  A state that a walk leaves out is empty and
+    fails on its norm or its relation.
     """
     return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)
 

@@ -402,6 +402,12 @@ def test_main_success_paths(capsys):
     assert "1 = 1.00000" in out
 
 
+def test_main_version_needs_no_installed_distribution(capsys):
+    # the version comes from the package, so a source checkout reports it too
+    assert _main_exit_code(["--version"]) == 0
+    assert capsys.readouterr().out == "cgexact, version 0.1.0\n"
+
+
 def test_main_input_error_exit_1(capsys):
     code = _main_exit_code(["coeff", "--j1", "bad", "--j2", "0",
                             "--m1", "0", "--m2", "0", "--J", "0", "--M", "0"])

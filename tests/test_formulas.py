@@ -20,7 +20,7 @@ from cgexact.formulas import (
     cg_racah,
     wigner3j,
 )
-from cgexact.ladder import TableRoute, cg_ladder, subspace_states
+from cgexact.ladder import TableRoute, _cell_values, cg_ladder
 from cgexact.numerics import HalfInt, RadicalSum, to_decimal
 from oracles import (
     beta_closed_form,
@@ -431,21 +431,18 @@ def test_cell_specs_rejects_a_negative_j():
 
 
 def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
-    """The sweeps read the per-state closed form and `_racah`; the public
-    functions must give the same value for every spec, zeros included."""
+    """The sweeps read the table walk, whose closed form calls the kernel
+    per component, and `_racah`; the public functions must give the same
+    value for every spec, zeros included."""
     zero = RadicalSum.zero()
     for tj1 in range(7):
         for tj2 in range(7):
             j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-            states = {}
+            closed = dict(_cell_values(tj1, tj2, TableRoute.CLOSED_FORM))
             for s in cell_specs(j1, j2):
-                tJ, tM, tm1 = s.J.twice, s.M.twice, s.m1.twice
-                if tJ not in states:
-                    states[tJ] = subspace_states(j1, j2, s.J, TableRoute.CLOSED_FORM)
-                state = states[tJ][(tJ - tM) // 2]
-                assert state.M == s.M
-                assert cg_alternative(s) == state.components.get(tm1, zero), s
-                assert cg_racah(s) == _racah(tj1, tj2, tJ, tM, tm1), s
+                key = (s.J.twice, s.M.twice, s.m1.twice)
+                assert cg_alternative(s) == closed.get(key, zero), s
+                assert cg_racah(s) == _racah(tj1, tj2, *key), s
 
 
 def test_wigner3j_equals_the_kernel_for_every_symbol_up_to_2j_4():

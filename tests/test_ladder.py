@@ -11,7 +11,6 @@ import cgexact.ladder as ladder
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
-    _closed_form_state,
     StateVector,
     TableRoute,
     alpha_sequence,
@@ -21,9 +20,9 @@ from cgexact.ladder import (
     cg_ladder,
     highest_weight_state,
     lower_normalized,
-    subspace_states,
 )
 from cgexact.numerics import HalfInt, RadicalSum, to_decimal
+from cgexact.verification import _subspaces
 from oracles import (
     beta_closed_form,
     binomial,
@@ -41,6 +40,20 @@ def components_of(state):
     """The components keyed by doubled (m1, m2), with m2 = M - m1."""
     tM = state.M.twice
     return {(tm1, tM - tm1): value for tm1, value in state.components.items()}
+
+
+def walk_states(j1, j2, route):
+    """The states |J, M>, M = J .. -J, of every subspace of the (j1, j2)
+    cell, keyed by doubled J: the walk of ``route`` grouped as the ladder
+    check groups it, a (J, M) that the walk leaves out an empty state."""
+    j1, j2 = HalfInt(j1), HalfInt(j2)
+    return {
+        tJ: [
+            StateVector(j1, j2, HalfInt.from_twice(tM), states.get(tM, {}))
+            for tM in range(tJ, -tJ - 1, -2)
+        ]
+        for tJ, states in _subspaces(j1.twice, j2.twice, TableRoute(route)).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +222,8 @@ def _divided_action_states():
     states = []
     for j1, j2, J in [(1, 1, 1), (2, "3/2", "3/2"), ("5/2", 1, "5/2")]:
         for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
-            states.extend(subspace_states(j1, j2, J, route))
-    middle = subspace_states(1, 1, 2, TableRoute.LADDER_ITERATIVE)[2]
+            states.extend(walk_states(j1, j2, route)[HalfInt(J).twice])
+    middle = walk_states(1, 1, TableRoute.LADDER_ITERATIVE)[4][2]
     components = dict(middle.components)
     assert components[0] == SQRT(Fraction(2, 3))
     components[0] = SQRT(Fraction(4, 3))
@@ -236,10 +249,11 @@ def test_divided_actions_are_undivided_actions_over_sqrt_divisor(divisor):
 def test_lowering_is_the_divided_jminus():
     for tj1 in range(5):
         for tj2 in range(5):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            chains = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
-                chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
-                for state in chain[:-1]:
+                J = HalfInt.from_twice(tJ)
+                for state in chains[tJ][:-1]:
                     M = state.M.as_fraction
                     norm_squared = J.as_fraction * (J.as_fraction + 1) - M * (M - 1)
                     assert norm_squared.denominator == 1
@@ -252,9 +266,11 @@ def test_the_integer_chain_is_repeated_normalized_lowering():
     states = 0
     for tj1 in range(13):
         for tj2 in range(13):
-            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
-                chain = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            chains = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)
+            assert sorted(chains) == list(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2))
+            for tJ, chain in chains.items():
+                J = HalfInt.from_twice(tJ)
                 state = highest_weight_state(j1, j2, J)
                 assert chain[0] == state
                 for lowered in chain[1:]:
@@ -281,7 +297,7 @@ def test_alphas_that_give_no_integer_coordinates_raise(monkeypatch):
 
     monkeypatch.setattr(ladder, "alpha_sequence", last_times_sqrt2)
     with pytest.raises(ArithmeticError, match="no integer coordinate"):
-        subspace_states(1, 1, 1, TableRoute.LADDER_ITERATIVE)
+        build_full_table(1, 1, TableRoute.LADDER_ITERATIVE)
     with pytest.raises(ArithmeticError, match="no integer coordinate"):
         cg_ladder(CouplingSpec.of(1, 1, 0, 0, 1, 0))
 
@@ -385,6 +401,7 @@ def test_beta_state_equals_sum_of_closed_form_weights():
     for tj1 in range(9):
         for tj2 in range(9):
             j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            closed = walk_states(j1, j2, TableRoute.CLOSED_FORM)
             for m in range(min(tj1, tj2) + 1):
                 for s in range(tj1 + tj2 - 2 * m + 1):
                     weights = {}
@@ -397,7 +414,8 @@ def test_beta_state_equals_sum_of_closed_form_weights():
                     expected = {
                         k: v for k, w in weights.items() if not (v := summed(w)).is_zero
                     }
-                    assert components_of(_closed_form_state(j1, j2, m, s)) == expected
+                    state = closed[tj1 + tj2 - 2 * m][s]
+                    assert components_of(state) == expected
 
 
 def test_beta_out_of_range_indices_are_zero():
@@ -445,6 +463,12 @@ def test_table_sizes_and_sorting():
     keys = [(r.J.twice, r.M.twice, r.m1.twice) for r in records]
     assert keys == sorted(keys)
     assert len(build_full_table(1, 1, TableRoute.CLOSED_FORM)) == 18
+    # every route's walk yields its keys in strictly increasing order
+    for route in TableRoute:
+        for tj1 in range(11):
+            for tj2 in range(11):
+                keys = [key for key, _ in ladder._cell_values(tj1, tj2, route)]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (route, tj1, tj2)
 
 
 def test_table_route_equivalence_small():
@@ -461,7 +485,7 @@ def test_table_route_equivalence_small():
 
 
 def test_closed_form_table_equals_per_spec_coefficients():
-    # the per-state build folds the shared factor once per state, and
+    # the table walk folds the shared factor once per state, and
     # cg_alternative once per spec: both must give every value alike
     for tj1 in range(9):
         for tj2 in range(9):
@@ -472,25 +496,6 @@ def test_closed_form_table_equals_per_spec_coefficients():
                 if not (value := formulas.cg_alternative(spec)).is_zero
             ]
             assert build_full_table(j1, j2, TableRoute.CLOSED_FORM) == expected
-
-
-@pytest.mark.parametrize("route", [TableRoute.CLOSED_FORM, TableRoute.LADDER_ITERATIVE])
-def test_the_walk_is_the_flattened_subspace_states(route):
-    # the walk reads each route's kernels and builds no state object; the
-    # states of subspace_states, in ascending M and then m1, stay its reference
-    for tj1 in range(11):
-        for tj2 in range(11):
-            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-            expected = [
-                ((tJ, state.M.twice, tm1), value)
-                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                for state in reversed(subspace_states(j1, j2, HalfInt.from_twice(tJ), route))
-                for tm1, value in sorted(state.components.items())
-            ]
-            walk = list(ladder._cell_values(tj1, tj2, route))
-            assert walk == expected
-            keys = [key for key, _ in walk]
-            assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_table_identity_for_trivial_second_factor():
@@ -551,24 +556,15 @@ def test_build_full_table_rejects_a_negative_j(route, j1, j2):
 
 def test_subspace_states_by_both_routes():
     for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (2, 1, 2), ("5/2", "3/2", 3)]:
-        ladder = subspace_states(j1, j2, J, TableRoute.LADDER_ITERATIVE)
-        closed = subspace_states(j1, j2, J, TableRoute.CLOSED_FORM)
-        beta = subspace_states(j1, j2, J, "beta")
-        assert len(ladder) == HalfInt(J).twice + 1
+        tJ = HalfInt(J).twice
+        ladder = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)[tJ]
+        closed = walk_states(j1, j2, TableRoute.CLOSED_FORM)[tJ]
+        beta = walk_states(j1, j2, "beta")[tJ]
+        assert len(ladder) == tJ + 1
         assert ladder[0] == highest_weight_state(j1, j2, J)
-        assert [s.M.twice for s in ladder] == list(
-            range(HalfInt(J).twice, -HalfInt(J).twice - 1, -2)
-        )
+        assert [s.M.twice for s in ladder] == list(range(tJ, -tJ - 1, -2))
+        assert all(not s.is_zero for s in ladder)
         assert closed == beta == ladder
-    for route in (TableRoute.RACAH, "nonsense"):
-        with pytest.raises(ValueError):
-            subspace_states(2, 1, 2, route)
-    for route in (
-        TableRoute.LADDER_ITERATIVE,
-        TableRoute.CLOSED_FORM,
-        TableRoute.BETA_CLOSED_FORM,
-    ):
+    for J in (4, "3/2"):
         with pytest.raises(ValueError, match="triangle"):
-            subspace_states(2, 1, 4, route)
-        with pytest.raises(ValueError, match="triangle"):
-            subspace_states(2, 1, "3/2", route)
+            highest_weight_state(2, 1, J)

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic foundation."""
 
+import decimal
 import operator
 import random
 import threading
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgexact.numerics as numerics
 from cgexact.formulas import _cell_keys, _racah, _wigner3j
 from cgexact.numerics import (
     HalfInt,
@@ -634,6 +636,29 @@ def test_one_term_decimal_near_a_rounding_midpoint(n, d, expected):
     value = RadicalSum.sqrt(Fraction(n, d))
     assert to_decimal(value, 1) == expected
     assert to_decimal(-value, 1) == "-" + expected
+
+
+def test_two_term_decimal_within_the_first_guard_of_a_midpoint(monkeypatch):
+    # sqrt(10^30 + 3 10^10) - 10^15 = 0.0000149999999999999999998875...,
+    # about 1.1e-25 below the midpoint between 0.00001 and 0.00002: the
+    # 12-digit brackets straddle it, so a second round takes 24 digits
+    value = RadicalSum.parse("sqrt(1000000000000000000030000000000) - 1000000000000000")
+    assert value.num_terms == 2
+    shifts = []
+    original = numerics._round_half_even
+
+    def recording(n, d):
+        shifts.append(d)
+        return original(n, d)
+
+    monkeypatch.setattr(numerics, "_round_half_even", recording)
+    assert to_decimal(value, 5) == "0.00001"
+    assert shifts == [10**12, 10**12, 10**24, 10**24]
+    with decimal.localcontext() as context:
+        context.prec = 80
+        exact = decimal.Decimal(1000000000000000000030000000000).sqrt() - 10**15
+        rounded = exact.quantize(decimal.Decimal("0.00001"), decimal.ROUND_HALF_EVEN)
+    assert str(rounded) == "0.00001"
 
 
 # ---------------------------------------------------------------------------

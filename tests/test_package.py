@@ -77,7 +77,6 @@ MODULE_ALL = {
         "cg_ladder",
         "highest_weight_state",
         "lower_normalized",
-        "subspace_states",
     ],
     "numerics": [
         "HalfInt",
@@ -174,6 +173,20 @@ def test_every_module_export_resolves():
         assert len(exported) == len(set(exported)), module_name
         for name in exported:
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_readme_cites_only_names_that_exist():
+    # a `module.name` or `cgexact.module.name` in a code span of the README
+    # must name an attribute of that module, so a stale citation fails here
+    modules = "|".join(("cli", "formulas", "ladder", "numerics", "verification"))
+    cited = re.compile(rf"(?<![\w.])(?:cgexact\.)?({modules})\.([A-Za-z_]\w*)")
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    names = [match for span in spans for match in cited.findall(span)]
+    assert len(names) >= 8
+    for module_name, name in names:
+        module = importlib.import_module(f"cgexact.{module_name}")
+        assert hasattr(module, name), f"README cites {module_name}.{name}"
 
 
 def test_cli_commands(capsys):

@@ -106,11 +106,8 @@ def test_the_trace_sees_each_route_at_work(calls):
 
 def test_the_table_walk_builds_no_state_below_the_top(calls):
     # the walk reads the closed-form kernel and the integer chain straight:
-    # it builds no closed-form state at all and no lowered state
-    assert calls["closed form"].isdisjoint(
-        {"ladder._closed_form_state", "ladder.StateVector.__post_init__"}
-    )
-    assert "ladder._lowered_states" not in calls["ladder"]
+    # it builds no closed-form state at all
+    assert "ladder.StateVector.__post_init__" not in calls["closed form"]
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

@@ -31,7 +31,6 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from cgexact import formulas, ladder  # noqa: E402
-from cgexact.numerics import HalfInt  # noqa: E402
 from oracles import binomial, weight_binomials  # noqa: E402
 
 
@@ -123,14 +122,13 @@ def test_the_kernel_sums_the_transcribed_terms_over_the_transcribed_radical(monk
     components = 0
     for tj1 in range(9):
         for tj2 in range(9):
-            for m in range(min(tj1, tj2) + 1):
-                for s in range(tj1 + tj2 - 2 * m + 1):
-                    recorded.clear()
-                    ladder._closed_form_state(
-                        HalfInt.from_twice(tj1), HalfInt.from_twice(tj2), m, s
-                    )
-                    expected = []
-                    for k in range(max(0, s + m - tj2), min(tj1, m + s) + 1):
+            recorded.clear()
+            list(ladder._cell_values(tj1, tj2, ladder.TableRoute.CLOSED_FORM))
+            # in the walk's order: ascending J, then M = J - s, then m1 = j1 - k
+            expected = []
+            for m in range(min(tj1, tj2), -1, -1):
+                for s in range(tj1 + tj2 - 2 * m, -1, -1):
+                    for k in range(min(tj1, m + s), max(0, s + m - tj2) - 1, -1):
                         lo = max(0, k - s)
                         _, numer, denom = _route1_binomials(tj1, tj2, m, s, k, lo)
                         terms = [
@@ -138,8 +136,8 @@ def test_the_kernel_sums_the_transcribed_terms_over_the_transcribed_radical(monk
                             for l in range(lo, min(m, k) + 1)
                         ]
                         expected.append((terms, numer, denom))
-                    assert recorded == expected, (tj1, tj2, m, s)
-                    components += len(expected)
+            assert recorded == expected, (tj1, tj2)
+            components += len(expected)
     # one component per well-formed spec: the agreement check's 7809 cases
     assert components == 7809
 

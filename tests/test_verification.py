@@ -8,7 +8,7 @@ import pytest
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
-from cgexact.numerics import RadicalSum
+from cgexact.numerics import HalfInt, RadicalSum
 from oracles import product, scaled
 from cgexact.verification import (
     CHECKS,
@@ -110,7 +110,7 @@ def test_checks_construct_no_fraction(monkeypatch):
 
 def _broken_closed_form(monkeypatch, value):
     """Make the closed-form kernel give ``value`` for every component: the
-    table walk, the per-state build and `cg_alternative` all call it."""
+    table walk and `cg_alternative` both call it."""
     monkeypatch.setattr(formulas, "_closed_form_component", lambda *args: value)
 
 
@@ -397,6 +397,25 @@ def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
     assert not check_ladder_consistency(2).passed
 
 
+def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatch):
+    # the chain loses |J=1, M=-1> of the cell (j1=1/2, j2=1/2): the walk
+    # yields nothing there, and the check sees an empty state
+    original = ladder._chain_components
+
+    def losing_the_last(top, m):
+        states = list(original(top, m))
+        if (top.j1.twice, top.j2.twice, top.M.twice) == (1, 1, 2):
+            states[-1] = {}
+        return iter(states)
+
+    monkeypatch.setattr(ladder, "_chain_components", losing_the_last)
+    report = check_ladder_consistency(2)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        "norm of |J=1, M=-1> at (j1=1/2, j2=1/2)", {"norm^2": "0"}
+    )
+
+
 def _wrong_at_half(element, factor):
     """``element`` times ``factor`` at j = m = 1/2 only."""
     def wrong(tj, tm):
@@ -438,8 +457,10 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
     # commensurability classes, and the lowered component has two terms
     with monkeypatch.context() as patch:
         patch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 2))
-        closed = ladder.subspace_states("1/2", 1, "1/2", ladder.TableRoute.CLOSED_FORM)
-        assert ladder.apply_jminus(closed[0]).component("-1/2").num_terms == 2
+        # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
+        top = verification._subspaces(1, 2, ladder.TableRoute.CLOSED_FORM)[1][1]
+        state = ladder.StateVector(HalfInt("1/2"), HalfInt(1), HalfInt("1/2"), top)
+        assert ladder.apply_jminus(state).component("-1/2").num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
         assert report.counterexample == Counterexample(
