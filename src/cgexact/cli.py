@@ -78,16 +78,20 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _text_rows(records: list[CoefficientRecord]) -> list[tuple[str, ...]]:
-    """The texts of every record in `_FIELDS` order.  The quantum numbers
-    of one table take few distinct values, so each is rendered once per
-    call."""
+    """The texts of every record in `_FIELDS` order, the value's as
+    `CoefficientRecord.exact_text` and `value_text` render it.  The quantum
+    numbers of one table take few distinct values, so each is rendered
+    once per call."""
     text: dict[int, str] = {}
 
     def render(value: HalfInt) -> str:
         return text.get(value.twice) or text.setdefault(value.twice, str(value))
 
     return [
-        (render(r.J), render(r.M), render(r.m1), render(r.m2), r.exact_text, r.value_text)
+        (
+            render(r.J), render(r.M), render(r.m1), render(r.m2),
+            str(r.exact), to_decimal(r.exact, 5),
+        )
         for r in records
     ]
 
@@ -121,19 +125,29 @@ def _read_records(
 
     The quantum numbers of one table take few distinct texts, so the rows
     share one HalfInt per distinct text, parsed once per call.  A text
-    that is not a half-integer or an exact value raises ValueError naming
-    ``place`` ("line" or "row") and the number.
+    that is not a half-integer or an exact value, or a row that no table
+    holds (M other than m1 + m2, |M| above J, or J + M not an integer),
+    raises ValueError naming ``place`` ("line" or "row") and the number.
     """
     half: dict[str, HalfInt] = {}
-    records = []
+    get, add = half.get, half.setdefault
+    parse = RadicalSum.parse
+    records: list[CoefficientRecord] = []
+    append = records.append
     for number, (J, M, m1, m2, exact) in rows:
         try:
-            records.append(
-                CoefficientRecord(
-                    *[half.get(t) or half.setdefault(t, HalfInt(t)) for t in (J, M, m1, m2)],
-                    RadicalSum.parse(exact),
-                )
-            )
+            J = get(J) or add(J, HalfInt(J))
+            M = get(M) or add(M, HalfInt(M))
+            m1 = get(m1) or add(m1, HalfInt(m1))
+            m2 = get(m2) or add(m2, HalfInt(m2))
+            tJ, tM = J.twice, M.twice
+            if tM != m1.twice + m2.twice:
+                raise ValueError(f"M={M} is not m1 + m2 = {m1} + {m2}")
+            if abs(tM) > tJ:
+                raise ValueError(f"|M|={abs(M)} exceeds J={J}")
+            if (tJ + tM) & 1:
+                raise ValueError(f"J + M = {J + M} is not an integer")
+            append(CoefficientRecord(J, M, m1, m2, parse(exact)))
         except ValueError as exc:
             raise ValueError(f"{place} {number}: {exc}") from None
     return records

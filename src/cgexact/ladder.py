@@ -337,9 +337,13 @@ class TableRoute(Enum):
     RACAH = "racah"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientRecord:
-    """One nonzero table row: (J, M, m1, m2) plus the exact value."""
+    """One nonzero table row: (J, M, m1, m2) plus the exact value.
+
+    Frozen, compared and hashed by value, and slotted: a record has no
+    ``__dict__``, so the rows of a large table cost less to build and hold.
+    """
 
     J: HalfInt
     M: HalfInt
@@ -366,8 +370,9 @@ def _cell_values(
     closed form `formulas._closed_form_component` per k of
     `_component_range` with one `_shared_factor` per state, and the ladder
     reads `_chain_components` back up, |J, J> last, with no StateVector
-    below |J, J>.  This is the one walk of a route's table, for
-    `build_full_table` and the checks.
+    below |J, J>, and raises ArithmeticError naming (j1, j2, J) unless the
+    chain has exactly 2J states there.  This is the one walk of a route's
+    table, for `build_full_table` and the checks.
     """
     if route is TableRoute.RACAH:
         for key in formulas._cell_keys(tj1, tj2):
@@ -380,6 +385,11 @@ def _cell_values(
         if route is TableRoute.LADDER_ITERATIVE:
             top = highest_weight_state(j1, j2, HalfInt.from_twice(tJ))
             states = [dict(sorted(top.components.items())), *_chain_components(top, m)]
+            if len(states) != tJ + 1:
+                raise ArithmeticError(
+                    f"the ladder chain of {_where(top)} has {len(states) - 1} states "
+                    f"below |J, J>, not 2J = {tJ}"
+                )
             for s in range(tJ, -1, -1):  # ascending M = J - s
                 for tm1, value in states[s].items():
                     yield (tJ, tJ - 2 * s, tm1), value

@@ -160,11 +160,13 @@ def _coerce_twice(value) -> int:
 
 def _rational_root(n: int, d: int) -> tuple[int, int] | None:
     """(sqrt(n), sqrt(d)) when both are integers, else None; for a reduced
-    pair that is exactly when sqrt(n / d) is rational."""
-    num_root, den_root = isqrt(n), isqrt(d)
-    if num_root * num_root == n and den_root * den_root == d:
-        return num_root, den_root
-    return None
+    pair that is exactly when sqrt(n / d) is rational.  A numerator that is
+    not a square, as in every irrational coefficient, costs one isqrt."""
+    num_root = isqrt(n)
+    if num_root * num_root != n:
+        return None
+    den_root = isqrt(d)
+    return (num_root, den_root) if den_root * den_root == d else None
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -345,10 +347,15 @@ class RadicalSum:
     @classmethod
     def parse(cls, text: str) -> "RadicalSum":
         """Inverse of str(): terms '[-]p/q' or '[-]sqrt(p/q)' joined by
-        ' + ' or ' - ', summed by one `sum_radicals` call."""
+        ' + ' or ' - ', summed by one `sum_radicals` call.  A text with no
+        space is one term, as every coefficient renders, and goes straight
+        to its reduced radical, the value `sum_radicals` gives one term."""
         stripped = text.strip()
         if not stripped:
             raise ValueError("empty exact-value text")
+        if " " not in stripped:
+            term = _parse_term(stripped)
+            return cls() if term is None else _radical(*term)
         terms = [
             term
             for piece in stripped.replace(" - ", " + -").split(" + ")
@@ -517,7 +524,8 @@ def _round_half_even(n: int, d: int) -> int:
 
 
 def _format_scaled(scaled: int, places: int) -> str:
-    magnitude = abs(scaled)
-    whole, frac = divmod(magnitude, 10**places)
+    """scaled / 10**places with exactly ``places`` fraction digits, cut from
+    the digits of |scaled| padded to at least one whole digit."""
+    digits = str(abs(scaled)).zfill(places + 1)
     sign = "-" if scaled < 0 else ""
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"

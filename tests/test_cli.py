@@ -243,6 +243,12 @@ def test_parsing_builds_one_halfint_per_distinct_text(monkeypatch, render, parse
         ("1,0,0,0,1,1.00000,7", "line 3: expected 6 fields, got 7"),
         ("1,0,1/3,0,1,1.00000", "line 3: not a half-integer: '1/3'"),
         ("1,0,0,0,sqrt(x),1.00000", "line 3: unparseable exact-value text: 'sqrt(x)'"),
+        # rows that no table holds
+        ("1,0,1,1,sqrt(1/2),0.70711", "line 3: M=0 is not m1 + m2 = 1 + 1"),
+        ("1,5,1,1,sqrt(1/2),0.70711", "line 3: M=5 is not m1 + m2 = 1 + 1"),
+        ("1,5,4,1,sqrt(1/2),0.70711", "line 3: |M|=5 exceeds J=1"),
+        ("1,-2,-1,-1,1,1.00000", "line 3: |M|=2 exceeds J=1"),
+        ("3/2,0,1/2,-1/2,1,1.00000", "line 3: J + M = 3/2 is not an integer"),
     ],
 )
 def test_parse_table_csv_errors_name_the_line(row, message):
@@ -271,6 +277,12 @@ _JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1
         ([_JSON_ROW, {k: v for k, v in _JSON_ROW.items() if k != "m2"}], "row 1: missing m2"),
         ([_JSON_ROW, {**_JSON_ROW, "J": 1}], "row 1: fields must be strings"),
         ([_JSON_ROW, {**_JSON_ROW, "m1": "x"}], "row 1: not a half-integer: 'x'"),
+        ([_JSON_ROW, {**_JSON_ROW, "m2": "1"}], "row 1: M=0 is not m1 + m2 = 0 + 1"),
+        (
+            [_JSON_ROW, {**_JSON_ROW, "M": "2", "m1": "1", "m2": "1"}],
+            "row 1: |M|=2 exceeds J=1",
+        ),
+        ([_JSON_ROW, {**_JSON_ROW, "J": "1/2"}], "row 1: J + M = 1/2 is not an integer"),
     ],
 )
 def test_parse_table_json_errors_name_the_row(document, message):

@@ -1,6 +1,8 @@
 """Tests for the ladder-operator state construction and table builder."""
 
 import collections.abc
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -526,6 +528,42 @@ def test_record_value_text_is_five_place_rendering():
     for record in build_full_table("3/2", 1, TableRoute.CLOSED_FORM):
         assert record.value_text == to_decimal(record.exact, 5)
         assert len(record.value_text.split(".")[1]) == 5
+
+
+def test_records_are_frozen_and_slotted():
+    record = build_full_table(1, "1/2", TableRoute.RACAH)[0]
+    for name in ("J", "exact"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    assert not hasattr(record, "__dict__")
+    assert CoefficientRecord.__slots__ == ("J", "M", "m1", "m2", "exact")
+
+
+def test_records_replace_pickle_compare_and_hash_by_value():
+    records = build_full_table(1, "1/2", TableRoute.RACAH)
+    record = records[0]
+    flipped = dataclasses.replace(record, exact=-record.exact)
+    assert type(flipped) is CoefficientRecord
+    assert (flipped.J, flipped.M, flipped.m1, flipped.m2) == (
+        record.J, record.M, record.m1, record.m2
+    )
+    assert flipped.exact == -record.exact
+    assert flipped != record
+    # protocols 0 and 1 cannot pickle the slotted HalfInt and RadicalSum
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(records, protocol)) == records
+    # equal fields, built apart, give an equal record with the hash of
+    # its fields' tuple
+    copy = CoefficientRecord(
+        *(HalfInt(str(number)) for number in (record.J, record.M, record.m1, record.m2)),
+        RadicalSum.parse(str(record.exact)),
+    )
+    assert copy == record and copy is not record
+    assert hash(copy) == hash(record) == hash(
+        (record.J, record.M, record.m1, record.m2, record.exact)
+    )
+    assert len({*records, copy}) == len(records)
+    assert record != (record.J, record.M, record.m1, record.m2, record.exact)
 
 
 def test_single_m_support_everywhere():

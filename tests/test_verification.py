@@ -416,6 +416,50 @@ def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatc
     )
 
 
+def _one_state_short(states):
+    return states[:-1]
+
+
+def _one_state_long(states):
+    return [*states, {}]
+
+
+@pytest.mark.parametrize(
+    "change, cell, triple, found, wanted",
+    [
+        # the first chain with a state below |J, J> is (j1=0, j2=1/2, J=1/2);
+        # every chain, also the empty one at J = 0, can gain a state
+        (_one_state_short, "(j1=0, j2=1/2)", "(j1=0, j2=1/2, J=1/2)", 0, 1),
+        (_one_state_long, "(j1=0, j2=0)", "(j1=0, j2=0, J=0)", 1, 0),
+    ],
+)
+def test_a_ladder_chain_of_the_wrong_length_fails_with_a_counterexample(
+    monkeypatch, change, cell, triple, found, wanted
+):
+    from click.testing import CliRunner
+
+    from cgexact.cli import cli
+
+    original = ladder._chain_components
+    monkeypatch.setattr(
+        ladder, "_chain_components", lambda top, m: iter(change(list(original(top, m))))
+    )
+    expected = Counterexample(
+        f"cell {cell} raised ArithmeticError",
+        {
+            "error": f"the ladder chain of {triple} has {found} states below |J, J>, "
+            f"not 2J = {wanted}"
+        },
+    )
+    for check in (check_formula_agreement, check_ladder_consistency):
+        report = check(3)
+        assert not report.passed
+        assert report.counterexample == expected
+    result = CliRunner().invoke(cli, ["verify", "--max-2j", "3"])
+    assert result.exit_code == 2, result.output
+    assert "raised ArithmeticError" in result.output
+
+
 def _wrong_at_half(element, factor):
     """``element`` times ``factor`` at j = m = 1/2 only."""
     def wrong(tj, tm):
