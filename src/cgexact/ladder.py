@@ -1,14 +1,14 @@
 """Constructive route: |J,M> states rebuilt over the product basis.
 
-Highest-weight states |J, J> come from the raising annihilation recurrence
-(the alpha sequence), and the other states of a subspace from repeated
-exact lowering (the iterative route, kept deliberately independent so it
-can serve as an oracle).  The lowering runs on integer coordinates over a
-scaled product basis, where J- has integer elements (`_integer_chain`);
-`lower_normalized` is its reference on exact states.  `_cell_values` is
-the one walk that turns a route into the nonzero values of a (j1, j2) cell
-keyed by doubled (J, M, m1), straight from the route's kernels with no
-state object below |J, J>.  `build_full_table` reads it, and so do the
+Each subspace is built in integer coordinates over a scaled product basis,
+where J+ and J- have integer elements.  Its highest-weight state |J, J>
+comes from the J+ annihilation recurrence (`_top`), and the other states
+from repeated exact lowering (`_integer_chain`: the iterative route, kept
+deliberately independent so it can serve as an oracle); `alpha_sequence`
+and `highest_weight_state` give `_top`'s |J, J> as exact values.
+`_cell_values` is the one walk that turns a route into the nonzero values
+of a (j1, j2) cell keyed by doubled (J, M, m1), straight from the route's
+kernels with no state object.  `build_full_table` reads it, and so do the
 verification checks: the ladder check groups it by subspace and acts on
 the states with `apply_jplus` and `apply_jminus`.
 """
@@ -19,7 +19,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from math import comb, isqrt
+from math import comb, gcd, perm
 from types import MappingProxyType
 
 from . import formulas
@@ -43,7 +43,6 @@ __all__ = [
     "build_full_table",
     "cg_ladder",
     "highest_weight_state",
-    "lower_normalized",
 ]
 
 @dataclass(frozen=True, eq=True)
@@ -103,48 +102,69 @@ def _scaled_lowering_element(tj: int, tm: int) -> int:
     return (tj + tm) // 2
 
 
+def _scaled_raising_element(tj: int, tm: int) -> int:
+    """j - m, the J+ element <j, m+1| J+ |j, m> in the basis |j, m> scaled
+    by 1 / sqrt(C(2j, j-m)), for doubled arguments of one parity: its
+    square times C(2j, j-m) is `_raising_element` times C(2j, j-m-1)."""
+    return (tj - tm) // 2
+
+
+def _top(tj1: int, tj2: int, m: int) -> tuple[list[int], int, int]:
+    """|J, J> at depth m = j1 + j2 - J in `_integer_chain`'s scaled basis:
+    integer coordinates x_l, l = 0..m, and the radical (n, d) of its
+    component x_l sqrt(n / (d C(2j1, l) C(2j2, m-l))) at m1 = j1 - l.
+
+    There J+(1) and J+(2) have the elements j1 - m1 and j2 - m2
+    (`_scaled_raising_element`), so J+ |J, J> = 0 is the recurrence
+    x_(l+1) (l + 1) + x_l (m - l) = 0, an exact division from x_0 = 1 that
+    gives x_l = (-1)^l C(m, l).  n / d inverts sum_l x_l^2 / (C(2j1, l)
+    C(2j2, m-l)), summed in integers over the common multiple
+    (2j1)! (2j2)! / ((2j1-m)! (2j2-m)!) of its denominators, one gcd.
+    """
+    xs = [1]
+    for l in range(m):
+        e1 = _scaled_raising_element(tj1, tj1 - 2 * (l + 1))  # J+(1) from k = l + 1
+        e2 = _scaled_raising_element(tj2, tj2 - 2 * (m - l))  # J+(2) from k = l
+        xs.append(-xs[l] * e2 // e1)
+    common = perm(tj1, m) * perm(tj2, m)
+    total = sum(x * x * (common // (comb(tj1, l) * comb(tj2, m - l))) for l, x in enumerate(xs))
+    g = gcd(common, total)
+    return xs, common // g, total // g
+
+
 def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
     """Highest-weight coefficients for the subspace J = j1 + j2 - m.
 
     alpha_l multiplies |j1-l, j2-m+l> and equals
     (-1)^l sqrt(prod_{k=1}^{l} (2j2-m+k)(m-k+1) / (k(2j1-k+1))) * alpha_0,
     with the empty product equal to 1; alpha_0 > 0 fixes the sign convention
-    and normalization makes sum(alpha_l^2) == 1 exactly.  The products are
-    taken in integers over the common denominator of the last one, so that
-    alpha_l^2 is product_l over their sum, one reduced term per alpha.
+    and normalization makes sum(alpha_l^2) == 1 exactly.  They are the
+    values of `_top`'s integer coordinates, one `_chain_value` each, so the
+    route's |J, J> and this one come from one source.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     tj1, tj2 = j1.twice, j2.twice
     if not 0 <= m <= min(tj1, tj2):
         raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    numerators, denominators = [1], [1]
-    for k in range(1, m + 1):
-        numerators.append(numerators[-1] * (tj2 - m + k) * (m - k + 1))
-        denominators.append(denominators[-1] * k * (tj1 - k + 1))
-    common = denominators[-1]
-    products = [n * (common // d) for n, d in zip(numerators, denominators)]
-    total = sum(products)
-    return tuple(_radical(-1 if l & 1 else 1, p, total) for l, p in enumerate(products))
-
-
-def _subspace_depth(j1: HalfInt, j2: HalfInt, J: HalfInt) -> int:
-    """The depth m = j1 + j2 - J of subspace J; raises ValueError unless
-    (j1, j2, J) obeys the triangle rule with j1 + j2 + J an integer."""
-    tj1, tj2, tJ = j1.twice, j2.twice, J.twice
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
-        raise ValueError(f"triangle rule violated for (j1={j1}, j2={j2}, J={J})")
-    return (tj1 + tj2 - tJ) // 2
+    xs, n, d = _top(tj1, tj2, m)
+    return tuple(
+        _chain_value(x, n, d, comb(tj1, l) * comb(tj2, m - l)) for l, x in enumerate(xs)
+    )
 
 
 def highest_weight_state(j1, j2, J) -> StateVector:
     """|J, M=J>: alpha_l at (j1-l, j2-m+l) with m = j1+j2-J.
 
     Annihilated exactly by the raising operator (a verified property, not an
-    input assumption).
+    input assumption).  Raises ValueError unless (j1, j2, J) obeys the
+    triangle rule with j1 + j2 + J an integer.
     """
     j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
-    alphas = alpha_sequence(j1, j2, _subspace_depth(j1, j2, J))
-    return StateVector(j1, j2, J, {j1.twice - 2 * l: a for l, a in enumerate(alphas)})
+    tj1, tj2, tJ = j1.twice, j2.twice, J.twice
+    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
+        raise ValueError(f"triangle rule violated for (j1={j1}, j2={j2}, J={J})")
+    alphas = alpha_sequence(j1, j2, (tj1 + tj2 - tJ) // 2)
+    return StateVector(j1, j2, J, {tj1 - 2 * l: a for l, a in enumerate(alphas)})
 
 
 def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> StateVector:
@@ -188,81 +208,31 @@ def apply_jplus(state: StateVector, divisor: int = 1) -> StateVector:
     return _apply_ladder(state, +1, divisor)
 
 
-def lower_normalized(state: StateVector, J) -> StateVector:
-    """The normalized |J, M-1> below a normalized |J, M> expansion.
-
-    J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is `apply_jminus`
-    divided by that norm's square, with no separate scaling pass.  Raises
-    ValueError unless M is one of J, J-1, ..., -J+1.  The routes lower in
-    integer coordinates (`_integer_chain`); this is the reference that
-    the tests hold that chain to, state by state.
-    """
-    J = HalfInt(J)
-    tJ, tM = J.twice, state.M.twice
-    if tM > tJ or (tJ - tM) % 2:
-        raise ValueError(f"M={state.M} is not a projection of J={J}")
-    if tM <= -tJ:
-        raise ValueError(f"cannot lower below M = -J (J={J})")
-    return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
-
-
 def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
     """The k = j1 - m1 of the components of |J, J - s> at depth m, ascending."""
     return range(max(0, s + m - tj2), min(tj1, m + s) + 1)
 
 
-def _top_coordinates(top: StateVector, m: int) -> tuple[list[int], int, int]:
-    """The integer coordinates x_l, l = 0..m, and the radical (n, d) of the
-    highest-weight state ``top`` of depth m, as `_integer_chain` scales it:
-    its component at m1 = j1 - l is x_l sqrt(n / (d C(2j1, l) C(2j2, m-l))),
-    with x_0 = +-1.  Read exactly from the alphas, whose recurrence makes
-    x_l = (-1)^l C(m, l); raises ArithmeticError where they give no
-    integer, which only a broken recurrence can do."""
-    tj1, tj2 = top.j1.twice, top.j2.twice
-    zero = RadicalSum.zero()
-    alphas = [top.components.get(tj1 - 2 * l, zero)._terms for l in range(m + 1)]
-    if len(alphas[0]) != 1 or any(len(terms) > 1 for terms in alphas):
-        raise ArithmeticError(f"|J, J> at {_where(top)} has a component that is not one radical")
-    ((_, n0, d0),) = alphas[0]
-    first = n0 * comb(tj2, m)
-    coordinates = []
-    for l, terms in enumerate(alphas):
-        if not terms:
-            coordinates.append(0)
-            continue
-        ((sign, n, d),) = terms
-        square, rest = divmod(n * d0 * comb(tj1, l) * comb(tj2, m - l), d * first)
-        root = isqrt(square)
-        if rest or root * root != square:
-            raise ArithmeticError(f"alpha_{l} at {_where(top)} has no integer coordinate")
-        coordinates.append(sign * root)
-    return coordinates, first, d0
-
-
-def _where(top: StateVector) -> str:
-    """Where a highest-weight state lies, for an error message."""
-    return f"(j1={top.j1}, j2={top.j2}, J={top.M})"
-
-
-def _integer_chain(top: StateVector, m: int) -> Iterator[tuple[int, list[int], int, int]]:
-    """The states |J, J - s>, s = 1 .. 2J, below the highest-weight state
-    ``top`` of depth m = j1 + j2 - J, by normalized lowering in integers.
+def _integer_chain(tj1: int, tj2: int, tJ: int) -> Iterator[tuple[int, list[int], int, int]]:
+    """The states |J, J - s>, s = 0 .. 2J, of the subspace J of the
+    (2j1, 2j2) cell, in integers: |J, J> from `_top`, and each state below
+    it by normalized lowering.
 
     Over the product basis scaled by 1 / sqrt(C(2j1, k) C(2j2, m + s - k)),
-    where k = j1 - m1 and m + s - k = j2 - m2, each state is integer
-    coordinates times one radical: its component at k is
+    where m = j1 + j2 - J, k = j1 - m1 and m + s - k = j2 - m2, each state
+    is integer coordinates times one radical: its component at k is
     x_k sqrt(n / (d C(2j1, k) C(2j2, m + s - k))).  In that basis J-(1)
     and J-(2) have the integer elements j1 + m1 and j2 + m2
     (`_scaled_lowering_element`), so J- takes integers to integers, and
-    the normalized step only multiplies d by J(J+1) - M(M-1).  The chain
-    starts from `_top_coordinates`.  Yields (lo, xs, n, d) per state, xs
-    the coordinates at k = lo, lo + 1, ...
+    the normalized step only multiplies d by J(J+1) - M(M-1).  Yields
+    (lo, xs, n, d) per state, xs the coordinates at k = lo, lo + 1, ...
     """
-    tj1, tj2, tJ = top.j1.twice, top.j2.twice, top.M.twice
+    m = (tj1 + tj2 - tJ) // 2
     up = [_scaled_lowering_element(tj1, tj1 - 2 * k) for k in range(tj1 + 1)]
     down = [_scaled_lowering_element(tj2, tj2 - 2 * k) for k in range(tj2 + 1)]
-    xs, n, d = _top_coordinates(top, m)
+    xs, n, d = _top(tj1, tj2, m)
     lo = 0
+    yield lo, xs, n, d
     for s in range(tJ):
         base = m + s                   # j2 - m2 at k = 0
         new_lo = max(0, base + 1 - tj2)
@@ -284,13 +254,13 @@ def _chain_value(x: int, n: int, d: int, weight: int) -> RadicalSum:
     return _radical(1 if x > 0 else -1, x * x * n, d * weight)
 
 
-def _chain_components(top: StateVector, m: int) -> Iterator[dict[int, RadicalSum]]:
-    """The states of `_integer_chain` below ``top``, s = 1 .. 2J, each a dict
-    of its nonzero `_chain_value`s keyed by the doubled m1, in ascending m1."""
-    tj1, tj2 = top.j1.twice, top.j2.twice
+def _chain_components(tj1: int, tj2: int, tJ: int) -> Iterator[dict[int, RadicalSum]]:
+    """The states of `_integer_chain`, s = 0 .. 2J, each a dict of its
+    nonzero `_chain_value`s keyed by the doubled m1, in ascending m1."""
+    m = (tj1 + tj2 - tJ) // 2
     w1 = [comb(tj1, k) for k in range(tj1 + 1)]
     w2 = [comb(tj2, k) for k in range(tj2 + 1)]
-    for s, (lo, xs, n, d) in enumerate(_integer_chain(top, m), 1):
+    for s, (lo, xs, n, d) in enumerate(_integer_chain(tj1, tj2, tJ)):
         base = m + s
         yield {
             tj1 - 2 * k: _chain_value(x, n, d, w1[k] * w2[base - k])
@@ -305,13 +275,9 @@ def cg_ladder(spec: CouplingSpec) -> RadicalSum:
     converted to its exact value."""
     if formulas._is_selection_zero(spec):
         return RadicalSum.zero()
-    top = highest_weight_state(spec.j1, spec.j2, spec.J)
-    s = (spec.J.twice - spec.M.twice) // 2
-    if not s:
-        return top.component(spec.m1)
-    tj1, tj2 = spec.j1.twice, spec.j2.twice
-    m = (tj1 + tj2 - spec.J.twice) // 2
-    lo, xs, n, d = next(islice(_integer_chain(top, m), s - 1, None))
+    tj1, tj2, tJ = spec.j1.twice, spec.j2.twice, spec.J.twice
+    m, s = (tj1 + tj2 - tJ) // 2, (tJ - spec.M.twice) // 2
+    lo, xs, n, d = next(islice(_integer_chain(tj1, tj2, tJ), s, None))
     k = (tj1 - spec.m1.twice) // 2
     if not (x := xs[k - lo]):
         return RadicalSum.zero()
@@ -369,9 +335,9 @@ def _cell_values(
     RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`, the
     closed form `formulas._closed_form_component` per k of
     `_component_range` with one `_shared_factor` per state, and the ladder
-    reads `_chain_components` back up, |J, J> last, with no StateVector
-    below |J, J>, and raises ArithmeticError naming (j1, j2, J) unless the
-    chain has exactly 2J states there.  This is the one walk of a route's
+    reads `_chain_components` back up, |J, J> last, with no StateVector,
+    and raises ArithmeticError naming (j1, j2, J) unless the chain has
+    exactly 2J states below |J, J>.  This is the one walk of a route's
     table, for `build_full_table` and the checks.
     """
     if route is TableRoute.RACAH:
@@ -379,21 +345,20 @@ def _cell_values(
             if not (value := formulas._racah(tj1, tj2, *key)).is_zero:
                 yield key, value
         return
-    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        m = (tj1 + tj2 - tJ) // 2
         if route is TableRoute.LADDER_ITERATIVE:
-            top = highest_weight_state(j1, j2, HalfInt.from_twice(tJ))
-            states = [dict(sorted(top.components.items())), *_chain_components(top, m)]
+            states = list(_chain_components(tj1, tj2, tJ))
             if len(states) != tJ + 1:
+                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
                 raise ArithmeticError(
-                    f"the ladder chain of {_where(top)} has {len(states) - 1} states "
-                    f"below |J, J>, not 2J = {tJ}"
+                    f"the ladder chain of (j1={j1}, j2={j2}, J={J}) has {len(states) - 1} "
+                    f"states below |J, J>, not 2J = {tJ}"
                 )
             for s in range(tJ, -1, -1):  # ascending M = J - s
                 for tm1, value in states[s].items():
                     yield (tJ, tJ - 2 * s, tm1), value
             continue
+        m = (tj1 + tj2 - tJ) // 2
         for s in range(tJ, -1, -1):  # ascending M = J - s
             shared = formulas._shared_factor(tj1, tj2, m, s)
             for k in reversed(_component_range(tj1, tj2, m, s)):  # ascending m1

@@ -4,14 +4,16 @@ Each oracle builds its values straight from binomials or factorials, term
 by term, and shares no formula with the routes it checks: only the exact
 values of `cgexact.numerics` and the `StateVector` container.  Sums and
 products of values are taken here, by `merged_terms`, not by the package's
-`sum_radicals`.
+`sum_radicals`.  The one exception is `lower_normalized`, the lowering
+step on exact states through the package's `apply_jminus`: the reference
+that the ladder route's integer chain is held to, state by state.
 """
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
-from cgexact.ladder import StateVector
+from cgexact.ladder import StateVector, apply_jminus
 from cgexact.numerics import HalfInt, RadicalSum, _from_terms
 
 
@@ -58,6 +60,22 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
             continue
         components[tj1 - 2 * k] = RadicalSum.sqrt(Fraction(numer, denom))
     return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * n), components)
+
+
+def lower_normalized(state: StateVector, J) -> StateVector:
+    """The normalized |J, M-1> below a normalized |J, M> expansion.
+
+    J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is `apply_jminus`
+    divided by that norm's square, with no separate scaling pass.  Raises
+    ValueError unless M is one of J, J-1, ..., -J+1.
+    """
+    J = HalfInt(J)
+    tJ, tM = J.twice, state.M.twice
+    if tM > tJ or (tJ - tM) % 2:
+        raise ValueError(f"M={state.M} is not a projection of J={J}")
+    if tM <= -tJ:
+        raise ValueError(f"cannot lower below M = -J (J={J})")
+    return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
 def merged_terms(pairs) -> list[tuple[int, Fraction]]:

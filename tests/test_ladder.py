@@ -21,13 +21,13 @@ from cgexact.ladder import (
     build_full_table,
     cg_ladder,
     highest_weight_state,
-    lower_normalized,
 )
 from cgexact.numerics import HalfInt, RadicalSum, to_decimal
 from cgexact.verification import _subspaces
 from oracles import (
     beta_closed_form,
     binomial,
+    lower_normalized,
     product,
     scaled,
     stretched_multiplet_state,
@@ -284,24 +284,13 @@ def test_the_integer_chain_is_repeated_normalized_lowering():
 
 def test_top_coordinates_are_signed_binomials():
     for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (3, "5/2", "3/2"), (4, 4, 0)]:
-        top = highest_weight_state(j1, j2, J)
-        m = ladder._subspace_depth(top.j1, top.j2, top.M)
-        coordinates, n, d = ladder._top_coordinates(top, m)
+        tj1, tj2 = HalfInt(j1).twice, HalfInt(j2).twice
+        m = (tj1 + tj2 - HalfInt(J).twice) // 2
+        coordinates, n, d = ladder._top(tj1, tj2, m)
         assert coordinates == [(-1) ** l * comb(m, l) for l in range(m + 1)]
-
-
-def test_alphas_that_give_no_integer_coordinates_raise(monkeypatch):
-    original = ladder.alpha_sequence
-
-    def last_times_sqrt2(j1, j2, m):
-        alphas = original(j1, j2, m)
-        return (*alphas[:-1], product(alphas[-1], SQRT(2)))
-
-    monkeypatch.setattr(ladder, "alpha_sequence", last_times_sqrt2)
-    with pytest.raises(ArithmeticError, match="no integer coordinate"):
-        build_full_table(1, 1, TableRoute.LADDER_ITERATIVE)
-    with pytest.raises(ArithmeticError, match="no integer coordinate"):
-        cg_ladder(CouplingSpec.of(1, 1, 0, 0, 1, 0))
+        # sqrt(n / d) normalizes the state
+        weights = [comb(tj1, l) * comb(tj2, m - l) for l in range(m + 1)]
+        assert sum(Fraction(x * x * n, d * w) for x, w in zip(coordinates, weights)) == 1
 
 
 @pytest.mark.parametrize("divisor", [0, -1, -4])

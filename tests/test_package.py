@@ -76,7 +76,6 @@ MODULE_ALL = {
         "build_full_table",
         "cg_ladder",
         "highest_weight_state",
-        "lower_normalized",
     ],
     "numerics": [
         "HalfInt",

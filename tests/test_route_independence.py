@@ -22,8 +22,6 @@ CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 SHARED_PLUMBING = {
     "ladder.build_full_table",
     "ladder._cell_values",
-    "ladder._subspace_depth",
-    "ladder.StateVector",
 }
 
 
@@ -94,8 +92,8 @@ def test_the_trace_sees_each_route_at_work(calls):
         "formulas._closed_form_component", "formulas._shared_factor", "ladder._component_range"
     } <= calls["closed form"]
     assert {
-        "ladder.alpha_sequence", "ladder._integer_chain", "ladder._scaled_lowering_element",
-        "ladder._chain_components", "ladder._chain_value",
+        "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
+        "ladder._scaled_lowering_element", "ladder._chain_components", "ladder._chain_value",
     } <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
     # the ladder route lowers in integers: no action on states, no class merge
@@ -108,6 +106,14 @@ def test_the_table_walk_builds_no_state_below_the_top(calls):
     # the walk reads the closed-form kernel and the integer chain straight:
     # it builds no closed-form state at all
     assert "ladder.StateVector.__post_init__" not in calls["closed form"]
+
+
+def test_the_ladder_route_builds_its_top_in_integers(calls):
+    # |J, J> comes from `_top`, not from the exact alphas: the ladder route
+    # builds no state object at all
+    assert calls["ladder"].isdisjoint(
+        {"ladder.StateVector.__post_init__", "ladder.alpha_sequence", "ladder.highest_weight_state"}
+    )
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

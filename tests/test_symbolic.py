@@ -163,3 +163,28 @@ def test_scaled_lowering_element_squared_is_the_rescaled_lowering_element():
     element = _without_floor(sympy.sympify(ladder._lowering_element(tj, tm)))
     rescaling = sympy.combsimp(sympy.binomial(tj, b + 1) / sympy.binomial(tj, b))
     assert sympy.cancel(scaled**2 - element * rescaling) == 0
+
+
+def test_scaled_raising_element_squared_is_the_rescaled_raising_element():
+    # a = j + m and b = j - m, so 2j = a + b, 2m = a - b and
+    # C(2j, j-m-1) / C(2j, j-m) = b / (a + 1)
+    a, b = sympy.symbols("a b", integer=True, nonnegative=True)
+    tj, tm = a + b, a - b
+    scaled = _without_floor(sympy.sympify(ladder._scaled_raising_element(tj, tm)))
+    element = _without_floor(sympy.sympify(ladder._raising_element(tj, tm)))
+    rescaling = sympy.combsimp(sympy.binomial(tj, b - 1) / sympy.binomial(tj, b))
+    assert sympy.cancel(scaled**2 - element * rescaling) == 0
+
+
+def test_signed_binomials_solve_the_annihilation_recurrence_for_every_j():
+    # J+ |J, J> = 0 at depth m in the scaled basis: the J+(1) contribution
+    # from k = l + 1 (m1 = j1 - l - 1) cancels the J+(2) contribution from
+    # k = l (j2 - m2 = m - l), each with its `_scaled_raising_element`
+    tj1, tj2, m, l = sympy.symbols("tj1 tj2 m l", integer=True, nonnegative=True)
+    e1 = _without_floor(sympy.sympify(ladder._scaled_raising_element(tj1, tj1 - 2 * (l + 1))))
+    e2 = _without_floor(sympy.sympify(ladder._scaled_raising_element(tj2, tj2 - 2 * (m - l))))
+
+    def x(i):
+        return (-1) ** i * sympy.binomial(m, i)
+
+    assert sympy.simplify(sympy.combsimp((x(l + 1) * e1 + x(l) * e2) / x(l))) == 0

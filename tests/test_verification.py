@@ -373,13 +373,15 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
 
 
 def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeypatch):
-    original = ladder.alpha_sequence
+    # the last integer coordinate of |J, J> flipped: the state keeps its
+    # norm, and the check's own J+ no longer annihilates it
+    original = ladder._top
 
-    def last_flipped(j1, j2, m):
-        alphas = original(j1, j2, m)
-        return (*alphas[:-1], -alphas[-1]) if m >= 1 else alphas
+    def last_flipped(tj1, tj2, m):
+        xs, n, d = original(tj1, tj2, m)
+        return ([*xs[:-1], -xs[-1]] if m >= 1 else xs), n, d
 
-    monkeypatch.setattr(ladder, "alpha_sequence", last_flipped)
+    monkeypatch.setattr(ladder, "_top", last_flipped)
     report = check_ladder_consistency(2)
     assert not report.passed
     assert report.counterexample.description == (
@@ -402,9 +404,9 @@ def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatc
     # yields nothing there, and the check sees an empty state
     original = ladder._chain_components
 
-    def losing_the_last(top, m):
-        states = list(original(top, m))
-        if (top.j1.twice, top.j2.twice, top.M.twice) == (1, 1, 2):
+    def losing_the_last(tj1, tj2, tJ):
+        states = list(original(tj1, tj2, tJ))
+        if (tj1, tj2, tJ) == (1, 1, 2):
             states[-1] = {}
         return iter(states)
 
@@ -417,7 +419,8 @@ def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatc
 
 
 def _one_state_short(states):
-    return states[:-1]
+    # the chain keeps |J, J>, its first state, and loses its last one below
+    return [states[0], *states[1:-1]]
 
 
 def _one_state_long(states):
@@ -442,7 +445,9 @@ def test_a_ladder_chain_of_the_wrong_length_fails_with_a_counterexample(
 
     original = ladder._chain_components
     monkeypatch.setattr(
-        ladder, "_chain_components", lambda top, m: iter(change(list(original(top, m))))
+        ladder,
+        "_chain_components",
+        lambda tj1, tj2, tJ: iter(change(list(original(tj1, tj2, tJ)))),
     )
     expected = Counterexample(
         f"cell {cell} raised ArithmeticError",
