@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _radical, sum_radicals, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _j_range, _radical, sum_radicals, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -142,7 +142,7 @@ def _cell_keys(tj1: int, tj2: int) -> Iterator[tuple[int, int, int]]:
     """The doubled (J, M, m1) of every well-formed spec of the (2j1, 2j2)
     cell, in increasing (J, M, m1) order: |j1 - j2| <= J <= j1 + j2 in unit
     steps, |M| <= J, and M = m1 + m2 with |m1| <= j1 and |m2| <= j2."""
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+    for tJ in _j_range(tj1, tj2):
         for tM in range(-tJ, tJ + 1, 2):
             for tm1 in range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2):
                 yield tJ, tM, tm1

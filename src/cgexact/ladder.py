@@ -10,7 +10,8 @@ and `highest_weight_state` give `_top`'s |J, J> as exact values.
 of a (j1, j2) cell keyed by doubled (J, M, m1), straight from the route's
 kernels with no state object.  `build_full_table` reads it, and so do the
 verification checks: the ladder check groups it by subspace and acts on
-the states with `apply_jplus` and `apply_jminus`.
+its plain dicts with `_apply_ladder`, the J+/J- kernel that `apply_jplus`
+and `apply_jminus` wrap for StateVectors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .numerics import (
     HalfInt,
     RadicalSum,
     _dot,
+    _j_range,
     _radical,
     sum_radicals,
     to_decimal,
@@ -52,11 +54,14 @@ class StateVector:
     ``components`` maps the doubled m1 of each basis state |m1, M - m1> to
     its value and keeps, read-only, only the nonzero values of the mapping
     given.  States compare by value and are unhashable.  Every component of
-    a state the routes build is one radical.  The ladder actions and the
-    norm go through `sum_radicals`, which takes each product of two
-    radicals as one integer square and sums the products that meet in one
-    component, so they also give the exact value of a state with components
-    of several classes, as a broken route would build.
+    a state the routes build is one radical.  `apply_jplus` and
+    `apply_jminus` act on the components through `_apply_ladder`, the
+    kernel that the ladder check calls on the table walk's dicts with no
+    StateVector.  The actions and the norm go through `sum_radicals`, which
+    takes each product of two radicals as one integer square and sums the
+    products that meet in one component, so they also give the exact value
+    of a state with components of several classes, as a broken route would
+    build.
     """
 
     j1: HalfInt
@@ -167,45 +172,67 @@ def highest_weight_state(j1, j2, J) -> StateVector:
     return StateVector(j1, j2, J, {tj1 - 2 * l: a for l, a in enumerate(alphas)})
 
 
-def _apply_ladder(state: StateVector, direction: int, divisor: int = 1) -> StateVector:
-    """J- (direction=-1) or J+ (direction=+1) acting componentwise, with
-    every matrix element's square divided by ``divisor``.
+def _apply_ladder(
+    tj1: int,
+    tj2: int,
+    tM: int,
+    components: Mapping[int, RadicalSum],
+    direction: int,
+    divisor: int = 1,
+) -> dict[int, RadicalSum]:
+    """J- (direction=-1) or J+ (direction=+1) acting on the state at
+    doubled M whose values ``components`` maps by doubled m1, with every
+    matrix element's square divided by ``divisor``: the nonzero components
+    of the state at M - 1 or M + 1, by doubled m1.
 
     Each new component is the sum of its two contributions, one from J(1)
     and one from J(2), each a radical whose square is that of the old
     component times the element's integer square, taken on the reduced
     integer pair of each term; `sum_radicals` adds them with one integer
     square root and one gcd.  A component of several classes brings one
-    contribution per class.  Raises ValueError unless ``divisor`` is at
-    least 1.
+    contribution per class.  This is the one J+/J- kernel: the ladder
+    check calls it on the table walk's plain dicts, and `apply_jplus` and
+    `apply_jminus` on a StateVector's components.  Raises ValueError
+    unless ``divisor`` is at least 1.
     """
     if divisor < 1:
         raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
-    tj1, tj2, tM = state.j1.twice, state.j2.twice, state.M.twice
     element = _lowering_element if direction < 0 else _raising_element
     step = 2 * direction
     contributions: dict[int, list[tuple[int, int, int]]] = {}
-    for tm1, value in state.components.items():
+    for tm1, value in components.items():
         # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
         for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
             if e:
                 terms = contributions.setdefault(key, [])
                 for s, n, d in value._terms:
                     terms.append((s, n * e, d * divisor))
-    components = {key: sum_radicals(terms) for key, terms in contributions.items()}
-    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + step), components)
+    return {
+        key: value
+        for key, terms in contributions.items()
+        if (value := sum_radicals(terms))._terms
+    }
+
+
+def _act(state: StateVector, direction: int, divisor: int) -> StateVector:
+    """`_apply_ladder` on ``state``, as the StateVector at M +- 1."""
+    tM = state.M.twice
+    components = _apply_ladder(
+        state.j1.twice, state.j2.twice, tM, state.components, direction, divisor
+    )
+    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + 2 * direction), components)
 
 
 def apply_jminus(state: StateVector, divisor: int = 1) -> StateVector:
     """J- action, J- = J-(1) + J-(2) with exact matrix elements, divided
     by sqrt(divisor); raises ValueError unless divisor >= 1."""
-    return _apply_ladder(state, -1, divisor)
+    return _act(state, -1, divisor)
 
 
 def apply_jplus(state: StateVector, divisor: int = 1) -> StateVector:
     """J+ action divided by sqrt(divisor); undivided, it annihilates
     highest-weight states exactly.  Raises ValueError unless divisor >= 1."""
-    return _apply_ladder(state, +1, divisor)
+    return _act(state, +1, divisor)
 
 
 def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
@@ -345,7 +372,7 @@ def _cell_values(
             if not (value := formulas._racah(tj1, tj2, *key)).is_zero:
                 yield key, value
         return
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+    for tJ in _j_range(tj1, tj2):
         if route is TableRoute.LADDER_ITERATIVE:
             states = list(_chain_components(tj1, tj2, tJ))
             if len(states) != tJ + 1:

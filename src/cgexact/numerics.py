@@ -153,6 +153,14 @@ def _coerce_twice(value) -> int:
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
+def _j_range(tj1: int, tj2: int) -> range:
+    """The doubled J of every subspace of the (2j1, 2j2) cell, ascending:
+    |j1 - j2| <= J <= j1 + j2 in unit steps.  The one spelling of that
+    range, for the table walks and the checks; it sits here, below the
+    three routes, because every route's walk reads it."""
+    return range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Commensurability of square roots
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ table of a cell from `ladder._cell_values`, the walk that
 (J, M, m1), straight from each route's kernel (the closed-form component,
 the ladder's integer chain, Racah's sum), with no state object per state.
 A key that a walk leaves out has the value 0.  The ladder check groups the
-walk by subspace (`_subspaces`) and wraps each state in a StateVector,
-because it acts on the states with J+ and J-.  The 3j check calls
-`formulas._wigner3j` on doubled columns.  These kernels skip validation,
+walk by subspace (`_subspaces`) and acts with J+ and J- on each state's
+plain {doubled m1: value} dict through `ladder._apply_ladder`, the kernel
+under `apply_jplus` and `apply_jminus`, with no StateVector.  The 3j check
+calls `formulas._wigner3j` on doubled columns.  These kernels skip validation,
 which only the public entry points do.  A sweep builds a CouplingSpec or
 ThreeJSpec only to write a counterexample, except the Condon-Shortley
 check: it builds one CouplingSpec per |J, J> and passes it to the
@@ -30,7 +31,6 @@ identical whatever the completion order.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -46,15 +46,8 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import (
-    StateVector,
-    TableRoute,
-    _cell_values,
-    apply_jminus,
-    apply_jplus,
-    highest_weight_state,
-)
-from .numerics import HalfInt, RadicalSum, _dot
+from .ladder import TableRoute, _apply_ladder, _cell_values, highest_weight_state
+from .numerics import HalfInt, RadicalSum, _dot, _j_range
 
 __all__ = [
     "Counterexample",
@@ -131,6 +124,10 @@ def _map_ordered(
         for unit in units:
             yield worker(unit)
         return
+    # imported here, not with the module: only a pool needs it, and every
+    # command imports this module, so a module-level import slows each start
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(worker, units, chunksize=1)
         # let the workers exit on their own: terminate(), which leaving the
@@ -371,7 +368,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     count = 0
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+    for tJ in _j_range(tj1, tj2):
         tm2 = tJ - tj1
         count += 1
         J = HalfInt.from_twice(tJ)
@@ -423,33 +420,30 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     one = RadicalSum.one()
-    # both routes' states are the table walk grouped by subspace; a (J, M)
-    # that a walk leaves out is the empty state, which fails on its norm
     walks = [
         _subspaces(tj1, tj2, route)
         for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM)
     ]
     chains = 0
-    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+    for tJ in _j_range(tj1, tj2):
         chains += 1
         J = HalfInt.from_twice(tJ)
+        # both routes' states |J, M>, M = J .. -J, as the walk's plain dicts;
+        # a (J, M) that a walk leaves out is {}, which fails on its norm
         chain, closed = (
-            [
-                StateVector(j1, j2, HalfInt.from_twice(tM), walk.get(tJ, {}).get(tM, {}))
-                for tM in range(tJ, -tJ - 1, -2)
-            ]
+            [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
             for walk in walks
         )
-        raised = apply_jplus(chain[0])
-        if not raised.is_zero:
+        raised = _apply_ladder(tj1, tj2, tJ, chain[0], +1)
+        if raised:
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
                 # in descending m1, the order of the alphas of |J, J>
-                values={"J+ |J,J>": str(dict(sorted(raised.components.items(), reverse=True)))},
+                values={"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
-            norm_squared = state.norm_squared()
+            norm_squared = _dot(state, state)
             if norm_squared != one:
                 return chains, Counterexample(
                     description=(
@@ -459,7 +453,8 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                     values={"norm^2": str(norm_squared)},
                 )
             if step > 0:
-                if apply_jplus(state, _ladder_element(tJ, tM)) != chain[step - 1]:
+                raised = _apply_ladder(tj1, tj2, tM, state, +1, _ladder_element(tJ, tM))
+                if raised != chain[step - 1]:
                     return chains, Counterexample(
                         description=(
                             f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
@@ -469,7 +464,8 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
         # closed-form states obey the J- relation; "beta" is their old name
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
-            if apply_jminus(closed[s - 1], _ladder_element(tJ, tM)) != closed[s]:
+            lowered = _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, _ladder_element(tJ, tM))
+            if lowered != closed[s]:
                 return chains, Counterexample(
                     description=(
                         f"J- relation on beta states at (j1={j1}, j2={j2}, "
@@ -483,15 +479,16 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     """Highest-weight annihilation and exact ladder action along every chain.
 
     For each (j1, j2, J), on the states of the ladder and closed-form walks
-    of the cell (`_subspaces`): J+ kills |J, J>; each |J, M> built by
-    repeated normalized lowering has exact norm 1; J+ applied to it and
-    divided by sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the
-    closed-form states, each component computed on its own, satisfy the J-
-    relation: J- |J, M> divided by sqrt(J(J+1) - M(M-1)) is exactly
-    |J, M-1>.  Each divided action is one `apply_jplus` or `apply_jminus`
-    call with the integer square of the element as its divisor, so no
-    expected state is scaled.  A state that a walk leaves out is empty and
-    fails on its norm or its relation.
+    of the cell (`_subspaces`), each a plain {doubled m1: value} dict: J+
+    kills |J, J>; each |J, M> built by repeated normalized lowering has
+    exact norm 1; J+ applied to it and divided by sqrt(J(J+1) - M(M+1))
+    reproduces |J, M+1> exactly; and the closed-form states, each component
+    computed on its own, satisfy the J- relation: J- |J, M> divided by
+    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each action is one call of
+    the J+/J- kernel `ladder._apply_ladder`, divided actions with the
+    integer square of the element, derived here by `_ladder_element`, as
+    the divisor, so no expected state is scaled.  A state that a walk
+    leaves out is empty and fails on its norm or its relation.
     """
     return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)
 

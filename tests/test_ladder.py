@@ -304,6 +304,31 @@ def test_ladder_actions_reject_divisor_below_one(divisor):
                 action(s, divisor)
 
 
+def test_the_kernel_on_the_walks_dicts_gives_the_public_actions():
+    # the ladder check calls `_apply_ladder` on the walk's plain dicts: on
+    # every state of every cell with 2j <= 6, it gives the components of
+    # `apply_jplus` and `apply_jminus` on the same state as a StateVector
+    states = 0
+    for tj1 in range(7):
+        for tj2 in range(7):
+            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+            for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM):
+                for tJ, subspace in _subspaces(tj1, tj2, route).items():
+                    assert ladder._apply_ladder(tj1, tj2, tJ, subspace[tJ], +1) == {}
+                    for tM, components in subspace.items():
+                        state = StateVector(j1, j2, HalfInt.from_twice(tM), components)
+                        for direction, action in ((+1, apply_jplus), (-1, apply_jminus)):
+                            for divisor in (1, 6):
+                                acted = ladder._apply_ladder(
+                                    tj1, tj2, tM, components, direction, divisor
+                                )
+                                assert acted == dict(action(state, divisor).components)
+                        states += 1
+    assert states == 2 * 28 * 28
+    with pytest.raises(ValueError, match="divisor 0 of a ladder action must be at least 1"):
+        ladder._apply_ladder(2, 2, 2, {2: RadicalSum.one()}, +1, 0)
+
+
 def test_lowering_below_bottom_rejected():
     state = highest_weight_state(1, 1, 1)
     state = lower_normalized(state, 1)

@@ -3,8 +3,11 @@ README tour, and what the sources may not use."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +189,18 @@ def test_readme_cites_only_names_that_exist():
     for module_name, name in names:
         module = importlib.import_module(f"cgexact.{module_name}")
         assert hasattr(module, name), f"README cites {module_name}.{name}"
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a process pool needs multiprocessing, and `_map_ordered` imports
+    # it when it starts one; a fresh interpreter shows what the import loads
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, cgexact.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_cli_commands(capsys):

@@ -9,10 +9,12 @@ Racah kernel nor the ladder's lowering, in integers or on states.  What two rout
 """
 
 import sys
+from typing import Callable
 
 import pytest
 
 from cgexact.ladder import TableRoute, build_full_table
+from cgexact.verification import check_ladder_consistency
 
 #: small cells with integer and half-integer j, and subspaces deep enough
 #: that every branch of each route runs
@@ -43,10 +45,9 @@ def _qualname(frame) -> str:
     return code.co_name
 
 
-def _calls(route: TableRoute) -> set[str]:
-    """'module.qualname' of every package function that runs while
-    ``route`` builds the tables of CELLS; comprehensions and generated
-    code (dataclass methods) are left out."""
+def _traced(run: Callable[[], object]) -> set[str]:
+    """'module.qualname' of every package function that runs in ``run()``;
+    comprehensions and generated code (dataclass methods) are left out."""
     called = set()
 
     def profile(frame, event, arg):
@@ -61,11 +62,16 @@ def _calls(route: TableRoute) -> set[str]:
 
     sys.setprofile(profile)
     try:
-        for j1, j2 in CELLS:
-            build_full_table(j1, j2, route)
+        run()
     finally:
         sys.setprofile(None)
     return called
+
+
+def _calls(route: TableRoute) -> set[str]:
+    """The package functions that run while ``route`` builds the tables of
+    CELLS, as `_traced` names them."""
+    return _traced(lambda: [build_full_table(j1, j2, route) for j1, j2 in CELLS])
 
 
 def _in(module: str, calls: set[str]) -> set[str]:
@@ -114,6 +120,14 @@ def test_the_ladder_route_builds_its_top_in_integers(calls):
     assert calls["ladder"].isdisjoint(
         {"ladder.StateVector.__post_init__", "ladder.alpha_sequence", "ladder.highest_weight_state"}
     )
+
+
+def test_the_ladder_check_builds_no_state_object():
+    # the check acts with J+ and J- on the walk's plain dicts, through the
+    # one kernel under `apply_jplus` and `apply_jminus`
+    called = _traced(lambda: check_ladder_consistency(4))
+    assert "ladder._apply_ladder" in called
+    assert "ladder.StateVector.__post_init__" not in called
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

@@ -1,5 +1,6 @@
 """Tests for the cross-route verification engine."""
 
+import multiprocessing
 import re
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import HalfInt, RadicalSum
-from oracles import product, scaled
+from oracles import product
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -169,7 +170,8 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         def terminate(self):
             calls.append("terminate")
 
-    monkeypatch.setattr(verification.multiprocessing, "Pool", FakePool)
+    # `_map_ordered` imports multiprocessing when it starts a pool
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 4)
     units = [(n,) for n in range(10)]
     square = lambda unit: unit[0] ** 2  # noqa: E731
@@ -191,6 +193,21 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         n * n for n in range(10)
     ]
     assert started == [4, 3, 2]
+
+
+@pytest.fixture
+def forked_pools(monkeypatch):
+    """Call to make the package's process pools fork their workers, which
+    then inherit the test's patches; forkserver and spawn workers import
+    the package afresh and would not see them.  Where fork is unavailable,
+    the call skips the rest of the test."""
+
+    def use_fork():
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("patched workers need the fork start method")
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+
+    return use_fork
 
 
 def _alter_route_tables(monkeypatch, alter):
@@ -237,7 +254,7 @@ def test_unitarity_flipped_sign_counterexample(monkeypatch):
     )
 
 
-def test_unitarity_column_completeness_counterexample(monkeypatch):
+def test_unitarity_column_completeness_counterexample(monkeypatch, forked_pools):
     # without the J=1, M=0 row of the cell (1/2, 1/2) the rows stay
     # orthonormal, and the m1=-1/2 column of M=0 loses half its norm; the
     # sweep meets that cell before any other cell with these keys
@@ -252,6 +269,8 @@ def test_unitarity_column_completeness_counterexample(monkeypatch):
     )
     assert verification._unitarity_cell((1, 1)) == (5, expected)
     for jobs in (1, 2):
+        if jobs == 2:
+            forked_pools()
         report = check_unitarity_sweep(4, jobs=jobs)
         assert report.scope == "2j <= 4, 39 cases"
         assert report.counterexample == expected
@@ -302,18 +321,22 @@ def _kernel_dividing_by_zero(tj1, tj2, m, s, k, shared):
     return _KERNEL(tj1, tj2, m, s, k, (numerator, denominator))
 
 
-def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch):
+def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch, forked_pools):
     monkeypatch.setattr(formulas, "_closed_form_component", _kernel_dividing_by_zero)
-    reports = [check_formula_agreement(4, jobs=jobs).to_dict() for jobs in (1, 2)]
-    for report in reports:
+    reports = []
+    for jobs in (1, 2):
+        if jobs == 2:
+            forked_pools()
+        report = check_formula_agreement(4, jobs=jobs).to_dict()
         del report["elapsed_seconds"]
+        reports.append(report)
+        assert report["passed"] is False
+        assert report["scope"] == "2j <= 4, 23 cases"
+        assert report["counterexample"] == {
+            "description": "cell (j1=1/2, j2=1) raised ZeroDivisionError",
+            "values": {"error": "integer division or modulo by zero"},
+        }
     assert reports[0] == reports[1]
-    assert reports[0]["passed"] is False
-    assert reports[0]["scope"] == "2j <= 4, 23 cases"
-    assert reports[0]["counterexample"] == {
-        "description": "cell (j1=1/2, j2=1) raised ZeroDivisionError",
-        "values": {"error": "integer division or modulo by zero"},
-    }
 
 
 def test_a_route_that_raises_fails_the_3j_check_at_its_triple(monkeypatch):
@@ -345,12 +368,16 @@ def test_verify_exits_2_when_a_route_raises(monkeypatch):
 
 
 def test_ladder_detects_broken_lowering(monkeypatch):
-    original = verification.apply_jminus
-    monkeypatch.setattr(
-        verification,
-        "apply_jminus",
-        lambda state, *d: scaled(original(state, *d), RadicalSum.rational(2)),
-    )
+    # the check's J- kernel doubles every component of the state it lowers
+    original = verification._apply_ladder
+
+    def doubling_jminus(tj1, tj2, tM, components, direction, divisor=1):
+        state = original(tj1, tj2, tM, components, direction, divisor)
+        if direction < 0:
+            state = {tm1: product(value, RadicalSum.rational(2)) for tm1, value in state.items()}
+        return state
+
+    monkeypatch.setattr(verification, "_apply_ladder", doubling_jminus)
     report = check_ladder_consistency(1)
     assert not report.passed
     assert "J- relation on beta states" in report.counterexample.description
@@ -363,8 +390,8 @@ def test_ladder_detects_broken_raising_element(monkeypatch):
         # the element is held as its square: doubling it is a factor of 4
         return original(tj, tm) * 4
 
+    # the check's J+ kernel reads the element from `ladder`
     monkeypatch.setattr(ladder, "_raising_element", doubled)
-    monkeypatch.setattr(verification, "_raising_element", doubled, raising=False)
     report = check_ladder_consistency(3)
     assert not report.passed
     assert report.counterexample.description == (
@@ -390,11 +417,13 @@ def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeyp
 
 
 def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
-    original = ladder._apply_ladder
+    original = verification._apply_ladder
     monkeypatch.setattr(
-        ladder,
+        verification,
         "_apply_ladder",
-        lambda state, direction, divisor=1: original(state, direction),
+        lambda tj1, tj2, tM, components, direction, divisor=1: original(
+            tj1, tj2, tM, components, direction
+        ),
     )
     assert not check_ladder_consistency(2).passed
 
@@ -534,7 +563,7 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
     )
 
 
-def test_threej_detects_flipped_symbols(monkeypatch):
+def test_threej_detects_flipped_symbols(monkeypatch, forked_pools):
     # flipping every symbol of a j-multiset would keep all its symmetries;
     # flipping one column order, (1, 1/2, 1/2), breaks the images of the others
     original = verification._wigner3j
@@ -551,6 +580,7 @@ def test_threej_detects_flipped_symbols(monkeypatch):
     values = report.counterexample.values
     base, permuted = (RadicalSum.parse(values[k]) for k in ("base", "permuted"))
     assert not base.is_zero and permuted == -base
+    forked_pools()
     parallel = check_threej_symmetries(3, jobs=2)
     assert (parallel.scope, parallel.counterexample) == (
         report.scope, report.counterexample
