@@ -4,14 +4,14 @@ Each subspace is built in integer coordinates over a scaled product basis,
 where J+ and J- have integer elements.  Its highest-weight state |J, J>
 comes from the J+ annihilation recurrence (`_top`), and the other states
 from repeated exact lowering (`_integer_chain`: the iterative route, kept
-deliberately independent so it can serve as an oracle); `alpha_sequence`
-and `highest_weight_state` give `_top`'s |J, J> as exact values.
-`_cell_values` is the one walk that turns a route into the nonzero values
-of a (j1, j2) cell keyed by doubled (J, M, m1), straight from the route's
-kernels with no state object.  `build_full_table` reads it, and so do the
-verification checks: the ladder check groups it by subspace and acts on
-its plain dicts with `_apply_ladder`, the J+/J- kernel that `apply_jplus`
-and `apply_jminus` wrap for StateVectors.
+deliberately independent so it can serve as an oracle).  A state as exact
+values is a plain {doubled m1: value} dict of its nonzero components, as
+`_chain_components` yields them.  `_cell_values` is the one walk that turns
+a route into the nonzero values of a (j1, j2) cell keyed by doubled
+(J, M, m1), straight from the route's kernels with no state object.
+`build_full_table` reads it, and so do the verification checks: the ladder
+check groups it by subspace and acts on its plain dicts with
+`_apply_ladder`, the one J+/J- kernel.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from math import comb, gcd, perm
-from types import MappingProxyType
 
 from . import formulas
 from .formulas import CouplingSpec
 from .numerics import (
     HalfInt,
     RadicalSum,
-    _dot,
     _j_range,
     _radical,
     sum_radicals,
@@ -37,55 +35,10 @@ from .numerics import (
 
 __all__ = [
     "CoefficientRecord",
-    "StateVector",
     "TableRoute",
-    "alpha_sequence",
-    "apply_jminus",
-    "apply_jplus",
     "build_full_table",
     "cg_ladder",
-    "highest_weight_state",
 ]
-
-@dataclass(frozen=True, eq=True)
-class StateVector:
-    """Exact expansion of a state at one M over the product basis at (j1, j2).
-
-    ``components`` maps the doubled m1 of each basis state |m1, M - m1> to
-    its value and keeps, read-only, only the nonzero values of the mapping
-    given.  States compare by value and are unhashable.  Every component of
-    a state the routes build is one radical.  `apply_jplus` and
-    `apply_jminus` act on the components through `_apply_ladder`, the
-    kernel that the ladder check calls on the table walk's dicts with no
-    StateVector.  The actions and the norm go through `sum_radicals`, which
-    takes each product of two radicals as one integer square and sums the
-    products that meet in one component, so they also give the exact value
-    of a state with components of several classes, as a broken route would
-    build.
-    """
-
-    j1: HalfInt
-    j2: HalfInt
-    M: HalfInt
-    components: Mapping[int, RadicalSum]
-
-    __hash__ = None
-
-    def __post_init__(self) -> None:
-        pruned = {k: v for k, v in self.components.items() if v._terms}
-        object.__setattr__(self, "components", MappingProxyType(pruned))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def component(self, m1) -> RadicalSum:
-        return self.components.get(HalfInt(m1).twice, RadicalSum.zero())
-
-    def norm_squared(self) -> RadicalSum:
-        """The exact sum of the squared components: for components of one
-        radical each, the sum of their squares, a rational."""
-        return _dot(self.components, self.components)
 
 
 def _lowering_element(tj: int, tm: int) -> int:
@@ -137,41 +90,6 @@ def _top(tj1: int, tj2: int, m: int) -> tuple[list[int], int, int]:
     return xs, common // g, total // g
 
 
-def alpha_sequence(j1, j2, m: int) -> tuple[RadicalSum, ...]:
-    """Highest-weight coefficients for the subspace J = j1 + j2 - m.
-
-    alpha_l multiplies |j1-l, j2-m+l> and equals
-    (-1)^l sqrt(prod_{k=1}^{l} (2j2-m+k)(m-k+1) / (k(2j1-k+1))) * alpha_0,
-    with the empty product equal to 1; alpha_0 > 0 fixes the sign convention
-    and normalization makes sum(alpha_l^2) == 1 exactly.  They are the
-    values of `_top`'s integer coordinates, one `_chain_value` each, so the
-    route's |J, J> and this one come from one source.
-    """
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    tj1, tj2 = j1.twice, j2.twice
-    if not 0 <= m <= min(tj1, tj2):
-        raise ValueError(f"m={m} outside 0..min(2j1, 2j2)={min(tj1, tj2)}")
-    xs, n, d = _top(tj1, tj2, m)
-    return tuple(
-        _chain_value(x, n, d, comb(tj1, l) * comb(tj2, m - l)) for l, x in enumerate(xs)
-    )
-
-
-def highest_weight_state(j1, j2, J) -> StateVector:
-    """|J, M=J>: alpha_l at (j1-l, j2-m+l) with m = j1+j2-J.
-
-    Annihilated exactly by the raising operator (a verified property, not an
-    input assumption).  Raises ValueError unless (j1, j2, J) obeys the
-    triangle rule with j1 + j2 + J an integer.
-    """
-    j1, j2, J = HalfInt(j1), HalfInt(j2), HalfInt(J)
-    tj1, tj2, tJ = j1.twice, j2.twice, J.twice
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
-        raise ValueError(f"triangle rule violated for (j1={j1}, j2={j2}, J={J})")
-    alphas = alpha_sequence(j1, j2, (tj1 + tj2 - tJ) // 2)
-    return StateVector(j1, j2, J, {tj1 - 2 * l: a for l, a in enumerate(alphas)})
-
-
 def _apply_ladder(
     tj1: int,
     tj2: int,
@@ -191,8 +109,7 @@ def _apply_ladder(
     integer pair of each term; `sum_radicals` adds them with one integer
     square root and one gcd.  A component of several classes brings one
     contribution per class.  This is the one J+/J- kernel: the ladder
-    check calls it on the table walk's plain dicts, and `apply_jplus` and
-    `apply_jminus` on a StateVector's components.  Raises ValueError
+    check calls it on the table walk's plain dicts.  Raises ValueError
     unless ``divisor`` is at least 1.
     """
     if divisor < 1:
@@ -212,27 +129,6 @@ def _apply_ladder(
         for key, terms in contributions.items()
         if (value := sum_radicals(terms))._terms
     }
-
-
-def _act(state: StateVector, direction: int, divisor: int) -> StateVector:
-    """`_apply_ladder` on ``state``, as the StateVector at M +- 1."""
-    tM = state.M.twice
-    components = _apply_ladder(
-        state.j1.twice, state.j2.twice, tM, state.components, direction, divisor
-    )
-    return StateVector(state.j1, state.j2, HalfInt.from_twice(tM + 2 * direction), components)
-
-
-def apply_jminus(state: StateVector, divisor: int = 1) -> StateVector:
-    """J- action, J- = J-(1) + J-(2) with exact matrix elements, divided
-    by sqrt(divisor); raises ValueError unless divisor >= 1."""
-    return _act(state, -1, divisor)
-
-
-def apply_jplus(state: StateVector, divisor: int = 1) -> StateVector:
-    """J+ action divided by sqrt(divisor); undivided, it annihilates
-    highest-weight states exactly.  Raises ValueError unless divisor >= 1."""
-    return _act(state, +1, divisor)
 
 
 def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
@@ -362,10 +258,10 @@ def _cell_values(
     RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`, the
     closed form `formulas._closed_form_component` per k of
     `_component_range` with one `_shared_factor` per state, and the ladder
-    reads `_chain_components` back up, |J, J> last, with no StateVector,
-    and raises ArithmeticError naming (j1, j2, J) unless the chain has
-    exactly 2J states below |J, J>.  This is the one walk of a route's
-    table, for `build_full_table` and the checks.
+    reads `_chain_components` back up, |J, J> last, and raises
+    ArithmeticError naming (j1, j2, J) unless the chain has exactly 2J
+    states below |J, J>.  This is the one walk of a route's table, for
+    `build_full_table` and the checks.
     """
     if route is TableRoute.RACAH:
         for key in formulas._cell_keys(tj1, tj2):

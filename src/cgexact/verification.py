@@ -14,13 +14,14 @@ table of a cell from `ladder._cell_values`, the walk that
 the ladder's integer chain, Racah's sum), with no state object per state.
 A key that a walk leaves out has the value 0.  The ladder check groups the
 walk by subspace (`_subspaces`) and acts with J+ and J- on each state's
-plain {doubled m1: value} dict through `ladder._apply_ladder`, the kernel
-under `apply_jplus` and `apply_jminus`, with no StateVector.  The 3j check
-calls `formulas._wigner3j` on doubled columns.  These kernels skip validation,
-which only the public entry points do.  A sweep builds a CouplingSpec or
-ThreeJSpec only to write a counterexample, except the Condon-Shortley
-check: it builds one CouplingSpec per |J, J> and passes it to the
-validating `cg_alternative` and `cg_racah`.
+plain {doubled m1: value} dict through `ladder._apply_ladder`, the one
+J+/J- kernel.  The 3j check calls `formulas._wigner3j` on doubled columns.
+These kernels skip validation, which only the public entry points do.  A
+sweep builds a CouplingSpec or ThreeJSpec only to write a counterexample,
+except the Condon-Shortley check: it builds one CouplingSpec per |J, J>
+and passes it to the validating `cg_alternative` and `cg_racah`, and reads
+the ladder route's value from the first state of
+`ladder._chain_components`, the route's own |J, J>.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -46,7 +47,7 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import TableRoute, _apply_ladder, _cell_values, highest_weight_state
+from .ladder import TableRoute, _apply_ladder, _cell_values, _chain_components
 from .numerics import HalfInt, RadicalSum, _dot, _j_range
 
 __all__ = [
@@ -376,7 +377,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
         values = {
             "alternative": cg_alternative(spec),
             "racah": cg_racah(spec),
-            "ladder": highest_weight_state(j1, j2, J).component(spec.m1),
+            "ladder": next(_chain_components(tj1, tj2, tJ)).get(tj1, RadicalSum.zero()),
         }
         for route, value in values.items():
             if value.is_zero or value.sign() <= 0:

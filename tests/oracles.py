@@ -2,18 +2,20 @@
 
 Each oracle builds its values straight from binomials or factorials, term
 by term, and shares no formula with the routes it checks: only the exact
-values of `cgexact.numerics` and the `StateVector` container.  Sums and
+values of `cgexact.numerics`.  A state is a plain {doubled m1: value} dict
+of its nonzero components, the form the table walk gives.  Sums and
 products of values are taken here, by `merged_terms`, not by the package's
 `sum_radicals`.  The one exception is `lower_normalized`, the lowering
-step on exact states through the package's `apply_jminus`: the reference
-that the ladder route's integer chain is held to, state by state.
+step on exact states through the package's J- kernel
+`ladder._apply_ladder`: the reference that the ladder route's integer
+chain is held to, state by state.
 """
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
-from cgexact.ladder import StateVector, apply_jminus
+from cgexact.ladder import _apply_ladder
 from cgexact.numerics import HalfInt, RadicalSum, _from_terms
 
 
@@ -39,15 +41,15 @@ def norm_sum(tj1: int, tj2: int, m: int) -> Fraction:
     )
 
 
-def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
-    """|J=j1+j2, M=j1+j2-n> from n-fold lowering of the stretched state.
+def stretched_multiplet_state(j1, j2, n: int) -> dict[int, RadicalSum]:
+    """|J=j1+j2, M=j1+j2-n> from n-fold lowering of the stretched state,
+    as {doubled m1: value}.
 
     The component at m1 = j1-k (m2 = j2-n+k) is
     sqrt(C(2j1,k) C(2j2,n-k) / C(2j1+2j2,n)); n = 0 is the stretched state
     itself.
     """
-    j1, j2 = HalfInt(j1), HalfInt(j2)
-    tj1, tj2 = j1.twice, j2.twice
+    tj1, tj2 = HalfInt(j1).twice, HalfInt(j2).twice
     if tj1 < 0 or tj2 < 0:
         raise ValueError("j1 and j2 must be nonnegative")
     if not 0 <= n <= tj1 + tj2:
@@ -59,23 +61,24 @@ def stretched_multiplet_state(j1, j2, n: int) -> StateVector:
         if not numer:
             continue
         components[tj1 - 2 * k] = RadicalSum.sqrt(Fraction(numer, denom))
-    return StateVector(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * n), components)
+    return components
 
 
-def lower_normalized(state: StateVector, J) -> StateVector:
-    """The normalized |J, M-1> below a normalized |J, M> expansion.
+def lower_normalized(tj1: int, tj2: int, tJ: int, tM: int, components) -> dict[int, RadicalSum]:
+    """The normalized |J, M-1> below the normalized |J, M> whose values
+    ``components`` maps by doubled m1, from doubled 2j1, 2j2, 2J and 2M.
 
-    J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is `apply_jminus`
-    divided by that norm's square, with no separate scaling pass.  Raises
-    ValueError unless M is one of J, J-1, ..., -J+1.
+    J- |J, M> has norm sqrt(J(J+1) - M(M-1)), so this is the J- kernel
+    with every element's square divided by that norm's square, with no
+    separate scaling pass.  Raises ValueError unless M is one of
+    J, J-1, ..., -J+1.
     """
-    J = HalfInt(J)
-    tJ, tM = J.twice, state.M.twice
     if tM > tJ or (tJ - tM) % 2:
-        raise ValueError(f"M={state.M} is not a projection of J={J}")
+        M, J = HalfInt.from_twice(tM), HalfInt.from_twice(tJ)
+        raise ValueError(f"M={M} is not a projection of J={J}")
     if tM <= -tJ:
-        raise ValueError(f"cannot lower below M = -J (J={J})")
-    return apply_jminus(state, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
+        raise ValueError(f"cannot lower below M = -J (J={HalfInt.from_twice(tJ)})")
+    return _apply_ladder(tj1, tj2, tM, components, -1, (tJ * (tJ + 2) - tM * (tM - 2)) // 4)
 
 
 def merged_terms(pairs) -> list[tuple[int, Fraction]]:
@@ -122,11 +125,11 @@ def product(x: RadicalSum, y: RadicalSum) -> RadicalSum:
     return from_merged(merged_terms((s * t, p * q) for s, p in x.terms() for t, q in y.terms()))
 
 
-def scaled(state: StateVector, factor: RadicalSum) -> StateVector:
-    """``state`` with every component multiplied by ``factor`` through
-    `product`, not through the ladder's `sum_radicals` path."""
-    components = {k: product(value, factor) for k, value in state.components.items()}
-    return StateVector(state.j1, state.j2, state.M, components)
+def scaled(components, factor: RadicalSum) -> dict[int, RadicalSum]:
+    """The state whose values ``components`` maps by doubled m1, with every
+    component multiplied by ``factor`` through `product`, not through the
+    ladder's `sum_radicals` path."""
+    return {k: product(value, factor) for k, value in components.items()}
 
 
 def weight_binomials(tj1, tj2, m: int, s: int, l, p, choose=binomial):

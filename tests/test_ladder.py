@@ -1,6 +1,5 @@
 """Tests for the ladder-operator state construction and table builder."""
 
-import collections.abc
 import dataclasses
 import pickle
 from fractions import Fraction
@@ -13,16 +12,11 @@ import cgexact.ladder as ladder
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
-    StateVector,
     TableRoute,
-    alpha_sequence,
-    apply_jminus,
-    apply_jplus,
     build_full_table,
     cg_ladder,
-    highest_weight_state,
 )
-from cgexact.numerics import HalfInt, RadicalSum, to_decimal
+from cgexact.numerics import HalfInt, RadicalSum, _dot, to_decimal
 from cgexact.verification import _subspaces
 from oracles import (
     beta_closed_form,
@@ -38,23 +32,37 @@ SQRT = RadicalSum.sqrt
 HALF = Fraction(1, 2)
 
 
-def components_of(state):
-    """The components keyed by doubled (m1, m2), with m2 = M - m1."""
-    tM = state.M.twice
-    return {(tm1, tM - tm1): value for tm1, value in state.components.items()}
+def components_of(state, tM):
+    """The components of the state at doubled M, keyed by doubled
+    (m1, m2), with m2 = M - m1."""
+    return {(tm1, tM - tm1): value for tm1, value in state.items()}
+
+
+def top_state(j1, j2, J):
+    """The ladder route's |J, J> as the walk reads it: the first state of
+    `ladder._chain_components`, a {doubled m1: value} dict."""
+    return next(ladder._chain_components(HalfInt(j1).twice, HalfInt(j2).twice, HalfInt(J).twice))
+
+
+def alphas(j1, j2, m: int):
+    """alpha_l, l = 0..m: the components of `top_state` at m1 = j1 - l for
+    J = j1 + j2 - m, which has no other component."""
+    tj1, tj2 = HalfInt(j1).twice, HalfInt(j2).twice
+    top = top_state(j1, j2, HalfInt.from_twice(tj1 + tj2 - 2 * m))
+    keys = [tj1 - 2 * l for l in range(m + 1)]
+    assert sorted(top, reverse=True) == keys
+    return [top[key] for key in keys]
 
 
 def walk_states(j1, j2, route):
     """The states |J, M>, M = J .. -J, of every subspace of the (j1, j2)
-    cell, keyed by doubled J: the walk of ``route`` grouped as the ladder
-    check groups it, a (J, M) that the walk leaves out an empty state."""
-    j1, j2 = HalfInt(j1), HalfInt(j2)
+    cell as {doubled m1: value} dicts, keyed by doubled J: the walk of
+    ``route`` grouped as the ladder check groups it, a (J, M) that the
+    walk leaves out an empty state."""
+    subspaces = _subspaces(HalfInt(j1).twice, HalfInt(j2).twice, TableRoute(route))
     return {
-        tJ: [
-            StateVector(j1, j2, HalfInt.from_twice(tM), states.get(tM, {}))
-            for tM in range(tJ, -tJ - 1, -2)
-        ]
-        for tJ, states in _subspaces(j1.twice, j2.twice, TableRoute(route)).items()
+        tJ: [states.get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
+        for tJ, states in subspaces.items()
     }
 
 
@@ -65,12 +73,12 @@ def walk_states(j1, j2, route):
 
 def test_stretched_top_state():
     state = stretched_multiplet_state("1/2", "1/2", 0)
-    assert components_of(state) == {(1, 1): RadicalSum.one()}
+    assert components_of(state, 2) == {(1, 1): RadicalSum.one()}
 
 
 def test_stretched_one_lowering_half_half():
     state = stretched_multiplet_state("1/2", "1/2", 1)
-    assert components_of(state) == {(-1, 1): SQRT(HALF), (1, -1): SQRT(HALF)}
+    assert components_of(state, 0) == {(-1, 1): SQRT(HALF), (1, -1): SQRT(HALF)}
 
 
 def test_stretched_reference_row():
@@ -80,14 +88,14 @@ def test_stretched_reference_row():
         (0, 0): SQRT(Fraction(3, 5)),
         (2, -2): SQRT(Fraction(1, 5)),
     }
-    assert components_of(state) == expected
-    rendered = {key: to_decimal(v, 5) for key, v in components_of(state).items()}
+    assert components_of(state, 0) == expected
+    rendered = {key: to_decimal(v, 5) for key, v in components_of(state, 0).items()}
     assert rendered == {(-2, 2): "0.44721", (0, 0): "0.77460", (2, -2): "0.44721"}
 
 
 def test_stretched_lowering_once_matches_reference():
     state = stretched_multiplet_state(2, 1, 1)
-    assert components_of(state) == {
+    assert components_of(state, 4) == {
         (4, 0): SQRT(Fraction(1, 3)),
         (2, 2): SQRT(Fraction(2, 3)),
     }
@@ -95,7 +103,8 @@ def test_stretched_lowering_once_matches_reference():
 
 def test_stretched_norm_and_range():
     for n in range(7):
-        assert stretched_multiplet_state(2, 1, n).norm_squared() == 1
+        state = stretched_multiplet_state(2, 1, n)
+        assert _dot(state, state) == 1
     with pytest.raises(ValueError):
         stretched_multiplet_state(2, 1, 7)
     with pytest.raises(ValueError):
@@ -108,35 +117,25 @@ def test_stretched_norm_and_range():
 
 
 def test_alpha_singlet():
-    seq = alpha_sequence("1/2", "1/2", 1)
-    assert list(seq) == [SQRT(HALF), -SQRT(HALF)]
+    assert alphas("1/2", "1/2", 1) == [SQRT(HALF), -SQRT(HALF)]
 
 
 def test_alpha_depth_zero_is_trivial():
     for j1, j2 in [(0, 0), (1, 1), ("3/2", 2), (5, "1/2")]:
-        assert list(alpha_sequence(j1, j2, 0)) == [RadicalSum.one()]
+        assert alphas(j1, j2, 0) == [RadicalSum.one()]
 
 
 def test_alpha_reference_values():
-    seq = alpha_sequence(1, 1, 1)
-    assert list(seq) == [SQRT(HALF), -SQRT(HALF)]
+    seq = alphas(1, 1, 1)
+    assert seq == [SQRT(HALF), -SQRT(HALF)]
     assert [to_decimal(a, 5) for a in seq] == ["0.70711", "-0.70711"]
-
-
-def test_alpha_range_errors():
-    with pytest.raises(ValueError):
-        alpha_sequence(1, 1, 3)
-    with pytest.raises(ValueError):
-        alpha_sequence(1, 1, -1)
 
 
 def test_alpha_invariants_small_sweep():
     for tj1 in range(0, 7):
         for tj2 in range(0, 7):
             for m in range(min(tj1, tj2) + 1):
-                seq = alpha_sequence(
-                    HalfInt.from_twice(tj1), HalfInt.from_twice(tj2), m
-                )
+                seq = alphas(HalfInt.from_twice(tj1), HalfInt.from_twice(tj2), m)
                 assert len(seq) == m + 1
                 assert seq[0].sign() == 1
                 assert summed(product(alpha, alpha) for alpha in seq) == RadicalSum.one()
@@ -160,38 +159,31 @@ def test_alpha_invariants_small_sweep():
 
 
 def test_highest_weight_examples():
-    assert components_of(highest_weight_state(1, 1, 2)) == {(2, 2): RadicalSum.one()}
-    assert components_of(highest_weight_state(1, 1, 1)) == {
+    assert components_of(top_state(1, 1, 2), 4) == {(2, 2): RadicalSum.one()}
+    assert components_of(top_state(1, 1, 1), 2) == {
         (2, 0): SQRT(HALF),
         (0, 2): -SQRT(HALF),
     }
-    state = highest_weight_state(2, 1, 2)
-    assert components_of(state) == {
+    state = components_of(top_state(2, 1, 2), 4)
+    assert state == {
         (4, 0): SQRT(Fraction(2, 3)),
         (2, 2): -SQRT(Fraction(1, 3)),
     }
-    rendered = {key: to_decimal(v, 5) for key, v in components_of(state).items()}
+    rendered = {key: to_decimal(v, 5) for key, v in state.items()}
     assert rendered == {(4, 0): "0.81650", (2, 2): "-0.57735"}
-
-
-def test_highest_weight_triangle_violation():
-    with pytest.raises(ValueError):
-        highest_weight_state(2, 1, 0)
-    with pytest.raises(ValueError):
-        highest_weight_state(1, 1, "1/2")
 
 
 def test_jplus_annihilates_highest_weight():
     for tj1 in range(0, 9):
         for tj2 in range(0, 9):
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                state = highest_weight_state(
+                state = top_state(
                     HalfInt.from_twice(tj1),
                     HalfInt.from_twice(tj2),
                     HalfInt.from_twice(tJ),
                 )
-                assert apply_jplus(state).is_zero
-                assert state.norm_squared() == 1
+                assert ladder._apply_ladder(tj1, tj2, tJ, state, +1) == {}
+                assert _dot(state, state) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +192,36 @@ def test_jplus_annihilates_highest_weight():
 
 
 def test_lowering_reference_row():
-    state = lower_normalized(highest_weight_state(1, 1, 1), 1)
-    assert components_of(state) == {(-2, 2): -SQRT(HALF), (2, -2): SQRT(HALF)}
+    state = lower_normalized(2, 2, 2, 2, top_state(1, 1, 1))
+    assert components_of(state, 0) == {(-2, 2): -SQRT(HALF), (2, -2): SQRT(HALF)}
 
 
 def test_lowering_matches_ladder_equation():
-    j1, j2, J = HalfInt(2), HalfInt("3/2"), HalfInt("3/2")
-    state = highest_weight_state(j1, j2, J)
-    tJ = J.twice
+    tj1, tj2, tJ = 4, 3, 3
+    state = top_state(2, "3/2", "3/2")
     for step in range(tJ):
         tM = tJ - 2 * step
-        lowered = apply_jminus(state)
-        next_state = lower_normalized(state, J)
+        lowered = ladder._apply_ladder(tj1, tj2, tM, state, -1)
+        next_state = lower_normalized(tj1, tj2, tJ, tM, state)
         scale = SQRT(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
-        assert lowered.components == scaled(next_state, scale).components
+        assert lowered == scaled(next_state, scale)
         state = next_state
 
 
 def _divided_action_states():
-    """Single-class states of both routes, and one state whose components
-    fall in two classes: the m1 = 0 component of |2, 0> at (1, 1) times
-    sqrt(2)."""
+    """Single-class states of both routes as (2j1, 2j2, 2M, state), and
+    one state whose components fall in two classes: the m1 = 0 component
+    of |2, 0> at (1, 1) times sqrt(2)."""
     states = []
     for j1, j2, J in [(1, 1, 1), (2, "3/2", "3/2"), ("5/2", 1, "5/2")]:
+        tj1, tj2, tJ = (HalfInt(j).twice for j in (j1, j2, J))
         for route in (TableRoute.LADDER_ITERATIVE, TableRoute.BETA_CLOSED_FORM):
-            states.extend(walk_states(j1, j2, route)[HalfInt(J).twice])
-    middle = walk_states(1, 1, TableRoute.LADDER_ITERATIVE)[4][2]
-    components = dict(middle.components)
-    assert components[0] == SQRT(Fraction(2, 3))
-    components[0] = SQRT(Fraction(4, 3))
-    states.append(StateVector(middle.j1, middle.j2, middle.M, components))
+            chain = walk_states(j1, j2, route)[tJ]
+            states.extend((tj1, tj2, tJ - 2 * s, state) for s, state in enumerate(chain))
+    middle = dict(walk_states(1, 1, TableRoute.LADDER_ITERATIVE)[4][2])
+    assert middle[0] == SQRT(Fraction(2, 3))
+    middle[0] = SQRT(Fraction(4, 3))
+    states.append((2, 2, 0, middle))
     return states
 
 
@@ -237,13 +229,12 @@ def _divided_action_states():
 def test_divided_actions_are_undivided_actions_over_sqrt_divisor(divisor):
     factor = SQRT(Fraction(1, divisor))
     two_class_components = 0
-    for state in _divided_action_states():
-        for action in (apply_jplus, apply_jminus):
-            undivided = action(state)
-            assert action(state, divisor) == scaled(undivided, factor)
-            two_class_components += sum(
-                v.num_terms == 2 for v in undivided.components.values()
-            )
+    for tj1, tj2, tM, state in _divided_action_states():
+        for direction in (+1, -1):
+            undivided = ladder._apply_ladder(tj1, tj2, tM, state, direction)
+            divided = ladder._apply_ladder(tj1, tj2, tM, state, direction, divisor)
+            assert divided == scaled(undivided, factor)
+            two_class_components += sum(v.num_terms == 2 for v in undivided.values())
     # the two-class state reaches the multi-class path of both actions
     assert two_class_components >= 2
 
@@ -255,12 +246,15 @@ def test_lowering_is_the_divided_jminus():
             chains = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
                 J = HalfInt.from_twice(tJ)
-                for state in chains[tJ][:-1]:
-                    M = state.M.as_fraction
+                for s, state in enumerate(chains[tJ][:-1]):
+                    tM = tJ - 2 * s
+                    M = HalfInt.from_twice(tM).as_fraction
                     norm_squared = J.as_fraction * (J.as_fraction + 1) - M * (M - 1)
                     assert norm_squared.denominator == 1
                     divisor = norm_squared.numerator
-                    assert lower_normalized(state, J) == apply_jminus(state, divisor)
+                    assert lower_normalized(tj1, tj2, tJ, tM, state) == ladder._apply_ladder(
+                        tj1, tj2, tM, state, -1, divisor
+                    )
 
 
 def test_the_integer_chain_is_repeated_normalized_lowering():
@@ -272,12 +266,11 @@ def test_the_integer_chain_is_repeated_normalized_lowering():
             chains = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)
             assert sorted(chains) == list(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2))
             for tJ, chain in chains.items():
-                J = HalfInt.from_twice(tJ)
-                state = highest_weight_state(j1, j2, J)
+                state = top_state(j1, j2, HalfInt.from_twice(tJ))
                 assert chain[0] == state
-                for lowered in chain[1:]:
-                    state = lower_normalized(state, J)
-                    assert lowered == state, (tj1, tj2, tJ, state.M)
+                for s, lowered in enumerate(chain[1:]):
+                    state = lower_normalized(tj1, tj2, tJ, tJ - 2 * s, state)
+                    assert lowered == state, (tj1, tj2, tJ, tJ - 2 * s - 2)
                 states += len(chain)
     assert states == 8281
 
@@ -295,82 +288,46 @@ def test_top_coordinates_are_signed_binomials():
 
 @pytest.mark.parametrize("divisor", [0, -1, -4])
 def test_ladder_actions_reject_divisor_below_one(divisor):
-    state = highest_weight_state(1, 1, 1)
-    zero = apply_jplus(state)
-    assert zero.is_zero
-    for action in (apply_jplus, apply_jminus):
-        for s in (state, zero):
+    state = top_state(1, 1, 1)
+    zero = ladder._apply_ladder(2, 2, 2, state, +1)
+    assert zero == {}
+    for direction in (+1, -1):
+        for tM, s in ((2, state), (4, zero)):
             with pytest.raises(ValueError, match="divisor"):
-                action(s, divisor)
+                ladder._apply_ladder(2, 2, tM, s, direction, divisor)
 
 
 def test_the_kernel_on_the_walks_dicts_gives_the_public_actions():
     # the ladder check calls `_apply_ladder` on the walk's plain dicts: on
-    # every state of every cell with 2j <= 6, it gives the components of
-    # `apply_jplus` and `apply_jminus` on the same state as a StateVector
+    # every cell with 2j <= 6, J+ annihilates each route's |J, J>
     states = 0
     for tj1 in range(7):
         for tj2 in range(7):
-            j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
             for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM):
                 for tJ, subspace in _subspaces(tj1, tj2, route).items():
                     assert ladder._apply_ladder(tj1, tj2, tJ, subspace[tJ], +1) == {}
-                    for tM, components in subspace.items():
-                        state = StateVector(j1, j2, HalfInt.from_twice(tM), components)
-                        for direction, action in ((+1, apply_jplus), (-1, apply_jminus)):
-                            for divisor in (1, 6):
-                                acted = ladder._apply_ladder(
-                                    tj1, tj2, tM, components, direction, divisor
-                                )
-                                assert acted == dict(action(state, divisor).components)
-                        states += 1
+                    states += len(subspace)
     assert states == 2 * 28 * 28
     with pytest.raises(ValueError, match="divisor 0 of a ladder action must be at least 1"):
         ladder._apply_ladder(2, 2, 2, {2: RadicalSum.one()}, +1, 0)
 
 
 def test_lowering_below_bottom_rejected():
-    state = highest_weight_state(1, 1, 1)
-    state = lower_normalized(state, 1)
-    state = lower_normalized(state, 1)
+    state = top_state(1, 1, 1)
+    state = lower_normalized(2, 2, 2, 2, state)
+    state = lower_normalized(2, 2, 2, 0, state)
     with pytest.raises(ValueError):
-        lower_normalized(state, 1)
+        lower_normalized(2, 2, 2, -2, state)
 
 
 @pytest.mark.parametrize("J", [1, "1/2", "3/2", 0, -2])
 def test_lowering_rejects_M_that_is_no_projection_of_J(J):
     # |M| > J or J + M not an integer: the norm J(J+1) - M(M-1) of the
     # lowered state would be 0, negative or not that of a state of J
-    state = highest_weight_state(1, 1, 2)
+    state = top_state(1, 1, 2)
     with pytest.raises(ValueError, match="is not a projection of J") as excinfo:
-        lower_normalized(state, J)
+        lower_normalized(2, 2, HalfInt(J).twice, 4, state)
     assert type(excinfo.value) is ValueError
-
-
-def test_state_vector_properties():
-    state = highest_weight_state(2, 1, 2)
-    assert state.M == HalfInt(2)
-    assert state.component(2) == SQRT(Fraction(2, 3))
-    assert state.component(0).is_zero
-    # J+ on |J, J> is the zero vector one level up; J- moves M down by one
-    assert apply_jplus(state).M == HalfInt(3)
-    assert apply_jminus(state).M == HalfInt(1)
-    assert lower_normalized(state, 2).M == HalfInt(1)
-
-
-def test_state_vector_is_unhashable_and_read_only():
-    components = {2: RadicalSum.one(), 0: RadicalSum.zero()}
-    state = StateVector(HalfInt(1), HalfInt(1), HalfInt(1), components)
-    assert state.components == {2: RadicalSum.one()}
-    assert not isinstance(state, collections.abc.Hashable)
-    with pytest.raises(TypeError):
-        hash(highest_weight_state(1, 1, 1))
-    with pytest.raises(TypeError):
-        state.components[0] = RadicalSum.one()
-    components[0] = RadicalSum.one()
-    one, two = HalfInt(1), HalfInt(2)
-    assert state == StateVector(one, one, one, {2: RadicalSum.one()})
-    assert state != StateVector(one, one, two, {2: RadicalSum.one()})
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +346,14 @@ def test_beta_reduces_to_stretched_coefficients():
 
 
 def test_beta_state_matches_lowering_oracle():
-    chain = highest_weight_state(1, 1, 1)
-    chain = lower_normalized(chain, 1)
+    chain = lower_normalized(2, 2, 2, 2, top_state(1, 1, 1))
     weights = {}
     for l in range(2):
         for p in range(2):
             key = (2 - 2 * (l + p), 2 - 2 * (1 - l + 1 - p))
             weights.setdefault(key, []).append(beta_closed_form(1, 1, 1, 1, l, p))
     beta_components = {k: v for k, w in weights.items() if not (v := summed(w)).is_zero}
-    assert beta_components == components_of(chain)
+    assert beta_components == components_of(chain, 0)
 
 
 def test_beta_matches_reference_table_rows():
@@ -430,8 +386,8 @@ def test_beta_state_equals_sum_of_closed_form_weights():
                     expected = {
                         k: v for k, w in weights.items() if not (v := summed(w)).is_zero
                     }
-                    state = closed[tj1 + tj2 - 2 * m][s]
-                    assert components_of(state) == expected
+                    tJ = tj1 + tj2 - 2 * m
+                    assert components_of(closed[tJ][s], tJ - 2 * s) == expected
 
 
 def test_beta_out_of_range_indices_are_zero():
@@ -608,15 +564,14 @@ def test_build_full_table_rejects_a_negative_j(route, j1, j2):
 
 def test_subspace_states_by_both_routes():
     for j1, j2, J in [(0, 0, 0), ("1/2", "1/2", 0), (2, 1, 2), ("5/2", "3/2", 3)]:
-        tJ = HalfInt(J).twice
-        ladder = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)[tJ]
+        tj1, tj2, tJ = (HalfInt(j).twice for j in (j1, j2, J))
+        chain = walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)[tJ]
         closed = walk_states(j1, j2, TableRoute.CLOSED_FORM)[tJ]
         beta = walk_states(j1, j2, "beta")[tJ]
-        assert len(ladder) == tJ + 1
-        assert ladder[0] == highest_weight_state(j1, j2, J)
-        assert [s.M.twice for s in ladder] == list(range(tJ, -tJ - 1, -2))
-        assert all(not s.is_zero for s in ladder)
-        assert closed == beta == ladder
-    for J in (4, "3/2"):
-        with pytest.raises(ValueError, match="triangle"):
-            highest_weight_state(2, 1, J)
+        assert len(chain) == tJ + 1
+        assert chain[0] == top_state(j1, j2, J)
+        # the walk holds a nonzero state at each M = J .. -J
+        subspace = _subspaces(tj1, tj2, TableRoute.LADDER_ITERATIVE)[tJ]
+        assert sorted(subspace) == list(range(-tJ, tJ + 1, 2))
+        assert all(chain)
+        assert closed == beta == chain

@@ -71,14 +71,9 @@ MODULE_ALL = {
     ],
     "ladder": [
         "CoefficientRecord",
-        "StateVector",
         "TableRoute",
-        "alpha_sequence",
-        "apply_jminus",
-        "apply_jplus",
         "build_full_table",
         "cg_ladder",
-        "highest_weight_state",
     ],
     "numerics": [
         "HalfInt",

@@ -109,25 +109,26 @@ def test_the_trace_sees_each_route_at_work(calls):
 
 
 def test_the_table_walk_builds_no_state_below_the_top(calls):
-    # the walk reads the closed-form kernel and the integer chain straight:
-    # it builds no closed-form state at all
-    assert "ladder.StateVector.__post_init__" not in calls["closed form"]
+    # the walk reads the closed-form kernel straight: it builds no
+    # closed-form state at all, and each value is the kernel's one radical
+    assert calls["closed form"].isdisjoint(
+        {"ladder._chain_components", "numerics._dot", "numerics.sum_radicals"}
+    )
 
 
 def test_the_ladder_route_builds_its_top_in_integers(calls):
-    # |J, J> comes from `_top`, not from the exact alphas: the ladder route
-    # builds no state object at all
+    # |J, J> comes from `_top`'s integer coordinates, each value one
+    # `_chain_value`: no root of a rational and no norm of exact values
     assert calls["ladder"].isdisjoint(
-        {"ladder.StateVector.__post_init__", "ladder.alpha_sequence", "ladder.highest_weight_state"}
+        {"numerics.RadicalSum.sqrt", "numerics.RadicalSum.rational", "numerics._dot"}
     )
 
 
 def test_the_ladder_check_builds_no_state_object():
     # the check acts with J+ and J- on the walk's plain dicts, through the
-    # one kernel under `apply_jplus` and `apply_jminus`
+    # one J+/J- kernel
     called = _traced(lambda: check_ladder_consistency(4))
     assert "ladder._apply_ladder" in called
-    assert "ladder.StateVector.__post_init__" not in called
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

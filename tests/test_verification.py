@@ -9,7 +9,7 @@ import pytest
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
-from cgexact.numerics import HalfInt, RadicalSum
+from cgexact.numerics import RadicalSum
 from oracles import product
 from cgexact.verification import (
     CHECKS,
@@ -537,8 +537,7 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
         patch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 2))
         # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
         top = verification._subspaces(1, 2, ladder.TableRoute.CLOSED_FORM)[1][1]
-        state = ladder.StateVector(HalfInt("1/2"), HalfInt(1), HalfInt("1/2"), top)
-        assert ladder.apply_jminus(state).component("-1/2").num_terms == 2
+        assert ladder._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
         assert report.counterexample == Counterexample(
@@ -561,6 +560,31 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
         "C(j1=1/2, j2=1, m1=-1/2, m2=0, J=1/2, M=-1/2)",
         {"alternative": "-sqrt(1/3)", "racah": "-sqrt(1/3)", "ladder": "0"},
     )
+
+
+def test_negated_ladder_top_fails_condon_shortley(monkeypatch):
+    # x_0, the m1 = j1 coordinate of every |J, J> of the ladder route,
+    # changes sign: the check reads the route's own top, so it fails at the
+    # first cell, and verify exits 2
+    from click.testing import CliRunner
+
+    from cgexact.cli import cli
+
+    original = ladder._top
+
+    def negated(tj1, tj2, m):
+        xs, n, d = original(tj1, tj2, m)
+        return [-xs[0], *xs[1:]], n, d
+
+    monkeypatch.setattr(ladder, "_top", negated)
+    report = check_condon_shortley(2)
+    assert (report.scope, report.counterexample) == (
+        "2j <= 2, 1 cases",
+        Counterexample("C(j1=0, j2=0, m1=0, m2=0, J=0, M=0) via ladder", {"ladder": "-1"}),
+    )
+    result = CliRunner().invoke(cli, ["verify", "--checks", "condon-shortley", "--max-2j", "2"])
+    assert result.exit_code == 2, result.output
+    assert "via ladder" in result.output
 
 
 def test_threej_detects_flipped_symbols(monkeypatch, forked_pools):
