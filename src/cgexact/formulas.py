@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _j_range, _radical, sum_radicals, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _from_terms, _j_range, _radical, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -292,9 +292,11 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
     """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
     arguments with M + j1 - j2 an integer: each term of C times the one
-    radical phase * sqrt(1 / (2J+1))."""
+    radical phase * sqrt(1 / (2J+1)) by `_radical`, so no classes merge."""
     phase = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
-    return sum_radicals((s * phase, n, d * (tJ + 1)) for s, n, d in value._terms)
+    # one factor on every term keeps their classes apart and in order; 0 stays 0
+    scaled = (_radical(s * phase, n, d * (tJ + 1))._terms[0] for s, n, d in value._terms)
+    return _from_terms(tuple(scaled))
 
 
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:

@@ -117,8 +117,10 @@ def _map_ordered(
     """Apply worker to every unit, yielding results in unit order.
 
     jobs > 1 fans out to a process pool of at most one worker per unit and
-    per CPU; imap preserves submission order, so the merge is deterministic
-    regardless of completion order.
+    per CPU, whose map yields in submission order, so the merge does not
+    depend on completion order.  A caller that stops early, as a sweep does
+    at its first failure, cancels the units not yet started and waits for
+    the running ones; a worker that dies raises BrokenProcessPool.
     """
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers <= 1:
@@ -127,15 +129,10 @@ def _map_ordered(
         return
     # imported here, not with the module: only a pool needs it, and every
     # command imports this module, so a module-level import slows each start
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(worker, units, chunksize=1)
-        # let the workers exit on their own: terminate(), which leaving the
-        # block calls, can kill a worker that holds the result queue's lock
-        # and hang the sweep
-        pool.close()
-        pool.join()
+    with ProcessPoolExecutor(workers) as pool:
+        yield from pool.map(worker, units)
 
 
 def _guarded(worker: Callable[[tuple], CellResult], unit: tuple) -> CellResult:

@@ -297,7 +297,7 @@ def test_ladder_actions_reject_divisor_below_one(divisor):
                 ladder._apply_ladder(2, 2, tM, s, direction, divisor)
 
 
-def test_the_kernel_on_the_walks_dicts_gives_the_public_actions():
+def test_the_kernel_annihilates_both_walks_tops():
     # the ladder check calls `_apply_ladder` on the walk's plain dicts: on
     # every cell with 2j <= 6, J+ annihilates each route's |J, J>
     states = 0

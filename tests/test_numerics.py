@@ -148,13 +148,13 @@ def test_binomial_negative_n_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Canonical square roots
+# Square roots: RadicalSum.sqrt
 # ---------------------------------------------------------------------------
 
 SQRT = RadicalSum.sqrt
 
 
-def test_canonical_sqrt_examples():
+def test_radicalsum_sqrt_examples():
     assert SQRT(Fraction(4, 9)) == RadicalSum.rational(Fraction(2, 3))
     assert list(SQRT(Fraction(8, 9)).terms()) == [(1, Fraction(8, 9))]
     # 2 sqrt(2) / 3, as two terms of one class
@@ -167,14 +167,14 @@ def test_canonical_sqrt_examples():
     assert SQRT(Fraction(8, 18)).as_fraction() == Fraction(2, 3)
 
 
-def test_canonical_sqrt_negative_rejected():
+def test_radicalsum_sqrt_negative_rejected():
     with pytest.raises(NegativeRadicandError):
         SQRT(Fraction(-1, 4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(1, 50))
-def test_canonical_sqrt_roundtrip(num, den, k):
+def test_radicalsum_sqrt_roundtrip(num, den, k):
     r = Fraction(num, den)
     x = SQRT(r)
     assert x.sign() >= 0
@@ -186,7 +186,7 @@ def test_canonical_sqrt_roundtrip(num, den, k):
     assert RadicalSum.parse(str(x)) == x
 
 
-def test_canonical_sqrt_large_prime_residuals():
+def test_radicalsum_sqrt_large_prime_residuals():
     # radicands with large prime factors need no factoring bound
     p, q = 1009, 1013
     mersenne = 2**127 - 1

@@ -78,7 +78,7 @@ def _kernel_step():
     return symbols, evaluated(product.right), evaluated(division.right)
 
 
-def test_closed_form_term_root_is_the_ratio_of_the_binomial_terms():
+def test_closed_form_step_is_the_ratio_of_the_binomial_terms():
     (tj1, tj2, m, s, k, l), a, b = _kernel_step()
 
     def term(i):
@@ -98,7 +98,7 @@ def test_closed_form_radical_times_the_term_squared_is_the_radicand():
     assert sympy.cancel(ratio - 1) == 0
 
 
-def test_closed_form_term_root_squared_is_the_weight_ratio():
+def test_closed_form_step_squared_is_the_weight_ratio():
     (tj1, tj2, m, s, k, l), a, b = _kernel_step()
 
     def weight(i):

@@ -1,8 +1,14 @@
 """Tests for the cross-route verification engine."""
 
+import concurrent.futures
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -146,32 +152,24 @@ def test_acceptance_bounds_pass():
 
 def test_map_ordered_caps_pool_size(monkeypatch):
     started = []
-    calls = []
+    exits = []
 
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            exits.append(exc)
             return False
 
-        def imap(self, worker, units, chunksize=1):
+        def map(self, worker, units):
             return map(worker, units)
 
-        def close(self):
-            calls.append("close")
-
-        def join(self):
-            calls.append("join")
-
-        def terminate(self):
-            calls.append("terminate")
-
-    # `_map_ordered` imports multiprocessing when it starts a pool
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    # `_map_ordered` imports the executor when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(verification.os, "cpu_count", lambda: 4)
     units = [(n,) for n in range(10)]
     square = lambda unit: unit[0] ** 2  # noqa: E731
@@ -184,8 +182,8 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         n * n for n in range(10)
     ]
     assert started == [4, 3, 2]
-    # a sweep that runs to the end lets its workers exit: never terminate()
-    assert calls == ["close", "join"] * 3
+    # each sweep shuts its pool down on leaving the block
+    assert exits == [(None, None, None)] * 3
     # one unit, or no CPU count, runs in this process
     assert list(verification._map_ordered(square, units[:1], 10**6)) == [0]
     monkeypatch.setattr(verification.os, "cpu_count", lambda: None)
@@ -193,6 +191,41 @@ def test_map_ordered_caps_pool_size(monkeypatch):
         n * n for n in range(10)
     ]
     assert started == [4, 3, 2]
+
+
+_DYING_WORKER = """\
+import os
+from concurrent.futures.process import BrokenProcessPool
+
+from cgexact.verification import _map_ordered
+
+
+def exit_on_two(unit):
+    if unit == (2,):
+        os._exit(1)
+    return unit
+
+
+if __name__ == "__main__":
+    os.cpu_count = lambda: 2  # a pool of 2 on any machine
+    try:
+        list(_map_ordered(exit_on_two, [(n,) for n in range(4)], 2))
+    except BrokenProcessPool:
+        print("BrokenProcessPool")
+"""
+
+
+def test_a_worker_that_dies_breaks_the_pool_instead_of_hanging(tmp_path):
+    # in a fresh interpreter with a timeout, so that a pool that waits for
+    # the dead worker's result fails this test rather than hangs the suite
+    script = tmp_path / "dying_worker.py"
+    script.write_text(_DYING_WORKER, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(verification.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "BrokenProcessPool"
 
 
 @pytest.fixture
@@ -205,9 +238,29 @@ def forked_pools(monkeypatch):
     def use_fork():
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("patched workers need the fork start method")
-        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        forked = partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked)
 
     return use_fork
+
+
+def test_a_sweep_that_stops_early_leaves_no_worker(monkeypatch, forked_pools):
+    # the first cell fails, so the sweep leaves the pool with most of its
+    # cells not started: their work is cancelled and the workers exit
+    _broken_closed_form(monkeypatch, RadicalSum.rational(7))
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    sequential = check_formula_agreement(4).to_dict()
+    forked_pools()
+    parallel = check_formula_agreement(4, jobs=2).to_dict()
+    assert multiprocessing.active_children() == []
+    for report in (sequential, parallel):
+        del report["elapsed_seconds"]
+    assert parallel == sequential
+    assert parallel["scope"] == "2j <= 4, 1 cases"
+    assert parallel["counterexample"]["values"]["alternative"] == "7"
 
 
 def _alter_route_tables(monkeypatch, alter):
