@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import click
 
@@ -21,7 +23,7 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import CoefficientRecord, TableRoute, build_full_table, cg_ladder
+from .ladder import CoefficientRecord, TableRoute, _record, build_full_table, cg_ladder
 from .numerics import HalfInt, RadicalSum, to_decimal
 from .verification import CHECKS, run_checks
 
@@ -43,6 +45,9 @@ CSV_HEADER = ",".join(_FIELDS)
 #: the fields of a row that parse back to a record, in record order; the
 #: value column is rendered from the exact one and is not read
 _PARSED_FIELDS = _FIELDS[:5]
+
+#: the `_PARSED_FIELDS` of a json row, looked up once each
+_parsed_fields = itemgetter(*_PARSED_FIELDS)
 
 _COEFF_ROUTES = {
     "alternative": cg_alternative,
@@ -77,23 +82,29 @@ def _write_output(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _text_rows(records: list[CoefficientRecord]) -> list[tuple[str, ...]]:
+def _text_rows(
+    records: list[CoefficientRecord], quote: Callable[[str], str] = str
+) -> list[tuple[str, ...]]:
     """The texts of every record in `_FIELDS` order, the value's as
-    `CoefficientRecord.exact_text` and `value_text` render it.  The quantum
-    numbers of one table take few distinct values, so each is rendered
+    `CoefficientRecord.exact_text` and `value_text` render it, each passed
+    through ``quote``.  The rows of one table repeat their quantum numbers
+    and often their values, so each distinct quantum number and each
+    distinct value (keyed by its canonical terms) is rendered and quoted
     once per call."""
     text: dict[int, str] = {}
+    exact: dict[tuple, tuple[str, str]] = {}
 
     def render(value: HalfInt) -> str:
-        return text.get(value.twice) or text.setdefault(value.twice, str(value))
+        return text.get(value.twice) or text.setdefault(value.twice, quote(str(value)))
 
-    return [
-        (
-            render(r.J), render(r.M), render(r.m1), render(r.m2),
-            str(r.exact), to_decimal(r.exact, 5),
-        )
-        for r in records
-    ]
+    rows = []
+    append = rows.append
+    for r in records:
+        value = r.exact
+        if (texts := exact.get(value._terms)) is None:
+            texts = exact[value._terms] = (quote(str(value)), quote(to_decimal(value, 5)))
+        append((render(r.J), render(r.M), render(r.m1), render(r.m2), *texts))
+    return rows
 
 
 def records_to_csv(records: list[CoefficientRecord]) -> str:
@@ -101,9 +112,18 @@ def records_to_csv(records: list[CoefficientRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: one row of `records_to_json`, a %-template of its six quoted texts
+_JSON_ROW = "  {\n" + ",\n".join(f"    {_quote(key)}: %s" for key in _FIELDS) + "\n  }"
+
+
 def records_to_json(records: list[CoefficientRecord]) -> str:
-    rows = [dict(zip(_FIELDS, row)) for row in _text_rows(records)]
-    return json.dumps(rows, indent=2) + "\n"
+    """The bytes of ``json.dumps(rows, indent=2) + "\\n"`` for rows of
+    `_FIELDS` objects, written directly: each text quoted and escaped as
+    `json` escapes it, in `_JSON_ROW`'s layout."""
+    if not records:
+        return "[]\n"
+    rows = [_JSON_ROW % row for row in _text_rows(records, _quote)]
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def records_to_pretty(records: list[CoefficientRecord]) -> str:
@@ -118,23 +138,24 @@ def records_to_pretty(records: list[CoefficientRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_records(
-    rows: Iterable[tuple[int, Sequence[str]]], place: str
-) -> list[CoefficientRecord]:
-    """Records of (number, fields) pairs, fields in `_PARSED_FIELDS` order.
+def _record_reader(place: str) -> Callable[[int, str, str, str, str, str], CoefficientRecord]:
+    """A function of one row's number and its `_PARSED_FIELDS` texts that
+    returns the row's record.
 
-    The quantum numbers of one table take few distinct texts, so the rows
-    share one HalfInt per distinct text, parsed once per call.  A text
-    that is not a half-integer or an exact value, or a row that no table
-    holds (M other than m1 + m2, |M| above J, or J + M not an integer),
-    raises ValueError naming ``place`` ("line" or "row") and the number.
+    The rows of one table repeat their quantum numbers and often their
+    values, so the reader parses each distinct half-integer text and each
+    distinct exact text once, and rows with equal texts share one HalfInt
+    or one RadicalSum, both immutable.  A text that is not a half-integer
+    or an exact value, or a row that no table holds (M other than m1 + m2,
+    |M| above J, or J + M not an integer), raises ValueError naming
+    ``place`` ("line" or "row") and the number.
     """
     half: dict[str, HalfInt] = {}
+    exact: dict[str, RadicalSum] = {}
     get, add = half.get, half.setdefault
     parse = RadicalSum.parse
-    records: list[CoefficientRecord] = []
-    append = records.append
-    for number, (J, M, m1, m2, exact) in rows:
+
+    def read(number: int, J: str, M: str, m1: str, m2: str, text: str) -> CoefficientRecord:
         try:
             J = get(J) or add(J, HalfInt(J))
             M = get(M) or add(M, HalfInt(M))
@@ -147,10 +168,13 @@ def _read_records(
                 raise ValueError(f"|M|={abs(M)} exceeds J={J}")
             if (tJ + tM) & 1:
                 raise ValueError(f"J + M = {J + M} is not an integer")
-            append(CoefficientRecord(J, M, m1, m2, parse(exact)))
+            if (value := exact.get(text)) is None:
+                value = exact[text] = parse(text)
         except ValueError as exc:
             raise ValueError(f"{place} {number}: {exc}") from None
-    return records
+        return _record(J, M, m1, m2, value)
+
+    return read
 
 
 def parse_table_csv(text: str) -> list[CoefficientRecord]:
@@ -164,16 +188,19 @@ def parse_table_csv(text: str) -> list[CoefficientRecord]:
     lines = body.rstrip("\n").split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError(f"missing csv header {CSV_HEADER!r}")
-
-    def rows():
-        width = len(_FIELDS)
-        for number, line in enumerate(lines[1:], start=first + 1):
-            fields = line.split(",")
-            if len(fields) != width:
-                raise ValueError(f"line {number}: expected {width} fields, got {len(fields)}")
-            yield number, fields[:-1]
-
-    return _read_records(rows(), "line")
+    read = _record_reader("line")
+    records = []
+    append = records.append
+    for number, line in enumerate(lines[1:], start=first + 1):
+        fields = line.split(",")
+        try:
+            J, M, m1, m2, exact, _ = fields
+        except ValueError:
+            raise ValueError(
+                f"line {number}: expected {len(_FIELDS)} fields, got {len(fields)}"
+            ) from None
+        append(read(number, J, M, m1, m2, exact))
+    return records
 
 
 def parse_table_json(text: str) -> list[CoefficientRecord]:
@@ -185,20 +212,24 @@ def parse_table_json(text: str) -> list[CoefficientRecord]:
     document = json.loads(text)
     if not isinstance(document, list):
         raise ValueError("a json table must be an array of rows")
-
-    def rows():
-        for index, row in enumerate(document):
-            if not isinstance(row, dict):
-                raise ValueError(f"row {index}: not an object")
+    read = _record_reader("row")
+    records = []
+    append = records.append
+    for index, row in enumerate(document):
+        if not isinstance(row, dict):
+            raise ValueError(f"row {index}: not an object")
+        try:
+            J, M, m1, m2, exact = _parsed_fields(row)
+        except KeyError:
             missing = [key for key in _PARSED_FIELDS if key not in row]
-            if missing:
-                raise ValueError(f"row {index}: missing {', '.join(missing)}")
-            fields = [row[key] for key in _PARSED_FIELDS]
-            if not all(isinstance(field, str) for field in fields):
-                raise ValueError(f"row {index}: fields must be strings")
-            yield index, fields
-
-    return _read_records(rows(), "row")
+            raise ValueError(f"row {index}: missing {', '.join(missing)}") from None
+        if not (
+            isinstance(J, str) and isinstance(M, str) and isinstance(m1, str)
+            and isinstance(m2, str) and isinstance(exact, str)
+        ):
+            raise ValueError(f"row {index}: fields must be strings")
+        append(read(index, J, M, m1, m2, exact))
+    return records
 
 
 _FORMATTERS = {

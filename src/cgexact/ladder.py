@@ -232,6 +232,11 @@ class CoefficientRecord:
 
     Frozen, compared and hashed by value, and slotted: a record has no
     ``__dict__``, so the rows of a large table cost less to build and hold.
+    ``CoefficientRecord(...)`` is the public constructor.  The table
+    builders (`build_full_table` and the CLI's parsers) make their rows
+    with `_record`, which sets the same five slots without the frozen
+    ``__init__``'s five ``object.__setattr__`` calls; the record is the
+    same either way.
     """
 
     J: HalfInt
@@ -247,6 +252,28 @@ class CoefficientRecord:
     @property
     def value_text(self) -> str:
         return to_decimal(self.exact, 5)
+
+
+_new_record = object.__new__
+_set_J, _set_M, _set_m1, _set_m2, _set_exact = (
+    CoefficientRecord.__dict__[name].__set__ for name in CoefficientRecord.__slots__
+)
+
+
+def _record(
+    J: HalfInt, M: HalfInt, m1: HalfInt, m2: HalfInt, exact: RadicalSum
+) -> CoefficientRecord:
+    """``CoefficientRecord(J, M, m1, m2, exact)``, each slot set through its
+    member descriptor: a table builds one record per row, and the frozen
+    ``__init__``'s ``object.__setattr__`` per field costs about twice as
+    much.  The fields are not checked, as ``__init__`` does not check them."""
+    record = _new_record(CoefficientRecord)
+    _set_J(record, J)
+    _set_M(record, M)
+    _set_m1(record, m1)
+    _set_m2(record, m2)
+    _set_exact(record, exact)
+    return record
 
 
 def _cell_values(
@@ -307,6 +334,6 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     # rows share one HalfInt per doubled value, which keeps the table small
     half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
     return [
-        CoefficientRecord(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
+        _record(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
         for (tJ, tM, tm1), value in _cell_values(tj1, tj2, route)
     ]

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import cgexact.cli as cli_module
 from cgexact.cli import (
     CSV_HEADER,
     cli,
@@ -13,9 +14,10 @@ from cgexact.cli import (
     parse_table_json,
     records_to_csv,
     records_to_json,
+    records_to_pretty,
 )
 from cgexact.ladder import TableRoute, build_full_table
-from cgexact.numerics import HalfInt
+from cgexact.numerics import HalfInt, RadicalSum
 from reference_tables import TABLE_J1_1_J2_1, TABLE_J1_2_J2_1
 
 
@@ -228,12 +230,58 @@ def test_parsing_builds_one_halfint_per_distinct_text(monkeypatch, render, parse
         init(self, value)
 
     monkeypatch.setattr(HalfInt, "__init__", counting_init)
+    parsed = []
+    parse_exact = RadicalSum.parse
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_exact(text)
+
+    monkeypatch.setattr(RadicalSum, "parse", counting_parse)
     back = parse(text)
     assert sorted(built) == sorted(distinct)
-    shared = {}
+    exact_texts = [str(record.exact) for record in back]
+    assert sorted(parsed) == sorted(set(exact_texts))
+    assert len(parsed) < len(exact_texts)  # the table repeats some values
+    shared, values = {}, {}
     for record in back:
         for number in (record.J, record.M, record.m1, record.m2):
             assert shared.setdefault(str(number), number) is number
+        assert values.setdefault(str(record.exact), record.exact) is record.exact
+
+
+@pytest.mark.parametrize("render", [records_to_csv, records_to_json, records_to_pretty])
+def test_rendering_calls_to_decimal_once_per_distinct_value(monkeypatch, render):
+    records = build_full_table("5/2", 2, TableRoute.CLOSED_FORM)
+    expected = render(records)
+    rendered = []
+    to_decimal = cli_module.to_decimal
+
+    def counting_to_decimal(value, places):
+        rendered.append(value)
+        return to_decimal(value, places)
+
+    monkeypatch.setattr(cli_module, "to_decimal", counting_to_decimal)
+    assert render(records) == expected
+    distinct = {record.exact for record in records}
+    assert len(distinct) < len(records)  # the table repeats some values
+    assert len(rendered) == len(distinct) and set(rendered) == distinct
+
+
+@pytest.mark.parametrize("route", list(TableRoute))
+def test_json_is_the_bytes_of_json_dumps(route):
+    # the renderer writes json's indent=2 layout itself; json.dumps of the
+    # same rows, rendered field by field from the records, is the reference
+    records = build_full_table("5/2", 2, route)
+    rows = [
+        {
+            "J": str(r.J), "M": str(r.M), "m1": str(r.m1), "m2": str(r.m2),
+            "exact": r.exact_text, "value": r.value_text,
+        }
+        for r in records
+    ]
+    assert records_to_json(records) == json.dumps(rows, indent=2) + "\n"
+    assert records_to_json([]) == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
 @pytest.mark.parametrize(

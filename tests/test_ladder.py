@@ -9,6 +9,7 @@ import pytest
 
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
+from cgexact.cli import parse_table_csv, parse_table_json, records_to_csv, records_to_json
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
     CoefficientRecord,
@@ -501,11 +502,20 @@ def test_record_value_text_is_five_place_rendering():
 
 
 def test_records_are_frozen_and_slotted():
-    record = build_full_table(1, "1/2", TableRoute.RACAH)[0]
-    for name in ("J", "exact"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, name, getattr(record, name))
-    assert not hasattr(record, "__dict__")
+    # the table builders make records with `ladder._record`, not the public
+    # constructor: each must be the record that constructor makes
+    built = build_full_table("3/2", 1, TableRoute.RACAH)
+    parsed = parse_table_csv(records_to_csv(built)) + parse_table_json(records_to_json(built))
+    for record in built + parsed:
+        fields = (record.J, record.M, record.m1, record.m2, record.exact)
+        public = CoefficientRecord(*fields)
+        assert type(record) is CoefficientRecord
+        assert record == public and hash(record) == hash(public)
+        assert dataclasses.astuple(record) == fields
+        for name in ("J", "M", "m1", "m2", "exact"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        assert not hasattr(record, "__dict__")
     assert CoefficientRecord.__slots__ == ("J", "M", "m1", "m2", "exact")
 
 

@@ -198,6 +198,27 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     assert run.stdout.strip() == "False"
 
 
+def test_a_process_left_running_fails_the_run(tmp_path):
+    # conftest.py's session hook names a leftover child and fails the run,
+    # which ends instead of waiting on the child
+    conftest = Path(__file__).with_name("conftest.py")
+    (tmp_path / "conftest.py").write_text(conftest.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "test_leftover.py").write_text(
+        "import multiprocessing, time\n"
+        "def test_leaves_a_process():\n"
+        "    context = multiprocessing.get_context('spawn')\n"
+        "    context.Process(target=time.sleep, args=(120,), name='leftover').start()\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == pytest.ExitCode.TESTS_FAILED, run.stdout + run.stderr
+    assert "processes still running after the tests: leftover (pid " in run.stdout
+    assert "1 passed" in run.stdout
+
+
 def test_cli_commands(capsys):
     assert sorted(cli.commands) == ["coeff", "table", "verify"]
     with pytest.raises(SystemExit) as excinfo:

@@ -24,6 +24,7 @@ CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 SHARED_PLUMBING = {
     "ladder.build_full_table",
     "ladder._cell_values",
+    "ladder._record",
 }
 
 
