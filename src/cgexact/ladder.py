@@ -9,14 +9,12 @@ values is a plain {doubled m1: value} dict of its nonzero components, as
 `_chain_components` yields them.  `_cell_values` is the one walk that turns
 a route into the nonzero values of a (j1, j2) cell keyed by doubled
 (J, M, m1), straight from the route's kernels with no state object.
-`build_full_table` reads it, and so do the verification checks: the ladder
-check groups it by subspace and acts on its plain dicts with
-`_apply_ladder`, the one J+/J- kernel.
+`build_full_table` reads it, and so do the verification checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -29,7 +27,6 @@ from .numerics import (
     RadicalSum,
     _j_range,
     _radical,
-    sum_radicals,
     to_decimal,
 )
 
@@ -41,29 +38,17 @@ __all__ = [
 ]
 
 
-def _lowering_element(tj: int, tm: int) -> int:
-    """j(j+1) - m(m-1), the square of the J- matrix element, for doubled
-    arguments of one parity."""
-    return (tj * (tj + 2) - tm * (tm - 2)) // 4
-
-
-def _raising_element(tj: int, tm: int) -> int:
-    """j(j+1) - m(m+1), the square of the J+ matrix element, for doubled
-    arguments of one parity."""
-    return (tj * (tj + 2) - tm * (tm + 2)) // 4
-
-
 def _scaled_lowering_element(tj: int, tm: int) -> int:
     """j + m, the J- element <j, m-1| J- |j, m> in the basis |j, m> scaled
     by 1 / sqrt(C(2j, j-m)), for doubled arguments of one parity: its
-    square times C(2j, j-m) is `_lowering_element` times C(2j, j-m+1)."""
+    square times C(2j, j-m) is j(j+1) - m(m-1) times C(2j, j-m+1)."""
     return (tj + tm) // 2
 
 
 def _scaled_raising_element(tj: int, tm: int) -> int:
     """j - m, the J+ element <j, m+1| J+ |j, m> in the basis |j, m> scaled
     by 1 / sqrt(C(2j, j-m)), for doubled arguments of one parity: its
-    square times C(2j, j-m) is `_raising_element` times C(2j, j-m-1)."""
+    square times C(2j, j-m) is j(j+1) - m(m+1) times C(2j, j-m-1)."""
     return (tj - tm) // 2
 
 
@@ -88,47 +73,6 @@ def _top(tj1: int, tj2: int, m: int) -> tuple[list[int], int, int]:
     total = sum(x * x * (common // (comb(tj1, l) * comb(tj2, m - l))) for l, x in enumerate(xs))
     g = gcd(common, total)
     return xs, common // g, total // g
-
-
-def _apply_ladder(
-    tj1: int,
-    tj2: int,
-    tM: int,
-    components: Mapping[int, RadicalSum],
-    direction: int,
-    divisor: int = 1,
-) -> dict[int, RadicalSum]:
-    """J- (direction=-1) or J+ (direction=+1) acting on the state at
-    doubled M whose values ``components`` maps by doubled m1, with every
-    matrix element's square divided by ``divisor``: the nonzero components
-    of the state at M - 1 or M + 1, by doubled m1.
-
-    Each new component is the sum of its two contributions, one from J(1)
-    and one from J(2), each a radical whose square is that of the old
-    component times the element's integer square, taken on the reduced
-    integer pair of each term; `sum_radicals` adds them with one integer
-    square root and one gcd.  A component of several classes brings one
-    contribution per class.  This is the one J+/J- kernel: the ladder
-    check calls it on the table walk's plain dicts.  Raises ValueError
-    unless ``divisor`` is at least 1.
-    """
-    if divisor < 1:
-        raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
-    element = _lowering_element if direction < 0 else _raising_element
-    step = 2 * direction
-    contributions: dict[int, list[tuple[int, int, int]]] = {}
-    for tm1, value in components.items():
-        # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
-        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
-            if e:
-                terms = contributions.setdefault(key, [])
-                for s, n, d in value._terms:
-                    terms.append((s, n * e, d * divisor))
-    return {
-        key: value
-        for key, terms in contributions.items()
-        if (value := sum_radicals(terms))._terms
-    }
 
 
 def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:

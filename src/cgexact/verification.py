@@ -14,8 +14,10 @@ table of a cell from `ladder._cell_values`, the walk that
 the ladder's integer chain, Racah's sum), with no state object per state.
 A key that a walk leaves out has the value 0.  The ladder check groups the
 walk by subspace (`_subspaces`) and acts with J+ and J- on each state's
-plain {doubled m1: value} dict through `ladder._apply_ladder`, the one
-J+/J- kernel.  The 3j check calls `formulas._wigner3j` on doubled columns.
+plain {doubled m1: value} dict through `_apply_ladder`, the one J+/J-
+kernel, which lives here with its unscaled elements: the ladder route
+steps with its own scaled ones, so `ladder` holds none of the check's
+arithmetic.  The 3j check calls `formulas._wigner3j` on doubled columns.
 These kernels skip validation, which only the public entry points do.  A
 sweep builds a CouplingSpec or ThreeJSpec only to write a counterexample,
 except the Condon-Shortley check: it builds one CouplingSpec per |J, J>
@@ -36,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from .formulas import (
     CouplingSpec,
@@ -47,8 +49,8 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import TableRoute, _apply_ladder, _cell_values, _chain_components
-from .numerics import HalfInt, RadicalSum, _dot, _j_range
+from .ladder import TableRoute, _cell_values, _chain_components
+from .numerics import HalfInt, RadicalSum, _dot, _j_range, sum_radicals
 
 __all__ = [
     "Counterexample",
@@ -396,10 +398,64 @@ def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
+def _lowering_element(tj: int, tm: int) -> int:
+    """j(j+1) - m(m-1), the square of the J- matrix element, for doubled
+    arguments of one parity."""
+    return (tj * (tj + 2) - tm * (tm - 2)) // 4
+
+
+def _raising_element(tj: int, tm: int) -> int:
+    """j(j+1) - m(m+1), the square of the J+ matrix element, for doubled
+    arguments of one parity."""
+    return (tj * (tj + 2) - tm * (tm + 2)) // 4
+
+
+def _apply_ladder(
+    tj1: int,
+    tj2: int,
+    tM: int,
+    components: Mapping[int, RadicalSum],
+    direction: int,
+    divisor: int = 1,
+) -> dict[int, RadicalSum]:
+    """J- (direction=-1) or J+ (direction=+1) acting on the state at
+    doubled M whose values ``components`` maps by doubled m1, with every
+    matrix element's square divided by ``divisor``: the nonzero components
+    of the state at M - 1 or M + 1, by doubled m1.
+
+    Each new component is the sum of its two contributions, one from J(1)
+    and one from J(2), each a radical whose square is that of the old
+    component times the element's integer square, taken on the reduced
+    integer pair of each term; `sum_radicals` adds them with one integer
+    square root and one gcd.  A component of several classes brings one
+    contribution per class.  This is the one J+/J- kernel: `_ladder_cell`
+    calls it on the table walk's plain dicts.  Raises ValueError unless
+    ``divisor`` is at least 1.
+    """
+    if divisor < 1:
+        raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
+    element = _lowering_element if direction < 0 else _raising_element
+    step = 2 * direction
+    contributions: dict[int, list[tuple[int, int, int]]] = {}
+    for tm1, value in components.items():
+        # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
+        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
+            if e:
+                terms = contributions.setdefault(key, [])
+                for s, n, d in value._terms:
+                    terms.append((s, n * e, d * divisor))
+    return {
+        key: value
+        for key, terms in contributions.items()
+        if (value := sum_radicals(terms))._terms
+    }
+
+
 def _ladder_element(tJ: int, tM: int) -> int:
     """J(J+1) - M(M+1), the square of <J, M+1| J+ |J, M> = <J, M| J- |J, M+1>,
-    from doubled J and M.  Derived here rather than taken from `ladder`, so
-    that a wrong matrix element there cannot also change what is expected."""
+    from doubled J and M, the divisor of the checked relations.  It is
+    `_raising_element` written again on purpose: a divisor that read the
+    kernel's own element would cancel a fault that scales that element."""
     return (tJ * (tJ + 2) - tM * (tM + 2)) // 4
 
 
@@ -483,9 +539,9 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     reproduces |J, M+1> exactly; and the closed-form states, each component
     computed on its own, satisfy the J- relation: J- |J, M> divided by
     sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each action is one call of
-    the J+/J- kernel `ladder._apply_ladder`, divided actions with the
-    integer square of the element, derived here by `_ladder_element`, as
-    the divisor, so no expected state is scaled.  A state that a walk
+    the J+/J- kernel `_apply_ladder`, divided actions with the integer
+    square of the element, written again by `_ladder_element`, as the
+    divisor, so no expected state is scaled.  A state that a walk
     leaves out is empty and fails on its norm or its relation.
     """
     return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)

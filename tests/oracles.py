@@ -6,16 +6,16 @@ values of `cgexact.numerics`.  A state is a plain {doubled m1: value} dict
 of its nonzero components, the form the table walk gives.  Sums and
 products of values are taken here, by `merged_terms`, not by the package's
 `sum_radicals`.  The one exception is `lower_normalized`, the lowering
-step on exact states through the package's J- kernel
-`ladder._apply_ladder`: the reference that the ladder route's integer
-chain is held to, state by state.
+step on exact states through the ladder check's J- kernel
+`verification._apply_ladder`: the reference that the ladder route's
+integer chain is held to, state by state.
 """
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
-from cgexact.ladder import _apply_ladder
+from cgexact.verification import _apply_ladder
 from cgexact.numerics import HalfInt, RadicalSum, _from_terms
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
+import cgexact.verification as verification
 from cgexact.cli import parse_table_csv, parse_table_json, records_to_csv, records_to_json
 from cgexact.formulas import CouplingSpec, MalformedCouplingError, cg_racah
 from cgexact.ladder import (
@@ -183,7 +184,7 @@ def test_jplus_annihilates_highest_weight():
                     HalfInt.from_twice(tj2),
                     HalfInt.from_twice(tJ),
                 )
-                assert ladder._apply_ladder(tj1, tj2, tJ, state, +1) == {}
+                assert verification._apply_ladder(tj1, tj2, tJ, state, +1) == {}
                 assert _dot(state, state) == 1
 
 
@@ -202,7 +203,7 @@ def test_lowering_matches_ladder_equation():
     state = top_state(2, "3/2", "3/2")
     for step in range(tJ):
         tM = tJ - 2 * step
-        lowered = ladder._apply_ladder(tj1, tj2, tM, state, -1)
+        lowered = verification._apply_ladder(tj1, tj2, tM, state, -1)
         next_state = lower_normalized(tj1, tj2, tJ, tM, state)
         scale = SQRT(Fraction(tJ * (tJ + 2) - tM * (tM - 2), 4))
         assert lowered == scaled(next_state, scale)
@@ -232,8 +233,8 @@ def test_divided_actions_are_undivided_actions_over_sqrt_divisor(divisor):
     two_class_components = 0
     for tj1, tj2, tM, state in _divided_action_states():
         for direction in (+1, -1):
-            undivided = ladder._apply_ladder(tj1, tj2, tM, state, direction)
-            divided = ladder._apply_ladder(tj1, tj2, tM, state, direction, divisor)
+            undivided = verification._apply_ladder(tj1, tj2, tM, state, direction)
+            divided = verification._apply_ladder(tj1, tj2, tM, state, direction, divisor)
             assert divided == scaled(undivided, factor)
             two_class_components += sum(v.num_terms == 2 for v in undivided.values())
     # the two-class state reaches the multi-class path of both actions
@@ -253,7 +254,7 @@ def test_lowering_is_the_divided_jminus():
                     norm_squared = J.as_fraction * (J.as_fraction + 1) - M * (M - 1)
                     assert norm_squared.denominator == 1
                     divisor = norm_squared.numerator
-                    assert lower_normalized(tj1, tj2, tJ, tM, state) == ladder._apply_ladder(
+                    assert lower_normalized(tj1, tj2, tJ, tM, state) == verification._apply_ladder(
                         tj1, tj2, tM, state, -1, divisor
                     )
 
@@ -290,12 +291,12 @@ def test_top_coordinates_are_signed_binomials():
 @pytest.mark.parametrize("divisor", [0, -1, -4])
 def test_ladder_actions_reject_divisor_below_one(divisor):
     state = top_state(1, 1, 1)
-    zero = ladder._apply_ladder(2, 2, 2, state, +1)
+    zero = verification._apply_ladder(2, 2, 2, state, +1)
     assert zero == {}
     for direction in (+1, -1):
         for tM, s in ((2, state), (4, zero)):
             with pytest.raises(ValueError, match="divisor"):
-                ladder._apply_ladder(2, 2, tM, s, direction, divisor)
+                verification._apply_ladder(2, 2, tM, s, direction, divisor)
 
 
 def test_the_kernel_annihilates_both_walks_tops():
@@ -306,11 +307,11 @@ def test_the_kernel_annihilates_both_walks_tops():
         for tj2 in range(7):
             for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM):
                 for tJ, subspace in _subspaces(tj1, tj2, route).items():
-                    assert ladder._apply_ladder(tj1, tj2, tJ, subspace[tJ], +1) == {}
+                    assert verification._apply_ladder(tj1, tj2, tJ, subspace[tJ], +1) == {}
                     states += len(subspace)
     assert states == 2 * 28 * 28
     with pytest.raises(ValueError, match="divisor 0 of a ladder action must be at least 1"):
-        ladder._apply_ladder(2, 2, 2, {2: RadicalSum.one()}, +1, 0)
+        verification._apply_ladder(2, 2, 2, {2: RadicalSum.one()}, +1, 0)
 
 
 def test_lowering_below_bottom_rejected():

@@ -6,13 +6,23 @@ route must call no `formulas` function but validation, Racah no `ladder`
 function and none of route 1's helpers, and the closed form neither the
 Racah kernel nor the ladder's lowering, in integers or on states.  What two routes share must lie in
 `numerics` or in the table plumbing of `SHARED_PLUMBING`.
+
+The ladder check's J+/J- kernel lives in `verification`: read from the
+sources, `verification` takes only the walk, the route enum and the
+ladder route's own |J, J> from `ladder`, and `ladder` imports neither the
+class-merging `sum_radicals` nor anything of `verification`; traced, no
+route runs a `verification` function.
 """
 
+import ast
+import inspect
 import sys
 from typing import Callable
 
 import pytest
 
+import cgexact.ladder as ladder
+import cgexact.verification as verification
 from cgexact.ladder import TableRoute, build_full_table
 from cgexact.verification import check_ladder_consistency
 
@@ -104,7 +114,7 @@ def test_the_trace_sees_each_route_at_work(calls):
     } <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
     # the ladder route lowers in integers: no action on states, no class merge
-    assert calls["ladder"].isdisjoint({"ladder._apply_ladder", "numerics.sum_radicals"})
+    assert calls["ladder"].isdisjoint({"verification._apply_ladder", "numerics.sum_radicals"})
     # the beta route is a second name of the closed-form build
     assert _calls(TableRoute.BETA_CLOSED_FORM) == calls["closed form"]
 
@@ -129,7 +139,7 @@ def test_the_ladder_check_builds_no_state_object():
     # the check acts with J+ and J- on the walk's plain dicts, through the
     # one J+/J- kernel
     called = _traced(lambda: check_ladder_consistency(4))
-    assert "ladder._apply_ladder" in called
+    assert "verification._apply_ladder" in called
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):
@@ -147,7 +157,7 @@ def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
     closed = calls["closed form"]
     assert "formulas._racah" not in closed
     assert closed.isdisjoint(
-        {"ladder._apply_ladder", "ladder._integer_chain", "ladder._scaled_lowering_element"}
+        {"verification._apply_ladder", "ladder._integer_chain", "ladder._scaled_lowering_element"}
     )
 
 
@@ -157,3 +167,41 @@ def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
 def test_what_two_routes_share_is_arithmetic_or_plumbing(calls, first, second):
     shared = calls[first] & calls[second]
     assert {name for name in shared if not _plumbing(name)} == set()
+
+
+def _imports(module) -> set[tuple[str, str]]:
+    """(module, name) of every import in ``module``'s source, the module as
+    written after its leading dots: ``from .ladder import x`` gives
+    ("ladder", "x"), ``from . import ladder`` ("", "ladder") and
+    ``import cgexact.ladder`` ("cgexact.ladder", "")."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            found |= {(node.module or "", alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name, "") for alias in node.names}
+    return found
+
+
+def test_the_ladder_check_takes_only_the_walk_from_the_route_module():
+    imports = _imports(verification)
+    taken = {name for module, name in imports if module.rsplit(".", 1)[-1] == "ladder"}
+    assert taken <= {"TableRoute", "_cell_values", "_chain_components"}
+    assert ("", "ladder") not in imports
+
+
+def test_the_route_module_holds_none_of_the_checks_arithmetic():
+    imports = _imports(ladder)
+    assert all(name != "sum_radicals" for _, name in imports)
+    assert all(
+        "verification" not in (module.rsplit(".", 1)[-1], name) for module, name in imports
+    )
+    # the J+/J- kernel and its unscaled elements are defined in the check only
+    for name in ("_apply_ladder", "_lowering_element", "_raising_element"):
+        assert not hasattr(ladder, name)
+        assert getattr(verification, name).__module__ == "cgexact.verification"
+
+
+def test_building_a_table_runs_no_check_code(calls):
+    for route, called in calls.items():
+        assert _in("verification", called) == set(), route

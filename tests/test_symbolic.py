@@ -18,8 +18,8 @@ that neither can drift from the other.
 
 The ladder route lowers in a basis scaled by 1 / sqrt(C(2j, j-m)), where
 `ladder._scaled_lowering_element` is the J- element; its certificate
-proves that element from `ladder._lowering_element`, the J- element of
-the unscaled basis.
+proves the route's scaled elements from the ladder check's unscaled ones,
+`verification._lowering_element` and `verification._raising_element`.
 """
 
 import ast
@@ -30,7 +30,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from cgexact import formulas, ladder  # noqa: E402
+from cgexact import formulas, ladder, verification  # noqa: E402
 from oracles import binomial, weight_binomials  # noqa: E402
 
 
@@ -160,7 +160,7 @@ def test_scaled_lowering_element_squared_is_the_rescaled_lowering_element():
     a, b = sympy.symbols("a b", integer=True, nonnegative=True)
     tj, tm = a + b, a - b
     scaled = _without_floor(sympy.sympify(ladder._scaled_lowering_element(tj, tm)))
-    element = _without_floor(sympy.sympify(ladder._lowering_element(tj, tm)))
+    element = _without_floor(sympy.sympify(verification._lowering_element(tj, tm)))
     rescaling = sympy.combsimp(sympy.binomial(tj, b + 1) / sympy.binomial(tj, b))
     assert sympy.cancel(scaled**2 - element * rescaling) == 0
 
@@ -171,7 +171,7 @@ def test_scaled_raising_element_squared_is_the_rescaled_raising_element():
     a, b = sympy.symbols("a b", integer=True, nonnegative=True)
     tj, tm = a + b, a - b
     scaled = _without_floor(sympy.sympify(ladder._scaled_raising_element(tj, tm)))
-    element = _without_floor(sympy.sympify(ladder._raising_element(tj, tm)))
+    element = _without_floor(sympy.sympify(verification._raising_element(tj, tm)))
     rescaling = sympy.combsimp(sympy.binomial(tj, b - 1) / sympy.binomial(tj, b))
     assert sympy.cancel(scaled**2 - element * rescaling) == 0
 

@@ -437,14 +437,14 @@ def test_ladder_detects_broken_lowering(monkeypatch):
 
 
 def test_ladder_detects_broken_raising_element(monkeypatch):
-    original = ladder._raising_element
+    original = verification._raising_element
 
     def doubled(tj, tm):
         # the element is held as its square: doubling it is a factor of 4
         return original(tj, tm) * 4
 
-    # the check's J+ kernel reads the element from `ladder`
-    monkeypatch.setattr(ladder, "_raising_element", doubled)
+    # the check's J+ kernel reads the element from `verification`
+    monkeypatch.setattr(verification, "_raising_element", doubled)
     report = check_ladder_consistency(3)
     assert not report.passed
     assert report.counterexample.description == (
@@ -570,7 +570,9 @@ def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
             assert "j1=0, j2=1/2" in report.counterexample.description
     # the check's J- acts through `_lowering_element` (held as its square),
     # which no route uses: only the ladder check fails
-    monkeypatch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 4))
+    monkeypatch.setattr(
+        verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 4)
+    )
     report = check_ladder_consistency(2)
     assert not report.passed
     assert report.counterexample.description == (
@@ -587,10 +589,12 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
     # contributions to |m1=-1/2> in J- |J=1/2, M=1/2> then fall in two
     # commensurability classes, and the lowered component has two terms
     with monkeypatch.context() as patch:
-        patch.setattr(ladder, "_lowering_element", _wrong_at_half(ladder._lowering_element, 2))
+        patch.setattr(
+            verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 2)
+        )
         # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
         top = verification._subspaces(1, 2, ladder.TableRoute.CLOSED_FORM)[1][1]
-        assert ladder._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
+        assert verification._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
         assert report.counterexample == Counterexample(
