@@ -23,12 +23,9 @@ Validation happens only at the public entry points: `cg_alternative`,
 raises MalformedCouplingError for a malformed spec, and then call the
 kernels `_closed_form_component`, `_racah` and `_wigner3j`, which take
 doubled integers and assume arguments that are well-formed and pass the
-selection rules.  The table walk `ladder._cell_values`, which
-`build_full_table` and the verification checks read, calls them directly:
-`_racah` per doubled (J, M, m1) key of `_cell_keys`, the keys of a cell in
-order, and `_closed_form_component` per k = j1 - m1 of each |J, J - s>,
-with one `_shared_factor` per s and no state object.  The 3j check calls
-`_wigner3j` on doubled columns.
+selection rules.  A route's table of a cell is its walk,
+`_closed_form_walk` or `_racah_walk`, which calls the kernel per value
+with no state object.
 """
 
 from __future__ import annotations
@@ -229,6 +226,19 @@ def cg_alternative(spec: CouplingSpec) -> RadicalSum:
     return _closed_form_component(tj1, tj2, m, s, k, _shared_factor(tj1, tj2, m, s))
 
 
+def _closed_form_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
+    """Every nonzero closed-form value of the (2j1, 2j2) cell, keyed by its
+    doubled (J, M, m1), in increasing key order: `_closed_form_component`
+    per k = j1 - m1 of each |J, J - s>, with one `_shared_factor` per s."""
+    for tJ in _j_range(tj1, tj2):
+        m = (tj1 + tj2 - tJ) // 2
+        for s in range(tJ, -1, -1):  # ascending M = J - s
+            shared = _shared_factor(tj1, tj2, m, s)
+            for k in reversed(range(max(0, s + m - tj2), min(tj1, m + s) + 1)):  # ascending m1
+                if (value := _closed_form_component(tj1, tj2, m, s, k, shared))._terms:
+                    yield (tJ, tJ - 2 * s, tj1 - 2 * k), value
+
+
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
     """Clebsch-Gordan coefficient via Racah's single-sum formula in binomial
     form (`_racah`).  Selection-zero specs give exactly 0."""
@@ -287,6 +297,15 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
         total * total * comb(tj1, g1) * comb(tj2, g1),
         comb(g1 + tJ + 1, g1) * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2),
     )
+
+
+def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
+    """Every nonzero Racah value of the (2j1, 2j2) cell, keyed by its
+    doubled (J, M, m1), in increasing key order: `_racah` per key of
+    `_cell_keys`."""
+    for key in _cell_keys(tj1, tj2):
+        if not (value := _racah(tj1, tj2, *key)).is_zero:
+            yield key, value
 
 
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:

@@ -6,10 +6,8 @@ comes from the J+ annihilation recurrence (`_top`), and the other states
 from repeated exact lowering (`_integer_chain`: the iterative route, kept
 deliberately independent so it can serve as an oracle).  A state as exact
 values is a plain {doubled m1: value} dict of its nonzero components, as
-`_chain_components` yields them.  `_cell_values` is the one walk that turns
-a route into the nonzero values of a (j1, j2) cell keyed by doubled
-(J, M, m1), straight from the route's kernels with no state object.
-`build_full_table` reads it, and so do the verification checks.
+`_chain_components` yields them, and `_ladder_walk` reads them back as
+the route's table of a cell.  `build_full_table` runs each route's walk.
 """
 
 from __future__ import annotations
@@ -75,11 +73,6 @@ def _top(tj1: int, tj2: int, m: int) -> tuple[list[int], int, int]:
     return xs, common // g, total // g
 
 
-def _component_range(tj1: int, tj2: int, m: int, s: int) -> range:
-    """The k = j1 - m1 of the components of |J, J - s> at depth m, ascending."""
-    return range(max(0, s + m - tj2), min(tj1, m + s) + 1)
-
-
 def _integer_chain(tj1: int, tj2: int, tJ: int) -> Iterator[tuple[int, list[int], int, int]]:
     """The states |J, J - s>, s = 0 .. 2J, of the subspace J of the
     (2j1, 2j2) cell, in integers: |J, J> from `_top`, and each state below
@@ -134,6 +127,25 @@ def _chain_components(tj1: int, tj2: int, tJ: int) -> Iterator[dict[int, Radical
             for k in range(lo + len(xs) - 1, lo - 1, -1)
             if (x := xs[k - lo])
         }
+
+
+def _ladder_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
+    """Every nonzero value of the ladder route's table of the (2j1, 2j2)
+    cell, keyed by its doubled (J, M, m1), in increasing key order:
+    `_chain_components` read back up, |J, J> last.  Raises ArithmeticError
+    naming (j1, j2, J) unless the chain has exactly 2J states below |J, J>.
+    """
+    for tJ in _j_range(tj1, tj2):
+        states = list(_chain_components(tj1, tj2, tJ))
+        if len(states) != tJ + 1:
+            j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
+            raise ArithmeticError(
+                f"the ladder chain of (j1={j1}, j2={j2}, J={J}) has {len(states) - 1} "
+                f"states below |J, J>, not 2J = {tJ}"
+            )
+        for s in range(tJ, -1, -1):  # ascending M = J - s
+            for tm1, value in states[s].items():
+                yield (tJ, tJ - 2 * s, tm1), value
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:
@@ -220,44 +232,13 @@ def _record(
     return record
 
 
-def _cell_values(
-    tj1: int, tj2: int, route: TableRoute
-) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
-    """Every nonzero value of ``route``'s table of the (2j1, 2j2) cell,
-    keyed by its doubled (J, M, m1), in increasing key order.
-
-    RACAH evaluates `formulas._racah` per key of `formulas._cell_keys`, the
-    closed form `formulas._closed_form_component` per k of
-    `_component_range` with one `_shared_factor` per state, and the ladder
-    reads `_chain_components` back up, |J, J> last, and raises
-    ArithmeticError naming (j1, j2, J) unless the chain has exactly 2J
-    states below |J, J>.  This is the one walk of a route's table, for
-    `build_full_table` and the checks.
-    """
-    if route is TableRoute.RACAH:
-        for key in formulas._cell_keys(tj1, tj2):
-            if not (value := formulas._racah(tj1, tj2, *key)).is_zero:
-                yield key, value
-        return
-    for tJ in _j_range(tj1, tj2):
-        if route is TableRoute.LADDER_ITERATIVE:
-            states = list(_chain_components(tj1, tj2, tJ))
-            if len(states) != tJ + 1:
-                j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
-                raise ArithmeticError(
-                    f"the ladder chain of (j1={j1}, j2={j2}, J={J}) has {len(states) - 1} "
-                    f"states below |J, J>, not 2J = {tJ}"
-                )
-            for s in range(tJ, -1, -1):  # ascending M = J - s
-                for tm1, value in states[s].items():
-                    yield (tJ, tJ - 2 * s, tm1), value
-            continue
-        m = (tj1 + tj2 - tJ) // 2
-        for s in range(tJ, -1, -1):  # ascending M = J - s
-            shared = formulas._shared_factor(tj1, tj2, m, s)
-            for k in reversed(_component_range(tj1, tj2, m, s)):  # ascending m1
-                if (value := formulas._closed_form_component(tj1, tj2, m, s, k, shared))._terms:
-                    yield (tJ, tJ - 2 * s, tj1 - 2 * k), value
+#: each route's walk of a (2j1, 2j2) cell, as `build_full_table` reads it
+_WALKS = {
+    TableRoute.CLOSED_FORM: formulas._closed_form_walk,
+    TableRoute.LADDER_ITERATIVE: _ladder_walk,
+    TableRoute.BETA_CLOSED_FORM: formulas._closed_form_walk,
+    TableRoute.RACAH: formulas._racah_walk,
+}
 
 
 def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]:
@@ -266,9 +247,8 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     Every route produces the identical record set, each in that order; the
     iterative ladder route recomputes the values by repeated exact lowering
     precisely so it can defend the closed forms.  The records are the
-    values of `_cell_values`, which reads each route's kernels and which
-    the verification checks read too.  ``route`` is a TableRoute or its
-    value; any other value, or a negative j, raises ValueError.
+    values of the route's walk in `_WALKS`.  ``route`` is a TableRoute or
+    its value; any other value, or a negative j, raises ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)
@@ -279,5 +259,5 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
     return [
         _record(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
-        for (tJ, tM, tm1), value in _cell_values(tj1, tj2, route)
+        for (tJ, tM, tm1), value in _WALKS[route](tj1, tj2)
     ]

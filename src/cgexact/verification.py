@@ -8,22 +8,20 @@ exact equality of RadicalSums or rationals, and a failing report always
 carries the first counterexample in sweep order.
 
 The agreement, unitarity, collapse and ladder checks read each route's
-table of a cell from `ladder._cell_values`, the walk that
-`build_full_table` reads too: the nonzero values keyed by doubled
-(J, M, m1), straight from each route's kernel (the closed-form component,
-the ladder's integer chain, Racah's sum), with no state object per state.
-A key that a walk leaves out has the value 0.  The ladder check groups the
-walk by subspace (`_subspaces`) and acts with J+ and J- on each state's
-plain {doubled m1: value} dict through `_apply_ladder`, the one J+/J-
-kernel, which lives here with its unscaled elements: the ladder route
-steps with its own scaled ones, so `ladder` holds none of the check's
-arithmetic.  The 3j check calls `formulas._wigner3j` on doubled columns.
-These kernels skip validation, which only the public entry points do.  A
-sweep builds a CouplingSpec or ThreeJSpec only to write a counterexample,
-except the Condon-Shortley check: it builds one CouplingSpec per |J, J>
-and passes it to the validating `cg_alternative` and `cg_racah`, and reads
-the ladder route's value from the first state of
-`ladder._chain_components`, the route's own |J, J>.
+table of a cell from its walk, `_closed_form_walk`, `_racah_walk` or
+`_ladder_walk`: the nonzero values keyed by doubled (J, M, m1).  A key
+that a walk leaves out has the value 0.  The ladder check groups a walk
+by subspace (`_subspaces`) and acts with J+ and J- on each state's plain
+{doubled m1: value} dict through `_apply_ladder`, the one J+/J- kernel,
+which lives here with its unscaled elements: the ladder route steps with
+its own scaled ones, so `ladder` holds none of the check's arithmetic.
+The 3j check calls `_wigner3j` on doubled columns.  These kernels skip
+validation, which only the public entry points do.  A sweep builds a
+CouplingSpec or ThreeJSpec only to write a counterexample, except the
+Condon-Shortley check: it builds one CouplingSpec per |J, J> and passes
+it to the validating `cg_alternative` and `cg_racah`, and reads the
+ladder route's value from the first state of `_chain_components`, the
+route's own |J, J>.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -38,18 +36,20 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formulas import (
     CouplingSpec,
     ThreeJSpec,
     _cell_keys,
+    _closed_form_walk,
     _key_spec,
+    _racah_walk,
     _wigner3j,
     cg_alternative,
     cg_racah,
 )
-from .ladder import TableRoute, _cell_values, _chain_components
+from .ladder import _chain_components, _ladder_walk
 from .numerics import HalfInt, RadicalSum, _dot, _j_range, sum_radicals
 
 __all__ = [
@@ -189,9 +189,9 @@ def _run_cell_sweep(
 
 def _agreement_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
-    closed = dict(_cell_values(tj1, tj2, TableRoute.CLOSED_FORM))
-    racahs = dict(_cell_values(tj1, tj2, TableRoute.RACAH))
-    iterative = dict(_cell_values(tj1, tj2, TableRoute.LADDER_ITERATIVE))
+    closed = dict(_closed_form_walk(tj1, tj2))
+    racahs = dict(_racah_walk(tj1, tj2))
+    iterative = dict(_ladder_walk(tj1, tj2))
     count = 0
     zero = RadicalSum.zero()
     for key in _cell_keys(tj1, tj2):
@@ -214,8 +214,8 @@ def _agreement_cell(cell: tuple[int, int]) -> CellResult:
 def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Closed form == Racah == iterative-ladder value, exactly, for every
     valid spec with 2j1, 2j2 <= max_twice_j (zeros included): per cell,
-    the three routes' walks (`ladder._cell_values`) compared key by key
-    over `formulas._cell_keys`, a key missing from a walk reading 0."""
+    the three routes' walks compared key by key over `_cell_keys`, a key
+    missing from a walk reading 0."""
     return _run_cell_sweep("formula agreement", _agreement_cell, max_twice_j, jobs)
 
 
@@ -229,7 +229,7 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
     columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    for (tJ, tM, tm1), value in _cell_values(tj1, tj2, TableRoute.CLOSED_FORM):
+    for (tJ, tM, tm1), value in _closed_form_walk(tj1, tj2):
         rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
         columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
     one, zero = RadicalSum.one(), RadicalSum.zero()
@@ -273,7 +273,7 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
 
 
 def _collapse_cell(cell: tuple[int, int]) -> CellResult:
-    closed = dict(_cell_values(*cell, TableRoute.CLOSED_FORM))
+    closed = dict(_closed_form_walk(*cell))
     count = 0
     for key in _cell_keys(*cell):
         count += 1
@@ -286,7 +286,7 @@ def _collapse_cell(cell: tuple[int, int]) -> CellResult:
 
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
-    """Every closed-form value in range, read from the table walk, is at
+    """Every closed-form value in range, read from its walk, is at
     most one radical term.  Each value is an integer sum times one
     radical (`sum_signed_sqrts`) by construction, so this checks structure:
     that the table build keeps that form.  `tests/test_symbolic.py` proves
@@ -460,12 +460,12 @@ def _ladder_element(tJ: int, tM: int) -> int:
 
 
 def _subspaces(
-    tj1: int, tj2: int, route: TableRoute
+    walk: Iterable[tuple[tuple[int, int, int], RadicalSum]],
 ) -> dict[int, dict[int, dict[int, RadicalSum]]]:
-    """The walk of ``route`` on the (2j1, 2j2) cell grouped by subspace:
-    doubled J -> doubled M -> {doubled m1: value}."""
+    """A route's walk of a cell grouped by subspace: doubled J -> doubled
+    M -> {doubled m1: value}."""
     groups: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    for (tJ, tM, tm1), value in _cell_values(tj1, tj2, route):
+    for (tJ, tM, tm1), value in walk:
         groups.setdefault(tJ, {}).setdefault(tM, {})[tm1] = value
     return groups
 
@@ -474,10 +474,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     one = RadicalSum.one()
-    walks = [
-        _subspaces(tj1, tj2, route)
-        for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM)
-    ]
+    walks = [_subspaces(walk(tj1, tj2)) for walk in (_ladder_walk, _closed_form_walk)]
     chains = 0
     for tJ in _j_range(tj1, tj2):
         chains += 1

@@ -11,6 +11,7 @@ from cgexact.formulas import (
     CouplingSpec,
     MalformedCouplingError,
     ThreeJSpec,
+    _closed_form_walk,
     _is_selection_zero,
     _racah,
     _shared_factor,
@@ -20,7 +21,7 @@ from cgexact.formulas import (
     cg_racah,
     wigner3j,
 )
-from cgexact.ladder import TableRoute, _cell_values, cg_ladder
+from cgexact.ladder import cg_ladder
 from cgexact.numerics import HalfInt, RadicalSum, to_decimal
 from oracles import (
     beta_closed_form,
@@ -438,7 +439,7 @@ def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
     for tj1 in range(7):
         for tj2 in range(7):
             j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-            closed = dict(_cell_values(tj1, tj2, TableRoute.CLOSED_FORM))
+            closed = dict(_closed_form_walk(tj1, tj2))
             for s in cell_specs(j1, j2):
                 key = (s.J.twice, s.M.twice, s.m1.twice)
                 assert cg_alternative(s) == closed.get(key, zero), s

@@ -61,7 +61,7 @@ def walk_states(j1, j2, route):
     cell as {doubled m1: value} dicts, keyed by doubled J: the walk of
     ``route`` grouped as the ladder check groups it, a (J, M) that the
     walk leaves out an empty state."""
-    subspaces = _subspaces(HalfInt(j1).twice, HalfInt(j2).twice, TableRoute(route))
+    subspaces = _subspaces(ladder._WALKS[TableRoute(route)](HalfInt(j1).twice, HalfInt(j2).twice))
     return {
         tJ: [states.get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
         for tJ, states in subspaces.items()
@@ -306,7 +306,7 @@ def test_the_kernel_annihilates_both_walks_tops():
     for tj1 in range(7):
         for tj2 in range(7):
             for route in (TableRoute.LADDER_ITERATIVE, TableRoute.CLOSED_FORM):
-                for tJ, subspace in _subspaces(tj1, tj2, route).items():
+                for tJ, subspace in _subspaces(ladder._WALKS[route](tj1, tj2)).items():
                     assert verification._apply_ladder(tj1, tj2, tJ, subspace[tJ], +1) == {}
                     states += len(subspace)
     assert states == 2 * 28 * 28
@@ -441,7 +441,7 @@ def test_table_sizes_and_sorting():
     for route in TableRoute:
         for tj1 in range(11):
             for tj2 in range(11):
-                keys = [key for key, _ in ladder._cell_values(tj1, tj2, route)]
+                keys = [key for key, _ in ladder._WALKS[route](tj1, tj2)]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (route, tj1, tj2)
 
 
@@ -582,7 +582,7 @@ def test_subspace_states_by_both_routes():
         assert len(chain) == tJ + 1
         assert chain[0] == top_state(j1, j2, J)
         # the walk holds a nonzero state at each M = J .. -J
-        subspace = _subspaces(tj1, tj2, TableRoute.LADDER_ITERATIVE)[tJ]
+        subspace = _subspaces(ladder._ladder_walk(tj1, tj2))[tJ]
         assert sorted(subspace) == list(range(-tJ, tJ + 1, 2))
         assert all(chain)
         assert closed == beta == chain

@@ -5,13 +5,16 @@ records every function of the package's sources that runs.  The ladder
 route must call no `formulas` function but validation, Racah no `ladder`
 function and none of route 1's helpers, and the closed form neither the
 Racah kernel nor the ladder's lowering, in integers or on states.  What two routes share must lie in
-`numerics` or in the table plumbing of `SHARED_PLUMBING`.
+`numerics` or in the table plumbing of `SHARED_PLUMBING`, and the
+closed-form and Racah builds run no other `ladder` function: each route's
+walk of a cell lives in its route's module, and `ladder` names neither
+formula's kernel.
 
 The ladder check's J+/J- kernel lives in `verification`: read from the
-sources, `verification` takes only the walk, the route enum and the
-ladder route's own |J, J> from `ladder`, and `ladder` imports neither the
-class-merging `sum_radicals` nor anything of `verification`; traced, no
-route runs a `verification` function.
+sources, `verification` takes only the ladder route's walk and its own
+|J, J> from `ladder`, and `ladder` imports neither the class-merging
+`sum_radicals` nor anything of `verification`; traced, no route runs a
+`verification` function.
 """
 
 import ast
@@ -30,10 +33,9 @@ from cgexact.verification import check_ladder_consistency
 #: that every branch of each route runs
 CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 
-#: functions of `ladder` that only turn states or values into table rows
+#: functions of `ladder` that only turn a route's walk into table rows
 SHARED_PLUMBING = {
     "ladder.build_full_table",
-    "ladder._cell_values",
     "ladder._record",
 }
 
@@ -106,7 +108,7 @@ def calls() -> dict[str, set[str]]:
 
 def test_the_trace_sees_each_route_at_work(calls):
     assert {
-        "formulas._closed_form_component", "formulas._shared_factor", "ladder._component_range"
+        "formulas._closed_form_component", "formulas._shared_factor", "formulas._closed_form_walk"
     } <= calls["closed form"]
     assert {
         "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
@@ -161,6 +163,16 @@ def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
     )
 
 
+def test_the_closed_form_runs_no_ladder_code(calls):
+    # its walk lives in `formulas`; the Racah build is held to the same by
+    # test_racah_calls_no_ladder_function_and_no_closed_form_helper
+    assert {name for name in _in("ladder", calls["closed form"]) if not _plumbing(name)} == set()
+
+
+def test_each_route_has_a_walk():
+    assert set(ladder._WALKS) == set(TableRoute)
+
+
 @pytest.mark.parametrize(
     "first, second", [("closed form", "ladder"), ("closed form", "racah"), ("ladder", "racah")]
 )
@@ -186,8 +198,29 @@ def _imports(module) -> set[tuple[str, str]]:
 def test_the_ladder_check_takes_only_the_walk_from_the_route_module():
     imports = _imports(verification)
     taken = {name for module, name in imports if module.rsplit(".", 1)[-1] == "ladder"}
-    assert taken <= {"TableRoute", "_cell_values", "_chain_components"}
+    assert taken <= {"_chain_components", "_ladder_walk"}
     assert ("", "ladder") not in imports
+    assert all(name != "TableRoute" for _, name in imports)
+
+
+def _names(module) -> set[str]:
+    """Every identifier in ``module``'s source: its names, the attributes
+    it reads and the names it imports."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_the_route_module_names_no_formula_kernel():
+    assert _names(ladder).isdisjoint(
+        {"_closed_form_component", "_shared_factor", "_racah", "_cell_keys"}
+    )
 
 
 def test_the_route_module_holds_none_of_the_checks_arithmetic():

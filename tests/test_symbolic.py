@@ -123,7 +123,7 @@ def test_the_kernel_sums_the_transcribed_terms_over_the_transcribed_radical(monk
     for tj1 in range(9):
         for tj2 in range(9):
             recorded.clear()
-            list(ladder._cell_values(tj1, tj2, ladder.TableRoute.CLOSED_FORM))
+            list(formulas._closed_form_walk(tj1, tj2))
             # in the walk's order: ascending J, then M = J - s, then m1 = j1 - k
             expected = []
             for m in range(min(tj1, tj2), -1, -1):

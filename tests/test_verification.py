@@ -266,14 +266,14 @@ def test_a_sweep_that_stops_early_leaves_no_worker(monkeypatch, forked_pools):
 def _alter_route_tables(monkeypatch, alter):
     """Make the checks read each per-cell route walk as a dict keyed by
     doubled (J, M, m1), after ``alter(table)`` changes it in place."""
-    original = verification._cell_values
+    for name in ("_closed_form_walk", "_racah_walk", "_ladder_walk"):
 
-    def altered(tj1, tj2, route):
-        table = dict(original(tj1, tj2, route))
-        alter(table)
-        return iter(table.items())
+        def altered(tj1, tj2, original=getattr(verification, name)):
+            table = dict(original(tj1, tj2))
+            alter(table)
+            return iter(table.items())
 
-    monkeypatch.setattr(verification, "_cell_values", altered)
+        monkeypatch.setattr(verification, name, altered)
 
 
 def _flip_first(table):
@@ -593,7 +593,7 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
             verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 2)
         )
         # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
-        top = verification._subspaces(1, 2, ladder.TableRoute.CLOSED_FORM)[1][1]
+        top = verification._subspaces(verification._closed_form_walk(1, 2))[1][1]
         assert verification._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
