@@ -14,9 +14,10 @@ binomial is a `math.comb` of nonnegative arguments.  The closed form's
 norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
 per state (`_shared_factor`), so nothing is cached.  Each route's value
 is an integer sum times the square root of one rational, so one radical by
-construction: each term is a product of binomials, stepped from the one
-before by exact division through its term ratio, which each kernel writes
-in its own loop from its own binomials.
+construction, built by `numerics._times_radical`: each term is a product
+of binomials, stepped from the one before by exact division through its
+term ratio, which each kernel writes in its own loop from its own
+binomials.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _from_terms, _j_range, _radical, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _from_terms, _j_range, _times_radical, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -273,8 +274,9 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     with d1 = J-j2+m1 and d2 = J-j1-m2: the ratio of the three binomials.
     The division is exact, since its quotient t_(z+1) is a product of
     binomials.  So S is an integer sum with no factorial and no fraction,
-    and C is the square root of one rational: structurally a single-term
-    RadicalSum, reduced by one gcd, as each value of `cg_alternative` is.
+    and C is S times the square root of one rational: structurally a
+    single-term RadicalSum, built by `_times_radical` as each value of
+    `cg_alternative` is.
     """
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
     g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
@@ -290,11 +292,9 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     for z in range(z_lo, min(g1, a, b)):
         term = -term * ((g1 - z) * (a - z) * (b - z)) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
         total += term
-    if not total:
-        return RadicalSum.zero()
-    return _radical(
-        1 if total > 0 else -1,
-        total * total * comb(tj1, g1) * comb(tj2, g1),
+    return _times_radical(
+        total,
+        comb(tj1, g1) * comb(tj2, g1),
         comb(g1 + tJ + 1, g1) * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2),
     )
 
@@ -311,10 +311,11 @@ def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], Radi
 def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
     """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
     arguments with M + j1 - j2 an integer: each term of C times the one
-    radical phase * sqrt(1 / (2J+1)) by `_radical`, so no classes merge."""
+    radical phase * sqrt(1 / (2J+1)) by `_times_radical`, so no classes
+    merge."""
     phase = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
     # one factor on every term keeps their classes apart and in order; 0 stays 0
-    scaled = (_radical(s * phase, n, d * (tJ + 1))._terms[0] for s, n, d in value._terms)
+    scaled = (_times_radical(s * phase, n, d * (tJ + 1))._terms[0] for s, n, d in value._terms)
     return _from_terms(tuple(scaled))
 
 

@@ -20,13 +20,7 @@ from math import comb, gcd, perm
 
 from . import formulas
 from .formulas import CouplingSpec
-from .numerics import (
-    HalfInt,
-    RadicalSum,
-    _j_range,
-    _radical,
-    to_decimal,
-)
+from .numerics import HalfInt, RadicalSum, _j_range, _times_radical, to_decimal
 
 __all__ = [
     "CoefficientRecord",
@@ -108,22 +102,17 @@ def _integer_chain(tj1: int, tj2: int, tJ: int) -> Iterator[tuple[int, list[int]
         yield lo, xs, n, d
 
 
-def _chain_value(x: int, n: int, d: int, weight: int) -> RadicalSum:
-    """x sqrt(n / (d weight)): the value of a nonzero coordinate x of an
-    `_integer_chain` state, weight = C(2j1, k) C(2j2, m + s - k)."""
-    return _radical(1 if x > 0 else -1, x * x * n, d * weight)
-
-
 def _chain_components(tj1: int, tj2: int, tJ: int) -> Iterator[dict[int, RadicalSum]]:
-    """The states of `_integer_chain`, s = 0 .. 2J, each a dict of its
-    nonzero `_chain_value`s keyed by the doubled m1, in ascending m1."""
+    """The states of `_integer_chain`, s = 0 .. 2J, each a dict of the
+    values x sqrt(n / (d C(2j1, k) C(2j2, m + s - k))) of its nonzero
+    coordinates x, keyed by the doubled m1, in ascending m1."""
     m = (tj1 + tj2 - tJ) // 2
     w1 = [comb(tj1, k) for k in range(tj1 + 1)]
     w2 = [comb(tj2, k) for k in range(tj2 + 1)]
     for s, (lo, xs, n, d) in enumerate(_integer_chain(tj1, tj2, tJ)):
         base = m + s
         yield {
-            tj1 - 2 * k: _chain_value(x, n, d, w1[k] * w2[base - k])
+            tj1 - 2 * k: _times_radical(x, n, d * w1[k] * w2[base - k])
             for k in range(lo + len(xs) - 1, lo - 1, -1)
             if (x := xs[k - lo])
         }
@@ -158,9 +147,7 @@ def cg_ladder(spec: CouplingSpec) -> RadicalSum:
     m, s = (tj1 + tj2 - tJ) // 2, (tJ - spec.M.twice) // 2
     lo, xs, n, d = next(islice(_integer_chain(tj1, tj2, tJ), s, None))
     k = (tj1 - spec.m1.twice) // 2
-    if not (x := xs[k - lo]):
-        return RadicalSum.zero()
-    return _chain_value(x, n, d, comb(tj1, k) * comb(tj2, m + s - k))
+    return _times_radical(xs[k - lo], n, d * comb(tj1, k) * comb(tj2, m + s - k))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ and parsed, and has no other arithmetic.  Arithmetic on values lives in two
 functions on integers: `sum_radicals`, which sums ``(sign, n, d)`` terms
 and is the one function that merges classes, and `sum_signed_sqrts`, which
 sums integer terms over one common radical sqrt(n / d), one class by
-construction.  `Fraction` appears only where a value enters or leaves as a
-rational: `RadicalSum.sqrt`, `rational`, the rational pieces of `parse`,
-`terms` and `as_fraction`.  Agreement checks carry no tolerance anywhere.
+construction.  A value x * sqrt(n / d) with x an integer, as every route
+ends each coefficient, is built in one place, `_times_radical`, which
+`sum_signed_sqrts`, `RadicalSum.rational` and `parse` call too.
+`Fraction` appears only where a value enters or leaves as a rational:
+`RadicalSum.sqrt`, `rational`, the rational pieces of `parse`, `terms` and
+`as_fraction`.  Agreement checks carry no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -190,11 +193,16 @@ def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
     return obj
 
 
-def _radical(sign: int, n: int, d: int) -> "RadicalSum":
-    """sign * sqrt(n / d) for positive ints n and d, as one term reduced by
-    one gcd."""
+def _times_radical(x: int, n: int, d: int) -> "RadicalSum":
+    """x * sqrt(n / d) for an int x and positive ints n and d: one term,
+    its square x^2 n / d reduced by one gcd, or 0 when x is 0.  Every
+    route's value is an integer sum times one radical, and this is the one
+    place where such a value is built."""
+    if not x:
+        return RadicalSum()
+    n *= x * x
     g = gcd(n, d)
-    return _from_terms(((sign, n // g, d // g),))
+    return _from_terms(((1 if x > 0 else -1, n // g, d // g),))
 
 
 def _dot(u: Mapping[int, "RadicalSum"], v: Mapping[int, "RadicalSum"]) -> "RadicalSum":
@@ -237,7 +245,7 @@ class RadicalSum:
     rational value is a single term whose n and d are perfect squares.
     ``RadicalSum()`` is exactly 0; other values come from :meth:`rational`,
     :meth:`sqrt`, :meth:`parse`, unary ``-``, `sum_radicals` and
-    `sum_signed_sqrts` (one radical times an integer sum).  Immutable.
+    `_times_radical` (one radical times an integer).  Immutable.
     """
 
     __slots__ = ("_terms",)
@@ -258,9 +266,7 @@ class RadicalSum:
     @classmethod
     def rational(cls, value: Rationalish) -> "RadicalSum":
         num, den = _ratio(value)
-        if not num:
-            return cls()
-        return _from_terms(((1 if num > 0 else -1, num * num, den * den),))
+        return _times_radical(num, 1, den * den)
 
     @classmethod
     def sqrt(cls, value: Rationalish) -> "RadicalSum":
@@ -363,7 +369,7 @@ class RadicalSum:
             raise ValueError("empty exact-value text")
         if " " not in stripped:
             term = _parse_term(stripped)
-            return cls() if term is None else _radical(*term)
+            return cls() if term is None else _times_radical(*term)
         terms = [
             term
             for piece in stripped.replace(" - ", " + -").split(" + ")
@@ -399,13 +405,10 @@ def sum_signed_sqrts(terms: Iterable[int], n: int, d: int) -> RadicalSum:
     their common radical.  Pass ``terms`` positionally:
     ``benchmark/tracing.py`` counts the items of the first positional
     argument as radicands.  The sum is taken in plain integers and ends as
-    one term, its square times n / d reduced by one gcd, or 0."""
+    one term by `_times_radical`, or 0."""
     if n <= 0 or d <= 0:
         raise NegativeRadicandError(f"radicand {n}/{d} must be positive")
-    total = sum(terms)
-    if not total:
-        return RadicalSum()
-    return _radical(1 if total > 0 else -1, total * total * n, d)
+    return _times_radical(sum(terms), n, d)
 
 
 def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:

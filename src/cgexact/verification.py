@@ -19,9 +19,7 @@ The 3j check calls `_wigner3j` on doubled columns.  These kernels skip
 validation, which only the public entry points do.  A sweep builds a
 CouplingSpec or ThreeJSpec only to write a counterexample, except the
 Condon-Shortley check: it builds one CouplingSpec per |J, J> and passes
-it to the validating `cg_alternative` and `cg_racah`, and reads the
-ladder route's value from the first state of `_chain_components`, the
-route's own |J, J>.
+it to the validating `cg_alternative`, `cg_racah` and `cg_ladder`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -34,7 +32,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -49,7 +47,7 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import _chain_components, _ladder_walk
+from .ladder import _ladder_walk, cg_ladder
 from .numerics import HalfInt, RadicalSum, _dot, _j_range, sum_radicals
 
 __all__ = [
@@ -74,7 +72,7 @@ class Counterexample:
     values: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"description": self.description, "values": dict(self.values)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,10 @@ class VerificationReport:
     elapsed: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "scope": self.scope,
-            "passed": self.passed,
-            "counterexample": (
-                self.counterexample.to_dict() if self.counterexample else None
-            ),
-            "elapsed_seconds": self.elapsed,
-        }
+        """The fields in order, ``elapsed`` last as ``elapsed_seconds``."""
+        data = asdict(self)
+        data["elapsed_seconds"] = data.pop("elapsed")
+        return data
 
 
 #: (number of cases examined, first counterexample or None)
@@ -376,7 +369,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
         values = {
             "alternative": cg_alternative(spec),
             "racah": cg_racah(spec),
-            "ladder": next(_chain_components(tj1, tj2, tJ)).get(tj1, RadicalSum.zero()),
+            "ladder": cg_ladder(spec),
         }
         for route, value in values.items():
             if value.is_zero or value.sign() <= 0:

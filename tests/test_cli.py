@@ -404,7 +404,9 @@ def test_verify_negative_bound_exits_1(runner):
     assert result.exit_code == 1
 
 
-def test_verify_failure_exits_2_with_counterexample(runner, monkeypatch):
+@pytest.fixture
+def failing_report(monkeypatch):
+    """A failing agreement report, which `run_checks` returns for any call."""
     import cgexact.cli as cli_module
     from cgexact.verification import Counterexample, VerificationReport
 
@@ -419,11 +421,39 @@ def test_verify_failure_exits_2_with_counterexample(runner, monkeypatch):
         elapsed=0.01,
     )
     monkeypatch.setattr(cli_module, "run_checks", lambda *a, **k: [failing])
+    return failing
+
+
+def test_verify_failure_exits_2_with_counterexample(runner, failing_report):
     result = runner.invoke(cli, ["verify", "--max-2j", "2"])
     assert result.exit_code == 2
     assert "FAIL" in result.output
     assert "counterexample" in result.output
     assert "racah: 7" in result.output
+
+
+def test_verify_json_of_a_failing_report(runner, failing_report):
+    # the digest manifest pins passing reports only: this pins the keys,
+    # their order and the counterexample's layout of a failing one
+    result = runner.invoke(cli, ["verify", "--max-2j", "2", "--format", "json"])
+    assert result.exit_code == 2
+    assert result.output == """\
+[
+  {
+    "name": "formula agreement",
+    "scope": "2j <= 2, 1 case",
+    "passed": false,
+    "counterexample": {
+      "description": "C(j1=1, j2=1, m1=0, m2=0, J=2, M=0)",
+      "values": {
+        "alternative": "sqrt(2/3)",
+        "racah": "7"
+      }
+    },
+    "elapsed_seconds": 0.01
+  }
+]
+"""
 
 
 def test_table_empty_after_filter(runner):

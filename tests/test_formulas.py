@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgexact import formulas, numerics
 from cgexact.formulas import (
     CouplingSpec,
     MalformedCouplingError,
     ThreeJSpec,
+    _cell_keys,
     _closed_form_walk,
     _is_selection_zero,
+    _key_spec,
     _racah,
     _shared_factor,
     _wigner3j,
@@ -325,6 +328,36 @@ def test_racah_sum_that_cancels_to_zero_at_large_j():
     assert not _is_selection_zero(s)
     for value in (cg_racah(s), cg_alternative(s), racah_as_written(s)):
         assert value.is_zero
+
+
+def test_route_one_and_racah_end_in_the_same_integer_sum_over_one_radical(monkeypatch):
+    """Route 1's integer sum S1 = sum_l (-1)^l T_l and Racah's S3 =
+    sum_z (-1)^z t_z have different summands, yet the (S, n, d) that each
+    kernel hands to `_times_radical` agree: S1 == S3 and n1/d1 == n3/d3 as
+    rationals, on every component with 2j1, 2j2 <= 10, zeros included."""
+    recorded = []
+    original = numerics._times_radical
+
+    def recording(x, n, d):
+        recorded.append((x, Fraction(n, d)))
+        return original(x, n, d)
+
+    # route 1 reaches it through `sum_signed_sqrts`, Racah from `formulas`
+    monkeypatch.setattr(numerics, "_times_radical", recording)
+    monkeypatch.setattr(formulas, "_times_radical", recording)
+    components = zeros = 0
+    for tj1 in range(11):
+        for tj2 in range(11):
+            for key in _cell_keys(tj1, tj2):
+                recorded.clear()
+                closed = cg_alternative(_key_spec(tj1, tj2, key))
+                racah = _racah(tj1, tj2, *key)
+                (s1, r1), (s3, r3) = recorded
+                assert (s1, r1) == (s3, r3), (tj1, tj2, key)
+                assert closed == racah and racah.is_zero == (s1 == 0), (tj1, tj2, key)
+                components += 1
+                zeros += not s1
+    assert (components, zeros) == (20240, 381)
 
 
 def test_selection_rule_sweep():

@@ -11,19 +11,23 @@ walk of a cell lives in its route's module, and `ladder` names neither
 formula's kernel.
 
 The ladder check's J+/J- kernel lives in `verification`: read from the
-sources, `verification` takes only the ladder route's walk and its own
-|J, J> from `ladder`, and `ladder` imports neither the class-merging
+sources, `verification` takes only the ladder route's walk and `cg_ladder`
+from `ladder`, and `ladder` imports neither the class-merging
 `sum_radicals` nor anything of `verification`; traced, no route runs a
-`verification` function.
+`verification` function.  Every route ends its values in
+`numerics._times_radical`, and no module but `numerics` names `_radical`.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import sys
 from typing import Callable
 
 import pytest
 
+import cgexact
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.ladder import TableRoute, build_full_table
@@ -112,9 +116,12 @@ def test_the_trace_sees_each_route_at_work(calls):
     } <= calls["closed form"]
     assert {
         "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
-        "ladder._scaled_lowering_element", "ladder._chain_components", "ladder._chain_value",
+        "ladder._scaled_lowering_element", "ladder._chain_components",
     } <= calls["ladder"]
     assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
+    # each route ends its values in the one constructor of x sqrt(n / d)
+    for route, called in calls.items():
+        assert "numerics._times_radical" in called, route
     # the ladder route lowers in integers: no action on states, no class merge
     assert calls["ladder"].isdisjoint({"verification._apply_ladder", "numerics.sum_radicals"})
     # the beta route is a second name of the closed-form build
@@ -131,7 +138,7 @@ def test_the_table_walk_builds_no_state_below_the_top(calls):
 
 def test_the_ladder_route_builds_its_top_in_integers(calls):
     # |J, J> comes from `_top`'s integer coordinates, each value one
-    # `_chain_value`: no root of a rational and no norm of exact values
+    # `_times_radical`: no root of a rational and no norm of exact values
     assert calls["ladder"].isdisjoint(
         {"numerics.RadicalSum.sqrt", "numerics.RadicalSum.rational", "numerics._dot"}
     )
@@ -198,7 +205,7 @@ def _imports(module) -> set[tuple[str, str]]:
 def test_the_ladder_check_takes_only_the_walk_from_the_route_module():
     imports = _imports(verification)
     taken = {name for module, name in imports if module.rsplit(".", 1)[-1] == "ladder"}
-    assert taken <= {"_chain_components", "_ladder_walk"}
+    assert taken <= {"_ladder_walk", "cg_ladder"}
     assert ("", "ladder") not in imports
     assert all(name != "TableRoute" for _, name in imports)
 
@@ -221,6 +228,16 @@ def test_the_route_module_names_no_formula_kernel():
     assert _names(ladder).isdisjoint(
         {"_closed_form_component", "_shared_factor", "_racah", "_cell_keys"}
     )
+
+
+def test_no_module_but_the_arithmetic_layer_names_radical():
+    # every route ends its values in `numerics._times_radical`, and none
+    # builds a (sign, n, d) term of its own through `_radical`
+    modules = [info.name for info in pkgutil.iter_modules(cgexact.__path__)]
+    assert {"formulas", "ladder", "verification", "cli"} <= set(modules)
+    for name in modules:
+        if name != "numerics":
+            assert "_radical" not in _names(importlib.import_module(f"cgexact.{name}")), name
 
 
 def test_the_route_module_holds_none_of_the_checks_arithmetic():
