@@ -14,14 +14,15 @@ terms, tuples of ints.
 A RadicalSum is a value: it is built, negated, compared, hashed, rendered
 and parsed, and has no other arithmetic.  Arithmetic on values lives in two
 functions on integers: `sum_radicals`, which sums ``(sign, n, d)`` terms
-and is the one function that merges classes, and `sum_signed_sqrts`, which
-sums integer terms over one common radical sqrt(n / d), one class by
-construction.  A value x * sqrt(n / d) with x an integer, as every route
-ends each coefficient, is built in one place, `_times_radical`, which
-`sum_signed_sqrts`, `RadicalSum.rational` and `parse` call too.
-`Fraction` appears only where a value enters or leaves as a rational:
-`RadicalSum.sqrt`, `rational`, the rational pieces of `parse`, `terms` and
-`as_fraction`.  Agreement checks carry no tolerance anywhere.
+one class per sweep and is the one function that merges classes, and
+`sum_signed_sqrts`, which sums integer terms over one common radical
+sqrt(n / d), one class by construction.  A value x * sqrt(n / d) with x an
+integer, as every route ends each coefficient, is built in one place,
+`_times_radical`, which `sum_signed_sqrts`, `RadicalSum.rational` and
+`parse` call too.  `Fraction` appears only where a value enters or leaves
+as a rational: `RadicalSum.sqrt`, `rational`, the rational pieces of
+`parse`, `terms` and `as_fraction`.  Agreement checks carry no tolerance
+anywhere.
 """
 
 from __future__ import annotations
@@ -209,13 +210,13 @@ def _dot(u: Mapping[int, "RadicalSum"], v: Mapping[int, "RadicalSum"]) -> "Radic
     """Exact inner product of two sparse real vectors: one `sum_radicals`
     call over the products of the (sign, n, d) terms of matched components,
     so a value of several classes gets its exact sum too."""
-    return sum_radicals(
+    return sum_radicals([
         (s * t, nu * nv, du * dv)
         for index, a in u.items()
         if (b := v.get(index)) is not None
         for s, nu, du in a._terms
         for t, nv, dv in b._terms
-    )
+    ])
 
 
 #: sort key of terms by the value n / d, compared in integers
@@ -415,29 +416,37 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     """Exact ``sum_i sign_i * sqrt(n_i / d_i)`` of independent radicals.
 
     Each term is ``(sign, n, d)`` with sign +1 or -1 and positive ints n and
-    d; unlike `sum_signed_sqrts`, each term has its own radicand.  The first
-    term opens a class at n_0 / d_0, and each later term is tested against
-    the open classes in turn: sqrt(n / d) = sqrt(n_0 / d_0) * k / (n_0 * d)
-    with k = isqrt(n_0 * d_0 * n * d) exactly when that integer is a perfect
-    square, so one integer square root decides each pair tested.  A term
-    that fits no class opens one of its own.  Each class is summed in plain
-    integers, and each class whose sum is not 0 becomes one term: the
-    reduced integer pair of its square, one gcd per class, in increasing
-    order of value.  So one or two terms of one class, as in a ladder step,
-    cost at most one square root and one gcd, and any input gets its exact
-    sum on this same path.
+    d; unlike `sum_signed_sqrts`, each term has its own radicand.  The sum
+    is taken one class per sweep.  A sweep opens the class of the first
+    term left, at n_0 / d_0, and tests each later term against it:
+    sqrt(n / d) = sqrt(n_0 / d_0) * k / (n_0 * d) with
+    k = isqrt(n_0 * d_0 * n * d) exactly when that integer is a perfect
+    square.  A term that fits joins the class's integer sum, whose
+    denominator stays the lcm of the units, and any other term waits for
+    the next sweep.  Each class whose sum is not 0 becomes one term, the
+    reduced integer pair of its square, in increasing order of value.  The
+    cost is one integer square root per term tested, two gcds per term
+    merged and one per class, so a one-class sum of T terms takes T - 1
+    square roots; any input gets its exact sum on this same path.
 
     This is the one function that merges commensurability classes:
     `RadicalSum.parse`, the ladder actions and `_dot` (the state norms and
     the unitarity inner products) all end here.
     """
-    classes: list[list[int]] = []  # [n0, d0, top, bottom]: sqrt(n0/d0) * top/bottom
-    for sign, n, d in terms:
-        if n <= 0 or d <= 0:
-            raise NegativeRadicandError(f"radicand {n}/{d} must be positive")
-        for cls in classes:
-            n0, d0, top, bottom = cls
-            product = n0 * d0 * n * d
+    out: list[Term] = []
+    pending: Iterator[Term] = iter(terms)
+    while (first := next(pending, None)) is not None:
+        sign, n0, d0 = first
+        if n0 <= 0 or d0 <= 0:
+            raise NegativeRadicandError(f"radicand {n0}/{d0} must be positive")
+        head = n0 * d0
+        top, bottom = sign, 1  # the class's sum: sqrt(n0 / d0) * top / bottom
+        later: list[Term] = []
+        for term in pending:
+            sign, n, d = term
+            if n <= 0 or d <= 0:
+                raise NegativeRadicandError(f"radicand {n}/{d} must be positive")
+            product = head * n * d
             k = isqrt(product)
             if k * k == product:
                 # top / bottom += sign * k / unit, bottom kept the lcm of the units
@@ -447,17 +456,17 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
                 unit //= g
                 g = gcd(bottom, unit)
                 unit //= g
-                cls[2] = top * unit + sign * k * (bottom // g)
-                cls[3] = bottom * unit
-                break
-        else:
-            classes.append([n, d, sign, 1])
-    out: list[Term] = []
-    for n0, d0, top, bottom in classes:
+                top = top * unit + sign * k * (bottom // g)
+                bottom *= unit
+            else:
+                later.append(term)
         if top:
             n, d = top * top * n0, bottom * bottom * d0
             g = gcd(n, d)
             out.append((1 if top > 0 else -1, n // g, d // g))
+        if not later:
+            break
+        pending = iter(later)
     if len(out) > 1:
         out.sort(key=_BY_VALUE)
     return _from_terms(tuple(out))

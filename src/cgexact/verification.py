@@ -229,16 +229,18 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
 
     # one Gram test per pass, inside each M block: the rows of a block by
     # J, visited in (J, M) order, then its columns by m1, in (M, m1) order;
-    # each vector meets every vector of its block at or after it
+    # each vector meets every vector of its block at or after it in the
+    # block's sorted indices, which start at the vector's own position i
     count = 0
     for label, index, blocks, order in (
-        ("row orthonormality", "J", rows, lambda vector: vector[::-1]),
+        ("row orthonormality", "J", rows, lambda vector: (vector[1], vector[0])),
         ("column completeness", "m1", columns, None),
     ):
-        vectors = sorted(((tM, t) for tM, block in blocks.items() for t in block), key=order)
-        for tM, t in vectors:
+        indices = {tM: sorted(block) for tM, block in blocks.items()}
+        vectors = ((tM, t, i) for tM, ts in indices.items() for i, t in enumerate(ts))
+        for tM, t, i in sorted(vectors, key=order):
             block = blocks[tM]
-            for tb in sorted(tb for tb in block if tb >= t):
+            for tb in indices[tM][i:]:
                 count += 1
                 product = _dot(block[t], block[tb])
                 if product != (one if tb == t else zero):
@@ -419,11 +421,11 @@ def _apply_ladder(
     Each new component is the sum of its two contributions, one from J(1)
     and one from J(2), each a radical whose square is that of the old
     component times the element's integer square, taken on the reduced
-    integer pair of each term; `sum_radicals` adds them with one integer
-    square root and one gcd.  A component of several classes brings one
-    contribution per class.  This is the one J+/J- kernel: `_ladder_cell`
-    calls it on the table walk's plain dicts.  Raises ValueError unless
-    ``divisor`` is at least 1.
+    integer pair of each term; `sum_radicals` adds two of one class with
+    one integer square root and three gcds.  A component of several classes
+    brings one contribution per class.  This is the one J+/J- kernel:
+    `_ladder_cell` calls it on the table walk's plain dicts.  Raises
+    ValueError unless ``divisor`` is at least 1.
     """
     if divisor < 1:
         raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
@@ -432,11 +434,17 @@ def _apply_ladder(
     contributions: dict[int, list[tuple[int, int, int]]] = {}
     for tm1, value in components.items():
         # J(1) moves m1 and J(2) moves m2 = M - m1, which keeps m1
-        for key, e in ((tm1 + step, element(tj1, tm1)), (tm1, element(tj2, tM - tm1))):
-            if e:
-                terms = contributions.setdefault(key, [])
-                for s, n, d in value._terms:
-                    terms.append((s, n * e, d * divisor))
+        e1, e2 = element(tj1, tm1), element(tj2, tM - tm1)
+        if e1 and (moved := contributions.get(tm1 + step)) is None:
+            moved = contributions[tm1 + step] = []
+        if e2 and (kept := contributions.get(tm1)) is None:
+            kept = contributions[tm1] = []
+        for s, n, d in value._terms:
+            d *= divisor
+            if e1:
+                moved.append((s, n * e1, d))
+            if e2:
+                kept.append((s, n * e2, d))
     return {
         key: value
         for key, terms in contributions.items()
@@ -458,8 +466,11 @@ def _subspaces(
     """A route's walk of a cell grouped by subspace: doubled J -> doubled
     M -> {doubled m1: value}."""
     groups: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    at = state = None
     for (tJ, tM, tm1), value in walk:
-        groups.setdefault(tJ, {}).setdefault(tM, {})[tm1] = value
+        if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
+            at, state = (tJ, tM), groups.setdefault(tJ, {}).setdefault(tM, {})
+        state[tm1] = value
     return groups
 
 

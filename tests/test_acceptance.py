@@ -6,7 +6,8 @@ equality everywhere else); no tolerances appear anywhere.
 
 The 2j <= 40 agreement sweep took 3.4-4.6 minutes with 2 jobs on a shared
 2-CPU Intel Xeon VM (Python 3.11.7) and is marked `extended` (deselected by
-default; run with `pytest -m extended`).
+default; run with `pytest -m extended`), as are the unitarity and ladder
+sweeps at 2j <= 20, which took 5.5 s and 3.8 s there with 2 jobs.
 """
 
 import time
@@ -90,6 +91,15 @@ def test_criterion_4_unitarity():
     _passline(4, "unitarity 2j<=12", report.scope)
 
 
+@pytest.mark.extended
+def test_criterion_4_unitarity_extended():
+    # long one-class inner products of large integers, summed in pool workers
+    report = check_unitarity_sweep(20, jobs=2)
+    assert report.passed, report.counterexample
+    assert report.scope == "2j <= 20, 513590 cases"
+    _passline(4, "unitarity 2j<=20 (extended)", f"{report.scope}, {report.elapsed:.1f}s")
+
+
 def test_criterion_5_radical_collapse():
     report = check_radical_collapse(12)
     assert report.passed, report.counterexample
@@ -100,6 +110,17 @@ def test_criterion_6_highest_weight_certificate():
     report = check_ladder_consistency(16)
     assert report.passed, report.counterexample
     _passline(6, "highest-weight and ladder consistency 2j<=16", report.scope)
+
+
+@pytest.mark.extended
+def test_criterion_6_highest_weight_certificate_extended():
+    report = check_ladder_consistency(20, jobs=2)
+    assert report.passed, report.counterexample
+    assert report.scope == "2j <= 20, 3311 cases"
+    _passline(
+        6, "highest-weight and ladder consistency 2j<=20 (extended)",
+        f"{report.scope}, {report.elapsed:.1f}s",
+    )
 
 
 def test_criterion_7_threej_symmetries():

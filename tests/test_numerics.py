@@ -344,13 +344,23 @@ def test_sum_signed_sqrts_rejects_nonpositive():
                 sum_signed_sqrts(terms, n, d)
 
 
-# radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3)
-# and unrelated ones, so that sums open several classes and merge in them
-_RADICANDS = st.sampled_from(
-    [(1, 1), (4, 1), (9, 4), (2, 1), (8, 1), (1, 2), (9, 8), (3, 1), (12, 1), (1, 3)]
-) | st.tuples(st.integers(1, 60), st.integers(1, 60))
+# radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3),
+# unrelated ones, and large squares (about 2**60) times small kernels, so
+# that sums open several classes and merge in them, in small and in large
+# integers; up to 40 terms, as many as a unitarity inner product at 2j <= 40
+_RADICANDS = (
+    st.sampled_from(
+        [(1, 1), (4, 1), (9, 4), (2, 1), (8, 1), (1, 2), (9, 8), (3, 1), (12, 1), (1, 3)]
+    )
+    | st.tuples(st.integers(1, 60), st.integers(1, 60))
+    | st.builds(
+        lambda k, a, j, b: (k * k * a, j * j * b),
+        st.integers(2**29, 2**30), st.sampled_from([1, 2, 3, 6]),
+        st.integers(1, 2**10), st.sampled_from([1, 2, 3]),
+    )
+)
 _RADICAL_TERMS = st.lists(
-    st.tuples(st.sampled_from([1, -1]), _RADICANDS), max_size=7
+    st.tuples(st.sampled_from([1, -1]), _RADICANDS), max_size=40
 ).map(lambda pairs: [(sign, n, d) for sign, (n, d) in pairs])
 
 
@@ -381,8 +391,56 @@ def test_sum_radicals_examples():
 
 def test_sum_radicals_rejects_nonpositive():
     for n, d in ((0, 1), (-1, 1), (1, 0), (-1, 4), (1, -4)):
-        with pytest.raises(NegativeRadicandError, match="must be positive"):
-            sum_radicals([(1, 1, 1), (1, n, d)])
+        # the bad term opens the first class, joins a class's sweep, or is
+        # left by the first class for a later sweep
+        for terms in ([(1, n, d)], [(1, 1, 1), (1, n, d)], [(1, 2, 1), (1, 3, 1), (1, n, d)]):
+            with pytest.raises(NegativeRadicandError, match=rf"^radicand {n}/{d} must be positive$"):
+                sum_radicals(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RADICAL_TERMS.flatmap(lambda terms: st.tuples(st.just(terms), st.permutations(terms))))
+def test_sum_radicals_is_independent_of_term_order(terms_and_permutation):
+    # the classes are swept in the order of their first terms, and any
+    # order of the terms gives the same canonical terms
+    terms, permuted = terms_and_permutation
+    assert sum_radicals(permuted)._terms == sum_radicals(terms)._terms
+
+
+def _primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_sum_radicals_sweeps_more_classes_than_the_recursion_limit():
+    # sqrt(p) over the first 1 100 primes: pairwise incommensurable, so each
+    # term is a class of its own, one sweep each, more than the default
+    # recursion limit of 1 000 frames
+    primes = _primes(1100)
+    value = sum_radicals([(1, p, 1) for p in reversed(primes)])
+    assert value._terms == tuple((1, p, 1) for p in primes)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40])
+def test_one_class_sum_takes_one_isqrt_per_later_term(monkeypatch, count):
+    # sqrt(2) * k / j for k, j up to 40 and either sign: one class, so each
+    # term after the first is tested once, against the first term's class
+    calls = []
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(numerics, "isqrt", counting_isqrt)
+    terms = [((-1) ** k, 2 * k * k, (41 - k) ** 2) for k in range(1, count + 1)]
+    value = sum_radicals(terms)
+    assert len(calls) == count - 1
+    assert list(value.terms()) == merged_terms((s, Fraction(n, d)) for s, n, d in terms)
 
 
 # ---------------------------------------------------------------------------
