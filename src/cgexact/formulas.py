@@ -5,19 +5,21 @@ derived from ladder-operator subspace reconstruction (`cg_alternative`) and
 Racah's classical single sum, its factorials regrouped into binomials so
 that the sum is taken in integers (`cg_racah`).  They are kept
 algorithmically disjoint on purpose; the verification module certifies their
-exact agreement.  The Wigner 3j symbol is obtained from the Racah route via
-the standard phase-and-normalization conversion.
+exact agreement.  The Wigner 3j symbol is Racah's integer sum under the 3j
+phase and normalization (`_wigner3j`).
 
 All index arithmetic happens on doubled integers (``HalfInt.twice``), so
 every loop bound is a plain int and no rounding can occur, and every
 binomial is a `math.comb` of nonnegative arguments.  The closed form's
 norm sum is the Chu-Vandermonde ratio C(2J+m+1, m) / C(2j1, m), computed
 per state (`_shared_factor`), so nothing is cached.  Each route's value
-is an integer sum times the square root of one rational, so one radical by
-construction, built by `numerics._times_radical`: each term is a product
-of binomials, stepped from the one before by exact division through its
-term ratio, which each kernel writes in its own loop from its own
-binomials.
+and each 3j symbol is an integer sum times the square root of one
+rational, built by `numerics._times_radical`, so one radical by
+construction.  Each term of a sum is a product of binomials, stepped from
+the one before by exact division through its term ratio, which each
+kernel writes in its own loop from its own binomials.  Racah's kernel
+`_racah_sum` returns its sum and radicand as integers, and `_racah` and
+`_wigner3j` each build one value from them.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .numerics import HalfInt, RadicalSum, _from_terms, _j_range, _times_radical, sum_signed_sqrts
+from .numerics import HalfInt, RadicalSum, _j_range, _times_radical, sum_signed_sqrts
 
 __all__ = [
     "CouplingSpec",
@@ -250,10 +252,11 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     )
 
 
-def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
-    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, in
-    binomial form, for arguments that are well-formed and obey the triangle
-    rule with j1 + j2 + J an integer; only the public entry points validate.
+def _racah_sum(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> tuple[int, int, int]:
+    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, as
+    the integers (S, n, d) of C = S sqrt(n / d), for arguments that are
+    well-formed and obey the triangle rule with j1 + j2 + J an integer;
+    only the public entry points validate.
 
     Let g1 = j1+j2-J, g2 = J+j1-j2 and g3 = J+j2-j1, so that 2j1 = g1+g2,
     2j2 = g1+g3 and 2J = g2+g3.  The six factorials of each term of
@@ -271,12 +274,10 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
 
     Only the first term is built from binomials.  Each later one is
     t_(z+1) = t_z (g1-z)(j1-m1-z)(j2+m2-z) // ((z+1)(d1+z+1)(d2+z+1)),
-    with d1 = J-j2+m1 and d2 = J-j1-m2: the ratio of the three binomials.
+    with d1 = J-j2+m1 and d2 = J-j1-m2: the ratio of the three binomials,
+    which `tests/test_symbolic.py` reads from this source and proves.
     The division is exact, since its quotient t_(z+1) is a product of
-    binomials.  So S is an integer sum with no factorial and no fraction,
-    and C is S times the square root of one rational: structurally a
-    single-term RadicalSum, built by `_times_radical` as each value of
-    `cg_alternative` is.
+    binomials.  So S is an integer sum with no factorial and no fraction.
     """
     g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
     g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
@@ -292,11 +293,17 @@ def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
     for z in range(z_lo, min(g1, a, b)):
         term = -term * ((g1 - z) * (a - z) * (b - z)) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
         total += term
-    return _times_radical(
+    return (
         total,
         comb(tj1, g1) * comb(tj2, g1),
         comb(g1 + tJ + 1, g1) * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2),
     )
+
+
+def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
+    """Racah's coefficient S sqrt(n / d) of `_racah_sum`, one term or 0,
+    built by `_times_radical` as every route's value is."""
+    return _times_radical(*_racah_sum(tj1, tj2, tJ, tM, tm1))
 
 
 def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
@@ -308,30 +315,21 @@ def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], Radi
             yield key, value
 
 
-def _racah_to_3j(value: RadicalSum, tj1: int, tj2: int, tJ: int, tM: int) -> RadicalSum:
-    """3j(j1 j2 J; m1 m2 -M) = (-1)^(M+j1-j2) / sqrt(2J+1) * C, from doubled
-    arguments with M + j1 - j2 an integer: each term of C times the one
-    radical phase * sqrt(1 / (2J+1)) by `_times_radical`, so no classes
-    merge."""
-    phase = -1 if ((tM + tj1 - tj2) // 2) & 1 else 1
-    # one factor on every term keeps their classes apart and in order; 0 stays 0
-    scaled = (_times_radical(s * phase, n, d * (tJ + 1))._terms[0] for s, n, d in value._terms)
-    return _from_terms(tuple(scaled))
-
-
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
-    """3j(ja jb jc; ma mb -ma-mb) from doubled columns that `_racah` takes
-    at J = jc and M = ma + mb, converted by `_racah_to_3j`."""
+    """3j(ja jb jc; ma mb -ma-mb) from doubled columns: with Racah's
+    integers (S, n, d) at J = jc and M = ma + mb (`_racah_sum`), the symbol
+    is (-1)^(M+ja-jb) S sqrt(n / (d (2J+1))), one `_times_radical`."""
     tM = ma + mb
-    return _racah_to_3j(_racah(ja, jb, jc, tM, ma), ja, jb, jc, tM)
+    total, n, d = _racah_sum(ja, jb, jc, tM, ma)
+    return _times_radical(-total if ((tM + ja - jb) // 2) & 1 else total, n, d * (jc + 1))
 
 
 def wigner3j(spec: ThreeJSpec) -> RadicalSum:
     """Wigner 3j symbol with standard selection rules.
 
-    Computed from the Racah route through the CG conversion so that the 3j
-    symmetry suite stays an independent check on the other formulas.  The
-    coupling spec has J = j3 and M = -m3, so its validation rejects
+    Racah's integer sum under the 3j phase and normalization, so that the
+    3j symmetry suite checks Racah's formula apart from the other routes.
+    The coupling spec has J = j3 and M = -m3, so its validation rejects
     malformed columns and gives 0 when m1 + m2 + m3 != 0 or the triangle
     rule fails; every other symbol is `_wigner3j`.
     """

@@ -17,12 +17,12 @@ functions on integers: `sum_radicals`, which sums ``(sign, n, d)`` terms
 one class per sweep and is the one function that merges classes, and
 `sum_signed_sqrts`, which sums integer terms over one common radical
 sqrt(n / d), one class by construction.  A value x * sqrt(n / d) with x an
-integer, as every route ends each coefficient, is built in one place,
-`_times_radical`, which `sum_signed_sqrts`, `RadicalSum.rational` and
-`parse` call too.  `Fraction` appears only where a value enters or leaves
-as a rational: `RadicalSum.sqrt`, `rational`, the rational pieces of
-`parse`, `terms` and `as_fraction`.  Agreement checks carry no tolerance
-anywhere.
+integer, as every route ends each coefficient and `formulas._wigner3j`
+each 3j symbol, is built in one place, `_times_radical`, which
+`sum_signed_sqrts`, `RadicalSum.rational` and `parse` call too.
+`Fraction` appears only where a value enters or leaves as a rational:
+`RadicalSum.sqrt`, `rational`, the rational pieces of `parse`, `terms` and
+`as_fraction`.  Agreement checks carry no tolerance anywhere.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ sources, `verification` takes only the ladder route's walk and `cg_ladder`
 from `ladder`, and `ladder` imports neither the class-merging
 `sum_radicals` nor anything of `verification`; traced, no route runs a
 `verification` function.  Every route ends its values in
-`numerics._times_radical`, and no module but `numerics` names `_radical`.
+`numerics._times_radical`, and no module but `numerics` names `_radical`
+or `_from_terms`.
 """
 
 import ast
@@ -118,7 +119,7 @@ def test_the_trace_sees_each_route_at_work(calls):
         "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
         "ladder._scaled_lowering_element", "ladder._chain_components",
     } <= calls["ladder"]
-    assert {"formulas._racah", "formulas._cell_keys"} <= calls["racah"]
+    assert {"formulas._racah", "formulas._racah_sum", "formulas._cell_keys"} <= calls["racah"]
     # each route ends its values in the one constructor of x sqrt(n / d)
     for route, called in calls.items():
         assert "numerics._times_radical" in called, route
@@ -164,7 +165,7 @@ def test_racah_calls_no_ladder_function_and_no_closed_form_helper(calls):
 
 def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
     closed = calls["closed form"]
-    assert "formulas._racah" not in closed
+    assert closed.isdisjoint({"formulas._racah", "formulas._racah_sum"})
     assert closed.isdisjoint(
         {"verification._apply_ladder", "ladder._integer_chain", "ladder._scaled_lowering_element"}
     )
@@ -226,18 +227,20 @@ def _names(module) -> set[str]:
 
 def test_the_route_module_names_no_formula_kernel():
     assert _names(ladder).isdisjoint(
-        {"_closed_form_component", "_shared_factor", "_racah", "_cell_keys"}
+        {"_closed_form_component", "_shared_factor", "_racah", "_racah_sum", "_cell_keys"}
     )
 
 
 def test_no_module_but_the_arithmetic_layer_names_radical():
     # every route ends its values in `numerics._times_radical`, and none
-    # builds a (sign, n, d) term of its own through `_radical`
+    # builds a (sign, n, d) term of its own through `_radical` or
+    # `_from_terms`
     modules = [info.name for info in pkgutil.iter_modules(cgexact.__path__)]
     assert {"formulas", "ladder", "verification", "cli"} <= set(modules)
     for name in modules:
         if name != "numerics":
-            assert "_radical" not in _names(importlib.import_module(f"cgexact.{name}")), name
+            names = _names(importlib.import_module(f"cgexact.{name}"))
+            assert names.isdisjoint({"_radical", "_from_terms"}), name
 
 
 def test_the_route_module_holds_none_of_the_checks_arithmetic():

@@ -14,7 +14,9 @@ division ``term = -term * a_l // b_l``.
 certificates prove, with symbols, that a_l / b_l is the ratio of the T_l,
 so the division is exact, and that U_l T_l^2 is the radicand R_l.  A
 numeric test holds the transcription to the kernel's own arguments, so
-that neither can drift from the other.
+that neither can drift from the other.  Racah's kernel
+`formulas._racah_sum` steps its terms t_z = C(g1, z) C(g2, a-z) C(g3, b-z)
+the same way, and `_kernel_step` reads that step out of its source too.
 
 The ladder route lowers in a basis scaled by 1 / sqrt(C(2j, j-m)), where
 `ladder._scaled_lowering_element` is the J- element; its certificate
@@ -49,12 +51,12 @@ def _route1_binomials(tj1, tj2, m, s, k, l, choose=binomial):
 _SYMBOLS = "tj1 tj2 m s k l"
 
 
-def _kernel_step():
-    """The symbols of `_SYMBOLS` and (a_l, b_l) of the step
-    ``term = -term * a_l // b_l`` in the loop of `_closed_form_component`,
-    evaluated on those symbols from the kernel's own source, with its local
-    names (q2, d) evaluated from its own assignments."""
-    source = textwrap.dedent(inspect.getsource(formulas._closed_form_component))
+def _kernel_step(kernel, names: str, local_names: set[str]):
+    """The symbols ``names`` and (a, b) of the step ``term = -term * a // b``
+    in the loop of ``kernel``, evaluated on those symbols from the kernel's
+    own source, with its local names ``local_names`` evaluated from its own
+    assignments."""
+    source = textwrap.dedent(inspect.getsource(kernel))
     function = ast.parse(source).body[0]
     (loop,) = [node for node in function.body if isinstance(node, ast.For)]
     (step,) = [
@@ -66,11 +68,13 @@ def _kernel_step():
     product = division.left
     assert isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult)
     assert ast.unparse(product.left) == "-term"
-    symbols = sympy.symbols(_SYMBOLS, integer=True)
-    namespace = dict(zip(_SYMBOLS.split(), symbols))
+    symbols = sympy.symbols(names, integer=True)
+    namespace = dict(zip(names.split(), symbols))
     for node in function.body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("q2", "d"):
-            namespace[node.targets[0].id] = eval(ast.unparse(node.value), {}, namespace)
+        if isinstance(node, ast.Assign):
+            targets = {n.id for n in ast.walk(node.targets[0]) if isinstance(n, ast.Name)}
+            if targets <= local_names:
+                exec(ast.unparse(node), {}, namespace)
 
     def evaluated(node):
         return eval(ast.unparse(node), {}, namespace)
@@ -78,14 +82,34 @@ def _kernel_step():
     return symbols, evaluated(product.right), evaluated(division.right)
 
 
+def _closed_form_step():
+    """`_kernel_step` of `_closed_form_component`: (a_l, b_l) on `_SYMBOLS`,
+    with its local names (q2, d)."""
+    return _kernel_step(formulas._closed_form_component, _SYMBOLS, {"q2", "d"})
+
+
 def test_closed_form_step_is_the_ratio_of_the_binomial_terms():
-    (tj1, tj2, m, s, k, l), a, b = _kernel_step()
+    (tj1, tj2, m, s, k, l), a, b = _closed_form_step()
 
     def term(i):
         return _route1_binomials(tj1, tj2, m, s, k, i, sympy.binomial)[0]
 
     ratio = sympy.combsimp(term(l + 1) / term(l))
     assert sympy.cancel(ratio - a / b) == 0
+
+
+def test_racah_step_is_the_ratio_of_the_binomial_terms():
+    # t_z = C(g1, z) C(g2, a-z) C(g3, b-z), with `_racah_sum`'s d1 and d2
+    # evaluated from its own assignment on the symbols g2, g3, a and b
+    (g1, g2, g3, a, b, z), up, down = _kernel_step(
+        formulas._racah_sum, "g1 g2 g3 a b z", {"d1", "d2"}
+    )
+
+    def term(i):
+        return sympy.binomial(g1, i) * sympy.binomial(g2, a - i) * sympy.binomial(g3, b - i)
+
+    ratio = sympy.combsimp(term(z + 1) / term(z))
+    assert sympy.cancel(ratio - up / down) == 0
 
 
 def test_closed_form_radical_times_the_term_squared_is_the_radicand():
@@ -99,7 +123,7 @@ def test_closed_form_radical_times_the_term_squared_is_the_radicand():
 
 
 def test_closed_form_step_squared_is_the_weight_ratio():
-    (tj1, tj2, m, s, k, l), a, b = _kernel_step()
+    (tj1, tj2, m, s, k, l), a, b = _closed_form_step()
 
     def weight(i):
         numer, denom = weight_binomials(tj1, tj2, m, s, i, k - i, sympy.binomial)

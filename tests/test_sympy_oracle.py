@@ -1,5 +1,9 @@
-"""Outside oracle: sympy's Clebsch-Gordan coefficients against the
-in-house routes, compared by sign and square."""
+"""Outside oracle: sympy's Clebsch-Gordan coefficients and 3j symbols
+against the in-house routes and `wigner3j`, compared by sign and square.
+
+The 3j symmetry check cannot see a fault that keeps every symmetry, such
+as a global sign or a sign on every symbol with j1 + j2 + j3 odd; these
+comparisons can."""
 
 from fractions import Fraction
 
@@ -8,9 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
-from sympy.physics.wigner import clebsch_gordan  # noqa: E402
+from sympy.physics.wigner import clebsch_gordan, wigner_3j  # noqa: E402
 
-from cgexact.formulas import CouplingSpec, cg_alternative, cg_racah  # noqa: E402
+from cgexact.formulas import (  # noqa: E402
+    CouplingSpec,
+    ThreeJSpec,
+    _wigner3j,
+    cg_alternative,
+    cg_racah,
+    wigner3j,
+)
 from cgexact.ladder import cg_ladder  # noqa: E402
 from cgexact.numerics import HalfInt  # noqa: E402
 
@@ -35,18 +46,45 @@ def _sign_and_square(value) -> tuple[int, Fraction]:
     return terms[0] if terms else (0, Fraction(0))
 
 
+def _sympy_sign_and_square(expected) -> tuple[int, Fraction]:
+    square = expected**2
+    assert square.is_Rational
+    return int(sympy.sign(expected)), Fraction(int(square.p), int(square.q))
+
+
 @settings(max_examples=150, deadline=None)
 @given(well_formed_specs())
 def test_routes_match_sympy_sign_and_square(twice):
     j1, j2, m1, m2, J, M = (sympy.Rational(t, 2) for t in twice)
-    expected = clebsch_gordan(j1, j2, J, m1, m2, M)
-    square = expected**2
-    assert square.is_Rational
-    expected_pair = (
-        int(sympy.sign(expected)),
-        Fraction(int(square.p), int(square.q)),
-    )
+    expected_pair = _sympy_sign_and_square(clebsch_gordan(j1, j2, J, m1, m2, M))
     spec = CouplingSpec(*(HalfInt.from_twice(t) for t in twice))
     assert _sign_and_square(cg_racah(spec)) == expected_pair
     assert _sign_and_square(cg_alternative(spec)) == expected_pair
     assert _sign_and_square(cg_ladder(spec)) == expected_pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(well_formed_specs())
+def test_wigner3j_matches_sympy_sign_and_square(twice):
+    # the coupling spec (j1, j2, m1, m2, J, M) is the symbol 3j(j1 j2 J; m1 m2 -M)
+    tj1, tj2, tm1, tm2, tJ, tM = twice
+    columns = (tj1, tj2, tJ, tm1, tm2, -tM)
+    expected = wigner_3j(*(sympy.Rational(t, 2) for t in columns))
+    spec = ThreeJSpec(*(HalfInt.from_twice(t) for t in columns))
+    assert _sign_and_square(wigner3j(spec)) == _sympy_sign_and_square(expected)
+
+
+def test_every_3j_symbol_up_to_2j_8_matches_sympy_sign_and_square():
+    # every symbol that the 3j check evaluates at 2j <= 8, zeros included
+    count = 0
+    for ja in range(9):
+        for jb in range(9):
+            for jc in range(abs(ja - jb), min(ja + jb, 8) + 1, 2):
+                for ma in range(-ja, ja + 1, 2):
+                    for mb in range(max(-jb, -ma - jc), min(jb, jc - ma) + 1, 2):
+                        half = (sympy.Rational(t, 2) for t in (ja, jb, jc, ma, mb, -ma - mb))
+                        expected = _sympy_sign_and_square(wigner_3j(*half))
+                        value = _wigner3j(ja, jb, jc, ma, mb)
+                        assert _sign_and_square(value) == expected, (ja, jb, jc, ma, mb)
+                        count += 1
+    assert count == 4451

@@ -345,17 +345,17 @@ def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
 
 
 def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
-    # sqrt(1/3) added to C(1/2 1/2 0; 1/2 -1/2 | 0 0) = sqrt(1/2): the 3j
-    # conversion gets a value of two classes and passes it on
-    original = formulas._racah
+    # sqrt(1/3) added to 3j(1/2 1/2 0; 1/2 -1/2 0) = sqrt(1/2): the check
+    # compares a symbol of two classes with its images and reports it
+    original = verification._wigner3j
 
-    def broken(tj1, tj2, tJ, tM, tm1):
-        value = original(tj1, tj2, tJ, tM, tm1)
-        if (tj1, tj2, tJ, tM, tm1) == (1, 1, 0, 0, 1):
+    def broken(ja, jb, jc, ma, mb):
+        value = original(ja, jb, jc, ma, mb)
+        if (ja, jb, jc, ma, mb) == (1, 1, 0, 1, -1):
             value = RadicalSum.parse(f"{value} + sqrt(1/3)")
         return value
 
-    monkeypatch.setattr(formulas, "_racah", broken)
+    monkeypatch.setattr(verification, "_wigner3j", broken)
     report = check_threej_symmetries(1)
     assert not report.passed
     values = report.counterexample.values.values()
@@ -393,14 +393,14 @@ def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch, forked_poo
 
 
 def test_a_route_that_raises_fails_the_3j_check_at_its_triple(monkeypatch):
-    original = formulas._racah
+    original = formulas._racah_sum
 
     def broken(tj1, tj2, tJ, tM, tm1):
         if (tj1, tj2, tJ) == (1, 2, 1):
             raise ValueError("broken Racah kernel")
         return original(tj1, tj2, tJ, tM, tm1)
 
-    monkeypatch.setattr(formulas, "_racah", broken)
+    monkeypatch.setattr(formulas, "_racah_sum", broken)
     report = check_threej_symmetries(2)
     assert not report.passed
     assert report.counterexample == Counterexample(
@@ -684,16 +684,16 @@ def test_threej_evaluates_each_symbol_once(monkeypatch):
 
 
 def test_flipped_racah_cell_fails_agreement_threej_and_condon_shortley(monkeypatch):
-    # every Racah value of the cell (j1=1, j2=1/2) changes sign: the checks
+    # every Racah sum S of the cell (j1=1, j2=1/2) changes sign: the checks
     # that read the Racah kernel, through the table walk, cg_racah or
     # _wigner3j, must each fail there
-    original = formulas._racah
+    original = formulas._racah_sum
 
     def flipped(tj1, tj2, tJ, tM, tm1):
-        value = original(tj1, tj2, tJ, tM, tm1)
-        return -value if (tj1, tj2) == (2, 1) else value
+        total, n, d = original(tj1, tj2, tJ, tM, tm1)
+        return (-total if (tj1, tj2) == (2, 1) else total), n, d
 
-    monkeypatch.setattr(formulas, "_racah", flipped)
+    monkeypatch.setattr(formulas, "_racah_sum", flipped)
     report = check_formula_agreement(2)
     assert (report.scope, report.counterexample) == (
         "2j <= 2, 28 cases",
