@@ -4,10 +4,9 @@ Each subspace is built in integer coordinates over a scaled product basis,
 where J+ and J- have integer elements.  Its highest-weight state |J, J>
 comes from the J+ annihilation recurrence (`_top`), and the other states
 from repeated exact lowering (`_integer_chain`: the iterative route, kept
-deliberately independent so it can serve as an oracle).  A state as exact
-values is a plain {doubled m1: value} dict of its nonzero components, as
-`_chain_components` yields them, and `_ladder_walk` reads them back as
-the route's table of a cell.  `build_full_table` runs each route's walk.
+deliberately independent so it can serve as an oracle).  `_ladder_walk`
+turns each state's integer coordinates into the exact values of the
+route's table of a cell.  `build_full_table` runs each route's walk.
 """
 
 from __future__ import annotations
@@ -102,39 +101,30 @@ def _integer_chain(tj1: int, tj2: int, tJ: int) -> Iterator[tuple[int, list[int]
         yield lo, xs, n, d
 
 
-def _chain_components(tj1: int, tj2: int, tJ: int) -> Iterator[dict[int, RadicalSum]]:
-    """The states of `_integer_chain`, s = 0 .. 2J, each a dict of the
-    values x sqrt(n / (d C(2j1, k) C(2j2, m + s - k))) of its nonzero
-    coordinates x, keyed by the doubled m1, in ascending m1."""
-    m = (tj1 + tj2 - tJ) // 2
-    w1 = [comb(tj1, k) for k in range(tj1 + 1)]
-    w2 = [comb(tj2, k) for k in range(tj2 + 1)]
-    for s, (lo, xs, n, d) in enumerate(_integer_chain(tj1, tj2, tJ)):
-        base = m + s
-        yield {
-            tj1 - 2 * k: _times_radical(x, n, d * w1[k] * w2[base - k])
-            for k in range(lo + len(xs) - 1, lo - 1, -1)
-            if (x := xs[k - lo])
-        }
-
-
 def _ladder_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
     """Every nonzero value of the ladder route's table of the (2j1, 2j2)
-    cell, keyed by its doubled (J, M, m1), in increasing key order:
-    `_chain_components` read back up, |J, J> last.  Raises ArithmeticError
+    cell, keyed by its doubled (J, M, m1), in increasing key order: each
+    nonzero coordinate x of `_integer_chain`, read back up with |J, J> last,
+    as x sqrt(n / (d C(2j1, k) C(2j2, m + s - k))).  Raises ArithmeticError
     naming (j1, j2, J) unless the chain has exactly 2J states below |J, J>.
     """
+    w1 = [comb(tj1, k) for k in range(tj1 + 1)]
+    w2 = [comb(tj2, k) for k in range(tj2 + 1)]
     for tJ in _j_range(tj1, tj2):
-        states = list(_chain_components(tj1, tj2, tJ))
+        states = list(_integer_chain(tj1, tj2, tJ))
         if len(states) != tJ + 1:
             j1, j2, J = (HalfInt.from_twice(t) for t in (tj1, tj2, tJ))
             raise ArithmeticError(
                 f"the ladder chain of (j1={j1}, j2={j2}, J={J}) has {len(states) - 1} "
                 f"states below |J, J>, not 2J = {tJ}"
             )
-        for s in range(tJ, -1, -1):  # ascending M = J - s
-            for tm1, value in states[s].items():
-                yield (tJ, tJ - 2 * s, tm1), value
+        m = (tj1 + tj2 - tJ) // 2
+        for s in range(tJ, -1, -1):  # ascending M = J - s, then ascending m1
+            lo, xs, n, d = states[s]
+            for k in range(lo + len(xs) - 1, lo - 1, -1):
+                if x := xs[k - lo]:
+                    value = _times_radical(x, n, d * w1[k] * w2[m + s - k])
+                    yield (tJ, tJ - 2 * s, tj1 - 2 * k), value
 
 
 def cg_ladder(spec: CouplingSpec) -> RadicalSum:

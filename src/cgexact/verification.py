@@ -303,7 +303,10 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
 
     Column permutations and m negation keep the multiset {ja, jb, jc}, so
     each image of a symbol lies in the same unit: every symbol is evaluated
-    once, from its own columns, and each comparison is a lookup.
+    once, from its own columns, and each comparison is a lookup.  Each
+    stretched symbol 3j(ja jb jc; ja, jc-ja, -jc) has the sign (-1)^(ja-jb+jc)
+    of <ja ja; jb jc-ja | jc jc> > 0, which a sign fault that keeps every
+    symmetry cannot keep.
     """
     symbols: dict[tuple[int, ...], RadicalSum] = {}
     for ja, jb, jc in sorted(set(itertools.permutations(unit))):
@@ -334,12 +337,18 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
                     description=f"{label} of {_threej_spec(key)}",
                     values={"base": str(base), "permuted": str(value)},
                 )
+        if ma == ja and mc == -jc and base.sign() != (sign := (-1) ** ((ja - jb + jc) // 2)):
+            return count, Counterexample(
+                description=f"sign of the stretched {_threej_spec(key)}",
+                values={"base": str(base), "expected sign": f"{sign:+d}"},
+            )
     return count, None
 
 
 def check_threej_symmetries(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Even column permutations leave the 3j symbol fixed; odd permutations
-    and simultaneous m negation multiply it by (-1)^(j1+j2+j3).
+    and simultaneous m negation multiply it by (-1)^(j1+j2+j3); a stretched
+    symbol 3j(j1 j2 j3; j1, j3-j1, -j3) has the sign (-1)^(j1-j2+j3).
 
     The sweep runs over sorted doubled j-triples a <= b <= c <= max_twice_j
     with c <= a + b and a + b + c even, and evaluates every symbol in range

@@ -42,8 +42,8 @@ def components_of(state, tM):
 
 def top_state(j1, j2, J):
     """The ladder route's |J, J> as the walk reads it: the first state of
-    `ladder._chain_components`, a {doubled m1: value} dict."""
-    return next(ladder._chain_components(HalfInt(j1).twice, HalfInt(j2).twice, HalfInt(J).twice))
+    its subspace in `walk_states`, a {doubled m1: value} dict."""
+    return walk_states(j1, j2, TableRoute.LADDER_ITERATIVE)[HalfInt(J).twice][0]
 
 
 def alphas(j1, j2, m: int):

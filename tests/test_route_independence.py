@@ -117,7 +117,7 @@ def test_the_trace_sees_each_route_at_work(calls):
     } <= calls["closed form"]
     assert {
         "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
-        "ladder._scaled_lowering_element", "ladder._chain_components",
+        "ladder._scaled_lowering_element", "ladder._ladder_walk",
     } <= calls["ladder"]
     assert {"formulas._racah", "formulas._racah_sum", "formulas._cell_keys"} <= calls["racah"]
     # each route ends its values in the one constructor of x sqrt(n / d)
@@ -133,7 +133,7 @@ def test_the_table_walk_builds_no_state_below_the_top(calls):
     # the walk reads the closed-form kernel straight: it builds no
     # closed-form state at all, and each value is the kernel's one radical
     assert calls["closed form"].isdisjoint(
-        {"ladder._chain_components", "numerics._dot", "numerics.sum_radicals"}
+        {"ladder._ladder_walk", "numerics._dot", "numerics.sum_radicals"}
     )
 
 

@@ -362,6 +362,45 @@ def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
     assert RadicalSum.parse("sqrt(1/3) + sqrt(1/2)") in map(RadicalSum.parse, values)
 
 
+def _negated_at_odd_sum(symbol):
+    def wrong(ja, jb, jc, ma, mb):
+        value = symbol(ja, jb, jc, ma, mb)
+        return -value if (ja + jb + jc) // 2 & 1 else value
+
+    return wrong
+
+
+def _negated(symbol):
+    return lambda ja, jb, jc, ma, mb: -symbol(ja, jb, jc, ma, mb)
+
+
+@pytest.mark.parametrize(
+    "mutant, stretched, base, sign",
+    [
+        (_negated_at_odd_sum, "3j(0 1/2 1/2; 0 1/2 -1/2)", "-sqrt(1/2)", "+1"),
+        (_negated, "3j(0 0 0; 0 0 0)", "-1", "+1"),
+    ],
+)
+def test_threej_fails_on_a_sign_fault_that_keeps_every_symmetry(
+    monkeypatch, mutant, stretched, base, sign
+):
+    # each symbol's images flip with it, so only the stretched symbol's
+    # sign (-1)^(ja-jb+jc), from <ja ja; jb jc-ja | jc jc> > 0, sees it
+    from click.testing import CliRunner
+
+    from cgexact.cli import cli
+
+    monkeypatch.setattr(verification, "_wigner3j", mutant(verification._wigner3j))
+    report = check_threej_symmetries(8)
+    assert not report.passed
+    assert report.counterexample == Counterexample(
+        f"sign of the stretched {stretched}", {"base": base, "expected sign": sign}
+    )
+    result = CliRunner().invoke(cli, ["verify", "--checks", "threej", "--max-2j", "8"])
+    assert result.exit_code == 2, result.output
+    assert f"sign of the stretched {stretched}" in result.output
+
+
 _KERNEL = formulas._closed_form_component
 
 
@@ -484,15 +523,16 @@ def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
 def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatch):
     # the chain loses |J=1, M=-1> of the cell (j1=1/2, j2=1/2): the walk
     # yields nothing there, and the check sees an empty state
-    original = ladder._chain_components
+    original = ladder._integer_chain
 
     def losing_the_last(tj1, tj2, tJ):
         states = list(original(tj1, tj2, tJ))
         if (tj1, tj2, tJ) == (1, 1, 2):
-            states[-1] = {}
+            lo, xs, n, d = states[-1]
+            states[-1] = (lo, [0] * len(xs), n, d)
         return iter(states)
 
-    monkeypatch.setattr(ladder, "_chain_components", losing_the_last)
+    monkeypatch.setattr(ladder, "_integer_chain", losing_the_last)
     report = check_ladder_consistency(2)
     assert not report.passed
     assert report.counterexample == Counterexample(
@@ -506,7 +546,7 @@ def _one_state_short(states):
 
 
 def _one_state_long(states):
-    return [*states, {}]
+    return [*states, (0, [], 1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -525,10 +565,10 @@ def test_a_ladder_chain_of_the_wrong_length_fails_with_a_counterexample(
 
     from cgexact.cli import cli
 
-    original = ladder._chain_components
+    original = ladder._integer_chain
     monkeypatch.setattr(
         ladder,
-        "_chain_components",
+        "_integer_chain",
         lambda tj1, tj2, tJ: iter(change(list(original(tj1, tj2, tJ)))),
     )
     expected = Counterexample(
