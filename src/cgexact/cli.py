@@ -263,7 +263,7 @@ def cli() -> None:
 @click.option("--M", "big_m", required=True, help="Total projection M.")
 @click.option(
     "--formula",
-    type=click.Choice(["alternative", "racah", "ladder", "both"]),
+    type=click.Choice([*_COEFF_ROUTES, "both"]),
     default="alternative",
     show_default=True,
     help="Computation route; 'both' compares every route.",

@@ -18,17 +18,17 @@ rational, built by `numerics._times_radical`, so one radical by
 construction.  Each term of a sum is a product of binomials, stepped from
 the one before by exact division through its term ratio, which each
 kernel writes in its own loop from its own binomials.  Racah's kernel
-`_racah_sum` returns its sum and radicand as integers, and `_racah` and
-`_wigner3j` each build one value from them.
+`_racah_sum` returns its sum and radicand as integers, and `cg_racah`,
+`_racah_walk` and `_wigner3j` each build one value from them.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
 raises MalformedCouplingError for a malformed spec, and then call the
-kernels `_closed_form_component`, `_racah` and `_wigner3j`, which take
+kernels `_closed_form_component`, `_racah_sum` and `_wigner3j`, which take
 doubled integers and assume arguments that are well-formed and pass the
 selection rules.  A route's table of a cell is its walk,
 `_closed_form_walk` or `_racah_walk`, which calls the kernel per value
-with no state object.
+with no state object; Racah's walk builds no value for a zero sum.
 """
 
 from __future__ import annotations
@@ -243,12 +243,12 @@ def _closed_form_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int]
 
 
 def cg_racah(spec: CouplingSpec) -> RadicalSum:
-    """Clebsch-Gordan coefficient via Racah's single-sum formula in binomial
-    form (`_racah`).  Selection-zero specs give exactly 0."""
+    """Clebsch-Gordan coefficient via Racah's single sum: `_racah_sum`'s
+    (S, n, d) as one `_times_radical`.  Selection-zero specs give exactly 0."""
     if _is_selection_zero(spec):
         return RadicalSum.zero()
-    return _racah(
-        spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice, spec.m1.twice
+    return _times_radical(
+        *_racah_sum(spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice, spec.m1.twice)
     )
 
 
@@ -300,19 +300,14 @@ def _racah_sum(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> tuple[int, int
     )
 
 
-def _racah(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> RadicalSum:
-    """Racah's coefficient S sqrt(n / d) of `_racah_sum`, one term or 0,
-    built by `_times_radical` as every route's value is."""
-    return _times_radical(*_racah_sum(tj1, tj2, tJ, tM, tm1))
-
-
 def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
     """Every nonzero Racah value of the (2j1, 2j2) cell, keyed by its
-    doubled (J, M, m1), in increasing key order: `_racah` per key of
-    `_cell_keys`."""
+    doubled (J, M, m1), in increasing key order: `_racah_sum` per key of
+    `_cell_keys`, and one `_times_radical` per nonzero sum S."""
     for key in _cell_keys(tj1, tj2):
-        if not (value := _racah(tj1, tj2, *key)).is_zero:
-            yield key, value
+        total, n, d = _racah_sum(tj1, tj2, *key)
+        if total:
+            yield key, _times_radical(total, n, d)
 
 
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:

@@ -71,9 +71,6 @@ class Counterexample:
     description: str
     values: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:

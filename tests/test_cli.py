@@ -2,6 +2,7 @@
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -503,6 +504,22 @@ def test_main_input_error_exit_1(capsys):
                             "--m1", "0", "--m2", "0", "--J", "0", "--M", "0"])
     assert code == 1
     assert "--j1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [(click.ClickException("boom"), "Error: boom"), (KeyboardInterrupt(), "aborted")],
+)
+def test_main_click_exception_and_interrupt_exit_1(capsys, monkeypatch, raised, message):
+    def build(*args):
+        raise raised
+
+    monkeypatch.setattr(cli_module, "build_full_table", build)
+    assert _main_exit_code(["table", "--j1", "1", "--j2", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()
+    assert "Traceback" not in captured.err
 
 
 def test_table_negative_j_exits_1_with_message(capsys):

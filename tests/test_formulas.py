@@ -16,7 +16,7 @@ from cgexact.formulas import (
     _closed_form_walk,
     _is_selection_zero,
     _key_spec,
-    _racah,
+    _racah_sum,
     _shared_factor,
     _wigner3j,
     cell_specs,
@@ -25,7 +25,7 @@ from cgexact.formulas import (
     wigner3j,
 )
 from cgexact.ladder import cg_ladder
-from cgexact.numerics import HalfInt, RadicalSum, to_decimal
+from cgexact.numerics import HalfInt, RadicalSum, _times_radical, to_decimal
 from oracles import (
     beta_closed_form,
     binomial,
@@ -330,6 +330,23 @@ def test_racah_sum_that_cancels_to_zero_at_large_j():
         assert value.is_zero
 
 
+def test_racah_walk_builds_a_value_only_for_a_nonzero_sum(monkeypatch):
+    built = []
+
+    def counting(x, n, d):
+        built.append(x)
+        return _times_radical(x, n, d)
+
+    monkeypatch.setattr(formulas, "_times_radical", counting)
+    keys = values = 0
+    for tj1 in range(9):
+        for tj2 in range(9):
+            keys += sum(1 for _ in _cell_keys(tj1, tj2))
+            values += sum(1 for _ in formulas._racah_walk(tj1, tj2))
+    assert len(built) == values and all(built)
+    assert (keys, keys - values) == (7809, 160)
+
+
 def test_route_one_and_racah_end_in_the_same_integer_sum_over_one_radical(monkeypatch):
     """Route 1's integer sum S1 = sum_l (-1)^l T_l and Racah's S3 =
     sum_z (-1)^z t_z have different summands, yet the (S, n, d) that each
@@ -351,7 +368,7 @@ def test_route_one_and_racah_end_in_the_same_integer_sum_over_one_radical(monkey
             for key in _cell_keys(tj1, tj2):
                 recorded.clear()
                 closed = cg_alternative(_key_spec(tj1, tj2, key))
-                racah = _racah(tj1, tj2, *key)
+                racah = cg_racah(_key_spec(tj1, tj2, key))
                 (s1, r1), (s3, r3) = recorded
                 assert (s1, r1) == (s3, r3), (tj1, tj2, key)
                 assert closed == racah and racah.is_zero == (s1 == 0), (tj1, tj2, key)
@@ -466,8 +483,8 @@ def test_cell_specs_rejects_a_negative_j():
 
 def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
     """The sweeps read the table walk, whose closed form calls the kernel
-    per component, and `_racah`; the public functions must give the same
-    value for every spec, zeros included."""
+    per component, and Racah's integers; the public functions must give the
+    same value for every spec, zeros included."""
     zero = RadicalSum.zero()
     for tj1 in range(7):
         for tj2 in range(7):
@@ -476,7 +493,7 @@ def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
             for s in cell_specs(j1, j2):
                 key = (s.J.twice, s.M.twice, s.m1.twice)
                 assert cg_alternative(s) == closed.get(key, zero), s
-                assert cg_racah(s) == _racah(tj1, tj2, *key), s
+                assert cg_racah(s) == _times_radical(*_racah_sum(tj1, tj2, *key)), s
 
 
 def test_wigner3j_equals_the_kernel_for_every_symbol_up_to_2j_4():

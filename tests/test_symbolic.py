@@ -18,6 +18,18 @@ that neither can drift from the other.  Racah's kernel
 `formulas._racah_sum` steps its terms t_z = C(g1, z) C(g2, a-z) C(g3, b-z)
 the same way, and `_kernel_step` reads that step out of its source too.
 
+Route 1's integer sum equals Racah's for every j.  With m = j1 + j2 - J,
+s = J - M and k = j1 - m1, route 1 sums (-1)^l C(2j1-l, k-l)
+C(2j2-m+l, s-k+l) C(m, l) over l, and Racah (-1)^z C(m, z) C(2j1-m, k-z)
+C(2j2-m, s-k+z) over z.  Three textbook identities (Graham, Knuth &
+Patashnik, *Concrete Mathematics*, 2nd ed., 1994, sections 5.1-5.2) take
+the first to the second: Vandermonde splits C(2j1-l, k-l) into
+sum_z C(2j1-m, k-z) C(m-l, z-l); trinomial revision regroups
+C(m, l) C(m-l, z-l) as C(m, z) C(z, l), which leaves the inner sum
+F(z) = sum_l (-1)^l C(z, l) C(2j2-m+l, s-k+l); and F(z) is
+(-1)^z C(2j2-m, s-k+z), their eq. (5.24).  The certificates below prove
+the second step and the third, by induction on z.
+
 The ladder route lowers in a basis scaled by 1 / sqrt(C(2j, j-m)), where
 `ladder._scaled_lowering_element` is the J- element; its certificate
 proves the route's scaled elements from the ladder check's unscaled ones,
@@ -110,6 +122,45 @@ def test_racah_step_is_the_ratio_of_the_binomial_terms():
 
     ratio = sympy.combsimp(term(z + 1) / term(z))
     assert sympy.cancel(ratio - up / down) == 0
+
+
+def test_trinomial_revision_regroups_route_one_under_racahs_binomial():
+    # C(m, l) C(m-l, z-l) = C(m, z) C(z, l): route 1's C(m, l) times
+    # Vandermonde's C(m-l, z-l) is Racah's C(m, z) times the C(z, l) of F(z)
+    m, l, z = sympy.symbols("m l z", integer=True, nonnegative=True)
+    choose = sympy.binomial
+    ratio = sympy.combsimp(choose(m, l) * choose(m - l, z - l) / (choose(m, z) * choose(z, l)))
+    assert ratio == 1
+
+
+def _inner_sum(b, r, z, choose=binomial):
+    """F_b(z) = sum_l (-1)^l C(z, l) C(b+l, r) for an integer z >= 0.  At
+    b = 2j2 - m and r = 2j2 - m - s + k, C(b+l, r) is C(2j2-m+l, s-k+l),
+    and the claim F_b(z) = (-1)^z C(b, r-z) is Racah's C(2j2-m, s-k+z)."""
+    return sum((-1) ** l * choose(z, l) * choose(b + l, r) for l in range(z + 1))
+
+
+def test_the_inner_sum_starts_at_racahs_binomial():
+    # the base case: F_b(0) = C(b, r), which is (-1)^z C(b, r-z) at z = 0
+    b, r = sympy.symbols("b r", integer=True, nonnegative=True)
+    assert _inner_sum(b, r, 0, sympy.binomial) == sympy.binomial(b, r)
+
+
+def test_the_inner_sum_steps_to_racahs_binomial_by_pascals_rule():
+    # Pascal's rule C(z+1, l) = C(z, l) + C(z, l-1) splits F_b(z+1) into
+    # F_b(z) - F_(b+1)(z); with the claim for z at b and at b+1, F_b(z+1)
+    # is (-1)^z (C(b, r-z) - C(b+1, r-z)), which is the claim for z + 1
+    # exactly when the closing identity below holds
+    for b in range(8):
+        for r in range(10):
+            for z in range(6):
+                step = _inner_sum(b, r, z) - _inner_sum(b + 1, r, z)
+                assert _inner_sum(b, r, z + 1) == step, (b, r, z)
+                assert _inner_sum(b, r, z) == (-1) ** z * binomial(b, r - z), (b, r, z)
+    b, r, z = sympy.symbols("b r z", integer=True, nonnegative=True)
+    choose = sympy.binomial
+    closing = choose(b, r - z) - choose(b + 1, r - z) + choose(b, r - z - 1)
+    assert sympy.combsimp(closing.rewrite(sympy.factorial)) == 0
 
 
 def test_closed_form_radical_times_the_term_squared_is_the_radicand():
