@@ -4,8 +4,8 @@ Each check sweeps a bounded region of quantum-number space and asserts an
 exact identity (agreement of the three coefficient routes, unitarity of the
 coupling matrix, radical collapse, 3j symmetries, the sign convention, and
 ladder consistency).  There are no tolerances anywhere: every comparison is
-exact equality of RadicalSums or rationals, and a failing report always
-carries the first counterexample in sweep order.
+exact equality of RadicalSums, rationals or integers, and a failing report
+always carries the first counterexample in sweep order.
 
 The agreement, unitarity, collapse and ladder checks read each route's
 table of a cell from its walk, `_closed_form_walk`, `_racah_walk` or
@@ -15,8 +15,12 @@ by subspace (`_subspaces`) and acts with J+ and J- on each state's plain
 {doubled m1: value} dict through `_apply_ladder`, the one J+/J- kernel,
 which lives here with its unscaled elements: the ladder route steps with
 its own scaled ones, so `ladder` holds none of the check's arithmetic.
-The 3j check calls `_wigner3j` on doubled columns.  These kernels skip
-validation, which only the public entry points do.  A sweep builds a
+The unitarity check factors each closed-form value once, as
+sqrt(A B) p / r with A of the product state and B of the coupled state,
+and passes each Gram product by an integer sum; any product that it does
+not pass is taken by `_dot`.  The 3j check calls `_wigner3j` on doubled
+columns.  These kernels skip validation, which only the public entry
+points do.  A sweep builds a
 CouplingSpec or ThreeJSpec only to write a counterexample, except the
 Condon-Shortley check: it builds one CouplingSpec per |J, J> and passes
 it to the validating `cg_alternative`, `cg_racah` and `cg_ladder`.
@@ -34,7 +38,9 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formulas import (
     CouplingSpec,
@@ -217,29 +223,143 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    # every value is sqrt(A B) p / r with p / r rational, A = (j1+m1)!
+    # (j1-m1)! (j2+m2)! (j2-m2)! of the product state and B = (2J+1)
+    # (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! / (j1+j2+J+1)! of the
+    # coupled state (Racah's normalisation), all from one list of factorials,
+    # whose last, (2j1+2j2+1)!, is a multiple of every denominator of B
+    factorial = [1]
+    for i in range(1, tj1 + tj2 + 2):
+        factorial.append(factorial[-1] * i)
+    top = factorial[-1]
+    # A by doubled (M, m1), B as (numerator, denominator) by doubled (J, M),
+    # at the keys of the cell only: a key outside it gets no factoring
+    product_weight = {
+        (tm1 + tm2, tm1): factorial[(tj1 + tm1) // 2] * factorial[(tj1 - tm1) // 2]
+        * factorial[(tj2 + tm2) // 2] * factorial[(tj2 - tm2) // 2]
+        for tm1 in range(-tj1, tj1 + 1, 2)
+        for tm2 in range(-tj2, tj2 + 1, 2)
+    }
+    coupled_weight = {
+        (tJ, tM): (
+            (tJ + 1) * factorial[(tj1 + tj2 - tJ) // 2] * factorial[(tj1 - tj2 + tJ) // 2]
+            * factorial[(tj2 - tj1 + tJ) // 2] * factorial[(tJ + tM) // 2]
+            * factorial[(tJ - tM) // 2],
+            factorial[(tj1 + tj2 + tJ) // 2 + 1],
+        )
+        for tJ in _j_range(tj1, tj2)
+        for tM in range(-tJ, tJ + 1, 2)
+    }
+
     rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    columns: dict[int, dict[int, dict[int, RadicalSum]]] = {}
+    # each value's sign p and r by M and J, dense over the block's m1 range
+    # (0 / 1 where the walk has no value), and the (index, M, t) of the row
+    # and the column of each value that does not factor
+    factored: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
+    unfactored: list[tuple[str, int, int]] = []
+    at = None
     for (tJ, tM, tm1), value in _closed_form_walk(tj1, tj2):
-        rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
-        columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
+        if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
+            at = tJ, tM
+            row = rows.setdefault(tM, {}).setdefault(tJ, {})
+            lo = max(-tj1, tM - tj2)
+            width = (min(tj1, tM + tj2) - lo) // 2 + 1
+            ps, rs = factored.setdefault(tM, {}).setdefault(tJ, ([0] * width, [1] * width))
+            b_top, b_bottom = coupled_weight.get(at, (0, 1))
+        row[tm1] = value
+        # one gcd and two isqrts: n / d is A B (p / r)^2, or A B is of another
+        # class; a value of several terms, or at a key outside the cell, has
+        # no factoring
+        if b_top and (a := product_weight.get((tM, tm1))) and len(value._terms) == 1:
+            ((sign, n, d),) = value._terms
+            x, y = n * b_bottom, d * a * b_top
+            g = gcd(x, y)
+            x //= g
+            y //= g
+            p, r = isqrt(x), isqrt(y)
+            if p * p == x and r * r == y:
+                ps[(tm1 - lo) // 2], rs[(tm1 - lo) // 2] = sign * p, r
+                continue
+        unfactored += ("J", tM, tJ), ("m1", tM, tm1)
+
+    # one integer grid per M block, rows by J and columns by m1 over the
+    # block's m1 range: each value p / r over the block's lcm L is P / L
+    grids: dict[int, tuple[list[int], list[int], range, list[list[int]], int]] = {}
+    for tM in list(factored):
+        block = factored.pop(tM)
+        Js = sorted(block)
+        ms = sorted({tm1 for row in rows[tM].values() for tm1 in row})
+        # row by row: one lcm over a whole block packs its arguments in a
+        # tuple too large for the small-object allocator, which raised the
+        # process's peak RSS
+        lcm_r = 1
+        for _, rs in block.values():
+            lcm_r = lcm(lcm_r, *rs)
+        numerators = [[p * (lcm_r // r) for p, r in zip(*block[tJ])] for tJ in Js]
+        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
+        grids[tM] = Js, ms, m1_range, numerators, lcm_r * lcm_r
     one, zero = RadicalSum.one(), RadicalSum.zero()
+
+    def vector(index: str, tM: int, t: int) -> dict[int, RadicalSum]:
+        """The values of row J = t or of column m1 = t of the M block."""
+        if index == "J":
+            return rows[tM][t]
+        return {tJ: row[t] for tJ, row in rows[tM].items() if t in row}
 
     # one Gram test per pass, inside each M block: the rows of a block by
     # J, visited in (J, M) order, then its columns by m1, in (M, m1) order;
     # each vector meets every vector of its block at or after it in the
-    # block's sorted indices, which start at the vector's own position i
+    # block's sorted indices, which start at the vector's own position i.
+    # A row product (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, and a
+    # column product (M; m1, m1') is sqrt(A A') sum_J W_J P P' / (top L^2),
+    # with B_J = W_J / top, so each is 0 exactly when its integer sum is 0.
+    # The integer test only passes a product: any other, or one of a vector
+    # with a value that does not factor (None), is taken exactly by `_dot`,
+    # and fails when `_dot` says so
     count = 0
-    for label, index, blocks, order in (
-        ("row orthonormality", "J", rows, lambda vector: (vector[1], vector[0])),
-        ("column completeness", "m1", columns, None),
+    for label, index, order in (
+        ("row orthonormality", "J", lambda visit: (visit[1], visit[0])),
+        ("column completeness", "m1", None),
     ):
-        indices = {tM: sorted(block) for tM, block in blocks.items()}
+        # by M: the pass's weight per entry, its sorted indices, and per
+        # vector its numerators with the (scale, denominator) of its norm
+        # test, scale * sum(weight P^2) == denominator, or None
+        weights: dict[int, list[int]] = {}
+        indices: dict[int, list[int]] = {}
+        lines: dict[int, dict[int, tuple[Sequence[int], int, int] | None]] = {}
+        for tM, (Js, ms, m1_range, numerators, norm) in grids.items():
+            product_weights = [product_weight.get((tM, tm1), 0) for tm1 in m1_range]
+            bs = [coupled_weight.get((tJ, tM), (0, 1)) for tJ in Js]
+            if index == "J":
+                weights[tM], indices[tM] = product_weights, Js
+                lines[tM] = {
+                    tJ: (line, b_top, b_bottom * norm)
+                    for tJ, (b_top, b_bottom), line in zip(Js, bs, numerators)
+                }
+            else:
+                weights[tM] = [b_top * (top // b_bottom) for b_top, b_bottom in bs]
+                indices[tM] = ms
+                lines[tM] = {
+                    tm1: (line, weight, top * norm)
+                    for tm1, weight, line in zip(m1_range, product_weights, zip(*numerators))
+                }
+        for unfactored_index, tM, t in unfactored:
+            if unfactored_index == index:
+                lines[tM][t] = None
         vectors = ((tM, t, i) for tM, ts in indices.items() for i, t in enumerate(ts))
         for tM, t, i in sorted(vectors, key=order):
-            block = blocks[tM]
+            block_lines = lines[tM]
+            if u := block_lines[t]:
+                line, scale, denominator = u
+                weighted = list(map(mul, weights[tM], line))
+                unit = scale * sum(map(mul, weighted, line)) == denominator
             for tb in indices[tM][i:]:
                 count += 1
-                product = _dot(block[t], block[tb])
+                if u and (v := block_lines[tb]) and (
+                    unit if tb == t else not sum(map(mul, weighted, v[0]))
+                ):
+                    continue
+                product = _dot(vector(index, tM, t), vector(index, tM, tb))
                 if product != (one if tb == t else zero):
                     return count, Counterexample(
                         description=(
@@ -255,7 +375,12 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
 def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Exact orthogonality of the full coefficient matrix of every cell with
     2j <= max_twice_j, one Gram test on its rows (orthonormality at fixed
-    J, M over m1), then on its columns (completeness at fixed m1, m2 over J)."""
+    J, M over m1), then on its columns (completeness at fixed m1, m2 over J).
+
+    Each closed-form value is factored once as sqrt(A B) p / r, so that
+    each product is an integer sum over one M block; a product that the
+    integer test does not pass is taken by `_dot` and reported if it
+    fails, so the counts and counterexamples are those of `_dot` alone."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 

@@ -5,18 +5,23 @@ by term, and shares no formula with the routes it checks: only the exact
 values of `cgexact.numerics`.  A state is a plain {doubled m1: value} dict
 of its nonzero components, the form the table walk gives.  Sums and
 products of values are taken here, by `merged_terms`, not by the package's
-`sum_radicals`.  The one exception is `lower_normalized`, the lowering
-step on exact states through the ladder check's J- kernel
+`sum_radicals`.  There are two exceptions.  `lower_normalized` is the
+lowering step on exact states through the ladder check's J- kernel
 `verification._apply_ladder`: the reference that the ladder route's
-integer chain is held to, state by state.
+integer chain is held to, state by state.  `unitarity_by_dot` is the
+unitarity check's Gram loop with every product taken by `numerics._dot`,
+the reference that the check's integer Gram test is held to.
+
+`perturbed_tables` changes one value of a route's table at a time, so
+that a test can see which checks catch which change.
 """
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from cgexact.formulas import CouplingSpec
-from cgexact.verification import _apply_ladder
-from cgexact.numerics import HalfInt, RadicalSum, _from_terms
+from cgexact.verification import Counterexample, _apply_ladder
+from cgexact.numerics import HalfInt, RadicalSum, _dot, _from_terms
 
 
 def binomial(n: int, k: int) -> int:
@@ -210,3 +215,65 @@ def racah_as_written(spec: CouplingSpec) -> RadicalSum:
     # sqrt(prefactor) * total, as one signed square root
     value = RadicalSum.sqrt(prefactor * total * total)
     return -value if total < 0 else value
+
+
+#: the kinds of change that `perturbed_tables` makes, in the order it makes them
+PERTURBATIONS = ("negate", "drop", "double radicand", "double", "swap")
+
+
+def perturbed_tables(items):
+    """Every table one change away from a route's walk of a cell, given as
+    ``items``, its list of (doubled (J, M, m1), value) in walk order, as
+    (kind, key, changed items) with the keys left in walk order.
+
+    Each value is negated, dropped, given twice its radicand (times
+    sqrt(2), by `product`) and doubled; and each value is swapped with the
+    next value of its state |J, M>, when the two differ: a swap of two
+    equal values changes nothing, and is not made.
+    """
+    sqrt2, two = RadicalSum.sqrt(2), RadicalSum.rational(2)
+    for i, (key, value) in enumerate(items):
+        before, after = items[:i], items[i + 1:]
+        yield "negate", key, before + [(key, -value)] + after
+        yield "drop", key, before + after
+        yield "double radicand", key, before + [(key, product(value, sqrt2))] + after
+        yield "double", key, before + [(key, product(value, two))] + after
+        if after and after[0][0][:2] == key[:2] and after[0][1] != value:
+            (next_key, next_value), rest = after[0], after[1:]
+            yield "swap", key, before + [(key, next_value), (next_key, value)] + rest
+
+
+def unitarity_by_dot(tj1: int, tj2: int, items) -> tuple[int, Counterexample | None]:
+    """The unitarity check's result on the (2j1, 2j2) cell whose
+    closed-form walk is ``items``, with every Gram product taken by
+    `numerics._dot`: the (case count, first counterexample) of its rows by
+    J, in (J, M) order, then its columns by m1, in (M, m1) order, each
+    vector meeting every vector of its M block at or after it."""
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    rows, columns = {}, {}
+    for (tJ, tM, tm1), value in items:
+        rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
+        columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
+    one, zero = RadicalSum.one(), RadicalSum.zero()
+    count = 0
+    for label, index, blocks, order in (
+        ("row orthonormality", "J", rows, lambda vector: (vector[1], vector[0])),
+        ("column completeness", "m1", columns, None),
+    ):
+        indices = {tM: sorted(block) for tM, block in blocks.items()}
+        vectors = ((tM, t, i) for tM, ts in indices.items() for i, t in enumerate(ts))
+        for tM, t, i in sorted(vectors, key=order):
+            block = blocks[tM]
+            for tb in indices[tM][i:]:
+                count += 1
+                inner = _dot(block[t], block[tb])
+                if inner != (one if tb == t else zero):
+                    return count, Counterexample(
+                        description=(
+                            f"{label} at (j1={j1}, j2={j2}): "
+                            f"{index}={HalfInt.from_twice(t)}, "
+                            f"{index}'={HalfInt.from_twice(tb)}, M={HalfInt.from_twice(tM)}"
+                        ),
+                        values={"inner product": str(inner)},
+                    )
+    return count, None

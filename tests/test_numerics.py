@@ -283,8 +283,9 @@ _coeffs = st.fractions(
 @settings(max_examples=200, deadline=None)
 @given(_radicands, _coeffs)
 def test_radical_self_product_is_rational(radicand, coeff):
-    # coeff * sqrt(radicand) times itself, on the product path that state
-    # norms and unitarity inner products take
+    # coeff * sqrt(radicand) times itself, on the product path of the ladder
+    # check's state norms and of a unitarity product that its integer Gram
+    # test does not pass
     square = coeff * coeff * radicand
     x = RadicalSum.sqrt(square) if coeff >= 0 else -RadicalSum.sqrt(square)
     product = _dot({0: x}, {0: x})
@@ -347,7 +348,7 @@ def test_sum_signed_sqrts_rejects_nonpositive():
 # radicands in commensurable groups (1, 4, 9/4; 2, 8, 1/2, 9/8; 3, 12, 1/3),
 # unrelated ones, and large squares (about 2**60) times small kernels, so
 # that sums open several classes and merge in them, in small and in large
-# integers; up to 40 terms, as many as a unitarity inner product at 2j <= 40
+# integers; up to 40 terms, about as many as a ladder state's norm at 2j <= 40
 _RADICANDS = (
     st.sampled_from(
         [(1, 1), (4, 1), (9, 4), (2, 1), (8, 1), (1, 2), (9, 8), (3, 1), (12, 1), (1, 3)]

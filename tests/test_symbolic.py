@@ -28,7 +28,14 @@ sum_z C(2j1-m, k-z) C(m-l, z-l); trinomial revision regroups
 C(m, l) C(m-l, z-l) as C(m, z) C(z, l), which leaves the inner sum
 F(z) = sum_l (-1)^l C(z, l) C(2j2-m+l, s-k+l); and F(z) is
 (-1)^z C(2j2-m, s-k+z), their eq. (5.24).  The certificates below prove
-the second step and the third, by induction on z.
+all three: Vandermonde's identity, written once as `_vandermonde`, by
+induction on its lower argument, the second step by `combsimp`, and the
+third by induction on z.
+
+The ladder route's power J-^s is sum_p C(s, p) J-(1)^p J-(2)^(s-p), since
+J-(1) and J-(2) commute.  One certificate proves that each of its terms,
+in the scaled basis, is s! times route 1's binomials
+C(2j1-l, k-l) C(2j2-m+l, s-k+l) at p = k - l.
 
 The ladder route lowers in a basis scaled by 1 / sqrt(C(2j, j-m)), where
 `ladder._scaled_lowering_element` is the J- element; its certificate
@@ -124,6 +131,59 @@ def test_racah_step_is_the_ratio_of_the_binomial_terms():
     assert sympy.cancel(ratio - up / down) == 0
 
 
+def _vandermonde(a, b, n, choose=binomial):
+    """V_b(n) = sum_i C(a, n-i) C(b, i) over i = 0..b, for an integer
+    b >= 0.  Vandermonde's identity (Graham, Knuth & Patashnik, eq. (5.22))
+    is V_b(n) = C(a+b, n); the two tests after this one prove it, for every
+    a, b and n, by induction on b.  Written once, for every certificate
+    that rests on it."""
+    return sum(choose(a, n - i) * choose(b, i) for i in range(b + 1))
+
+
+def test_vandermonde_starts_at_the_binomial():
+    # the base case: V_0(n) = C(a, n) C(0, 0) = C(a+0, n)
+    a, n = sympy.symbols("a n", integer=True, nonnegative=True)
+    assert _vandermonde(a, 0, n, sympy.binomial) == sympy.binomial(a, n)
+
+
+def test_vandermonde_steps_by_pascals_rule():
+    # Pascal's rule C(b+1, i) = C(b, i) + C(b, i-1) splits V_(b+1)(n) into
+    # V_b(n) + V_b(n-1); with the claim for b at n and at n-1, V_(b+1)(n) is
+    # C(a+b, n) + C(a+b, n-1), which is the claim for b + 1 exactly when
+    # the closing identity below holds
+    for a in range(8):
+        for b in range(8):
+            for n in range(14):
+                step = _vandermonde(a, b, n) + _vandermonde(a, b, n - 1)
+                assert _vandermonde(a, b + 1, n) == step, (a, b, n)
+                assert _vandermonde(a, b, n) == binomial(a + b, n), (a, b, n)
+    a, b, n = sympy.symbols("a b n", integer=True, nonnegative=True)
+    choose = sympy.binomial
+    closing = choose(a + b, n) + choose(a + b, n - 1) - choose(a + b + 1, n)
+    assert sympy.combsimp(closing.rewrite(sympy.factorial)) == 0
+
+
+def test_vandermonde_splits_route_ones_first_binomial():
+    # step 1: C(2j1-l, k-l) = sum_z C(2j1-m, k-z) C(m-l, z-l) over z = l..m
+    # is V_b(n) at a = 2j1 - m, b = m - l and n = k - l, summed over i = z - l
+    tj1, m, k, l, z = sympy.symbols("tj1 m k l z", integer=True, nonnegative=True)
+    choose = sympy.binomial
+    a, b, n, i = tj1 - m, m - l, k - l, z - l
+    assert sympy.expand(a + b) == tj1 - l
+    summand = choose(a, n - i) * choose(b, i)
+    assert summand == choose(tj1 - m, k - z) * choose(m - l, z - l)
+    for tj1 in range(12):
+        for m in range(tj1 + 1):
+            for l in range(m + 1):
+                for k in range(l, tj1 + 1):
+                    split = sum(
+                        binomial(tj1 - m, k - z) * binomial(m - l, z - l) for z in range(l, m + 1)
+                    )
+                    assert split == binomial(tj1 - l, k - l) == _vandermonde(
+                        tj1 - m, m - l, k - l
+                    ), (tj1, m, l, k)
+
+
 def test_trinomial_revision_regroups_route_one_under_racahs_binomial():
     # C(m, l) C(m-l, z-l) = C(m, z) C(z, l): route 1's C(m, l) times
     # Vandermonde's C(m-l, z-l) is Racah's C(m, z) times the C(z, l) of F(z)
@@ -161,6 +221,22 @@ def test_the_inner_sum_steps_to_racahs_binomial_by_pascals_rule():
     choose = sympy.binomial
     closing = choose(b, r - z) - choose(b + 1, r - z) + choose(b, r - z - 1)
     assert sympy.combsimp(closing.rewrite(sympy.factorial)) == 0
+
+
+def test_a_term_of_the_lowering_power_is_s_factorial_times_route_ones_binomials():
+    # J-^s = sum_p C(s, p) J-(1)^p J-(2)^(s-p).  In the scaled basis, the
+    # p = k - l steps of J-(1) from m1 = j1 - l multiply by
+    # (2j1-l)! / (2j1-k)!, and the s - p steps of J-(2) by
+    # (2j2-m+l)! / (2j2-m+k-s)!; the term is s! C(2j1-l, k-l) C(2j2-m+l, s-k+l)
+    tj1, tj2, m, s, k, l = sympy.symbols(_SYMBOLS, integer=True, nonnegative=True)
+    choose, factorial = sympy.binomial, sympy.factorial
+    term = (
+        choose(s, k - l)
+        * factorial(tj1 - l) / factorial(tj1 - k)
+        * factorial(tj2 - m + l) / factorial(tj2 - m + k - s)
+    )
+    binomials = factorial(s) * choose(tj1 - l, k - l) * choose(tj2 - m + l, s - k + l)
+    assert sympy.combsimp(term / binomials) == 1
 
 
 def test_closed_form_radical_times_the_term_squared_is_the_radicand():

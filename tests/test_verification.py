@@ -16,7 +16,7 @@ import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum
-from oracles import product
+from oracles import perturbed_tables, product, unitarity_by_dot
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -342,6 +342,25 @@ def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
         {"inner product": "sqrt(2/9) - 2/3"},
     )
     assert RadicalSum.parse("sqrt(2/9) - 2/3").num_terms == 2
+
+
+def test_unitarity_matches_the_dot_only_gram_loop_on_every_perturbed_table(monkeypatch):
+    # the integer Gram test only passes a product, and `_dot` takes every
+    # other: on the closed form's table of each cell with 2j1, 2j2 <= 4 and
+    # on every table one change away from it, the check gives the case count
+    # and the counterexample of the loop that takes every product by `_dot`
+    original = verification._closed_form_walk
+    table = []
+    monkeypatch.setattr(verification, "_closed_form_walk", lambda tj1, tj2: iter(table))
+    tables = failures = 0
+    for cell in verification._cells(4):
+        walk = list(original(*cell))
+        for table in [walk] + [changed for _, _, changed in perturbed_tables(walk)]:
+            result = verification._unitarity_cell(cell)
+            assert result == unitarity_by_dot(*cell, table), (cell, table)
+            tables += 1
+            failures += result[1] is not None
+    assert (tables, failures) == (2303, 2140)
 
 
 def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
