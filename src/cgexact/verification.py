@@ -11,14 +11,19 @@ The agreement, unitarity, collapse and ladder checks read each route's
 table of a cell from its walk, `_closed_form_walk`, `_racah_walk` or
 `_ladder_walk`: the nonzero values keyed by doubled (J, M, m1).  A key
 that a walk leaves out has the value 0.  The ladder check groups a walk
-by subspace (`_subspaces`) and acts with J+ and J- on each state's plain
-{doubled m1: value} dict through `_apply_ladder`, the one J+/J- kernel,
-which lives here with its unscaled elements: the ladder route steps with
-its own scaled ones, so `ladder` holds none of the check's arithmetic.
-The unitarity check factors each closed-form value once, as
-sqrt(A B) p / r with A of the product state and B of the coupled state,
-and passes each Gram product by an integer sum; any product that it does
-not pass is taken by `_dot`.  The 3j check calls `_wigner3j` on doubled
+by subspace (`_subspaces`) and tests J+ and J- on each state's plain
+{doubled m1: value} dict.  `_ladder_holds` decides each relation in
+integers, from the terms of one-term values, and `_is_unit` each norm;
+a relation or norm that they do not pass is acted out by `_apply_ladder`,
+the J+/J- kernel, or taken by `_dot`, which decide it and write the
+counterexample.  Both kernels live here with their unscaled elements: the
+ladder route steps with its own scaled ones, so `ladder` holds none of
+the check's arithmetic.  The unitarity check factors each closed-form
+value once, as sqrt(A B) p / r with A of the product state and B of the
+coupled state, and passes each Gram product by an integer sum; any
+product that it does not pass is taken by `_dot`.  It tests every row and
+column of the cell, also one that the walk leaves out, which is empty and
+fails its norm.  The 3j check calls `_wigner3j` on doubled
 columns.  These kernels skip validation, which only the public entry
 points do.  A sweep builds a
 CouplingSpec or ThreeJSpec only to write a counterexample, except the
@@ -282,13 +287,21 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
                 continue
         unfactored += ("J", tM, tJ), ("m1", tM, tm1)
 
+    # every row and column of the cell is tested, also one that the walk
+    # leaves out: its line is 0 and it fails its norm
+    for tJ, tM in coupled_weight:
+        if tJ not in (block := factored.setdefault(tM, {})):
+            width = (min(tj1, tM + tj2) - max(-tj1, tM - tj2)) // 2 + 1
+            block[tJ] = [0] * width, [1] * width
+
     # one integer grid per M block, rows by J and columns by m1 over the
     # block's m1 range: each value p / r over the block's lcm L is P / L
     grids: dict[int, tuple[list[int], list[int], range, list[list[int]], int]] = {}
     for tM in list(factored):
         block = factored.pop(tM)
         Js = sorted(block)
-        ms = sorted({tm1 for row in rows[tM].values() for tm1 in row})
+        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
+        ms = sorted(set(m1_range).union(*rows.get(tM, {}).values()))
         # row by row: one lcm over a whole block packs its arguments in a
         # tuple too large for the small-object allocator, which raised the
         # process's peak RSS
@@ -296,15 +309,15 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
         for _, rs in block.values():
             lcm_r = lcm(lcm_r, *rs)
         numerators = [[p * (lcm_r // r) for p, r in zip(*block[tJ])] for tJ in Js]
-        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
         grids[tM] = Js, ms, m1_range, numerators, lcm_r * lcm_r
     one, zero = RadicalSum.one(), RadicalSum.zero()
 
     def vector(index: str, tM: int, t: int) -> dict[int, RadicalSum]:
         """The values of row J = t or of column m1 = t of the M block."""
+        block = rows.get(tM, {})
         if index == "J":
-            return rows[tM][t]
-        return {tJ: row[t] for tJ, row in rows[tM].items() if t in row}
+            return block.get(t, {})
+        return {tJ: row[t] for tJ, row in block.items() if t in row}
 
     # one Gram test per pass, inside each M block: the rows of a block by
     # J, visited in (J, M) order, then its columns by m1, in (M, m1) order;
@@ -380,7 +393,9 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
     Each closed-form value is factored once as sqrt(A B) p / r, so that
     each product is an integer sum over one M block; a product that the
     integer test does not pass is taken by `_dot` and reported if it
-    fails, so the counts and counterexamples are those of `_dot` alone."""
+    fails, so the counts and counterexamples are those of `_dot` alone.
+    The rows and columns are those of the cell, every |J, M> and every
+    (m1, m2); one that the walk leaves out is empty and fails its norm."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 
@@ -554,9 +569,10 @@ def _apply_ladder(
     component times the element's integer square, taken on the reduced
     integer pair of each term; `sum_radicals` adds two of one class with
     one integer square root and three gcds.  A component of several classes
-    brings one contribution per class.  This is the one J+/J- kernel:
-    `_ladder_cell` calls it on the table walk's plain dicts.  Raises
-    ValueError unless ``divisor`` is at least 1.
+    brings one contribution per class.  `_ladder_cell` calls it on the
+    table walk's plain dicts for each relation that `_ladder_holds` does
+    not pass, and it decides that relation.  Raises ValueError unless
+    ``divisor`` is at least 1.
     """
     if divisor < 1:
         raise ValueError(f"divisor {divisor} of a ladder action must be at least 1")
@@ -581,6 +597,95 @@ def _apply_ladder(
         for key, terms in contributions.items()
         if (value := sum_radicals(terms))._terms
     }
+
+
+def _ladder_holds(
+    tj1: int,
+    tj2: int,
+    tM: int,
+    components: Mapping[int, RadicalSum],
+    direction: int,
+    divisor: int,
+    expected: Mapping[int, RadicalSum],
+) -> bool | None:
+    """Whether J- (direction=-1) or J+ (direction=+1) acting on the state
+    at doubled M whose values ``components`` maps by doubled m1, divided
+    by sqrt(``divisor``), is exactly the state ``expected``, decided in
+    integers; None when it meets a value that is not one term, a negative
+    element or a ``divisor`` below 1, which `_apply_ladder` then decides.
+
+    Each output component is c = a + b, a the J(1) and b the J(2)
+    contribution, with squares A, B and C taken from the terms (sign, n, d)
+    and the elements of `_apply_ladder`.  With one contribution, a = c is
+    one sign and one cross product.  With no c, it is a = -b.  With all
+    three, squaring c - a = b twice shows that a + b = c exactly when
+    X = C + A - B is 2ac: nonzero with the sign of a c and X^2 = 4 A C;
+    c - a is then +-b, and must have the sign of b.  No square root, gcd
+    or value is taken.
+    """
+    if divisor < 1:
+        return None
+    element = _lowering_element if direction < 0 else _raising_element
+    step = 2 * direction
+    # the two contributions by output m1, as (sign, n, d) of their squares
+    moved: dict[int, tuple[int, int, int]] = {}
+    kept: dict[int, tuple[int, int, int]] = {}
+    for tm1, value in components.items():
+        if len(terms := value._terms) != 1:
+            return None
+        ((s, n, d),) = terms
+        e1, e2 = element(tj1, tm1), element(tj2, tM - tm1)
+        if e1 < 0 or e2 < 0:
+            return None
+        d *= divisor
+        if e1:
+            moved[tm1 + step] = s, n * e1, d
+        if e2:
+            kept[tm1] = s, n * e2, d
+    for tm1, value in expected.items():
+        if len(terms := value._terms) != 1:
+            return None
+        ((sc, nc, dc),) = terms
+        a, b = moved.pop(tm1, None), kept.pop(tm1, None)
+        if a is None:
+            if b is None:
+                return False
+            a, b = b, None
+        sa, na, da = a
+        if b is None:
+            if sa != sc or na * dc != nc * da:
+                return False
+            continue
+        sb, nb, db = b
+        # X = C + A - B over da db dc
+        x = (nc * da + na * dc) * db - nb * dc * da
+        if not x or (x > 0) != (sa == sc) or x * x != 4 * na * nc * da * dc * db * db:
+            return False
+        # c - a has the sign of c, unless a has c's sign and |a| >= |c|
+        if sa == sc and nc * da <= na * dc:
+            if nc * da == na * dc or sc == sb:
+                return False
+        elif sc != sb:
+            return False
+    # the outputs where nothing is expected: a = -b
+    for tm1, (sa, na, da) in moved.items():
+        b = kept.pop(tm1, None)
+        if b is None or b[0] == sa or b[1] * da != na * b[2]:
+            return False
+    return not kept
+
+
+def _is_unit(state: Mapping[int, RadicalSum]) -> bool:
+    """Whether the state whose values ``state`` maps by doubled m1 has
+    norm 1, when each value is one term: sum n / d == 1 in integers.
+    False for any other state, whose norm `_dot` then takes."""
+    top, bottom = 0, 1
+    for value in state.values():
+        if len(terms := value._terms) != 1:
+            return False
+        ((_, n, d),) = terms
+        top, bottom = top * d + n * bottom, bottom * d
+    return top == bottom
 
 
 def _ladder_element(tJ: int, tM: int) -> int:
@@ -620,8 +725,9 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
             [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
             for walk in walks
         )
-        raised = _apply_ladder(tj1, tj2, tJ, chain[0], +1)
-        if raised:
+        if not _ladder_holds(tj1, tj2, tJ, chain[0], +1, 1, {}) and (
+            raised := _apply_ladder(tj1, tj2, tJ, chain[0], +1)
+        ):
             return chains, Counterexample(
                 description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
                 # in descending m1, the order of the alphas of |J, J>
@@ -629,8 +735,7 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
-            norm_squared = _dot(state, state)
-            if norm_squared != one:
+            if not _is_unit(state) and (norm_squared := _dot(state, state)) != one:
                 return chains, Counterexample(
                     description=(
                         f"norm of |J={J}, M={HalfInt.from_twice(tM)}> "
@@ -639,8 +744,11 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
                     values={"norm^2": str(norm_squared)},
                 )
             if step > 0:
-                raised = _apply_ladder(tj1, tj2, tM, state, +1, _ladder_element(tJ, tM))
-                if raised != chain[step - 1]:
+                divisor, above = _ladder_element(tJ, tM), chain[step - 1]
+                if (
+                    not _ladder_holds(tj1, tj2, tM, state, +1, divisor, above)
+                    and _apply_ladder(tj1, tj2, tM, state, +1, divisor) != above
+                ):
                     return chains, Counterexample(
                         description=(
                             f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
@@ -650,8 +758,11 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
         # closed-form states obey the J- relation; "beta" is their old name
         for s in range(1, tJ + 1):
             tM = tJ - 2 * s
-            lowered = _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, _ladder_element(tJ, tM))
-            if lowered != closed[s]:
+            divisor = _ladder_element(tJ, tM)
+            if (
+                not _ladder_holds(tj1, tj2, tM + 2, closed[s - 1], -1, divisor, closed[s])
+                and _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, divisor) != closed[s]
+            ):
                 return chains, Counterexample(
                     description=(
                         f"J- relation on beta states at (j1={j1}, j2={j2}, "
@@ -670,11 +781,15 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     exact norm 1; J+ applied to it and divided by sqrt(J(J+1) - M(M+1))
     reproduces |J, M+1> exactly; and the closed-form states, each component
     computed on its own, satisfy the J- relation: J- |J, M> divided by
-    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each action is one call of
-    the J+/J- kernel `_apply_ladder`, divided actions with the integer
-    square of the element, written again by `_ladder_element`, as the
-    divisor, so no expected state is scaled.  A state that a walk
-    leaves out is empty and fails on its norm or its relation.
+    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each relation is decided
+    with the integer square of the element, written again by
+    `_ladder_element`, as the divisor, so no expected state is scaled:
+    first in integers by `_ladder_holds`, and when that does not pass it,
+    by one call of the J+/J- kernel `_apply_ladder`.  Each norm is
+    sum n / d == 1 over one-term values (`_is_unit`), or else `_dot`.  The
+    integer tests only pass, so the counts and counterexamples are those
+    of `_apply_ladder` and `_dot` alone.  A state that a walk leaves out
+    is empty and fails on its norm or its relation.
     """
     return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)
 

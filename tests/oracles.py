@@ -5,12 +5,15 @@ by term, and shares no formula with the routes it checks: only the exact
 values of `cgexact.numerics`.  A state is a plain {doubled m1: value} dict
 of its nonzero components, the form the table walk gives.  Sums and
 products of values are taken here, by `merged_terms`, not by the package's
-`sum_radicals`.  There are two exceptions.  `lower_normalized` is the
+`sum_radicals`.  There are three exceptions.  `lower_normalized` is the
 lowering step on exact states through the ladder check's J- kernel
 `verification._apply_ladder`: the reference that the ladder route's
 integer chain is held to, state by state.  `unitarity_by_dot` is the
 unitarity check's Gram loop with every product taken by `numerics._dot`,
 the reference that the check's integer Gram test is held to.
+`ladder_by_apply` is the ladder check with every relation acted out by
+`_apply_ladder` and every norm taken by `_dot`, the reference that the
+check's integer decisions are held to.
 
 `perturbed_tables` changes one value of a route's table at a time, so
 that a test can see which checks catch which change.
@@ -248,9 +251,17 @@ def unitarity_by_dot(tj1: int, tj2: int, items) -> tuple[int, Counterexample | N
     closed-form walk is ``items``, with every Gram product taken by
     `numerics._dot`: the (case count, first counterexample) of its rows by
     J, in (J, M) order, then its columns by m1, in (M, m1) order, each
-    vector meeting every vector of its M block at or after it."""
+    vector meeting every vector of its M block at or after it.  The
+    vectors are those of the cell, every |J, M> and every (m1, m2), and any
+    other that ``items`` holds; one that ``items`` leaves out is empty."""
     j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     rows, columns = {}, {}
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tM in range(-tJ, tJ + 1, 2):
+            rows.setdefault(tM, {})[tJ] = {}
+    for tm1 in range(-tj1, tj1 + 1, 2):
+        for tm2 in range(-tj2, tj2 + 1, 2):
+            columns.setdefault(tm1 + tm2, {})[tm1] = {}
     for (tJ, tM, tm1), value in items:
         rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
         columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
@@ -276,4 +287,58 @@ def unitarity_by_dot(tj1: int, tj2: int, items) -> tuple[int, Counterexample | N
                         ),
                         values={"inner product": str(inner)},
                     )
+    return count, None
+
+
+def ladder_by_apply(
+    tj1: int, tj2: int, ladder_items, closed_items
+) -> tuple[int, Counterexample | None]:
+    """The ladder check's result on the (2j1, 2j2) cell whose ladder and
+    closed-form walks are ``ladder_items`` and ``closed_items``, with every
+    relation acted out by `verification._apply_ladder` and every norm taken
+    by `numerics._dot`: the (chain count, first counterexample) of J+
+    annihilation of each |J, J>, the norm and J+ relation of each ladder
+    state and the J- relation of each closed-form state, chain by chain in
+    ascending J.  A state that a walk leaves out is empty."""
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    chains, closed_states = {}, {}
+    for states, items in ((chains, ladder_items), (closed_states, closed_items)):
+        for (tJ, tM, tm1), value in items:
+            states.setdefault(tJ, {}).setdefault(tM, {})[tm1] = value
+    one = RadicalSum.one()
+    count = 0
+    for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        count += 1
+        J = HalfInt.from_twice(tJ)
+        chain, closed = (
+            [states.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
+            for states in (chains, closed_states)
+        )
+        raised = _apply_ladder(tj1, tj2, tJ, chain[0], +1)
+        if raised:
+            return count, Counterexample(
+                f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
+                {"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
+            )
+        for step, state in enumerate(chain):
+            tM = tJ - 2 * step
+            norm_squared = _dot(state, state)
+            if norm_squared != one:
+                return count, Counterexample(
+                    f"norm of |J={J}, M={HalfInt.from_twice(tM)}> at (j1={j1}, j2={j2})",
+                    {"norm^2": str(norm_squared)},
+                )
+            # J(J+1) - M(M+1), the square of the J+ element from |J, M>
+            divisor = (tJ * (tJ + 2) - tM * (tM + 2)) // 4
+            if step > 0 and _apply_ladder(tj1, tj2, tM, state, +1, divisor) != chain[step - 1]:
+                return count, Counterexample(
+                    f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, M={HalfInt.from_twice(tM)})"
+                )
+        for s in range(1, tJ + 1):
+            tM = tJ - 2 * s
+            divisor = (tJ * (tJ + 2) - tM * (tM + 2)) // 4
+            if _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, divisor) != closed[s]:
+                return count, Counterexample(
+                    f"J- relation on beta states at (j1={j1}, j2={j2}, J={J}, s={s})"
+                )
     return count, None

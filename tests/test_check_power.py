@@ -16,10 +16,17 @@ What the matrix shows:
   walk sits at the one-value cell (0, 0), where the other checks have no
   relation to test, or is the swap in |0, 0> of (1/2, 1/2), which negates
   a chain of one state and keeps every relation.  Condon-Shortley checks
-  that sign through the `cg_*` functions.
+  that sign through the `cg_*` functions;
+- every dropped closed-form value fails unitarity: the check takes its
+  rows and columns from the cell, so one that loses its only value is
+  empty and fails its norm.
+
+An `extended` test runs the same matrix at 2j1, 2j2 <= 6.
 """
 
 from collections import Counter
+
+import pytest
 
 import cgexact.verification as verification
 from oracles import PERTURBATIONS, perturbed_tables
@@ -42,10 +49,8 @@ EXPECTED = {
         "agreement": 1,
     },
     ("closed form", "drop"): {
-        "agreement + unitarity + ladder": 143,
-        "agreement + ladder": 36,
-        "agreement + unitarity": 9,
-        "agreement": 1,
+        "agreement + unitarity + ladder": 179,
+        "agreement + unitarity": 10,
     },
     ("closed form", "double radicand"): {
         "agreement + unitarity + ladder": 179,
@@ -71,6 +76,46 @@ EXPECTED = {
     ("Racah", "double radicand"): {"agreement": 189},
     ("Racah", "double"): {"agreement": 189},
     ("Racah", "swap"): {"agreement": 78},
+}
+
+
+#: the same matrix over every cell with 2j1, 2j2 <= 6 (2 348 values and
+#: 1 514 swaps per route), run by the `extended` test
+EXPECTED_AT_6 = {
+    ("closed form", "negate"): {
+        "agreement + unitarity + ladder": 2194,
+        "agreement + ladder": 126,
+        "agreement + unitarity": 27,
+        "agreement": 1,
+    },
+    ("closed form", "drop"): {
+        "agreement + unitarity + ladder": 2320,
+        "agreement + unitarity": 28,
+    },
+    ("closed form", "double radicand"): {
+        "agreement + unitarity + ladder": 2320,
+        "agreement + unitarity": 28,
+    },
+    ("closed form", "double"): {
+        "agreement + unitarity + ladder": 2320,
+        "agreement + unitarity": 28,
+    },
+    ("closed form", "swap"): {
+        "agreement + unitarity + ladder": 1466,
+        "agreement + ladder": 27,
+        "agreement + unitarity": 20,
+        "agreement": 1,
+    },
+    ("ladder", "negate"): {"agreement + ladder": 2347, "agreement": 1},
+    ("ladder", "drop"): {"agreement + ladder": 2348},
+    ("ladder", "double radicand"): {"agreement + ladder": 2348},
+    ("ladder", "double"): {"agreement + ladder": 2348},
+    ("ladder", "swap"): {"agreement + ladder": 1513, "agreement": 1},
+    ("Racah", "negate"): {"agreement": 2348},
+    ("Racah", "drop"): {"agreement": 2348},
+    ("Racah", "double radicand"): {"agreement": 2348},
+    ("Racah", "double"): {"agreement": 2348},
+    ("Racah", "swap"): {"agreement": 1514},
 }
 
 
@@ -105,3 +150,10 @@ def test_check_power_matrix_at_small_cells(monkeypatch):
     matrix = check_power(monkeypatch, 3)
     assert {kind for _, kind in matrix} == set(PERTURBATIONS)
     assert {key: dict(caught) for key, caught in matrix.items()} == EXPECTED
+
+
+@pytest.mark.extended
+def test_check_power_matrix_at_2j_6(monkeypatch):
+    # 60-80 s on one CPU
+    matrix = check_power(monkeypatch, 6)
+    assert {key: dict(caught) for key, caught in matrix.items()} == EXPECTED_AT_6

@@ -146,10 +146,10 @@ def test_the_ladder_route_builds_its_top_in_integers(calls):
 
 
 def test_the_ladder_check_builds_no_state_object():
-    # the check acts with J+ and J- on the walk's plain dicts, through the
-    # one J+/J- kernel
+    # the check decides J+ and J- on the walk's plain dicts, in integers,
+    # through one kernel
     called = _traced(lambda: check_ladder_consistency(4))
-    assert "verification._apply_ladder" in called
+    assert "verification._ladder_holds" in called
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

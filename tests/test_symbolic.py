@@ -239,6 +239,103 @@ def test_a_term_of_the_lowering_power_is_s_factorial_times_route_ones_binomials(
     assert sympy.combsimp(term / binomials) == 1
 
 
+def _chain_sum(tj1, tj2, m, s, k, choose=binomial):
+    """X_k(s) = s! sum_l (-1)^l T_l over l = 0..m, with T_l route 1's
+    binomials C(2j1-l, k-l) C(2j2-m+l, s-k+l) C(m, l): the closed sum that
+    the ladder route's integer coordinate x_k at step s should be."""
+    return sympy.factorial(s) * sum(
+        (-1) ** l * choose(tj1 - l, k - l) * choose(tj2 - m + l, s - k + l) * choose(m, l)
+        for l in range(m + 1)
+    )
+
+
+def _chain_step():
+    """The step of `ladder._integer_chain` read from its source: the
+    symbols (tj1, tj2, m, s, k, lo), and x'_k with its x_(k-1) and x_k as
+    the symbolic X(k-1, s) and X(k, s).  ``padded`` holds x_(lo-1+i) at
+    i; ``up``, ``down`` and ``base`` are evaluated from the kernel's own
+    assignments, so the elements are `_scaled_lowering_element`'s."""
+    function = ast.parse(textwrap.dedent(inspect.getsource(ladder._integer_chain))).body[0]
+    (loop,) = [node for node in function.body if isinstance(node, ast.For)]
+    assignments = {
+        ast.unparse(node.targets[0]): node
+        for body in (function.body, loop.body)
+        for node in body
+        if isinstance(node, ast.Assign)
+    }
+    assert ast.unparse(assignments["padded"].value) == "[0, *xs, 0]"
+    symbols = sympy.symbols("tj1 tj2 m s k lo", integer=True, nonnegative=True)
+    tj1, tj2, m, s, k, lo = symbols
+    X = sympy.Function("X")
+    namespace = dict(zip(("tj1", "tj2", "m", "s", "k", "lo"), symbols))
+
+    class Elements:
+        """A list comprehension of the kernel as a function of its index."""
+
+        def __init__(self, comprehension):
+            (self.loop,) = comprehension.generators
+            self.element = comprehension.elt
+
+        def __getitem__(self, i):
+            scope = {**namespace, ast.unparse(self.loop.target): i}
+            scope["_scaled_lowering_element"] = ladder._scaled_lowering_element
+            return _without_floor(sympy.sympify(eval(ast.unparse(self.element), {}, scope)))
+
+    class Padded:
+        def __getitem__(self, i):
+            return X(lo - 1 + i, s)
+
+    namespace["up"] = Elements(assignments["up"].value)
+    namespace["down"] = Elements(assignments["down"].value)
+    exec(ast.unparse(assignments["base"]), {}, namespace)
+    namespace["padded"] = Padded()
+    step = assignments["xs"].value
+    assert isinstance(step, ast.ListComp)
+    assert ast.unparse(step.generators[0].target) == "k"
+    return symbols, X, sympy.expand(eval(ast.unparse(step.elt), {}, namespace))
+
+
+def test_route_ones_sum_satisfies_the_integer_chains_step():
+    # the chain's step is x'_k = x_(k-1) (j1 + m1 at k-1) + x_k (j2 + m2 at
+    # k).  Term l of X_k(s + 1) is, by the lowering-power identity above,
+    # C(s+1, p) F1(p) F2(s+1-p) with p = k - l, F1(p) = (2j1-l)! / (2j1-l-p)!
+    # and F2(q) = (2j2-m+l)! / (2j2-m+l-q)!; Pascal's rule
+    # C(s+1, p) = C(s, p) + C(s, p-1) splits it into term l of X_k(s)
+    # times the J(2) element and term l of X_(k-1)(s) times the J(1)
+    # element, each a `combsimp` identity.  Summed over l, X_k(s) solves
+    # the chain's recurrence from X_k(0) = (-1)^k C(m, k), `_top`'s x_k
+    (tj1, tj2, m, s, k, lo), X, step = _chain_step()
+    moved, kept = step.coeff(X(k - 1, s)), step.coeff(X(k, s))
+    assert sympy.expand(step - moved * X(k - 1, s) - kept * X(k, s)) == 0
+    l = sympy.Symbol("l", integer=True, nonnegative=True)
+    choose, factorial = sympy.binomial, sympy.factorial
+
+    def term(k, s):
+        return factorial(s) * choose(tj1 - l, k - l) * choose(tj2 - m + l, s - k + l)
+
+    p = k - l
+    lowered = factorial(tj1 - l) / factorial(tj1 - l - p)
+    lowered *= factorial(tj2 - m + l) / factorial(tj2 - m + l - (s + 1 - p))
+    assert sympy.combsimp(choose(s + 1, p) * lowered / term(k, s + 1)) == 1
+    assert sympy.combsimp(choose(s, p) * lowered / (term(k, s) * kept)) == 1
+    assert sympy.combsimp(choose(s, p - 1) * lowered / (term(k - 1, s) * moved)) == 1
+    # the same step on integers, binomials outside their range 0, where the
+    # ratios above are 0 / 0; and the chain's own coordinates are X_k(s)
+    for tj1 in range(5):
+        for tj2 in range(5):
+            for m in range(min(tj1, tj2) + 1):
+                for s in range(tj1 + tj2 - 2 * m):
+                    for k in range(tj1 + 2):
+                        up = ladder._scaled_lowering_element(tj1, tj1 - 2 * (k - 1))
+                        down = ladder._scaled_lowering_element(tj2, tj2 - 2 * (m + s - k))
+                        assert _chain_sum(tj1, tj2, m, s + 1, k) == (
+                            _chain_sum(tj1, tj2, m, s, k - 1) * up
+                            + _chain_sum(tj1, tj2, m, s, k) * down
+                        ), (tj1, tj2, m, s, k)
+                for s, (lo, xs, _, _) in enumerate(ladder._integer_chain(tj1, tj2, tj1 + tj2 - 2 * m)):
+                    assert xs == [_chain_sum(tj1, tj2, m, s, lo + i) for i in range(len(xs))]
+
+
 def test_closed_form_radical_times_the_term_squared_is_the_radicand():
     tj1, tj2, m, s, k, l = sympy.symbols(_SYMBOLS, integer=True)
     term, numer, denom = _route1_binomials(tj1, tj2, m, s, k, l, sympy.binomial)

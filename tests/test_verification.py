@@ -11,12 +11,14 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
-from cgexact.numerics import RadicalSum
-from oracles import perturbed_tables, product, unitarity_by_dot
+from cgexact.numerics import RadicalSum, sum_radicals
+from oracles import ladder_by_apply, perturbed_tables, product, unitarity_by_dot
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -307,25 +309,60 @@ def test_unitarity_flipped_sign_counterexample(monkeypatch):
     )
 
 
-def test_unitarity_column_completeness_counterexample(monkeypatch, forked_pools):
-    # without the J=1, M=0 row of the cell (1/2, 1/2) the rows stay
-    # orthonormal, and the m1=-1/2 column of M=0 loses half its norm; the
-    # sweep meets that cell before any other cell with these keys
-    def drop_row(table):
-        table.pop((2, 0, -1), None)
-        table.pop((2, 0, 1), None)
+@pytest.mark.parametrize(
+    "cell, keys, count, description",
+    [
+        # the one value of the cell (0, 0), or the one of |J=2, M=-2> of the
+        # cell (1, 1): with it go a row, a column and their whole M block
+        ((0, 0), {(0, 0, 0)}, 1, "row orthonormality at (j1=0, j2=0): J=0, J'=0, M=0"),
+        ((2, 2), {(4, -4, -2)}, 10, "row orthonormality at (j1=1, j2=1): J=2, J'=2, M=-2"),
+        # the J=1, M=0 row of the cell (1/2, 1/2): the rows left stay
+        # orthonormal
+        (
+            (1, 1),
+            {(2, 0, -1), (2, 0, 1)},
+            4,
+            "row orthonormality at (j1=1/2, j2=1/2): J=1, J'=1, M=0",
+        ),
+    ],
+)
+def test_unitarity_fails_a_table_that_lacks_a_vector(monkeypatch, cell, keys, count, description):
+    # the check takes its rows and columns from the cell, not from the
+    # walk, so a vector that the walk leaves out is empty and fails its norm
+    original = verification._closed_form_walk
+    monkeypatch.setattr(
+        verification,
+        "_closed_form_walk",
+        lambda tj1, tj2: (item for item in original(tj1, tj2) if item[0] not in keys),
+    )
+    assert verification._unitarity_cell(cell) == (
+        count, Counterexample(description, {"inner product": "0"})
+    )
 
-    _alter_route_tables(monkeypatch, drop_row)
+
+def test_unitarity_column_completeness_counterexample(monkeypatch, forked_pools):
+    # the rows of a cell's M block are square: once each is orthonormal,
+    # so is each column, and a column fails first only where the table has
+    # a key outside the cell.  The J=1, M=0 row of the cell (1/2, 1/2)
+    # moved to m1 = +-3/2 stays orthonormal to the J=0 row, and the
+    # m1=-3/2 column of M=0 holds half a norm; the sweep meets that cell
+    # before any other cell with these keys
+    def move_row(table):
+        if (2, 0, 1) in table:
+            table[2, 0, 3] = table.pop((2, 0, 1))
+            table[2, 0, -3] = table.pop((2, 0, -1))
+
+    _alter_route_tables(monkeypatch, move_row)
     expected = Counterexample(
-        "column completeness at (j1=1/2, j2=1/2): m1=-1/2, m1'=-1/2, M=0",
+        "column completeness at (j1=1/2, j2=1/2): m1=-3/2, m1'=-3/2, M=0",
         {"inner product": "1/2"},
     )
-    assert verification._unitarity_cell((1, 1)) == (5, expected)
+    assert verification._unitarity_cell((1, 1)) == (7, expected)
     for jobs in (1, 2):
         if jobs == 2:
             forked_pools()
         report = check_unitarity_sweep(4, jobs=jobs)
-        assert report.scope == "2j <= 4, 39 cases"
+        assert report.scope == "2j <= 4, 41 cases"
         assert report.counterexample == expected
 
 
@@ -360,7 +397,7 @@ def test_unitarity_matches_the_dot_only_gram_loop_on_every_perturbed_table(monke
             assert result == unitarity_by_dot(*cell, table), (cell, table)
             tables += 1
             failures += result[1] is not None
-    assert (tables, failures) == (2303, 2140)
+    assert (tables, failures) == (2303, 2201)
 
 
 def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
@@ -479,15 +516,23 @@ def test_verify_exits_2_when_a_route_raises(monkeypatch):
 
 
 def test_ladder_detects_broken_lowering(monkeypatch):
-    # the check's J- kernel doubles every component of the state it lowers
-    original = verification._apply_ladder
+    # the check's J- doubles every component of the state it lowers, both
+    # where it decides a relation in integers and where it acts it out
+    decide, act = verification._ladder_holds, verification._apply_ladder
+
+    def doubled(components):
+        return {tm1: product(value, RadicalSum.rational(2)) for tm1, value in components.items()}
+
+    def doubling_decision(tj1, tj2, tM, components, direction, divisor, expected):
+        if direction < 0:
+            components = doubled(components)
+        return decide(tj1, tj2, tM, components, direction, divisor, expected)
 
     def doubling_jminus(tj1, tj2, tM, components, direction, divisor=1):
-        state = original(tj1, tj2, tM, components, direction, divisor)
-        if direction < 0:
-            state = {tm1: product(value, RadicalSum.rational(2)) for tm1, value in state.items()}
-        return state
+        state = act(tj1, tj2, tM, components, direction, divisor)
+        return doubled(state) if direction < 0 else state
 
+    monkeypatch.setattr(verification, "_ladder_holds", doubling_decision)
     monkeypatch.setattr(verification, "_apply_ladder", doubling_jminus)
     report = check_ladder_consistency(1)
     assert not report.passed
@@ -528,11 +573,18 @@ def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeyp
 
 
 def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
-    original = verification._apply_ladder
+    decide, act = verification._ladder_holds, verification._apply_ladder
+    monkeypatch.setattr(
+        verification,
+        "_ladder_holds",
+        lambda tj1, tj2, tM, components, direction, divisor, expected: decide(
+            tj1, tj2, tM, components, direction, 1, expected
+        ),
+    )
     monkeypatch.setattr(
         verification,
         "_apply_ladder",
-        lambda tj1, tj2, tM, components, direction, divisor=1: original(
+        lambda tj1, tj2, tM, components, direction, divisor=1: act(
             tj1, tj2, tM, components, direction
         ),
     )
@@ -557,6 +609,101 @@ def test_ladder_fails_on_the_norm_of_a_state_that_the_walk_leaves_out(monkeypatc
     assert report.counterexample == Counterexample(
         "norm of |J=1, M=-1> at (j1=1/2, j2=1/2)", {"norm^2": "0"}
     )
+
+
+def test_ladder_matches_the_apply_loop_on_every_perturbed_table(monkeypatch):
+    # the integer decisions only pass a relation or a norm, and
+    # `_apply_ladder` or `_dot` takes every other: on the ladder and
+    # closed-form tables of each cell with 2j1, 2j2 <= 4, and on every table
+    # one change away from either, the check gives the chain count and the
+    # counterexample of the loop that acts out every relation
+    walks = {name: getattr(verification, name) for name in ("_ladder_walk", "_closed_form_walk")}
+    tables = {}
+    for name in walks:
+        monkeypatch.setattr(verification, name, lambda tj1, tj2, name=name: iter(tables[name]))
+    count = failures = 0
+    for cell in verification._cells(4):
+        walked = {name: list(walk(*cell)) for name, walk in walks.items()}
+        changes = [walked] + [
+            {**walked, name: changed}
+            for name, items in walked.items()
+            for _, _, changed in perturbed_tables(items)
+        ]
+        for tables in changes:
+            result = verification._ladder_cell(cell)
+            reference = ladder_by_apply(*cell, tables["_ladder_walk"], tables["_closed_form_walk"])
+            assert result == reference, (cell, tables)
+            count += 1
+            failures += result[1] is not None
+    assert (count, failures) == (4581, 4484)
+
+
+def _one_term(root, multiplier):
+    """sign * (p / q) * sqrt(n / d) for root (n, d) and multiplier
+    (sign, p, q): one term, or its negation."""
+    (n, d), (sign, p, q) = root, multiplier
+    value = RadicalSum.sqrt(Fraction(p * p * n, q * q * d))
+    return value if sign > 0 else -value
+
+
+_ROOTS = st.tuples(st.integers(1, 12), st.integers(1, 12))
+_MULTIPLIERS = st.tuples(st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 6))
+
+
+@st.composite
+def _sums(draw):
+    """(a, b, c, divisor): one-term values a and b, each perhaps missing, of
+    one radicand or of two; c their exact sum over sqrt(divisor), or that
+    sum negated, or another one-term value, or missing."""
+    root = draw(_ROOTS)
+    a = draw(st.none() | st.builds(_one_term, st.just(root), _MULTIPLIERS))
+    b = draw(
+        st.none()
+        | st.builds(_one_term, st.just(root) | _ROOTS, _MULTIPLIERS)
+        | st.just(-a if a is not None else None)
+    )
+    divisor = draw(st.integers(1, 6))
+    terms = [(s, n, d * divisor) for value in (a, b) if value is not None for s, n, d in value._terms]
+    total = sum_radicals(terms)
+    kind = draw(st.sampled_from(["sum", "negated sum", "other", "missing"]))
+    if kind == "other" or (kind != "missing" and total.num_terms != 1):
+        c = draw(st.builds(_one_term, st.just(root) | _ROOTS, _MULTIPLIERS))
+    else:
+        c = {"sum": total, "negated sum": -total, "missing": None}[kind] or None
+    return a, b, c, divisor
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sums())
+@example((RadicalSum.sqrt(2), RadicalSum.sqrt(Fraction(9, 2)), RadicalSum.sqrt(8), 1))  # one radicand
+@example((RadicalSum.sqrt(3), -RadicalSum.sqrt(3), None, 2))  # a = -b, no c
+@example((RadicalSum.sqrt(2), RadicalSum.sqrt(3), RadicalSum.sqrt(5), 1))  # incommensurable
+@example((-RadicalSum.one(), RadicalSum.rational(2), RadicalSum.one(), 1))  # a = -c, b = 2c
+@example((RadicalSum.sqrt(2), RadicalSum.sqrt(8), None, 1))  # no c, a + b != 0
+def test_the_integer_decision_of_a_plus_b_is_the_exact_sum(triple):
+    # J- on |M=0> of the cell (1/2, 1/2) moves m1 = +1/2 to -1/2 by J(1)
+    # and keeps m1 = -1/2 by J(2), each with the element 1, so the one
+    # component it yields, over sqrt(divisor), is a + b: the decision must
+    # be True exactly when that sum is c, with a missing c reading 0
+    a, b, c, divisor = triple
+    components = {tm1: value for tm1, value in ((1, a), (-1, b)) if value is not None}
+    expected = {} if c is None else {-1: c}
+    exact = verification._apply_ladder(1, 1, 0, components, -1, divisor)
+    terms = [(s, n, d * divisor) for value in components.values() for s, n, d in value._terms]
+    assert exact == ({-1: total} if (total := sum_radicals(terms)) else {})
+    decision = verification._ladder_holds(1, 1, 0, components, -1, divisor, expected)
+    assert decision is (exact == expected)
+
+
+def test_a_passing_ladder_sweep_acts_out_no_relation_and_takes_no_norm(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("a passing sweep decides every relation and norm in integers")
+
+    monkeypatch.setattr(verification, "_apply_ladder", unused)
+    monkeypatch.setattr(verification, "_dot", unused)
+    report = check_ladder_consistency(6)
+    assert report.passed, report.counterexample
+    assert report.scope == "2j <= 6, 140 cases"
 
 
 def _one_state_short(states):
