@@ -210,8 +210,9 @@ def _dot(u: Mapping[int, "RadicalSum"], v: Mapping[int, "RadicalSum"]) -> "Radic
     """Exact inner product of two sparse real vectors: one `sum_radicals`
     call over the products of the (sign, n, d) terms of matched components,
     so a value of several classes gets its exact sum too.  The ladder check
-    takes each state's norm with it; the unitarity check takes only the
-    products that its integer Gram test does not pass."""
+    takes with it each norm that its integer test does not pass, and the
+    unitarity check every product of a cell that its integer pass does not
+    clear."""
     return sum_radicals([
         (s * t, nu * nv, du * dv)
         for index, a in u.items()
@@ -432,9 +433,10 @@ def sum_radicals(terms: Iterable[tuple[int, int, int]]) -> RadicalSum:
     square roots; any input gets its exact sum on this same path.
 
     This is the one function that merges commensurability classes:
-    `RadicalSum.parse`, the ladder actions and `_dot` (the ladder check's
-    state norms, and the unitarity products that the check's integer Gram
-    test does not pass) all end here.
+    `RadicalSum.parse`, the ladder actions and `_dot` (the norms that the
+    ladder check does not decide in integers, and the products of a
+    unitarity cell that the check's integer pass does not clear) all end
+    here.
     """
     out: list[Term] = []
     pending: Iterator[Term] = iter(terms)

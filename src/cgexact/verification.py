@@ -10,25 +10,29 @@ always carries the first counterexample in sweep order.
 The agreement, unitarity, collapse and ladder checks read each route's
 table of a cell from its walk, `_closed_form_walk`, `_racah_walk` or
 `_ladder_walk`: the nonzero values keyed by doubled (J, M, m1).  A key
-that a walk leaves out has the value 0.  The ladder check groups a walk
-by subspace (`_subspaces`) and tests J+ and J- on each state's plain
-{doubled m1: value} dict.  `_ladder_holds` decides each relation in
-integers, from the terms of one-term values, and `_is_unit` each norm;
-a relation or norm that they do not pass is acted out by `_apply_ladder`,
-the J+/J- kernel, or taken by `_dot`, which decide it and write the
-counterexample.  Both kernels live here with their unscaled elements: the
-ladder route steps with its own scaled ones, so `ladder` holds none of
-the check's arithmetic.  The unitarity check factors each closed-form
-value once, as sqrt(A B) p / r with A of the product state and B of the
-coupled state, and passes each Gram product by an integer sum; any
-product that it does not pass is taken by `_dot`.  It tests every row and
-column of the cell, also one that the walk leaves out, which is empty and
-fails its norm.  The 3j check calls `_wigner3j` on doubled
-columns.  These kernels skip validation, which only the public entry
-points do.  A sweep builds a
-CouplingSpec or ThreeJSpec only to write a counterexample, except the
-Condon-Shortley check: it builds one CouplingSpec per |J, J> and passes
-it to the validating `cg_alternative`, `cg_racah` and `cg_ladder`.
+that a walk leaves out has the value 0.  The 3j check calls `_wigner3j`
+on doubled columns.  These kernels skip validation, which only the public
+entry points do.
+
+Each check but Condon-Shortley decides a unit from canonical integers
+first.  Only a unit that this does not clear is walked again through the
+check's plain exact loop, which decides it and writes the counterexample,
+so counts and counterexamples are the plain loop's.  Agreement compares the three walks
+as lists of (key, terms), collapse counts terms, and the 3j check tests
+each symbol's six images and stretched sign on its terms.  Unitarity
+factors each closed-form value once as sqrt(A B) p / r, A of the product
+and B of the coupled state, and sums each M block's row and column
+products in integers; its plain loop, `_unitarity_by_dot`, takes each by
+`_dot` over every row and column of the cell, an empty one where the walk
+has none.  The ladder check groups a walk by subspace (`_subspaces`) and
+decides each J± relation by `_ladder_holds` and each norm by `_is_unit`;
+its fallbacks, relation by relation, are `_apply_ladder` and `_dot`.  Both
+J± kernels live here with their unscaled elements: the ladder route steps
+with its own scaled ones, so `ladder` holds none of the check's
+arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec only to write a
+counterexample, except the Condon-Shortley check: it builds one
+CouplingSpec per |J, J> and passes it to the validating `cg_alternative`,
+`cg_racah` and `cg_ladder`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -45,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formulas import (
     CouplingSpec,
@@ -188,15 +192,26 @@ def _run_cell_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _cell_size(tj1: int, tj2: int) -> int:
+    """The number of `_cell_keys` of the (2j1, 2j2) cell: n^2 per M block,
+    n = the number of its m1, which is also the number of its J."""
+    return sum(
+        ((min(tj1, tM + tj2) - max(-tj1, tM - tj2)) // 2 + 1) ** 2
+        for tM in range(-tj1 - tj2, tj1 + tj2 + 1, 2)
+    )
+
+
 def _agreement_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
-    closed = dict(_closed_form_walk(tj1, tj2))
-    racahs = dict(_racah_walk(tj1, tj2))
-    iterative = dict(_ladder_walk(tj1, tj2))
-    count = 0
+    walks = (_closed_form_walk, _racah_walk, _ladder_walk)
+    # three equal lists of (key, terms) agree at every key; any other cell
+    # is walked again, in the same order, for the keyed loop
+    closed, racahs, iterative = ([(key, v._terms) for key, v in walk(tj1, tj2)] for walk in walks)
+    if closed == racahs == iterative:
+        return _cell_size(tj1, tj2), None
+    closed, racahs, iterative = (dict(walk(tj1, tj2)) for walk in walks)
     zero = RadicalSum.zero()
-    for key in _cell_keys(tj1, tj2):
-        count += 1
+    for count, key in enumerate(_cell_keys(tj1, tj2), 1):
         alternative = closed.get(key, zero)
         racah = racahs.get(key, zero)
         ladder = iterative.get(key, zero)
@@ -209,14 +224,15 @@ def _agreement_cell(cell: tuple[int, int]) -> CellResult:
                     "ladder": str(ladder),
                 },
             )
-    return count, None
+    return _cell_size(tj1, tj2), None
 
 
 def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """Closed form == Racah == iterative-ladder value, exactly, for every
     valid spec with 2j1, 2j2 <= max_twice_j (zeros included): per cell,
     the three routes' walks compared key by key over `_cell_keys`, a key
-    missing from a walk reading 0."""
+    missing from a walk reading 0.  A cell whose three walks are equal
+    lists of (key, terms) passes without the keyed loop."""
     return _run_cell_sweep("formula agreement", _agreement_cell, max_twice_j, jobs)
 
 
@@ -227,7 +243,6 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
-    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
     # every value is sqrt(A B) p / r with p / r rational, A = (j1+m1)!
     # (j1-m1)! (j2+m2)! (j2-m2)! of the product state and B = (2J+1)
     # (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! / (j1+j2+J+1)! of the
@@ -237,8 +252,7 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     for i in range(1, tj1 + tj2 + 2):
         factorial.append(factorial[-1] * i)
     top = factorial[-1]
-    # A by doubled (M, m1), B as (numerator, denominator) by doubled (J, M),
-    # at the keys of the cell only: a key outside it gets no factoring
+    # A by doubled (M, m1), B as (numerator, denominator) by doubled (J, M)
     product_weight = {
         (tm1 + tm2, tm1): factorial[(tj1 + tm1) // 2] * factorial[(tj1 - tm1) // 2]
         * factorial[(tj2 + tm2) // 2] * factorial[(tj2 - tm2) // 2]
@@ -255,27 +269,24 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
         for tJ in _j_range(tj1, tj2)
         for tM in range(-tJ, tJ + 1, 2)
     }
-
-    rows: dict[int, dict[int, dict[int, RadicalSum]]] = {}
-    # each value's sign p and r by M and J, dense over the block's m1 range
-    # (0 / 1 where the walk has no value), and the (index, M, t) of the row
-    # and the column of each value that does not factor
-    factored: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
-    unfactored: list[tuple[str, int, int]] = []
+    # every row of the cell, by M and J, as the sign p and the r of each
+    # value over its M block's m1 range, 0 / 1 where the walk has no value
+    blocks: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
+    for tJ, tM in coupled_weight:
+        width = (min(tj1, tM + tj2) - max(-tj1, tM - tj2)) // 2 + 1
+        blocks.setdefault(tM, {})[tJ] = [0] * width, [1] * width
     at = None
     for (tJ, tM, tm1), value in _closed_form_walk(tj1, tj2):
         if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
             at = tJ, tM
-            row = rows.setdefault(tM, {}).setdefault(tJ, {})
+            if at not in coupled_weight:
+                return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
+            b_top, b_bottom = coupled_weight[at]
+            ps, rs = blocks[tM][tJ]
             lo = max(-tj1, tM - tj2)
-            width = (min(tj1, tM + tj2) - lo) // 2 + 1
-            ps, rs = factored.setdefault(tM, {}).setdefault(tJ, ([0] * width, [1] * width))
-            b_top, b_bottom = coupled_weight.get(at, (0, 1))
-        row[tm1] = value
-        # one gcd and two isqrts: n / d is A B (p / r)^2, or A B is of another
-        # class; a value of several terms, or at a key outside the cell, has
-        # no factoring
-        if b_top and (a := product_weight.get((tM, tm1))) and len(value._terms) == 1:
+        # one gcd and two isqrts: n / d is A B (p / r)^2.  A key outside the
+        # cell, or a value of several terms or of another class, fails this
+        if (a := product_weight.get((tM, tm1))) and len(value._terms) == 1:
             ((sign, n, d),) = value._terms
             x, y = n * b_bottom, d * a * b_top
             g = gcd(x, y)
@@ -285,94 +296,70 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
             if p * p == x and r * r == y:
                 ps[(tm1 - lo) // 2], rs[(tm1 - lo) // 2] = sign * p, r
                 continue
-        unfactored += ("J", tM, tJ), ("m1", tM, tm1)
+        return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
 
-    # every row and column of the cell is tested, also one that the walk
-    # leaves out: its line is 0 and it fails its norm
-    for tJ, tM in coupled_weight:
-        if tJ not in (block := factored.setdefault(tM, {})):
-            width = (min(tj1, tM + tj2) - max(-tj1, tM - tj2)) // 2 + 1
-            block[tJ] = [0] * width, [1] * width
-
-    # one integer grid per M block, rows by J and columns by m1 over the
-    # block's m1 range: each value p / r over the block's lcm L is P / L
-    grids: dict[int, tuple[list[int], list[int], range, list[list[int]], int]] = {}
-    for tM in list(factored):
-        block = factored.pop(tM)
-        Js = sorted(block)
-        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
-        ms = sorted(set(m1_range).union(*rows.get(tM, {}).values()))
+    # each M block over the lcm L of its r, as integers P: a row product
+    # (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, and a column product
+    # (M; m1, m1') is sqrt(A A') sum_J W_J P P' / (top L^2), with
+    # B_J = W_J / top, so each is 0 exactly when its integer sum is 0.  A
+    # passing block of n rows and n columns counts n (n + 1) products
+    count = 0
+    for tM, block in blocks.items():
         # row by row: one lcm over a whole block packs its arguments in a
         # tuple too large for the small-object allocator, which raised the
         # process's peak RSS
         lcm_r = 1
         for _, rs in block.values():
             lcm_r = lcm(lcm_r, *rs)
-        numerators = [[p * (lcm_r // r) for p, r in zip(*block[tJ])] for tJ in Js]
-        grids[tM] = Js, ms, m1_range, numerators, lcm_r * lcm_r
+        norm = lcm_r * lcm_r
+        rows = [[p * (lcm_r // r) for p, r in zip(*line)] for line in block.values()]
+        bs = [coupled_weight[tJ, tM] for tJ in block]
+        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
+        product_weights = [product_weight[tM, tm1] for tm1 in m1_range]
+        column_weights = [b_top * (top // b_bottom) for b_top, b_bottom in bs]
+        for lines, weights, scales in (
+            (rows, product_weights, [(b_top, b_bottom * norm) for b_top, b_bottom in bs]),
+            (list(zip(*rows)), column_weights, [(a, top * norm) for a in product_weights]),
+        ):
+            for i, (line, (scale, denominator)) in enumerate(zip(lines, scales)):
+                weighted = list(map(mul, weights, line))
+                if scale * sum(map(mul, weighted, line)) != denominator or any(
+                    sum(map(mul, weighted, other)) for other in lines[i + 1:]
+                ):
+                    return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
+        count += len(rows) * (len(rows) + 1)
+    return count, None
+
+
+def _unitarity_by_dot(tj1: int, tj2: int, items: Iterable) -> CellResult:
+    """The unitarity check of the (2j1, 2j2) cell whose closed-form walk is
+    ``items``, with every Gram product taken by `_dot`: its rows by J, in
+    (J, M) order, then its columns by m1, in (M, m1) order, each vector
+    meeting every vector of its M block at or after it.  The vectors are
+    those of the cell, every |J, M> and every (m1, m2), and any other that
+    ``items`` holds; one that ``items`` leaves out is empty."""
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    rows: dict[int, dict[int, dict]] = {}
+    columns: dict[int, dict[int, dict]] = {}
+    for tJ, tM, tm1 in _cell_keys(tj1, tj2):
+        rows.setdefault(tM, {}).setdefault(tJ, {})
+        columns.setdefault(tM, {}).setdefault(tm1, {})
+    for (tJ, tM, tm1), value in items:
+        rows.setdefault(tM, {}).setdefault(tJ, {})[tm1] = value
+        columns.setdefault(tM, {}).setdefault(tm1, {})[tJ] = value
     one, zero = RadicalSum.one(), RadicalSum.zero()
-
-    def vector(index: str, tM: int, t: int) -> dict[int, RadicalSum]:
-        """The values of row J = t or of column m1 = t of the M block."""
-        block = rows.get(tM, {})
-        if index == "J":
-            return block.get(t, {})
-        return {tJ: row[t] for tJ, row in block.items() if t in row}
-
-    # one Gram test per pass, inside each M block: the rows of a block by
-    # J, visited in (J, M) order, then its columns by m1, in (M, m1) order;
-    # each vector meets every vector of its block at or after it in the
-    # block's sorted indices, which start at the vector's own position i.
-    # A row product (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, and a
-    # column product (M; m1, m1') is sqrt(A A') sum_J W_J P P' / (top L^2),
-    # with B_J = W_J / top, so each is 0 exactly when its integer sum is 0.
-    # The integer test only passes a product: any other, or one of a vector
-    # with a value that does not factor (None), is taken exactly by `_dot`,
-    # and fails when `_dot` says so
     count = 0
-    for label, index, order in (
-        ("row orthonormality", "J", lambda visit: (visit[1], visit[0])),
-        ("column completeness", "m1", None),
+    for label, index, vectors, order in (
+        ("row orthonormality", "J", rows, lambda visit: (visit[1], visit[0])),
+        ("column completeness", "m1", columns, None),
     ):
-        # by M: the pass's weight per entry, its sorted indices, and per
-        # vector its numerators with the (scale, denominator) of its norm
-        # test, scale * sum(weight P^2) == denominator, or None
-        weights: dict[int, list[int]] = {}
-        indices: dict[int, list[int]] = {}
-        lines: dict[int, dict[int, tuple[Sequence[int], int, int] | None]] = {}
-        for tM, (Js, ms, m1_range, numerators, norm) in grids.items():
-            product_weights = [product_weight.get((tM, tm1), 0) for tm1 in m1_range]
-            bs = [coupled_weight.get((tJ, tM), (0, 1)) for tJ in Js]
-            if index == "J":
-                weights[tM], indices[tM] = product_weights, Js
-                lines[tM] = {
-                    tJ: (line, b_top, b_bottom * norm)
-                    for tJ, (b_top, b_bottom), line in zip(Js, bs, numerators)
-                }
-            else:
-                weights[tM] = [b_top * (top // b_bottom) for b_top, b_bottom in bs]
-                indices[tM] = ms
-                lines[tM] = {
-                    tm1: (line, weight, top * norm)
-                    for tm1, weight, line in zip(m1_range, product_weights, zip(*numerators))
-                }
-        for unfactored_index, tM, t in unfactored:
-            if unfactored_index == index:
-                lines[tM][t] = None
-        vectors = ((tM, t, i) for tM, ts in indices.items() for i, t in enumerate(ts))
-        for tM, t, i in sorted(vectors, key=order):
-            block_lines = lines[tM]
-            if u := block_lines[t]:
-                line, scale, denominator = u
-                weighted = list(map(mul, weights[tM], line))
-                unit = scale * sum(map(mul, weighted, line)) == denominator
+        indices = {tM: sorted(block) for tM, block in vectors.items()}
+        visits = ((tM, t, i) for tM, ts in indices.items() for i, t in enumerate(ts))
+        for tM, t, i in sorted(visits, key=order):
+            block = vectors[tM]
             for tb in indices[tM][i:]:
                 count += 1
-                if u and (v := block_lines[tb]) and (
-                    unit if tb == t else not sum(map(mul, weighted, v[0]))
-                ):
-                    continue
-                product = _dot(vector(index, tM, t), vector(index, tM, tb))
+                product = _dot(block[t], block[tb])
                 if product != (one if tb == t else zero):
                     return count, Counterexample(
                         description=(
@@ -390,12 +377,13 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
     2j <= max_twice_j, one Gram test on its rows (orthonormality at fixed
     J, M over m1), then on its columns (completeness at fixed m1, m2 over J).
 
-    Each closed-form value is factored once as sqrt(A B) p / r, so that
-    each product is an integer sum over one M block; a product that the
-    integer test does not pass is taken by `_dot` and reported if it
-    fails, so the counts and counterexamples are those of `_dot` alone.
-    The rows and columns are those of the cell, every |J, M> and every
-    (m1, m2); one that the walk leaves out is empty and fails its norm."""
+    Each closed-form value is factored once as sqrt(A B) p / r, and each M
+    block's row and column products are integer sums.  A cell with a sum
+    that fails, or a value that does not factor, is walked again through
+    `_unitarity_by_dot`, which takes every product by `_dot`, so the counts
+    and counterexamples are those of `_dot` alone.  The rows and columns
+    are those of the cell, every |J, M> and every (m1, m2); one that the
+    walk leaves out is empty and fails its norm."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 
@@ -405,16 +393,16 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
 
 
 def _collapse_cell(cell: tuple[int, int]) -> CellResult:
+    if all(len(value._terms) <= 1 for _, value in _closed_form_walk(*cell)):
+        return _cell_size(*cell), None
     closed = dict(_closed_form_walk(*cell))
-    count = 0
-    for key in _cell_keys(*cell):
-        count += 1
+    for count, key in enumerate(_cell_keys(*cell), 1):
         value = closed.get(key)
         if value is not None and value.num_terms > 1:
             return count, Counterexample(
                 description=str(_key_spec(*cell, key)), values={"value": str(value)}
             )
-    return count, None
+    return _cell_size(*cell), None
 
 
 def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationReport:
@@ -422,7 +410,8 @@ def check_radical_collapse(max_twice_j: int, jobs: int = 1) -> VerificationRepor
     most one radical term.  Each value is an integer sum times one
     radical (`sum_signed_sqrts`) by construction, so this checks structure:
     that the table build keeps that form.  `tests/test_symbolic.py` proves
-    the term ratio and the radical that the construction rests on."""
+    the term ratio and the radical that the construction rests on.  A cell
+    whose every value is at most one term passes without the keyed loop."""
     return _run_cell_sweep("radical collapse", _collapse_cell, max_twice_j, jobs)
 
 
@@ -443,7 +432,8 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
     once, from its own columns, and each comparison is a lookup.  Each
     stretched symbol 3j(ja jb jc; ja, jc-ja, -jc) has the sign (-1)^(ja-jb+jc)
     of <ja ja; jb jc-ja | jc jc> > 0, which a sign fault that keeps every
-    symmetry cannot keep.
+    symmetry cannot keep, and which a value of several terms does not
+    have.  A symbol that passes on its terms skips the labeled loop.
     """
     symbols: dict[tuple[int, ...], RadicalSum] = {}
     for ja, jb, jc in sorted(set(itertools.permutations(unit))):
@@ -454,32 +444,40 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
                     key = (ja, jb, jc, ma, mb, mc)
                     symbols[key] = _wigner3j(ja, jb, jc, ma, mb)
     odd = (sum(unit) // 2) & 1
-    count = 0
-    for key, base in symbols.items():
-        count += 1
+    terms = {key: value._terms for key, value in symbols.items()}
+    for count, (key, base) in enumerate(symbols.items(), 1):
         ja, jb, jc, ma, mb, mc = key
+        sign = (-1) ** ((ja - jb + jc) // 2) if ma == ja and mc == -jc else None
+        own = base._terms
+        flipped_terms = tuple([(-s, n, d) for s, n, d in own]) if odd else own
+        if (
+            terms[jb, jc, ja, mb, mc, ma] == own == terms[jc, ja, jb, mc, ma, mb]
+            and terms[jb, ja, jc, mb, ma, mc] == flipped_terms == terms[ja, jc, jb, ma, mc, mb]
+            and terms[jc, jb, ja, mc, mb, ma] == flipped_terms == terms[ja, jb, jc, -ma, -mb, -mc]
+            and (sign is None or (len(own) == 1 and own[0][0] == sign))
+        ):
+            continue
         flipped = -base if odd else base
-        images = (
+        for label, image, expected in (
             ("cyclic (231)", (jb, jc, ja, mb, mc, ma), base),
             ("cyclic (312)", (jc, ja, jb, mc, ma, mb), base),
             ("swap (213)", (jb, ja, jc, mb, ma, mc), flipped),
             ("swap (132)", (ja, jc, jb, ma, mc, mb), flipped),
             ("swap (321)", (jc, jb, ja, mc, mb, ma), flipped),
             ("m negation", (ja, jb, jc, -ma, -mb, -mc), flipped),
-        )
-        for label, image, expected in images:
+        ):
             value = symbols[image]
             if value != expected:
                 return count, Counterexample(
                     description=f"{label} of {_threej_spec(key)}",
                     values={"base": str(base), "permuted": str(value)},
                 )
-        if ma == ja and mc == -jc and base.sign() != (sign := (-1) ** ((ja - jb + jc) // 2)):
+        if sign is not None and (base.num_terms != 1 or base.sign() != sign):
             return count, Counterexample(
                 description=f"sign of the stretched {_threej_spec(key)}",
                 values={"base": str(base), "expected sign": f"{sign:+d}"},
             )
-    return count, None
+    return len(symbols), None
 
 
 def check_threej_symmetries(max_twice_j: int, jobs: int = 1) -> VerificationReport:
@@ -489,7 +487,7 @@ def check_threej_symmetries(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 
     The sweep runs over sorted doubled j-triples a <= b <= c <= max_twice_j
     with c <= a + b and a + b + c even, and evaluates every symbol in range
-    exactly once.
+    exactly once.  A stretched symbol of several terms fails its sign.
     """
     units = [
         (a, b, c)
@@ -520,7 +518,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
             "ladder": cg_ladder(spec),
         }
         for route, value in values.items():
-            if value.is_zero or value.sign() <= 0:
+            if value.num_terms != 1 or value.sign() < 0:
                 return count, Counterexample(
                     description=f"{spec} via {route}",
                     values={route: str(value)},
@@ -530,7 +528,7 @@ def _condon_cell(cell: tuple[int, int]) -> CellResult:
 
 def check_condon_shortley(max_twice_j: int, jobs: int = 1) -> VerificationReport:
     """The m1 = j1 coefficient of every |J, J> is strictly positive, on all
-    three routes."""
+    three routes; 0 and a value of several terms fail."""
     return _run_cell_sweep("Condon-Shortley sign", _condon_cell, max_twice_j, jobs)
 
 

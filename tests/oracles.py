@@ -10,19 +10,23 @@ lowering step on exact states through the ladder check's J- kernel
 `verification._apply_ladder`: the reference that the ladder route's
 integer chain is held to, state by state.  `unitarity_by_dot` is the
 unitarity check's Gram loop with every product taken by `numerics._dot`,
-the reference that the check's integer Gram test is held to.
+the reference that the check's integer bulk pass is held to.
 `ladder_by_apply` is the ladder check with every relation acted out by
 `_apply_ladder` and every norm taken by `_dot`, the reference that the
-check's integer decisions are held to.
+check's integer decisions are held to.  `agreement_by_key`,
+`collapse_by_key` and `threej_by_label` are the agreement, collapse and
+3j checks as loops over each key or symbol with `RadicalSum` equality,
+the references that the checks' passes over canonical terms are held to.
 
 `perturbed_tables` changes one value of a route's table at a time, so
 that a test can see which checks catch which change.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial, isqrt
 
-from cgexact.formulas import CouplingSpec
+from cgexact.formulas import CouplingSpec, ThreeJSpec, _cell_keys, _key_spec
 from cgexact.verification import Counterexample, _apply_ladder
 from cgexact.numerics import HalfInt, RadicalSum, _dot, _from_terms
 
@@ -341,4 +345,76 @@ def ladder_by_apply(
                 return count, Counterexample(
                     f"J- relation on beta states at (j1={j1}, j2={j2}, J={J}, s={s})"
                 )
+    return count, None
+
+
+def agreement_by_key(tj1: int, tj2: int, closed_items, racah_items, ladder_items):
+    """The agreement check's result on the (2j1, 2j2) cell whose closed-form,
+    Racah and ladder walks are the three lists of items: the (case count,
+    first counterexample) of comparing the three values key by key over
+    `_cell_keys`, a key missing from a walk reading 0."""
+    closed, racahs, iterative = dict(closed_items), dict(racah_items), dict(ladder_items)
+    zero = RadicalSum.zero()
+    count = 0
+    for key in _cell_keys(tj1, tj2):
+        count += 1
+        values = [walk.get(key, zero) for walk in (closed, racahs, iterative)]
+        if not values[0] == values[1] == values[2]:
+            return count, Counterexample(
+                str(_key_spec(tj1, tj2, key)),
+                dict(zip(("alternative", "racah", "ladder"), map(str, values))),
+            )
+    return count, None
+
+
+def collapse_by_key(tj1: int, tj2: int, items):
+    """The collapse check's result on the (2j1, 2j2) cell whose closed-form
+    walk is ``items``: the (case count, first counterexample) of requiring
+    at most one term of the value at each key of `_cell_keys`."""
+    closed = dict(items)
+    count = 0
+    for key in _cell_keys(tj1, tj2):
+        count += 1
+        value = closed.get(key)
+        if value is not None and value.num_terms > 1:
+            return count, Counterexample(str(_key_spec(tj1, tj2, key)), {"value": str(value)})
+    return count, None
+
+
+def threej_by_label(unit, wigner3j):
+    """The 3j check's result on the doubled j-triple ``unit`` with the 3j
+    symbols of ``wigner3j(ja, jb, jc, ma, mb)`` on doubled columns: the
+    (symbol count, first counterexample) of comparing each symbol with its
+    six labeled images, then requiring the sign (-1)^(ja-jb+jc) of a
+    stretched symbol, which a value of several terms does not have."""
+    symbols = {}
+    for ja, jb, jc in sorted(set(permutations(unit))):
+        for ma in range(-ja, ja + 1, 2):
+            for mb in range(-jb, jb + 1, 2):
+                if abs(ma + mb) <= jc:
+                    symbols[ja, jb, jc, ma, mb, -ma - mb] = wigner3j(ja, jb, jc, ma, mb)
+    odd = sum(unit) // 2 % 2
+    count = 0
+    for key, base in symbols.items():
+        count += 1
+        ja, jb, jc, ma, mb, mc = key
+        spec = ThreeJSpec(*map(HalfInt.from_twice, key))
+        flipped = -base if odd else base
+        for label, image, expected in (
+            ("cyclic (231)", (jb, jc, ja, mb, mc, ma), base),
+            ("cyclic (312)", (jc, ja, jb, mc, ma, mb), base),
+            ("swap (213)", (jb, ja, jc, mb, ma, mc), flipped),
+            ("swap (132)", (ja, jc, jb, ma, mc, mb), flipped),
+            ("swap (321)", (jc, jb, ja, mc, mb, ma), flipped),
+            ("m negation", (ja, jb, jc, -ma, -mb, -mc), flipped),
+        ):
+            if symbols[image] != expected:
+                return count, Counterexample(
+                    f"{label} of {spec}", {"base": str(base), "permuted": str(symbols[image])}
+                )
+        sign = (-1) ** ((ja - jb + jc) // 2)
+        if ma == ja and mc == -jc and (base.num_terms != 1 or base.sign() != sign):
+            return count, Counterexample(
+                f"sign of the stretched {spec}", {"base": str(base), "expected sign": f"{sign:+d}"}
+            )
     return count, None

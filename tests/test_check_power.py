@@ -154,6 +154,6 @@ def test_check_power_matrix_at_small_cells(monkeypatch):
 
 @pytest.mark.extended
 def test_check_power_matrix_at_2j_6(monkeypatch):
-    # 60-80 s on one CPU
+    # 75-80 s on one CPU
     matrix = check_power(monkeypatch, 6)
     assert {key: dict(caught) for key, caught in matrix.items()} == EXPECTED_AT_6

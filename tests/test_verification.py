@@ -18,7 +18,16 @@ import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
 from cgexact.numerics import RadicalSum, sum_radicals
-from oracles import ladder_by_apply, perturbed_tables, product, unitarity_by_dot
+from oracles import (
+    agreement_by_key,
+    collapse_by_key,
+    ladder_by_apply,
+    perturbed_tables,
+    product,
+    summed,
+    threej_by_label,
+    unitarity_by_dot,
+)
 from cgexact.verification import (
     CHECKS,
     Counterexample,
@@ -140,6 +149,61 @@ def test_collapse_detects_injected_multiterm(monkeypatch):
     assert not report.passed
     assert "sqrt(2)" in report.counterexample.values["value"]
     assert report.counterexample.description == "C(j1=0, j2=0, m1=0, m2=0, J=0, M=0)"
+
+
+def test_a_several_term_value_fails_the_condon_shortley_sign(monkeypatch):
+    # a value of several terms has no sign: the check reports it as the
+    # counterexample of its |J, J>, not as a route that raised
+    _broken_closed_form(monkeypatch, RadicalSum.parse("sqrt(2) + sqrt(3)"))
+    report = check_condon_shortley(1)
+    assert (report.scope, report.counterexample) == (
+        "2j <= 1, 1 cases",
+        Counterexample(
+            "C(j1=0, j2=0, m1=0, m2=0, J=0, M=0) via alternative",
+            {"alternative": "sqrt(2) + sqrt(3)"},
+        ),
+    )
+
+
+_WALKS = ("_closed_form_walk", "_racah_walk", "_ladder_walk")
+
+
+def _route_tables(walks, cell):
+    """The three routes' tables of the cell, by walk name, as ``walks`` walk
+    it, and every set one change away: each table of `perturbed_tables`,
+    and each value made two terms, times 1 + sqrt(2), on one route."""
+    walked = {name: list(walk(*cell)) for name, walk in walks.items()}
+    yield walked
+    sqrt2 = RadicalSum.sqrt(2)
+    for name, items in walked.items():
+        for _, _, changed in perturbed_tables(items):
+            yield {**walked, name: changed}
+        for i, (key, value) in enumerate(items):
+            two_terms = summed([value, product(value, sqrt2)])
+            yield {**walked, name: items[:i] + [(key, two_terms)] + items[i + 1:]}
+
+
+def test_agreement_and_collapse_match_the_keyed_loops_on_every_perturbed_table(monkeypatch):
+    # the passes over canonical terms only clear a cell, and the keyed loop
+    # takes every other: on the three routes' tables of each cell with
+    # 2j1, 2j2 <= 4 and on every table one change away from one of them,
+    # each check gives the case count and counterexample of its keyed loop
+    walks = {name: getattr(verification, name) for name in _WALKS}
+    tables = {}
+    for name in _WALKS:
+        monkeypatch.setattr(verification, name, lambda tj1, tj2, name=name: iter(tables[name]))
+    count = agreement_failures = collapse_failures = 0
+    for cell in verification._cells(4):
+        for tables in _route_tables(walks, cell):
+            closed, racah, ladder_items = (tables[name] for name in _WALKS)
+            agreement = verification._agreement_cell(cell)
+            assert agreement == agreement_by_key(*cell, closed, racah, ladder_items), (cell, tables)
+            collapse = verification._collapse_cell(cell)
+            assert collapse == collapse_by_key(*cell, closed), (cell, tables)
+            count += 1
+            agreement_failures += agreement[1] is not None
+            collapse_failures += collapse[1] is not None
+    assert (count, agreement_failures, collapse_failures) == (8371, 8346, 504)
 
 
 def test_acceptance_bounds_pass():
@@ -382,8 +446,8 @@ def test_unitarity_multiclass_inner_product_fails_without_raising(monkeypatch):
 
 
 def test_unitarity_matches_the_dot_only_gram_loop_on_every_perturbed_table(monkeypatch):
-    # the integer Gram test only passes a product, and `_dot` takes every
-    # other: on the closed form's table of each cell with 2j1, 2j2 <= 4 and
+    # the integer bulk pass only clears a cell, and `_dot` takes every
+    # product of any other: on the closed form's table of each cell with 2j1, 2j2 <= 4 and
     # on every table one change away from it, the check gives the case count
     # and the counterexample of the loop that takes every product by `_dot`
     original = verification._closed_form_walk
@@ -455,6 +519,95 @@ def test_threej_fails_on_a_sign_fault_that_keeps_every_symmetry(
     result = CliRunner().invoke(cli, ["verify", "--checks", "threej", "--max-2j", "8"])
     assert result.exit_code == 2, result.output
     assert f"sign of the stretched {stretched}" in result.output
+
+
+def _changed_where(chosen, change):
+    """A fault of the 3j kernel: ``change`` applied to each symbol whose
+    doubled (ja, jb, jc, ma, mb) ``chosen`` accepts."""
+
+    def wrong(symbol):
+        def changed(*columns):
+            value = symbol(*columns)
+            return change(value) if chosen(columns) else value
+
+        return changed
+
+    return wrong
+
+
+def _leans_positive(columns):
+    """Whether the doubled (j, m) columns of a 3j symbol sort above those of
+    its m negation: a choice that each column permutation keeps."""
+    ja, jb, jc, ma, mb = columns
+    js, ms = (ja, jb, jc), (ma, mb, -ma - mb)
+    return sorted(zip(js, ms)) > sorted(zip(js, [-m for m in ms]))
+
+
+def _plus_root(radicand):
+    return lambda value: summed([value, RadicalSum.sqrt(radicand)])
+
+
+#: fault of `_wigner3j` -> the j-triples with 2j <= 4 that it fails
+_THREEJ_FAULTS = {
+    "none": (lambda symbol: symbol, 0),
+    "one column order negated": (_changed_where(lambda c: c[:3] == (2, 1, 1), lambda v: -v), 1),
+    "negated at odd sum": (_negated_at_odd_sum, 6),
+    "negated": (_negated, 14),
+    "two terms": (_changed_where(lambda c: c == (1, 1, 0, 1, -1), _plus_root(Fraction(1, 3))), 1),
+    "two terms, stretched": (_changed_where(lambda c: c == (0, 0, 0, 0, 0), _plus_root(2)), 1),
+    "zeroed": (_changed_where(lambda c: c == (2, 1, 1, 0, 1), lambda v: RadicalSum.zero()), 1),
+    "negated where m leans positive": (_changed_where(_leans_positive, lambda v: -v), 8),
+}
+
+
+@pytest.mark.parametrize("fault", list(_THREEJ_FAULTS))
+def test_threej_matches_the_labeled_loop(monkeypatch, fault):
+    # the pass over canonical terms only clears a symbol, and the labeled
+    # loop takes every other: on every j-triple with 2j <= 4, correct or
+    # with a fault of `_wigner3j`, the check gives the count and the
+    # counterexample of the loop that compares each labeled image
+    make, failing = _THREEJ_FAULTS[fault]
+    symbol = make(verification._wigner3j)
+    monkeypatch.setattr(verification, "_wigner3j", symbol)
+    failures = 0
+    for a in range(5):
+        for b in range(a, 5):
+            for c in range(b + (a & 1), min(a + b, 4) + 1, 2):
+                result = verification._threej_unit((a, b, c))
+                assert result == threej_by_label((a, b, c), symbol), (a, b, c)
+                failures += result[1] is not None
+    assert failures == failing
+
+
+def test_a_several_term_stretched_symbol_fails_its_sign(monkeypatch):
+    # 3j(0 0 0; 0 0 0) = 1 + sqrt(2) keeps every symmetry, but a value of
+    # several terms has no sign: the check reports it, not a ValueError
+    make, _ = _THREEJ_FAULTS["two terms, stretched"]
+    monkeypatch.setattr(verification, "_wigner3j", make(verification._wigner3j))
+    report = check_threej_symmetries(2)
+    assert (report.scope, report.counterexample) == (
+        "2j <= 2, 1 cases",
+        Counterexample(
+            "sign of the stretched 3j(0 0 0; 0 0 0)", {"base": "1 + sqrt(2)", "expected sign": "+1"}
+        ),
+    )
+
+
+def test_a_passing_sweep_takes_no_dot_and_compares_no_radical_sum(monkeypatch):
+    # agreement, unitarity, collapse and the 3j check clear every unit of a
+    # passing sweep from canonical integers
+    def unused(*args, **kwargs):
+        raise AssertionError("a passing sweep decides every case on integers")
+
+    monkeypatch.setattr(verification, "_dot", unused)
+    monkeypatch.setattr(RadicalSum, "__eq__", unused)
+    reports = run_checks(["agreement", "unitarity", "collapse", "threej"], 6)
+    assert [(report.passed, report.scope) for report in reports] == [
+        (True, "2j <= 6, 2408 cases"),
+        (True, "2j <= 6, 3192 cases"),
+        (True, "2j <= 6, 2408 cases"),
+        (True, "2j <= 6, 1384 cases"),
+    ]
 
 
 _KERNEL = formulas._closed_form_component
