@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -23,8 +24,9 @@ from .formulas import (
     cg_alternative,
     cg_racah,
 )
-from .ladder import CoefficientRecord, TableRoute, _record, build_full_table, cg_ladder
-from .numerics import HalfInt, RadicalSum, to_decimal
+from .ladder import CoefficientRecord, TableRoute, build_full_table, cg_ladder
+from .ladder import _new_record, _set_exact, _set_J, _set_M, _set_m1, _set_m2
+from .numerics import HalfInt, RadicalSum, _CollectorPaused, to_decimal
 from .verification import CHECKS, run_checks
 
 __all__ = [
@@ -82,33 +84,51 @@ def _write_output(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Memo(dict):
+    """A dict whose missing key gets the entry ``make(key)`` on its first
+    lookup, stored unless ``make`` raises: a hit is one dict lookup, with
+    no Python-level call.  Each table call makes its own memos, so none
+    outlives the call."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _text_rows(
     records: list[CoefficientRecord], quote: Callable[[str], str] = str
 ) -> list[tuple[str, ...]]:
     """The texts of every record in `_FIELDS` order, the value's as
     `CoefficientRecord.exact_text` and `value_text` render it, each passed
     through ``quote``.  The rows of one table repeat their quantum numbers
-    and often their values, so each distinct quantum number and each
-    distinct value (keyed by its canonical terms) is rendered and quoted
-    once per call."""
-    text: dict[int, str] = {}
+    and often their values, so each distinct quantum number (keyed by its
+    doubled value) and each distinct value (keyed by its canonical terms)
+    is rendered and quoted once per call.  The row loop runs with the
+    cyclic collector paused."""
+    number = _Memo(lambda twice: quote(str(HalfInt.from_twice(twice))))
     exact: dict[tuple, tuple[str, str]] = {}
-
-    def render(value: HalfInt) -> str:
-        return text.get(value.twice) or text.setdefault(value.twice, quote(str(value)))
-
     rows = []
     append = rows.append
-    for r in records:
-        value = r.exact
-        if (texts := exact.get(value._terms)) is None:
-            texts = exact[value._terms] = (quote(str(value)), quote(to_decimal(value, 5)))
-        append((render(r.J), render(r.M), render(r.m1), render(r.m2), *texts))
+    with _CollectorPaused():
+        for r in records:
+            value = r.exact
+            if (texts := exact.get(value._terms)) is None:
+                texts = exact[value._terms] = (quote(str(value)), quote(to_decimal(value, 5)))
+            exact_text, value_text = texts
+            append((
+                number[r.J.twice], number[r.M.twice], number[r.m1.twice], number[r.m2.twice],
+                exact_text, value_text,
+            ))
     return rows
 
 
 def records_to_csv(records: list[CoefficientRecord]) -> str:
-    lines = [CSV_HEADER, *(",".join(row) for row in _text_rows(records))]
+    lines = [CSV_HEADER, *map(",".join, _text_rows(records))]
     return "\n".join(lines) + "\n"
 
 
@@ -138,29 +158,40 @@ def records_to_pretty(records: list[CoefficientRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_reader(place: str) -> Callable[[int, str, str, str, str, str], CoefficientRecord]:
-    """A function of one row's number and its `_PARSED_FIELDS` texts that
-    returns the row's record.
+def _nonzero_value(text: str) -> RadicalSum:
+    """The value of a row's exact text, by `RadicalSum.parse` as bound when
+    called; a table holds only nonzero coefficients, so 0 raises."""
+    if value := RadicalSum.parse(text):
+        return value
+    raise ValueError(f"exact value {text!r} is 0; a table holds only nonzero coefficients")
+
+
+def _read_rows(
+    place: str, first: int, rows: Iterable[Sequence[str]], width: int
+) -> list[CoefficientRecord]:
+    """The record of each row of ``rows``, a sequence of ``width`` texts
+    whose first five are its `_PARSED_FIELDS`, numbered from ``first``.
 
     The rows of one table repeat their quantum numbers and often their
-    values, so the reader parses each distinct half-integer text and each
-    distinct exact text once, and rows with equal texts share one HalfInt
-    or one RadicalSum, both immutable.  A text that is not a half-integer
-    or an exact value, or a row that no table holds (M other than m1 + m2,
-    |M| above J, or J + M not an integer), raises ValueError naming
-    ``place`` ("line" or "row") and the number.
+    values, so each distinct half-integer text and each distinct exact
+    text is parsed once, on its first lookup in a `_Memo`, and rows with
+    equal texts share one HalfInt or one RadicalSum, both immutable; a row
+    whose texts were all seen before makes no Python-level call.  A row of
+    another width, a text that is not a half-integer or an exact value, or
+    a row that no table holds (M other than m1 + m2, |M| above J, J + M not
+    an integer, or an exact value of 0) raises ValueError naming ``place``
+    ("line" or "row") and the number.
     """
-    half: dict[str, HalfInt] = {}
-    exact: dict[str, RadicalSum] = {}
-    get, add = half.get, half.setdefault
-    parse = RadicalSum.parse
-
-    def read(number: int, J: str, M: str, m1: str, m2: str, text: str) -> CoefficientRecord:
+    half = _Memo(HalfInt)
+    exact = _Memo(_nonzero_value)
+    records = []
+    append = records.append
+    for number, fields in enumerate(rows, first):
         try:
-            J = get(J) or add(J, HalfInt(J))
-            M = get(M) or add(M, HalfInt(M))
-            m1 = get(m1) or add(m1, HalfInt(m1))
-            m2 = get(m2) or add(m2, HalfInt(m2))
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            J, M, m1, m2, value = fields[:5]
+            J, M, m1, m2 = half[J], half[M], half[m1], half[m2]
             tJ, tM = J.twice, M.twice
             if tM != m1.twice + m2.twice:
                 raise ValueError(f"M={M} is not m1 + m2 = {m1} + {m2}")
@@ -168,68 +199,73 @@ def _record_reader(place: str) -> Callable[[int, str, str, str, str, str], Coeff
                 raise ValueError(f"|M|={abs(M)} exceeds J={J}")
             if (tJ + tM) & 1:
                 raise ValueError(f"J + M = {J + M} is not an integer")
-            if (value := exact.get(text)) is None:
-                value = exact[text] = parse(text)
+            value = exact[value]
         except ValueError as exc:
             raise ValueError(f"{place} {number}: {exc}") from None
-        return _record(J, M, m1, m2, value)
-
-    return read
+        record = _new_record(CoefficientRecord)
+        _set_J(record, J)
+        _set_M(record, M)
+        _set_m1(record, m1)
+        _set_m2(record, m2)
+        _set_exact(record, value)
+        append(record)
+    return records
 
 
 def parse_table_csv(text: str) -> list[CoefficientRecord]:
     """Inverse of records_to_csv; the value column is not read, since it is
-    rendered from the exact one.  A line without six fields, a bad
-    half-integer or bad exact text raises ValueError naming the 1-based
-    line, the header being line 1.
+    rendered from the exact one.  Text whose first nonblank line is not
+    the header, a line without six fields, a bad half-integer, bad exact
+    text or a row that no table holds raises ValueError naming the 1-based
+    line, the header being line 1.  The rows are read with the cyclic
+    collector paused.
     """
     body = text.lstrip("\n")
     first = len(text) - len(body) + 1  # the header's line number
     lines = body.rstrip("\n").split("\n")
     if lines[0] != CSV_HEADER:
-        raise ValueError(f"missing csv header {CSV_HEADER!r}")
-    read = _record_reader("line")
-    records = []
-    append = records.append
-    for number, line in enumerate(lines[1:], start=first + 1):
-        fields = line.split(",")
-        try:
-            J, M, m1, m2, exact, _ = fields
-        except ValueError:
-            raise ValueError(
-                f"line {number}: expected {len(_FIELDS)} fields, got {len(fields)}"
-            ) from None
-        append(read(number, J, M, m1, m2, exact))
-    return records
+        raise ValueError(f"missing csv header {CSV_HEADER!r}: line {first} is {lines[0]!r}")
+    with _CollectorPaused():
+        rows = map(str.split, islice(lines, 1, None), repeat(","))
+        return _read_rows("line", first + 1, rows, len(_FIELDS))
 
 
 def parse_table_json(text: str) -> list[CoefficientRecord]:
     """Inverse of records_to_json.  A document that is not an array, a row
     that is not an object or lacks a field, a field that is not a string,
-    a bad half-integer or bad exact text raises ValueError naming the
-    0-based row index.
+    a bad half-integer, bad exact text or a row that no table holds raises
+    ValueError naming the 0-based row index.  The document is loaded and
+    read with the cyclic collector paused.
     """
-    document = json.loads(text)
-    if not isinstance(document, list):
-        raise ValueError("a json table must be an array of rows")
-    read = _record_reader("row")
-    records = []
-    append = records.append
-    for index, row in enumerate(document):
-        if not isinstance(row, dict):
-            raise ValueError(f"row {index}: not an object")
-        try:
-            J, M, m1, m2, exact = _parsed_fields(row)
-        except KeyError:
-            missing = [key for key in _PARSED_FIELDS if key not in row]
-            raise ValueError(f"row {index}: missing {', '.join(missing)}") from None
-        if not (
-            isinstance(J, str) and isinstance(M, str) and isinstance(m1, str)
-            and isinstance(m2, str) and isinstance(exact, str)
-        ):
-            raise ValueError(f"row {index}: fields must be strings")
-        append(read(index, J, M, m1, m2, exact))
-    return records
+    with _CollectorPaused():
+        document = json.loads(text)
+        if not isinstance(document, list):
+            raise ValueError("a json table must be an array of rows")
+        rows = []
+        append = rows.append
+        problem = None
+        for index, row in enumerate(document):
+            if not isinstance(row, dict):
+                problem = "not an object"
+                break
+            try:
+                fields = J, M, m1, m2, exact = _parsed_fields(row)
+            except KeyError:
+                problem = f"missing {', '.join(key for key in _PARSED_FIELDS if key not in row)}"
+                break
+            if not (
+                isinstance(J, str) and isinstance(M, str) and isinstance(m1, str)
+                and isinstance(m2, str) and isinstance(exact, str)
+            ):
+                problem = "fields must be strings"
+                break
+            append(fields)
+        # the rows before the first one of the wrong shape are read first,
+        # so that the error named is that of the first malformed row
+        records = _read_rows("row", 0, rows, len(_PARSED_FIELDS))
+        if problem is not None:
+            raise ValueError(f"row {index}: {problem}")
+        return records
 
 
 _FORMATTERS = {

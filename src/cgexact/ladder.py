@@ -19,7 +19,7 @@ from math import comb, gcd, perm
 
 from . import formulas
 from .formulas import CouplingSpec
-from .numerics import HalfInt, RadicalSum, _j_range, _times_radical, to_decimal
+from .numerics import HalfInt, RadicalSum, _CollectorPaused, _j_range, _times_radical, to_decimal
 
 __all__ = [
     "CoefficientRecord",
@@ -159,15 +159,19 @@ class TableRoute(Enum):
     RACAH = "racah"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CoefficientRecord:
     """One nonzero table row: (J, M, m1, m2) plus the exact value.
 
     Frozen, compared and hashed by value, and slotted: a record has no
     ``__dict__``, so the rows of a large table cost less to build and hold.
-    ``CoefficientRecord(...)`` is the public constructor.  The table
-    builders (`build_full_table` and the CLI's parsers) make their rows
-    with `_record`, which sets the same five slots without the frozen
+    Two records are equal when their quantum numbers have equal doubled
+    values and their values equal canonical terms, compared in one frame:
+    comparing two tables makes one ``==`` per row.  The hash is that of
+    the tuple of the five fields.  ``CoefficientRecord(...)`` is the
+    public constructor.  The table builders (`build_full_table` through
+    `_record`, and the CLI's parsers in their row loop) set the same five
+    slots through their member descriptors, without the frozen
     ``__init__``'s five ``object.__setattr__`` calls; the record is the
     same either way.
     """
@@ -177,6 +181,20 @@ class CoefficientRecord:
     m1: HalfInt
     m2: HalfInt
     exact: RadicalSum
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoefficientRecord):
+            return NotImplemented
+        return (
+            self.J.twice == other.J.twice
+            and self.M.twice == other.M.twice
+            and self.m1.twice == other.m1.twice
+            and self.m2.twice == other.m2.twice
+            and self.exact._terms == other.exact._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.J, self.M, self.m1, self.m2, self.exact))
 
     @property
     def exact_text(self) -> str:
@@ -224,8 +242,10 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
     Every route produces the identical record set, each in that order; the
     iterative ladder route recomputes the values by repeated exact lowering
     precisely so it can defend the closed forms.  The records are the
-    values of the route's walk in `_WALKS`.  ``route`` is a TableRoute or
-    its value; any other value, or a negative j, raises ValueError.
+    values of the route's walk in `_WALKS`, listed with the cyclic
+    collector paused (`numerics._CollectorPaused`).  ``route`` is a
+    TableRoute or its value; any other value, or a negative j, raises
+    ValueError.
     """
     j1, j2 = HalfInt(j1), HalfInt(j2)
     route = TableRoute(route)
@@ -234,7 +254,8 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
         raise ValueError("j1 and j2 must be nonnegative")
     # rows share one HalfInt per doubled value, which keeps the table small
     half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
-    return [
-        _record(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
-        for (tJ, tM, tm1), value in _WALKS[route](tj1, tj2)
-    ]
+    with _CollectorPaused():
+        return [
+            _record(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
+            for (tJ, tM, tm1), value in _WALKS[route](tj1, tj2)
+        ]

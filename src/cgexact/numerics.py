@@ -27,6 +27,7 @@ each 3j symbol, is built in one place, `_times_radical`, which
 
 from __future__ import annotations
 
+import gc
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
@@ -194,16 +195,49 @@ def _from_terms(terms: tuple[Term, ...]) -> "RadicalSum":
     return obj
 
 
+_new_value = object.__new__
+
+
 def _times_radical(x: int, n: int, d: int) -> "RadicalSum":
     """x * sqrt(n / d) for an int x and positive ints n and d: one term,
     its square x^2 n / d reduced by one gcd, or 0 when x is 0.  Every
-    route's value is an integer sum times one radical, and this is the one
-    place where such a value is built."""
+    route's value and every parsed one-term value is an integer times one
+    radical, and this is the one place where such a value is built.  It
+    sets the value's terms itself, with no `_from_terms` call, since a
+    table builds one value per row here."""
     if not x:
         return RadicalSum()
     n *= x * x
     g = gcd(n, d)
-    return _from_terms(((1 if x > 0 else -1, n // g, d // g),))
+    value = _new_value(RadicalSum)
+    value._terms = ((1 if x > 0 else -1, n // g, d // g),)
+    return value
+
+
+class _CollectorPaused:
+    """``with _CollectorPaused():`` runs its body with the cyclic garbage
+    collector paused, when it was enabled, and enables it again on exit,
+    raised or not; a collector that was already disabled stays disabled.
+
+    Table rows (records, `HalfInt`s, `RadicalSum`s and tuples of ints) form
+    no reference cycle, yet a table of thousands of rows triggers hundreds
+    of collections that each scan them.  The table paths pause it around
+    loops that run to completion, never inside a generator.  Automatic
+    cyclic collection is off for the whole interpreter, every thread
+    included, while such a table call runs; reference counting still frees
+    everything that is not in a cycle.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        if enabled := gc.isenabled():
+            gc.disable()
+        self.enabled = enabled
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 def _dot(u: Mapping[int, "RadicalSum"], v: Mapping[int, "RadicalSum"]) -> "RadicalSum":

@@ -1,12 +1,15 @@
 """Tests for the command-line interface and its output contracts."""
 
+import gc
 import json
+from collections.abc import Callable
 
 import click
 import pytest
 from click.testing import CliRunner
 
 import cgexact.cli as cli_module
+import cgexact.ladder as ladder
 from cgexact.cli import (
     CSV_HEADER,
     cli,
@@ -298,6 +301,15 @@ def test_json_is_the_bytes_of_json_dumps(route):
         ("1,5,4,1,sqrt(1/2),0.70711", "line 3: |M|=5 exceeds J=1"),
         ("1,-2,-1,-1,1,1.00000", "line 3: |M|=2 exceeds J=1"),
         ("3/2,0,1/2,-1/2,1,1.00000", "line 3: J + M = 3/2 is not an integer"),
+        # a table holds only nonzero coefficients
+        (
+            "0,0,0,0,0,0.00000",
+            "line 3: exact value '0' is 0; a table holds only nonzero coefficients",
+        ),
+        (
+            "1,0,0,0,-0/5,0.00000",
+            "line 3: exact value '-0/5' is 0; a table holds only nonzero coefficients",
+        ),
     ],
 )
 def test_parse_table_csv_errors_name_the_line(row, message):
@@ -309,10 +321,25 @@ def test_parse_table_csv_errors_name_the_line(row, message):
         parse_table_csv("\n" + text)
 
 
-@pytest.mark.parametrize("text", ["", "1,0,0,0,1,1.00000\n", "J,M,m1,m2,exact\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1,0,0,0,1,1.00000\n",
+        "J,M,m1,m2,exact\n",
+        # parsing is LF-only: CRLF endings and a byte-order mark name the
+        # line that holds the header and show what it holds
+        f"{CSV_HEADER}\r\n1,0,0,0,1,1.00000\r\n",
+        f"\ufeff{CSV_HEADER}\n1,0,0,0,1,1.00000\n",
+    ],
+)
 def test_parse_table_csv_rejects_text_without_the_header(text):
-    with pytest.raises(ValueError, match="^missing csv header "):
+    found = text.split("\n")[0]
+    with pytest.raises(ValueError, match="^missing csv header ") as excinfo:
         parse_table_csv(text)
+    assert str(excinfo.value).endswith(f": line 1 is {found!r}")
+    assert ("\\r" in str(excinfo.value)) == ("\r" in text)
+    assert ("\\ufeff" in str(excinfo.value)) == ("\ufeff" in text)
 
 
 _JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1.00000"}
@@ -332,12 +359,82 @@ _JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1
             "row 1: |M|=2 exceeds J=1",
         ),
         ([_JSON_ROW, {**_JSON_ROW, "J": "1/2"}], "row 1: J + M = 1/2 is not an integer"),
+        (
+            [_JSON_ROW, {**_JSON_ROW, "exact": "sqrt(0)"}],
+            "row 1: exact value 'sqrt(0)' is 0; a table holds only nonzero coefficients",
+        ),
     ],
 )
 def test_parse_table_json_errors_name_the_row(document, message):
     with pytest.raises(ValueError) as excinfo:
         parse_table_json(json.dumps(document))
     assert str(excinfo.value) == message
+
+
+def _table_calls(monkeypatch, fail: bool, seen: list[bool]) -> dict[str, Callable]:
+    """Each function that pauses the collector, as a call of no arguments
+    on a small table.  Each call notes in ``seen`` whether the collector
+    ran while it read or rendered a value, and with ``fail`` it raises a
+    ValueError there, in the middle of its row loop."""
+    records = build_full_table("5/2", 2, TableRoute.RACAH)
+    csv_text, json_text = records_to_csv(records), records_to_json(records)
+    walk = ladder._WALKS[TableRoute.RACAH]
+
+    def watched_walk(tj1, tj2):
+        for index, item in enumerate(walk(tj1, tj2)):
+            seen.append(gc.isenabled())
+            if fail and index == 3:
+                raise ValueError("malformed")
+            yield item
+
+    def watch(original):
+        def watched(*args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise ValueError("malformed")
+            return original(*args)
+        return watched
+
+    monkeypatch.setitem(ladder._WALKS, TableRoute.RACAH, watched_walk)
+    monkeypatch.setattr(cli_module, "to_decimal", watch(cli_module.to_decimal))
+    monkeypatch.setattr(RadicalSum, "parse", watch(RadicalSum.parse))
+    return {
+        "build_full_table": lambda: build_full_table("5/2", 2, TableRoute.RACAH),
+        "records_to_csv": lambda: records_to_csv(records),
+        "records_to_json": lambda: records_to_json(records),
+        "records_to_pretty": lambda: records_to_pretty(records),
+        "parse_table_csv": lambda: parse_table_csv(csv_text),
+        "parse_table_json": lambda: parse_table_json(json_text),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "build_full_table", "records_to_csv", "records_to_json", "records_to_pretty",
+        "parse_table_csv", "parse_table_json",
+    ],
+)
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "malformed row"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_table_calls_pause_the_collector_and_restore_it(monkeypatch, name, fail, enabled):
+    # each call pauses the cyclic collector around its row loop and leaves
+    # it as it found it, raised or not: an enabled collector is enabled
+    # again, and one the caller disabled stays disabled
+    seen: list[bool] = []
+    call = _table_calls(monkeypatch, fail, seen)[name]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(ValueError):
+                call()
+        else:
+            call()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_table_deterministic(runner):

@@ -545,6 +545,19 @@ def test_records_replace_pickle_compare_and_hash_by_value():
     )
     assert len({*records, copy}) == len(records)
     assert record != (record.J, record.M, record.m1, record.m2, record.exact)
+    assert record.__eq__(record.exact) is NotImplemented
+    # a change to any one field, quantum number or value, is a different row
+    changed = {
+        **{
+            name: HalfInt.from_twice(getattr(record, name).twice + 2)
+            for name in ("J", "M", "m1", "m2")
+        },
+        "exact": -record.exact,
+    }
+    for name, value in changed.items():
+        other = dataclasses.replace(record, **{name: value})
+        assert other != record and record != other, name
+        assert not other == record, name
 
 
 def test_single_m_support_everywhere():
