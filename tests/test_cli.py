@@ -374,8 +374,8 @@ def test_parse_table_json_errors_name_the_row(document, message):
 def _table_calls(monkeypatch, fail: bool, seen: list[bool]) -> dict[str, Callable]:
     """Each function that pauses the collector, as a call of no arguments
     on a small table.  Each call notes in ``seen`` whether the collector
-    ran while it read or rendered a value, and with ``fail`` it raises a
-    ValueError there, in the middle of its row loop."""
+    was enabled while it walked, rendered or parsed a value, and with
+    ``fail`` it raises a ValueError there, in the middle of its row loop."""
     records = build_full_table("5/2", 2, TableRoute.RACAH)
     csv_text, json_text = records_to_csv(records), records_to_json(records)
     walk = ladder._WALKS[TableRoute.RACAH]
