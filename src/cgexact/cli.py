@@ -190,7 +190,7 @@ def _read_rows(
         try:
             if len(fields) != width:
                 raise ValueError(f"expected {width} fields, got {len(fields)}")
-            J, M, m1, m2, value = fields[:5]
+            J, M, m1, m2, text = fields[:5]
             J, M, m1, m2 = half[J], half[M], half[m1], half[m2]
             tJ, tM = J.twice, M.twice
             if tM != m1.twice + m2.twice:
@@ -199,7 +199,7 @@ def _read_rows(
                 raise ValueError(f"|M|={abs(M)} exceeds J={J}")
             if (tJ + tM) & 1:
                 raise ValueError(f"J + M = {J + M} is not an integer")
-            value = exact[value]
+            value = exact[text]
         except ValueError as exc:
             raise ValueError(f"{place} {number}: {exc}") from None
         record = _new_record(CoefficientRecord)
