@@ -166,6 +166,14 @@ def _nonzero_value(text: str) -> RadicalSum:
     raise ValueError(f"exact value {text!r} is 0; a table holds only nonzero coefficients")
 
 
+def _table_halfint(text: str) -> HalfInt:
+    """The HalfInt of a text that is ``str`` of it, as a table writes it."""
+    value = HalfInt(text)
+    if str(value) != text:
+        raise ValueError(f"half-integer {text!r} is written {str(value)!r} in a table")
+    return value
+
+
 def _read_rows(
     place: str, first: int, rows: Iterable[Sequence[str]], width: int
 ) -> list[CoefficientRecord]:
@@ -177,12 +185,13 @@ def _read_rows(
     text is parsed once, on its first lookup in a `_Memo`, and rows with
     equal texts share one HalfInt or one RadicalSum, both immutable; a row
     whose texts were all seen before makes no Python-level call.  A row of
-    another width, a text that is not a half-integer or an exact value, or
-    a row that no table holds (M other than m1 + m2, |M| above J, J + M not
-    an integer, or an exact value of 0) raises ValueError naming ``place``
+    another width, a text that is not a half-integer as a table writes it
+    or an exact value (written any way: ``sqrt(2/4)`` is read), or a row
+    that no table holds (M other than m1 + m2, |M| above J, J + M not an
+    integer, or an exact value of 0) raises ValueError naming ``place``
     ("line" or "row") and the number.
     """
-    half = _Memo(HalfInt)
+    half = _Memo(_table_halfint)
     exact = _Memo(_nonzero_value)
     records = []
     append = records.append

@@ -189,37 +189,35 @@ def _closed_form_component(
     and N = min(m, k), every R_l nonzero.  With the integers T_l =
     C(2j1-l, k-l) C(2j2-m+l, s-k+l) C(m, l), R_l / R_K = (T_l / T_K)^2, so it
     is sqrt(U) sum_l (-1)^l T_l, one radical, with U = R_K / T_K^2.  Only
-    T_K is built from binomials.  Each later term is the exact division
-    T_(l+1) = T_l a_l // b_l, with a_l = (k-l)(2j2-m+l+1)(m-l) and
-    b_l = (2j1-l)(s-k+l+1)(l+1) written in the loop, both positive for
-    K <= l < N: `tests/test_symbolic.py` reads them from this source and
-    proves that a_l / b_l is T_(l+1) / T_l.
+    T_K and U are built from binomials, each region from those that are not
+    C(x, 0) = 1: three at K = 0 (k <= s), five at K = k - s > 0.  Each later
+    term is the exact division T_(l+1) = T_l a_l // b_l, with
+    a_l = (k-l)(2j2-m+l+1)(m-l) and b_l = (2j1-l)(s-k+l+1)(l+1) written in
+    the loop, both positive for K <= l < N: `tests/test_symbolic.py` reads
+    them from this source and proves that a_l / b_l is T_(l+1) / T_l.
     """
     q2 = tj2 - m                       # 2j2 - m  (= j2 - j1 + J)
     d = s - k                          # J - j1 - m2
-    lo = max(0, -d)
-    first = comb(tj1 - lo, k - lo) * comb(q2 + lo, d + lo) * comb(m, lo)
+    if d >= 0:                         # K = 0
+        term = first = comb(tj1, k) * comb(q2, d)
+        lo, n, den = 0, comb(m + d, d) * shared[0], first * shared[1]
+    else:                              # K = -d
+        lo = -d
+        first = comb(tj1 - lo, k - lo) * comb(m, lo)
+        n, den = comb(q2 + lo, lo) * comb(k, lo) * shared[0], comb(tj1, lo) * first * shared[1]
+        term = -first if lo & 1 else first
     # the signed terms (-1)^l T_l; each step flips the sign
-    term = -first if lo & 1 else first
     terms = [term]
-    for l in range(lo, min(m, k)):
+    for l in range(lo, m if m < k else k):
         term = -term * ((k - l) * (q2 + l + 1) * (m - l)) // ((tj1 - l) * (d + l + 1) * (l + 1))
         terms.append(term)
-    return sum_signed_sqrts(
-        terms,
-        comb(q2 + lo, lo) * comb(k, lo) * comb(m + d, d + lo) * shared[0],
-        comb(tj1, lo) * first * shared[1],
-    )
+    return sum_signed_sqrts(terms, n, den)
 
 
 def cg_alternative(spec: CouplingSpec) -> RadicalSum:
-    """Clebsch-Gordan coefficient via the binomial-ratio summation.
-
-    The closed-form component at depth m = j1+j2-J, s = J-M and k = j1-m1
-    (`_closed_form_component`): an integer sum of binomial terms, each
-    stepped from the one before by exact division, times the square root
-    of one rational.  Selection-zero specs give exactly 0.
-    """
+    """Clebsch-Gordan coefficient via the binomial-ratio summation: the
+    closed-form component at depth m = j1+j2-J, s = J-M and k = j1-m1
+    (`_closed_form_component`).  Selection-zero specs give exactly 0."""
     if _is_selection_zero(spec):
         return RadicalSum.zero()
     tj1, tj2 = spec.j1.twice, spec.j2.twice

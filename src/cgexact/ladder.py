@@ -169,11 +169,11 @@ class CoefficientRecord:
     values and their values equal canonical terms, compared in one frame:
     comparing two tables makes one ``==`` per row.  The hash is that of
     the tuple of the five fields.  ``CoefficientRecord(...)`` is the
-    public constructor.  The table builders (`build_full_table` through
-    `_record`, and the CLI's parsers in their row loop) set the same five
-    slots through their member descriptors, without the frozen
-    ``__init__``'s five ``object.__setattr__`` calls; the record is the
-    same either way.
+    public constructor.  The table builders (`build_full_table` and the
+    CLI's parsers) set the five slots in their row loops, with no call per
+    row, through `_new_record` and the ``_set_*`` member descriptors: half
+    the cost of the frozen ``__init__``'s ``object.__setattr__`` calls, and
+    the same record, its fields unchecked as ``__init__`` leaves them.
     """
 
     J: HalfInt
@@ -211,22 +211,6 @@ _set_J, _set_M, _set_m1, _set_m2, _set_exact = (
 )
 
 
-def _record(
-    J: HalfInt, M: HalfInt, m1: HalfInt, m2: HalfInt, exact: RadicalSum
-) -> CoefficientRecord:
-    """``CoefficientRecord(J, M, m1, m2, exact)``, each slot set through its
-    member descriptor: a table builds one record per row, and the frozen
-    ``__init__``'s ``object.__setattr__`` per field costs about twice as
-    much.  The fields are not checked, as ``__init__`` does not check them."""
-    record = _new_record(CoefficientRecord)
-    _set_J(record, J)
-    _set_M(record, M)
-    _set_m1(record, m1)
-    _set_m2(record, m2)
-    _set_exact(record, exact)
-    return record
-
-
 #: each route's walk of a (2j1, 2j2) cell, as `build_full_table` reads it
 _WALKS = {
     TableRoute.CLOSED_FORM: formulas._closed_form_walk,
@@ -254,8 +238,15 @@ def build_full_table(j1, j2, route: TableRoute | str) -> list[CoefficientRecord]
         raise ValueError("j1 and j2 must be nonnegative")
     # rows share one HalfInt per doubled value, which keeps the table small
     half = {t: HalfInt.from_twice(t) for t in range(-tj1 - tj2, tj1 + tj2 + 1)}
+    records = []
+    append = records.append
     with _CollectorPaused():
-        return [
-            _record(half[tJ], half[tM], half[tm1], half[tM - tm1], value)
-            for (tJ, tM, tm1), value in _WALKS[route](tj1, tj2)
-        ]
+        for (tJ, tM, tm1), value in _WALKS[route](tj1, tj2):
+            record = _new_record(CoefficientRecord)
+            _set_J(record, half[tJ])
+            _set_M(record, half[tM])
+            _set_m1(record, half[tm1])
+            _set_m2(record, half[tM - tm1])
+            _set_exact(record, value)
+            append(record)
+    return records

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sysconfig
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from math import gcd, isqrt
@@ -222,13 +223,19 @@ class _CollectorPaused:
     Table rows (records, `HalfInt`s, `RadicalSum`s and tuples of ints) form
     no reference cycle, yet a table of thousands of rows triggers hundreds
     of collections that each scan them.  The table paths pause it around
-    loops that run to completion, never inside a generator.  Automatic
-    cyclic collection is off for the whole interpreter, every thread
-    included, while such a table call runs; reference counting still frees
-    everything that is not in a cycle.
+    loops that run to completion, never inside a generator, and it is off
+    for the whole interpreter, every thread included, meanwhile; reference
+    counting still frees everything.  On exit, ``gc.freeze(); gc.unfreeze()``
+    splices every tracked object into the oldest generation and resets the
+    young count, so no young collection scans the new rows; the caller's
+    young objects are promoted too.  Not while a caller's ``gc.freeze()``
+    holds objects, which this would release, nor on a free-threaded build,
+    where it walks the heap.
     """
 
     __slots__ = ("enabled",)
+
+    splice = not sysconfig.get_config_var("Py_GIL_DISABLED")
 
     def __enter__(self) -> None:
         if enabled := gc.isenabled():
@@ -237,6 +244,9 @@ class _CollectorPaused:
 
     def __exit__(self, *exc_info) -> None:
         if self.enabled:
+            if self.splice and not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -15,20 +15,12 @@ on doubled columns.  These kernels skip validation, which only the public
 entry points do.
 
 Each check but Condon-Shortley decides a unit from canonical integers
-first.  Only a unit that this does not clear is walked again through the
-check's plain exact loop, which decides it and writes the counterexample,
-so counts and counterexamples are the plain loop's.  Agreement compares the three walks
-as lists of (key, terms), collapse counts terms, and the 3j check tests
-each symbol's six images and stretched sign on its terms.  Unitarity
-factors each closed-form value once as sqrt(A B) p / r, A of the product
-and B of the coupled state, and sums each M block's row and column
-products in integers; its plain loop, `_unitarity_by_dot`, takes each by
-`_dot` over every row and column of the cell, an empty one where the walk
-has none.  The ladder check groups a walk by subspace (`_subspaces`) and
-decides each J± relation by `_ladder_holds` and each norm by `_is_unit`;
-its fallbacks, relation by relation, are `_apply_ladder` and `_dot`.  Both
-J± kernels live here with their unscaled elements: the ladder route steps
-with its own scaled ones, so `ladder` holds none of the check's
+first, as its docstring says.  Only a unit that this does not clear is
+walked again through the check's plain exact loop, which decides it and
+writes the counterexample, so counts and counterexamples are the plain
+loop's.  Both J± kernels of the ladder check, `_ladder_holds` and
+`_apply_ladder`, live here with their unscaled elements: the ladder route
+steps with its own scaled ones, so `ladder` holds none of the check's
 arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec only to write a
 counterexample, except the Condon-Shortley check: it builds one
 CouplingSpec per |J, J> and passes it to the validating `cg_alternative`,

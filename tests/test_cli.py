@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sysconfig
 from collections.abc import Callable
 
 import click
@@ -295,6 +296,11 @@ def test_json_is_the_bytes_of_json_dumps(route):
         ("1,0,0,0,1,1.00000,7", "line 3: expected 6 fields, got 7"),
         ("1,0,1/3,0,1,1.00000", "line 3: not a half-integer: '1/3'"),
         ("1,0,0,0,sqrt(x),1.00000", "line 3: unparseable exact-value text: 'sqrt(x)'"),
+        # half-integers that no table writes, each in another column
+        ("1.5,1/2,1,-1/2,1,1.00000", "line 3: half-integer '1.5' is written '3/2' in a table"),
+        ("1/2,+1/2,0,1/2,1,1.00000", "line 3: half-integer '+1/2' is written '1/2' in a table"),
+        ("1,0, 2/4,-1/2,1,1.00000", "line 3: half-integer ' 2/4' is written '1/2' in a table"),
+        ("1,0,0,-0,1,1.00000", "line 3: half-integer '-0' is written '0' in a table"),
         # rows that no table holds
         ("1,0,1,1,sqrt(1/2),0.70711", "line 3: M=0 is not m1 + m2 = 1 + 1"),
         ("1,5,1,1,sqrt(1/2),0.70711", "line 3: M=5 is not m1 + m2 = 1 + 1"),
@@ -353,6 +359,12 @@ _JSON_ROW = {"J": "1", "M": "0", "m1": "0", "m2": "0", "exact": "1", "value": "1
         ([_JSON_ROW, {k: v for k, v in _JSON_ROW.items() if k != "m2"}], "row 1: missing m2"),
         ([_JSON_ROW, {**_JSON_ROW, "J": 1}], "row 1: fields must be strings"),
         ([_JSON_ROW, {**_JSON_ROW, "m1": "x"}], "row 1: not a half-integer: 'x'"),
+        ([_JSON_ROW, {**_JSON_ROW, "J": "1.0"}], "row 1: half-integer '1.0' is written '1' in a table"),
+        ([_JSON_ROW, {**_JSON_ROW, "M": "-0"}], "row 1: half-integer '-0' is written '0' in a table"),
+        (
+            [_JSON_ROW, {**_JSON_ROW, "m2": "+0/2"}],
+            "row 1: half-integer '+0/2' is written '0' in a table",
+        ),
         ([_JSON_ROW, {**_JSON_ROW, "m2": "1"}], "row 1: M=0 is not m1 + m2 = 0 + 1"),
         (
             [_JSON_ROW, {**_JSON_ROW, "M": "2", "m1": "1", "m2": "1"}],
@@ -371,12 +383,24 @@ def test_parse_table_json_errors_name_the_row(document, message):
     assert str(excinfo.value) == message
 
 
-def _table_calls(monkeypatch, fail: bool, seen: list[bool]) -> dict[str, Callable]:
+_FREE_THREADED = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+
+#: the functions that pause the collector around their row loops
+_TABLE_CALLS = [
+    "build_full_table", "records_to_csv", "records_to_json", "records_to_pretty",
+    "parse_table_csv", "parse_table_json",
+]
+
+
+def _table_calls(
+    monkeypatch, fail: bool, seen: list[bool], cell: tuple = ("5/2", 2)
+) -> dict[str, Callable]:
     """Each function that pauses the collector, as a call of no arguments
-    on a small table.  Each call notes in ``seen`` whether the collector
-    was enabled while it walked, rendered or parsed a value, and with
-    ``fail`` it raises a ValueError there, in the middle of its row loop."""
-    records = build_full_table("5/2", 2, TableRoute.RACAH)
+    on the table of ``cell``.  Each call notes in ``seen`` whether the
+    collector was enabled while it walked, rendered or parsed a value, and
+    with ``fail`` it raises a ValueError there, in the middle of its row
+    loop."""
+    records = build_full_table(*cell, TableRoute.RACAH)
     csv_text, json_text = records_to_csv(records), records_to_json(records)
     walk = ladder._WALKS[TableRoute.RACAH]
 
@@ -399,7 +423,7 @@ def _table_calls(monkeypatch, fail: bool, seen: list[bool]) -> dict[str, Callabl
     monkeypatch.setattr(cli_module, "to_decimal", watch(cli_module.to_decimal))
     monkeypatch.setattr(RadicalSum, "parse", watch(RadicalSum.parse))
     return {
-        "build_full_table": lambda: build_full_table("5/2", 2, TableRoute.RACAH),
+        "build_full_table": lambda: build_full_table(*cell, TableRoute.RACAH),
         "records_to_csv": lambda: records_to_csv(records),
         "records_to_json": lambda: records_to_json(records),
         "records_to_pretty": lambda: records_to_pretty(records),
@@ -408,13 +432,7 @@ def _table_calls(monkeypatch, fail: bool, seen: list[bool]) -> dict[str, Callabl
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "build_full_table", "records_to_csv", "records_to_json", "records_to_pretty",
-        "parse_table_csv", "parse_table_json",
-    ],
-)
+@pytest.mark.parametrize("name", _TABLE_CALLS)
 @pytest.mark.parametrize("fail", [False, True], ids=["success", "malformed row"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
 def test_table_calls_pause_the_collector_and_restore_it(monkeypatch, name, fail, enabled):
@@ -435,6 +453,64 @@ def test_table_calls_pause_the_collector_and_restore_it(monkeypatch, name, fail,
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen and not any(seen)
+
+
+def test_parsers_read_an_exact_text_that_no_table_writes():
+    # only the quantum numbers must be written as a table writes them
+    (record,) = parse_table_csv(f"{CSV_HEADER}\n1,0,1/2,-1/2,sqrt(2/4),0.70711\n")
+    assert record.exact == RadicalSum.parse("sqrt(1/2)")
+    assert str(record.exact) == "sqrt(1/2)"
+
+
+#: a cell of 2 472 rows: each table call on it makes more tracked objects
+#: than the young generation's threshold of any CPython
+_LARGE_CELL = ("15/2", 7)
+
+
+@pytest.mark.skipif(_FREE_THREADED, reason="a free-threaded build keeps its young objects")
+@pytest.mark.parametrize("name", _TABLE_CALLS)
+def test_table_calls_leave_no_collection_behind(monkeypatch, name):
+    # the rows made while the collector was paused move to the oldest
+    # generation before it is enabled again, so the first allocations after
+    # the call start no young collection that would scan them
+    call = _table_calls(monkeypatch, False, [], _LARGE_CELL)[name]
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        result = call()
+        gc.callbacks.append(note)
+        try:
+            lists = [[] for _ in range(100)]
+        finally:
+            gc.callbacks.remove(note)
+        assert gc.get_freeze_count() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert started == [] and len(lists) == 100 and result
+
+
+@pytest.mark.skipif(_FREE_THREADED, reason="a free-threaded build keeps its young objects")
+@pytest.mark.parametrize("name", _TABLE_CALLS)
+def test_table_calls_keep_a_callers_freeze(monkeypatch, name):
+    # a caller's gc.freeze() still holds its objects after the call, which
+    # does not release them with gc.unfreeze()
+    call = _table_calls(monkeypatch, False, [], _LARGE_CELL)[name]
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        call()
+        assert frozen > 0 and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_table_deterministic(runner):

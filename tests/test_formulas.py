@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,30 @@ def test_alternative_where_the_loose_l_range_has_vanishing_terms():
     expected, vanished = _alternative_as_written(s)
     assert vanished == 2
     assert cg_alternative(s) == expected == cg_racah(s) == SQRT(Fraction(1, 10))
+
+
+def test_closed_form_kernel_builds_only_the_binomials_that_are_not_1(monkeypatch):
+    # K = max(0, k - s): with k <= s the kernel builds T_0 and U from three
+    # binomials, with k > s from five; the two that are C(x, 0) at K >= 1
+    # and the four at K = 0 are not built
+    calls = []
+
+    def counting(n, r):
+        calls.append((n, r))
+        return comb(n, r)
+
+    monkeypatch.setattr(formulas, "comb", counting)
+    regions = {True: 0, False: 0}
+    for tj1 in range(9):
+        for tj2 in range(9):
+            for tJ, tM, tm1 in _cell_keys(tj1, tj2):
+                m, s, k = (tj1 + tj2 - tJ) // 2, (tJ - tM) // 2, (tj1 - tm1) // 2
+                shared = _shared_factor(tj1, tj2, m, s)
+                calls.clear()
+                formulas._closed_form_component(tj1, tj2, m, s, k, shared)
+                assert len(calls) == (3 if k <= s else 5), (tj1, tj2, tJ, tM, tm1)
+                regions[k <= s] += 1
+    assert regions[True] + regions[False] == 7809 and all(regions.values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -503,7 +503,8 @@ def test_record_value_text_is_five_place_rendering():
 
 
 def test_records_are_frozen_and_slotted():
-    # the table builders make records with `ladder._record`, not the public
+    # the table builders set each record's slots in their row loops, through
+    # `ladder._new_record` and the `_set_*` descriptors, not the public
     # constructor: each must be the record that constructor makes
     built = build_full_table("3/2", 1, TableRoute.RACAH)
     parsed = parse_table_csv(records_to_csv(built)) + parse_table_json(records_to_json(built))

@@ -41,7 +41,6 @@ CELLS = [(2, "3/2"), ("5/2", 3), (3, 1)]
 #: functions of `ladder` that only turn a route's walk into table rows
 SHARED_PLUMBING = {
     "ladder.build_full_table",
-    "ladder._record",
 }
 
 
