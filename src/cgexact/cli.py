@@ -297,6 +297,9 @@ def cli() -> None:
     All values are exact radicals; decimals are correctly rounded
     renderings at five places.
     """
+    # an exact value can have more digits than CPython's int-to-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @cli.command()

@@ -18,8 +18,9 @@ rational, built by `numerics._times_radical`, so one radical by
 construction.  Each term of a sum is a product of binomials, stepped from
 the one before by exact division through its term ratio, which each
 kernel writes in its own loop from its own binomials.  Racah's kernel
-`_racah_sum` returns its sum and radicand as integers, and `cg_racah`,
-`_racah_walk` and `_wigner3j` each build one value from them.
+`_racah_sum` returns its sum and radicand as integers, on the binomials
+of J that `_racah_subspace` builds once, and `cg_racah`, `_racah_walk`
+and `_wigner3j` each build one value from them.
 
 Validation happens only at the public entry points: `cg_alternative`,
 `cg_racah` and `wigner3j` pass their spec to `_is_selection_zero`, which
@@ -34,7 +35,9 @@ with no state object; Racah's walk builds no value for a zero sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from .numerics import HalfInt, RadicalSum, _j_range, _times_radical, sum_signed_sqrts
@@ -245,16 +248,24 @@ def cg_racah(spec: CouplingSpec) -> RadicalSum:
     (S, n, d) as one `_times_radical`.  Selection-zero specs give exactly 0."""
     if _is_selection_zero(spec):
         return RadicalSum.zero()
-    return _times_radical(
-        *_racah_sum(spec.j1.twice, spec.j2.twice, spec.J.twice, spec.M.twice, spec.m1.twice)
-    )
+    subspace = _racah_subspace(spec.j1.twice, spec.j2.twice, spec.J.twice)
+    return _times_radical(*_racah_sum(subspace, spec.M.twice, spec.m1.twice))
 
 
-def _racah_sum(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> tuple[int, int, int]:
-    """Racah's formula at doubled (j1, j2, J, M, m1), with m2 = M - m1, as
-    the integers (S, n, d) of C = S sqrt(n / d), for arguments that are
-    well-formed and obey the triangle rule with j1 + j2 + J an integer;
-    only the public entry points validate.
+def _racah_subspace(tj1: int, tj2: int, tJ: int) -> tuple[int, ...]:
+    """(2j1, 2j2, 2J, g1, g2, g3, C(2j1, g1) C(2j2, g1), C(j1+j2+J+1, g1)):
+    what `_racah_sum` shares across subspace J, from doubled (j1, j2, J)."""
+    g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
+    g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
+    g3 = (tJ + tj2 - tj1) // 2         # J + j2 - j1
+    return tj1, tj2, tJ, g1, g2, g3, comb(tj1, g1) * comb(tj2, g1), comb(g1 + tJ + 1, g1)
+
+
+def _racah_sum(subspace: tuple[int, ...], tM: int, tm1: int) -> tuple[int, int, int]:
+    """Racah's formula at doubled (M, m1) of a `_racah_subspace`, with
+    m2 = M - m1, as the integers (S, n, d) of C = S sqrt(n / d), for
+    arguments that are well-formed and obey the triangle rule with
+    j1 + j2 + J an integer; only the public entry points validate.
 
     Let g1 = j1+j2-J, g2 = J+j1-j2 and g3 = J+j2-j1, so that 2j1 = g1+g2,
     2j2 = g1+g3 and 2J = g2+g3.  The six factorials of each term of
@@ -270,42 +281,42 @@ def _racah_sum(tj1: int, tj2: int, tJ: int, tM: int, tm1: int) -> tuple[int, int
         C^2 = S^2 C(2j1, g1) C(2j2, g1) / (C(j1+j2+J+1, g1) C(2j1, j1-m1)
               C(2j2, j2+m2) C(2J, J+M)),  C of the sign of S.
 
-    Only the first term is built from binomials.  Each later one is
+    The subspace holds the binomials of J alone; a key builds five more,
+    six when z_lo > 0 makes C(g1, z_lo) not 1.  Each later term is
     t_(z+1) = t_z (g1-z)(j1-m1-z)(j2+m2-z) // ((z+1)(d1+z+1)(d2+z+1)),
     with d1 = J-j2+m1 and d2 = J-j1-m2: the ratio of the three binomials,
     which `tests/test_symbolic.py` reads from this source and proves.
     The division is exact, since its quotient t_(z+1) is a product of
     binomials.  So S is an integer sum with no factorial and no fraction.
     """
-    g1 = (tj1 + tj2 - tJ) // 2         # j1 + j2 - J
-    g2 = (tJ + tj1 - tj2) // 2         # J + j1 - j2
-    g3 = (tJ + tj2 - tj1) // 2         # J + j2 - j1
+    tj1, tj2, tJ, g1, g2, g3, n, j_factor = subspace
     a = (tj1 - tm1) // 2               # j1 - m1
     b = (tj2 + tM - tm1) // 2          # j2 + m2
     d1, d2 = g2 - a, g3 - b            # J - j2 + m1, J - j1 - m2
 
     z_lo = max(0, -d1, -d2)
     # the signed terms (-1)^z t_z; each step flips the sign
-    term = comb(g1, z_lo) * comb(g2, a - z_lo) * comb(g3, b - z_lo)
-    total = term = -term if z_lo & 1 else term
+    term = comb(g2, a - z_lo) * comb(g3, b - z_lo)
+    if z_lo:
+        term *= -comb(g1, z_lo) if z_lo & 1 else comb(g1, z_lo)
+    total = term
     for z in range(z_lo, min(g1, a, b)):
         term = -term * ((g1 - z) * (a - z) * (b - z)) // ((z + 1) * (d1 + z + 1) * (d2 + z + 1))
         total += term
-    return (
-        total,
-        comb(tj1, g1) * comb(tj2, g1),
-        comb(g1 + tJ + 1, g1) * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2),
-    )
+    return total, n, j_factor * comb(tj1, a) * comb(tj2, b) * comb(tJ, (tJ + tM) // 2)
 
 
 def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], RadicalSum]]:
     """Every nonzero Racah value of the (2j1, 2j2) cell, keyed by its
     doubled (J, M, m1), in increasing key order: `_racah_sum` per key of
-    `_cell_keys`, and one `_times_radical` per nonzero sum S."""
-    for key in _cell_keys(tj1, tj2):
-        total, n, d = _racah_sum(tj1, tj2, *key)
-        if total:
-            yield key, _times_radical(total, n, d)
+    `_cell_keys` on one `_racah_subspace` per J, and one `_times_radical`
+    per nonzero sum S."""
+    for tJ, keys in groupby(_cell_keys(tj1, tj2), itemgetter(0)):
+        subspace = _racah_subspace(tj1, tj2, tJ)
+        for key in keys:
+            total, n, d = _racah_sum(subspace, key[1], key[2])
+            if total:
+                yield key, _times_radical(total, n, d)
 
 
 def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
@@ -313,7 +324,7 @@ def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
     integers (S, n, d) at J = jc and M = ma + mb (`_racah_sum`), the symbol
     is (-1)^(M+ja-jb) S sqrt(n / (d (2J+1))), one `_times_radical`."""
     tM = ma + mb
-    total, n, d = _racah_sum(ja, jb, jc, tM, ma)
+    total, n, d = _racah_sum(_racah_subspace(ja, jb, jc), tM, ma)
     return _times_radical(-total if ((tM + ja - jb) // 2) & 1 else total, n, d * (jc + 1))
 
 

@@ -238,12 +238,10 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     # every value is sqrt(A B) p / r with p / r rational, A = (j1+m1)!
     # (j1-m1)! (j2+m2)! (j2-m2)! of the product state and B = (2J+1)
     # (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! / (j1+j2+J+1)! of the
-    # coupled state (Racah's normalisation), all from one list of factorials,
-    # whose last, (2j1+2j2+1)!, is a multiple of every denominator of B
+    # coupled state (Racah's normalisation), all from one list of factorials
     factorial = [1]
     for i in range(1, tj1 + tj2 + 2):
         factorial.append(factorial[-1] * i)
-    top = factorial[-1]
     # A by doubled (M, m1), B as (numerator, denominator) by doubled (J, M)
     product_weight = {
         (tm1 + tm2, tm1): factorial[(tj1 + tm1) // 2] * factorial[(tj1 - tm1) // 2]
@@ -291,10 +289,10 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
         return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
 
     # each M block over the lcm L of its r, as integers P: a row product
-    # (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, and a column product
-    # (M; m1, m1') is sqrt(A A') sum_J W_J P P' / (top L^2), with
-    # B_J = W_J / top, so each is 0 exactly when its integer sum is 0.  A
-    # passing block of n rows and n columns counts n (n + 1) products
+    # (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, 0 exactly when its
+    # integer sum is.  Every key lies in the cell, so each block is square,
+    # and orthonormal rows of a square matrix make its columns orthonormal:
+    # a passing block of n rows counts its n (n + 1) row and column products
     count = 0
     for tM, block in blocks.items():
         # row by row: one lcm over a whole block packs its arguments in a
@@ -305,20 +303,15 @@ def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
             lcm_r = lcm(lcm_r, *rs)
         norm = lcm_r * lcm_r
         rows = [[p * (lcm_r // r) for p, r in zip(*line)] for line in block.values()]
-        bs = [coupled_weight[tJ, tM] for tJ in block]
         m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
-        product_weights = [product_weight[tM, tm1] for tm1 in m1_range]
-        column_weights = [b_top * (top // b_bottom) for b_top, b_bottom in bs]
-        for lines, weights, scales in (
-            (rows, product_weights, [(b_top, b_bottom * norm) for b_top, b_bottom in bs]),
-            (list(zip(*rows)), column_weights, [(a, top * norm) for a in product_weights]),
-        ):
-            for i, (line, (scale, denominator)) in enumerate(zip(lines, scales)):
-                weighted = list(map(mul, weights, line))
-                if scale * sum(map(mul, weighted, line)) != denominator or any(
-                    sum(map(mul, weighted, other)) for other in lines[i + 1:]
-                ):
-                    return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
+        weights = [product_weight[tM, tm1] for tm1 in m1_range]
+        for i, (row, tJ) in enumerate(zip(rows, block)):
+            b_top, b_bottom = coupled_weight[tJ, tM]
+            weighted = list(map(mul, weights, row))
+            if b_top * sum(map(mul, weighted, row)) != b_bottom * norm or any(
+                sum(map(mul, weighted, other)) for other in rows[i + 1:]
+            ):
+                return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
         count += len(rows) * (len(rows) + 1)
     return count, None
 
@@ -370,10 +363,13 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
     J, M over m1), then on its columns (completeness at fixed m1, m2 over J).
 
     Each closed-form value is factored once as sqrt(A B) p / r, and each M
-    block's row and column products are integer sums.  A cell with a sum
-    that fails, or a value that does not factor, is walked again through
-    `_unitarity_by_dot`, which takes every product by `_dot`, so the counts
-    and counterexamples are those of `_dot` alone.  The rows and columns
+    block's row products are integer sums.  Each block is square, and
+    orthonormal rows of a square matrix make its columns orthonormal, so
+    the integer pass tests rows only.  A cell with a sum that fails, a
+    value that does not factor or a key outside the cell is walked again
+    through `_unitarity_by_dot`, which takes every row and column product
+    by `_dot`, so the counts and counterexamples are those of `_dot`
+    alone.  The rows and columns
     are those of the cell, every |J, M> and every (m1, m2); one that the
     walk leaves out is empty and fails its norm."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)

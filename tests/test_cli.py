@@ -2,6 +2,8 @@
 
 import gc
 import json
+import re
+import sys
 import sysconfig
 from collections.abc import Callable
 
@@ -124,6 +126,28 @@ def test_coeff_route_disagreement_exits_2(runner, monkeypatch):
     )
     assert result.exit_code == 2
     assert "DISAGREE" in result.output
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+def test_coeff_prints_a_value_longer_than_the_int_to_str_limit(runner):
+    # the numerator of <2000 1 2000 -1 | 2000 0> has 1 379 digits; a 640-digit
+    # limit, the lowest CPython allows, must not stop the command
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = runner.invoke(
+            cli,
+            ["coeff", "--j1", "2000", "--j2", "2000", "--m1", "1", "--m2", "-1",
+             "--J", "2000", "--M", "0", "--formula", "racah"],
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result.exit_code == 0, result.output
+    assert result.output.rstrip("\n").endswith(" = -0.00958")
+    numerator = re.fullmatch(r"-sqrt\(([0-9]+)/[0-9]+\) = -0\.00958\n", result.output)[1]
+    assert len(numerator) == 1379
 
 
 # ---------------------------------------------------------------------------

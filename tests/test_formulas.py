@@ -17,6 +17,7 @@ from cgexact.formulas import (
     _closed_form_walk,
     _is_selection_zero,
     _key_spec,
+    _racah_subspace,
     _racah_sum,
     _shared_factor,
     _wigner3j,
@@ -372,6 +373,40 @@ def test_racah_walk_builds_a_value_only_for_a_nonzero_sum(monkeypatch):
     assert (keys, keys - values) == (7809, 160)
 
 
+def test_racah_kernel_builds_the_binomials_of_j_once_per_subspace(monkeypatch):
+    # `_racah_subspace` builds C(2j1, g1), C(2j2, g1) and C(j1+j2+J+1, g1)
+    # once per J; a key builds C(2j1, j1-m1), C(2j2, j2+m2), C(2J, J+M) and
+    # its first term, whose C(g1, z_lo) = 1 is not built at z_lo = 0
+    calls = []
+
+    def counting(n, r):
+        calls.append((n, r))
+        return comb(n, r)
+
+    monkeypatch.setattr(formulas, "comb", counting)
+    regions = {True: 0, False: 0}
+    for tj1 in range(9):
+        for tj2 in range(9):
+            expected = 0
+            for tJ, keys in itertools.groupby(_cell_keys(tj1, tj2), lambda key: key[0]):
+                calls.clear()
+                subspace = _racah_subspace(tj1, tj2, tJ)
+                assert len(calls) == 3, (tj1, tj2, tJ)
+                expected += 3
+                for _, tM, tm1 in keys:
+                    z_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tM - tm1 - tJ) // 2)
+                    calls.clear()
+                    _racah_sum(subspace, tM, tm1)
+                    assert len(calls) == (5 if z_lo == 0 else 6), (tj1, tj2, tJ, tM, tm1)
+                    expected += len(calls)
+                    regions[z_lo == 0] += 1
+            calls.clear()
+            for _ in formulas._racah_walk(tj1, tj2):
+                pass
+            assert len(calls) == expected, (tj1, tj2)
+    assert regions[True] + regions[False] == 7809 and all(regions.values())
+
+
 def test_route_one_and_racah_end_in_the_same_integer_sum_over_one_radical(monkeypatch):
     """Route 1's integer sum S1 = sum_l (-1)^l T_l and Racah's S3 =
     sum_z (-1)^z t_z have different summands, yet the (S, n, d) that each
@@ -518,7 +553,8 @@ def test_public_routes_equal_the_kernels_over_every_cell_up_to_2j_6():
             for s in cell_specs(j1, j2):
                 key = (s.J.twice, s.M.twice, s.m1.twice)
                 assert cg_alternative(s) == closed.get(key, zero), s
-                assert cg_racah(s) == _times_radical(*_racah_sum(tj1, tj2, *key)), s
+                racah = _racah_sum(_racah_subspace(tj1, tj2, key[0]), *key[1:])
+                assert cg_racah(s) == _times_radical(*racah), s
 
 
 def test_wigner3j_equals_the_kernel_for_every_symbol_up_to_2j_4():

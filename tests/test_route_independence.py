@@ -118,7 +118,10 @@ def test_the_trace_sees_each_route_at_work(calls):
         "ladder._top", "ladder._scaled_raising_element", "ladder._integer_chain",
         "ladder._scaled_lowering_element", "ladder._ladder_walk",
     } <= calls["ladder"]
-    assert {"formulas._racah_walk", "formulas._racah_sum", "formulas._cell_keys"} <= calls["racah"]
+    assert {
+        "formulas._racah_walk", "formulas._racah_subspace", "formulas._racah_sum",
+        "formulas._cell_keys",
+    } <= calls["racah"]
     # each route ends its values in the one constructor of x sqrt(n / d)
     for route, called in calls.items():
         assert "numerics._times_radical" in called, route
@@ -164,7 +167,9 @@ def test_racah_calls_no_ladder_function_and_no_closed_form_helper(calls):
 
 def test_closed_form_calls_neither_racah_nor_the_ladder_action(calls):
     closed = calls["closed form"]
-    assert closed.isdisjoint({"formulas._racah_walk", "formulas._racah_sum"})
+    assert closed.isdisjoint(
+        {"formulas._racah_walk", "formulas._racah_subspace", "formulas._racah_sum"}
+    )
     assert closed.isdisjoint(
         {"verification._apply_ladder", "ladder._integer_chain", "ladder._scaled_lowering_element"}
     )
@@ -226,7 +231,7 @@ def _names(module) -> set[str]:
 
 def test_the_route_module_names_no_formula_kernel():
     assert _names(ladder).isdisjoint(
-        {"_closed_form_component", "_shared_factor", "_racah_sum", "_cell_keys"}
+        {"_closed_form_component", "_shared_factor", "_racah_subspace", "_racah_sum", "_cell_keys"}
     )
 
 

@@ -643,10 +643,10 @@ def test_a_route_that_raises_fails_the_check_at_its_cell(monkeypatch, forked_poo
 def test_a_route_that_raises_fails_the_3j_check_at_its_triple(monkeypatch):
     original = formulas._racah_sum
 
-    def broken(tj1, tj2, tJ, tM, tm1):
-        if (tj1, tj2, tJ) == (1, 2, 1):
+    def broken(subspace, tM, tm1):
+        if subspace[:3] == (1, 2, 1):
             raise ValueError("broken Racah kernel")
-        return original(tj1, tj2, tJ, tM, tm1)
+        return original(subspace, tM, tm1)
 
     monkeypatch.setattr(formulas, "_racah_sum", broken)
     report = check_threej_symmetries(2)
@@ -1048,9 +1048,9 @@ def test_flipped_racah_cell_fails_agreement_threej_and_condon_shortley(monkeypat
     # _wigner3j, must each fail there
     original = formulas._racah_sum
 
-    def flipped(tj1, tj2, tJ, tM, tm1):
-        total, n, d = original(tj1, tj2, tJ, tM, tm1)
-        return (-total if (tj1, tj2) == (2, 1) else total), n, d
+    def flipped(subspace, tM, tm1):
+        total, n, d = original(subspace, tM, tm1)
+        return (-total if subspace[:2] == (2, 1) else total), n, d
 
     monkeypatch.setattr(formulas, "_racah_sum", flipped)
     report = check_formula_agreement(2)
