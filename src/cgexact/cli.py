@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -291,14 +292,17 @@ _FORMATTERS = {
 
 @click.group()
 @click.version_option(version=__version__, prog_name="cgexact")
-def cli() -> None:
+@click.pass_context
+def cli(ctx: click.Context) -> None:
     """Exact Clebsch-Gordan coefficients, cross-checked three ways.
 
     All values are exact radicals; decimals are correctly rounded
     renderings at five places.
     """
-    # an exact value can have more digits than CPython's int-to-str limit
+    # an exact value can have more digits than CPython's int-to-str limit:
+    # lifted while the command runs, and put back when its context closes
     if hasattr(sys, "set_int_max_str_digits"):
+        ctx.call_on_close(partial(sys.set_int_max_str_digits, sys.get_int_max_str_digits()))
         sys.set_int_max_str_digits(0)
 
 

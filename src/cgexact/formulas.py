@@ -319,12 +319,14 @@ def _racah_walk(tj1: int, tj2: int) -> Iterator[tuple[tuple[int, int, int], Radi
                 yield key, _times_radical(total, n, d)
 
 
-def _wigner3j(ja: int, jb: int, jc: int, ma: int, mb: int) -> RadicalSum:
-    """3j(ja jb jc; ma mb -ma-mb) from doubled columns: with Racah's
-    integers (S, n, d) at J = jc and M = ma + mb (`_racah_sum`), the symbol
-    is (-1)^(M+ja-jb) S sqrt(n / (d (2J+1))), one `_times_radical`."""
+def _wigner3j(subspace: tuple[int, ...], ma: int, mb: int) -> RadicalSum:
+    """3j(ja jb jc; ma mb -ma-mb) on the `_racah_subspace` of doubled
+    (ja, jb, jc), from doubled ma and mb: with Racah's integers (S, n, d) at
+    J = jc and M = ma + mb (`_racah_sum`), the symbol is
+    (-1)^(M+ja-jb) S sqrt(n / (d (2J+1))), one `_times_radical`."""
+    ja, jb, jc = subspace[:3]
     tM = ma + mb
-    total, n, d = _racah_sum(_racah_subspace(ja, jb, jc), tM, ma)
+    total, n, d = _racah_sum(subspace, tM, ma)
     return _times_radical(-total if ((tM + ja - jb) // 2) & 1 else total, n, d * (jc + 1))
 
 
@@ -340,6 +342,5 @@ def wigner3j(spec: ThreeJSpec) -> RadicalSum:
     coupling = CouplingSpec(spec.j1, spec.j2, spec.m1, spec.m2, spec.j3, -spec.m3)
     if _is_selection_zero(coupling):
         return RadicalSum.zero()
-    return _wigner3j(
-        spec.j1.twice, spec.j2.twice, spec.j3.twice, spec.m1.twice, spec.m2.twice
-    )
+    subspace = _racah_subspace(spec.j1.twice, spec.j2.twice, spec.j3.twice)
+    return _wigner3j(subspace, spec.m1.twice, spec.m2.twice)

@@ -11,20 +11,21 @@ The agreement, unitarity, collapse and ladder checks read each route's
 table of a cell from its walk, `_closed_form_walk`, `_racah_walk` or
 `_ladder_walk`: the nonzero values keyed by doubled (J, M, m1).  A key
 that a walk leaves out has the value 0.  The 3j check calls `_wigner3j`
-on doubled columns.  These kernels skip validation, which only the public
-entry points do.
+on one Racah subspace per column order of its j-triple.  These kernels
+skip validation, which only the public entry points do.
 
 Each check but Condon-Shortley decides a unit from canonical integers
 first, as its docstring says.  Only a unit that this does not clear is
 walked again through the check's plain exact loop, which decides it and
 writes the counterexample, so counts and counterexamples are the plain
-loop's.  Both J± kernels of the ladder check, `_ladder_holds` and
-`_apply_ladder`, live here with their unscaled elements: the ladder route
-steps with its own scaled ones, so `ladder` holds none of the check's
-arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec only to write a
-counterexample, except the Condon-Shortley check: it builds one
-CouplingSpec per |J, J> and passes it to the validating `cg_alternative`,
-`cg_racah` and `cg_ladder`.
+loop's.  Unitarity and the ladder check read one factoring of a cell,
+`_factored_cell`.  The ladder check's recurrences and its J± kernel
+`_apply_ladder` live here with their unscaled factors and elements: the
+ladder route steps with its own scaled ones, so `ladder` holds none of
+the check's arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec
+only to write a counterexample, except the Condon-Shortley check: it
+builds one CouplingSpec per |J, J> and passes it to the validating
+`cg_alternative`, `cg_racah` and `cg_ladder`.
 
 Sweeps are embarrassingly parallel across (j1, j2) cells, or across
 j-triples for the 3j check; with ``jobs > 1`` they fan out to worker
@@ -40,7 +41,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .formulas import (
@@ -49,6 +50,7 @@ from .formulas import (
     _cell_keys,
     _closed_form_walk,
     _key_spec,
+    _racah_subspace,
     _racah_walk,
     _wigner3j,
     cg_alternative,
@@ -229,87 +231,104 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 
 
 # ---------------------------------------------------------------------------
+# One factored cell, for unitarity and the ladder check
+# ---------------------------------------------------------------------------
+
+
+def _factored_cell(tj1: int, tj2: int, *walks: Iterable) -> tuple | None:
+    """(A, B, *chains): the (2j1, 2j2) cell and each of ``walks``, walks of
+    it, factored in Racah's normalisation; None when a walk has a key
+    outside the cell or a value that is not sqrt(A B) times a rational.
+
+    A = (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! is one list over a grid of rows
+    M = j1+j2 .. -(j1+j2), each a slot per m1 = -j1 .. j1, 0 off the cell;
+    B = (2J+1) (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! /
+    (j1+j2+J+1)! a (numerator, denominator) by doubled (J, M).  A walk's
+    chains map doubled J to (P, L): integers P on the rows M = J .. -J, 0
+    where the walk has no value, so that a value is sqrt(A B) P / L.  Each
+    value costs one gcd and two isqrts.
+    """
+    factorial = list(itertools.accumulate(range(1, tj1 + tj2 + 2), mul, initial=1))
+    top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
+    # A by doubled m1 in each row M of the grid
+    product_weight: dict[int, dict[int, int]] = {tM: {} for tM in range(top, -top - 1, -2)}
+    for tm1 in m1s:
+        for tm2 in range(-tj2, tj2 + 1, 2):
+            product_weight[tm1 + tm2][tm1] = (
+                factorial[(tj1 + tm1) // 2] * factorial[(tj1 - tm1) // 2]
+                * factorial[(tj2 + tm2) // 2] * factorial[(tj2 - tm2) // 2]
+            )
+    weights = [row.get(tm1, 0) for row in product_weight.values() for tm1 in m1s]
+    coupled_weight = {
+        (tJ, tM): (
+            (tJ + 1) * factorial[(top - tJ) // 2] * factorial[(tj1 - tj2 + tJ) // 2]
+            * factorial[(tj2 - tj1 + tJ) // 2] * factorial[(tJ + tM) // 2]
+            * factorial[(tJ - tM) // 2],
+            factorial[(top + tJ) // 2 + 1],
+        )
+        for tJ in _j_range(tj1, tj2) for tM in range(-tJ, tJ + 1, 2)
+    }
+    factored = []
+    for walk in walks:
+        # the sign p and the r of each value, 0 / 1 where the walk has none
+        signed = {tJ: [0] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
+        roots = {tJ: [1] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
+        at = None
+        for (tJ, tM, tm1), value in walk:
+            if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
+                at = tJ, tM
+                if at not in coupled_weight:
+                    return None
+                b_top, b_bottom = coupled_weight[at]
+                ps, rs, row_weight = signed[tJ], roots[tJ], product_weight[tM]
+                row = (tJ - tM) * width + tj1  # twice the slot of m1 = -j1
+            # n / d is A B (p / r)^2.  A key outside the cell, or a value of
+            # several terms or of another class, fails
+            if (a := row_weight.get(tm1)) and len(terms := value._terms) == 1:
+                ((sign, n, d),) = terms
+                x, y = n * b_bottom, d * a * b_top
+                g = gcd(x, y)
+                x, y = x // g, y // g
+                p, r = isqrt(x), isqrt(y)
+                if p * p == x and r * r == y:
+                    slot = (row + tm1) // 2
+                    ps[slot], rs[slot] = sign * p, r
+                    continue
+            return None
+        chains = {}
+        for tJ, rs in roots.items():
+            common = lcm(*set(rs))  # the distinct r only: a short argument tuple
+            chains[tJ] = list(map(mul, signed[tJ], map(common.__floordiv__, rs))), common
+        factored.append(chains)
+    return weights, coupled_weight, *factored
+
+
+# ---------------------------------------------------------------------------
 # Unitarity
 # ---------------------------------------------------------------------------
 
 
 def _unitarity_cell(cell: tuple[int, int]) -> CellResult:
     tj1, tj2 = cell
-    # every value is sqrt(A B) p / r with p / r rational, A = (j1+m1)!
-    # (j1-m1)! (j2+m2)! (j2-m2)! of the product state and B = (2J+1)
-    # (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! / (j1+j2+J+1)! of the
-    # coupled state (Racah's normalisation), all from one list of factorials
-    factorial = [1]
-    for i in range(1, tj1 + tj2 + 2):
-        factorial.append(factorial[-1] * i)
-    # A by doubled (M, m1), B as (numerator, denominator) by doubled (J, M)
-    product_weight = {
-        (tm1 + tm2, tm1): factorial[(tj1 + tm1) // 2] * factorial[(tj1 - tm1) // 2]
-        * factorial[(tj2 + tm2) // 2] * factorial[(tj2 - tm2) // 2]
-        for tm1 in range(-tj1, tj1 + 1, 2)
-        for tm2 in range(-tj2, tj2 + 1, 2)
-    }
-    coupled_weight = {
-        (tJ, tM): (
-            (tJ + 1) * factorial[(tj1 + tj2 - tJ) // 2] * factorial[(tj1 - tj2 + tJ) // 2]
-            * factorial[(tj2 - tj1 + tJ) // 2] * factorial[(tJ + tM) // 2]
-            * factorial[(tJ - tM) // 2],
-            factorial[(tj1 + tj2 + tJ) // 2 + 1],
-        )
-        for tJ in _j_range(tj1, tj2)
-        for tM in range(-tJ, tJ + 1, 2)
-    }
-    # every row of the cell, by M and J, as the sign p and the r of each
-    # value over its M block's m1 range, 0 / 1 where the walk has no value
-    blocks: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
-    for tJ, tM in coupled_weight:
-        width = (min(tj1, tM + tj2) - max(-tj1, tM - tj2)) // 2 + 1
-        blocks.setdefault(tM, {})[tJ] = [0] * width, [1] * width
-    at = None
-    for (tJ, tM, tm1), value in _closed_form_walk(tj1, tj2):
-        if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
-            at = tJ, tM
-            if at not in coupled_weight:
-                return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
-            b_top, b_bottom = coupled_weight[at]
-            ps, rs = blocks[tM][tJ]
-            lo = max(-tj1, tM - tj2)
-        # one gcd and two isqrts: n / d is A B (p / r)^2.  A key outside the
-        # cell, or a value of several terms or of another class, fails this
-        if (a := product_weight.get((tM, tm1))) and len(value._terms) == 1:
-            ((sign, n, d),) = value._terms
-            x, y = n * b_bottom, d * a * b_top
-            g = gcd(x, y)
-            x //= g
-            y //= g
-            p, r = isqrt(x), isqrt(y)
-            if p * p == x and r * r == y:
-                ps[(tm1 - lo) // 2], rs[(tm1 - lo) // 2] = sign * p, r
-                continue
+    factored = _factored_cell(tj1, tj2, _closed_form_walk(tj1, tj2))
+    if factored is None:
         return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
-
-    # each M block over the lcm L of its r, as integers P: a row product
-    # (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / L^2, 0 exactly when its
-    # integer sum is.  Every key lies in the cell, so each block is square,
-    # and orthonormal rows of a square matrix make its columns orthonormal:
+    weights, coupled_weight, chains = factored
+    # a row product (M; J, J') is sqrt(B_J B_J') sum_m1 A P P' / (L L'), 0
+    # exactly when its integer sum is.  Every key lies in the cell, so each
+    # M block is square, and orthonormal rows make its columns orthonormal:
     # a passing block of n rows counts its n (n + 1) row and column products
+    top, width = tj1 + tj2, tj1 + 1
     count = 0
-    for tM, block in blocks.items():
-        # row by row: one lcm over a whole block packs its arguments in a
-        # tuple too large for the small-object allocator, which raised the
-        # process's peak RSS
-        lcm_r = 1
-        for _, rs in block.values():
-            lcm_r = lcm(lcm_r, *rs)
-        norm = lcm_r * lcm_r
-        rows = [[p * (lcm_r // r) for p, r in zip(*line)] for line in block.values()]
-        m1_range = range(max(-tj1, tM - tj2), min(tj1, tM + tj2) + 1, 2)
-        weights = [product_weight[tM, tm1] for tm1 in m1_range]
-        for i, (row, tJ) in enumerate(zip(rows, block)):
+    for tM in range(top, -top - 1, -2):
+        block_weights = weights[(top - tM) // 2 * width:(top - tM + 2) // 2 * width]
+        at = {tJ: (tJ - tM) // 2 * width for tJ in range(max(abs(tj1 - tj2), abs(tM)), top + 1, 2)}
+        rows = [(tJ, chains[tJ][0][start:start + width], chains[tJ][1]) for tJ, start in at.items()]
+        for i, (tJ, row, common) in enumerate(rows):
             b_top, b_bottom = coupled_weight[tJ, tM]
-            weighted = list(map(mul, weights, row))
-            if b_top * sum(map(mul, weighted, row)) != b_bottom * norm or any(
-                sum(map(mul, weighted, other)) for other in rows[i + 1:]
+            weighted = list(map(mul, block_weights, row))
+            if b_top * sum(map(mul, weighted, row)) != b_bottom * common * common or any(
+                sum(map(mul, weighted, other)) for _, other, _ in rows[i + 1:]
             ):
                 return _unitarity_by_dot(tj1, tj2, _closed_form_walk(tj1, tj2))
         count += len(rows) * (len(rows) + 1)
@@ -362,16 +381,16 @@ def check_unitarity_sweep(max_twice_j: int, jobs: int = 1) -> VerificationReport
     2j <= max_twice_j, one Gram test on its rows (orthonormality at fixed
     J, M over m1), then on its columns (completeness at fixed m1, m2 over J).
 
-    Each closed-form value is factored once as sqrt(A B) p / r, and each M
-    block's row products are integer sums.  Each block is square, and
-    orthonormal rows of a square matrix make its columns orthonormal, so
-    the integer pass tests rows only.  A cell with a sum that fails, a
-    value that does not factor or a key outside the cell is walked again
-    through `_unitarity_by_dot`, which takes every row and column product
-    by `_dot`, so the counts and counterexamples are those of `_dot`
-    alone.  The rows and columns
-    are those of the cell, every |J, M> and every (m1, m2); one that the
-    walk leaves out is empty and fails its norm."""
+    Each closed-form value is factored once as sqrt(A B) P / L
+    (`_factored_cell`), and each M block's row products are integer sums.
+    Each block is square, and orthonormal rows of a square matrix make its
+    columns orthonormal, so the integer pass tests rows only.  A cell with
+    a sum that fails, a value that does not factor or a key outside the
+    cell is walked again through `_unitarity_by_dot`, which takes every row
+    and column product by `_dot`, so the counts and counterexamples are
+    those of `_dot` alone.  The rows and columns are those of the cell,
+    every |J, M> and every (m1, m2); one that the walk leaves out is empty
+    and fails its norm."""
     return _run_cell_sweep("unitarity", _unitarity_cell, max_twice_j, jobs)
 
 
@@ -425,12 +444,12 @@ def _threej_unit(unit: tuple[int, int, int]) -> CellResult:
     """
     symbols: dict[tuple[int, ...], RadicalSum] = {}
     for ja, jb, jc in sorted(set(itertools.permutations(unit))):
+        subspace = _racah_subspace(ja, jb, jc)
         for ma in range(-ja, ja + 1, 2):
             for mb in range(-jb, jb + 1, 2):
                 mc = -ma - mb
                 if abs(mc) <= jc:
-                    key = (ja, jb, jc, ma, mb, mc)
-                    symbols[key] = _wigner3j(ja, jb, jc, ma, mb)
+                    symbols[ja, jb, jc, ma, mb, mc] = _wigner3j(subspace, ma, mb)
     odd = (sum(unit) // 2) & 1
     terms = {key: value._terms for key, value in symbols.items()}
     for count, (key, base) in enumerate(symbols.items(), 1):
@@ -538,11 +557,7 @@ def _raising_element(tj: int, tm: int) -> int:
 
 
 def _apply_ladder(
-    tj1: int,
-    tj2: int,
-    tM: int,
-    components: Mapping[int, RadicalSum],
-    direction: int,
+    tj1: int, tj2: int, tM: int, components: Mapping[int, RadicalSum], direction: int,
     divisor: int = 1,
 ) -> dict[int, RadicalSum]:
     """J- (direction=-1) or J+ (direction=+1) acting on the state at
@@ -555,9 +570,7 @@ def _apply_ladder(
     component times the element's integer square, taken on the reduced
     integer pair of each term; `sum_radicals` adds two of one class with
     one integer square root and three gcds.  A component of several classes
-    brings one contribution per class.  `_ladder_cell` calls it on the
-    table walk's plain dicts for each relation that `_ladder_holds` does
-    not pass, and it decides that relation.  Raises ValueError unless
+    brings one contribution per class.  Raises ValueError unless
     ``divisor`` is at least 1.
     """
     if divisor < 1:
@@ -585,93 +598,16 @@ def _apply_ladder(
     }
 
 
-def _ladder_holds(
-    tj1: int,
-    tj2: int,
-    tM: int,
-    components: Mapping[int, RadicalSum],
-    direction: int,
-    divisor: int,
-    expected: Mapping[int, RadicalSum],
-) -> bool | None:
-    """Whether J- (direction=-1) or J+ (direction=+1) acting on the state
-    at doubled M whose values ``components`` maps by doubled m1, divided
-    by sqrt(``divisor``), is exactly the state ``expected``, decided in
-    integers; None when it meets a value that is not one term, a negative
-    element or a ``divisor`` below 1, which `_apply_ladder` then decides.
-
-    Each output component is c = a + b, a the J(1) and b the J(2)
-    contribution, with squares A, B and C taken from the terms (sign, n, d)
-    and the elements of `_apply_ladder`.  With one contribution, a = c is
-    one sign and one cross product.  With no c, it is a = -b.  With all
-    three, squaring c - a = b twice shows that a + b = c exactly when
-    X = C + A - B is 2ac: nonzero with the sign of a c and X^2 = 4 A C;
-    c - a is then +-b, and must have the sign of b.  No square root, gcd
-    or value is taken.
-    """
-    if divisor < 1:
-        return None
-    element = _lowering_element if direction < 0 else _raising_element
-    step = 2 * direction
-    # the two contributions by output m1, as (sign, n, d) of their squares
-    moved: dict[int, tuple[int, int, int]] = {}
-    kept: dict[int, tuple[int, int, int]] = {}
-    for tm1, value in components.items():
-        if len(terms := value._terms) != 1:
-            return None
-        ((s, n, d),) = terms
-        e1, e2 = element(tj1, tm1), element(tj2, tM - tm1)
-        if e1 < 0 or e2 < 0:
-            return None
-        d *= divisor
-        if e1:
-            moved[tm1 + step] = s, n * e1, d
-        if e2:
-            kept[tm1] = s, n * e2, d
-    for tm1, value in expected.items():
-        if len(terms := value._terms) != 1:
-            return None
-        ((sc, nc, dc),) = terms
-        a, b = moved.pop(tm1, None), kept.pop(tm1, None)
-        if a is None:
-            if b is None:
-                return False
-            a, b = b, None
-        sa, na, da = a
-        if b is None:
-            if sa != sc or na * dc != nc * da:
-                return False
-            continue
-        sb, nb, db = b
-        # X = C + A - B over da db dc
-        x = (nc * da + na * dc) * db - nb * dc * da
-        if not x or (x > 0) != (sa == sc) or x * x != 4 * na * nc * da * dc * db * db:
-            return False
-        # c - a has the sign of c, unless a has c's sign and |a| >= |c|
-        if sa == sc and nc * da <= na * dc:
-            if nc * da == na * dc or sc == sb:
-                return False
-        elif sc != sb:
-            return False
-    # the outputs where nothing is expected: a = -b
-    for tm1, (sa, na, da) in moved.items():
-        b = kept.pop(tm1, None)
-        if b is None or b[0] == sa or b[1] * da != na * b[2]:
-            return False
-    return not kept
+def _raising_factor(tj: int, tm: int) -> int:
+    """2(j - m), for doubled arguments: J+ carries sqrt((j+m)! (j-m)!) at m
+    to j - m times that at m + 1, the step of the J+ recurrence."""
+    return tj - tm
 
 
-def _is_unit(state: Mapping[int, RadicalSum]) -> bool:
-    """Whether the state whose values ``state`` maps by doubled m1 has
-    norm 1, when each value is one term: sum n / d == 1 in integers.
-    False for any other state, whose norm `_dot` then takes."""
-    top, bottom = 0, 1
-    for value in state.values():
-        if len(terms := value._terms) != 1:
-            return False
-        ((_, n, d),) = terms
-        top, bottom = top * d + n * bottom, bottom * d
-    return top == bottom
+def _lowering_factor(tj: int, tm: int) -> int:
+    """2(j + m), for doubled arguments: J- carries sqrt((j+m)! (j-m)!) at m
+    to j + m times that at m - 1, the step of the J- recurrence."""
+    return tj + tm
 
 
 def _ladder_element(tJ: int, tM: int) -> int:
@@ -682,9 +618,7 @@ def _ladder_element(tJ: int, tM: int) -> int:
     return (tJ * (tJ + 2) - tM * (tM + 2)) // 4
 
 
-def _subspaces(
-    walk: Iterable[tuple[tuple[int, int, int], RadicalSum]],
-) -> dict[int, dict[int, dict[int, RadicalSum]]]:
+def _subspaces(walk: Iterable) -> dict[int, dict[int, dict[int, RadicalSum]]]:
     """A route's walk of a cell grouped by subspace: doubled J -> doubled
     M -> {doubled m1: value}."""
     groups: dict[int, dict[int, dict[int, RadicalSum]]] = {}
@@ -697,64 +631,104 @@ def _subspaces(
 
 
 def _ladder_cell(cell: tuple[int, int]) -> CellResult:
+    """The ladder check of a cell in integers on `_factored_cell`, one list
+    comparison per chain and test, or else by `_ladder_by_apply`.
+
+    Over sqrt(A B(J, M)), J+ |J, M> = sqrt(d) |J, M+1>, d = `_ladder_element`
+    (J, M), is Racah's recurrence sum_i 2(j_i - m_i) P(J, M) = 2(J+M+1)
+    P(J, M+1), as B(J, M+1) / B(J, M) = (J+M+1) / (J-M), and J- |J, M+1> =
+    sqrt(d) |J, M> its mirror sum_i 2(j_i + m_i) P(J, M+1) = 2(J-M) P(J, M)
+    (Racah 1942; Condon & Shortley 1935, ch. III).  Each is taken times the
+    other factor of 4d so that it reads d; J+ |J, J> = 0 has no right side,
+    and a norm is B(J, M) sum A P^2 = L^2.
+    """
     tj1, tj2 = cell
-    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
-    one = RadicalSum.one()
-    walks = [_subspaces(walk(tj1, tj2)) for walk in (_ladder_walk, _closed_form_walk)]
+    ladder, closed = list(_ladder_walk(tj1, tj2)), list(_closed_form_walk(tj1, tj2))
+    # two equal tables are factored once
+    if [(key, v._terms) for key, v in ladder] == [(key, v._terms) for key, v in closed]:
+        factored = _factored_cell(tj1, tj2, ladder)
+        factored = factored and (*factored, factored[-1])
+    else:
+        factored = _factored_cell(tj1, tj2, ladder, closed)
+    if factored is None:
+        return _ladder_by_apply(tj1, tj2, ladder, closed)
+    weights, coupled_weight, ladder_chains, closed_chains = factored
+    top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
+    # J(1) moves m1 and J(2) moves m2 = M - m1: their factors at each slot
+    # of each row of the grid, 0 off the cell
+    up1 = [_raising_factor(tj1, tm1) for tm1 in m1s] * (top + 1)
+    down1 = [_lowering_factor(tj1, tm1) for tm1 in m1s] * (top + 1)
+    m2s = [tM - tm1 for tM in range(top, -top - 1, -2) for tm1 in m1s]
+    up2, down2 = (
+        [factor(tj2, tm2) if abs(tm2) <= tj2 else 0 for tm2 in m2s]
+        for factor in (_raising_factor, _lowering_factor)
+    )
+    for tJ in _j_range(tj1, tj2):
+        first, last = (top - tJ) // 2 * width, (top + tJ) // 2 * width + width
+        below = range(tJ - 2, -tJ - 1, -2)  # M of each relation's lower state
+        divisors = [d for tM in below for d in [4 * _ladder_element(tJ, tM)] * width]
+        (ps, common), (qs, _) = ladder_chains[tJ], closed_chains[tJ]
+        # J+ of each ladder state, on the row above's slots (J(1) moves one):
+        # 0 for |J, J>, else the state above times 4d, taken times 2(J-M)
+        moved = [0, *map(mul, up1[first:last], ps)]
+        raised = list(map(add, moved, [*map(mul, up2[first:last], ps), 0]))
+        up_scale = [tJ - tM for tM in below for _ in m1s]
+        # B_top(J, M) sum A P^2 = B_bottom L^2, one sum per row
+        squares = map(mul, weights[first:last], map(mul, ps, ps))
+        b_tops = [coupled_weight[tJ, tM][0] for tM in range(tJ, -tJ - 1, -2)]
+        norm = coupled_weight[tJ, tJ][1] * common * common
+        # J- of each closed-form state above -J, on the row below's slots:
+        # the state below times 4d, taken times 2(J+M+1)
+        moved = [*map(mul, down1[first:last], qs), 0]
+        lowered = list(map(add, moved[1:], map(mul, down2[first:last], qs)))
+        down_scale = [tJ + tM + 2 for tM in below for _ in m1s]
+        if (
+            any(raised[:width])
+            or list(map(mul, raised[width:-1], up_scale)) != list(map(mul, ps[:-width], divisors))
+            or list(map(mul, b_tops, map(sum, zip(*[squares] * width)))) != [norm] * (tJ + 1)
+            or list(map(mul, lowered[:-width], down_scale)) != list(map(mul, qs[width:], divisors))
+        ):
+            return _ladder_by_apply(tj1, tj2, ladder, closed)
+    return len(_j_range(tj1, tj2)), None
+
+
+def _ladder_by_apply(tj1: int, tj2: int, ladder: Iterable, closed: Iterable) -> CellResult:
+    """The ladder check of the (2j1, 2j2) cell whose ladder and closed-form
+    walks are ``ladder`` and ``closed``, with every relation acted out by
+    `_apply_ladder` and every norm taken by `_dot`."""
+    where = f"j1={HalfInt.from_twice(tj1)}, j2={HalfInt.from_twice(tj2)}"
+    walks = [_subspaces(ladder), _subspaces(closed)]
     chains = 0
     for tJ in _j_range(tj1, tj2):
         chains += 1
         J = HalfInt.from_twice(tJ)
+        at = f"{where}, J={J}"
         # both routes' states |J, M>, M = J .. -J, as the walk's plain dicts;
         # a (J, M) that a walk leaves out is {}, which fails on its norm
-        chain, closed = (
-            [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
-            for walk in walks
+        chain, betas = (
+            [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)] for walk in walks
         )
-        if not _ladder_holds(tj1, tj2, tJ, chain[0], +1, 1, {}) and (
-            raised := _apply_ladder(tj1, tj2, tJ, chain[0], +1)
-        ):
+        if raised := _apply_ladder(tj1, tj2, tJ, chain[0], +1):
             return chains, Counterexample(
-                description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
+                f"J+ annihilation fails for ({at})",
                 # in descending m1, the order of the alphas of |J, J>
-                values={"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
+                {"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
-            if not _is_unit(state) and (norm_squared := _dot(state, state)) != one:
+            M = HalfInt.from_twice(tM)
+            if (norm_squared := _dot(state, state)) != RadicalSum.one():
                 return chains, Counterexample(
-                    description=(
-                        f"norm of |J={J}, M={HalfInt.from_twice(tM)}> "
-                        f"at (j1={j1}, j2={j2})"
-                    ),
-                    values={"norm^2": str(norm_squared)},
+                    f"norm of |J={J}, M={M}> at ({where})", {"norm^2": str(norm_squared)}
                 )
-            if step > 0:
-                divisor, above = _ladder_element(tJ, tM), chain[step - 1]
-                if (
-                    not _ladder_holds(tj1, tj2, tM, state, +1, divisor, above)
-                    and _apply_ladder(tj1, tj2, tM, state, +1, divisor) != above
-                ):
-                    return chains, Counterexample(
-                        description=(
-                            f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
-                            f"M={HalfInt.from_twice(tM)})"
-                        ),
-                    )
+            divisor = _ladder_element(tJ, tM)
+            if step > 0 and _apply_ladder(tj1, tj2, tM, state, +1, divisor) != chain[step - 1]:
+                return chains, Counterexample(f"J+ ladder relation at ({at}, M={M})")
         # closed-form states obey the J- relation; "beta" is their old name
         for s in range(1, tJ + 1):
-            tM = tJ - 2 * s
-            divisor = _ladder_element(tJ, tM)
-            if (
-                not _ladder_holds(tj1, tj2, tM + 2, closed[s - 1], -1, divisor, closed[s])
-                and _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, divisor) != closed[s]
-            ):
-                return chains, Counterexample(
-                    description=(
-                        f"J- relation on beta states at (j1={j1}, j2={j2}, "
-                        f"J={J}, s={s})"
-                    ),
-                )
+            divisor = _ladder_element(tJ, tJ - 2 * s)
+            if _apply_ladder(tj1, tj2, tJ - 2 * s + 2, betas[s - 1], -1, divisor) != betas[s]:
+                return chains, Counterexample(f"J- relation on beta states at ({at}, s={s})")
     return chains, None
 
 
@@ -762,20 +736,15 @@ def check_ladder_consistency(max_twice_j: int, jobs: int = 1) -> VerificationRep
     """Highest-weight annihilation and exact ladder action along every chain.
 
     For each (j1, j2, J), on the states of the ladder and closed-form walks
-    of the cell (`_subspaces`), each a plain {doubled m1: value} dict: J+
-    kills |J, J>; each |J, M> built by repeated normalized lowering has
-    exact norm 1; J+ applied to it and divided by sqrt(J(J+1) - M(M+1))
-    reproduces |J, M+1> exactly; and the closed-form states, each component
-    computed on its own, satisfy the J- relation: J- |J, M> divided by
-    sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each relation is decided
-    with the integer square of the element, written again by
-    `_ladder_element`, as the divisor, so no expected state is scaled:
-    first in integers by `_ladder_holds`, and when that does not pass it,
-    by one call of the J+/J- kernel `_apply_ladder`.  Each norm is
-    sum n / d == 1 over one-term values (`_is_unit`), or else `_dot`.  The
-    integer tests only pass, so the counts and counterexamples are those
-    of `_apply_ladder` and `_dot` alone.  A state that a walk leaves out
-    is empty and fails on its norm or its relation.
+    of the cell: J+ kills |J, J>; each |J, M> built by repeated normalized
+    lowering has exact norm 1; J+ applied to it and divided by
+    sqrt(J(J+1) - M(M+1)) reproduces |J, M+1> exactly; and the closed-form
+    states, each component computed on its own, satisfy the J- relation:
+    J- |J, M> divided by sqrt(J(J+1) - M(M-1)) is exactly |J, M-1>.  Each
+    cell is decided as Racah's recurrences on the factoring that unitarity
+    reads (`_ladder_cell`), or else by `_ladder_by_apply`, whose J+/J-
+    kernel `_apply_ladder` and `_dot` give the counts and counterexamples.
+    A state that a walk leaves out is empty and fails its norm or relation.
     """
     return _run_cell_sweep("ladder consistency", _ladder_cell, max_twice_j, jobs)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, isqrt
 
-from cgexact.formulas import CouplingSpec, ThreeJSpec, _cell_keys, _key_spec
+from cgexact.formulas import CouplingSpec, ThreeJSpec, _cell_keys, _key_spec, _racah_subspace
 from cgexact.verification import Counterexample, _apply_ladder
 from cgexact.numerics import HalfInt, RadicalSum, _dot, _from_terms
 
@@ -383,16 +383,18 @@ def collapse_by_key(tj1: int, tj2: int, items):
 
 def threej_by_label(unit, wigner3j):
     """The 3j check's result on the doubled j-triple ``unit`` with the 3j
-    symbols of ``wigner3j(ja, jb, jc, ma, mb)`` on doubled columns: the
+    symbols of ``wigner3j(subspace, ma, mb)``, on the `_racah_subspace` of
+    each column order of ``unit`` and doubled ma and mb: the
     (symbol count, first counterexample) of comparing each symbol with its
     six labeled images, then requiring the sign (-1)^(ja-jb+jc) of a
     stretched symbol, which a value of several terms does not have."""
     symbols = {}
     for ja, jb, jc in sorted(set(permutations(unit))):
+        subspace = _racah_subspace(ja, jb, jc)
         for ma in range(-ja, ja + 1, 2):
             for mb in range(-jb, jb + 1, 2):
                 if abs(ma + mb) <= jc:
-                    symbols[ja, jb, jc, ma, mb, -ma - mb] = wigner3j(ja, jb, jc, ma, mb)
+                    symbols[ja, jb, jc, ma, mb, -ma - mb] = wigner3j(subspace, ma, mb)
     odd = sum(unit) // 2 % 2
     count = 0
     for key, base in symbols.items():

@@ -150,6 +150,24 @@ def test_coeff_prints_a_value_longer_than_the_int_to_str_limit(runner):
     assert len(numerator) == 1379
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+def test_a_command_leaves_the_int_to_str_limit_as_it_found_it(runner):
+    # the group lifts the limit only while its command runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = runner.invoke(
+            cli,
+            ["coeff", "--j1", "1", "--j2", "1", "--m1", "0", "--m2", "0", "--J", "2", "--M", "0"],
+        )
+        assert result.exit_code == 0, result.output
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ _KEYS = [
 def test_racah_and_3j_kernels_give_the_canonical_form(key):
     tj1, tj2, tJ, tM, tm1 = key
     _assert_canonical(numerics._times_radical(*_racah_sum(_racah_subspace(tj1, tj2, tJ), tM, tm1)))
-    _assert_canonical(_wigner3j(tj1, tj2, tJ, tm1, tM - tm1))
+    _assert_canonical(_wigner3j(_racah_subspace(tj1, tj2, tJ), tm1, tM - tm1))
 
 
 def test_equal_values_from_unreduced_pairs_are_equal_and_hash_equal():

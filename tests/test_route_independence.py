@@ -148,10 +148,13 @@ def test_the_ladder_route_builds_its_top_in_integers(calls):
 
 
 def test_the_ladder_check_builds_no_state_object():
-    # the check decides J+ and J- on the walk's plain dicts, in integers,
-    # through one kernel
+    # the check decides J+ and J- as recurrences in integers on the one
+    # factored cell, through the recurrences' step factors
     called = _traced(lambda: check_ladder_consistency(4))
-    assert "verification._ladder_holds" in called
+    assert {
+        "verification._factored_cell", "verification._raising_factor",
+        "verification._lowering_factor", "verification._ladder_element",
+    } <= called
 
 
 def test_ladder_route_calls_no_formula_but_validation(calls):

@@ -41,6 +41,14 @@ The ladder route lowers in a basis scaled by 1 / sqrt(C(2j, j-m)), where
 `ladder._scaled_lowering_element` is the J- element; its certificate
 proves the route's scaled elements from the ladder check's unscaled ones,
 `verification._lowering_element` and `verification._raising_element`.
+
+Unitarity and the ladder check factor each value as sqrt(A B) P / L
+(`verification._factored_cell`).  `_factored_weights` reads A and B out of
+that helper's source; the certificates prove Racah's ratios
+A(m1+1, m2) / A(m1, m2) = (j1+m1+1) / (j1-m1) and B(J, M) / B(J, M-1) =
+(J+M) / (J-M+1), and that with the unscaled elements, the divisor
+`verification._ladder_element` and the step factors, the integer
+recurrences that `verification._ladder_cell` tests are the J± relations.
 """
 
 import ast
@@ -436,3 +444,93 @@ def test_signed_binomials_solve_the_annihilation_recurrence_for_every_j():
         return (-1) ** i * sympy.binomial(m, i)
 
     assert sympy.simplify(sympy.combsimp((x(l + 1) * e1 + x(l) * e2) / x(l))) == 0
+
+
+def _factored_weights():
+    """A(2j1, 2m1, 2j2, 2m2) and B(2j1, 2j2, 2J, 2M) as
+    `verification._factored_cell` writes them, read from its source: the
+    value it assigns to ``product_weight[tm1 + tm2][tm1]`` and the
+    numerator over the denominator of its ``coupled_weight`` comprehension,
+    with ``factorial[x]`` as x!."""
+    source = textwrap.dedent(inspect.getsource(verification._factored_cell))
+    assigned = {
+        ast.unparse(node.targets[0]): node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign)
+    }
+    product, coupled = assigned["product_weight[tm1 + tm2][tm1]"], assigned["coupled_weight"]
+    assert isinstance(coupled, ast.DictComp) and ast.unparse(coupled.key) == "(tJ, tM)"
+
+    class Factorials:
+        def __getitem__(self, x):
+            return sympy.factorial(_without_floor(sympy.sympify(x)))
+
+    def weight(node, **names):
+        return eval(ast.unparse(node), {}, {"factorial": Factorials(), **names})
+
+    def A(tj1, tm1, tj2, tm2):
+        return weight(product, tj1=tj1, tm1=tm1, tj2=tj2, tm2=tm2)
+
+    def B(tj1, tj2, tJ, tM):
+        top, bottom = weight(coupled.value, tj1=tj1, tj2=tj2, tJ=tJ, tM=tM, top=tj1 + tj2)
+        return top / bottom
+
+    return A, B
+
+
+#: j1 + m1, j1 - m1, j2 + m2 and j2 - m2
+_PRODUCT = sympy.symbols("a1 b1 a2 b2", integer=True, nonnegative=True)
+#: j1 + j2 - J, J + j1 - j2, J + j2 - j1 and J - M
+_COUPLED = sympy.symbols("g1 g2 g3 v", integer=True, nonnegative=True)
+
+
+def test_the_factored_weights_step_by_racahs_ratios():
+    # A(m1+1, m2) / A(m1, m2) = (j1+m1+1) / (j1-m1) and
+    # B(J, M) / B(J, M-1) = (J+M) / (J-M+1), from the helper's own A and B
+    A, B = _factored_weights()
+    a1, b1, a2, b2 = _PRODUCT
+    tj1, tm1, tj2, tm2 = a1 + b1, a1 - b1, a2 + b2, a2 - b2
+    assert sympy.combsimp(A(tj1, tm1 + 2, tj2, tm2) / A(tj1, tm1, tj2, tm2)) == (a1 + 1) / b1
+    g1, g2, g3, v = _COUPLED
+    tj1, tj2, tJ = g1 + g2, g1 + g3, g2 + g3
+    ratio = sympy.combsimp(B(tj1, tj2, tJ, tJ - 2 * v) / B(tj1, tj2, tJ, tJ - 2 * v - 2))
+    assert sympy.simplify(ratio - (tJ - v) / (v + 1)) == 0
+
+
+def test_with_the_unscaled_elements_the_recurrences_are_the_ladder_relations():
+    # product side: an element e of J+ or J- carries sqrt(A) at m1 (or m2)
+    # to its step factor f / 2 times sqrt(A) one step on, e A = (f/2)^2 A'
+    A, B = _factored_weights()
+    a1, b1, a2, b2 = _PRODUCT
+    tj1, tm1, tj2, tm2 = a1 + b1, a1 - b1, a2 + b2, a2 - b2
+    for element, factor, step in (
+        (verification._raising_element, verification._raising_factor, 2),
+        (verification._lowering_element, verification._lowering_factor, -2),
+    ):
+        for moved, (tj, tm) in ((0, (tj1, tm1)), (1, (tj2, tm2))):
+            e = _without_floor(sympy.sympify(element(tj, tm)))
+            f = sympy.sympify(factor(tj, tm))
+            here = A(tj1, tm1, tj2, tm2)
+            there = A(tj1, tm1 + step * (1 - moved), tj2, tm2 + step * moved)
+            assert sympy.cancel(sympy.combsimp(e * here / there) - (f / 2) ** 2) == 0
+    # coupled side: J+ |J, M> = sqrt(E) |J, M+1> over sqrt(A' B(J, M)) is
+    # sum_i f_i P(M) = 2 sqrt(E B(M+1) / B(M)) P(M+1), and J- |J, M+1> =
+    # sqrt(E) |J, M> is sum_i f_i P(M+1) = 2 sqrt(E B(M) / B(M+1)) P(M).  The
+    # check takes each times the factor that `_ladder_cell` writes for it,
+    # c = 2(J-M) or 2(J+M+1), against 4E: so c^2 B(M+1) = 4 E B(M) for J+
+    # and c^2 B(M) = 4 E B(M+1) for J-, with c >= 0 below |J, J>
+    function = ast.parse(textwrap.dedent(inspect.getsource(verification._ladder_cell)))
+    sides = sorted(
+        (node for node in ast.walk(function) if isinstance(node, ast.ListComp)
+         and [ast.unparse(g.iter) for g in node.generators] == ["below", "m1s"]),
+        key=lambda node: node.lineno,
+    )
+    assert len(sides) == 2
+    g1, g2, g3, v = _COUPLED
+    tj1, tj2, tJ = g1 + g2, g1 + g3, g2 + g3
+    tM = tJ - 2 * v - 2  # the lower state, v = J - M - 1 >= 0
+    E = _without_floor(sympy.sympify(verification._ladder_element(tJ, tM)))
+    lower, upper = B(tj1, tj2, tJ, tM), B(tj1, tj2, tJ, tM + 2)
+    raising, lowering = (eval(ast.unparse(node.elt), {}, {"tJ": tJ, "tM": tM}) for node in sides)
+    assert sympy.simplify(sympy.combsimp(raising**2 * upper / (4 * E * lower))) == 1
+    assert sympy.simplify(sympy.combsimp(lowering**2 * lower / (4 * E * upper))) == 1

@@ -17,6 +17,7 @@ from sympy.physics.wigner import clebsch_gordan, wigner_3j  # noqa: E402
 from cgexact.formulas import (  # noqa: E402
     CouplingSpec,
     ThreeJSpec,
+    _racah_subspace,
     _wigner3j,
     cg_alternative,
     cg_racah,
@@ -84,7 +85,7 @@ def test_every_3j_symbol_up_to_2j_8_matches_sympy_sign_and_square():
                     for mb in range(max(-jb, -ma - jc), min(jb, jc - ma) + 1, 2):
                         half = (sympy.Rational(t, 2) for t in (ja, jb, jc, ma, mb, -ma - mb))
                         expected = _sympy_sign_and_square(wigner_3j(*half))
-                        value = _wigner3j(ja, jb, jc, ma, mb)
+                        value = _wigner3j(_racah_subspace(ja, jb, jc), ma, mb)
                         assert _sign_and_square(value) == expected, (ja, jb, jc, ma, mb)
                         count += 1
     assert count == 4451

@@ -11,13 +11,11 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import cgexact.formulas as formulas
 import cgexact.ladder as ladder
 import cgexact.verification as verification
-from cgexact.numerics import RadicalSum, sum_radicals
+from cgexact.numerics import RadicalSum
 from oracles import (
     agreement_by_key,
     collapse_by_key,
@@ -469,9 +467,9 @@ def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
     # compares a symbol of two classes with its images and reports it
     original = verification._wigner3j
 
-    def broken(ja, jb, jc, ma, mb):
-        value = original(ja, jb, jc, ma, mb)
-        if (ja, jb, jc, ma, mb) == (1, 1, 0, 1, -1):
+    def broken(subspace, ma, mb):
+        value = original(subspace, ma, mb)
+        if (*subspace[:3], ma, mb) == (1, 1, 0, 1, -1):
             value = RadicalSum.parse(f"{value} + sqrt(1/3)")
         return value
 
@@ -483,15 +481,15 @@ def test_threej_multiclass_racah_value_fails_without_raising(monkeypatch):
 
 
 def _negated_at_odd_sum(symbol):
-    def wrong(ja, jb, jc, ma, mb):
-        value = symbol(ja, jb, jc, ma, mb)
-        return -value if (ja + jb + jc) // 2 & 1 else value
+    def wrong(subspace, ma, mb):
+        value = symbol(subspace, ma, mb)
+        return -value if sum(subspace[:3]) // 2 & 1 else value
 
     return wrong
 
 
 def _negated(symbol):
-    return lambda ja, jb, jc, ma, mb: -symbol(ja, jb, jc, ma, mb)
+    return lambda subspace, ma, mb: -symbol(subspace, ma, mb)
 
 
 @pytest.mark.parametrize(
@@ -526,9 +524,9 @@ def _changed_where(chosen, change):
     doubled (ja, jb, jc, ma, mb) ``chosen`` accepts."""
 
     def wrong(symbol):
-        def changed(*columns):
-            value = symbol(*columns)
-            return change(value) if chosen(columns) else value
+        def changed(subspace, ma, mb):
+            value = symbol(subspace, ma, mb)
+            return change(value) if chosen((*subspace[:3], ma, mb)) else value
 
         return changed
 
@@ -670,22 +668,18 @@ def test_verify_exits_2_when_a_route_raises(monkeypatch):
 
 def test_ladder_detects_broken_lowering(monkeypatch):
     # the check's J- doubles every component of the state it lowers, both
-    # where it decides a relation in integers and where it acts it out
-    decide, act = verification._ladder_holds, verification._apply_ladder
+    # where it decides a recurrence in integers, through both step factors
+    # of J-, and where it acts it out
+    step, act = verification._lowering_factor, verification._apply_ladder
 
     def doubled(components):
         return {tm1: product(value, RadicalSum.rational(2)) for tm1, value in components.items()}
-
-    def doubling_decision(tj1, tj2, tM, components, direction, divisor, expected):
-        if direction < 0:
-            components = doubled(components)
-        return decide(tj1, tj2, tM, components, direction, divisor, expected)
 
     def doubling_jminus(tj1, tj2, tM, components, direction, divisor=1):
         state = act(tj1, tj2, tM, components, direction, divisor)
         return doubled(state) if direction < 0 else state
 
-    monkeypatch.setattr(verification, "_ladder_holds", doubling_decision)
+    monkeypatch.setattr(verification, "_lowering_factor", lambda tj, tm: 2 * step(tj, tm))
     monkeypatch.setattr(verification, "_apply_ladder", doubling_jminus)
     report = check_ladder_consistency(1)
     assert not report.passed
@@ -693,14 +687,16 @@ def test_ladder_detects_broken_lowering(monkeypatch):
 
 
 def test_ladder_detects_broken_raising_element(monkeypatch):
-    original = verification._raising_element
+    original, step = verification._raising_element, verification._raising_factor
 
     def doubled(tj, tm):
         # the element is held as its square: doubling it is a factor of 4
         return original(tj, tm) * 4
 
-    # the check's J+ kernel reads the element from `verification`
+    # the check's J+ kernel reads the element from `verification`, and its
+    # J+ recurrence the step factor, which doubles with it
     monkeypatch.setattr(verification, "_raising_element", doubled)
+    monkeypatch.setattr(verification, "_raising_factor", lambda tj, tm: 2 * step(tj, tm))
     report = check_ladder_consistency(3)
     assert not report.passed
     assert report.counterexample.description == (
@@ -726,14 +722,9 @@ def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeyp
 
 
 def test_ladder_fails_when_actions_ignore_the_divisor(monkeypatch):
-    decide, act = verification._ladder_holds, verification._apply_ladder
-    monkeypatch.setattr(
-        verification,
-        "_ladder_holds",
-        lambda tj1, tj2, tM, components, direction, divisor, expected: decide(
-            tj1, tj2, tM, components, direction, 1, expected
-        ),
-    )
+    # the recurrences read the divisor through `_ladder_element`, as 1 here
+    act = verification._apply_ladder
+    monkeypatch.setattr(verification, "_ladder_element", lambda tJ, tM: 1)
     monkeypatch.setattr(
         verification,
         "_apply_ladder",
@@ -789,63 +780,6 @@ def test_ladder_matches_the_apply_loop_on_every_perturbed_table(monkeypatch):
             count += 1
             failures += result[1] is not None
     assert (count, failures) == (4581, 4484)
-
-
-def _one_term(root, multiplier):
-    """sign * (p / q) * sqrt(n / d) for root (n, d) and multiplier
-    (sign, p, q): one term, or its negation."""
-    (n, d), (sign, p, q) = root, multiplier
-    value = RadicalSum.sqrt(Fraction(p * p * n, q * q * d))
-    return value if sign > 0 else -value
-
-
-_ROOTS = st.tuples(st.integers(1, 12), st.integers(1, 12))
-_MULTIPLIERS = st.tuples(st.sampled_from([1, -1]), st.integers(1, 6), st.integers(1, 6))
-
-
-@st.composite
-def _sums(draw):
-    """(a, b, c, divisor): one-term values a and b, each perhaps missing, of
-    one radicand or of two; c their exact sum over sqrt(divisor), or that
-    sum negated, or another one-term value, or missing."""
-    root = draw(_ROOTS)
-    a = draw(st.none() | st.builds(_one_term, st.just(root), _MULTIPLIERS))
-    b = draw(
-        st.none()
-        | st.builds(_one_term, st.just(root) | _ROOTS, _MULTIPLIERS)
-        | st.just(-a if a is not None else None)
-    )
-    divisor = draw(st.integers(1, 6))
-    terms = [(s, n, d * divisor) for value in (a, b) if value is not None for s, n, d in value._terms]
-    total = sum_radicals(terms)
-    kind = draw(st.sampled_from(["sum", "negated sum", "other", "missing"]))
-    if kind == "other" or (kind != "missing" and total.num_terms != 1):
-        c = draw(st.builds(_one_term, st.just(root) | _ROOTS, _MULTIPLIERS))
-    else:
-        c = {"sum": total, "negated sum": -total, "missing": None}[kind] or None
-    return a, b, c, divisor
-
-
-@settings(max_examples=200, deadline=None)
-@given(_sums())
-@example((RadicalSum.sqrt(2), RadicalSum.sqrt(Fraction(9, 2)), RadicalSum.sqrt(8), 1))  # one radicand
-@example((RadicalSum.sqrt(3), -RadicalSum.sqrt(3), None, 2))  # a = -b, no c
-@example((RadicalSum.sqrt(2), RadicalSum.sqrt(3), RadicalSum.sqrt(5), 1))  # incommensurable
-@example((-RadicalSum.one(), RadicalSum.rational(2), RadicalSum.one(), 1))  # a = -c, b = 2c
-@example((RadicalSum.sqrt(2), RadicalSum.sqrt(8), None, 1))  # no c, a + b != 0
-def test_the_integer_decision_of_a_plus_b_is_the_exact_sum(triple):
-    # J- on |M=0> of the cell (1/2, 1/2) moves m1 = +1/2 to -1/2 by J(1)
-    # and keeps m1 = -1/2 by J(2), each with the element 1, so the one
-    # component it yields, over sqrt(divisor), is a + b: the decision must
-    # be True exactly when that sum is c, with a missing c reading 0
-    a, b, c, divisor = triple
-    components = {tm1: value for tm1, value in ((1, a), (-1, b)) if value is not None}
-    expected = {} if c is None else {-1: c}
-    exact = verification._apply_ladder(1, 1, 0, components, -1, divisor)
-    terms = [(s, n, d * divisor) for value in components.values() for s, n, d in value._terms]
-    assert exact == ({-1: total} if (total := sum_radicals(terms)) else {})
-    decision = verification._ladder_holds(1, 1, 0, components, -1, divisor, expected)
-    assert decision is (exact == expected)
 
 
 def test_a_passing_ladder_sweep_acts_out_no_relation_and_takes_no_norm(monkeypatch):
@@ -927,10 +861,14 @@ def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
             report = check(2)
             assert not report.passed
             assert "j1=0, j2=1/2" in report.counterexample.description
-    # the check's J- acts through `_lowering_element` (held as its square),
-    # which no route uses: only the ladder check fails
+    # the check's J- acts through `_lowering_element` (held as its square)
+    # and its J- recurrence through `_lowering_factor`, which no route uses:
+    # only the ladder check fails
     monkeypatch.setattr(
         verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 4)
+    )
+    monkeypatch.setattr(
+        verification, "_lowering_factor", _wrong_at_half(verification._lowering_factor, 2)
     )
     report = check_ladder_consistency(2)
     assert not report.passed
@@ -946,13 +884,22 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
     monkeypatch.setattr(verification, "_cells", lambda max_twice_j: [(1, 2)])
     # sqrt(2) times the check's J- element at j = m = 1/2: the two
     # contributions to |m1=-1/2> in J- |J=1/2, M=1/2> then fall in two
-    # commensurability classes, and the lowered component has two terms
+    # commensurability classes, and the lowered component has two terms.
+    # The J- recurrence has no integer step factor for it; its factor there
+    # is doubled, so that it fails too and `_apply_ladder` decides
     with monkeypatch.context() as patch:
         patch.setattr(
             verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 2)
         )
-        # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
-        top = verification._subspaces(verification._closed_form_walk(1, 2))[1][1]
+        patch.setattr(
+            verification, "_lowering_factor", _wrong_at_half(verification._lowering_factor, 2)
+        )
+        # the closed-form |J=1/2, M=1/2> of the cell
+        top = {
+            tm1: value
+            for (tJ, tM, tm1), value in verification._closed_form_walk(1, 2)
+            if (tJ, tM) == (1, 1)
+        }
         assert verification._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
@@ -1008,9 +955,9 @@ def test_threej_detects_flipped_symbols(monkeypatch, forked_pools):
     # flipping one column order, (1, 1/2, 1/2), breaks the images of the others
     original = verification._wigner3j
 
-    def flipped(ja, jb, jc, ma, mb):
-        value = original(ja, jb, jc, ma, mb)
-        return -value if (ja, jb, jc) == (2, 1, 1) else value
+    def flipped(subspace, ma, mb):
+        value = original(subspace, ma, mb)
+        return -value if subspace[:3] == (2, 1, 1) else value
 
     monkeypatch.setattr(verification, "_wigner3j", flipped)
     report = check_threej_symmetries(3)
