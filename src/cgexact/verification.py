@@ -235,18 +235,18 @@ def check_formula_agreement(max_twice_j: int, jobs: int = 1) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def _factored_cell(tj1: int, tj2: int, *walks: Iterable) -> tuple | None:
-    """(A, B, *chains): the (2j1, 2j2) cell and each of ``walks``, walks of
-    it, factored in Racah's normalisation; None when a walk has a key
-    outside the cell or a value that is not sqrt(A B) times a rational.
+def _factored_cell(tj1: int, tj2: int, walk: Iterable) -> tuple | None:
+    """(A, B, chains): the (2j1, 2j2) cell and ``walk``, a walk of it,
+    factored in Racah's normalisation; None when the walk has a key outside
+    the cell or a value that is not sqrt(A B) times a rational.
 
     A = (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! is one list over a grid of rows
     M = j1+j2 .. -(j1+j2), each a slot per m1 = -j1 .. j1, 0 off the cell;
     B = (2J+1) (j1+j2-J)! (j1-j2+J)! (-j1+j2+J)! (J+M)! (J-M)! /
-    (j1+j2+J+1)! a (numerator, denominator) by doubled (J, M).  A walk's
-    chains map doubled J to (P, L): integers P on the rows M = J .. -J, 0
-    where the walk has no value, so that a value is sqrt(A B) P / L.  Each
-    value costs one gcd and two isqrts.
+    (j1+j2+J+1)! a (numerator, denominator) by doubled (J, M).  The chains
+    map doubled J to (P, L): integers P on the rows M = J .. -J, 0 where
+    the walk has no value, so that a value is sqrt(A B) P / L.  Each value
+    costs one gcd and two isqrts.
     """
     factorial = list(itertools.accumulate(range(1, tj1 + tj2 + 2), mul, initial=1))
     top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
@@ -268,39 +268,36 @@ def _factored_cell(tj1: int, tj2: int, *walks: Iterable) -> tuple | None:
         )
         for tJ in _j_range(tj1, tj2) for tM in range(-tJ, tJ + 1, 2)
     }
-    factored = []
-    for walk in walks:
-        # the sign p and the r of each value, 0 / 1 where the walk has none
-        signed = {tJ: [0] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
-        roots = {tJ: [1] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
-        at = None
-        for (tJ, tM, tm1), value in walk:
-            if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
-                at = tJ, tM
-                if at not in coupled_weight:
-                    return None
-                b_top, b_bottom = coupled_weight[at]
-                ps, rs, row_weight = signed[tJ], roots[tJ], product_weight[tM]
-                row = (tJ - tM) * width + tj1  # twice the slot of m1 = -j1
-            # n / d is A B (p / r)^2.  A key outside the cell, or a value of
-            # several terms or of another class, fails
-            if (a := row_weight.get(tm1)) and len(terms := value._terms) == 1:
-                ((sign, n, d),) = terms
-                x, y = n * b_bottom, d * a * b_top
-                g = gcd(x, y)
-                x, y = x // g, y // g
-                p, r = isqrt(x), isqrt(y)
-                if p * p == x and r * r == y:
-                    slot = (row + tm1) // 2
-                    ps[slot], rs[slot] = sign * p, r
-                    continue
-            return None
-        chains = {}
-        for tJ, rs in roots.items():
-            common = lcm(*set(rs))  # the distinct r only: a short argument tuple
-            chains[tJ] = list(map(mul, signed[tJ], map(common.__floordiv__, rs))), common
-        factored.append(chains)
-    return weights, coupled_weight, *factored
+    # the sign p and the r of each value, 0 / 1 where the walk has none
+    signed = {tJ: [0] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
+    roots = {tJ: [1] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
+    at = None
+    for (tJ, tM, tm1), value in walk:
+        if at != (tJ, tM):  # once per (J, M): a walk yields in (J, M, m1) order
+            at = tJ, tM
+            if at not in coupled_weight:
+                return None
+            b_top, b_bottom = coupled_weight[at]
+            ps, rs, row_weight = signed[tJ], roots[tJ], product_weight[tM]
+            row = (tJ - tM) * width + tj1  # twice the slot of m1 = -j1
+        # n / d is A B (p / r)^2.  A key outside the cell, or a value of
+        # several terms or of another class, fails
+        if (a := row_weight.get(tm1)) and len(terms := value._terms) == 1:
+            ((sign, n, d),) = terms
+            x, y = n * b_bottom, d * a * b_top
+            g = gcd(x, y)
+            x, y = x // g, y // g
+            p, r = isqrt(x), isqrt(y)
+            if p * p == x and r * r == y:
+                slot = (row + tm1) // 2
+                ps[slot], rs[slot] = sign * p, r
+                continue
+        return None
+    chains = {}
+    for tJ, rs in roots.items():
+        common = lcm(*set(rs))  # the distinct r only: a short argument tuple
+        chains[tJ] = list(map(mul, signed[tJ], map(common.__floordiv__, rs))), common
+    return weights, coupled_weight, chains
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +554,11 @@ def _raising_element(tj: int, tm: int) -> int:
 
 
 def _apply_ladder(
-    tj1: int, tj2: int, tM: int, components: Mapping[int, RadicalSum], direction: int,
+    tj1: int,
+    tj2: int,
+    tM: int,
+    components: Mapping[int, RadicalSum],
+    direction: int,
     divisor: int = 1,
 ) -> dict[int, RadicalSum]:
     """J- (direction=-1) or J+ (direction=+1) acting on the state at
@@ -618,7 +619,9 @@ def _ladder_element(tJ: int, tM: int) -> int:
     return (tJ * (tJ + 2) - tM * (tM + 2)) // 4
 
 
-def _subspaces(walk: Iterable) -> dict[int, dict[int, dict[int, RadicalSum]]]:
+def _subspaces(
+    walk: Iterable[tuple[tuple[int, int, int], RadicalSum]],
+) -> dict[int, dict[int, dict[int, RadicalSum]]]:
     """A route's walk of a cell grouped by subspace: doubled J -> doubled
     M -> {doubled m1: value}."""
     groups: dict[int, dict[int, dict[int, RadicalSum]]] = {}
@@ -644,15 +647,13 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     """
     tj1, tj2 = cell
     ladder, closed = list(_ladder_walk(tj1, tj2)), list(_closed_form_walk(tj1, tj2))
+    factored = _factored_cell(tj1, tj2, ladder)
     # two equal tables are factored once
-    if [(key, v._terms) for key, v in ladder] == [(key, v._terms) for key, v in closed]:
-        factored = _factored_cell(tj1, tj2, ladder)
-        factored = factored and (*factored, factored[-1])
-    else:
-        factored = _factored_cell(tj1, tj2, ladder, closed)
-    if factored is None:
+    same = [(key, v._terms) for key, v in ladder] == [(key, v._terms) for key, v in closed]
+    closed_factored = factored if same else _factored_cell(tj1, tj2, closed)
+    if factored is None or closed_factored is None:
         return _ladder_by_apply(tj1, tj2, ladder, closed)
-    weights, coupled_weight, ladder_chains, closed_chains = factored
+    (weights, coupled_weight, ladder_chains), closed_chains = factored, closed_factored[2]
     top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
     # J(1) moves m1 and J(2) moves m2 = M - m1: their factors at each slot
     # of each row of the grid, 0 off the cell
