@@ -19,10 +19,10 @@ first, as its docstring says.  Only a unit that this does not clear is
 walked again through the check's plain exact loop, which decides it and
 writes the counterexample, so counts and counterexamples are the plain
 loop's.  Unitarity and the ladder check read one factoring of a cell,
-`_factored_cell`.  The ladder check's recurrences and its J± kernel
-`_apply_ladder` live here with their unscaled factors and elements: the
-ladder route steps with its own scaled ones, so `ladder` holds none of
-the check's arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec
+`_factored_cell`.  The ladder check's J± kernel `_apply_ladder` and the
+unscaled elements, from which its integer recurrences take their factors,
+live here: the ladder route steps with its own scaled ones, so `ladder`
+holds none of the check's arithmetic.  A sweep builds a CouplingSpec or ThreeJSpec
 only to write a counterexample, except the Condon-Shortley check: it
 builds one CouplingSpec per |J, J> and passes it to the validating
 `cg_alternative`, `cg_racah` and `cg_ladder`.
@@ -248,7 +248,9 @@ def _factored_cell(tj1: int, tj2: int, walk: Iterable) -> tuple | None:
     the walk has no value, so that a value is sqrt(A B) P / L.  Each value
     costs one gcd and two isqrts.
     """
-    factorial = list(itertools.accumulate(range(1, tj1 + tj2 + 2), mul, initial=1))
+    factorial = [1]
+    for i in range(1, tj1 + tj2 + 2):
+        factorial.append(factorial[-1] * i)
     top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
     # A by doubled m1 in each row M of the grid
     product_weight: dict[int, dict[int, int]] = {tM: {} for tM in range(top, -top - 1, -2)}
@@ -261,12 +263,13 @@ def _factored_cell(tj1: int, tj2: int, walk: Iterable) -> tuple | None:
     weights = [row.get(tm1, 0) for row in product_weight.values() for tm1 in m1s]
     coupled_weight = {
         (tJ, tM): (
-            (tJ + 1) * factorial[(top - tJ) // 2] * factorial[(tj1 - tj2 + tJ) // 2]
+            (tJ + 1) * factorial[(tj1 + tj2 - tJ) // 2] * factorial[(tj1 - tj2 + tJ) // 2]
             * factorial[(tj2 - tj1 + tJ) // 2] * factorial[(tJ + tM) // 2]
             * factorial[(tJ - tM) // 2],
-            factorial[(top + tJ) // 2 + 1],
+            factorial[(tj1 + tj2 + tJ) // 2 + 1],
         )
-        for tJ in _j_range(tj1, tj2) for tM in range(-tJ, tJ + 1, 2)
+        for tJ in _j_range(tj1, tj2)
+        for tM in range(-tJ, tJ + 1, 2)
     }
     # the sign p and the r of each value, 0 / 1 where the walk has none
     signed = {tJ: [0] * ((tJ + 1) * width) for tJ in _j_range(tj1, tj2)}
@@ -282,11 +285,12 @@ def _factored_cell(tj1: int, tj2: int, walk: Iterable) -> tuple | None:
             row = (tJ - tM) * width + tj1  # twice the slot of m1 = -j1
         # n / d is A B (p / r)^2.  A key outside the cell, or a value of
         # several terms or of another class, fails
-        if (a := row_weight.get(tm1)) and len(terms := value._terms) == 1:
-            ((sign, n, d),) = terms
+        if (a := row_weight.get(tm1)) and len(value._terms) == 1:
+            ((sign, n, d),) = value._terms
             x, y = n * b_bottom, d * a * b_top
             g = gcd(x, y)
-            x, y = x // g, y // g
+            x //= g
+            y //= g
             p, r = isqrt(x), isqrt(y)
             if p * p == x and r * r == y:
                 slot = (row + tm1) // 2
@@ -599,16 +603,28 @@ def _apply_ladder(
     }
 
 
-def _raising_factor(tj: int, tm: int) -> int:
-    """2(j - m), for doubled arguments: J+ carries sqrt((j+m)! (j-m)!) at m
-    to j - m times that at m + 1, the step of the J+ recurrence."""
-    return tj - tm
+def _step_factor(element: int, weight: int, next_weight: int) -> int | None:
+    """2 sqrt(e w / w'), the factor f with sqrt(e w) = (f/2) sqrt(w') for
+    ``element``, the square e of a J+ or J- element, and two weights w, w'
+    in the ratio ``weight`` : ``next_weight``; None unless f is an integer
+    that is 0 only where e is (a nonzero e with a zero w moves a component
+    off the cell, which no factor carries)."""
+    square, rest = divmod(4 * element * weight, next_weight)
+    if rest or square < 0 or (factor := isqrt(square)) ** 2 != square:
+        return None
+    return factor if (factor == 0) == (element == 0) else None
 
 
-def _lowering_factor(tj: int, tm: int) -> int:
-    """2(j + m), for doubled arguments: J- carries sqrt((j+m)! (j-m)!) at m
-    to j + m times that at m - 1, the step of the J- recurrence."""
-    return tj + tm
+def _particle_steps(tj: int) -> tuple[list[int], list[int]] | None:
+    """The J+ and J- step factors of one particle of doubled j at each
+    doubled m = -j .. j, from `_raising_element` and `_lowering_element`:
+    (j+m)! (j-m)!, its share of A, goes to m + 1 in the ratio
+    (j-m) / (j+m+1) and to m - 1 in the ratio (j+m) / (j-m+1).  None
+    where a factor is not an integer."""
+    tms = range(-tj, tj + 1, 2)
+    up = [_step_factor(_raising_element(tj, tm), tj - tm, tj + tm + 2) for tm in tms]
+    down = [_step_factor(_lowering_element(tj, tm), tj + tm, tj - tm + 2) for tm in tms]
+    return None if None in up or None in down else (up, down)
 
 
 def _ladder_element(tJ: int, tM: int) -> int:
@@ -637,99 +653,120 @@ def _ladder_cell(cell: tuple[int, int]) -> CellResult:
     """The ladder check of a cell in integers on `_factored_cell`, one list
     comparison per chain and test, or else by `_ladder_by_apply`.
 
-    Over sqrt(A B(J, M)), J+ |J, M> = sqrt(d) |J, M+1>, d = `_ladder_element`
-    (J, M), is Racah's recurrence sum_i 2(j_i - m_i) P(J, M) = 2(J+M+1)
-    P(J, M+1), as B(J, M+1) / B(J, M) = (J+M+1) / (J-M), and J- |J, M+1> =
-    sqrt(d) |J, M> its mirror sum_i 2(j_i + m_i) P(J, M+1) = 2(J-M) P(J, M)
-    (Racah 1942; Condon & Shortley 1935, ch. III).  Each is taken times the
-    other factor of 4d so that it reads d; J+ |J, J> = 0 has no right side,
-    and a norm is B(J, M) sum A P^2 = L^2.
+    Over sqrt(A' B(J, M)) / L, J+ |J, M> = sqrt(d) |J, M+1>, d =
+    `_ladder_element` (J, M), is the recurrence sum_i f_i P(J, M) = g
+    P(J, M+1), and J- |J, M+1> = sqrt(d) |J, M> is its mirror sum_i f_i
+    P(J, M+1) = g P(J, M) (Racah 1942; Condon & Shortley 1935, ch. III).
+    Each f is `_step_factor` of its particle's element (`_particle_steps`)
+    and each g that of d with B's ratio B(J, M+1) / B(J, M) = (J+M+1) /
+    (J-M), so each recurrence is the relation that `_apply_ladder` acts
+    out; with the unscaled elements, f = 2(j - m) for J+ and 2(j + m) for
+    J-, and g = 2(J+M+1) or 2(J-M).  J+ |J, J> = 0 has no right side, and
+    a norm is B(J, M) sum A P^2 = L^2.  A factor that is not an integer
+    sends the cell to `_ladder_by_apply`.
     """
     tj1, tj2 = cell
     ladder, closed = list(_ladder_walk(tj1, tj2)), list(_closed_form_walk(tj1, tj2))
     factored = _factored_cell(tj1, tj2, ladder)
     # two equal tables are factored once
-    same = [(key, v._terms) for key, v in ladder] == [(key, v._terms) for key, v in closed]
-    closed_factored = factored if same else _factored_cell(tj1, tj2, closed)
-    if factored is None or closed_factored is None:
-        return _ladder_by_apply(tj1, tj2, ladder, closed)
+    closed_factored = factored if ladder == closed else _factored_cell(tj1, tj2, closed)
+    steps1, steps2 = _particle_steps(tj1), _particle_steps(tj2)
+    if None in (factored, closed_factored, steps1, steps2):
+        return _ladder_by_apply(tj1, tj2, (ladder, closed))
     (weights, coupled_weight, ladder_chains), closed_chains = factored, closed_factored[2]
     top, width, m1s = tj1 + tj2, tj1 + 1, range(-tj1, tj1 + 1, 2)
     # J(1) moves m1 and J(2) moves m2 = M - m1: their factors at each slot
-    # of each row of the grid, 0 off the cell
-    up1 = [_raising_factor(tj1, tm1) for tm1 in m1s] * (top + 1)
-    down1 = [_lowering_factor(tj1, tm1) for tm1 in m1s] * (top + 1)
-    m2s = [tM - tm1 for tM in range(top, -top - 1, -2) for tm1 in m1s]
-    up2, down2 = (
-        [factor(tj2, tm2) if abs(tm2) <= tj2 else 0 for tm2 in m2s]
-        for factor in (_raising_factor, _lowering_factor)
-    )
+    # of each row of the grid, 0 off the cell.  J(1)'s are 0 at the m1 it
+    # would move off the grid, as `_step_factor` has no other 0 there
+    up1, down1 = (factors * (top + 1) for factors in steps1)
+    m2s = [(tM - tm1 + tj2) // 2 for tM in range(top, -top - 1, -2) for tm1 in m1s]
+    up2, down2 = ([factors[i] if 0 <= i <= tj2 else 0 for i in m2s] for factors in steps2)
     for tJ in _j_range(tj1, tj2):
         first, last = (top - tJ) // 2 * width, (top + tJ) // 2 * width + width
         below = range(tJ - 2, -tJ - 1, -2)  # M of each relation's lower state
-        divisors = [d for tM in below for d in [4 * _ladder_element(tJ, tM)] * width]
+        elements = [_ladder_element(tJ, tM) for tM in below]
+        rises = [_step_factor(d, tJ + tM + 2, tJ - tM) for d, tM in zip(elements, below)]
+        falls = [_step_factor(d, tJ - tM, tJ + tM + 2) for d, tM in zip(elements, below)]
+        if None in rises or None in falls:
+            return _ladder_by_apply(tj1, tj2, (ladder, closed))
         (ps, common), (qs, _) = ladder_chains[tJ], closed_chains[tJ]
         # J+ of each ladder state, on the row above's slots (J(1) moves one):
-        # 0 for |J, J>, else the state above times 4d, taken times 2(J-M)
+        # 0 for |J, J>, else the state above times its rise g
         moved = [0, *map(mul, up1[first:last], ps)]
         raised = list(map(add, moved, [*map(mul, up2[first:last], ps), 0]))
-        up_scale = [tJ - tM for tM in below for _ in m1s]
+        rise_slots = [g for g in rises for _ in m1s]
         # B_top(J, M) sum A P^2 = B_bottom L^2, one sum per row
         squares = map(mul, weights[first:last], map(mul, ps, ps))
         b_tops = [coupled_weight[tJ, tM][0] for tM in range(tJ, -tJ - 1, -2)]
         norm = coupled_weight[tJ, tJ][1] * common * common
         # J- of each closed-form state above -J, on the row below's slots:
-        # the state below times 4d, taken times 2(J+M+1)
+        # the state below times its fall g
         moved = [*map(mul, down1[first:last], qs), 0]
         lowered = list(map(add, moved[1:], map(mul, down2[first:last], qs)))
-        down_scale = [tJ + tM + 2 for tM in below for _ in m1s]
+        fall_slots = [g for g in falls for _ in m1s]
         if (
             any(raised[:width])
-            or list(map(mul, raised[width:-1], up_scale)) != list(map(mul, ps[:-width], divisors))
+            or raised[width:-1] != list(map(mul, ps[:-width], rise_slots))
             or list(map(mul, b_tops, map(sum, zip(*[squares] * width)))) != [norm] * (tJ + 1)
-            or list(map(mul, lowered[:-width], down_scale)) != list(map(mul, qs[width:], divisors))
+            or lowered[:-width] != list(map(mul, qs[width:], fall_slots))
         ):
-            return _ladder_by_apply(tj1, tj2, ladder, closed)
+            return _ladder_by_apply(tj1, tj2, (ladder, closed))
     return len(_j_range(tj1, tj2)), None
 
 
-def _ladder_by_apply(tj1: int, tj2: int, ladder: Iterable, closed: Iterable) -> CellResult:
+def _ladder_by_apply(tj1: int, tj2: int, walks: Iterable[Iterable]) -> CellResult:
     """The ladder check of the (2j1, 2j2) cell whose ladder and closed-form
-    walks are ``ladder`` and ``closed``, with every relation acted out by
-    `_apply_ladder` and every norm taken by `_dot`."""
-    where = f"j1={HalfInt.from_twice(tj1)}, j2={HalfInt.from_twice(tj2)}"
-    walks = [_subspaces(ladder), _subspaces(closed)]
+    walks are ``walks``, with every relation acted out by `_apply_ladder`
+    and every norm taken by `_dot`."""
+    j1, j2 = HalfInt.from_twice(tj1), HalfInt.from_twice(tj2)
+    one = RadicalSum.one()
+    walks = [_subspaces(walk) for walk in walks]
     chains = 0
     for tJ in _j_range(tj1, tj2):
         chains += 1
         J = HalfInt.from_twice(tJ)
-        at = f"{where}, J={J}"
         # both routes' states |J, M>, M = J .. -J, as the walk's plain dicts;
         # a (J, M) that a walk leaves out is {}, which fails on its norm
-        chain, betas = (
-            [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)] for walk in walks
+        chain, closed = (
+            [walk.get(tJ, {}).get(tM, {}) for tM in range(tJ, -tJ - 1, -2)]
+            for walk in walks
         )
         if raised := _apply_ladder(tj1, tj2, tJ, chain[0], +1):
             return chains, Counterexample(
-                f"J+ annihilation fails for ({at})",
+                description=f"J+ annihilation fails for (j1={j1}, j2={j2}, J={J})",
                 # in descending m1, the order of the alphas of |J, J>
-                {"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
+                values={"J+ |J,J>": str(dict(sorted(raised.items(), reverse=True)))},
             )
         for step, state in enumerate(chain):
             tM = tJ - 2 * step
-            M = HalfInt.from_twice(tM)
-            if (norm_squared := _dot(state, state)) != RadicalSum.one():
+            if (norm_squared := _dot(state, state)) != one:
                 return chains, Counterexample(
-                    f"norm of |J={J}, M={M}> at ({where})", {"norm^2": str(norm_squared)}
+                    description=(
+                        f"norm of |J={J}, M={HalfInt.from_twice(tM)}> "
+                        f"at (j1={j1}, j2={j2})"
+                    ),
+                    values={"norm^2": str(norm_squared)},
                 )
-            divisor = _ladder_element(tJ, tM)
-            if step > 0 and _apply_ladder(tj1, tj2, tM, state, +1, divisor) != chain[step - 1]:
-                return chains, Counterexample(f"J+ ladder relation at ({at}, M={M})")
+            if step > 0:
+                divisor, above = _ladder_element(tJ, tM), chain[step - 1]
+                if _apply_ladder(tj1, tj2, tM, state, +1, divisor) != above:
+                    return chains, Counterexample(
+                        description=(
+                            f"J+ ladder relation at (j1={j1}, j2={j2}, J={J}, "
+                            f"M={HalfInt.from_twice(tM)})"
+                        ),
+                    )
         # closed-form states obey the J- relation; "beta" is their old name
         for s in range(1, tJ + 1):
-            divisor = _ladder_element(tJ, tJ - 2 * s)
-            if _apply_ladder(tj1, tj2, tJ - 2 * s + 2, betas[s - 1], -1, divisor) != betas[s]:
-                return chains, Counterexample(f"J- relation on beta states at ({at}, s={s})")
+            tM = tJ - 2 * s
+            divisor = _ladder_element(tJ, tM)
+            if _apply_ladder(tj1, tj2, tM + 2, closed[s - 1], -1, divisor) != closed[s]:
+                return chains, Counterexample(
+                    description=(
+                        f"J- relation on beta states at (j1={j1}, j2={j2}, "
+                        f"J={J}, s={s})"
+                    ),
+                )
     return chains, None
 
 

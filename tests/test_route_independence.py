@@ -149,11 +149,12 @@ def test_the_ladder_route_builds_its_top_in_integers(calls):
 
 def test_the_ladder_check_builds_no_state_object():
     # the check decides J+ and J- as recurrences in integers on the one
-    # factored cell, through the recurrences' step factors
+    # factored cell, through step factors taken from the check's elements
     called = _traced(lambda: check_ladder_consistency(4))
     assert {
-        "verification._factored_cell", "verification._raising_factor",
-        "verification._lowering_factor", "verification._ladder_element",
+        "verification._factored_cell", "verification._step_factor",
+        "verification._raising_element", "verification._lowering_element",
+        "verification._ladder_element",
     } <= called
 
 

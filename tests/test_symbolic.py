@@ -46,9 +46,12 @@ Unitarity and the ladder check factor each value as sqrt(A B) P / L
 (`verification._factored_cell`).  `_factored_weights` reads A and B out of
 that helper's source; the certificates prove Racah's ratios
 A(m1+1, m2) / A(m1, m2) = (j1+m1+1) / (j1-m1) and B(J, M) / B(J, M-1) =
-(J+M) / (J-M+1), and that with the unscaled elements, the divisor
-`verification._ladder_element` and the step factors, the integer
-recurrences that `verification._ladder_cell` tests are the J± relations.
+(J+M) / (J-M+1).  The ladder check takes each step factor of its integer
+recurrences from an element and the ratio of two weights
+(`verification._step_factor`); the certificates read those ratios out of
+`verification._particle_steps` and `verification._ladder_cell` and prove
+them A's and B's, so that the recurrences are the J± relations whatever
+the elements, and that the unscaled elements give integer factors.
 """
 
 import ast
@@ -472,7 +475,7 @@ def _factored_weights():
         return weight(product, tj1=tj1, tm1=tm1, tj2=tj2, tm2=tm2)
 
     def B(tj1, tj2, tJ, tM):
-        top, bottom = weight(coupled.value, tj1=tj1, tj2=tj2, tJ=tJ, tM=tM, top=tj1 + tj2)
+        top, bottom = weight(coupled.value, tj1=tj1, tj2=tj2, tJ=tJ, tM=tM)
         return top / bottom
 
     return A, B
@@ -497,40 +500,67 @@ def test_the_factored_weights_step_by_racahs_ratios():
     assert sympy.simplify(ratio - (tJ - v) / (v + 1)) == 0
 
 
-def test_with_the_unscaled_elements_the_recurrences_are_the_ladder_relations():
-    # product side: an element e of J+ or J- carries sqrt(A) at m1 (or m2)
-    # to its step factor f / 2 times sqrt(A) one step on, e A = (f/2)^2 A'
+def _step_factor_calls(function):
+    """{name: its argument texts} of each list that ``function`` builds
+    as ``[_step_factor(element, weight, next_weight) ...]``, and of each
+    other list comprehension as ``{name: [its element text]}``, read from
+    its source."""
+    calls = {}
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.ListComp):
+            elt = node.value.elt
+            is_step = isinstance(elt, ast.Call) and ast.unparse(elt.func) == "_step_factor"
+            calls[ast.unparse(node.targets[0])] = [
+                ast.unparse(arg) for arg in (elt.args if is_step else [elt])
+            ]
+    return calls
+
+
+def _read(text, **names):
+    """The expression ``text`` of the check's source with ``names`` bound,
+    its elements taken from `verification`, floors of exact divisions
+    dropped."""
+    scope = {
+        name: getattr(verification, name)
+        for name in ("_raising_element", "_lowering_element", "_ladder_element")
+    }
+    return _without_floor(sympy.sympify(eval(text, scope, names)))
+
+
+def test_each_step_factor_moves_between_the_factored_weights():
+    # `_step_factor(e, w, w')` is f = 2 sqrt(e w / w'), so sqrt(e w) =
+    # (f/2) sqrt(w').  Each integer recurrence of `_ladder_cell` is then the
+    # J+ or J- relation that `_apply_ladder` acts out, whatever the element
+    # e, exactly when each w / w' is the ratio of the weights that its step
+    # goes between: A's for a particle, B's for a coupled state.  With the
+    # unscaled elements every f is an integer, 2(j-m) and 2(j+m) for a
+    # particle and 2(J+M+1) and 2(J-M) for a coupled state, so a correct
+    # table is decided in integers
     A, B = _factored_weights()
+    particle = _step_factor_calls(verification._particle_steps)
+    assert {"up", "down"} <= set(particle)
     a1, b1, a2, b2 = _PRODUCT
     tj1, tm1, tj2, tm2 = a1 + b1, a1 - b1, a2 + b2, a2 - b2
-    for element, factor, step in (
-        (verification._raising_element, verification._raising_factor, 2),
-        (verification._lowering_element, verification._lowering_factor, -2),
-    ):
-        for moved, (tj, tm) in ((0, (tj1, tm1)), (1, (tj2, tm2))):
-            e = _without_floor(sympy.sympify(element(tj, tm)))
-            f = sympy.sympify(factor(tj, tm))
-            here = A(tj1, tm1, tj2, tm2)
+    for name, step, factors in (("up", 2, (2 * b1, 2 * b2)), ("down", -2, (2 * a1, 2 * a2))):
+        for moved, (tj, tm) in enumerate(((tj1, tm1), (tj2, tm2))):
+            e, w, w_next = (_read(text, tj=tj, tm=tm) for text in particle[name])
             there = A(tj1, tm1 + step * (1 - moved), tj2, tm2 + step * moved)
-            assert sympy.cancel(sympy.combsimp(e * here / there) - (f / 2) ** 2) == 0
-    # coupled side: J+ |J, M> = sqrt(E) |J, M+1> over sqrt(A' B(J, M)) is
-    # sum_i f_i P(M) = 2 sqrt(E B(M+1) / B(M)) P(M+1), and J- |J, M+1> =
-    # sqrt(E) |J, M> is sum_i f_i P(M+1) = 2 sqrt(E B(M) / B(M+1)) P(M).  The
-    # check takes each times the factor that `_ladder_cell` writes for it,
-    # c = 2(J-M) or 2(J+M+1), against 4E: so c^2 B(M+1) = 4 E B(M) for J+
-    # and c^2 B(M) = 4 E B(M+1) for J-, with c >= 0 below |J, J>
-    function = ast.parse(textwrap.dedent(inspect.getsource(verification._ladder_cell)))
-    sides = sorted(
-        (node for node in ast.walk(function) if isinstance(node, ast.ListComp)
-         and [ast.unparse(g.iter) for g in node.generators] == ["below", "m1s"]),
-        key=lambda node: node.lineno,
-    )
-    assert len(sides) == 2
+            ratio = sympy.combsimp(A(tj1, tm1, tj2, tm2) / there)
+            assert sympy.simplify(ratio - w / w_next) == 0
+            assert sympy.cancel(4 * e * w / w_next - factors[moved] ** 2) == 0
+    coupled = _step_factor_calls(verification._ladder_cell)
+    assert {"rises", "falls"} <= set(coupled)
     g1, g2, g3, v = _COUPLED
     tj1, tj2, tJ = g1 + g2, g1 + g3, g2 + g3
     tM = tJ - 2 * v - 2  # the lower state, v = J - M - 1 >= 0
-    E = _without_floor(sympy.sympify(verification._ladder_element(tJ, tM)))
-    lower, upper = B(tj1, tj2, tJ, tM), B(tj1, tj2, tJ, tM + 2)
-    raising, lowering = (eval(ast.unparse(node.elt), {}, {"tJ": tJ, "tM": tM}) for node in sides)
-    assert sympy.simplify(sympy.combsimp(raising**2 * upper / (4 * E * lower))) == 1
-    assert sympy.simplify(sympy.combsimp(lowering**2 * lower / (4 * E * upper))) == 1
+    (element,) = coupled["elements"]
+    d = _read(element, tJ=tJ, tM=tM)
+    # J+ |J, M> = sqrt(d) |J, M+1> steps B(M) to B(M+1); J- the other way
+    for name, (here, there), factor in (
+        ("rises", (tM + 2, tM), tJ + tM + 2),
+        ("falls", (tM, tM + 2), tJ - tM),
+    ):
+        e, w, w_next = (_read(text, tJ=tJ, tM=tM, d=d) for text in coupled[name])
+        ratio = sympy.combsimp(B(tj1, tj2, tJ, here) / B(tj1, tj2, tJ, there))
+        assert sympy.simplify(ratio - w / w_next) == 0
+        assert sympy.cancel(4 * e * w / w_next - factor**2) == 0

@@ -668,40 +668,62 @@ def test_verify_exits_2_when_a_route_raises(monkeypatch):
 
 def test_ladder_detects_broken_lowering(monkeypatch):
     # the check's J- doubles every component of the state it lowers, both
-    # where it decides a recurrence in integers, through both step factors
-    # of J-, and where it acts it out
-    step, act = verification._lowering_factor, verification._apply_ladder
-
-    def doubled(components):
-        return {tm1: product(value, RadicalSum.rational(2)) for tm1, value in components.items()}
-
-    def doubling_jminus(tj1, tj2, tM, components, direction, divisor=1):
-        state = act(tj1, tj2, tM, components, direction, divisor)
-        return doubled(state) if direction < 0 else state
-
-    monkeypatch.setattr(verification, "_lowering_factor", lambda tj, tm: 2 * step(tj, tm))
-    monkeypatch.setattr(verification, "_apply_ladder", doubling_jminus)
+    # where it decides a recurrence in integers and where it acts it out:
+    # both read `_lowering_element`, held as its square, times 4
+    original = verification._lowering_element
+    monkeypatch.setattr(verification, "_lowering_element", lambda tj, tm: 4 * original(tj, tm))
     report = check_ladder_consistency(1)
     assert not report.passed
     assert "J- relation on beta states" in report.counterexample.description
 
 
 def test_ladder_detects_broken_raising_element(monkeypatch):
-    original, step = verification._raising_element, verification._raising_factor
+    original = verification._raising_element
 
     def doubled(tj, tm):
         # the element is held as its square: doubling it is a factor of 4
         return original(tj, tm) * 4
 
-    # the check's J+ kernel reads the element from `verification`, and its
-    # J+ recurrence the step factor, which doubles with it
+    # the check's J+ kernel reads the element from `verification`
     monkeypatch.setattr(verification, "_raising_element", doubled)
-    monkeypatch.setattr(verification, "_raising_factor", lambda tj, tm: 2 * step(tj, tm))
     report = check_ladder_consistency(3)
     assert not report.passed
     assert report.counterexample.description == (
         "J+ ladder relation at (j1=0, j2=1/2, J=1/2, M=-1/2)"
     )
+
+
+def test_ladder_detects_a_raising_element_that_is_not_0_at_the_top(monkeypatch):
+    # J+ at m = j = 1/2 has the element 0; as 1 there it moves a component
+    # off the cell, which no step factor carries, and `_apply_ladder` decides
+    original = verification._raising_element
+    monkeypatch.setattr(
+        verification,
+        "_raising_element",
+        lambda tj, tm: 1 if (tj, tm) == (1, 1) else original(tj, tm),
+    )
+    report = check_ladder_consistency(2)
+    assert not report.passed
+    assert report.counterexample.description == (
+        "J+ annihilation fails for (j1=0, j2=1/2, J=1/2)"
+    )
+
+
+@pytest.mark.parametrize(
+    "arguments, factor",
+    [
+        ((2, 1, 2), 2),
+        ((6, 2, 3), 4),
+        ((0, 3, 1), 0),
+        ((2, 1, 1), None),  # 2 sqrt(2)
+        ((1, 1, 3), None),  # 2 sqrt(1/3)
+        ((-1, 1, 1), None),
+        ((5, 0, 3), None),  # 0 where the element is not
+    ],
+)
+def test_a_step_factor_is_an_integer_or_none(arguments, factor):
+    # 2 sqrt(e w / w') for the element e and the weights' ratio w : w'
+    assert verification._step_factor(*arguments) == factor
 
 
 def test_ladder_detects_a_highest_weight_that_j_plus_does_not_annihilate(monkeypatch):
@@ -861,14 +883,10 @@ def test_wrong_lowering_element_fails_ladder_and_agreement(monkeypatch):
             report = check(2)
             assert not report.passed
             assert "j1=0, j2=1/2" in report.counterexample.description
-    # the check's J- acts through `_lowering_element` (held as its square)
-    # and its J- recurrence through `_lowering_factor`, which no route uses:
-    # only the ladder check fails
+    # the check's J- acts through `_lowering_element` (held as its square),
+    # which no route uses: only the ladder check fails
     monkeypatch.setattr(
         verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 4)
-    )
-    monkeypatch.setattr(
-        verification, "_lowering_factor", _wrong_at_half(verification._lowering_factor, 2)
     )
     report = check_ladder_consistency(2)
     assert not report.passed
@@ -884,22 +902,13 @@ def test_incommensurable_ladder_contributions_fail_without_raising(monkeypatch):
     monkeypatch.setattr(verification, "_cells", lambda max_twice_j: [(1, 2)])
     # sqrt(2) times the check's J- element at j = m = 1/2: the two
     # contributions to |m1=-1/2> in J- |J=1/2, M=1/2> then fall in two
-    # commensurability classes, and the lowered component has two terms.
-    # The J- recurrence has no integer step factor for it; its factor there
-    # is doubled, so that it fails too and `_apply_ladder` decides
+    # commensurability classes, and the lowered component has two terms
     with monkeypatch.context() as patch:
         patch.setattr(
             verification, "_lowering_element", _wrong_at_half(verification._lowering_element, 2)
         )
-        patch.setattr(
-            verification, "_lowering_factor", _wrong_at_half(verification._lowering_factor, 2)
-        )
-        # the closed-form |J=1/2, M=1/2> of the cell
-        top = {
-            tm1: value
-            for (tJ, tM, tm1), value in verification._closed_form_walk(1, 2)
-            if (tJ, tM) == (1, 1)
-        }
+        # the closed-form |J=1/2, M=1/2> of the cell, as the check groups it
+        top = verification._subspaces(verification._closed_form_walk(1, 2))[1][1]
         assert verification._apply_ladder(1, 2, 1, top, -1)[-1].num_terms == 2
         report = check_ladder_consistency(2)
         assert not report.passed
